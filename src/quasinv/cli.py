@@ -85,28 +85,33 @@ def build_config(args, file_config):
         merged["n_sites"] = 12
     cfg = Config(**merged)
 
-    if cfg.scenario not in SCENARIOS:
+    if not isinstance(cfg.scenario, str) or cfg.scenario not in SCENARIOS:
         raise ConfigInvalid(f"scenario: {cfg.scenario!r} is not one of {sorted(SCENARIOS)}")
-    if not isinstance(cfg.d, int) or cfg.d < 2:
+    # type(), not isinstance(): JSON true/false are bools, which isinstance counts as ints
+    if type(cfg.d) is not int or cfg.d < 2:
         raise ConfigInvalid(f"d: must be an integer >= 2, got {cfg.d!r}")
-    if not isinstance(cfg.n_sites, int) or cfg.n_sites < 1:
+    if type(cfg.n_sites) is not int or cfg.n_sites < 1:
         raise ConfigInvalid(f"n_sites: must be a positive integer, got {cfg.n_sites!r}")
     if cfg.group is None:
         cfg.group = min(cfg.n_sites, MAX_GROUP_DEGREE)
-    if not isinstance(cfg.group, int) or not 1 <= cfg.group <= MAX_GROUP_DEGREE:
+    if type(cfg.group) is not int or not 1 <= cfg.group <= MAX_GROUP_DEGREE:
         raise ConfigInvalid(f"group: degree must be in [1, {MAX_GROUP_DEGREE}], got {cfg.group!r}")
     if cfg.group > cfg.n_sites:
         raise ConfigInvalid(f"group: degree {cfg.group} exceeds n_sites {cfg.n_sites}")
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
+    if type(cfg.seed) is not int or cfg.seed < 0:
         raise ConfigInvalid(f"seed: must be a non-negative integer, got {cfg.seed!r}")
-    if not 0.0 <= cfg.floor < 1.0:
+    if type(cfg.floor) not in (int, float) or not 0.0 <= cfg.floor < 1.0:
         raise ConfigInvalid(f"floor: must be in [0, 1), got {cfg.floor!r}")
-    if not cfg.tol > 0.0:
+    if type(cfg.tol) not in (int, float) or not cfg.tol > 0.0:
         raise ConfigInvalid(f"tol: must be positive, got {cfg.tol!r}")
-    if cfg.defect < 0.0:
+    if type(cfg.defect) not in (int, float) or not cfg.defect >= 0.0:
         raise ConfigInvalid(f"defect: must be non-negative, got {cfg.defect!r}")
+    if cfg.defect > 0.0 and cfg.scenario != "product":
+        raise ConfigInvalid(f"defect: only the product scenario plants one, not {cfg.scenario}")
     if cfg.preset not in ("geometric", "harmonic"):
         raise ConfigInvalid(f"preset: {cfg.preset!r} is not 'geometric' or 'harmonic'")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ConfigInvalid(f"out: must be a path string, got {cfg.out!r}")
 
     window_sites = cfg.n_sites + 1 if cfg.scenario == "markov" else cfg.n_sites
     if cfg.scenario not in ("sw_solutions", "convergence"):
@@ -193,7 +198,6 @@ def _run_product(cfg):
     T = cocycle.product_state_cocycle(phi, group)
     if cfg.defect > 0.0:
         T = _plant_defect(T, cfg.defect)
-    probes = states.default_probes(T.window)
     checks = [
         _check(cocycle.verify_normalization(T, tol=cfg.tol),
                "the identity permutation carries the unit entry"),
@@ -201,9 +205,9 @@ def _run_product(cfg):
                "x_{g2 g1} = x_{g1} * g1^-1(x_{g2})"),
         _check(cocycle.verify_inverse_relation(T, tol=cfg.tol),
                "x_g * g^-1(x_{g^-1}) = 1"),
-        _check(cocycle.verify_quasi_invariance(phi, T, probes, tol=cfg.tol),
+        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol),
                "phi(g(a)) = phi(x_g a) and phi(x_g) = 1"),
-        _check(cocycle.verify_strong(T, phi, probes, tol=cfg.tol),
+        _check(cocycle.verify_strong(T, phi, tol=cfg.tol),
                "entries hermitean, positive, mutually commuting, and central"),
         _guarded_check("power_relation", "x_g^-s = g^-1(x_{g^-1}^s)", cfg.tol,
                        lambda: cocycle.power_relation_check(T, tol=cfg.tol)),
@@ -217,12 +221,11 @@ def _run_markov(cfg):
     cda = max(qmc.cda_normalize_check(K, M.W_inf) for K in M.chain)
     cda_rep = cocycle._report("cda_normalization", cda, 1e-12)
 
-    chain_probes = states.default_probes(Window(2, cfg.n_sites))
     K_next = qmc.seeded_chain(cfg.n_sites + 1, cfg.seed)[cfg.n_sites]
-    ext = qmc.extension_residual(M, K_next, chain_probes)
+    ext = qmc.extension_residual(M, K_next)
     ext_rep = cocycle._report("window_extension", ext, cfg.tol)
 
-    sandwich = max(qmc.sandwich_residual(M, g, chain_probes) for g in group)
+    sandwich = max(qmc.sandwich_residual(M, g) for g in group)
     sand_rep = cocycle._report("sandwich_identity", sandwich, cfg.tol)
 
     T = qmc.x_cocycle_table(M, group)
@@ -234,7 +237,6 @@ def _run_markov(cfg):
     cross_rep = cocycle._report("x_equals_y_y_star", cross, cfg.tol)
 
     phi = qmc.markov_functional(M)
-    window_probes = states.default_probes(M.window)
     checks = [
         _check(cda_rep, "the reference expectation of K*K is the identity"),
         _check(ext_rep, "appending a normalized amplitude preserves expectations"),
@@ -244,9 +246,9 @@ def _run_markov(cfg):
                "the identity permutation carries the unit entry"),
         _check(cocycle.verify_cocycle_law(T, tol=cfg.tol),
                "x_{g2 g1} = x_{g1} * g1^-1(x_{g2})"),
-        _check(cocycle.verify_quasi_invariance(phi, T, window_probes, tol=cfg.tol),
+        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol),
                "phi(g(a)) = phi(x_g a) and phi(x_g) = 1"),
-        _check(cocycle.verify_strong(T, phi, window_probes, tol=cfg.tol),
+        _check(cocycle.verify_strong(T, phi, tol=cfg.tol),
                "entries hermitean, positive, mutually commuting, and central"),
     ]
     return checks, None
@@ -264,7 +266,6 @@ def _run_trivial(cfg):
     kap = LocalOperator(window, matcore.inv(kinv))
     phi_G = states.homogeneous_state(cfg.d, cfg.n_sites, np.eye(cfg.d) / cfg.d)
     phi, T = compact.converse_construct(phi_G, kap, group, tol=cfg.tol)
-    probes = states.default_probes(window)
     local = cocycle.locally_trivial_check(T, [cfg.n_sites], tol=cfg.tol)[0]
     checks = [
         _check(cocycle.verify_normalization(T, tol=cfg.tol),
@@ -273,7 +274,7 @@ def _run_trivial(cfg):
                "x_{g2 g1} = x_{g1} * g1^-1(x_{g2})"),
         _check(cocycle.verify_inverse_relation(T, tol=cfg.tol),
                "x_g * g^-1(x_{g^-1}) = 1"),
-        _check(cocycle.verify_quasi_invariance(phi, T, probes, tol=cfg.tol),
+        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol),
                "phi(g(a)) = phi(x_g a) and phi(x_g) = 1"),
         _check(local, "one kappa per window reproduces every entry"),
         _check(cocycle.power_relation_check(T, tol=cfg.tol),
@@ -371,7 +372,7 @@ def _run_structure(cfg):
     probes = states.default_probes(T.window)
     sub = [g for g in group if g(cfg.group) == cfg.group]
 
-    demo = compact.nonuniqueness_demo(phi, T, probes=probes, tol=cfg.tol)
+    demo = compact.nonuniqueness_demo(phi, T, tol=cfg.tol)
     alt = demo["alternative"].details
     demo_ok = (demo["canonical"].passed
                and alt["reconstruction"] <= cfg.tol
@@ -384,7 +385,7 @@ def _run_structure(cfg):
         passed=demo_ok)
 
     checks = [
-        _check(compact.verify_structure(phi, T, probes=probes, tol=cfg.tol),
+        _check(compact.verify_structure(phi, T, tol=cfg.tol),
                "phi(a) = phi_G(kappa^-1 a) with x_g = kappa g^-1(kappa^-1) "
                "and E_G(kappa^-1) = 1"),
         _check(compact.verify_umegaki(group, probes, seed=cfg.seed),

@@ -135,29 +135,25 @@ def verify_inverse_relation(T, tol=None):
     return _report("inverse_relation", worst, tol, witness=witness if worst > tol else None)
 
 
-def verify_quasi_invariance(phi, T, probes, tol=None):
-    """max over g and probes a of |phi(g(a)) - phi(x_g a)|.
+def verify_quasi_invariance(phi, T, probes=None, tol=None):
+    """max over g and a of |phi(g(a)) - phi(x_g a)| from the defect matrices
+    g^-1(W) - W x_g: on every a by default, otherwise on the probes.
 
-    Also folds in |phi(x_g) - 1| and, on positive probes a*a, the positivity
-    phi(x_g a*a) >= -tol required of a Radon-Nikodym family.
+    Also folds in |phi(x_g) - 1| and the positivity phi(x_g a*a) >= -tol of a
+    Radon-Nikodym family: min eig of the hermitean part of W x_g >= -tol.
     """
     tol = PASS_TOL * T.scale() if tol is None else tol
+    W = LocalOperator(T.window, states.full_density(phi))
     worst, witness = 0.0, None
     norm_worst = 0.0
     pos_worst = 0.0
     for g in T.group:
-        x_g = T.entries[g.image]
-        norm_worst = max(norm_worst, abs(states.evaluate(phi, x_g) - 1.0))
-        for k, a in enumerate(probes):
-            lhs = states.evaluate(phi, act(g, a))
-            rhs = states.evaluate(phi, x_g @ a)
-            r = abs(lhs - rhs)
-            if r > worst:
-                worst, witness = r, {"g": list(g.image), "probe": k}
-        for a in probes[:: max(1, len(probes) // 8)]:
-            p = a.dagger() @ a
-            val = states.evaluate(phi, x_g @ p).real
-            pos_worst = max(pos_worst, -val)
+        Wx = W.matrix @ T.entries[g.image].matrix
+        norm_worst = max(norm_worst, abs(np.trace(Wx) - 1.0))
+        r, where = states.pairing_residual(act(g.inverse(), W).matrix - Wx, probes)
+        if r > worst:
+            worst, witness = r, {"g": list(g.image), **where}
+        pos_worst = max(pos_worst, -float(np.linalg.eigvalsh((Wx + Wx.conj().T) / 2.0)[0]))
     resid = max(worst, norm_worst)
     details = {"pairing": worst, "normalization": norm_worst, "positivity_defect": max(pos_worst, 0.0)}
     passed = resid <= tol and pos_worst <= tol
@@ -170,8 +166,6 @@ def verify_strong(T, phi, probes=None, tol=None):
     commutation, centralizer membership, and the spectrum bounds
     [S1, S2] that contain every Spec(x_g)."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    if probes is None:
-        probes = states.default_probes(T.window)
     herm = 0.0
     s1, s2 = np.inf, -np.inf
     for g in T.group:
@@ -186,9 +180,8 @@ def verify_strong(T, phi, probes=None, tol=None):
             r = matcore.operator_norm(xg @ xh - xh @ xg)
             if r > comm:
                 comm, comm_wit = r, {"g": list(g.image), "h": list(h.image)}
-    centr = 0.0
-    for g in T.group:
-        centr = max(centr, states.centralizer_residual(phi, T.entries[g.image], probes))
+    W = states.full_density(phi)
+    centr = max(states.centralizer_residual(W, x, probes) for _, x in T)
     resid = max(herm, comm, centr)
     positive = s1 > 0.0
     details = {
@@ -204,24 +197,22 @@ def verify_strong(T, phi, probes=None, tol=None):
     return _report("strong_quasi_invariance", resid, tol, witness=witness, details=details, passed=passed)
 
 
-def verify_centralizer_transport(phi, T, x, probes, tol=None, tau_state=TAU_STATE):
-    """phi(g(x) a) = phi(a g(x_g x x_g^-1)) for x in the centralizer of phi."""
+def verify_centralizer_transport(phi, T, x, probes=None, tol=None, tau_state=TAU_STATE):
+    """phi(g(x) a) = phi(a g(x_g x x_g^-1)) for x in the centralizer of phi,
+    from the defect matrices W g(x) - g(x_g x x_g^-1) W."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    membership = states.centralizer_residual(phi, x, probes)
+    W = states.full_density(phi)
+    membership = states.centralizer_residual(W, x, probes)
     if membership > tau_state:
         raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds {tau_state:.1e}")
     worst, witness = 0.0, None
     for g in T.group:
         x_g = T.entries[g.image].matrix
         core = x_g @ x.matrix @ matcore.inv(x_g)
-        transported = act(g, LocalOperator(T.window, core))
-        gx = act(g, x)
-        for k, a in enumerate(probes):
-            lhs = states.evaluate(phi, gx @ a)
-            rhs = states.evaluate(phi, a @ transported)
-            r = abs(lhs - rhs)
-            if r > worst:
-                worst, witness = r, {"g": list(g.image), "probe": k}
+        transported = act(g, LocalOperator(T.window, core)).matrix
+        r, where = states.pairing_residual(W @ act(g, x).matrix - transported @ W, probes)
+        if r > worst:
+            worst, witness = r, {"g": list(g.image), **where}
     return _report("centralizer_transport", worst, tol, witness=witness if worst > tol else None)
 
 

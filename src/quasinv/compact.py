@@ -181,11 +181,10 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     reconstruction x_g = kappa g^-1(kappa^-1), the normalization
     E_G(kappa^-1) = 1, hermiticity of kappa, and the commutation of kappa
     with g^-1(kappa^-1).  A (phi_G, kappa) pair may be supplied explicitly;
-    by default both are computed from the table."""
+    by default both are computed from the table.  The factorization is checked
+    on the defect matrix W - W_G kappa^-1 (on every a, or on the probes)."""
     group = T.group
     window = T.window
-    if probes is None:
-        probes = states.default_probes(window)
     if decomposition is None:
         kap = kappa(T)
         phi_G = invariant_state(phi, group)
@@ -194,13 +193,8 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     kinv = matcore.inv(kap.matrix)
     kinv_local = LocalOperator(window, kinv)
 
-    recon, recon_wit = 0.0, None
-    for k, a in enumerate(probes):
-        lhs = states.evaluate(phi, a)
-        rhs = states.evaluate(phi_G, kinv_local @ a)
-        r = abs(lhs - rhs)
-        if r > recon:
-            recon, recon_wit = r, {"probe": k}
+    recon, where = states.pairing_residual(
+        states.full_density(phi) - states.full_density(phi_G) @ kinv, probes)
 
     match, match_wit = 0.0, None
     commut = 0.0
@@ -225,7 +219,7 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
         "commutation": commut,
         "kappa_min_eig": float(np.linalg.eigvalsh((kap.matrix + kap.matrix.conj().T) / 2.0)[0]),
     }
-    witness = match_wit if match > tol else (recon_wit if recon > tol else None)
+    witness = match_wit if match > tol else (where if recon > tol else None)
     return _report("structure_decomposition", resid, tol, witness=witness, details=details)
 
 
@@ -234,8 +228,7 @@ def converse_construct(phi_G, kap, group, tol=STRUCTURE_TOL):
     E_G(kappa^-1) = 1, build phi(a) = phi_G(kappa^-1 a) and its trivial
     cocycle table x_g = kappa g^-1(kappa^-1)."""
     window = phi_G.window
-    probes = states.default_probes(window)
-    inv_resid = states.is_exchangeable(phi_G, group, probes)
+    inv_resid = states.is_exchangeable(phi_G, group)
     if inv_resid > tol:
         raise NotInvariantBase(f"base state moves under the group: {inv_resid:.3e}")
     if not matcore.classify(kap.matrix).invertible:
@@ -311,8 +304,6 @@ def nonuniqueness_demo(phi, T, k0=None, probes=None, tol=STRUCTURE_TOL):
     both pairs, while E_G(kappa^-1) = 1 singles out the canonical one."""
     group = T.group
     window = T.window
-    if probes is None:
-        probes = states.default_probes(window)
     kap = kappa(T)
     phi_G = invariant_state(phi, group)
     if k0 is None:

@@ -168,7 +168,6 @@ def cauchy_diagnostic(seq, M, N, method="auto"):
     else:
         raise RangeError(f"unknown method {method!r}")
     bound = head_norm * tail_dev
-    assert diff <= bound + 1e-12
     summable_tail = sum(seq.factor_deviation(k) for k in range(M + 1, N + 1))
     return {"diff": diff, "bound": bound, "summable_tail": summable_tail,
             "method": method}

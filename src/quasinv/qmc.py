@@ -27,7 +27,7 @@ from .errors import (
     SupportTooLarge,
 )
 from .lattice import LocalOperator, Window, act, embed_pair, extend, support
-from .states import homogeneous_state, matrix_unit_probes, slice_expectation
+from .states import homogeneous_state, slice_expectation
 
 CDA_TOL = 1e-8
 
@@ -144,15 +144,26 @@ def markov_eval(M, a):
     return states.evaluate(M.psi(), R.dagger() @ a_full @ R)
 
 
-def extension_residual(M, K_next, probes):
-    """max over probes of |phi_N(a) - phi_{N+1}(a)| after appending one
-    more normalized amplitude; the well-definedness diagnostic."""
+def _marginal(X, window, n):
+    """X traced over every site of the window after the first n."""
+    if n > window.N:
+        raise SupportTooLarge(f"observables on {n} sites, window has {window.N}")
+    k, r = window.d ** n, window.d ** (window.N - n)
+    return np.einsum("iaja->ij", X.reshape(k, r, k, r))
+
+
+def extension_residual(M, K_next, probes=None):
+    """max over a in A_[1,N] of |phi_N(a) - phi_{N+1}(a)| after appending one
+    more normalized amplitude, from the difference of the two chain
+    densities reduced to [1,N]; the well-definedness diagnostic."""
     M_ext = MarkovState(M.d, M.W_inf, M.chain + (np.asarray(K_next, dtype=complex),),
                         validate=M.validate)
-    worst = 0.0
-    for a in probes:
-        worst = max(worst, abs(markov_eval(M, a) - markov_eval(M_ext, a)))
-    return worst
+    n = M.N if probes is None else probes[0].window.N
+    if n > M.N:
+        raise SupportTooLarge(f"observables on {n} sites, chain supports [1,{M.N}]")
+    diff = (_marginal(markov_density(M), M.window, n)
+            - _marginal(markov_density(M_ext), M_ext.window, n))
+    return states.pairing_residual(diff, probes)[0]
 
 
 def y_cocycle(M, g):
@@ -166,18 +177,15 @@ def y_cocycle(M, g):
     return act(g_full.inverse(), R) @ LocalOperator(M.window, R_inv)
 
 
-def sandwich_residual(M, g, probes):
-    """max over probes a in A_[1,N] of |phi(g(a)) - phi(y* a y)|."""
+def sandwich_residual(M, g, probes=None):
+    """max over a in A_[1,N] of |phi(g(a)) - phi(y* a y)|, from the defect
+    matrix g^-1(W) - y W y* reduced to [1,N]."""
     g_full = _extend_perm(g, M)
-    y = y_cocycle(M, g)
-    phi = markov_functional(M)
-    worst = 0.0
-    for a in probes:
-        a_full = _extend_to_window(a, M.window)
-        lhs = states.evaluate(phi, act(g_full, a_full))
-        rhs = states.evaluate(phi, y.dagger() @ a_full @ y)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    y = y_cocycle(M, g).matrix
+    W = LocalOperator(M.window, markov_density(M))
+    defect = act(g_full.inverse(), W).matrix - y @ W.matrix @ y.conj().T
+    n = M.N if probes is None else probes[0].window.N
+    return states.pairing_residual(_marginal(defect, M.window, n), probes)[0]
 
 
 def chain_commutation_residual(M):
@@ -195,13 +203,8 @@ def chain_commutation_residual(M):
 def chain_centralizer_residual(M):
     """max over amplitudes of the centralizer residual of K_n in the
     two-site reference state."""
-    psi2 = homogeneous_state(M.d, 2, M.W_inf)
-    probes = matrix_unit_probes(psi2.window)
-    worst = 0.0
-    for K in M.chain:
-        c = LocalOperator(psi2.window, K)
-        worst = max(worst, states.centralizer_residual(psi2, c, probes))
-    return worst
+    W2 = states.full_density(homogeneous_state(M.d, 2, M.W_inf))
+    return max(states.centralizer_residual(W2, K) for K in M.chain)
 
 
 def x_cocycle_commuting(M, g, tol=CDA_TOL):

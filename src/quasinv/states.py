@@ -118,17 +118,33 @@ def default_probes(window, seed=0):
     return random_hermitian_probes(window, seed=seed)
 
 
-def centralizer_residual(phi, c, probes):
-    """max over probes a of |phi(ac) - phi(ca)|; zero certifies membership
-    in the centralizer relative to the probe set."""
+def pairing_residual(M, probes=None):
+    """(residual, where) of a linear identity whose defect matrix M has
+    Tr(M a) = lhs(a) - rhs(a).  With probes=None it is complete on the whole
+    algebra: max |M_ij| = max |Tr(M e_ij)| over the matrix units, where =
+    {"entry": [i, j]} naming e_ij.  Otherwise max_k |Tr(M a_k)|, where =
+    {"probe": k}."""
+    M = np.asarray(M)
+    if probes is None:
+        i, j = np.unravel_index(np.argmax(np.abs(M.T)), M.shape)
+        return float(abs(M[j, i])), {"entry": [int(i), int(j)]}
+    best, where = 0.0, {"probe": 0}
+    for k, a in enumerate(probes):
+        am = a.matrix if isinstance(a, LocalOperator) else np.asarray(a)
+        if am.shape != M.shape:
+            raise SizeMismatch(f"probe on dim {am.shape[0]}, identity on dim {M.shape[0]}")
+        r = abs(complex(np.einsum("ij,ji->", M, am)))
+        if r > best:
+            best, where = r, {"probe": k}
+    return best, where
+
+
+def centralizer_residual(phi, c, probes=None):
+    """max over a of |phi(ac) - phi(ca)| from the defect matrix cW - Wc; zero
+    certifies centralizer membership (on every a, or on the probes)."""
     cm = c.matrix if isinstance(c, LocalOperator) else np.asarray(c)
     W = full_density(phi)
-    best = 0.0
-    for a in probes:
-        am = a.matrix if isinstance(a, LocalOperator) else np.asarray(a)
-        r = abs(np.trace(W @ am @ cm) - np.trace(W @ cm @ am))
-        best = max(best, float(r))
-    return best
+    return pairing_residual(cm @ W - W @ cm, probes)[0]
 
 
 def slice_expectation(psi, X):
@@ -152,14 +168,12 @@ def slice_expectation(psi, X):
     return np.einsum("ijkm,mj->ik", X4, W)
 
 
-def is_exchangeable(psi, group, probes):
-    """max over group elements and probes of |psi(g(a)) - psi(a)|."""
-    best = 0.0
-    for g in group:
-        for a in probes:
-            r = abs(evaluate(psi, act(g, a)) - evaluate(psi, a))
-            best = max(best, float(r))
-    return best
+def is_exchangeable(psi, group, probes=None):
+    """max over group elements g and a of |psi(g(a)) - psi(a)|, from the
+    defect matrices g^-1(W) - W."""
+    W = LocalOperator(psi.window, full_density(psi))
+    return max((pairing_residual(act(g.inverse(), W).matrix - W.matrix, probes)[0]
+                for g in group), default=0.0)
 
 
 def partial_trace_site(W_full, window, site):

@@ -229,6 +229,26 @@ def test_bad_floor_and_tol_are_config_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", [
+    {"floor": "x"}, {"tol": "1e-9"}, {"defect": None}, {"tol": True},
+    {"n_sites": True}, {"d": False}, {"group": True}, {"seed": True},
+    {"d": 2.0}, {"scenario": ["product"]}, {"out": 5},
+])
+def test_mistyped_config_values_are_config_errors(tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "product", **bad}), encoding="utf-8")
+    assert run_cli(["run", "--json", str(cfg)]) == 2
+    assert f"{next(iter(bad))}:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("quasinv_*"))
+
+
+@pytest.mark.parametrize("scenario", [s for s in ALL_SCENARIOS if s != "product"])
+def test_defect_outside_product_is_a_config_error(capsys, scenario):
+    assert run_cli(["run", "--scenario", scenario, "--n-sites", "3", "--defect", "0.5"]) == 2
+    assert "defect" in capsys.readouterr().err
+
+
 def test_missing_scenario_is_a_config_error(capsys):
     rc = run_cli(["run"])
     assert rc == 2

@@ -136,6 +136,22 @@ def test_quasi_invariance_planted_defect_detected():
     assert rep.residual > 1e-4
 
 
+@pytest.mark.parametrize("complete", [True, False])
+def test_positivity_defect_on_the_last_basis_index_is_detected(complete):
+    # W = diag(3/8, 1/8, 3/8, 1/8), so W x_t = diag(3/8, 1/8, 3/8, -1/8) is
+    # negative only on basis index 3
+    phi = anchor_state()
+    group = enumerate_group(2)
+    t = transposition(2, 1, 2)
+    entries = {g.image: phi.window.identity() for g in group}
+    entries[t.image] = LocalOperator(phi.window, np.diag([1.0, 1.0, 1.0, -1.0]))
+    T = CocycleTable(tuple(group), entries, phi.window)
+    probes = None if complete else matrix_unit_probes(phi.window)
+    rep = verify_quasi_invariance(phi, T, probes)
+    assert rep.details["positivity_defect"] == pytest.approx(1.0 / 8.0, abs=1e-14)
+    assert not rep.passed
+
+
 def test_wrong_identity_table_fails_against_heterogeneous_state():
     phi = anchor_state()
     I_table = CocycleTable(

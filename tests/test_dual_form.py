@@ -1,0 +1,282 @@
+"""Differential tests: the defect-matrix verifiers against probe loops.
+
+Each oracle below is the probe-loop form of a linear identity, evaluating
+both sides through states.evaluate one probe at a time (on the density,
+built once per oracle call).  On windows with
+D <= 16 the defect-matrix form over the whole algebra (probes=None) must
+agree with the oracle over the complete matrix-unit basis to round-off,
+on identities that hold and on identities that fail alike.
+"""
+
+import numpy as np
+import pytest
+
+from quasinv import cocycle, compact, matcore, qmc, states
+from quasinv.cocycle import CocycleTable
+from quasinv.lattice import (
+    LocalOperator,
+    Window,
+    act,
+    cyclic_shift,
+    enumerate_group,
+    extend,
+    transposition,
+)
+
+AGREE = 1e-12
+
+
+# ---- oracles: the probe-loop forms --------------------------------------
+
+def oracle_quasi_invariance(phi, T, probes):
+    """max |phi(g(a)) - phi(x_g a)| and the (g, probe index) attaining it."""
+    W = states.full_density(phi)
+    worst, where = 0.0, None
+    for g in T.group:
+        x_g = T.entries[g.image]
+        for k, a in enumerate(probes):
+            r = abs(states.evaluate(W, act(g, a)) - states.evaluate(W, x_g @ a))
+            if r > worst:
+                worst, where = r, (list(g.image), k)
+    return worst, where
+
+
+def oracle_centralizer(phi, c, probes):
+    W = states.full_density(phi)
+    return max(abs(states.evaluate(W, a @ c) - states.evaluate(W, c @ a)) for a in probes)
+
+
+def oracle_exchangeable(psi, group, probes):
+    W = states.full_density(psi)
+    return max(abs(states.evaluate(W, act(g, a)) - states.evaluate(W, a))
+               for g in group for a in probes)
+
+
+def oracle_transport(phi, T, x, probes):
+    W = states.full_density(phi)
+    worst = 0.0
+    for g in T.group:
+        x_g = T.entries[g.image].matrix
+        transported = act(g, LocalOperator(T.window, x_g @ x.matrix @ matcore.inv(x_g)))
+        gx = act(g, x)
+        for a in probes:
+            worst = max(worst, abs(states.evaluate(W, gx @ a)
+                                   - states.evaluate(W, a @ transported)))
+    return worst
+
+
+def oracle_sandwich(M, g, probes):
+    g_full = extend(g, M.N + 1)
+    y = qmc.y_cocycle(M, g)
+    phi = qmc.markov_functional(M)
+    worst = 0.0
+    for a in probes:
+        a_full = qmc._extend_to_window(a, M.window)
+        worst = max(worst, abs(states.evaluate(phi, act(g_full, a_full))
+                               - states.evaluate(phi, y.dagger() @ a_full @ y)))
+    return worst
+
+
+def oracle_extension(M, K_next, probes):
+    M_ext = qmc.MarkovState(M.d, M.W_inf, M.chain + (K_next,), validate=M.validate)
+    return max(abs(qmc.markov_eval(M, a) - qmc.markov_eval(M_ext, a)) for a in probes)
+
+
+def oracle_reconstruction(phi, phi_G, kap, probes):
+    W, W_G = states.full_density(phi), states.full_density(phi_G)
+    kinv = LocalOperator(phi.window, matcore.inv(kap.matrix))
+    return max(abs(states.evaluate(W, a) - states.evaluate(W_G, kinv @ a)) for a in probes)
+
+
+# ---- inputs ---------------------------------------------------------------
+
+def seeded_product(d, N, seed):
+    """Non-diagonal site densities, so no identity holds by sparsity."""
+    return states.product_state(
+        d, [matcore.random_density(d, 0.1, seed=seed * 31 + k) for k in range(N)])
+
+
+def planted(T, eps):
+    target = next(g for g in T.group if not g.is_identity())
+    entries = dict(T.entries)
+    m = entries[target.image].matrix.copy()
+    m[0, -1] += eps
+    entries[target.image] = LocalOperator(T.window, m)
+    return CocycleTable(T.group, entries, T.window)
+
+
+def identity_table(phi, group):
+    return CocycleTable(tuple(group), {g.image: phi.window.identity() for g in group},
+                        phi.window)
+
+
+def trivial_pair(d, N, seed):
+    """A converse-constructed state and its one-kappa table, as the trivial scenario builds them."""
+    window = Window(d, N)
+    group = enumerate_group(N)
+    dim = window.total_dim
+    h = matcore.random_hermitian(dim, seed=seed)
+    centered = h - compact.haar_average(group, LocalOperator(window, h)).matrix
+    kinv = np.eye(dim) + 0.5 * centered / max(1.0, matcore.operator_norm(centered))
+    phi_G = states.homogeneous_state(d, N, np.eye(d) / d)
+    return compact.converse_construct(
+        phi_G, LocalOperator(window, matcore.inv(kinv)), group)
+
+
+def generic_chain(N, seed):
+    """Invertible amplitudes with no normalization or commutation."""
+    ks = tuple(np.eye(4) + 0.3 * matcore.random_matrix(4, seed=seed * 17 + n) for n in range(N))
+    return qmc.MarkovState(2, np.eye(2) / 2, ks, validate=False)
+
+
+def qi_cases():
+    out = []
+    for d, N in ((2, 2), (2, 3), (2, 4), (3, 2)):
+        phi = seeded_product(d, N, seed=d * 10 + N)
+        group = [extend(g, N) for g in enumerate_group(N)]
+        T = cocycle.product_state_cocycle(phi, group)
+        out += [(f"product-d{d}-n{N}", phi, T),
+                (f"product-d{d}-n{N}-defect", phi, planted(T, 1e-6)),
+                (f"product-d{d}-n{N}-identity-table", phi, identity_table(phi, group))]
+    for N in (2, 3):
+        out.append((f"trivial-n{N}", *trivial_pair(2, N, seed=N)))
+    for N in (2, 3):
+        M = qmc.MarkovState(2, np.eye(2) / 2, qmc.seeded_chain(N, seed=N))
+        out.append((f"markov-n{N}", qmc.markov_functional(M),
+                    qmc.x_cocycle_table(M, enumerate_group(N))))
+    return out
+
+
+QI_CASES = qi_cases()
+
+
+# ---- quasi-invariance -----------------------------------------------------
+
+@pytest.mark.parametrize("label,phi,T", QI_CASES, ids=[c[0] for c in QI_CASES])
+def test_quasi_invariance_matches_probe_loop(label, phi, T):
+    units = states.matrix_unit_probes(T.window)
+    want, where = oracle_quasi_invariance(phi, T, units)
+    complete = cocycle.verify_quasi_invariance(phi, T, tol=1e-9)
+    listed = cocycle.verify_quasi_invariance(phi, T, units, tol=1e-9)
+    assert abs(complete.details["pairing"] - want) <= AGREE
+    assert abs(listed.details["pairing"] - want) <= AGREE
+    assert complete.passed == listed.passed
+    if label.endswith("defect"):
+        # a single planted entry: both forms fail and name the same g and matrix unit
+        g, k = where
+        D = T.window.total_dim
+        assert want > 1e-9 and not complete.passed
+        assert complete.witness == {"g": g, "entry": [k // D, k % D]}
+        assert listed.witness == {"g": g, "probe": k}
+    elif not label.endswith("table"):
+        assert want <= 1e-9 and complete.passed
+
+
+# ---- centralizer, transport and exchangeability ---------------------------
+
+def test_centralizer_matches_probe_loop():
+    for d, N in ((2, 2), (2, 3), (2, 4), (3, 2)):
+        phi = seeded_product(d, N, seed=N)
+        units = states.matrix_unit_probes(phi.window)
+        D = phi.window.total_dim
+        for c in (LocalOperator(phi.window, matcore.random_matrix(D, seed=D)),
+                  LocalOperator(phi.window, states.full_density(phi) @ states.full_density(phi)),
+                  phi.window.identity()):
+            want = oracle_centralizer(phi, c, units)
+            assert abs(states.centralizer_residual(phi, c) - want) <= AGREE
+            assert abs(states.centralizer_residual(phi, c, units) - want) <= AGREE
+
+
+def test_strong_centralizer_part_matches_probe_loop():
+    for N in (2, 3):
+        phi = seeded_product(2, N, seed=5 + N)
+        T = cocycle.product_state_cocycle(phi, enumerate_group(N))
+        units = states.matrix_unit_probes(phi.window)
+        want = max(oracle_centralizer(phi, x, units) for _, x in T)
+        got = cocycle.verify_strong(T, phi).details["centralizer"]
+        assert want > 1e-3  # non-diagonal densities: the entries are not central
+        assert abs(got - want) <= AGREE
+
+
+def test_transport_matches_probe_loop():
+    # tau_state=inf admits x outside the centralizer, where the identity fails
+    for N in (2, 3, 4):
+        for phi in (seeded_product(2, N, seed=N), seeded_product(2, N, seed=N + 1)):
+            T = cocycle.product_state_cocycle(phi, enumerate_group(N))
+            units = states.matrix_unit_probes(phi.window)
+            W = states.full_density(phi)
+            for x in (phi.window.identity(), LocalOperator(phi.window, W @ W),
+                      T.entry(transposition(N, 1, 2))):
+                want = oracle_transport(phi, T, x, units)
+                got = cocycle.verify_centralizer_transport(phi, T, x, tau_state=np.inf)
+                assert abs(got.residual - want) <= AGREE
+    assert want > 1e-3  # x_t is not central in a non-diagonal state
+
+
+def test_exchangeability_matches_probe_loop():
+    for d, N in ((2, 2), (2, 3), (2, 4), (3, 2)):
+        W = matcore.random_density(d, 0.1, seed=d + N)
+        # one shift alone is not closed under inverses, so g and g^-1 differ
+        for group in (enumerate_group(N), [cyclic_shift(N)]):
+            for psi in (states.homogeneous_state(d, N, W), seeded_product(d, N, seed=N)):
+                units = states.matrix_unit_probes(psi.window)
+                want = oracle_exchangeable(psi, group, units)
+                assert abs(states.is_exchangeable(psi, group) - want) <= AGREE
+                assert abs(states.is_exchangeable(psi, group, units) - want) <= AGREE
+
+
+# ---- Markov chains: sandwich and window extension --------------------------
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("skew", [0.0, 0.2])
+def test_sandwich_matches_probe_loop(monkeypatch, N, skew):
+    # the sandwich identity holds for every invertible chain; a skewed y
+    # makes it fail, and both forms must then report the same residual
+    y_true = qmc.y_cocycle
+    monkeypatch.setattr(qmc, "y_cocycle", lambda M, g: y_true(M, g) @ LocalOperator(
+        M.window, np.eye(2 ** (N + 1)) + skew * matcore.random_matrix(2 ** (N + 1), seed=N)))
+    for M in (qmc.MarkovState(2, np.eye(2) / 2, qmc.seeded_chain(N, seed=N)),
+              generic_chain(N, seed=N)):
+        for n in range(1, N + 2):
+            units = states.matrix_unit_probes(Window(2, n))
+            for g in enumerate_group(N):
+                want = oracle_sandwich(M, g, units)
+                assert abs(qmc.sandwich_residual(M, g, units) - want) <= AGREE
+                if n == N:
+                    assert abs(qmc.sandwich_residual(M, g) - want) <= AGREE
+                    assert (want > 1e-3) == (skew > 0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_extension_matches_probe_loop(N):
+    consistent = (qmc.MarkovState(2, np.eye(2) / 2, qmc.seeded_chain(N, seed=N)),
+                  qmc.diagonal_cda(2, 0.05))
+    generic = (generic_chain(N, seed=10 + N), np.eye(4) + 0.3 * matcore.random_matrix(4, seed=N))
+    for M, K in (consistent, generic):
+        for n in range(1, N + 1):
+            units = states.matrix_unit_probes(Window(2, n))
+            want = oracle_extension(M, K, units)
+            assert abs(qmc.extension_residual(M, K, units) - want) <= AGREE
+        assert abs(qmc.extension_residual(M, K) - want) <= AGREE
+        assert (want > 1e-3) == (M is generic[0])
+
+
+# ---- structure reconstruction ---------------------------------------------
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_reconstruction_matches_probe_loop(N):
+    rng = np.random.Generator(np.random.Philox(N))
+    phi = states.product_state(2, [np.diag([p, 1.0 - p]) for p in rng.uniform(0.2, 0.8, N)])
+    T = cocycle.product_state_cocycle(phi, enumerate_group(N))
+    units = states.matrix_unit_probes(phi.window)
+    kap = compact.kappa(T)
+    phi_G = compact.invariant_state(phi, T.group)
+    h = matcore.random_hermitian(2 ** N, seed=N)
+    wrong = LocalOperator(phi.window, kap.matrix @ (np.eye(2 ** N) + 0.3 * h / np.linalg.norm(h, 2)))
+    for decomposition in ((phi_G, kap), (phi_G, wrong)):
+        want = oracle_reconstruction(phi, *decomposition, units)
+        got = compact.verify_structure(phi, T, decomposition=decomposition)
+        assert abs(got.details["reconstruction"] - want) <= AGREE
+        listed = compact.verify_structure(phi, T, units, decomposition=decomposition)
+        assert abs(listed.details["reconstruction"] - want) <= AGREE
+    assert want > 1e-3  # the wrong kappa breaks the factorization
