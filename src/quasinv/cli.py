@@ -38,6 +38,38 @@ SCENARIOS = {
 
 MAX_GROUP_DEGREE = 6  # 6! = 720, the enumeration cap
 
+# the law each check verifies, keyed by check name (a locally_trivial[N=n]
+# check by its name before the bracket)
+LAWS = {
+    "normalization": "the identity permutation carries the unit entry",
+    "cocycle_law": "x_{g2 g1} = x_{g1} * g1^-1(x_{g2})",
+    "inverse_relation": "x_g * g^-1(x_{g^-1}) = 1",
+    "quasi_invariance": "phi(g(a)) = phi(x_g a) and phi(x_g) = 1",
+    "strong_quasi_invariance": "entries hermitean, positive, mutually commuting, and central",
+    "power_relation": "x_g^-s = g^-1(x_{g^-1}^s)",
+    "cda_normalization": "the reference expectation of K*K is the identity",
+    "window_extension": "appending a normalized amplitude preserves expectations",
+    "sandwich_identity": "phi(g(a)) = phi(y* a y) with y = g^-1(R) R^-1",
+    "x_equals_y_y_star": "x_g = y y* for a commuting chain",
+    "locally_trivial": "one kappa per window reproduces every entry",
+    "defining_relation": "x = W^-1 z solves W x = x* W",
+    "commuting_gives_hermitean": "[z, W] = 0 forces the solution hermitean",
+    "hermitean_iff_commuting": "the solution is hermitean exactly when z commutes with W",
+    "bound_dominates": "||x_[1,N] - x_[1,M]|| <= ||x_[1,M]|| * ||x_[M+1,N] - 1||",
+    "step_decay": "successive window differences shrink by at least 3x",
+    "monotone_differences": "the window-difference column never increases",
+    "telescoping": "prod a_h - 1 = sum_h (prod_{j<h} a_j)(a_h - 1)",
+    "pairing_identity": "phi(a) = psi(x_[1,N] a) for every window holding a",
+    "tail_summability": "the cumulative factor deviation stays below 1",
+    "structure_decomposition": ("phi(a) = phi_G(kappa^-1 a) with x_g = kappa g^-1(kappa^-1) "
+                                "and E_G(kappa^-1) = 1"),
+    "umegaki_expectation": "E_G is a unital positive idempotent module map onto the fixed points",
+    "projective_family": "averaging over the larger group absorbs the smaller average",
+    "restriction_consistency": "subgroup entries match the cocycle recomputed from the state",
+    "nonuniqueness_demo": ("a nontrivial fixed point yields a second decomposition; "
+                           "E_G(kappa^-1) = 1 singles out the canonical one"),
+}
+
 
 @dataclass
 class Config:
@@ -120,6 +152,9 @@ def build_config(args, file_config):
                 f"n_sites: window dimension {cfg.d}^{window_sites} exceeds {TOTAL_DIM_CAP}")
         if _factorial(cfg.group) > GROUP_ORDER_CAP:
             raise ConfigInvalid(f"group: order {_factorial(cfg.group)} exceeds {GROUP_ORDER_CAP}")
+    if cfg.scenario == "structure" and cfg.d ** cfg.n_sites > compact.FIX_BASIS_CAP:
+        raise ConfigInvalid(f"n_sites: structure spans fixed points on windows up to "
+                            f"dimension {compact.FIX_BASIS_CAP}, not {cfg.d}^{cfg.n_sites}")
     if cfg.scenario == "markov" and cfg.d != 2:
         raise ConfigInvalid("d: the markov scenario is built for d = 2")
     if cfg.scenario == "convergence":
@@ -138,10 +173,10 @@ def _factorial(n):
     return out
 
 
-def _check(report, law):
+def _check(report):
     out = {
         "name": report.name,
-        "law": law,
+        "law": LAWS[report.name.split("[")[0]],
         "residual": report.residual,
         "tolerance": report.tolerance,
         "pass": report.passed,
@@ -151,16 +186,16 @@ def _check(report, law):
     return out
 
 
-def _guarded_check(name, law, tol, fn):
+def _guarded_check(name, tol, fn):
     """Run a report-producing callable; a raised precondition (for example
     fractional powers of a non-hermitean entry) becomes a failing check with
     the error recorded as its witness, not a crash."""
     try:
-        return _check(fn(), law)
+        return _check(fn())
     except QuasinvError as exc:
         return {
             "name": name,
-            "law": law,
+            "law": LAWS[name],
             "residual": None,
             "tolerance": tol,
             "pass": False,
@@ -199,17 +234,12 @@ def _run_product(cfg):
     if cfg.defect > 0.0:
         T = _plant_defect(T, cfg.defect)
     checks = [
-        _check(cocycle.verify_normalization(T, tol=cfg.tol),
-               "the identity permutation carries the unit entry"),
-        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol),
-               "x_{g2 g1} = x_{g1} * g1^-1(x_{g2})"),
-        _check(cocycle.verify_inverse_relation(T, tol=cfg.tol),
-               "x_g * g^-1(x_{g^-1}) = 1"),
-        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol),
-               "phi(g(a)) = phi(x_g a) and phi(x_g) = 1"),
-        _check(cocycle.verify_strong(T, phi, tol=cfg.tol),
-               "entries hermitean, positive, mutually commuting, and central"),
-        _guarded_check("power_relation", "x_g^-s = g^-1(x_{g^-1}^s)", cfg.tol,
+        _check(cocycle.verify_normalization(T, tol=cfg.tol)),
+        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol)),
+        _check(cocycle.verify_inverse_relation(T, tol=cfg.tol)),
+        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
+        _check(cocycle.verify_strong(T, phi, tol=cfg.tol)),
+        _guarded_check("power_relation", cfg.tol,
                        lambda: cocycle.power_relation_check(T, tol=cfg.tol)),
     ]
     return checks, None
@@ -238,18 +268,14 @@ def _run_markov(cfg):
 
     phi = qmc.markov_functional(M)
     checks = [
-        _check(cda_rep, "the reference expectation of K*K is the identity"),
-        _check(ext_rep, "appending a normalized amplitude preserves expectations"),
-        _check(sand_rep, "phi(g(a)) = phi(y* a y) with y = g^-1(R) R^-1"),
-        _check(cross_rep, "x_g = y y* for a commuting chain"),
-        _check(cocycle.verify_normalization(T, tol=cfg.tol),
-               "the identity permutation carries the unit entry"),
-        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol),
-               "x_{g2 g1} = x_{g1} * g1^-1(x_{g2})"),
-        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol),
-               "phi(g(a)) = phi(x_g a) and phi(x_g) = 1"),
-        _check(cocycle.verify_strong(T, phi, tol=cfg.tol),
-               "entries hermitean, positive, mutually commuting, and central"),
+        _check(cda_rep),
+        _check(ext_rep),
+        _check(sand_rep),
+        _check(cross_rep),
+        _check(cocycle.verify_normalization(T, tol=cfg.tol)),
+        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol)),
+        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
+        _check(cocycle.verify_strong(T, phi, tol=cfg.tol)),
     ]
     return checks, None
 
@@ -268,17 +294,12 @@ def _run_trivial(cfg):
     phi, T = compact.converse_construct(phi_G, kap, group, tol=cfg.tol)
     local = cocycle.locally_trivial_check(T, [cfg.n_sites], tol=cfg.tol)[0]
     checks = [
-        _check(cocycle.verify_normalization(T, tol=cfg.tol),
-               "the identity permutation carries the unit entry"),
-        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol),
-               "x_{g2 g1} = x_{g1} * g1^-1(x_{g2})"),
-        _check(cocycle.verify_inverse_relation(T, tol=cfg.tol),
-               "x_g * g^-1(x_{g^-1}) = 1"),
-        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol),
-               "phi(g(a)) = phi(x_g a) and phi(x_g) = 1"),
-        _check(local, "one kappa per window reproduces every entry"),
-        _check(cocycle.power_relation_check(T, tol=cfg.tol),
-               "x_g^-s = g^-1(x_{g^-1}^s)"),
+        _check(cocycle.verify_normalization(T, tol=cfg.tol)),
+        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol)),
+        _check(cocycle.verify_inverse_relation(T, tol=cfg.tol)),
+        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
+        _check(local),
+        _check(cocycle.power_relation_check(T, tol=cfg.tol)),
     ]
     return checks, None
 
@@ -303,12 +324,9 @@ def _run_sw(cfg):
         x_comm = cocycle.solve_SW(W, z_comm)
         herm_commuting = max(herm_commuting, matcore.herm_defect(x_comm))
     checks = [
-        _check(cocycle._report("defining_relation", defining, 1e-10),
-               "x = W^-1 z solves W x = x* W"),
-        _check(cocycle._report("commuting_gives_hermitean", herm_commuting, 1e-10),
-               "[z, W] = 0 forces the solution hermitean"),
-        _check(cocycle._report("hermitean_iff_commuting", float(disagreements), 0.0),
-               "the solution is hermitean exactly when z commutes with W"),
+        _check(cocycle._report("defining_relation", defining, 1e-10)),
+        _check(cocycle._report("commuting_gives_hermitean", herm_commuting, 1e-10)),
+        _check(cocycle._report("hermitean_iff_commuting", float(disagreements), 0.0)),
     ]
     return checks, None
 
@@ -351,12 +369,12 @@ def _run_convergence(cfg):
     tail_rep = cocycle._report("tail_summability", series[-1]["tail"], 1.0)
 
     checks = [
-        _check(bound_rep, "||x_[1,N] - x_[1,M]|| <= ||x_[1,M]|| * ||x_[M+1,N] - 1||"),
-        _check(decay_rep, "successive window differences shrink by at least 3x"),
-        _check(mono_rep, "the window-difference column never increases"),
-        _check(tele_rep, "prod a_h - 1 = sum_h (prod_{j<h} a_j)(a_h - 1)"),
-        _check(pair_rep, "phi(a) = psi(x_[1,N] a) for every window holding a"),
-        _check(tail_rep, "the cumulative factor deviation stays below 1"),
+        _check(bound_rep),
+        _check(decay_rep),
+        _check(mono_rep),
+        _check(tele_rep),
+        _check(pair_rep),
+        _check(tail_rep),
     ]
     data = {
         "series": series,
@@ -369,7 +387,7 @@ def _run_structure(cfg):
     phi = _seeded_diagonal_state(cfg.d, cfg.n_sites, cfg.seed, cfg.floor)
     group = _window_group(cfg)
     T = cocycle.product_state_cocycle(phi, group)
-    probes = states.default_probes(T.window)
+    probes = states.matrix_unit_probes(T.window)
     sub = [g for g in group if g(cfg.group) == cfg.group]
 
     demo = compact.nonuniqueness_demo(phi, T, tol=cfg.tol)
@@ -385,18 +403,11 @@ def _run_structure(cfg):
         passed=demo_ok)
 
     checks = [
-        _check(compact.verify_structure(phi, T, tol=cfg.tol),
-               "phi(a) = phi_G(kappa^-1 a) with x_g = kappa g^-1(kappa^-1) "
-               "and E_G(kappa^-1) = 1"),
-        _check(compact.verify_umegaki(group, probes, seed=cfg.seed),
-               "E_G is a unital positive idempotent module map onto the fixed points"),
-        _check(compact.projective_family_check(sub, group, probes),
-               "averaging over the larger group absorbs the smaller average"),
-        _check(compact.restriction_consistency(phi, T, [sub, group], tol=cfg.tol),
-               "subgroup entries match the cocycle recomputed from the state"),
-        _check(demo_rep,
-               "a nontrivial fixed point yields a second decomposition; "
-               "E_G(kappa^-1) = 1 singles out the canonical one"),
+        _check(compact.verify_structure(phi, T, tol=cfg.tol)),
+        _check(compact.verify_umegaki(group, probes, seed=cfg.seed)),
+        _check(compact.projective_family_check(sub, group, probes)),
+        _check(compact.restriction_consistency(phi, T, [sub, group], tol=cfg.tol)),
+        _check(demo_rep),
     ]
     return checks, None
 

@@ -13,9 +13,8 @@ here verify the defining identities numerically:
     power relation     x_g^-s = g^-1(x_{g^-1}^s)
 
 Constructors: trivial cocycles kappa * g^-1(kappa^-1), product-state
-cocycles on the support of g, the same cocycle referenced to a homogeneous
-weight, the solution set of W x = x* W on a single factor, and propagation
-along the powers of a single generator.
+cocycles on the support of g, the solution set of W x = x* W on a single
+factor, and propagation along the powers of a single generator.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from .errors import (
     MissingIdentityEntry,
     NotInCentralizer,
     NotHermitianZ,
+    NotStrongCocycle,
     OrderExceeded,
     SingularEntry,
     SingularKappa,
@@ -161,6 +161,18 @@ def verify_quasi_invariance(phi, T, probes=None, tol=None):
                    details=details, passed=passed)
 
 
+def require_strong_entries(T, tol):
+    """Raise NotStrongCocycle unless every entry is hermitean (to tol, scaled
+    by its norm) and positive definite: the precondition of the square roots
+    and averages built on a strong table."""
+    for g in T.group:
+        x = T.entries[g.image].matrix
+        if matcore.herm_defect(x) > tol * max(1.0, matcore.operator_norm(x)):
+            raise NotStrongCocycle(f"entry for {g.image} is not hermitean")
+        if np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0] <= 0.0:
+            raise NotStrongCocycle(f"entry for {g.image} is not positive")
+
+
 def verify_strong(T, phi, probes=None, tol=None):
     """The strong-case bundle: hermiticity, positivity, pairwise
     commutation, centralizer membership, and the spectrum bounds
@@ -244,35 +256,6 @@ def product_state_cocycle(phi, group):
         y = window.identity()
         for n in sites:
             y = y @ embed(window, n, phi.weights[n - 1])
-        return x @ act(g.inverse(), y)
-
-    return build_table(group, window, builder)
-
-
-def reference_cocycle(phi, W_inf, group):
-    """The same cocycle written against a homogeneous reference weight:
-    x_g = (prod_{n in supp g} j_n(F_n^-1)) * g^-1(prod j_n(F_n)) with
-    F_n = W_inf^-1 W_n.  The reference factors cancel on the support, so
-    the table coincides with product_state_cocycle(phi, group)."""
-    window = phi.window
-    lam = np.linalg.eigvalsh(np.asarray(W_inf, dtype=complex))
-    if lam[0] <= matcore.TAU_POS:
-        raise SingularWeight("reference weight not bounded away from zero")
-    Winf_inv = matcore.inv(W_inf)
-    F = [Winf_inv @ W for W in phi.weights]
-    for Fn in F:
-        if not matcore.classify(Fn).invertible:
-            raise SingularWeight("singular site factor")
-    Finv = [matcore.inv(Fn) for Fn in F]
-
-    def builder(g):
-        sites = sorted(support(g))
-        x = window.identity()
-        for n in sites:
-            x = x @ embed(window, n, Finv[n - 1])
-        y = window.identity()
-        for n in sites:
-            y = y @ embed(window, n, F[n - 1])
         return x @ act(g.inverse(), y)
 
     return build_table(group, window, builder)

@@ -13,15 +13,16 @@ All group sums use a pairwise tree reduction so that results are bitwise
 reproducible regardless of how the terms might later be scheduled.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import matcore, states
-from .cocycle import VerificationReport, _report, trivial_cocycle
+from .cocycle import PASS_TOL, _report, require_strong_entries, trivial_cocycle
 from .errors import (
     NotFaithful,
     NotInvariantBase,
     NotNested,
-    NotStrongCocycle,
     SingularKappa,
     SupportTooLarge,
 )
@@ -50,16 +51,6 @@ def haar_average(group, a):
     """E_G(a), the uniform average of the group action."""
     total = _tree_sum([act(g, a).matrix for g in group])
     return LocalOperator(a.window, total / len(group))
-
-
-class GroupAverage:
-    """The averaging map E_G of one enumerated group, as a callable."""
-
-    def __init__(self, group):
-        self.group = tuple(group)
-
-    def __call__(self, a):
-        return haar_average(self.group, a)
 
 
 def invariant_state(phi, group):
@@ -91,7 +82,7 @@ def verify_umegaki(group, probes, tol=UMEGAKI_TOL, seed=0):
     unitality, positivity, the bimodule property over fixed points, and a
     seeded sweep certifying that E_G does not annihilate any a*a."""
     window = probes[0].window
-    E = GroupAverage(group)
+    E = partial(haar_average, group)
     eye = LocalOperator(window, np.eye(window.total_dim))
 
     unital = matcore.operator_norm(E(eye).matrix - np.eye(window.total_dim))
@@ -134,20 +125,10 @@ def verify_umegaki(group, probes, tol=UMEGAKI_TOL, seed=0):
     return _report("umegaki_expectation", resid, tol, details=details, passed=passed)
 
 
-def _require_strong_entries(T, tol=1e-8):
-    for g in T.group:
-        x = T.entries[g.image].matrix
-        scale = max(1.0, matcore.operator_norm(x))
-        if matcore.herm_defect(x) > tol * scale:
-            raise NotStrongCocycle(f"entry for {g.image} is not hermitean")
-        if np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0] <= 0.0:
-            raise NotStrongCocycle(f"entry for {g.image} is not positive")
-
-
 def spectrum_bounds(T):
     """[S1, S2] containing the spectrum of every entry; S1 > 0 for a
     strong table."""
-    _require_strong_entries(T)
+    require_strong_entries(T, PASS_TOL)
     s1, s2 = np.inf, -np.inf
     for g in T.group:
         x = T.entries[g.image].matrix
@@ -159,7 +140,7 @@ def spectrum_bounds(T):
 def kappa(T):
     """The group average of the cocycle entries; hermitean, positive and
     invertible whenever the table is strong."""
-    _require_strong_entries(T)
+    require_strong_entries(T, PASS_TOL)
     avg = _tree_sum([T.entries[g.image].matrix for g in T.group]) / len(T.group)
     return LocalOperator(T.window, (avg + avg.conj().T) / 2.0)
 
@@ -251,8 +232,8 @@ def projective_family_check(group_small, group_big, probes, tol=UMEGAKI_TOL):
     big = {g.image for g in group_big}
     if not small <= big:
         raise NotNested("the first group is not contained in the second")
-    E_small = GroupAverage(group_small)
-    E_big = GroupAverage(group_big)
+    E_small = partial(haar_average, group_small)
+    E_big = partial(haar_average, group_big)
 
     double = 0.0
     absorb = 0.0

@@ -1,24 +1,36 @@
-"""Finite-dimensional GNS construction and the covariant unitaries.
+"""Finite-dimensional GNS construction and the covariant unitaries, kept as
+D x D factors.
 
 The representation space for a faithful state phi on a window of dimension
-D is C^(D^2) carrying the inner product <a, b> = phi(a* b).  Vectors are
-column-stacked matrices, so the gram matrix is W^T (x) I_D, the left
-regular representation is pi(a) = I_D (x) a, and the cyclic vector is
-vec(1).  Adjoints are taken relative to the gram: M# = gram^-1 M+ gram.
+D is C^(D^2) = vec(M_D) with the inner product <vec(a), vec(b)> = phi(a* b).
+Column-stacked, the gram is W^T (x) 1, the left regular representation is
+pi(a) = 1 (x) a and the cyclic vector is vec(1).  For a strong cocycle table
+U_g vec(a) = vec(g(a) s_g), with s_g = x_{g^-1}^(1/2), is (P_g* s_g)^T (x) P_g.
+All of these are elementary tensors, so nothing here forms a D^2 x D^2
+matrix: the representation keeps W, pi(a) is a itself, and U_g is the pair
+(g, s_g).
 
-For a strong cocycle table the map U_g vec(a) = vec(g(a) x_{g^-1}^(1/2))
-is gram-unitary, satisfies the group law, U_g# = U_{g^-1}, covariance
-U_g# pi(a) U_g = pi(g^-1(a)), and transports the group average on the
-algebra to the averaged conjugation on the representation.
+The gram adjoint of U_g is b -> g^-1(b) t_g with t_g = g^-1(W s_g*) W^-1, so
+U_g# U_g is right multiplication by 1 + C_g, C_g = g^-1(s_g W s_g*) W^-1 - 1.
+Each identity of the covariant representation is then one D x D defect whose
+operator norm equals the D^2 x D^2 residual:
+
+    gram-unitarity    U_g# U_g = 1                ||C_g||
+    group law         U_g U_h = U_{gh}            ||g(s_h) s_g - s_{gh}||
+    adjoint           U_g# = U_{g^-1}             ||t_g - s_{g^-1}||
+    covariance        U_g# pi(a) U_g = pi(g^-1(a))  ||C_g^T (x) g^-1(a)|| = ||C_g|| ||a||
+
+and the lifted average (1/|G|) sum_g U_g# pi(a) U_g - pi(E_G(a)) =
+(1/|G|) sum_g C_g^T (x) g^-1(a) is at most (1/|G|) sum_g ||C_g|| ||a||.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore, states
-from .errors import NotFaithful, NotStrongCocycle
-from .lattice import LocalOperator, act, permutation_unitary
+from . import cocycle, matcore, states
+from .errors import NotFaithful
+from .lattice import LocalOperator, Permutation, act, index_map
 
 GNS_TOL = 1e-9
 
@@ -32,13 +44,15 @@ def unvec(v, D):
     return np.asarray(v, dtype=complex).reshape((D, D), order="F")
 
 
+def _matrix(a):
+    return a.matrix if isinstance(a, LocalOperator) else np.asarray(a, dtype=complex)
+
+
 @dataclass(frozen=True)
 class GnsRepresentation:
     window: object
-    W: np.ndarray          # full-window density of the state
-    gram: np.ndarray       # W^T (x) I
-    gram_inv: np.ndarray
-    Phi: np.ndarray        # vec(1), the cyclic vector
+    W: np.ndarray          # full-window density of the state; the gram is W^T (x) 1
+    W_inv: np.ndarray
 
     @property
     def D(self):
@@ -48,25 +62,35 @@ class GnsRepresentation:
     def dim(self):
         return self.D * self.D
 
-    def pi(self, a):
-        m = a.matrix if isinstance(a, LocalOperator) else np.asarray(a, dtype=complex)
-        return np.kron(np.eye(self.D), m)
-
-    def inner(self, u, v):
-        return complex(np.conj(u) @ self.gram @ v)
-
-    def adjoint(self, M):
-        """The gram adjoint M# with <M# u, v> = <u, M v>."""
-        return self.gram_inv @ M.conj().T @ self.gram
+    def inner(self, a, b):
+        """<vec(a), vec(b)> = phi(a* b) for D x D matrices a, b."""
+        return complex(np.trace(self.W @ _matrix(a).conj().T @ _matrix(b)))
 
     def state_value(self, a):
-        return self.inner(self.Phi, self.pi(a) @ self.Phi)
+        """<vec(1), pi(a) vec(1)> = phi(a)."""
+        return self.inner(np.eye(self.D), a)
 
     def orthonormal_form(self, M):
-        """The same operator written in an orthonormalized basis (Cholesky
-        change of frame), for export: gram-unitaries become plain unitaries."""
-        L = np.linalg.cholesky(self.gram)
-        return L.conj().T @ M @ np.linalg.inv(L.conj().T)
+        """A D^2 x D^2 operator written in an orthonormalized basis, for
+        export: gram-unitaries become plain unitaries.  The Cholesky factor of
+        the gram W^T (x) 1 is L (x) 1 with L that of W^T, so the change of
+        frame acts on one index of the (D, D, D, D) reshape on each side."""
+        D = self.D
+        L = np.linalg.cholesky(self.W.T)
+        M4 = np.asarray(M, dtype=complex).reshape(D, D, D, D)
+        out = np.einsum("ja,aibk,bl->jilk", L.conj().T, M4, np.linalg.inv(L.conj().T),
+                        optimize=True)
+        return out.reshape(D * D, D * D)
+
+
+@dataclass(frozen=True)
+class CovariantUnitary:
+    """U_g vec(a) = vec(g(a) s) with s = x_{g^-1}^(1/2), kept as its factors."""
+    g: Permutation
+    s: LocalOperator
+
+    def __call__(self, a):
+        return act(self.g, a) @ self.s
 
 
 def build_gns(phi):
@@ -75,91 +99,97 @@ def build_gns(phi):
     if not ok:
         raise NotFaithful(f"state density has min eigenvalue {min_eig:.3e}")
     W = states.full_density(phi)
-    window = phi.window
-    D = window.total_dim
-    gram = np.kron(W.T, np.eye(D))
-    gram_inv = np.kron(np.linalg.inv(W.T), np.eye(D))
-    Phi = vec(np.eye(D))
-    return GnsRepresentation(window, W, gram, gram_inv, Phi)
+    return GnsRepresentation(phi.window, W, np.linalg.inv(W))
 
 
 def build_unitaries(R, T, tol=GNS_TOL):
-    """U_g on vec(a) = vec(g(a) x_{g^-1}^(1/2)) for a strong table:
-    U_g = ((P_g* s_g)^T (x) P_g) with s_g the square root of x_{g^-1}."""
-    for g in T.group:
-        x = T.entries[g.image].matrix
-        if matcore.herm_defect(x) > tol * max(1.0, matcore.operator_norm(x)):
-            raise NotStrongCocycle(f"entry for {g.image} is not hermitean")
-        if np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0] <= 0:
-            raise NotStrongCocycle(f"entry for {g.image} is not positive")
-    out = {}
-    for g in T.group:
-        s = matcore.matrix_power(T.entries[g.inverse().image].matrix, 0.5)
-        P = permutation_unitary(g, R.window)
-        out[g.image] = np.kron((P.conj().T @ s).T, P)
-    return out
+    """U_g on vec(a) = vec(g(a) x_{g^-1}^(1/2)) for a strong table."""
+    cocycle.require_strong_entries(T, tol)
+    return {g.image: CovariantUnitary(g, LocalOperator(
+                R.window, matcore.matrix_power(T.entries[g.inverse().image].matrix, 0.5)))
+            for g in T.group}
+
+
+def _sharp_factor(R, Ug):
+    """t_g with U_g# vec(b) = vec(g^-1(b) t_g): t_g = g^-1(W s*) W^-1."""
+    ginv = Ug.g.inverse()
+    return act(ginv, LocalOperator(R.window, R.W @ Ug.s.dagger().matrix)).matrix @ R.W_inv
+
+
+def _gram_defect(R, Ug):
+    """C_g = g^-1(s W s*) W^-1 - 1, with U_g# U_g vec(a) = vec(a (1 + C_g))."""
+    moved = act(Ug.g.inverse(), LocalOperator(R.window, Ug.s.matrix @ R.W @ Ug.s.dagger().matrix))
+    return moved.matrix @ R.W_inv - np.eye(R.D)
 
 
 def verify_unitaries(R, U, group, tol=GNS_TOL):
     """Gram-unitarity, the group law, and U_g# = U_{g^-1}."""
-    I = np.eye(R.dim)
     unit = law = adj = 0.0
     for g in group:
         Ug = U[g.image]
-        unit = max(unit, matcore.operator_norm(R.adjoint(Ug) @ Ug - I))
-        adj = max(adj, matcore.operator_norm(R.adjoint(Ug) - U[g.inverse().image]))
+        unit = max(unit, matcore.operator_norm(_gram_defect(R, Ug)))
+        adj = max(adj, matcore.operator_norm(_sharp_factor(R, Ug) - U[g.inverse().image].s.matrix))
     for g in group:
         for h in group:
-            law = max(law, matcore.operator_norm(U[g.image] @ U[h.image] - U[(g * h).image]))
+            lhs = act(g, U[h.image].s) @ U[g.image].s
+            law = max(law, matcore.operator_norm(lhs.matrix - U[(g * h).image].s.matrix))
     resid = max(unit, law, adj)
     return {"unitarity": unit, "group_law": law, "adjoint": adj, "residual": resid,
             "pass": resid <= tol}
 
 
-def verify_covariance(R, U, group, probes, tol=GNS_TOL):
-    """max over g, probes of || U_g# pi(a) U_g - pi(g^-1(a)) ||."""
-    worst = 0.0
-    for g in group:
-        Ug = U[g.image]
-        Ug_sharp = R.adjoint(Ug)
-        for a in probes:
-            lhs = Ug_sharp @ R.pi(a) @ Ug
-            rhs = R.pi(act(g.inverse(), a))
-            worst = max(worst, matcore.operator_norm(lhs - rhs))
+def _probe_scale(probes):
+    """max ||a|| over the probes; the unit ball of the window when None."""
+    if probes is None:
+        return 1.0
+    return max((matcore.operator_norm(_matrix(a)) for a in probes), default=0.0)
+
+
+def verify_covariance(R, U, group, probes=None, tol=GNS_TOL):
+    """max over g, probes of || U_g# pi(a) U_g - pi(g^-1(a)) || = ||C_g|| ||a||;
+    with probes=None, over the whole unit ball of the window."""
+    worst = _probe_scale(probes) * max(
+        (matcore.operator_norm(_gram_defect(R, U[g.image])) for g in group), default=0.0)
     return {"residual": worst, "pass": worst <= tol}
 
 
-def algebra_average(subgroup, a):
-    """The uniform average of the group action on the algebra."""
-    total = sum(act(g, a).matrix for g in subgroup)
-    return LocalOperator(a.window, total / len(subgroup))
-
-
 def lift_conditional_expectation(R, U, subgroup):
-    """The averaged conjugation X -> (1/|G|) sum_g U_g# X U_g."""
-    pairs = [(U[g.image], R.adjoint(U[g.image])) for g in subgroup]
+    """The averaged conjugation X -> (1/|G|) sum_g U_g# X U_g on D^2 x D^2
+    operators.  U_g# and U_g* are both b -> g^-1(b) m for a D x D factor m
+    (t_g and g^-1(s*)), applied to every column of a D^2 x D^2 matrix through
+    its (D, D, D^2) reshape; X U_g = (U_g* X*)*."""
+    D = R.D
+
+    def right_apply(g, m, X):
+        cols = X.reshape(D, D, -1, order="F")[index_map(g, R.window)]
+        return np.einsum("ijc,jk->ikc", cols, m).reshape(D * D, -1, order="F")
+
+    factors = []
+    for g in subgroup:
+        Ug, ginv = U[g.image], g.inverse()
+        factors.append((ginv, act(ginv, Ug.s.dagger()).matrix, _sharp_factor(R, Ug)))
 
     def lifted(X):
-        return sum(sharp @ X @ Ug for Ug, sharp in pairs) / len(pairs)
+        X = np.asarray(X, dtype=complex)
+        total = 0.0
+        for ginv, s_moved, t in factors:
+            XU = right_apply(ginv, s_moved, X.conj().T).conj().T
+            total = total + right_apply(ginv, t, XU)
+        return total / len(factors)
 
     return lifted
 
 
-def verify_lifted_expectation(R, U, subgroup, probes, tol=GNS_TOL):
+def verify_lifted_expectation(R, U, subgroup, probes=None, tol=GNS_TOL):
     """The lift agrees with the algebra-level average: for every probe a,
-    (1/|G|) sum U_g# pi(a) U_g = pi(E_G(a))."""
-    lifted = lift_conditional_expectation(R, U, subgroup)
-    worst = 0.0
-    for a in probes:
-        lhs = lifted(R.pi(a))
-        rhs = R.pi(algebra_average(subgroup, a))
-        worst = max(worst, matcore.operator_norm(lhs - rhs))
+    || (1/|G|) sum U_g# pi(a) U_g - pi(E_G(a)) || <= (1/|G|) sum_g ||C_g|| ||a||,
+    the bound reported as the residual; with probes=None, over the unit ball."""
+    total = sum(matcore.operator_norm(_gram_defect(R, U[g.image])) for g in subgroup)
+    worst = total / len(subgroup) * _probe_scale(probes)
     return {"residual": worst, "pass": worst <= tol}
 
 
 def cyclicity_rank(R):
-    """Rank of the span of {pi(e_ij) Phi}; D^2 certifies the cyclic vector."""
-    cols = []
-    for a in states.matrix_unit_probes(R.window):
-        cols.append(R.pi(a) @ R.Phi)
-    return int(np.linalg.matrix_rank(np.column_stack(cols), tol=1e-10))
+    """Rank of the span of {pi(e_ij) vec(1)} = {vec(e_ij)} in the gram
+    geometry W^T (x) 1, which is D rank W; D^2 certifies the cyclic vector."""
+    return R.D * int(np.linalg.matrix_rank(R.W, tol=1e-10))

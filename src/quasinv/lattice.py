@@ -4,7 +4,9 @@ A window is the algebra of d^N x d^N matrices acting on (C^d)^(x N).
 Site 1 is the most significant digit in the row-major mixed-radix index,
 so embed(window, 1, b) = b (x) I (x) ... (x) I as a Kronecker product.
 Permutations are 1-based bijections of {1..N} and act by conjugation with
-the permutation unitary P_g that moves factor n to factor g(n).
+the permutation unitary P_g that moves factor n to factor g(n).  P_g only
+relabels basis vectors, so the action is an index gather, g(a) = a[q][:, q],
+and P_g itself is never formed.
 """
 
 import itertools
@@ -165,34 +167,27 @@ def embed_pair(window, n, K):
 
 
 @lru_cache(maxsize=4096)
-def _perm_unitary_cached(image, d):
-    g = Permutation(image)
-    N = g.N
-    dim = d ** N
-    ginv = g.inverse()
-    # column j with digits (j_1..j_N), site 1 most significant, maps to the
-    # basis vector whose digit at site k is the digit of j at site g^-1(k)
-    digits = np.empty((dim, N), dtype=np.int64)
-    idx = np.arange(dim)
-    for k in range(N - 1, -1, -1):
-        digits[:, k] = idx % d
-        idx = idx // d
-    rows = np.zeros(dim, dtype=np.int64)
-    for k in range(1, N + 1):
-        rows = rows * d + digits[:, ginv(k) - 1]
-    P = np.zeros((dim, dim), dtype=complex)
-    P[rows, np.arange(dim)] = 1.0
-    return P
+def _index_map(image, d):
+    # q[r] carries at site k the digit that r carries at site g(k): the
+    # row-major index array with its axes permuted by g^-1
+    N = len(image)
+    axes = Permutation(image).inverse().image
+    q = np.arange(d ** N).reshape((d,) * N).transpose([n - 1 for n in axes]).reshape(-1)
+    q.flags.writeable = False
+    return np.ix_(q, q)
 
 
-def permutation_unitary(g, window):
-    """Unitary P_g with P_g (v_1 (x) ... (x) v_N) = v_{g^-1(1)} (x) ... (x) v_{g^-1(N)}."""
+def index_map(g, window):
+    """The index pair (rows, cols) with g(a) = a[rows, cols] = a[q][:, q]:
+    one length-D integer array q per permutation, cached, since the action
+    only relabels basis vectors.  It indexes the first two axes of a stack
+    of D x D matrices as well."""
     if g.N != window.N:
         raise SizeMismatch(f"permutation on {g.N} sites, window has {window.N}")
-    return _perm_unitary_cached(tuple(g.image), window.d)
+    return _index_map(g.image, window.d)
 
 
 def act(g, a):
-    """The automorphism a -> P_g a P_g*, sending embed(n, b) to embed(g(n), b)."""
-    P = permutation_unitary(g, a.window)
-    return LocalOperator(a.window, P @ a.matrix @ P.conj().T)
+    """The automorphism a -> P_g a P_g*, sending embed(n, b) to embed(g(n), b),
+    computed as the gather a[q][:, q] without forming P_g."""
+    return LocalOperator(a.window, a.matrix[index_map(g, a.window)])

@@ -16,11 +16,6 @@ from . import matcore
 from .errors import NotHomogeneous, SizeMismatch
 from .lattice import LocalOperator, Window, act, embed
 
-# probe-set policy: complete matrix-unit bases up to this window dimension,
-# seeded random hermitian probes beyond it
-MATRIX_UNIT_PROBE_CAP = 64
-N_RANDOM_PROBES = 200
-
 
 @dataclass(frozen=True)
 class ProductState:
@@ -103,19 +98,12 @@ def matrix_unit_probes(window):
     return probes
 
 
-def random_hermitian_probes(window, count=N_RANDOM_PROBES, seed=0):
+def random_hermitian_probes(window, count, seed=0):
     dim = window.total_dim
     return [
         LocalOperator(window, matcore.random_hermitian(dim, seed=seed * 100_003 + k))
         for k in range(count)
     ]
-
-
-def default_probes(window, seed=0):
-    """Matrix-unit basis for small windows, seeded hermitian probes otherwise."""
-    if window.total_dim <= MATRIX_UNIT_PROBE_CAP:
-        return matrix_unit_probes(window)
-    return random_hermitian_probes(window, seed=seed)
 
 
 def pairing_residual(M, probes=None):

@@ -209,6 +209,17 @@ def test_oversized_window_is_a_config_error(capsys):
     assert "4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--d", "3", "--n-sites", "4"],
+                                  ["--d", "2", "--n-sites", "7", "--group", "5"]],
+                         ids=["d3-n4", "d2-n7-g5"])
+def test_structure_above_the_fixed_point_cap_is_refused_by_the_gate(capsys, argv):
+    # the fixed-point spans stop at dimension 64; the gate refuses before any work
+    rc = run_cli(["run", "--scenario", "structure", *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "64" in err
+
+
 def test_group_degree_above_sites_is_a_config_error(capsys):
     rc = run_cli(["run", "--scenario", "product", "--n-sites", "2",
                   "--group", "3"])
@@ -293,7 +304,8 @@ def test_guarded_check_reports_raised_precondition():
     def boom():
         raise NotHermitian("entry is not hermitean")
 
-    check = cli._guarded_check("power_relation", "some law", 1e-9, boom)
+    check = cli._guarded_check("power_relation", 1e-9, boom)
+    assert check["law"] == cli.LAWS["power_relation"]
     assert check["pass"] is False
     assert check["residual"] is None
     assert "NotHermitian" in check["witness"]["error"]

@@ -22,12 +22,12 @@ from quasinv.errors import (
 )
 from quasinv.cocycle import (
     CocycleTable,
+    build_table,
     check_SW,
     locally_trivial_check,
     power_relation_check,
     product_state_cocycle,
     propagate_single_generator,
-    reference_cocycle,
     solve_SW,
     trivial_cocycle,
     verify_centralizer_transport,
@@ -40,8 +40,11 @@ from quasinv.cocycle import (
 from quasinv.lattice import (
     LocalOperator,
     Window,
+    act,
     cyclic_shift,
+    embed,
     enumerate_group,
+    support,
     transposition,
 )
 from quasinv.states import matrix_unit_probes, product_state
@@ -208,6 +211,24 @@ def test_strong_fails_for_rotated_weight_but_qi_holds():
     assert strong.details["hermiticity"] > 1e-3
     qi = verify_quasi_invariance(phi, T, matrix_unit_probes(phi.window))
     assert qi.passed and qi.residual < 1e-10
+
+
+def reference_cocycle(phi, W_inf, group):
+    """The oracle: the product-state cocycle written against a homogeneous
+    reference weight, x_g = (prod_{n in supp g} j_n(F_n^-1)) g^-1(prod j_n(F_n))
+    with F_n = W_inf^-1 W_n.  The reference factors cancel on the support."""
+    window = phi.window
+    F = [np.linalg.inv(W_inf) @ W for W in phi.weights]
+
+    def builder(g):
+        x = window.identity()
+        y = window.identity()
+        for n in sorted(support(g)):
+            x = x @ embed(window, n, np.linalg.inv(F[n - 1]))
+            y = y @ embed(window, n, F[n - 1])
+        return x @ act(g.inverse(), y)
+
+    return build_table(group, window, builder)
 
 
 def test_reference_cocycle_cancels_to_product_form():

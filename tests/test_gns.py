@@ -1,4 +1,9 @@
-"""Cyclic representation, gram geometry, and the covariant unitaries."""
+"""Cyclic representation, gram geometry, and the covariant unitaries.
+
+Where a test reads a D^2 x D^2 matrix (the gram, pi(a), U_g as a matrix) it
+reads it from the dense oracle of test_gns_factored and ties it to the
+factored representation.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from quasinv import cocycle, gns, matcore, states
 from quasinv.cocycle import CocycleTable
 from quasinv.errors import NotFaithful, NotStrongCocycle
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group
+from test_gns_factored import DenseGns
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -33,6 +39,12 @@ def seeded_state_S3(seed):
     return states.product_state(2, ws)
 
 
+def gram_of(R):
+    """The gram matrix <vec(e_k), vec(e_l)> read off the factored inner product."""
+    units = [gns.unvec(v, R.D) for v in np.eye(R.dim)]
+    return np.array([[R.inner(u, v) for v in units] for u in units])
+
+
 def test_vec_is_column_stacking():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(gns.vec(m), np.array([1.0, 3.0, 2.0, 4.0]))
@@ -47,13 +59,15 @@ def test_gram_single_site_hand_values():
     phi = states.product_state(2, [np.diag([2.0 / 3.0, 1.0 / 3.0])])
     R = gns.build_gns(phi)
     expected = np.diag([2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
-    assert np.max(np.abs(R.gram - expected)) < EXACT
+    assert np.max(np.abs(DenseGns(phi).gram - expected)) < EXACT
+    assert np.max(np.abs(gram_of(R) - expected)) < EXACT
 
 
 def test_gram_tracial_state_is_scaled_identity():
     phi = states.product_state(2, [np.eye(2) / 2.0, np.eye(2) / 2.0])
     R = gns.build_gns(phi)
-    assert np.max(np.abs(R.gram - np.eye(16) / 4.0)) < EXACT
+    assert np.max(np.abs(DenseGns(phi).gram - np.eye(16) / 4.0)) < EXACT
+    assert np.max(np.abs(gram_of(R) - np.eye(16) / 4.0)) < EXACT
 
 
 def test_cyclic_vector_reproduces_state():
@@ -75,23 +89,30 @@ def test_cyclic_vector_reproduces_state_seeded():
 
 
 def test_pi_is_multiplicative():
-    R = gns.build_gns(anchor_state())
+    # pi(a) vec(b) = vec(a b): the factored pi(a) is a itself
+    dense = DenseGns(anchor_state())
     a = matcore.random_matrix(4, seed=1)
     b = matcore.random_matrix(4, seed=2)
-    assert matcore.operator_norm(R.pi(a @ b) - R.pi(a) @ R.pi(b)) < EXACT
+    assert matcore.operator_norm(dense.pi(a @ b) - dense.pi(a) @ dense.pi(b)) < EXACT
+    assert np.max(np.abs(dense.pi(a) @ gns.vec(b) - gns.vec(a @ b))) < EXACT
 
 
 def test_gram_adjoint_of_pi_is_pi_of_dagger():
-    R = gns.build_gns(anchor_state())
+    # <pi(a) b, c> = <b, pi(a*) c>
+    phi = anchor_state()
+    R, dense = gns.build_gns(phi), DenseGns(phi)
     a = matcore.random_matrix(4, seed=3)
-    assert matcore.operator_norm(R.adjoint(R.pi(a)) - R.pi(a.conj().T)) < EXACT
+    assert matcore.operator_norm(dense.adjoint(dense.pi(a)) - dense.pi(a.conj().T)) < EXACT
+    b = matcore.random_matrix(4, seed=4)
+    c = matcore.random_matrix(4, seed=5)
+    assert abs(R.inner(a @ b, c) - R.inner(b, a.conj().T @ c)) < EXACT
 
 
 def test_inner_product_is_positive_definite():
     R = gns.build_gns(anchor_state())
     rng = np.random.Generator(np.random.Philox(11))
     for _ in range(10):
-        u = rng.normal(size=16) + 1j * rng.normal(size=16)
+        u = gns.unvec(rng.normal(size=16) + 1j * rng.normal(size=16), 4)
         val = R.inner(u, u)
         assert abs(val.imag) < EXACT
         assert val.real > 0
@@ -103,7 +124,7 @@ def test_inner_product_matches_state_pairing():
     R = gns.build_gns(phi)
     a = matcore.random_matrix(4, seed=5)
     b = matcore.random_matrix(4, seed=6)
-    got = R.inner(gns.vec(a), gns.vec(b))
+    got = R.inner(a, b)
     want = states.evaluate(phi, LocalOperator(phi.window, a.conj().T @ b))
     assert abs(got - want) < EXACT
 
@@ -121,18 +142,22 @@ def test_cyclicity_rank_is_full():
 
 
 def test_unitary_identity_element_is_identity():
-    R = gns.build_gns(anchor_state())
+    phi = anchor_state()
+    R = gns.build_gns(phi)
     U = gns.build_unitaries(R, anchor_table())
     e = enumerate_group(2)[0] if enumerate_group(2)[0].is_identity() else enumerate_group(2)[1]
-    assert matcore.operator_norm(U[e.image] - np.eye(16)) < EXACT
+    assert matcore.operator_norm(U[e.image].s.matrix - np.eye(4)) < EXACT
+    assert matcore.operator_norm(DenseGns(phi).unitaries(anchor_table())[e.image] - np.eye(16)) < EXACT
 
 
 def test_unitary_action_on_cyclic_vector_hand_values():
     # U_t vec(1) = vec(t(1) x_t^(1/2)) = vec(S_T)
-    R = gns.build_gns(anchor_state())
+    phi = anchor_state()
+    R, dense = gns.build_gns(phi), DenseGns(phi)
     U = gns.build_unitaries(R, anchor_table())
     t = next(g for g in enumerate_group(2) if not g.is_identity())
-    got = U[t.image] @ R.Phi
+    assert np.max(np.abs(U[t.image](phi.window.identity()).matrix - S_T)) < EXACT
+    got = dense.unitaries(anchor_table())[t.image] @ dense.Phi
     assert np.max(np.abs(got - gns.vec(S_T))) < EXACT
 
 
@@ -142,12 +167,13 @@ def test_unitary_matches_defining_action():
     R = gns.build_gns(phi)
     T = anchor_table()
     U = gns.build_unitaries(R, T)
+    U_dense = DenseGns(phi).unitaries(T)
     for g in T.group:
         s = matcore.matrix_power(T.entries[g.inverse().image].matrix, 0.5)
         for a in states.matrix_unit_probes(phi.window):
-            lhs = U[g.image] @ gns.vec(a.matrix)
-            rhs = gns.vec(act(g, a).matrix @ s)
-            assert np.max(np.abs(lhs - rhs)) < EXACT
+            rhs = act(g, a).matrix @ s
+            assert np.max(np.abs(U[g.image](a).matrix - rhs)) < EXACT
+            assert np.max(np.abs(U_dense[g.image] @ gns.vec(a.matrix) - gns.vec(rhs))) < EXACT
 
 
 def test_unitary_suite_two_sites():
@@ -246,9 +272,10 @@ def test_build_unitaries_rejects_nonpositive_table():
 
 
 def test_orthonormal_form_makes_unitaries_standard():
-    R = gns.build_gns(anchor_state())
+    phi = anchor_state()
+    R = gns.build_gns(phi)
     T = anchor_table()
-    U = gns.build_unitaries(R, T)
+    U = DenseGns(phi).unitaries(T)
     for g in T.group:
         V = R.orthonormal_form(U[g.image])
         assert matcore.operator_norm(V.conj().T @ V - np.eye(16)) < TOL

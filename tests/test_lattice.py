@@ -1,8 +1,10 @@
 """Window, embedding, and permutation-action tests.
 
 Kronecker layouts are checked against explicit hand-written matrices and a
-direct np.kron oracle; the permutation unitary is checked against the
-defining conjugation identity P_g j_n(b) P_g* = j_{g(n)}(b).
+direct np.kron oracle.  The action, an index gather, is checked against the
+defining conjugation identity P_g j_n(b) P_g* = j_{g(n)}(b) and bit for bit
+against conjugation by the dense permutation unitary P_g, built here only as
+the oracle.
 """
 
 import numpy as np
@@ -21,7 +23,6 @@ from quasinv.lattice import (
     embed_pair,
     enumerate_group,
     identity_permutation,
-    permutation_unitary,
     support,
     transposition,
 )
@@ -115,6 +116,26 @@ def test_enumerate_group_cap():
         enumerate_group(7)
 
 
+def permutation_unitary(g, window):
+    """The dense oracle: P_g (v_1 (x) ... (x) v_N) = v_{g^-1(1)} (x) ... (x) v_{g^-1(N)}."""
+    d, N = window.d, window.N
+    dim = d ** N
+    ginv = g.inverse()
+    # column j with digits (j_1..j_N), site 1 most significant, maps to the
+    # basis vector whose digit at site k is the digit of j at site g^-1(k)
+    digits = np.empty((dim, N), dtype=np.int64)
+    idx = np.arange(dim)
+    for k in range(N - 1, -1, -1):
+        digits[:, k] = idx % d
+        idx = idx // d
+    rows = np.zeros(dim, dtype=np.int64)
+    for k in range(1, N + 1):
+        rows = rows * d + digits[:, ginv(k) - 1]
+    P = np.zeros((dim, dim), dtype=complex)
+    P[rows, np.arange(dim)] = 1.0
+    return P
+
+
 def test_permutation_unitary_identity():
     w = Window(2, 2)
     assert np.array_equal(permutation_unitary(identity_permutation(2), w), np.eye(4))
@@ -133,10 +154,11 @@ def test_permutation_unitary_moves_sites():
     w = Window(2, 3)
     g = cyclic_shift(3)
     b = matcore.random_matrix(2, seed=6)
+    P = permutation_unitary(g, w)
     for n in [1, 2, 3]:
-        lhs = act(g, embed(w, n, b)).matrix
         rhs = embed(w, g(n), b).matrix
-        assert matcore.operator_norm(lhs - rhs) < 1e-12
+        assert matcore.operator_norm(act(g, embed(w, n, b)).matrix - rhs) < 1e-12
+        assert matcore.operator_norm(P @ embed(w, n, b).matrix @ P.conj().T - rhs) < 1e-12
 
 
 def test_permutation_unitary_group_law_exact():
@@ -156,6 +178,21 @@ def test_permutation_unitary_adjoint_is_inverse_exact():
         P = permutation_unitary(g, w)
         Pinv = permutation_unitary(g.inverse(), w)
         assert np.array_equal(P.conj().T, Pinv)
+
+
+@pytest.mark.parametrize("d, N", [(2, 4), (3, 3)])
+def test_act_is_bit_identical_to_dense_conjugation(d, N):
+    w = Window(d, N)
+    dim = w.total_dim
+    a = LocalOperator(w, matcore.random_matrix(dim, seed=31 + d))
+    for g in enumerate_group(N):
+        P = permutation_unitary(g, w)
+        assert np.array_equal(act(g, a).matrix, P @ a.matrix @ P.conj().T), g.image
+
+
+def test_act_rejects_a_permutation_of_another_size():
+    with pytest.raises(SizeMismatch):
+        act(cyclic_shift(3), Window(2, 2).identity())
 
 
 def test_act_is_group_action():
