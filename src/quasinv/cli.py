@@ -9,8 +9,9 @@ across runs of the same configuration.
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,30 +86,17 @@ class Config:
     out: str | None = None
 
     def echo(self):
-        return {
-            "scenario": self.scenario,
-            "d": self.d,
-            "n_sites": self.n_sites,
-            "group": self.group,
-            "seed": self.seed,
-            "floor": self.floor,
-            "tol": self.tol,
-            "defect": self.defect,
-            "preset": self.preset,
-        }
+        return {key: value for key, value in asdict(self).items() if key != "out"}
 
 
 def build_config(args, file_config):
-    merged = {}
-    for key, value in (file_config or {}).items():
-        merged[key] = value
-    for key in ("scenario", "d", "n_sites", "group", "seed", "floor", "tol",
-                "defect", "preset", "out"):
+    merged = dict(file_config or {})
+    keys = [f.name for f in fields(Config)]
+    for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    unknown = set(merged) - {"scenario", "d", "n_sites", "group", "seed",
-                             "floor", "tol", "defect", "preset", "out"}
+    unknown = set(merged) - set(keys)
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     if "scenario" not in merged:
@@ -150,11 +138,12 @@ def build_config(args, file_config):
         if cfg.d ** window_sites > TOTAL_DIM_CAP:
             raise ConfigInvalid(
                 f"n_sites: window dimension {cfg.d}^{window_sites} exceeds {TOTAL_DIM_CAP}")
-        if _factorial(cfg.group) > GROUP_ORDER_CAP:
-            raise ConfigInvalid(f"group: order {_factorial(cfg.group)} exceeds {GROUP_ORDER_CAP}")
+        if math.factorial(cfg.group) > GROUP_ORDER_CAP:
+            raise ConfigInvalid(
+                f"group: order {math.factorial(cfg.group)} exceeds {GROUP_ORDER_CAP}")
     if cfg.scenario == "structure" and cfg.d ** cfg.n_sites > compact.FIX_BASIS_CAP:
-        raise ConfigInvalid(f"n_sites: structure spans fixed points on windows up to "
-                            f"dimension {compact.FIX_BASIS_CAP}, not {cfg.d}^{cfg.n_sites}")
+        raise ConfigInvalid(f"n_sites: structure holds dense stacks over all matrix units "
+                            f"up to dimension {compact.FIX_BASIS_CAP}, not {cfg.d}^{cfg.n_sites}")
     if cfg.scenario == "markov" and cfg.d != 2:
         raise ConfigInvalid("d: the markov scenario is built for d = 2")
     if cfg.scenario == "convergence":
@@ -164,13 +153,6 @@ def build_config(args, file_config):
             raise ConfigInvalid(
                 f"n_sites: convergence windows must be in [2, {limits.FACTORED_N_CAP}]")
     return cfg
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _check(report):
@@ -387,7 +369,6 @@ def _run_structure(cfg):
     phi = _seeded_diagonal_state(cfg.d, cfg.n_sites, cfg.seed, cfg.floor)
     group = _window_group(cfg)
     T = cocycle.product_state_cocycle(phi, group)
-    probes = states.matrix_unit_probes(T.window)
     sub = [g for g in group if g(cfg.group) == cfg.group]
 
     demo = compact.nonuniqueness_demo(phi, T, tol=cfg.tol)
@@ -404,8 +385,8 @@ def _run_structure(cfg):
 
     checks = [
         _check(compact.verify_structure(phi, T, tol=cfg.tol)),
-        _check(compact.verify_umegaki(group, probes, seed=cfg.seed)),
-        _check(compact.projective_family_check(sub, group, probes)),
+        _check(compact.verify_umegaki(group, T.window, seed=cfg.seed)),
+        _check(compact.projective_family_check(sub, group, T.window)),
         _check(compact.restriction_consistency(phi, T, [sub, group], tol=cfg.tol)),
         _check(demo_rep),
     ]

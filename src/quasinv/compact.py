@@ -9,15 +9,14 @@ the table is recovered as x_g = kappa * g^-1(kappa^-1), and the average
 satisfies E_G(kappa^-1) = 1.  The converse builds a quasi-invariant state
 from any invariant base state and invertible kappa.
 
-All group sums use a pairwise tree reduction so that results are bitwise
-reproducible regardless of how the terms might later be scheduled.
+E_G is one gather through the group's index array and a pairwise tree sum.
+On matrix units it is exact, g(e_ij) = e_{g.(i,j)}: E_G(e_ij) is the histogram
+of g.(i,j) divided by |G|, and orbit indicators span the fixed-point algebra.
 """
-
-from functools import partial
 
 import numpy as np
 
-from . import matcore, states
+from . import lattice, matcore, states
 from .cocycle import PASS_TOL, _report, require_strong_entries, trivial_cocycle
 from .errors import (
     NotFaithful,
@@ -30,27 +29,53 @@ from .lattice import LocalOperator, act
 
 UMEGAKI_TOL = 1e-10
 STRUCTURE_TOL = 1e-9
-FIX_BASIS_CAP = 64  # largest window dimension for complete fixed-point spans
+FIX_BASIS_CAP = 64  # largest D for dense stacks over all matrix units (D^4 entries)
 N_FAITHFUL_SWEEP = 200
 
 
-def _tree_sum(mats):
-    """Pairwise reduction; deterministic and schedule-independent."""
-    items = list(mats)
-    if not items:
+def _tree_sum(stack):
+    """Pairwise reduction along the first axis, in place; deterministic."""
+    n = len(stack)
+    if not n:
         raise ValueError("empty sum")
-    while len(items) > 1:
-        paired = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
-    return items[0]
+    while n > 1:
+        half = n // 2
+        np.add(stack[0:2 * half:2], stack[1:2 * half:2], out=stack[:half])
+        if n % 2:
+            stack[half] = stack[n - 1]
+        n = half + n % 2
+    return stack[0]
 
 
 def haar_average(group, a):
-    """E_G(a), the uniform average of the group action."""
-    total = _tree_sum([act(g, a).matrix for g in group])
-    return LocalOperator(a.window, total / len(group))
+    """E_G(a): one gather through the group's index array, one pairwise tree."""
+    Q = lattice.group_index(group, a.window)
+    stack = a.matrix[Q[:, :, None], Q[:, None, :]]
+    return LocalOperator(a.window, _tree_sum(stack) / len(group))
+
+
+def _unit_averages(group, window):
+    """(row of each matrix unit e_x, rows): |G| E_G(e_x) = rows[row[x]] is the
+    histogram of g.x over the list, g(e_ij) = e_{g.x}, exact in counts."""
+    D = window.total_dim
+    if D > FIX_BASIS_CAP:
+        raise SupportTooLarge(f"window dimension {D} exceeds the matrix-unit cap {FIX_BASIS_CAP}")
+    p = np.argsort(lattice.group_index(group, window), axis=1)
+    moved = (p[:, :, None] * D + p[:, None, :]).reshape(len(group), D * D)
+    _, x, row = np.unique(np.sort(moved, axis=0).T, axis=0, return_index=True, return_inverse=True)
+    hits = np.bincount((np.arange(len(x)) * D * D + moved[:, x]).ravel(), minlength=len(x) * D * D)
+    return row.reshape(-1), hits.reshape(len(x), D * D).astype(float)
+
+
+def _moves(group, window, stack):
+    """g(s) for each element g of the list, s the flattened matrices of a
+    (K, D*D) stack, one g at a time; their sum is exact on integer entries."""
+    for q in lattice.group_index(group, window):
+        yield np.take(stack, (q[:, None] * len(q) + q).ravel(), axis=1)
+
+
+def _norms(stack, D):
+    return np.linalg.norm(stack.reshape(-1, D, D), 2, axis=(1, 2))
 
 
 def invariant_state(phi, group):
@@ -62,59 +87,49 @@ def invariant_state(phi, group):
     return states.WeightedTraceState(window, (avg + avg.conj().T) / 2.0)
 
 
-def fixed_point_basis(group, window, tol=1e-10):
-    """An orthonormal (Hilbert-Schmidt) basis of the fixed-point algebra,
-    obtained by averaging every matrix unit and re-spanning."""
-    if window.total_dim > FIX_BASIS_CAP:
-        raise SupportTooLarge(
-            f"window dimension {window.total_dim} exceeds the fixed-point span cap")
-    rows = [haar_average(group, a).matrix.flatten() for a in states.matrix_unit_probes(window)]
-    M = np.array(rows)
-    _, sing, vh = np.linalg.svd(M)
-    scale = sing[0] if sing.size and sing[0] > 0 else 1.0
-    rank = int(np.sum(sing > tol * scale))
-    dim = window.total_dim
-    return [LocalOperator(window, vh[i].reshape(dim, dim)) for i in range(rank)]
+def fixed_point_basis(group, window):
+    """An orthonormal (Hilbert-Schmidt) basis of the fixed-point algebra: a is
+    fixed iff constant on each orbit of index pairs, and over a group the
+    histogram of g.x covers the orbit of x; the basis is 1_O / sqrt(|O|)."""
+    D = window.total_dim
+    orbits = _unit_averages(group, window)[1] > 0
+    basis = orbits / np.sqrt(orbits.sum(axis=1))[:, None]
+    return [LocalOperator(window, b.reshape(D, D)) for b in basis]
 
 
-def verify_umegaki(group, probes, tol=UMEGAKI_TOL, seed=0):
-    """Conditional-expectation laws for E_G on the given probes: idempotence,
-    unitality, positivity, the bimodule property over fixed points, and a
-    seeded sweep certifying that E_G does not annihilate any a*a."""
-    window = probes[0].window
-    E = partial(haar_average, group)
-    eye = LocalOperator(window, np.eye(window.total_dim))
+def verify_umegaki(group, window, tol=UMEGAKI_TOL, seed=0):
+    """Conditional-expectation laws for E_G on all matrix units in one batch:
+    idempotence, unitality, positivity, the bimodule property over every
+    fixed-point basis element and the whole unit ball, and a seeded sweep
+    certifying that E_G does not annihilate any a*a."""
+    n, D = len(group), window.total_dim
+    unital = matcore.operator_norm(haar_average(group, window.identity()).matrix - np.eye(D))
 
-    unital = matcore.operator_norm(E(eye).matrix - np.eye(window.total_dim))
+    # in exact counts: |G|^2 E(E(e_x)) is the histogram |G| E(e_x) moved once
+    # more by every g; positivity on e_ij* e_ij = e_jj, a diagonal histogram
+    row, units = _unit_averages(group, window)
+    idem = _norms(sum(_moves(group, window, units)) - n * units, D).max() / n**2
+    lam = np.linalg.eigvalsh(units[np.unique(row[::D + 1])].reshape(-1, D, D) / n)
+    pos_defect = max(0.0, -float(lam.min()))
 
-    idem = 0.0
-    pos_defect = 0.0
-    for a in probes:
-        Ea = E(a)
-        idem = max(idem, matcore.operator_norm(E(Ea).matrix - Ea.matrix))
-        sq = E(a.dagger() @ a).matrix
-        lam = np.linalg.eigvalsh((sq + sq.conj().T) / 2.0)
-        pos_defect = max(pos_defect, max(0.0, -float(lam[0])))
-
+    # E(bac) - b E(a) c = (1/|G|) sum_g [(g(b) - b) g(a) g(c) + b g(a) (g(c) - c)]:
+    # over the unit ball its norm is at most drift_b |c| + |b| drift_c, with
+    # drift_b = (1/|G|) sum_g |g(b) - b|; Frobenius norms bound both from above
     fix = fixed_point_basis(group, window)
-    module = 0.0
-    for b in fix[: min(4, len(fix))]:
-        for c in fix[: min(4, len(fix))]:
-            for a in probes[:: max(1, len(probes) // 8)]:
-                lhs = E(b @ a @ c).matrix
-                rhs = b.matrix @ E(a).matrix @ c.matrix
-                module = max(module, matcore.operator_norm(lhs - rhs))
+    B = np.array([b.matrix.ravel() for b in fix])
+    drift = sum(np.linalg.norm(m - B, axis=1) for m in _moves(group, window, B)) / n
+    size = np.linalg.norm(B, axis=1)
+    module = float(np.max(np.outer(drift, size) + np.outer(size, drift)))
 
-    faithful_min = np.inf
-    rng_probes = states.random_hermitian_probes(window, count=N_FAITHFUL_SWEEP, seed=seed)
-    for a in rng_probes:
-        m = a.matrix / matcore.operator_norm(a.matrix)
-        unit = LocalOperator(window, m)
-        faithful_min = min(faithful_min, matcore.operator_norm(E(unit.dagger() @ unit).matrix))
+    sweep = np.array([a.matrix for a in states.random_hermitian_probes(
+        window, count=N_FAITHFUL_SWEEP, seed=seed)])
+    sweep /= _norms(sweep, D)[:, None, None]
+    squares = (sweep.conj().transpose(0, 2, 1) @ sweep).reshape(-1, D * D)
+    faithful_min = _norms(sum(_moves(group, window, squares)), D).min() / n
 
     resid = max(idem, unital, pos_defect, module)
     details = {
-        "idempotence": idem,
+        "idempotence": float(idem),
         "unitality": unital,
         "positivity_defect": pos_defect,
         "module": module,
@@ -141,7 +156,7 @@ def kappa(T):
     """The group average of the cocycle entries; hermitean, positive and
     invertible whenever the table is strong."""
     require_strong_entries(T, PASS_TOL)
-    avg = _tree_sum([T.entries[g.image].matrix for g in T.group]) / len(T.group)
+    avg = _tree_sum(np.array([T.entries[g.image].matrix for g in T.group])) / len(T.group)
     return LocalOperator(T.window, (avg + avg.conj().T) / 2.0)
 
 
@@ -224,35 +239,33 @@ def converse_construct(phi_G, kap, group, tol=STRUCTURE_TOL):
     return phi, trivial_cocycle(kap, group)
 
 
-def projective_family_check(group_small, group_big, probes, tol=UMEGAKI_TOL):
+def projective_family_check(group_small, group_big, window, tol=UMEGAKI_TOL):
     """Nested averages absorb: E_big o E_small = E_big, and the fixed-point
-    algebra of the bigger group sits inside that of the smaller."""
-    window = probes[0].window
+    algebra of the bigger group sits inside that of the smaller; the laws
+    hold on every matrix unit of the window, checked in exact counts."""
     small = {g.image for g in group_small}
     big = {g.image for g in group_big}
     if not small <= big:
         raise NotNested("the first group is not contained in the second")
-    E_small = partial(haar_average, group_small)
-    E_big = partial(haar_average, group_big)
+    n_small, n_big, D = len(group_small), len(group_big), window.total_dim
+    row_small, units_small = _unit_averages(group_small, window)
+    row_big, units_big = _unit_averages(group_big, window)
 
-    double = 0.0
-    absorb = 0.0
-    for a in probes:
-        Eb = E_big(a)
-        double = max(double, matcore.operator_norm(E_big(E_small(a)).matrix - Eb.matrix))
-        absorb = max(absorb, matcore.operator_norm(E_small(Eb).matrix - Eb.matrix))
-
-    rank_small = len(fixed_point_basis(group_small, window))
-    rank_big = len(fixed_point_basis(group_big, window))
+    # E_big(E_small(e_x)) depends on x through its small row, E_big(e_x) through its big row
+    _, x = np.unique(row_small * len(units_big) + row_big, return_index=True)
+    double = sum(_moves(group_big, window, units_small[row_small[x]]))
+    double = _norms(double - n_small * units_big[row_big[x]], D).max() / (n_small * n_big)
+    absorb = sum(_moves(group_small, window, units_big))
+    absorb = _norms(absorb - n_small * units_big, D).max() / (n_small * n_big)
 
     resid = max(double, absorb)
     details = {
-        "double_average": double,
-        "range_absorption": absorb,
-        "rank_small": rank_small,
-        "rank_big": rank_big,
+        "double_average": float(double),
+        "range_absorption": float(absorb),
+        "rank_small": len(units_small),
+        "rank_big": len(units_big),
     }
-    passed = resid <= tol and rank_big <= rank_small
+    passed = resid <= tol and len(units_big) <= len(units_small)
     return _report("projective_family", resid, tol, details=details, passed=passed)
 
 

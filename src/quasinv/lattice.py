@@ -187,6 +187,12 @@ def index_map(g, window):
     return _index_map(g.image, window.d)
 
 
+def group_index(group, window):
+    """The (|G|, D) array of the index arrays q of the list's elements,
+    g(a) = a[q][:, q]: the whole group's action for one gather."""
+    return np.array([index_map(g, window)[1][0] for g in group])
+
+
 def act(g, a):
     """The automorphism a -> P_g a P_g*, sending embed(n, b) to embed(g(n), b),
     computed as the gather a[q][:, q] without forming P_g."""

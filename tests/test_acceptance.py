@@ -177,17 +177,14 @@ def test_criterion_07_conditional_expectation_suite():
     worst = 0.0
     for degree in (2, 3):
         group = enumerate_group(degree)
-        probes = states.matrix_unit_probes(Window(2, degree))
-        rep = compact.verify_umegaki(group, probes, tol=1e-10)
+        rep = compact.verify_umegaki(group, Window(2, degree), tol=1e-10)
         assert rep.passed
         worst = max(worst, rep.residual)
 
     window3 = Window(2, 3)
     small = [extend(g, 3) for g in enumerate_group(2)]
     big = enumerate_group(3)
-    proj = compact.projective_family_check(small, big,
-                                           states.matrix_unit_probes(window3),
-                                           tol=1e-10)
+    proj = compact.projective_family_check(small, big, window3, tol=1e-10)
     assert proj.passed
     worst = max(worst, proj.residual)
     ok = worst <= 1e-10

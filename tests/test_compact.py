@@ -113,15 +113,14 @@ def test_fixed_point_basis_elements_are_fixed():
 def test_umegaki_trivial_group_is_identity_map():
     window = Window(2, 2)
     group = [g for g in enumerate_group(2) if g.is_identity()]
-    probes = states.matrix_unit_probes(window)
-    out = compact.verify_umegaki(group, probes)
+    out = compact.verify_umegaki(group, window)
     assert out.passed
     assert out.residual < EXACT
 
 
 def test_umegaki_suite_S2():
     window = Window(2, 2)
-    out = compact.verify_umegaki(enumerate_group(2), states.matrix_unit_probes(window))
+    out = compact.verify_umegaki(enumerate_group(2), window)
     assert out.passed
     assert out.residual < 1e-10
     assert out.details["faithfulness_min"] > 1e-10
@@ -130,7 +129,7 @@ def test_umegaki_suite_S2():
 
 def test_umegaki_suite_S3():
     window = Window(2, 3)
-    out = compact.verify_umegaki(enumerate_group(3), states.matrix_unit_probes(window))
+    out = compact.verify_umegaki(enumerate_group(3), window)
     assert out.passed
     assert out.residual < 1e-10
 
@@ -301,7 +300,7 @@ def test_converse_noncommuting_kappa_is_quasi_but_not_strong():
 def test_projective_family_S2_in_S3():
     window = Window(2, 3)
     out = compact.projective_family_check(
-        s2_in_s3(), enumerate_group(3), states.matrix_unit_probes(window))
+        s2_in_s3(), enumerate_group(3), window)
     assert out.passed
     assert out.residual < 1e-10
     assert out.details["rank_small"] == 40
@@ -312,7 +311,7 @@ def test_projective_family_trivial_in_S2():
     window = Window(2, 2)
     group = enumerate_group(2)
     trivial = [g for g in group if g.is_identity()]
-    out = compact.projective_family_check(trivial, group, states.matrix_unit_probes(window))
+    out = compact.projective_family_check(trivial, group, window)
     assert out.passed
     assert out.residual < EXACT
 
@@ -320,7 +319,7 @@ def test_projective_family_trivial_in_S2():
 def test_projective_family_equal_groups():
     window = Window(2, 2)
     group = enumerate_group(2)
-    out = compact.projective_family_check(group, group, states.matrix_unit_probes(window))
+    out = compact.projective_family_check(group, group, window)
     assert out.passed
 
 
@@ -328,7 +327,7 @@ def test_projective_family_rejects_non_nesting():
     window = Window(2, 3)
     with pytest.raises(NotNested):
         compact.projective_family_check(
-            enumerate_group(3), s2_in_s3(), states.matrix_unit_probes(window))
+            enumerate_group(3), s2_in_s3(), window)
 
 
 def test_restriction_consistency_product_state():
