@@ -38,6 +38,8 @@ SCENARIOS = {
 }
 
 MAX_GROUP_DEGREE = 6  # 6! = 720, the enumeration cap
+MAX_CONVERGENCE_SITES = 20
+MAX_PAIRING_SITES = 6  # pairing_check forms the dense 2^N x 2^N window product
 
 # the law each check verifies, keyed by check name (a locally_trivial[N=n]
 # check by its name before the bracket)
@@ -56,7 +58,8 @@ LAWS = {
     "defining_relation": "x = W^-1 z solves W x = x* W",
     "commuting_gives_hermitean": "[z, W] = 0 forces the solution hermitean",
     "hermitean_iff_commuting": "the solution is hermitean exactly when z commutes with W",
-    "bound_dominates": "||x_[1,N] - x_[1,M]|| <= ||x_[1,M]|| * ||x_[M+1,N] - 1||",
+    "bound_dominates": ("||x_[1,N] - x_[1,M]|| <= ||x_[1,M]|| * (prod_{M<k<=N} (1 + eps_k) - 1) "
+                        "with eps_k = ||W_inf^-1 W_k - 1||"),
     "step_decay": "successive window differences shrink by at least 3x",
     "monotone_differences": "the window-difference column never increases",
     "telescoping": "prod a_h - 1 = sum_h (prod_{j<h} a_j)(a_h - 1)",
@@ -149,9 +152,9 @@ def build_config(args, file_config):
     if cfg.scenario == "convergence":
         if cfg.d != 2:
             raise ConfigInvalid("d: the convergence presets are two-dimensional")
-        if not 2 <= cfg.n_sites <= limits.FACTORED_N_CAP:
+        if not 2 <= cfg.n_sites <= MAX_CONVERGENCE_SITES:
             raise ConfigInvalid(
-                f"n_sites: convergence windows must be in [2, {limits.FACTORED_N_CAP}]")
+                f"n_sites: convergence windows must be in [2, {MAX_CONVERGENCE_SITES}]")
     return cfg
 
 
@@ -344,7 +347,7 @@ def _run_convergence(cfg):
 
     pairing = 0.0
     a = LocalOperator(Window(2, 1), matcore.random_hermitian(2, seed=cfg.seed))
-    for N in range(1, min(n, limits.EXPLICIT_N_CAP) + 1):
+    for N in range(1, min(n, MAX_PAIRING_SITES) + 1):
         pairing = max(pairing, limits.pairing_check(seq, a, N))
     pair_rep = cocycle._report("pairing_identity", pairing, 1e-10)
 

@@ -140,18 +140,6 @@ def verify_umegaki(group, window, tol=UMEGAKI_TOL, seed=0):
     return _report("umegaki_expectation", resid, tol, details=details, passed=passed)
 
 
-def spectrum_bounds(T):
-    """[S1, S2] containing the spectrum of every entry; S1 > 0 for a
-    strong table."""
-    require_strong_entries(T, PASS_TOL)
-    s1, s2 = np.inf, -np.inf
-    for g in T.group:
-        x = T.entries[g.image].matrix
-        lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
-        s1, s2 = min(s1, float(lam[0])), max(s2, float(lam[-1]))
-    return s1, s2
-
-
 def kappa(T):
     """The group average of the cocycle entries; hermitean, positive and
     invertible whenever the table is strong."""

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GroupTooLarge, SiteOutOfRange, SizeMismatch
+from .errors import GroupTooLarge, SiteOutOfRange, SizeMismatch, SupportTooLarge
 
 TOTAL_DIM_CAP = 4096
 GROUP_ORDER_CAP = 720
@@ -139,6 +139,16 @@ class LocalOperator:
 def _check_same_window(a, b):
     if a.window != b.window:
         raise SizeMismatch(f"windows differ: {a.window} vs {b.window}")
+
+
+def extend_operator(a, window):
+    """View an operator on [1,M] inside a longer window, identity on the rest."""
+    if a.window.d != window.d or a.window.N > window.N:
+        raise SupportTooLarge(f"operator on {a.window.N} sites, window has {window.N}")
+    if a.window.N == window.N:
+        return a
+    pad = window.d ** (window.N - a.window.N)
+    return LocalOperator(window, np.kron(a.matrix, np.eye(pad)))
 
 
 def embed(window, n, b):

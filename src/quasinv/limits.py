@@ -1,12 +1,13 @@
 """Finite-window products, the pairing identity, and the norm-Cauchy study.
 
 For a reference single-site density W_inf and a sequence W_1, W_2, ... the
-window products x_[1,N] = prod_k j_k(W_inf^-1 W_k) are elementary tensors,
-so they can be formed explicitly for small N and tracked through per-site
-spectral data for larger N.  The difference of two windows factors as
-x_[1,N] - x_[1,M] = x_[1,M] (x) (x_[M+1,N] - 1), whose cross norm gives
-the Cauchy estimate; summability of ||W_inf^-1 W_k - 1|| decides whether
-the sequence converges.
+window products x_[1,N] = prod_k j_k(W_inf^-1 W_k) are elementary tensors.
+The difference of two windows factors as
+x_[1,N] - x_[1,M] = x_[1,M] (x) (x_[M+1,N] - 1).  For hermitean positive
+factors its norm follows exactly from per-site spectra, and the telescoping
+step bounds it by ||x_[1,M]|| * (prod_k (1 + eps_k) - 1) with
+eps_k = ||W_inf^-1 W_k - 1||; summability of the eps_k decides whether the
+sequence converges.
 """
 
 from functools import reduce
@@ -14,15 +15,12 @@ from functools import reduce
 import numpy as np
 
 from . import matcore, states
-from .errors import NotHermitian, RangeError, SingularWeight, SupportTooLarge
-from .lattice import LocalOperator, Window
-
-EXPLICIT_N_CAP = 6
-FACTORED_N_CAP = 20
+from .errors import NotHermitian, RangeError, SingularWeight
+from .lattice import LocalOperator, Window, extend_operator
 
 
 class WindowProductSequence:
-    """The factors W_inf^-1 W_k with cached window products."""
+    """The factors W_inf^-1 W_k with their per-site spectral data."""
 
     def __init__(self, W_inf, W_list):
         self.W_inf = np.asarray(W_inf, dtype=complex)
@@ -39,7 +37,7 @@ class WindowProductSequence:
             if not matcore.classify(f).invertible:
                 raise SingularWeight(f"factor {k + 1} is not invertible")
             self.factors.append(f)
-        self._cache = {}
+        self._spectra = [None] * len(self.factors)
 
     def __len__(self):
         return len(self.factors)
@@ -50,9 +48,19 @@ class WindowProductSequence:
             raise RangeError(f"factor index {k} outside [1, {len(self.factors)}]")
         return self.factors[k - 1]
 
-    def factor_deviation(self, k):
-        """|| W_inf^-1 W_k - 1 ||."""
-        return matcore.operator_norm(self.factor(k) - np.eye(self.d))
+    def spectrum(self, k):
+        """(min eigenvalue, max eigenvalue, ||W_inf^-1 W_k - 1||) of factor k,
+        computed on first use; the factor must be hermitean and positive."""
+        f = self.factor(k)
+        if self._spectra[k - 1] is None:
+            if matcore.herm_defect(f) > 1e-10 * max(1.0, matcore.operator_norm(f)):
+                raise NotHermitian(f"factor {k} is not hermitean")
+            lam = np.linalg.eigvalsh((f + f.conj().T) / 2.0)
+            if lam[0] <= 0:
+                raise NotHermitian(f"factor {k} is not positive")
+            dev = matcore.operator_norm(f - np.eye(self.d))
+            self._spectra[k - 1] = (float(lam[0]), float(lam[-1]), dev)
+        return self._spectra[k - 1]
 
     def range_product(self, lo, hi):
         """The elementary tensor of factors lo..hi as one explicit matrix."""
@@ -60,141 +68,93 @@ class WindowProductSequence:
             raise RangeError(f"range [{lo}, {hi}] outside [1, {len(self.factors)}]")
         return reduce(np.kron, self.factors[lo - 1: hi])
 
-    def x_matrix(self, N):
-        if N not in self._cache:
-            self._cache[N] = self.range_product(1, N)
-        return self._cache[N]
-
 
 def x_window(seq, N):
     """x_[1,N] as a local operator on the N-site window."""
     if not 1 <= N <= len(seq):
         raise RangeError(f"window size {N} outside [1, {len(seq)}]")
-    return LocalOperator(Window(seq.d, N), seq.x_matrix(N))
+    return LocalOperator(Window(seq.d, N), seq.range_product(1, N))
 
 
-def pairing_check(seq, a, N, phi=None, psi=None):
+def pairing_check(seq, a, N):
     """|phi(a) - psi(x_[1,N] a)| for a supported in a window of size <= N;
     phi carries the weights W_k, psi the homogeneous reference weight."""
-    M = a.window.N
-    if M > N:
-        raise SupportTooLarge(f"observable lives on {M} sites, window has {N}")
     if N > len(seq):
         raise RangeError(f"window size {N} exceeds the {len(seq)} stored weights")
-    if phi is None:
-        phi = states.product_state(seq.d, seq.W_list[:N])
-    if psi is None:
-        psi = states.homogeneous_state(seq.d, N, seq.W_inf)
-    window = Window(seq.d, N)
-    pad = np.kron(a.matrix, np.eye(seq.d ** (N - M))) if N > M else a.matrix
-    a_full = LocalOperator(window, pad)
+    phi = states.product_state(seq.d, seq.W_list[:N])
+    psi = states.homogeneous_state(seq.d, N, seq.W_inf)
+    a_full = extend_operator(a, Window(seq.d, N))
     lhs = states.evaluate(phi, a_full)
     rhs = states.evaluate(psi, x_window(seq, N) @ a_full)
     return abs(lhs - rhs)
 
 
-def telescoping_check(factors, M=0, N=None):
-    """|| prod a_h - 1 - sum_h (prod_{j<h} a_j)(a_h - 1) || on factors[M:N];
-    an algebraic identity, so the residual is pure round-off."""
-    chosen = list(factors)[M:N]
-    if not chosen:
+def telescoping_check(factors):
+    """|| prod a_h - 1 - sum_h (prod_{j<h} a_j)(a_h - 1) ||; an algebraic
+    identity, so the residual is pure round-off."""
+    factors = list(factors)
+    if not factors:
         return 0.0
-    dim = chosen[0].shape[0]
+    dim = factors[0].shape[0]
     eye = np.eye(dim)
-    lhs = reduce(lambda x, y: x @ y, chosen) - eye
+    lhs = reduce(lambda x, y: x @ y, factors) - eye
     rhs = np.zeros_like(lhs)
     prefix = eye
-    for a in chosen:
+    for a in factors:
         rhs = rhs + prefix @ (a - eye)
         prefix = prefix @ a
     return matcore.operator_norm(lhs - rhs)
 
 
-def _spectral_range(f):
-    """(min, max) eigenvalue of a hermitean factor."""
-    if matcore.herm_defect(f) > 1e-10 * max(1.0, matcore.operator_norm(f)):
-        raise NotHermitian("factored path needs hermitean factors")
-    lam = np.linalg.eigvalsh((f + f.conj().T) / 2.0)
-    return float(lam[0]), float(lam[-1])
+def cauchy_diagnostic(seq, M, N):
+    """diff = ||x_[1,N] - x_[1,M]||, the bound
+    ||x_[1,M]|| * (prod_{k=M+1}^N (1 + eps_k) - 1), and the summable tail
+    sum_{k=M+1}^N eps_k, with eps_k = ||W_inf^-1 W_k - 1||.
 
-
-def _factored_tail_deviation(seq, lo, hi):
-    """|| x_[lo,hi] - 1 || from per-site spectra of positive hermitean
-    factors: eigenvalues of the tensor multiply, so the extreme deviation
-    is attained at an extreme product."""
-    prod_min, prod_max = 1.0, 1.0
-    for k in range(lo, hi + 1):
-        lmin, lmax = _spectral_range(seq.factor(k))
-        if lmin <= 0:
-            raise NotHermitian("factored path needs positive factors")
-        prod_min *= lmin
-        prod_max *= lmax
-    return max(prod_max - 1.0, 1.0 - prod_min)
-
-
-def _factored_head_norm(seq, M):
-    out = 1.0
-    for k in range(1, M + 1):
-        _, lmax = _spectral_range(seq.factor(k))
-        out *= lmax
-    return out
-
-
-def cauchy_diagnostic(seq, M, N, method="auto"):
-    """diff = ||x_[1,N] - x_[1,M]||, the cross-norm bound
-    ||x_[1,M]|| * ||x_[M+1,N] - 1||, and the summable tail
-    sum_{k=M+1}^N ||W_inf^-1 W_k - 1||."""
+    The eigenvalues of a tensor of positive factors are the products of the
+    per-site eigenvalues, so diff = prod_{k<=M} max_k *
+    max(prod max_k - 1, 1 - prod min_k) over the tail is exact.  The bound
+    is the telescoping estimate of ||x_[M+1,N] - 1|| through the deviations
+    eps_k, so diff <= bound is a law the data can fail."""
     if not 0 <= M < N <= len(seq):
         raise RangeError(f"need 0 <= M < N <= {len(seq)}, got M={M} N={N}")
-    if method == "auto":
-        method = "explicit" if N <= EXPLICIT_N_CAP else "factored"
-    if method == "explicit":
-        tail = seq.range_product(M + 1, N)
-        tail_dev = matcore.operator_norm(tail - np.eye(tail.shape[0]))
-        if M == 0:
-            head_norm = 1.0
-            diff = tail_dev
-        else:
-            head = seq.x_matrix(M)
-            head_norm = matcore.operator_norm(head)
-            diff = matcore.operator_norm(np.kron(head, tail) -
-                                         np.kron(head, np.eye(tail.shape[0])))
-    elif method == "factored":
-        if N > FACTORED_N_CAP:
-            raise RangeError(f"window size {N} exceeds the factored cap {FACTORED_N_CAP}")
-        tail_dev = _factored_tail_deviation(seq, M + 1, N)
-        head_norm = _factored_head_norm(seq, M)
-        diff = head_norm * tail_dev
-    else:
-        raise RangeError(f"unknown method {method!r}")
-    bound = head_norm * tail_dev
-    summable_tail = sum(seq.factor_deviation(k) for k in range(M + 1, N + 1))
-    return {"diff": diff, "bound": bound, "summable_tail": summable_tail,
-            "method": method}
+    head_norm = 1.0
+    for k in range(1, M + 1):
+        head_norm *= seq.spectrum(k)[1]
+    prod_min, prod_max, growth = 1.0, 1.0, 1.0
+    for k in range(M + 1, N + 1):
+        lmin, lmax, dev = seq.spectrum(k)
+        prod_min *= lmin
+        prod_max *= lmax
+        growth *= 1.0 + dev
+    diff = head_norm * max(prod_max - 1.0, 1.0 - prod_min)
+    bound = head_norm * (growth - 1.0)
+    summable_tail = sum(seq.spectrum(k)[2] for k in range(M + 1, N + 1))
+    return {"diff": diff, "bound": bound, "summable_tail": summable_tail}
 
 
-def diagnostic_series(seq, N_max, method="auto"):
+def diagnostic_series(seq, N_max):
     """Per-step records (N, diff from N-1, bound, cumulative tail) for export."""
     if not 1 <= N_max <= len(seq):
         raise RangeError(f"series length {N_max} outside [1, {len(seq)}]")
     out = []
     tail = 0.0
     for N in range(1, N_max + 1):
-        step = cauchy_diagnostic(seq, N - 1, N, method=method)
-        tail += seq.factor_deviation(N)
+        step = cauchy_diagnostic(seq, N - 1, N)
+        tail += seq.spectrum(N)[2]
         out.append({"N": N, "diff": step["diff"], "bound": step["bound"],
                     "tail": tail})
     return out
 
 
-def empirical_constant(seq, N_max, method="auto"):
+def empirical_constant(seq, N_max):
     """The observed C with ||x_[1,N] - x_[1,N-1]|| <= C ||W_inf^-1 W_N - 1||."""
     best = 0.0
     for N in range(2, N_max + 1):
-        dev = seq.factor_deviation(N)
+        dev = seq.spectrum(N)[2]
         if dev <= 1e-15:
             continue
-        step = cauchy_diagnostic(seq, N - 1, N, method=method)
+        step = cauchy_diagnostic(seq, N - 1, N)
         best = max(best, step["diff"] / dev)
     return best
 

@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatch,
     SupportTooLarge,
 )
-from .lattice import LocalOperator, Window, act, embed_pair, extend, support
+from .lattice import LocalOperator, Window, act, embed_pair, extend, extend_operator, support
 from .states import homogeneous_state, slice_expectation
 
 CDA_TOL = 1e-8
@@ -95,24 +95,13 @@ class MarkovState:
         return homogeneous_state(self.d, self.N + 1, self.W_inf)
 
 
-def ordered_product(M, direction="right"):
-    """right: j_[1,2](K_1) ... j_[N,N+1](K_N); left: the reversed order."""
+def ordered_product(M):
+    """j_[1,2](K_1) ... j_[N,N+1](K_N)."""
     w = M.window
-    ns = range(1, M.N + 1) if direction == "right" else range(M.N, 0, -1)
     out = w.identity()
-    for n in ns:
+    for n in range(1, M.N + 1):
         out = out @ embed_pair(w, n, M.chain[n - 1])
     return out
-
-
-def _extend_to_window(a, window):
-    """View an operator on [1,M] inside a longer window, identity on the rest."""
-    if a.window.d != window.d or a.window.N > window.N:
-        raise SupportTooLarge(f"operator on {a.window.N} sites, window has {window.N}")
-    if a.window.N == window.N:
-        return a
-    pad = window.d ** (window.N - a.window.N)
-    return LocalOperator(window, np.kron(a.matrix, np.eye(pad)))
 
 
 def _extend_perm(g, M):
@@ -125,7 +114,7 @@ def _extend_perm(g, M):
 
 def markov_density(M):
     """The window density implementing phi: phi(a) = Tr(R Psi R* a)."""
-    R = ordered_product(M, "right").matrix
+    R = ordered_product(M).matrix
     Psi = states.full_density(M.psi())
     return R @ Psi @ R.conj().T
 
@@ -139,8 +128,8 @@ def markov_eval(M, a):
     """phi(a) = psi(R* a R) for a supported in [1,N]."""
     if a.window.N > M.N:
         raise SupportTooLarge(f"observable on {a.window.N} sites, chain supports [1,{M.N}]")
-    a_full = _extend_to_window(a, M.window)
-    R = ordered_product(M, "right")
+    a_full = extend_operator(a, M.window)
+    R = ordered_product(M)
     return states.evaluate(M.psi(), R.dagger() @ a_full @ R)
 
 
@@ -169,7 +158,7 @@ def extension_residual(M, K_next, probes=None):
 def y_cocycle(M, g):
     """y = g^-1(R) R^-1, the sandwich cocycle at the window scale."""
     g_full = _extend_perm(g, M)
-    R = ordered_product(M, "right")
+    R = ordered_product(M)
     try:
         R_inv = matcore.inv(R.matrix)
     except np.linalg.LinAlgError as exc:

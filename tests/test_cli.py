@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from quasinv import cli
+from quasinv import cli, limits
 
 ALL_SCENARIOS = sorted(cli.SCENARIOS)
 
@@ -309,6 +309,80 @@ def test_guarded_check_reports_raised_precondition():
     assert check["pass"] is False
     assert check["residual"] is None
     assert "NotHermitian" in check["witness"]["error"]
+
+
+def weight_sequence(eps):
+    """Weights diag(1/2 + e, 1/2 - e) around the flat reference 1/2."""
+    return limits.WindowProductSequence(
+        np.eye(2) / 2.0, [np.diag([0.5 + e, 0.5 - e]) for e in eps])
+
+
+def failed_convergence_checks(tmp_path, monkeypatch, make_sequence=None):
+    """Run the default convergence scenario, optionally on a planted
+    sequence, and return its exit code and the names of the failed checks."""
+    if make_sequence is not None:
+        monkeypatch.setattr(limits, "preset_sequence", lambda kind, n: make_sequence(n))
+    out = tmp_path / "r.json"
+    rc = run_cli(["run", "--scenario", "convergence", "--out", str(out)])
+    return rc, {c["name"] for c in read_report(out)["checks"] if not c["pass"]}
+
+
+def test_bound_dominates_fails_on_a_shrunk_deviation(tmp_path, monkeypatch):
+    spectrum = limits.WindowProductSequence.spectrum
+
+    def shrunk(self, k):
+        lmin, lmax, dev = spectrum(self, k)
+        return lmin, lmax, dev / 2.0 if k == 3 else dev
+
+    monkeypatch.setattr(limits.WindowProductSequence, "spectrum", shrunk)
+    assert failed_convergence_checks(tmp_path, monkeypatch) == (1, {"bound_dominates"})
+
+
+def test_bound_dominates_fails_on_an_inflated_diff(tmp_path, monkeypatch):
+    cauchy = limits.cauchy_diagnostic
+
+    def inflated(seq, M, N):
+        out = cauchy(seq, M, N)
+        return {**out, "diff": out["diff"] * (1.0 + 1e-9)}
+
+    monkeypatch.setattr(limits, "cauchy_diagnostic", inflated)
+    assert failed_convergence_checks(tmp_path, monkeypatch) == (1, {"bound_dominates"})
+
+
+def test_step_decay_fails_on_halving_deviations(tmp_path, monkeypatch):
+    def halving(n):
+        return weight_sequence([0.25 * 2.0 ** (-k) for k in range(1, n + 1)])
+
+    assert failed_convergence_checks(tmp_path, monkeypatch, halving) == (1, {"step_decay"})
+
+
+def test_monotone_differences_fails_on_a_late_bump(tmp_path, monkeypatch):
+    def bumped(n):
+        return weight_sequence([1e-3 if k == 8 else 0.25 * 4.0 ** (-k)
+                                for k in range(1, n + 1)])
+
+    rc, failed = failed_convergence_checks(tmp_path, monkeypatch, bumped)
+    assert rc == 1
+    assert "monotone_differences" in failed
+
+
+def test_pairing_identity_fails_on_mismatched_weights(tmp_path, monkeypatch):
+    # the factors keep W_1, the product state gets W_1 with its diagonal reversed
+    preset = limits.preset_sequence
+
+    def mismatched(n):
+        seq = preset("geometric", n)
+        seq.W_list[0] = seq.W_list[0][::-1, ::-1].copy()
+        return seq
+
+    assert failed_convergence_checks(tmp_path, monkeypatch, mismatched) == (1, {"pairing_identity"})
+
+
+def test_tail_summability_fails_on_a_large_summable_tail(tmp_path, monkeypatch):
+    def heavy(n):
+        return weight_sequence([0.45 * 4.0 ** (1 - k) for k in range(1, n + 1)])
+
+    assert failed_convergence_checks(tmp_path, monkeypatch, heavy) == (1, {"tail_summability"})
 
 
 def test_convergence_defaults_to_twelve_windows(tmp_path):

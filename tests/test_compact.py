@@ -163,7 +163,7 @@ def test_kappa_rejects_nonhermitian_table():
 
 
 def test_spectrum_bounds_hand_values():
-    s1, s2 = compact.spectrum_bounds(anchor_table())
+    s1, s2 = cocycle.verify_strong(anchor_table(), anchor_state()).details["spectrum_bounds"]
     assert abs(s1 - 1.0 / 3.0) < EXACT
     assert abs(s2 - 3.0) < EXACT
     assert s1 > 0

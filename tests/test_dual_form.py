@@ -20,6 +20,7 @@ from quasinv.lattice import (
     cyclic_shift,
     enumerate_group,
     extend,
+    extend_operator,
     transposition,
 )
 
@@ -71,7 +72,7 @@ def oracle_sandwich(M, g, probes):
     phi = qmc.markov_functional(M)
     worst = 0.0
     for a in probes:
-        a_full = qmc._extend_to_window(a, M.window)
+        a_full = extend_operator(a, M.window)
         worst = max(worst, abs(states.evaluate(phi, act(g_full, a_full))
                                - states.evaluate(phi, y.dagger() @ a_full @ y)))
     return worst

@@ -142,7 +142,7 @@ def test_telescoping_random_factors():
 
 
 def test_telescoping_empty_slice():
-    assert limits.telescoping_check([np.eye(2)] * 3, M=2, N=2) == 0.0
+    assert limits.telescoping_check([]) == 0.0
 
 
 def test_cauchy_flat_sequence_is_zero():
@@ -170,17 +170,34 @@ def test_cauchy_diff_never_exceeds_bound():
     seq = random_density_sequence(6, seed=13)
     for M in range(6):
         for N in range(M + 1, 7):
-            out = limits.cauchy_diagnostic(seq, M, N, method="explicit")
+            out = limits.cauchy_diagnostic(seq, M, N)
             assert out["diff"] <= out["bound"] + EXACT
 
 
-def test_cauchy_explicit_and_factored_agree():
-    seq = limits.preset_sequence("geometric", 6)
-    for M, N in ((0, 4), (1, 5), (2, 6)):
-        e = limits.cauchy_diagnostic(seq, M, N, method="explicit")
-        f = limits.cauchy_diagnostic(seq, M, N, method="factored")
-        assert abs(e["diff"] - f["diff"]) < EXACT
-        assert abs(e["bound"] - f["bound"]) < EXACT
+def kronecker_diff(seq, M, N):
+    """||x_[1,N] - x_[1,M]|| and ||x_[1,M]|| * ||x_[M+1,N] - 1|| from the
+    explicit Kronecker products: the oracle for the spectral form."""
+    tail = seq.range_product(M + 1, N)
+    eye = np.eye(tail.shape[0])
+    tail_dev = matcore.operator_norm(tail - eye)
+    if M == 0:
+        return tail_dev, tail_dev
+    head = seq.range_product(1, M)
+    diff = matcore.operator_norm(np.kron(head, tail) - np.kron(head, eye))
+    return diff, matcore.operator_norm(head) * tail_dev
+
+
+@pytest.mark.parametrize("seq", [limits.preset_sequence("geometric", 6),
+                                 limits.preset_sequence("harmonic", 6),
+                                 random_density_sequence(6, seed=17)],
+                         ids=["geometric", "harmonic", "random"])
+def test_cauchy_diff_matches_kronecker_oracle(seq):
+    for M in range(6):
+        for N in range(M + 1, 7):
+            out = limits.cauchy_diagnostic(seq, M, N)
+            diff, cross = kronecker_diff(seq, M, N)
+            assert abs(out["diff"] - diff) <= EXACT
+            assert cross <= out["bound"] + EXACT
 
 
 def test_cauchy_geometric_decay_factor():
@@ -214,17 +231,16 @@ def test_cauchy_range_errors():
         limits.cauchy_diagnostic(seq, 3, 3)
     with pytest.raises(RangeError):
         limits.cauchy_diagnostic(seq, 0, 5)
-    with pytest.raises(RangeError):
-        limits.cauchy_diagnostic(seq, 0, 2, method="nonsense")
 
 
-def test_factored_path_rejects_nonhermitian_factors():
-    m = np.array([[0.5, 0.2], [0.0, 0.5]])
-    seq = limits.WindowProductSequence(np.eye(2) / 2.0, [m, m])
+@pytest.mark.parametrize("weight", [np.array([[0.5, 0.2], [0.0, 0.5]]),
+                                    np.diag([0.5, -0.5])],
+                         ids=["nonhermitean", "indefinite"])
+def test_cauchy_rejects_nonpositive_factors(weight):
+    seq = limits.WindowProductSequence(np.eye(2) / 2.0, [np.eye(2) / 2.0, weight])
+    assert limits.cauchy_diagnostic(seq, 0, 1)["diff"] < EXACT
     with pytest.raises(NotHermitian):
-        limits.cauchy_diagnostic(seq, 0, 2, method="factored")
-    out = limits.cauchy_diagnostic(seq, 0, 2, method="explicit")
-    assert out["diff"] >= 0.0
+        limits.cauchy_diagnostic(seq, 0, 2)
 
 
 def test_diagnostic_series_shape_and_tail():

@@ -16,6 +16,7 @@ from quasinv.lattice import (
     cyclic_shift,
     embed,
     enumerate_group,
+    extend_operator,
     identity_permutation,
     transposition,
 )
@@ -70,26 +71,13 @@ def test_markov_state_rejects_unnormalized():
 
 def test_ordered_product_single():
     M = default_state(N=1, seed=1)
-    R = ordered_product(M, "right")
+    R = ordered_product(M)
     assert np.allclose(R.matrix, M.chain[0])
 
 
 def test_ordered_product_identity_chain():
     M = MarkovState(2, W_HALF, (np.eye(4), np.eye(4)))
-    assert np.array_equal(ordered_product(M, "right").matrix, np.eye(8))
-
-
-def test_left_product_is_adjoint_of_right():
-    # non-commuting pair: rotate one amplitude; adjoint relation is exact anyway
-    th = 0.3
-    U = np.kron(np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]), np.eye(2))
-    K1 = U @ diagonal_cda(2, 0.1) @ U.T
-    K2 = diagonal_cda(2, -0.2)
-    M = MarkovState(2, W_HALF, (K1, K2), validate=False)
-    R = ordered_product(M, "right")
-    M_adj = MarkovState(2, W_HALF, (K1.conj().T, K2.conj().T), validate=False)
-    L = ordered_product(M_adj, "left")
-    assert matcore.operator_norm(L.matrix - R.dagger().matrix) < 1e-12
+    assert np.array_equal(ordered_product(M).matrix, np.eye(8))
 
 
 def test_markov_eval_normalized():
@@ -189,7 +177,7 @@ def test_x_cocycle_homogeneous_chain_acts_trivially():
     g_full = extend(g, 3)
     x = x_cocycle_commuting(M, g)
     for a in matrix_unit_probes(Window(2, 2)):
-        a_full = qmc._extend_to_window(a, M.window)
+        a_full = extend_operator(a, M.window)
         inv_resid = abs(states.evaluate(phi, act(g_full, a_full)) - states.evaluate(phi, a_full))
         pair_resid = abs(states.evaluate(phi, x @ a_full) - states.evaluate(phi, a_full))
         assert inv_resid < 1e-12
@@ -208,7 +196,7 @@ def test_x_cocycle_matches_y_squared():
 def test_x_cocycle_quasi_invariance():
     M = default_state(N=2, seed=15)
     phi = markov_functional(M)
-    probes = [qmc._extend_to_window(a, M.window) for a in matrix_unit_probes(Window(2, 2))]
+    probes = [extend_operator(a, M.window) for a in matrix_unit_probes(Window(2, 2))]
     T = x_cocycle_table(M, enumerate_group(2))
     rep = cocycle.verify_quasi_invariance(phi, T, probes)
     assert rep.passed and rep.residual < 1e-9
