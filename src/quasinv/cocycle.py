@@ -18,10 +18,11 @@ factor, and propagation along the powers of a single generator.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import matcore, states
+from . import lattice, matcore, states
 from .errors import (
     GroupNotClosed,
     MissingIdentityEntry,
@@ -33,7 +34,7 @@ from .errors import (
     SingularKappa,
     SingularWeight,
 )
-from .lattice import LocalOperator, Permutation, act, embed, identity_permutation, support
+from .lattice import LocalOperator, act, act_inverse, embed, gather, support
 
 # residuals pass at 1e-8 absolute after scaling by the largest entry norm;
 # planted defects in the tests are >= 1e-3, five decades away
@@ -41,15 +42,27 @@ PASS_TOL = 1e-8
 TAU_STATE = 1e-8
 
 
-@dataclass(frozen=True)
 class CocycleTable:
-    group: tuple
-    entries: dict
-    window: object
+    """x_g over a list of permutations, stored once as the read-only (|G|, D, D)
+    array `stack` in group order.  The entries arrive as that array or as a
+    mapping from image tuples to operators; `entries`, `entry(g)` and
+    iteration are views onto the rows of the stack."""
 
-    def __post_init__(self):
+    def __init__(self, group, entries, window):
+        self.group, self.window = tuple(group), window
         if not any(g.is_identity() for g in self.group):
             raise MissingIdentityEntry("group enumeration lacks the identity")
+        if not isinstance(entries, np.ndarray):
+            missing = [g.image for g in self.group if g.image not in entries]
+            if missing:
+                raise GroupNotClosed(f"no entry for {missing[0]}")
+            entries = np.array([entries[g.image].matrix for g in self.group], dtype=complex)
+        entries.flags.writeable = False
+        self.stack = entries
+
+    @cached_property
+    def entries(self):
+        return {g.image: LocalOperator(self.window, x) for g, x in zip(self.group, self.stack)}
 
     def entry(self, g):
         return self.entries[g.image]
@@ -57,17 +70,20 @@ class CocycleTable:
     def __iter__(self):
         return iter((g, self.entries[g.image]) for g in self.group)
 
-    def max_entry_norm(self):
-        return max(matcore.operator_norm(x.matrix) for x in self.entries.values())
+    @cached_property
+    def _scale(self):
+        return max(1.0, max(matcore.operator_norm(x) for x in self.stack))
 
     def scale(self):
-        return max(1.0, self.max_entry_norm())
+        return self._scale
 
 
 def build_table(group, window, builder):
-    """Tabulate x_g = builder(g) over the whole group."""
-    entries = {g.image: builder(g) for g in group}
-    return CocycleTable(tuple(group), entries, window)
+    """Tabulate x_g = builder(g) over the whole group, row by row into the stack."""
+    stack = np.empty((len(group), window.total_dim, window.total_dim), dtype=complex)
+    for i, g in enumerate(group):
+        stack[i] = builder(g).matrix
+    return CocycleTable(group, stack, window)
 
 
 @dataclass(frozen=True)
@@ -94,26 +110,21 @@ def _report(name, residual, tolerance, witness=None, details=None, passed=None):
 def verify_normalization(T, tol=None):
     """|| x_e - 1 ||."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    e = identity_permutation(T.group[0].N)
-    if e.image not in T.entries:
-        raise MissingIdentityEntry("no entry for the identity permutation")
+    e = next(i for i, g in enumerate(T.group) if g.is_identity())
     I = np.eye(T.window.total_dim)
-    resid = matcore.operator_norm(T.entries[e.image].matrix - I)
+    resid = matcore.operator_norm(T.stack[e] - I)
     return _report("normalization", resid, tol)
 
 
 def verify_cocycle_law(T, tol=None):
     """max over pairs of || x_{g2 g1} - x_{g1} g1^-1(x_{g2}) ||."""
     tol = PASS_TOL * T.scale() if tol is None else tol
+    (mul, inv), x = lattice.group_table(T.group), T.stack
+    Q = lattice.group_index(T.group, T.window)
     worst, witness = 0.0, None
-    for g2 in T.group:
-        for g1 in T.group:
-            prod = g2 * g1
-            if prod.image not in T.entries:
-                raise GroupNotClosed(f"{g2.image} o {g1.image} = {prod.image} missing from table")
-            lhs = T.entries[prod.image].matrix
-            rhs = (T.entries[g1.image] @ act(g1.inverse(), T.entries[g2.image])).matrix
-            r = matcore.operator_norm(lhs - rhs)
+    for b, g2 in enumerate(T.group):
+        for a, g1 in enumerate(T.group):
+            r = matcore.operator_norm(x[mul[b, a]] - x[a] @ gather(x[b], Q[inv[a]]))
             if r > worst:
                 worst, witness = r, {"g2": list(g2.image), "g1": list(g1.image)}
     return _report("cocycle_law", worst, tol, witness=witness if worst > tol else None)
@@ -122,14 +133,14 @@ def verify_cocycle_law(T, tol=None):
 def verify_inverse_relation(T, tol=None):
     """max over g of || x_g g^-1(x_{g^-1}) - 1 ||."""
     tol = PASS_TOL * T.scale() if tol is None else tol
+    inv, x = lattice.group_table(T.group)[1], T.stack
+    Q = lattice.group_index(T.group, T.window)
     I = np.eye(T.window.total_dim)
     worst, witness = 0.0, None
-    for g in T.group:
-        x_g = T.entries[g.image]
-        if not matcore.classify(x_g.matrix).invertible:
+    for i, g in enumerate(T.group):
+        if not matcore.classify(x[i]).invertible:
             raise SingularEntry(f"x_g singular for g = {g.image}")
-        x_ginv = T.entries[g.inverse().image]
-        r = matcore.operator_norm((x_g @ act(g.inverse(), x_ginv)).matrix - I)
+        r = matcore.operator_norm(x[i] @ gather(x[inv[i]], Q[inv[i]]) - I)
         if r > worst:
             worst, witness = r, {"g": list(g.image)}
     return _report("inverse_relation", worst, tol, witness=witness if worst > tol else None)
@@ -147,10 +158,10 @@ def verify_quasi_invariance(phi, T, probes=None, tol=None):
     worst, witness = 0.0, None
     norm_worst = 0.0
     pos_worst = 0.0
-    for g in T.group:
-        Wx = W.matrix @ T.entries[g.image].matrix
+    for g, x in zip(T.group, T.stack):
+        Wx = W.matrix @ x
         norm_worst = max(norm_worst, abs(np.trace(Wx) - 1.0))
-        r, where = states.pairing_residual(act(g.inverse(), W).matrix - Wx, probes)
+        r, where = states.pairing_residual(act_inverse(g, W).matrix - Wx, probes)
         if r > worst:
             worst, witness = r, {"g": list(g.image), **where}
         pos_worst = max(pos_worst, -float(np.linalg.eigvalsh((Wx + Wx.conj().T) / 2.0)[0]))
@@ -165,8 +176,7 @@ def require_strong_entries(T, tol):
     """Raise NotStrongCocycle unless every entry is hermitean (to tol, scaled
     by its norm) and positive definite: the precondition of the square roots
     and averages built on a strong table."""
-    for g in T.group:
-        x = T.entries[g.image].matrix
+    for g, x in zip(T.group, T.stack):
         if matcore.herm_defect(x) > tol * max(1.0, matcore.operator_norm(x)):
             raise NotStrongCocycle(f"entry for {g.image} is not hermitean")
         if np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0] <= 0.0:
@@ -180,20 +190,18 @@ def verify_strong(T, phi, probes=None, tol=None):
     tol = PASS_TOL * T.scale() if tol is None else tol
     herm = 0.0
     s1, s2 = np.inf, -np.inf
-    for g in T.group:
-        x = T.entries[g.image].matrix
+    for x in T.stack:
         herm = max(herm, matcore.herm_defect(x))
         lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
         s1, s2 = min(s1, float(lam[0])), max(s2, float(lam[-1]))
     comm, comm_wit = 0.0, None
-    for g in T.group:
-        for h in T.group:
-            xg, xh = T.entries[g.image].matrix, T.entries[h.image].matrix
+    for g, xg in zip(T.group, T.stack):
+        for h, xh in zip(T.group, T.stack):
             r = matcore.operator_norm(xg @ xh - xh @ xg)
             if r > comm:
                 comm, comm_wit = r, {"g": list(g.image), "h": list(h.image)}
     W = states.full_density(phi)
-    centr = max(states.centralizer_residual(W, x, probes) for _, x in T)
+    centr = max(states.centralizer_residual(W, x, probes) for x in T.stack)
     resid = max(herm, comm, centr)
     positive = s1 > 0.0
     details = {
@@ -218,8 +226,7 @@ def verify_centralizer_transport(phi, T, x, probes=None, tol=None, tau_state=TAU
     if membership > tau_state:
         raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds {tau_state:.1e}")
     worst, witness = 0.0, None
-    for g in T.group:
-        x_g = T.entries[g.image].matrix
+    for g, x_g in zip(T.group, T.stack):
         core = x_g @ x.matrix @ matcore.inv(x_g)
         transported = act(g, LocalOperator(T.window, core)).matrix
         r, where = states.pairing_residual(W @ act(g, x).matrix - transported @ W, probes)
@@ -233,8 +240,7 @@ def trivial_cocycle(kappa, group):
     if not matcore.classify(kappa.matrix).invertible:
         raise SingularKappa("kappa is not invertible")
     kinv = LocalOperator(kappa.window, matcore.inv(kappa.matrix))
-    return build_table(group, kappa.window,
-                       lambda g: kappa @ act(g.inverse(), kinv))
+    return build_table(group, kappa.window, lambda g: kappa @ act_inverse(g, kinv))
 
 
 def product_state_cocycle(phi, group):
@@ -256,7 +262,7 @@ def product_state_cocycle(phi, group):
         y = window.identity()
         for n in sites:
             y = y @ embed(window, n, phi.weights[n - 1])
-        return x @ act(g.inverse(), y)
+        return x @ act_inverse(g, y)
 
     return build_table(group, window, builder)
 
@@ -283,24 +289,17 @@ def check_SW(W, x, tol=1e-10):
 def propagate_single_generator(x0, g0, n_max):
     """Entries along the powers of one generator:
     x_{g0^n} = x_{g0} g0^-1(x_{g0}) ... g0^-(n-1)(x_{g0})."""
-    m = g0.order()
+    powers = lattice.cyclic_group(g0)
+    m = len(powers)
     if n_max > m:
         raise OrderExceeded(f"n_max {n_max} exceeds generator order {m}")
     window = x0.window
-    entries = {identity_permutation(g0.N).image: window.identity()}
-    group = [identity_permutation(g0.N)]
-    g0_inv = g0.inverse()
+    entries = {powers[0].image: window.identity()}
     current = x0
-    power = g0
-    conj = g0_inv
     for n in range(1, n_max + 1):
-        entries[power.image] = current
-        if power.image not in [g.image for g in group]:
-            group.append(power)
-        current = current @ act(conj, x0)
-        power = g0 * power
-        conj = g0_inv * conj
-    return CocycleTable(tuple(group), entries, window)
+        entries[powers[n % m].image] = current
+        current = current @ act_inverse(powers[n % m], x0)
+    return CocycleTable(powers[:n_max + 1], entries, window)
 
 
 def locally_trivial_check(T, window_sizes, tol=None):
@@ -308,17 +307,17 @@ def locally_trivial_check(T, window_sizes, tol=None):
     supported in [1,N] to get a candidate kappa and report
     max || x_g - kappa g^-1(kappa^-1) || over that subgroup."""
     tol = PASS_TOL * T.scale() if tol is None else tol
+    x = T.stack
+    Q_inv = np.argsort(lattice.group_index(T.group, T.window), axis=1)
     out = []
     for N in window_sizes:
-        sub = [g for g in T.group if support(g) <= set(range(1, N + 1))]
-        avg = sum(T.entries[g.image].matrix for g in sub) / len(sub)
+        sub = [i for i, g in enumerate(T.group) if support(g) <= set(range(1, N + 1))]
+        avg = sum(x[i] for i in sub) / len(sub)
         kappa = LocalOperator(T.window, avg)
-        kinv = LocalOperator(T.window, matcore.inv(avg))
+        kinv = matcore.inv(avg)
         worst = 0.0
-        for g in sub:
-            r = matcore.operator_norm(
-                T.entries[g.image].matrix - (kappa @ act(g.inverse(), kinv)).matrix)
-            worst = max(worst, r)
+        for i in sub:
+            worst = max(worst, matcore.operator_norm(x[i] - avg @ gather(kinv, Q_inv[i])))
         out.append(_report(f"locally_trivial[N={N}]", worst, tol,
                            details={"kappa": kappa, "subgroup_order": len(sub)}))
     return out
@@ -327,14 +326,14 @@ def locally_trivial_check(T, window_sizes, tol=None):
 def power_relation_check(T, s_list=(0.5, 1.0, 2.0), tol=None):
     """max over g and s of || x_g^-s - g^-1(x_{g^-1}^s) ||."""
     tol = PASS_TOL * T.scale() if tol is None else tol
+    inv, x = lattice.group_table(T.group)[1], T.stack
+    Q = lattice.group_index(T.group, T.window)
     worst, witness = 0.0, None
-    for g in T.group:
-        x_g = T.entries[g.image].matrix
-        x_ginv = T.entries[g.inverse().image]
+    for i, g in enumerate(T.group):
         for s in s_list:
-            lhs = matcore.matrix_power(x_g, -s)
-            rhs = act(g.inverse(), LocalOperator(T.window, matcore.matrix_power(x_ginv.matrix, s)))
-            r = matcore.operator_norm(lhs - rhs.matrix)
+            lhs = matcore.matrix_power(x[i], -s)
+            rhs = gather(matcore.matrix_power(x[inv[i]], s), Q[inv[i]])
+            r = matcore.operator_norm(lhs - rhs)
             if r > worst:
                 worst, witness = r, {"g": list(g.image), "s": s}
     return _report("power_relation", worst, tol, witness=witness if worst > tol else None)

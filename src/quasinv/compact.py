@@ -25,7 +25,7 @@ from .errors import (
     SingularKappa,
     SupportTooLarge,
 )
-from .lattice import LocalOperator, act
+from .lattice import LocalOperator, act_inverse, gather
 
 UMEGAKI_TOL = 1e-10
 STRUCTURE_TOL = 1e-9
@@ -144,7 +144,7 @@ def kappa(T):
     """The group average of the cocycle entries; hermitean, positive and
     invertible whenever the table is strong."""
     require_strong_entries(T, PASS_TOL)
-    avg = _tree_sum(np.array([T.entries[g.image].matrix for g in T.group])) / len(T.group)
+    avg = _tree_sum(T.stack.copy()) / len(T.group)
     return LocalOperator(T.window, (avg + avg.conj().T) / 2.0)
 
 
@@ -156,7 +156,7 @@ def intrinsic_entry(phi, g):
         raise NotFaithful(f"state density has min eigenvalue {min_eig:.3e}")
     window = phi.window
     W = states.full_density(phi)
-    moved = act(g.inverse(), LocalOperator(window, W)).matrix
+    moved = act_inverse(g, LocalOperator(window, W)).matrix
     return LocalOperator(window, matcore.inv(W) @ moved)
 
 
@@ -175,23 +175,23 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     else:
         phi_G, kap = decomposition
     kinv = matcore.inv(kap.matrix)
-    kinv_local = LocalOperator(window, kinv)
+    Q_inv = np.argsort(lattice.group_index(group, window), axis=1)
 
     recon, where = states.pairing_residual(
         states.full_density(phi) - states.full_density(phi_G) @ kinv, probes)
 
     match, match_wit = 0.0, None
     commut = 0.0
-    for g in group:
-        moved = act(g.inverse(), kinv_local).matrix
+    for i, g in enumerate(group):
+        moved = gather(kinv, Q_inv[i])
         rebuilt = kap.matrix @ moved
-        r = matcore.operator_norm(T.entries[g.image].matrix - rebuilt)
+        r = matcore.operator_norm(T.stack[i] - rebuilt)
         if r > match:
             match, match_wit = r, {"g": list(g.image)}
         commut = max(commut, matcore.operator_norm(rebuilt - moved @ kap.matrix))
 
     normal = matcore.operator_norm(
-        haar_average(group, kinv_local).matrix - np.eye(window.total_dim))
+        haar_average(group, LocalOperator(window, kinv)).matrix - np.eye(window.total_dim))
     herm = matcore.herm_defect(kap.matrix)
 
     resid = max(recon, match, normal, herm, commut)
@@ -231,9 +231,7 @@ def projective_family_check(group_small, group_big, window, tol=UMEGAKI_TOL):
     """Nested averages absorb: E_big o E_small = E_big, and the fixed-point
     algebra of the bigger group sits inside that of the smaller; the laws
     hold on every matrix unit of the window, checked in exact counts."""
-    small = {g.image for g in group_small}
-    big = {g.image for g in group_big}
-    if not small <= big:
+    if (lattice.positions(group_big, group_small) < 0).any():
         raise NotNested("the first group is not contained in the second")
     n_small, n_big, D = len(group_small), len(group_big), window.total_dim
     row_small, units_small = _unit_averages(group_small, window)
@@ -263,14 +261,14 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
     worst, witness = 0.0, None
     per_subgroup = []
     for idx, sub in enumerate(subgroups):
+        rows = lattice.positions(T.group, sub)
+        if (rows < 0).any():
+            raise NotNested(f"{sub[np.argmin(rows)].image} is missing from the table")
         local = 0.0
-        for g in sub:
-            if g.image not in T.entries:
-                raise NotNested(f"{g.image} is missing from the table")
+        for g, i in zip(sub, rows):
             fresh = intrinsic_entry(phi, g)
-            r = matcore.operator_norm(T.entries[g.image].matrix - fresh.matrix)
-            if r > local:
-                local = r
+            r = matcore.operator_norm(T.stack[i] - fresh.matrix)
+            local = max(local, r)
             if r > worst:
                 worst, witness = r, {"subgroup": idx, "g": list(g.image)}
         per_subgroup.append(local)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cocycle, matcore, states
+from . import cocycle, lattice, matcore, states
 from .errors import NotFaithful
-from .lattice import LocalOperator, Permutation, act, index_map
+from .lattice import LocalOperator, Permutation, act, act_inverse, gather
 
 GNS_TOL = 1e-9
 
@@ -105,34 +105,35 @@ def build_gns(phi):
 def build_unitaries(R, T, tol=GNS_TOL):
     """U_g on vec(a) = vec(g(a) x_{g^-1}^(1/2)) for a strong table."""
     cocycle.require_strong_entries(T, tol)
+    inv = lattice.group_table(T.group)[1]
     return {g.image: CovariantUnitary(g, LocalOperator(
-                R.window, matcore.matrix_power(T.entries[g.inverse().image].matrix, 0.5)))
-            for g in T.group}
+                R.window, matcore.matrix_power(T.stack[j], 0.5)))
+            for g, j in zip(T.group, inv)}
 
 
 def _sharp_factor(R, Ug):
     """t_g with U_g# vec(b) = vec(g^-1(b) t_g): t_g = g^-1(W s*) W^-1."""
-    ginv = Ug.g.inverse()
-    return act(ginv, LocalOperator(R.window, R.W @ Ug.s.dagger().matrix)).matrix @ R.W_inv
+    return act_inverse(Ug.g, LocalOperator(R.window, R.W @ Ug.s.dagger().matrix)).matrix @ R.W_inv
 
 
 def _gram_defect(R, Ug):
     """C_g = g^-1(s W s*) W^-1 - 1, with U_g# U_g vec(a) = vec(a (1 + C_g))."""
-    moved = act(Ug.g.inverse(), LocalOperator(R.window, Ug.s.matrix @ R.W @ Ug.s.dagger().matrix))
+    moved = act_inverse(Ug.g, LocalOperator(R.window, Ug.s.matrix @ R.W @ Ug.s.dagger().matrix))
     return moved.matrix @ R.W_inv - np.eye(R.D)
 
 
 def verify_unitaries(R, U, group, tol=GNS_TOL):
     """Gram-unitarity, the group law, and U_g# = U_{g^-1}."""
+    mul, inv = lattice.group_table(group)
+    Q = lattice.group_index(group, R.window)
+    s = [U[g.image].s.matrix for g in group]
     unit = law = adj = 0.0
-    for g in group:
-        Ug = U[g.image]
-        unit = max(unit, matcore.operator_norm(_gram_defect(R, Ug)))
-        adj = max(adj, matcore.operator_norm(_sharp_factor(R, Ug) - U[g.inverse().image].s.matrix))
-    for g in group:
-        for h in group:
-            lhs = act(g, U[h.image].s) @ U[g.image].s
-            law = max(law, matcore.operator_norm(lhs.matrix - U[(g * h).image].s.matrix))
+    for i, g in enumerate(group):
+        unit = max(unit, matcore.operator_norm(_gram_defect(R, U[g.image])))
+        adj = max(adj, matcore.operator_norm(_sharp_factor(R, U[g.image]) - s[inv[i]]))
+    for i in range(len(group)):
+        for j in range(len(group)):
+            law = max(law, matcore.operator_norm(gather(s[j], Q[i]) @ s[i] - s[mul[i, j]]))
     resid = max(unit, law, adj)
     return {"unitarity": unit, "group_law": law, "adjoint": adj, "residual": resid,
             "pass": resid <= tol}
@@ -160,21 +161,21 @@ def lift_conditional_expectation(R, U, subgroup):
     its (D, D, D^2) reshape; X U_g = (U_g* X*)*."""
     D = R.D
 
-    def right_apply(g, m, X):
-        cols = X.reshape(D, D, -1, order="F")[index_map(g, R.window)]
+    def right_apply(q, m, X):
+        cols = X.reshape(D, D, -1, order="F")[q[:, None], q]
         return np.einsum("ijc,jk->ikc", cols, m).reshape(D * D, -1, order="F")
 
     factors = []
-    for g in subgroup:
-        Ug, ginv = U[g.image], g.inverse()
-        factors.append((ginv, act(ginv, Ug.s.dagger()).matrix, _sharp_factor(R, Ug)))
+    for g, q in zip(subgroup, np.argsort(lattice.group_index(subgroup, R.window), axis=1)):
+        Ug = U[g.image]
+        factors.append((q, gather(Ug.s.dagger().matrix, q), _sharp_factor(R, Ug)))
 
     def lifted(X):
         X = np.asarray(X, dtype=complex)
         total = 0.0
-        for ginv, s_moved, t in factors:
-            XU = right_apply(ginv, s_moved, X.conj().T).conj().T
-            total = total + right_apply(ginv, t, XU)
+        for q, s_moved, t in factors:
+            XU = right_apply(q, s_moved, X.conj().T).conj().T
+            total = total + right_apply(q, t, XU)
         return total / len(factors)
 
     return lifted

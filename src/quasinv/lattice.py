@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GroupTooLarge, SiteOutOfRange, SizeMismatch, SupportTooLarge
+from .errors import GroupNotClosed, GroupTooLarge, SiteOutOfRange, SizeMismatch, SupportTooLarge
 
 TOTAL_DIM_CAP = 4096
 GROUP_ORDER_CAP = 720
@@ -58,10 +58,7 @@ class Permutation:
         return self.image[n - 1]
 
     def inverse(self):
-        inv = [0] * self.N
-        for n, gn in enumerate(self.image, start=1):
-            inv[gn - 1] = n
-        return Permutation(tuple(inv))
+        return Permutation(tuple(int(n) + 1 for n in np.argsort(self.image)))
 
     def compose(self, other):
         """(self * other)(n) = self(other(n))."""
@@ -74,13 +71,6 @@ class Permutation:
 
     def is_identity(self):
         return all(self(n) == n for n in range(1, self.N + 1))
-
-    def order(self):
-        k, g = 1, self
-        while not g.is_identity():
-            g = g.compose(self)
-            k += 1
-        return k
 
 
 def identity_permutation(N):
@@ -177,33 +167,82 @@ def embed_pair(window, n, K):
 
 
 @lru_cache(maxsize=4096)
-def _index_map(image, d):
+def _group_index(images, d):
     # q[r] carries at site k the digit that r carries at site g(k): the
     # row-major index array with its axes permuted by g^-1
-    N = len(image)
-    axes = Permutation(image).inverse().image
-    q = np.arange(d ** N).reshape((d,) * N).transpose([n - 1 for n in axes]).reshape(-1)
-    q.flags.writeable = False
-    return np.ix_(q, q)
-
-
-def index_map(g, window):
-    """The index pair (rows, cols) with g(a) = a[rows, cols] = a[q][:, q]:
-    one length-D integer array q per permutation, cached, since the action
-    only relabels basis vectors.  It indexes the first two axes of a stack
-    of D x D matrices as well."""
-    if g.N != window.N:
-        raise SizeMismatch(f"permutation on {g.N} sites, window has {window.N}")
-    return _index_map(g.image, window.d)
+    grid = np.arange(d ** len(images[0])).reshape((d,) * len(images[0]))
+    Q = np.array([grid.transpose(np.argsort(image)).reshape(-1) for image in images])
+    Q.flags.writeable = False
+    return Q
 
 
 def group_index(group, window):
     """The (|G|, D) array of the index arrays q of the list's elements,
-    g(a) = a[q][:, q]: the whole group's action for one gather."""
-    return np.array([index_map(g, window)[1][0] for g in group])
+    g(a) = a[q][:, q], built once per list and window; the argsort of a row
+    is the index array of the inverse element."""
+    images = tuple(g.image for g in group)
+    if any(len(image) != window.N for image in images):
+        raise SizeMismatch(f"permutations on other than the window's {window.N} sites")
+    return _group_index(images, window.d)
+
+
+def _positions(A, B):
+    """The row of A equal to each row of B (0-based images, in the last
+    axis), -1 where none is; a row is coded by its images as base-N digits."""
+    digits = A.shape[1] ** np.arange(A.shape[1])
+    keys, codes = A @ digits, B @ digits
+    order = np.argsort(keys)
+    pos = order[np.searchsorted(keys, codes, sorter=order) % len(keys)]
+    return np.where(keys[pos] == codes, pos, -1)
+
+
+def positions(group, elements):
+    """The position of each element in the group list, -1 where it is absent."""
+    A = np.array([g.image for g in group]) - 1
+    return _positions(A, np.array([g.image for g in elements]).reshape(-1, A.shape[1]) - 1)
+
+
+@lru_cache(maxsize=64)
+def _group_table(images):
+    A = np.array(images) - 1
+    # the k-th image of g_i g_j is A[i, A[j, k]]; argsort inverts each row
+    mul, inv = _positions(A, A[:, A]), _positions(A, np.argsort(A, axis=1))
+    mul.flags.writeable = inv.flags.writeable = False
+    return mul, inv
+
+
+def group_table(group):
+    """(mul, inv) of a group list, built once per list: mul[i, j] is the
+    position of g_i g_j and inv[i] that of g_i^-1 (-1 where the list lacks
+    it).  A list that lacks a product is refused; closed under products, a
+    finite list holds every inverse."""
+    mul, inv = _group_table(tuple(g.image for g in group))
+    bad = np.argwhere(mul < 0)
+    if len(bad):
+        i, j = bad[0]
+        raise GroupNotClosed(f"{group[i].image} o {group[j].image} is missing from the list")
+    return mul, inv
+
+
+def gather(m, q):
+    """g(m) = m[q][:, q] for a bare matrix m and the index array q of g."""
+    return m[q[:, None], q]
 
 
 def act(g, a):
     """The automorphism a -> P_g a P_g*, sending embed(n, b) to embed(g(n), b),
     computed as the gather a[q][:, q] without forming P_g."""
-    return LocalOperator(a.window, a.matrix[index_map(g, a.window)])
+    return LocalOperator(a.window, gather(a.matrix, group_index([g], a.window)[0]))
+
+
+def act_inverse(g, a):
+    """g^-1(a) = P_g* a P_g."""
+    return act(g.inverse(), a)
+
+
+def cyclic_group(g):
+    """[g^0, g^1, ..., g^(m-1)] with m the order of g."""
+    out = [identity_permutation(g.N)]
+    while not (power := g.compose(out[-1])).is_identity():
+        out.append(power)
+    return out

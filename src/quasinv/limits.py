@@ -89,23 +89,6 @@ def pairing_check(seq, a, N):
     return abs(lhs - rhs)
 
 
-def telescoping_check(factors):
-    """|| prod a_h - 1 - sum_h (prod_{j<h} a_j)(a_h - 1) ||; an algebraic
-    identity, so the residual is pure round-off."""
-    factors = list(factors)
-    if not factors:
-        return 0.0
-    dim = factors[0].shape[0]
-    eye = np.eye(dim)
-    lhs = reduce(lambda x, y: x @ y, factors) - eye
-    rhs = np.zeros_like(lhs)
-    prefix = eye
-    for a in factors:
-        rhs = rhs + prefix @ (a - eye)
-        prefix = prefix @ a
-    return matcore.operator_norm(lhs - rhs)
-
-
 def cauchy_diagnostic(seq, M, N):
     """diff = ||x_[1,N] - x_[1,M]||, the bound
     ||x_[1,M]|| * (prod_{k=M+1}^N (1 + eps_k) - 1), and the summable tail

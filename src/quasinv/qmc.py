@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore, states
+from . import lattice, matcore, states
 from .errors import (
     NotCommutingChain,
     NotInCentralizer,
@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatch,
     SupportTooLarge,
 )
-from .lattice import LocalOperator, Window, act, embed_pair, extend, extend_operator, support
+from .lattice import LocalOperator, Window, act_inverse, embed_pair, extend, extend_operator, support
 from .states import homogeneous_state, slice_expectation
 
 CDA_TOL = 1e-8
@@ -163,7 +163,7 @@ def y_cocycle(M, g):
         R_inv = matcore.inv(R.matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularCDA("chain product is singular") from exc
-    return act(g_full.inverse(), R) @ LocalOperator(M.window, R_inv)
+    return act_inverse(g_full, R) @ LocalOperator(M.window, R_inv)
 
 
 def sandwich_residual(M, g, probes=None):
@@ -172,7 +172,7 @@ def sandwich_residual(M, g, probes=None):
     g_full = _extend_perm(g, M)
     y = y_cocycle(M, g).matrix
     W = LocalOperator(M.window, markov_density(M))
-    defect = act(g_full.inverse(), W).matrix - y @ W.matrix @ y.conj().T
+    defect = act_inverse(g_full, W).matrix - y @ W.matrix @ y.conj().T
     n = M.N if probes is None else probes[0].window.N
     return states.pairing_residual(_marginal(defect, M.window, n), probes)[0]
 
@@ -199,25 +199,21 @@ def chain_centralizer_residual(M):
 def x_cocycle_commuting(M, g, tol=CDA_TOL):
     """x_g = Q^-1 g^-1(Q) with Q = prod_n j_[n,n+1](K_n* K_n); equals y y*
     for commuting chains whose amplitudes centralize the reference state."""
+    return x_cocycle_table(M, [lattice.identity_permutation(g.N), g], tol).entry(_extend_perm(g, M))
+
+
+def x_cocycle_table(M, group, tol=CDA_TOL):
+    """Tabulate the commuting-case cocycle over a permutation group acting
+    on the chain sites [1,N]; the hypotheses are checked and Q is built once."""
+    from .cocycle import build_table
+    group = [_extend_perm(g, M) for g in group]
     comm = chain_commutation_residual(M)
     if comm > tol:
         raise NotCommutingChain(f"pairwise commutator norm {comm:.3e}")
     centr = chain_centralizer_residual(M)
     if centr > tol:
         raise NotInCentralizer(f"amplitude centralizer residual {centr:.3e}")
-    g_full = _extend_perm(g, M)
-    w = M.window
-    Q = w.identity()
-    for n in range(1, M.N + 1):
-        K = M.chain[n - 1]
-        Q = Q @ embed_pair(w, n, K.conj().T @ K)
-    return LocalOperator(w, matcore.inv(Q.matrix)) @ act(g_full.inverse(), Q)
-
-
-def x_cocycle_table(M, group, tol=CDA_TOL):
-    """Tabulate the commuting-case cocycle over a permutation group acting
-    on the chain sites [1,N]."""
-    from .cocycle import build_table
-    w = M.window
-    return build_table([_extend_perm(g, M) for g in group], w,
-                       lambda g: x_cocycle_commuting(M, g, tol=tol))
+    Q = ordered_product(MarkovState(M.d, M.W_inf, tuple(K.conj().T @ K for K in M.chain),
+                                    validate=False))
+    Q_inv = LocalOperator(M.window, matcore.inv(Q.matrix))
+    return build_table(group, M.window, lambda g: Q_inv @ act_inverse(g, Q))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matcore
 from .errors import NotHomogeneous, SizeMismatch
-from .lattice import LocalOperator, Window, act, embed
+from .lattice import LocalOperator, Window, act_inverse
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def is_exchangeable(psi, group, probes=None):
     """max over group elements g and a of |psi(g(a)) - psi(a)|, from the
     defect matrices g^-1(W) - W."""
     W = LocalOperator(psi.window, full_density(psi))
-    return max((pairing_residual(act(g.inverse(), W).matrix - W.matrix, probes)[0]
+    return max((pairing_residual(act_inverse(g, W).matrix - W.matrix, probes)[0]
                 for g in group), default=0.0)
 
 

@@ -93,6 +93,18 @@ def test_planted_defect_fails_with_witness(tmp_path):
     assert strong["pass"] is False
 
 
+def test_planted_defect_sits_on_the_first_moved_entry(tmp_path):
+    # x_e is untouched; the witness names (1 3 2), the first non-identity
+    # element of S_3 in lexicographic order
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", "product", "--defect", "1e-3",
+                    "--out", str(out)]) == 1
+    by_name = {c["name"]: c for c in read_report(out)["checks"]}
+    assert by_name["normalization"]["pass"] is True
+    assert by_name["quasi_invariance"]["witness"]["g"] == [1, 3, 2]
+    assert [1, 3, 2] in by_name["cocycle_law"]["witness"].values()
+
+
 def test_tiny_defect_below_tolerance_still_passes(tmp_path):
     out = tmp_path / "r.json"
     rc = run_cli(["run", "--scenario", "product", "--defect", "1e-13",
@@ -110,7 +122,6 @@ def test_harmonic_preset_flags_nonconvergence(tmp_path):
     assert by_name["step_decay"]["pass"] is False
     assert by_name["tail_summability"]["pass"] is False
     assert by_name["bound_dominates"]["pass"] is True
-    assert by_name["telescoping"]["pass"] is True
     assert report["data"]["series"][-1]["tail"] > 1.0
 
 

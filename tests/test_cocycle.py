@@ -183,8 +183,8 @@ def test_cocycle_law_requires_closure():
     entries = {k: v for k, v in T.entries.items() if k != t.image}
     T_open = CocycleTable((T.group[0], t), T.entries, T.window)
     # group containing t but with its square present: closure ok; now drop entry
-    T_missing = CocycleTable((T.group[0], t), entries, T.window)
     with pytest.raises(GroupNotClosed):
+        T_missing = CocycleTable((T.group[0], t), entries, T.window)
         verify_cocycle_law(T_missing)
     assert verify_cocycle_law(T_open).passed
 

@@ -175,9 +175,8 @@ def test_orbit_basis_is_orthonormal_and_fixed(w):
     if window.total_dim <= 32:
         flat = B.reshape(len(B), -1)
         assert np.max(np.abs(flat @ flat.conj().T - np.eye(len(B)))) < AGREE
-    for g in group:
-        rows, cols = lattice.index_map(g, window)
-        assert np.array_equal(B[:, rows, cols], B)
+    for q in lattice.group_index(group, window):
+        assert np.array_equal(B[:, q[:, None], q], B)
 
 
 @pytest.mark.parametrize("w", SMALL, ids=_id)

@@ -1,4 +1,4 @@
-"""Window products, pairing identity, telescoping, and Cauchy diagnostics."""
+"""Window products, pairing identity, and Cauchy diagnostics."""
 
 import itertools
 
@@ -124,25 +124,6 @@ def test_pairing_rejects_oversized_support():
     a = LocalOperator(Window(2, 3), np.eye(8))
     with pytest.raises(SupportTooLarge):
         limits.pairing_check(seq, a, 2)
-
-
-def test_telescoping_identity_factors():
-    assert limits.telescoping_check([np.eye(3)] * 4) < EXACT
-
-
-def test_telescoping_single_factor():
-    a = matcore.random_matrix(3, seed=4)
-    assert limits.telescoping_check([a]) < EXACT
-
-
-def test_telescoping_random_factors():
-    for seed in range(5):
-        factors = [matcore.random_matrix(3, seed=seed * 10 + k) for k in range(4)]
-        assert limits.telescoping_check(factors) < EXACT
-
-
-def test_telescoping_empty_slice():
-    assert limits.telescoping_check([]) == 0.0
 
 
 def test_cauchy_flat_sequence_is_zero():
