@@ -40,6 +40,7 @@ SCENARIOS = {
 MAX_GROUP_DEGREE = 6  # 6! = 720, the enumeration cap
 MAX_CONVERGENCE_SITES = 20
 MAX_PAIRING_SITES = 6  # pairing_check forms the dense 2^N x 2^N window product
+TABLE_BYTES_CAP = 2**28  # the (|G|, D, D) complex table; markov n_sites 6 needs 189 MB
 
 # the law each check verifies, keyed by check name (a locally_trivial[N=n]
 # check by its name before the bracket)
@@ -137,12 +138,15 @@ def build_config(args, file_config):
 
     window_sites = cfg.n_sites + 1 if cfg.scenario == "markov" else cfg.n_sites
     if cfg.scenario not in ("sw_solutions", "convergence"):
-        if cfg.d ** window_sites > TOTAL_DIM_CAP:
+        dim, order = cfg.d ** window_sites, math.factorial(cfg.group)
+        if dim > TOTAL_DIM_CAP:
             raise ConfigInvalid(
                 f"n_sites: window dimension {cfg.d}^{window_sites} exceeds {TOTAL_DIM_CAP}")
-        if math.factorial(cfg.group) > GROUP_ORDER_CAP:
-            raise ConfigInvalid(
-                f"group: order {math.factorial(cfg.group)} exceeds {GROUP_ORDER_CAP}")
+        if order > GROUP_ORDER_CAP:
+            raise ConfigInvalid(f"group: order {order} exceeds {GROUP_ORDER_CAP}")
+        if order * dim * dim * 16 > TABLE_BYTES_CAP:
+            raise ConfigInvalid(f"n_sites: {order} table entries at dimension {dim} need "
+                                f"{order * dim * dim * 16:,} bytes, over {TABLE_BYTES_CAP:,}")
     if cfg.scenario == "structure" and cfg.d ** cfg.n_sites > compact.FIX_BASIS_CAP:
         raise ConfigInvalid(f"n_sites: structure holds dense stacks over all matrix units "
                             f"up to dimension {compact.FIX_BASIS_CAP}, not {cfg.d}^{cfg.n_sites}")
@@ -225,28 +229,23 @@ def _run_markov(cfg):
     M = qmc.MarkovState(2, np.eye(2) / 2.0, qmc.seeded_chain(cfg.n_sites, cfg.seed))
     group = enumerate_group(cfg.group)
     cda = max(qmc.cda_normalize_check(K, M.W_inf) for K in M.chain)
-    cda_rep = cocycle._report("cda_normalization", cda, 1e-12)
-
     K_next = qmc.seeded_chain(cfg.n_sites + 1, cfg.seed)[cfg.n_sites]
     ext = qmc.extension_residual(M, K_next)
-    ext_rep = cocycle._report("window_extension", ext, cfg.tol)
 
-    sandwich = max(qmc.sandwich_residual(M, g) for g in group)
-    sand_rep = cocycle._report("sandwich_identity", sandwich, cfg.tol)
-
+    # one pass over the group: each y_g serves the sandwich identity and x = y y*
     T = qmc.x_cocycle_table(M, group)
-    cross = 0.0
+    sandwich = cross = 0.0
     for g, x in zip(group, T.stack):
         y = qmc.y_cocycle(M, g)
+        sandwich = max(sandwich, qmc.sandwich_residual(M, g, y=y))
         cross = max(cross, matcore.operator_norm(x - y.matrix @ y.dagger().matrix))
-    cross_rep = cocycle._report("x_equals_y_y_star", cross, cfg.tol)
 
     phi = qmc.markov_functional(M)
     checks = [
-        _check(cda_rep),
-        _check(ext_rep),
-        _check(sand_rep),
-        _check(cross_rep),
+        _check(cocycle._report("cda_normalization", cda, 1e-12)),
+        _check(cocycle._report("window_extension", ext, cfg.tol)),
+        _check(cocycle._report("sandwich_identity", sandwich, cfg.tol)),
+        _check(cocycle._report("x_equals_y_y_star", cross, cfg.tol)),
         _check(cocycle.verify_normalization(T, tol=cfg.tol)),
         _check(cocycle.verify_cocycle_law(T, tol=cfg.tol)),
         _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
@@ -336,13 +335,7 @@ def _run_convergence(cfg):
 
     tail_rep = cocycle._report("tail_summability", series[-1]["tail"], 1.0)
 
-    checks = [
-        _check(bound_rep),
-        _check(decay_rep),
-        _check(mono_rep),
-        _check(pair_rep),
-        _check(tail_rep),
-    ]
+    checks = [_check(rep) for rep in (bound_rep, decay_rep, mono_rep, pair_rep, tail_rep)]
     data = {
         "series": series,
         "empirical_constant": limits.empirical_constant(seq, n),

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cocycle, lattice, matcore, states
-from .errors import NotFaithful
 from .lattice import LocalOperator, Permutation, act, act_inverse, gather
 
 GNS_TOL = 1e-9
@@ -95,10 +94,7 @@ class CovariantUnitary:
 
 def build_gns(phi):
     """The cyclic representation of a faithful state on its window."""
-    ok, min_eig = states.is_faithful(phi)
-    if not ok:
-        raise NotFaithful(f"state density has min eigenvalue {min_eig:.3e}")
-    W = states.full_density(phi)
+    W = states.faithful_density(phi)
     return GnsRepresentation(phi.window, W, np.linalg.inv(W))
 
 

@@ -143,27 +143,24 @@ def extend_operator(a, window):
 
 def embed(window, n, b):
     """I^(n-1) (x) b (x) I^(N-n): the d x d matrix b placed on site n."""
-    if not 1 <= n <= window.N:
-        raise SiteOutOfRange(f"site {n} outside [1, {window.N}]")
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (window.d, window.d):
-        raise SizeMismatch(f"expected {window.d}x{window.d} block, got {b.shape}")
-    left = np.eye(window.d ** (n - 1), dtype=complex)
-    right = np.eye(window.d ** (window.N - n), dtype=complex)
-    return LocalOperator(window, np.kron(np.kron(left, b), right))
+    return _embed_block(window, n, 1, b)
 
 
 def embed_pair(window, n, K):
     """The d^2 x d^2 matrix K placed on adjacent sites (n, n+1)."""
-    if not 1 <= n <= window.N - 1:
-        raise SiteOutOfRange(f"pair ({n},{n + 1}) outside window of {window.N} sites")
-    K = np.asarray(K, dtype=complex)
-    dd = window.d ** 2
-    if K.shape != (dd, dd):
-        raise SizeMismatch(f"expected {dd}x{dd} block, got {K.shape}")
+    return _embed_block(window, n, 2, K)
+
+
+def _embed_block(window, n, k, b):
+    """I (x) b (x) I with the d^k x d^k matrix b on the sites n, ..., n+k-1."""
+    if not 1 <= n <= window.N - k + 1:
+        raise SiteOutOfRange(f"sites {n}..{n + k - 1} outside [1, {window.N}]")
+    b, dk = np.asarray(b, dtype=complex), window.d ** k
+    if b.shape != (dk, dk):
+        raise SizeMismatch(f"expected {dk}x{dk} block, got {b.shape}")
     left = np.eye(window.d ** (n - 1), dtype=complex)
-    right = np.eye(window.d ** (window.N - n - 1), dtype=complex)
-    return LocalOperator(window, np.kron(np.kron(left, K), right))
+    right = np.eye(window.d ** (window.N - n - k + 1), dtype=complex)
+    return LocalOperator(window, np.kron(np.kron(left, b), right))
 
 
 @lru_cache(maxsize=4096)

@@ -71,19 +71,21 @@ def spectral_decompose(H, tol=TAU_HERM):
     return lam, _fix_phases(V)
 
 
-def matrix_power(P, s, floor_tol=TAU_ABS):
+def matrix_power(P, s, floor_tol=TAU_ABS, spectrum=None):
     """Spectral power P^s for positive hermitian P and real s.
 
     The output is symmetrized to (M + M*)/2 to kill round-off asymmetry.
     matrix_power(P, 0) is the identity; matrix_power(P, 1) returns P's
     hermitian part.  Raises NotPositive when the minimum eigenvalue does
     not clear the floor tolerance (s = 0 and positive integer s excepted,
-    where no spectral inversion is involved).
+    where no spectral inversion is involved).  A `spectrum` (lam, V) =
+    spectral_decompose(P) already at hand lets one decomposition serve
+    several powers.
     """
     P = np.asarray(P, dtype=complex)
     if s == 0:
         return np.eye(P.shape[0], dtype=complex)
-    lam, V = spectral_decompose(P)
+    lam, V = spectral_decompose(P) if spectrum is None else spectrum
     needs_floor = (s != int(s)) or (s < 0)
     if needs_floor and lam.min() <= floor_tol:
         raise NotPositive(f"min eigenvalue {lam.min():.3e} <= floor tolerance {floor_tol:.1e}")
@@ -106,8 +108,7 @@ def random_density(dim, floor, seed):
     """
     if not 0 < floor < 1.0 / dim:
         raise FloorTooLarge(f"need 0 < floor < 1/dim = {1.0 / dim:.4f}, got {floor}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    G = random_matrix(dim, seed)
     A = G @ dagger(G)
     A = A * ((1.0 - dim * floor) / np.trace(A).real)
     W = A + floor * np.eye(dim)
@@ -116,8 +117,7 @@ def random_density(dim, floor, seed):
 
 def random_hermitian(dim, seed, scale=1.0):
     """Seeded random hermitian matrix (GUE-style, not normalized)."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    G = random_matrix(dim, seed)
     return scale * (G + dagger(G)) / 2.0
 
 

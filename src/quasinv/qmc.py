@@ -15,10 +15,11 @@ left form phi(g(a)) = phi(x_g a) with x_g = y y* built from |K_n|^2.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import lattice, matcore, states
+from . import matcore, states
 from .errors import (
     NotCommutingChain,
     NotInCentralizer,
@@ -64,6 +65,9 @@ def seeded_chain(N, seed, spread=0.2):
 
 @dataclass(frozen=True)
 class MarkovState:
+    """A chain of amplitudes over the homogeneous state psi; the chain product
+    R, its inverse and the density R Psi R* are built on first use and kept."""
+
     d: int
     W_inf: np.ndarray
     chain: tuple
@@ -94,14 +98,26 @@ class MarkovState:
     def psi(self):
         return homogeneous_state(self.d, self.N + 1, self.W_inf)
 
+    @cached_property
+    def R(self):
+        """The chain product j_[1,2](K_1) ... j_[N,N+1](K_N), built once."""
+        out = self.window.identity()
+        for n, K in enumerate(self.chain, start=1):
+            out = out @ embed_pair(self.window, n, K)
+        return out
 
-def ordered_product(M):
-    """j_[1,2](K_1) ... j_[N,N+1](K_N)."""
-    w = M.window
-    out = w.identity()
-    for n in range(1, M.N + 1):
-        out = out @ embed_pair(w, n, M.chain[n - 1])
-    return out
+    @cached_property
+    def R_inv(self):
+        try:
+            return LocalOperator(self.window, matcore.inv(self.R.matrix))
+        except np.linalg.LinAlgError as exc:
+            raise SingularCDA("chain product is singular") from exc
+
+    @cached_property
+    def density(self):
+        """The window density implementing phi: phi(a) = Tr(R Psi R* a)."""
+        R = self.R.matrix
+        return R @ states.full_density(self.psi()) @ R.conj().T
 
 
 def _extend_perm(g, M):
@@ -112,25 +128,16 @@ def _extend_perm(g, M):
     return extend(g, M.N + 1)
 
 
-def markov_density(M):
-    """The window density implementing phi: phi(a) = Tr(R Psi R* a)."""
-    R = ordered_product(M).matrix
-    Psi = states.full_density(M.psi())
-    return R @ Psi @ R.conj().T
-
-
 def markov_functional(M):
     """phi as a weighted-trace state on the full window."""
-    return states.WeightedTraceState(M.window, markov_density(M), validate=False)
+    return states.WeightedTraceState(M.window, M.density, validate=False)
 
 
 def markov_eval(M, a):
     """phi(a) = psi(R* a R) for a supported in [1,N]."""
     if a.window.N > M.N:
         raise SupportTooLarge(f"observable on {a.window.N} sites, chain supports [1,{M.N}]")
-    a_full = extend_operator(a, M.window)
-    R = ordered_product(M)
-    return states.evaluate(M.psi(), R.dagger() @ a_full @ R)
+    return states.evaluate(M.psi(), M.R.dagger() @ extend_operator(a, M.window) @ M.R)
 
 
 def _marginal(X, window, n):
@@ -145,48 +152,35 @@ def extension_residual(M, K_next, probes=None):
     """max over a in A_[1,N] of |phi_N(a) - phi_{N+1}(a)| after appending one
     more normalized amplitude, from the difference of the two chain
     densities reduced to [1,N]; the well-definedness diagnostic."""
-    M_ext = MarkovState(M.d, M.W_inf, M.chain + (np.asarray(K_next, dtype=complex),),
-                        validate=M.validate)
+    M_ext = MarkovState(M.d, M.W_inf, M.chain + (K_next,), validate=M.validate)
     n = M.N if probes is None else probes[0].window.N
     if n > M.N:
         raise SupportTooLarge(f"observables on {n} sites, chain supports [1,{M.N}]")
-    diff = (_marginal(markov_density(M), M.window, n)
-            - _marginal(markov_density(M_ext), M_ext.window, n))
+    diff = _marginal(M.density, M.window, n) - _marginal(M_ext.density, M_ext.window, n)
     return states.pairing_residual(diff, probes)[0]
 
 
 def y_cocycle(M, g):
     """y = g^-1(R) R^-1, the sandwich cocycle at the window scale."""
-    g_full = _extend_perm(g, M)
-    R = ordered_product(M)
-    try:
-        R_inv = matcore.inv(R.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCDA("chain product is singular") from exc
-    return act_inverse(g_full, R) @ LocalOperator(M.window, R_inv)
+    return act_inverse(_extend_perm(g, M), M.R) @ M.R_inv
 
 
-def sandwich_residual(M, g, probes=None):
+def sandwich_residual(M, g, probes=None, y=None):
     """max over a in A_[1,N] of |phi(g(a)) - phi(y* a y)|, from the defect
-    matrix g^-1(W) - y W y* reduced to [1,N]."""
+    matrix g^-1(W) - y W y* reduced to [1,N]; y defaults to y_cocycle(M, g)."""
     g_full = _extend_perm(g, M)
-    y = y_cocycle(M, g).matrix
-    W = LocalOperator(M.window, markov_density(M))
-    defect = act_inverse(g_full, W).matrix - y @ W.matrix @ y.conj().T
+    y = (y_cocycle(M, g) if y is None else y).matrix
+    W = M.density
+    defect = act_inverse(g_full, LocalOperator(M.window, W)).matrix - y @ W @ y.conj().T
     n = M.N if probes is None else probes[0].window.N
     return states.pairing_residual(_marginal(defect, M.window, n), probes)[0]
 
 
 def chain_commutation_residual(M):
     """max pairwise commutator norm of the embedded amplitudes."""
-    w = M.window
-    embedded = [embed_pair(w, n, M.chain[n - 1]).matrix for n in range(1, M.N + 1)]
-    worst = 0.0
-    for i in range(len(embedded)):
-        for j in range(i + 1, len(embedded)):
-            worst = max(worst, matcore.operator_norm(
-                embedded[i] @ embedded[j] - embedded[j] @ embedded[i]))
-    return worst
+    emb = [embed_pair(M.window, n, K).matrix for n, K in enumerate(M.chain, start=1)]
+    return max((matcore.operator_norm(a @ b - b @ a)
+                for i, a in enumerate(emb) for b in emb[i + 1:]), default=0.0)
 
 
 def chain_centralizer_residual(M):
@@ -196,15 +190,10 @@ def chain_centralizer_residual(M):
     return max(states.centralizer_residual(W2, K) for K in M.chain)
 
 
-def x_cocycle_commuting(M, g, tol=CDA_TOL):
-    """x_g = Q^-1 g^-1(Q) with Q = prod_n j_[n,n+1](K_n* K_n); equals y y*
-    for commuting chains whose amplitudes centralize the reference state."""
-    return x_cocycle_table(M, [lattice.identity_permutation(g.N), g], tol).entry(_extend_perm(g, M))
-
-
 def x_cocycle_table(M, group, tol=CDA_TOL):
-    """Tabulate the commuting-case cocycle over a permutation group acting
-    on the chain sites [1,N]; the hypotheses are checked and Q is built once."""
+    """Tabulate x_g = Q^-1 g^-1(Q), Q the chain product of the K_n* K_n, over
+    a group acting on the sites [1,N]; it equals y y* for commuting chains whose
+    amplitudes centralize the reference state, hypotheses checked first."""
     from .cocycle import build_table
     group = [_extend_perm(g, M) for g in group]
     comm = chain_commutation_residual(M)
@@ -213,7 +202,5 @@ def x_cocycle_table(M, group, tol=CDA_TOL):
     centr = chain_centralizer_residual(M)
     if centr > tol:
         raise NotInCentralizer(f"amplitude centralizer residual {centr:.3e}")
-    Q = ordered_product(MarkovState(M.d, M.W_inf, tuple(K.conj().T @ K for K in M.chain),
-                                    validate=False))
-    Q_inv = LocalOperator(M.window, matcore.inv(Q.matrix))
-    return build_table(group, M.window, lambda g: Q_inv @ act_inverse(g, Q))
+    Q = MarkovState(M.d, M.W_inf, tuple(K.conj().T @ K for K in M.chain), validate=False)
+    return build_table(group, M.window, lambda g: Q.R_inv @ act_inverse(g, Q.R))

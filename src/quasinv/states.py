@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from . import matcore
-from .errors import NotHomogeneous, SizeMismatch
+from .errors import NotFaithful, NotHomogeneous, SizeMismatch
 from .lattice import LocalOperator, Window, act_inverse
 
 
@@ -83,6 +83,15 @@ def is_faithful(phi, tol=matcore.TAU_POS):
     W = full_density(phi)
     lam = np.linalg.eigvalsh((W + W.conj().T) / 2.0)
     return bool(lam[0] > tol), float(lam[0])
+
+
+def faithful_density(phi):
+    """The full-window density, refused unless it is positive definite."""
+    W = full_density(phi)
+    ok, min_eig = is_faithful(W)
+    if not ok:
+        raise NotFaithful(f"state density has min eigenvalue {min_eig:.3e}")
+    return W
 
 
 def matrix_unit_probes(window):

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from quasinv import cli, limits
+from quasinv import cli, limits, matcore, qmc
+from quasinv.cocycle import CocycleTable
+from quasinv.lattice import LocalOperator
 
 ALL_SCENARIOS = sorted(cli.SCENARIOS)
 
@@ -238,6 +240,24 @@ def test_group_degree_above_sites_is_a_config_error(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_table_too_large_for_memory_is_a_config_error(capsys):
+    # D 4096 passes the dimension cap, but 720 entries of D^2 complex numbers need 193 GB
+    rc = run_cli(["run", "--scenario", "product", "--n-sites", "12"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "193,273,528,320 bytes" in err
+
+
+@pytest.mark.parametrize("argv", [["--scenario", "markov", "--n-sites", "6"],
+                                  ["--scenario", "product", "--n-sites", "7"],
+                                  ["--scenario", "product", "--d", "3", "--n-sites", "5"]],
+                         ids=["markov-n6", "product-n7", "product-d3-n5"])
+def test_gate_admits_tables_that_fit(argv):
+    # 189 MB, 189 MB and 113 MB of table: under the cap, nothing is run here
+    cfg = cli.build_config(cli._build_parser().parse_args(["run", *argv]), None)
+    assert cfg.n_sites == int(argv[-1])
+
+
 def test_markov_requires_qubits(capsys):
     rc = run_cli(["run", "--scenario", "markov", "--d", "3"])
     assert rc == 2
@@ -400,3 +420,74 @@ def test_convergence_defaults_to_twelve_windows(tmp_path):
     out = tmp_path / "r.json"
     run_cli(["run", "--scenario", "convergence", "--out", str(out)])
     assert read_report(out)["config"]["n_sites"] == 12
+
+
+# ---- markov: a planted defect for each check ----------------------------------
+
+def scaled_chain(first, scale):
+    """seeded_chain with the amplitudes from index `first` on scaled by
+    `scale`: a normalization defect below MarkovState's own 1e-8 test."""
+    seeded = qmc.seeded_chain
+    return lambda N, seed: (seeded(N, seed)[:first]
+                            + tuple(scale * K for K in seeded(N, seed)[first:]))
+
+
+def planted_table(identity, hermitean):
+    """x_cocycle_table with 1e-3 added at (0, -1) of x_e or of the first
+    other entry, and at (-1, 0) too when the defect is to stay hermitean."""
+    build = qmc.x_cocycle_table
+
+    def planted(M, group, tol=qmc.CDA_TOL):
+        T = build(M, group, tol)
+        stack = T.stack.copy()
+        i = next(i for i, g in enumerate(T.group) if g.is_identity() == identity)
+        stack[i, 0, -1] += 1e-3
+        if hermitean:
+            stack[i, -1, 0] += 1e-3
+        return CocycleTable(T.group, stack, T.window)
+    return planted
+
+
+def skewed_y(M, g, y_cocycle=qmc.y_cocycle):
+    D = M.window.total_dim
+    return y_cocycle(M, g) @ LocalOperator(M.window, np.eye(D) + 1e-3 * matcore.random_matrix(D, 1))
+
+
+TABLE_LAWS = {"x_equals_y_y_star", "cocycle_law", "quasi_invariance"}
+MARKOV_PLANTS = {
+    # the amplitude K_1 off by 1e-10: phi(1) moves by 2e-10, below the other tolerances
+    "cda_normalization": ("seeded_chain", scaled_chain(0, 1.0 + 1e-10), {"cda_normalization"}),
+    # the appended K_4 off by 4e-9: the three-site marginal moves by 1.8e-9
+    "window_extension": ("seeded_chain", scaled_chain(3, 1.0 + 4e-9), {"window_extension"}),
+    "sandwich_identity": ("y_cocycle", skewed_y, {"sandwich_identity", "x_equals_y_y_star"}),
+    "x_equals_y_y_star": ("x_cocycle_table", planted_table(False, True), TABLE_LAWS),
+    "normalization": ("x_cocycle_table", planted_table(True, True), TABLE_LAWS | {"normalization"}),
+    "cocycle_law": ("x_cocycle_table", planted_table(False, True), TABLE_LAWS),
+    "quasi_invariance": ("x_cocycle_table", planted_table(False, True), TABLE_LAWS),
+    "strong_quasi_invariance": ("x_cocycle_table", planted_table(False, False),
+                                TABLE_LAWS | {"strong_quasi_invariance"}),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MARKOV_PLANTS))
+def test_markov_check_fails_on_a_planted_defect(tmp_path, monkeypatch, check):
+    target, plant, failed = MARKOV_PLANTS[check]
+    monkeypatch.setattr(qmc, target, plant)
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", "markov", "--out", str(out)]) == 1
+    report = read_report(out)
+    assert len(report["checks"]) == len(MARKOV_PLANTS)
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == failed
+    assert check in failed
+
+
+def test_right_unitary_factor_on_y_fails_only_the_sandwich(tmp_path, monkeypatch):
+    # y u y* u* = y y*, so x = y y* still holds; phi(u* y* a y u) moves
+    # because u does not commute with the chain density
+    u = np.linalg.qr(matcore.random_matrix(16, 2))[0]
+    y_cocycle = qmc.y_cocycle
+    monkeypatch.setattr(qmc, "y_cocycle",
+                        lambda M, g: y_cocycle(M, g) @ LocalOperator(M.window, u))
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", "markov", "--out", str(out)]) == 1
+    assert {c["name"] for c in read_report(out)["checks"] if not c["pass"]} == {"sandwich_identity"}

@@ -5,6 +5,7 @@ import pytest
 
 from quasinv import cocycle, compact, matcore, qmc, states
 from quasinv.errors import (
+    NotFaithful,
     NotInvariantBase,
     NotNested,
     NotStrongCocycle,
@@ -348,6 +349,13 @@ def test_restriction_consistency_markov_chain():
     out = compact.restriction_consistency(phi, T, [sub2, full3])
     assert out.passed
     assert out.residual < 1e-9
+
+
+def test_restriction_consistency_refuses_a_non_faithful_state():
+    T = cocycle.product_state_cocycle(seeded_state_S3(5), enumerate_group(3))
+    singular = states.product_state(2, [np.diag([1.0, 0.0])] + [np.eye(2) / 2] * 2)
+    with pytest.raises(NotFaithful):
+        compact.restriction_consistency(singular, T, [s2_in_s3()])
 
 
 def test_nonuniqueness_demo_separates_on_normalization():

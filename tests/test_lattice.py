@@ -62,6 +62,15 @@ def test_embed_pair_identity():
     assert np.array_equal(embed_pair(w, 2, np.eye(4)).matrix, np.eye(8))
 
 
+def test_embed_pair_refuses_a_pair_past_the_window():
+    w = Window(2, 3)
+    for n in (0, 3):
+        with pytest.raises(SiteOutOfRange):
+            embed_pair(w, n, np.eye(4))
+    with pytest.raises(SizeMismatch):
+        embed_pair(w, 1, np.eye(2))
+
+
 def test_embed_pair_against_kron_oracle():
     w = Window(2, 3)
     K = np.diag([1.0, 2.0, 3.0, 4.0])

@@ -3,19 +3,26 @@
 The 4x4 partial-trace oracle for the amplitude normalization was verified
 by hand: K = diag(sqrt(3/2), sqrt(1/2), sqrt(1/2), sqrt(3/2)) against
 W = I/2 gives slice entries (3/2 + 1/2)/2 = 1 on the diagonal.
+
+A MarkovState builds its chain product R, R^-1 and the density R Psi R*
+once.  The former per-element rebuilds of R, R^-1, the density, y_g and
+x_g live on below only as oracles; on D <= 16 they agree exactly.
 """
 
 import numpy as np
 import pytest
 
-from quasinv import cocycle, matcore, qmc, states
+from quasinv import cocycle, lattice, matcore, qmc, states
 from quasinv.errors import NotCommutingChain, SingularCDA, SupportTooLarge
 from quasinv.lattice import (
     LocalOperator,
     Window,
+    act_inverse,
     cyclic_shift,
     embed,
+    embed_pair,
     enumerate_group,
+    extend,
     extend_operator,
     identity_permutation,
     transposition,
@@ -28,10 +35,8 @@ from quasinv.qmc import (
     extension_residual,
     markov_eval,
     markov_functional,
-    ordered_product,
     sandwich_residual,
     seeded_chain,
-    x_cocycle_commuting,
     x_cocycle_table,
     y_cocycle,
 )
@@ -71,13 +76,12 @@ def test_markov_state_rejects_unnormalized():
 
 def test_ordered_product_single():
     M = default_state(N=1, seed=1)
-    R = ordered_product(M)
-    assert np.allclose(R.matrix, M.chain[0])
+    assert np.allclose(M.R.matrix, M.chain[0])
 
 
 def test_ordered_product_identity_chain():
     M = MarkovState(2, W_HALF, (np.eye(4), np.eye(4)))
-    assert np.array_equal(ordered_product(M).matrix, np.eye(8))
+    assert np.array_equal(M.R.matrix, np.eye(8))
 
 
 def test_markov_eval_normalized():
@@ -160,7 +164,7 @@ def test_sandwich_identity_rotated_chain():
 
 def test_x_cocycle_identity_element():
     M = default_state(N=2, seed=13)
-    x = x_cocycle_commuting(M, identity_permutation(2))
+    x = x_cocycle_table(M, enumerate_group(2)).entry(identity_permutation(3))
     assert matcore.operator_norm(x.matrix - np.eye(8)) < 1e-12
 
 
@@ -175,7 +179,7 @@ def test_x_cocycle_homogeneous_chain_acts_trivially():
     phi = markov_functional(M)
     g = transposition(2, 1, 2)
     g_full = extend(g, 3)
-    x = x_cocycle_commuting(M, g)
+    x = x_cocycle_table(M, enumerate_group(2)).entry(g_full)
     for a in matrix_unit_probes(Window(2, 2)):
         a_full = extend_operator(a, M.window)
         inv_resid = abs(states.evaluate(phi, act(g_full, a_full)) - states.evaluate(phi, a_full))
@@ -186,8 +190,9 @@ def test_x_cocycle_homogeneous_chain_acts_trivially():
 
 def test_x_cocycle_matches_y_squared():
     M = default_state(N=2, seed=14)
+    T = x_cocycle_table(M, enumerate_group(2))
     for g in enumerate_group(2):
-        x = x_cocycle_commuting(M, g)
+        x = T.entry(extend(g, 3))
         y = y_cocycle(M, g)
         yy = (y @ y.dagger()).matrix
         assert matcore.operator_norm(x.matrix - yy) < 1e-9
@@ -221,10 +226,115 @@ def test_x_cocycle_rejects_noncommuting_chain():
     M = MarkovState(2, W_HALF, (K2, K1), validate=False)
     assert chain_commutation_residual(M) > 1e-3
     with pytest.raises(NotCommutingChain):
-        x_cocycle_commuting(M, transposition(2, 1, 2))
+        x_cocycle_table(M, enumerate_group(2))
 
 
 def test_markov_functional_trace_one():
     M = default_state(N=3, seed=17)
-    D = qmc.markov_density(M)
+    D = M.density
     assert abs(np.trace(D) - 1.0) < 1e-10
+
+
+# ---- oracles: the former per-element rebuilds --------------------------------
+
+def old_ordered_product(M):
+    w = M.window
+    out = w.identity()
+    for n in range(1, M.N + 1):
+        out = out @ embed_pair(w, n, M.chain[n - 1])
+    return out
+
+
+def old_markov_density(M):
+    R = old_ordered_product(M).matrix
+    return R @ states.full_density(M.psi()) @ R.conj().T
+
+
+def old_y_cocycle(M, g):
+    R = old_ordered_product(M)
+    return act_inverse(extend(g, M.N + 1), R) @ LocalOperator(M.window, matcore.inv(R.matrix))
+
+
+def old_x_cocycle(M, g):
+    Q = old_ordered_product(qmc.MarkovState(M.d, M.W_inf, tuple(K.conj().T @ K for K in M.chain),
+                                            validate=False))
+    Q_inv = LocalOperator(M.window, matcore.inv(Q.matrix))
+    return Q_inv @ act_inverse(extend(g, M.N + 1), Q)
+
+
+def generic_chain(N, seed):
+    """Invertible amplitudes with no normalization or commutation."""
+    ks = tuple(np.eye(4) + 0.3 * matcore.random_matrix(4, seed=seed * 17 + n) for n in range(N))
+    return MarkovState(2, W_HALF, ks, validate=False)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_chain_attributes_equal_the_per_element_rebuilds(N):
+    for M in (default_state(N, seed=20 + N), generic_chain(N, seed=N)):
+        R = old_ordered_product(M).matrix
+        assert np.array_equal(M.R.matrix, R)
+        assert np.array_equal(M.R_inv.matrix, matcore.inv(R))
+        assert np.array_equal(M.density, old_markov_density(M))
+        assert np.array_equal(markov_functional(M).W, old_markov_density(M))
+        for g in enumerate_group(N):
+            assert np.array_equal(y_cocycle(M, g).matrix, old_y_cocycle(M, g).matrix)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_x_table_equals_the_per_element_rebuild(N):
+    M = default_state(N, seed=30 + N)
+    T = x_cocycle_table(M, enumerate_group(N))
+    for g in enumerate_group(N):
+        assert np.array_equal(T.entry(extend(g, N + 1)).matrix, old_x_cocycle(M, g).matrix)
+
+
+def test_chain_is_built_once_per_state(monkeypatch):
+    M = default_state(N=3, seed=18)
+    calls = {"embed_pair": 0, "inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(qmc, "embed_pair", counted("embed_pair", qmc.embed_pair))
+    monkeypatch.setattr(matcore, "inv", counted("inv", matcore.inv))
+    for g in enumerate_group(3):
+        y_cocycle(M, g)
+        sandwich_residual(M, g)
+    markov_functional(M)
+    assert calls == {"embed_pair": 3, "inv": 1}
+    assert M.R is M.R and M.R_inv is M.R_inv and M.density is M.density
+
+
+def test_sandwich_residual_reads_the_y_it_is_given():
+    M = default_state(N=2, seed=19)
+    g = transposition(2, 1, 2)
+    y = y_cocycle(M, g)
+    assert sandwich_residual(M, g, y=y) == sandwich_residual(M, g)
+    assert sandwich_residual(M, g, y=LocalOperator(M.window, 1.01 * y.matrix)) > 1e-3
+
+
+def test_singular_chain_product_raises_singular_cda():
+    M = MarkovState(2, W_HALF, (np.diag([1.0, 1.0, 1.0, 0.0]),), validate=False)
+    with pytest.raises(SingularCDA):
+        M.R_inv
+    with pytest.raises(SingularCDA):
+        y_cocycle(M, identity_permutation(1))
+
+
+def test_markov_scenario_builds_three_chains(tmp_path, monkeypatch):
+    # the state, its one-site extension and the K*K chain of the table;
+    # each chain of N amplitudes embeds N pairs, the commutation check N more;
+    # one pass over the group forms each y_g once
+    from quasinv import cli
+
+    calls, ys = [], []
+    monkeypatch.setattr(qmc, "embed_pair", lambda w, n, K: calls.append(n) or lattice.embed_pair(w, n, K))
+    monkeypatch.setattr(qmc, "y_cocycle", lambda M, g, y=qmc.y_cocycle: ys.append(g) or y(M, g))
+    n = 4
+    assert cli.main(["run", "--scenario", "markov", "--n-sites", str(n),
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 4 * n + 1
+    assert len(ys) == len(enumerate_group(n))  # each y_g formed once

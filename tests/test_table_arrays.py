@@ -14,7 +14,7 @@ import pytest
 
 from quasinv import cocycle, compact, gns, lattice, matcore, qmc, states
 from quasinv.cocycle import CocycleTable
-from quasinv.errors import GroupNotClosed
+from quasinv.errors import GroupNotClosed, QuasinvError
 from quasinv.lattice import (
     LocalOperator,
     Window,
@@ -354,6 +354,76 @@ def test_table_laws_match_the_per_pair_forms(name, eps):
     assert_same(cocycle.power_relation_check(T, tol=TOL), *old_power_relation(T))
     if eps:
         assert old_cocycle_law(T)[0] > TOL and old_inverse_relation(T)[0] > TOL
+
+
+def outcome(check, T, s_list):
+    try:
+        return check(T, s_list)
+    except QuasinvError as exc:
+        return type(exc), str(exc)
+
+
+def new_power_relation(T, s_list):
+    rep = cocycle.power_relation_check(T, s_list, tol=TOL)
+    return rep.residual, rep.witness
+
+
+def assert_same_outcome(T, s_list):
+    want = outcome(old_power_relation, T, s_list)
+    got = outcome(new_power_relation, T, s_list)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert abs(got[0] - want[0]) <= AGREE
+        assert got[1] == (want[1] if want[0] > TOL else None)
+
+
+def broken(T, changes):
+    """T with entry k replaced: "negated" to -(k + 1) x_k, hermitean but not
+    positive, with a min eigenvalue that names k; "skewed" off hermitean."""
+    stack = T.stack.copy()
+    for k, kind in changes:
+        stack[k] = -(k + 1.0) * stack[k] if kind == "negated" else stack[k] + np.triu(
+            np.full_like(stack[k], 1e-3), 1)
+    return CocycleTable(T.group, stack, T.window)
+
+
+S_LISTS = [(0.5, 1.0, 2.0), (1.0, 2.0), (-1.0, 0.0, 2.0)]
+
+
+def test_power_relation_decomposes_each_entry_once(monkeypatch):
+    _, T = product_case(4, 3)
+    calls = []
+    decompose = matcore.spectral_decompose
+    monkeypatch.setattr(matcore, "spectral_decompose", lambda H: calls.append(1) or decompose(H))
+    assert cocycle.power_relation_check(T).passed
+    assert len(calls) == len(T.group)
+
+
+@pytest.mark.parametrize("s_list", S_LISTS)
+def test_power_relation_raises_what_the_per_element_form_raises(s_list):
+    # the relations of g^-1 are taken together with those of g; whichever
+    # error the per-element form meets first must still be the one raised
+    _, T = product_case(3, 2)
+    kinds = ("negated", "skewed")
+    for a in range(len(T.group)):
+        for b in range(len(T.group)):
+            for kind_a in kinds:
+                for kind_b in kinds:
+                    assert_same_outcome(broken(T, [(a, kind_a), (b, kind_b)]), s_list)
+
+
+@pytest.mark.parametrize("s_list", S_LISTS)
+def test_power_relation_defers_the_error_of_an_inverse_met_early(s_list):
+    # S_4 has pairs g, g^-1 far apart in the list: with x_{g^-1} and an entry
+    # between them broken, the entry between is met first
+    _, T = product_case(4, 3)
+    inv = lattice.group_table(T.group)[1]
+    pairs = [(i, j) for i, j in enumerate(inv) if j > i + 1]
+    assert pairs
+    for i, j in pairs:
+        for k in range(i + 1, j):
+            assert_same_outcome(broken(T, [(j, "negated"), (k, "negated")]), s_list)
 
 
 @pytest.mark.parametrize("eps", EPS)
