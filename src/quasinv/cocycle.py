@@ -72,11 +72,14 @@ class CocycleTable:
         return iter((g, self.entries[g.image]) for g in self.group)
 
     @cached_property
-    def _scale(self):
-        return max(1.0, max(matcore.operator_norm(x) for x in self.stack))
+    def facts(self):
+        """matcore.Facts of each entry in group order, built in one loop on
+        first use: every norm, hermiticity defect and hermitean-part spectrum
+        of an entry that a check reads comes from here."""
+        return tuple(matcore.facts(x) for x in self.stack)
 
     def scale(self):
-        return self._scale
+        return max(1.0, max(f.norm for f in self.facts))
 
 
 def build_table(group, window, builder):
@@ -137,10 +140,11 @@ def verify_inverse_relation(T, tol=None):
     inv, x = lattice.group_table(T.group)[1], T.stack
     Q = lattice.group_index(T.group, T.window)
     I = np.eye(T.window.total_dim)
+    for g, f in zip(T.group, T.facts):
+        if not f.invertible:
+            raise SingularEntry(f"x_g singular for g = {g.image}")
     worst, witness = 0.0, None
     for i, g in enumerate(T.group):
-        if not matcore.classify(x[i]).invertible:
-            raise SingularEntry(f"x_g singular for g = {g.image}")
         r = matcore.operator_norm(x[i] @ gather(x[inv[i]], Q[inv[i]]) - I)
         if r > worst:
             worst, witness = r, {"g": list(g.image)}
@@ -177,10 +181,10 @@ def require_strong_entries(T, tol):
     """Raise NotStrongCocycle unless every entry is hermitean (to tol, scaled
     by its norm) and positive definite: the precondition of the square roots
     and averages built on a strong table."""
-    for g, x in zip(T.group, T.stack):
-        if matcore.herm_defect(x) > tol * max(1.0, matcore.operator_norm(x)):
+    for g, f in zip(T.group, T.facts):
+        if f.herm > tol * max(1.0, f.norm):
             raise NotStrongCocycle(f"entry for {g.image} is not hermitean")
-        if np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0] <= 0.0:
+        if f.eig[0] <= 0.0:
             raise NotStrongCocycle(f"entry for {g.image} is not positive")
 
 
@@ -189,12 +193,9 @@ def verify_strong(T, phi, probes=None, tol=None):
     commutation, centralizer membership, and the spectrum bounds
     [S1, S2] that contain every Spec(x_g)."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    herm = 0.0
-    s1, s2 = np.inf, -np.inf
-    for x in T.stack:
-        herm = max(herm, matcore.herm_defect(x))
-        lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
-        s1, s2 = min(s1, float(lam[0])), max(s2, float(lam[-1]))
+    herm = max(f.herm for f in T.facts)
+    s1 = min(float(f.eig[0]) for f in T.facts)
+    s2 = max(float(f.eig[-1]) for f in T.facts)
     # ||[x_g, x_h]|| = ||[x_h, x_g]|| and [x_g, x_g] = 0: each unordered pair once
     comm, comm_wit = 0.0, None
     for i, (g, xg) in enumerate(zip(T.group, T.stack)):
@@ -239,7 +240,7 @@ def verify_centralizer_transport(phi, T, x, probes=None, tol=None, tau_state=TAU
 
 def trivial_cocycle(kappa, group):
     """x_g = kappa * g^-1(kappa^-1), the cocycle attached to one invertible kappa."""
-    if not matcore.classify(kappa.matrix).invertible:
+    if not matcore.facts(kappa.matrix).invertible:
         raise SingularKappa("kappa is not invertible")
     kinv = LocalOperator(kappa.window, matcore.inv(kappa.matrix))
     return build_table(group, kappa.window, lambda g: kappa @ act_inverse(g, kinv))
@@ -272,7 +273,7 @@ def product_state_cocycle(phi, group):
 def solve_SW(W, z):
     """The solution x = W^-1 z of W x = x* W attached to a hermitean z."""
     z = np.asarray(z, dtype=complex)
-    if not matcore.is_hermitian(z):
+    if not matcore.facts(z).hermitean:
         raise NotHermitianZ("z must be hermitean")
     return matcore.inv(W) @ z
 

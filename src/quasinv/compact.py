@@ -209,7 +209,7 @@ def converse_construct(phi_G, kap, group, tol=STRUCTURE_TOL):
     inv_resid = states.is_exchangeable(phi_G, group)
     if inv_resid > tol:
         raise NotInvariantBase(f"base state moves under the group: {inv_resid:.3e}")
-    if not matcore.classify(kap.matrix).invertible:
+    if not matcore.facts(kap.matrix).invertible:
         raise SingularKappa("kappa is not invertible")
     kinv = matcore.inv(kap.matrix)
     normal = matcore.operator_norm(
@@ -274,26 +274,25 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
                    witness=witness if worst > tol else None, details=details)
 
 
-def nonuniqueness_demo(phi, T, k0=None, probes=None, tol=STRUCTURE_TOL):
+def nonuniqueness_demo(phi, T, probes=None, tol=STRUCTURE_TOL):
     """Two distinct decompositions of the same state.  A positive invertible
-    fixed point k (not a multiple of 1) yields the alternative pair
-    (phi_G(k .), kappa k): reconstruction and the cocycle identity hold for
-    both pairs, while E_G(kappa^-1) = 1 singles out the canonical one."""
+    fixed point k (the average of diag(1..2), not a multiple of 1) yields the
+    alternative pair (phi_G(k .), kappa k): reconstruction and the cocycle
+    identity hold for both pairs, while E_G(kappa^-1) = 1 singles out the
+    canonical one."""
     group = T.group
     window = T.window
     kap = kappa(T)
     phi_G = invariant_state(phi, group)
-    if k0 is None:
-        D = window.total_dim
-        seed = np.diag(np.linspace(1.0, 2.0, D))
-        k0 = haar_average(group, LocalOperator(window, seed)).matrix
+    seed = np.diag(np.linspace(1.0, 2.0, window.total_dim))
+    k0 = haar_average(group, LocalOperator(window, seed)).matrix
     weight = states.evaluate(phi_G, LocalOperator(window, k0)).real
     k = k0 / weight
     W_G = states.full_density(phi_G)
     phi_G_alt = states.WeightedTraceState(window, W_G @ k)
     kap_alt = LocalOperator(window, kap.matrix @ k)
 
-    canonical = verify_structure(phi, T, probes=probes, tol=tol)
+    canonical = verify_structure(phi, T, probes=probes, tol=tol, decomposition=(phi_G, kap))
     alternative = verify_structure(phi, T, probes=probes, tol=tol,
                                    decomposition=(phi_G_alt, kap_alt))
     separation = matcore.operator_norm(kap_alt.matrix - kap.matrix)

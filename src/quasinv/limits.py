@@ -20,24 +20,24 @@ from .lattice import LocalOperator, Window, extend_operator
 
 
 class WindowProductSequence:
-    """The factors W_inf^-1 W_k with their per-site spectral data."""
+    """The factors W_inf^-1 W_k with their matcore.Facts and deviations."""
 
     def __init__(self, W_inf, W_list):
         self.W_inf = np.asarray(W_inf, dtype=complex)
         self.W_list = [np.asarray(W, dtype=complex) for W in W_list]
         self.d = self.W_inf.shape[0]
-        if not matcore.classify(self.W_inf).invertible:
+        if not matcore.facts(self.W_inf).invertible:
             raise SingularWeight("reference weight is not invertible")
         ref_inv = matcore.inv(self.W_inf)
-        self.factors = []
+        self.factors, self.facts = [], []
         for k, W in enumerate(self.W_list):
             if W.shape != self.W_inf.shape:
                 raise SingularWeight(f"weight {k + 1} has shape {W.shape}")
-            f = ref_inv @ W
-            if not matcore.classify(f).invertible:
+            self.factors.append(ref_inv @ W)
+            self.facts.append(matcore.facts(self.factors[-1]))
+            if not self.facts[-1].invertible:
                 raise SingularWeight(f"factor {k + 1} is not invertible")
-            self.factors.append(f)
-        self._spectra = [None] * len(self.factors)
+        self.deviations = [matcore.operator_norm(f - np.eye(self.d)) for f in self.factors]
 
     def __len__(self):
         return len(self.factors)
@@ -50,17 +50,14 @@ class WindowProductSequence:
 
     def spectrum(self, k):
         """(min eigenvalue, max eigenvalue, ||W_inf^-1 W_k - 1||) of factor k,
-        computed on first use; the factor must be hermitean and positive."""
-        f = self.factor(k)
-        if self._spectra[k - 1] is None:
-            if matcore.herm_defect(f) > 1e-10 * max(1.0, matcore.operator_norm(f)):
-                raise NotHermitian(f"factor {k} is not hermitean")
-            lam = np.linalg.eigvalsh((f + f.conj().T) / 2.0)
-            if lam[0] <= 0:
-                raise NotHermitian(f"factor {k} is not positive")
-            dev = matcore.operator_norm(f - np.eye(self.d))
-            self._spectra[k - 1] = (float(lam[0]), float(lam[-1]), dev)
-        return self._spectra[k - 1]
+        read from its facts; the factor must be hermitean and positive."""
+        self.factor(k)  # raises RangeError outside [1, len]
+        f = self.facts[k - 1]
+        if f.herm > 1e-10 * max(1.0, f.norm):
+            raise NotHermitian(f"factor {k} is not hermitean")
+        if f.eig[0] <= 0:
+            raise NotHermitian(f"factor {k} is not positive")
+        return float(f.eig[0]), float(f.eig[-1]), self.deviations[k - 1]
 
     def range_product(self, lo, hi):
         """The elementary tensor of factors lo..hi as one explicit matrix."""

@@ -1,9 +1,11 @@
 """Dense complex matrix kernel.
 
 Hermitian spectral decomposition, spectral functional calculus, operator
-norms, positivity classification, and seeded random density matrices whose
-spectrum is bounded away from zero.  Everything downstream funnels its
-linear algebra through this module so that tolerances live in one place.
+norms, the per-matrix facts the strong-case checks read (singular values,
+hermiticity defect, hermitean-part spectrum, invertibility), and seeded
+random density matrices whose spectrum is bounded away from zero.
+Everything downstream funnels its linear algebra through this module so
+that tolerances live in one place.
 """
 
 from dataclasses import dataclass
@@ -30,12 +32,6 @@ def herm_defect(A):
     return operator_norm(A - dagger(A))
 
 
-def is_hermitian(A, tol=TAU_HERM):
-    A = np.asarray(A)
-    scale = max(operator_norm(A), 1.0)
-    return herm_defect(A) <= tol * scale
-
-
 def operator_norm(A):
     """Largest singular value of A."""
     A = np.asarray(A, dtype=complex)
@@ -57,27 +53,27 @@ def _fix_phases(V):
     return V
 
 
-def spectral_decompose(H, tol=TAU_HERM):
+def spectral_decompose(H):
     """Eigenvalues (ascending) and a unitary of eigenvectors for hermitian H.
 
     Raises NotHermitian when the input fails the hermiticity tolerance.
     """
     H = np.asarray(H, dtype=complex)
     scale = max(operator_norm(H), 1.0)
-    if herm_defect(H) > tol * scale:
-        raise NotHermitian(f"hermiticity defect {herm_defect(H):.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if herm_defect(H) > TAU_HERM * scale:
+        raise NotHermitian(f"hermiticity defect {herm_defect(H):.3e} exceeds {TAU_HERM:.1e} * {scale:.3e}")
     Hs = (H + dagger(H)) / 2.0
     lam, V = np.linalg.eigh(Hs)
     return lam, _fix_phases(V)
 
 
-def matrix_power(P, s, floor_tol=TAU_ABS, spectrum=None):
+def matrix_power(P, s, spectrum=None):
     """Spectral power P^s for positive hermitian P and real s.
 
     The output is symmetrized to (M + M*)/2 to kill round-off asymmetry.
     matrix_power(P, 0) is the identity; matrix_power(P, 1) returns P's
     hermitian part.  Raises NotPositive when the minimum eigenvalue does
-    not clear the floor tolerance (s = 0 and positive integer s excepted,
+    not clear TAU_ABS (s = 0 and positive integer s excepted,
     where no spectral inversion is involved).  A `spectrum` (lam, V) =
     spectral_decompose(P) already at hand lets one decomposition serve
     several powers.
@@ -87,8 +83,8 @@ def matrix_power(P, s, floor_tol=TAU_ABS, spectrum=None):
         return np.eye(P.shape[0], dtype=complex)
     lam, V = spectral_decompose(P) if spectrum is None else spectrum
     needs_floor = (s != int(s)) or (s < 0)
-    if needs_floor and lam.min() <= floor_tol:
-        raise NotPositive(f"min eigenvalue {lam.min():.3e} <= floor tolerance {floor_tol:.1e}")
+    if needs_floor and lam.min() <= TAU_ABS:
+        raise NotPositive(f"min eigenvalue {lam.min():.3e} <= floor tolerance {TAU_ABS:.1e}")
     mu = np.power(lam.astype(complex) if not needs_floor else lam, float(s))
     M = (V * mu) @ dagger(V)
     return (M + dagger(M)) / 2.0
@@ -115,10 +111,10 @@ def random_density(dim, floor, seed):
     return (W + dagger(W)) / 2.0
 
 
-def random_hermitian(dim, seed, scale=1.0):
+def random_hermitian(dim, seed):
     """Seeded random hermitian matrix (GUE-style, not normalized)."""
     G = random_matrix(dim, seed)
-    return scale * (G + dagger(G)) / 2.0
+    return (G + dagger(G)) / 2.0
 
 
 def random_matrix(dim, seed, scale=1.0):
@@ -129,30 +125,32 @@ def random_matrix(dim, seed, scale=1.0):
 
 
 @dataclass(frozen=True)
-class Classification:
-    hermitian: bool
-    positive: bool
-    invertible: bool
-    min_eig: float | None
-    max_eig: float | None
+class Facts:
+    """What the strong-case checks read of a matrix A: its singular values
+    (descending, so sv[0] is operator_norm), ||A - A*|| and the eigenvalues
+    of (A + A*)/2 (ascending)."""
+    sv: np.ndarray
+    herm: float
+    eig: np.ndarray
+
+    @property
+    def norm(self):
+        return float(self.sv[0])
+
+    @property
+    def hermitean(self):
+        return self.herm <= TAU_HERM * max(self.norm, 1.0)
+
+    @property
+    def invertible(self):
+        """The smallest |eigenvalue| if A is hermitean, else the smallest
+        singular value, exceeds TAU_POS; both tolerances scaled by max(1, ||A||)."""
+        least = np.abs(self.eig).min() if self.hermitean else self.sv[-1]
+        return float(least) > TAU_POS * max(self.norm, 1.0)
 
 
-def classify(A, tol=TAU_POS):
-    """Hermiticity / positivity / invertibility flags with spectrum bounds.
-
-    min_eig and max_eig are reported for hermitian inputs only.
-    """
+def facts(A):
+    """The Facts of one matrix: two SVDs (A and A - A*) and one eigvalsh."""
     A = np.asarray(A, dtype=complex)
-    scale = max(operator_norm(A), 1.0)
-    hermitian = herm_defect(A) <= TAU_HERM * scale
-    if hermitian:
-        lam = np.linalg.eigvalsh((A + dagger(A)) / 2.0)
-        min_eig, max_eig = float(lam[0]), float(lam[-1])
-        positive = min_eig > tol * scale
-        invertible = float(np.abs(lam).min()) > tol * scale
-    else:
-        min_eig = max_eig = None
-        positive = False
-        sv = np.linalg.svd(A, compute_uv=False)
-        invertible = float(sv.min()) > tol * scale
-    return Classification(hermitian, positive, invertible, min_eig, max_eig)
+    return Facts(np.linalg.svd(A, compute_uv=False), herm_defect(A),
+                 np.linalg.eigvalsh((A + dagger(A)) / 2.0))

@@ -56,10 +56,10 @@ def diagonal_cda(d=2, delta=0.0):
     return np.diag([a, b, b, a]).astype(complex)
 
 
-def seeded_chain(N, seed, spread=0.2):
-    """N diagonal amplitudes with seeded detunings, all normalized against I/2."""
+def seeded_chain(N, seed):
+    """N diagonal amplitudes, detunings seeded in [-0.2, 0.2], normalized against I/2."""
     rng = np.random.Generator(np.random.Philox(seed))
-    deltas = spread * (2.0 * rng.random(N) - 1.0)
+    deltas = 0.2 * (2.0 * rng.random(N) - 1.0)
     return tuple(diagonal_cda(2, float(dl)) for dl in deltas)
 
 

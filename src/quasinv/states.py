@@ -78,11 +78,11 @@ def evaluate(phi, a):
     return complex(np.trace(W @ m))
 
 
-def is_faithful(phi, tol=matcore.TAU_POS):
-    """Whether the full-window density is positive definite; returns (flag, min eig)."""
+def is_faithful(phi):
+    """Whether the density's min eig exceeds TAU_POS; returns (flag, min eig)."""
     W = full_density(phi)
     lam = np.linalg.eigvalsh((W + W.conj().T) / 2.0)
-    return bool(lam[0] > tol), float(lam[0])
+    return bool(lam[0] > matcore.TAU_POS), float(lam[0])
 
 
 def faithful_density(phi):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from quasinv import cli, limits, matcore, qmc
+from quasinv import cli, cocycle, limits, matcore, qmc
 from quasinv.cocycle import CocycleTable
 from quasinv.lattice import LocalOperator
 
@@ -30,11 +30,7 @@ def test_scenario_passes_at_defaults(tmp_path, scenario):
     assert report["summary"]["all_pass"] is True
     assert report["summary"]["failed"] == 0
     assert report["summary"]["checks"] == len(report["checks"])
-    if scenario != "convergence":
-        assert report["summary"]["worst_residual"] < 1e-8
-    else:
-        # the tail-summability residual is the tail sum itself, not round-off
-        assert report["summary"]["worst_residual"] <= 1.0
+    assert report["summary"]["worst_residual"] < 1e-8
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
@@ -409,11 +405,22 @@ def test_pairing_identity_fails_on_mismatched_weights(tmp_path, monkeypatch):
     assert failed_convergence_checks(tmp_path, monkeypatch, mismatched) == (1, {"pairing_identity"})
 
 
-def test_tail_summability_fails_on_a_large_summable_tail(tmp_path, monkeypatch):
+def test_tail_summability_passes_a_large_summable_tail(tmp_path, monkeypatch):
+    # partial sums reach 1.2, but the deviations shrink by 4 each step
     def heavy(n):
         return weight_sequence([0.45 * 4.0 ** (1 - k) for k in range(1, n + 1)])
 
-    assert failed_convergence_checks(tmp_path, monkeypatch, heavy) == (1, {"tail_summability"})
+    assert failed_convergence_checks(tmp_path, monkeypatch, heavy) == (0, set())
+
+
+def test_tail_summability_alone_fails_a_short_harmonic_tail(tmp_path):
+    # three windows leave step_decay no ratio to test; eps_3 / eps_2 = 2/3
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", "convergence", "--preset", "harmonic",
+                    "--n-sites", "3", "--out", str(out)]) == 1
+    failed = [c for c in read_report(out)["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["tail_summability"]
+    assert failed[0]["residual"] == pytest.approx(2.0 / 3.0 - 0.5)
 
 
 def test_convergence_defaults_to_twelve_windows(tmp_path):
@@ -491,3 +498,49 @@ def test_right_unitary_factor_on_y_fails_only_the_sandwich(tmp_path, monkeypatch
     out = tmp_path / "r.json"
     assert run_cli(["run", "--scenario", "markov", "--out", str(out)]) == 1
     assert {c["name"] for c in read_report(out)["checks"] if not c["pass"]} == {"sandwich_identity"}
+
+
+# ---- structure: a planted defect for each check -------------------------------
+
+def planted_stabilizer_entry(phi, group, build=cocycle.product_state_cocycle):
+    """product_state_cocycle with a hermitean 1e-3 plant at (0, -1) and (-1, 0)
+    of x_g, g the first non-identity element fixing the last site."""
+    T = build(phi, group)
+    n = T.window.N
+    stack = T.stack.copy()
+    i = next(i for i, g in enumerate(T.group) if not g.is_identity() and g(n) == n)
+    stack[i, 0, -1] += 1e-3
+    stack[i, -1, 0] += 1e-3
+    return CocycleTable(T.group, stack, T.window)
+
+
+def group_without_last(cfg, window_group=cli._window_group):
+    """The window group less its last element, (3 2 1) of S_3: a list that is
+    not closed, so its averages are no conditional expectation."""
+    return window_group(cfg)[:-1]
+
+
+ENTRY_PLANT = (cocycle, "product_state_cocycle", planted_stabilizer_entry,
+               {"structure_decomposition", "restriction_consistency", "nonuniqueness_demo"})
+GROUP_PLANT = (cli, "_window_group", group_without_last,
+               {"structure_decomposition", "umegaki_expectation", "projective_family",
+                "nonuniqueness_demo"})
+STRUCTURE_PLANTS = {
+    "structure_decomposition": ENTRY_PLANT,
+    "restriction_consistency": ENTRY_PLANT,
+    "nonuniqueness_demo": ENTRY_PLANT,
+    "umegaki_expectation": GROUP_PLANT,
+    "projective_family": GROUP_PLANT,
+}
+
+
+@pytest.mark.parametrize("check", sorted(STRUCTURE_PLANTS))
+def test_structure_check_fails_on_a_planted_defect(tmp_path, monkeypatch, check):
+    module, name, plant, failed = STRUCTURE_PLANTS[check]
+    monkeypatch.setattr(module, name, plant)
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", "structure", "--out", str(out)]) == 1
+    report = read_report(out)
+    assert len(report["checks"]) == len(STRUCTURE_PLANTS)
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == failed
+    assert check in failed

@@ -127,30 +127,43 @@ def test_random_density_floor_too_large():
         matcore.random_density(2, 0.6, seed=0)
 
 
-def test_classify_identity():
-    c = matcore.classify(np.eye(2))
-    assert (c.hermitian, c.positive, c.invertible) == (True, True, True)
-    assert c.min_eig == pytest.approx(1.0) and c.max_eig == pytest.approx(1.0)
+def test_facts_identity():
+    f = matcore.facts(np.eye(2))
+    assert f.herm == 0.0 and f.invertible
+    assert f.norm == pytest.approx(1.0)
+    assert f.eig[0] == pytest.approx(1.0) and f.eig[-1] == pytest.approx(1.0)
 
 
-def test_classify_nilpotent():
-    c = matcore.classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert (c.hermitian, c.positive, c.invertible) == (False, False, False)
-    assert c.min_eig is None and c.max_eig is None
+def test_facts_nilpotent():
+    f = matcore.facts(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert f.herm == pytest.approx(1.0) and not f.invertible
+    assert list(f.sv) == pytest.approx([1.0, 0.0])
 
 
-def test_classify_diagonal_spectrum():
-    c = matcore.classify(np.diag([1.0, 3.0, 1.0 / 3.0, 1.0]))
-    assert (c.hermitian, c.positive, c.invertible) == (True, True, True)
-    assert c.min_eig == pytest.approx(1.0 / 3.0)
-    assert c.max_eig == pytest.approx(3.0)
+def test_facts_diagonal_spectrum():
+    f = matcore.facts(np.diag([1.0, 3.0, 1.0 / 3.0, 1.0]))
+    assert f.herm == 0.0 and f.invertible
+    assert f.eig[0] == pytest.approx(1.0 / 3.0)
+    assert f.eig[-1] == pytest.approx(3.0) == f.norm
 
 
-def test_classify_non_hermitian_invertible():
-    # invertible but not hermitian: a rotation
+def test_facts_non_hermitian_invertible():
+    # invertible but not hermitian: a rotation, whose hermitean part is 0
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    c = matcore.classify(R)
-    assert not c.hermitian and not c.positive and c.invertible
+    f = matcore.facts(R)
+    assert f.herm == pytest.approx(2.0) and f.invertible
+    assert list(f.eig) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_facts_invertibility_is_relative_to_the_norm(rotate):
+    # a least |eigenvalue| (or singular value, once rotated off hermitean)
+    # of 5e-10 clears TAU_POS * max(1, ||A||) at norm 1, not at norm 10
+    R = np.array([[0.0, -1.0], [1.0, 0.0]]) if rotate else np.eye(2)
+    small = matcore.facts(np.diag([5e-10, 1.0]) @ R)
+    large = matcore.facts(np.diag([5e-10, 10.0]) @ R)
+    assert small.hermitean != rotate and large.hermitean != rotate
+    assert small.invertible and not large.invertible
 
 
 @settings(max_examples=25, deadline=None)
