@@ -71,8 +71,6 @@ LAWS = {
     "umegaki_expectation": "E_G is a unital positive idempotent module map onto the fixed points",
     "projective_family": "averaging over the larger group absorbs the smaller average",
     "restriction_consistency": "subgroup entries match the cocycle recomputed from the state",
-    "nonuniqueness_demo": ("a nontrivial fixed point yields a second decomposition; "
-                           "E_G(kappa^-1) = 1 singles out the canonical one"),
 }
 
 
@@ -352,24 +350,11 @@ def _run_structure(cfg):
     T = cocycle.product_state_cocycle(phi, group)
     sub = [g for g in group if g(cfg.group) == cfg.group]
 
-    demo = compact.nonuniqueness_demo(phi, T, tol=cfg.tol)
-    alt = demo["alternative"].details
-    demo_ok = (demo["canonical"].passed
-               and alt["reconstruction"] <= cfg.tol
-               and alt["cocycle_match"] <= cfg.tol
-               and alt["normalization"] > 1e-3)
-    demo_rep = cocycle._report(
-        "nonuniqueness_demo", alt["reconstruction"], cfg.tol,
-        witness={"alternative_normalization": alt["normalization"],
-                 "separation": demo["separation"]},
-        passed=demo_ok)
-
     checks = [
-        _check(demo["canonical"]),
+        _check(compact.verify_structure(phi, T, tol=cfg.tol)),
         _check(compact.verify_umegaki(group, T.window, seed=cfg.seed)),
         _check(compact.projective_family_check(sub, group, T.window)),
         _check(compact.restriction_consistency(phi, T, [sub, group], tol=cfg.tol)),
-        _check(demo_rep),
     ]
     return checks, None
 

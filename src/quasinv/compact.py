@@ -17,14 +17,20 @@ of g.(i,j) divided by |G|, and orbit indicators span the fixed-point algebra.
 import numpy as np
 
 from . import lattice, matcore, states
-from .cocycle import PASS_TOL, _report, require_strong_entries, trivial_cocycle
+from .cocycle import (
+    PASS_TOL,
+    _coboundary_defects,
+    _coboundary_table,
+    _report,
+    require_strong_entries,
+)
 from .errors import (
     NotInvariantBase,
     NotNested,
     SingularKappa,
     SupportTooLarge,
 )
-from .lattice import LocalOperator, act_inverse, gather
+from .lattice import LocalOperator, act_inverse
 
 UMEGAKI_TOL = 1e-10
 STRUCTURE_TOL = 1e-9
@@ -169,19 +175,15 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     else:
         phi_G, kap = decomposition
     kinv = matcore.inv(kap.matrix)
-    Q_inv = np.argsort(lattice.group_index(group, window), axis=1)
 
     recon, where = states.pairing_residual(
         states.full_density(phi) - states.full_density(phi_G) @ kinv, probes)
 
     match, match_wit = 0.0, None
     commut = 0.0
-    for i, g in enumerate(group):
-        moved = gather(kinv, Q_inv[i])
-        rebuilt = kap.matrix @ moved
-        r = matcore.operator_norm(T.stack[i] - rebuilt)
+    for i, r, moved, rebuilt in _coboundary_defects(T, kap.matrix, kinv):
         if r > match:
-            match, match_wit = r, {"g": list(g.image)}
+            match, match_wit = r, {"g": list(group[i].image)}
         commut = max(commut, matcore.operator_norm(rebuilt - moved @ kap.matrix))
 
     normal = matcore.operator_norm(
@@ -218,7 +220,7 @@ def converse_construct(phi_G, kap, group, tol=STRUCTURE_TOL):
         raise SingularKappa(f"E_G(kappa^-1) differs from 1 by {normal:.3e}")
     W_G = states.full_density(phi_G)
     phi = states.WeightedTraceState(window, W_G @ kinv, validate=False)
-    return phi, trivial_cocycle(kap, group)
+    return phi, _coboundary_table(group, window, kap.matrix, kinv)
 
 
 def projective_family_check(group_small, group_big, window, tol=UMEGAKI_TOL):
@@ -255,7 +257,6 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
     W^-1 g^-1(W) with W and W^-1 built once."""
     W = states.faithful_density(phi)
     W_inv = matcore.inv(W)
-    Q_inv = np.argsort(lattice.group_index(T.group, phi.window), axis=1)
     worst, witness = 0.0, None
     per_subgroup = []
     for idx, sub in enumerate(subgroups):
@@ -263,11 +264,10 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
         if (rows < 0).any():
             raise NotNested(f"{sub[np.argmin(rows)].image} is missing from the table")
         local = 0.0
-        for g, i in zip(sub, rows):
-            r = matcore.operator_norm(T.stack[i] - W_inv @ gather(W, Q_inv[i]))
+        for i, r, *_ in _coboundary_defects(T, W_inv, W, rows):
             local = max(local, r)
             if r > worst:
-                worst, witness = r, {"subgroup": idx, "g": list(g.image)}
+                worst, witness = r, {"subgroup": idx, "g": list(T.group[i].image)}
         per_subgroup.append(local)
     details = {"per_subgroup": per_subgroup}
     return _report("restriction_consistency", worst, tol,

@@ -101,9 +101,9 @@ def build_gns(phi):
 def build_unitaries(R, T, tol=GNS_TOL):
     """U_g on vec(a) = vec(g(a) x_{g^-1}^(1/2)) for a strong table."""
     cocycle.require_strong_entries(T, tol)
-    inv = lattice.group_table(T.group)[1]
-    return {g.image: CovariantUnitary(g, LocalOperator(
-                R.window, matcore.matrix_power(T.stack[j], 0.5)))
+    inv, x = lattice.group_table(T.group)[1], T.stack
+    return {g.image: CovariantUnitary(g, LocalOperator(R.window, matcore.matrix_power(
+                x[j], 0.5, spectrum=matcore.spectral_decompose(x[j], facts=T.facts[j]))))
             for g, j in zip(T.group, inv)}
 
 

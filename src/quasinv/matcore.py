@@ -53,15 +53,18 @@ def _fix_phases(V):
     return V
 
 
-def spectral_decompose(H):
+def spectral_decompose(H, facts=None):
     """Eigenvalues (ascending) and a unitary of eigenvectors for hermitian H.
 
-    Raises NotHermitian when the input fails the hermiticity tolerance.
+    Raises NotHermitian when the input fails the hermiticity tolerance.  The
+    Facts of H already at hand supply its norm and hermiticity defect.
     """
     H = np.asarray(H, dtype=complex)
-    scale = max(operator_norm(H), 1.0)
-    if herm_defect(H) > TAU_HERM * scale:
-        raise NotHermitian(f"hermiticity defect {herm_defect(H):.3e} exceeds {TAU_HERM:.1e} * {scale:.3e}")
+    # the hermiticity rule reads only the norm and the defect
+    f = Facts(np.array([operator_norm(H)]), herm_defect(H), None) if facts is None else facts
+    if not f.hermitean:
+        raise NotHermitian(
+            f"hermiticity defect {f.herm:.3e} exceeds {TAU_HERM:.1e} * {max(f.norm, 1.0):.3e}")
     Hs = (H + dagger(H)) / 2.0
     lam, V = np.linalg.eigh(Hs)
     return lam, _fix_phases(V)

@@ -191,10 +191,11 @@ def chain_centralizer_residual(M):
 
 
 def x_cocycle_table(M, group, tol=CDA_TOL):
-    """Tabulate x_g = Q^-1 g^-1(Q), Q the chain product of the K_n* K_n, over
-    a group acting on the sites [1,N]; it equals y y* for commuting chains whose
-    amplitudes centralize the reference state, hypotheses checked first."""
-    from .cocycle import build_table
+    """Tabulate x_g = Q^-1 g^-1(Q), the coboundary of kappa = Q^-1 with Q the
+    chain product of the K_n* K_n, over a group acting on the sites [1,N]; it
+    equals y y* for commuting chains whose amplitudes centralize the reference
+    state, hypotheses checked first."""
+    from .cocycle import _coboundary_table
     group = [_extend_perm(g, M) for g in group]
     comm = chain_commutation_residual(M)
     if comm > tol:
@@ -203,4 +204,4 @@ def x_cocycle_table(M, group, tol=CDA_TOL):
     if centr > tol:
         raise NotInCentralizer(f"amplitude centralizer residual {centr:.3e}")
     Q = MarkovState(M.d, M.W_inf, tuple(K.conj().T @ K for K in M.chain), validate=False)
-    return build_table(group, M.window, lambda g: Q.R_inv @ act_inverse(g, Q.R))
+    return _coboundary_table(group, M.window, Q.R_inv.matrix, Q.R.matrix)

@@ -137,17 +137,6 @@ def test_convergence_report_carries_series_data(tmp_path):
     assert report["data"]["empirical_constant"] > 0.0
 
 
-def test_structure_report_separates_decompositions(tmp_path):
-    out = tmp_path / "r.json"
-    rc = run_cli(["run", "--scenario", "structure", "--out", str(out)])
-    assert rc == 0
-    report = read_report(out)
-    demo = next(c for c in report["checks"] if c["name"] == "nonuniqueness_demo")
-    assert demo["pass"] is True
-    assert demo["witness"]["alternative_normalization"] > 1e-3
-    assert demo["witness"]["separation"] > 1e-3
-
-
 def test_markov_scenario_check_names(tmp_path):
     out = tmp_path / "r.json"
     run_cli(["run", "--scenario", "markov", "--out", str(out)])
@@ -521,14 +510,12 @@ def group_without_last(cfg, window_group=cli._window_group):
 
 
 ENTRY_PLANT = (cocycle, "product_state_cocycle", planted_stabilizer_entry,
-               {"structure_decomposition", "restriction_consistency", "nonuniqueness_demo"})
+               {"structure_decomposition", "restriction_consistency"})
 GROUP_PLANT = (cli, "_window_group", group_without_last,
-               {"structure_decomposition", "umegaki_expectation", "projective_family",
-                "nonuniqueness_demo"})
+               {"structure_decomposition", "umegaki_expectation", "projective_family"})
 STRUCTURE_PLANTS = {
     "structure_decomposition": ENTRY_PLANT,
     "restriction_consistency": ENTRY_PLANT,
-    "nonuniqueness_demo": ENTRY_PLANT,
     "umegaki_expectation": GROUP_PLANT,
     "projective_family": GROUP_PLANT,
 }

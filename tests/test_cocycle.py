@@ -22,7 +22,6 @@ from quasinv.errors import (
 )
 from quasinv.cocycle import (
     CocycleTable,
-    build_table,
     check_SW,
     locally_trivial_check,
     power_relation_check,
@@ -219,16 +218,15 @@ def reference_cocycle(phi, W_inf, group):
     with F_n = W_inf^-1 W_n.  The reference factors cancel on the support."""
     window = phi.window
     F = [np.linalg.inv(W_inf) @ W for W in phi.weights]
-
-    def builder(g):
+    entries = {}
+    for g in group:
         x = window.identity()
         y = window.identity()
         for n in sorted(support(g)):
             x = x @ embed(window, n, np.linalg.inv(F[n - 1]))
             y = y @ embed(window, n, F[n - 1])
-        return x @ act(g.inverse(), y)
-
-    return build_table(group, window, builder)
+        entries[g.image] = x @ act(g.inverse(), y)
+    return CocycleTable(group, entries, window)
 
 
 def test_reference_cocycle_cancels_to_product_form():

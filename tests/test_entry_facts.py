@@ -191,6 +191,53 @@ def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
         assert sum(np.array_equal(h, A) for A in arguments) == 1, i
 
 
+def record_entry_norms(monkeypatch):
+    """The matrices given to operator_norm and herm_defect outside matcore.facts."""
+    normed, inside = [], []
+    facts = matcore.facts
+
+    def in_facts(A):
+        inside.append(1)
+        try:
+            return facts(A)
+        finally:
+            inside.pop()
+
+    def recorded(fn):
+        def wrapper(A):
+            if not inside:
+                normed.append(np.array(A))
+            return fn(A)
+        return wrapper
+
+    monkeypatch.setattr(matcore, "facts", in_facts)
+    monkeypatch.setattr(matcore, "operator_norm", recorded(matcore.operator_norm))
+    monkeypatch.setattr(matcore, "herm_defect", recorded(matcore.herm_defect))
+    return normed
+
+
+def test_product_run_norms_each_entry_only_in_its_facts(tmp_path, monkeypatch):
+    tables = []
+    build = cocycle.product_state_cocycle
+    monkeypatch.setattr(cocycle, "product_state_cocycle",
+                        lambda phi, group: tables.append(build(phi, group)) or tables[-1])
+    normed = record_entry_norms(monkeypatch)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--scenario", "product", "--n-sites", "4", "--out", str(out)]) == 0
+    (T,) = tables
+    assert "power_relation" in {c["name"] for c in json.loads(out.read_text())["checks"]}
+    assert normed
+    assert not any(np.array_equal(A, x) for A in normed for x in T.stack)
+
+
+def test_unitaries_norm_no_entry_outside_its_facts(monkeypatch):
+    phi, T = CASES["product-D8"]
+    T = CocycleTable(T.group, T.stack.copy(), T.window)  # facts not yet cached
+    normed = record_entry_norms(monkeypatch)
+    gns.build_unitaries(gns.build_gns(phi), T)
+    assert not any(np.array_equal(A, x) for A in normed for x in T.stack)
+
+
 def test_structure_run_averages_the_table_and_the_state_once(tmp_path, monkeypatch):
     calls = {"kappa": 0, "invariant_state": 0, "facts": 0}
 

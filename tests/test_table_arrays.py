@@ -395,7 +395,8 @@ def test_power_relation_decomposes_each_entry_once(monkeypatch):
     _, T = product_case(4, 3)
     calls = []
     decompose = matcore.spectral_decompose
-    monkeypatch.setattr(matcore, "spectral_decompose", lambda H: calls.append(1) or decompose(H))
+    monkeypatch.setattr(matcore, "spectral_decompose",
+                        lambda H, **kw: calls.append(1) or decompose(H, **kw))
     assert cocycle.power_relation_check(T).passed
     assert len(calls) == len(T.group)
 
