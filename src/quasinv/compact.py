@@ -7,11 +7,15 @@ positive invertible operator, the state factors as
 phi(a) = phi_G(kappa^-1 a) through the invariant state phi_G = phi o E_G,
 the table is recovered as x_g = kappa * g^-1(kappa^-1), and the average
 satisfies E_G(kappa^-1) = 1.  The converse builds a quasi-invariant state
-from any invariant base state and invertible kappa.
+from any invariant base state and invertible kappa^-1.
 
 E_G is one gather through the group's index array and a pairwise tree sum.
-On matrix units it is exact, g(e_ij) = e_{g.(i,j)}: E_G(e_ij) is the histogram
-of g.(i,j) divided by |G|, and orbit indicators span the fixed-point algebra.
+On matrix units it is exact, g(e_ij) = e_{g.(i,j)}, so a list L of
+permutations is checked in integers alone: its moves label each index pair
+by its orbit under the group L generates, and the list's own average
+E_L(e_x), the histogram of g.x over L divided by |L|, must be the orbit
+mean 1_O(x) / |O(x)|.  Then E_L is the orbit projection, the conditional
+expectation onto the fixed-point algebra that the orbit indicators span.
 """
 
 import numpy as np
@@ -24,18 +28,11 @@ from .cocycle import (
     _report,
     require_strong_entries,
 )
-from .errors import (
-    NotInvariantBase,
-    NotNested,
-    SingularKappa,
-    SupportTooLarge,
-)
+from .errors import NotInvariantBase, NotNested, SingularKappa
 from .lattice import LocalOperator, act_inverse
 
 UMEGAKI_TOL = 1e-10
 STRUCTURE_TOL = 1e-9
-FIX_BASIS_CAP = 64  # largest D for dense stacks over all matrix units (D^4 entries)
-N_FAITHFUL_SWEEP = 200
 
 
 def _tree_sum(stack):
@@ -59,28 +56,49 @@ def haar_average(group, a):
     return LocalOperator(a.window, _tree_sum(stack) / len(group))
 
 
-def _unit_averages(group, window):
-    """(row of each matrix unit e_x, rows): |G| E_G(e_x) = rows[row[x]] is the
-    histogram of g.x over the list, g(e_ij) = e_{g.x}, exact in counts."""
+def _unit_moves(group, window):
+    """The (|L|, D*D) integer moves of the list: g(e_x) = e_{g.x}, x = i*D + j."""
     D = window.total_dim
-    if D > FIX_BASIS_CAP:
-        raise SupportTooLarge(f"window dimension {D} exceeds the matrix-unit cap {FIX_BASIS_CAP}")
     p = np.argsort(lattice.group_index(group, window), axis=1)
-    moved = (p[:, :, None] * D + p[:, None, :]).reshape(len(group), D * D)
-    _, x, row = np.unique(np.sort(moved, axis=0).T, axis=0, return_index=True, return_inverse=True)
-    hits = np.bincount((np.arange(len(x)) * D * D + moved[:, x]).ravel(), minlength=len(x) * D * D)
-    return row.reshape(-1), hits.reshape(len(x), D * D).astype(float)
+    return (p[:, :, None] * D + p[:, None, :]).reshape(len(group), D * D)
 
 
-def _moves(group, window, stack):
-    """g(s) for each element g of the list, s the flattened matrices of a
-    (K, D*D) stack, one g at a time; their sum is exact on integer entries."""
-    for q in lattice.group_index(group, window):
-        yield np.take(stack, (q[:, None] * len(q) + q).ravel(), axis=1)
+def orbit_labels(group, window):
+    """The (D, D) integer label of each matrix unit, numbered 0, 1, ... in
+    row-major order of first appearance: the connected components of
+    x ~ g.x over the list's moves, which are the orbits of the group the list
+    generates (a permutation's inverse is one of its powers)."""
+    moves = _unit_moves(group, window)
+    low = np.arange(moves.shape[1])
+    while True:
+        # the least label one move reaches, then that label's own label:
+        # a fixed point is constant on each component and equals its least unit
+        step = np.minimum(low, low[moves].min(axis=0))
+        step = step[step]
+        if np.array_equal(step, low):
+            break
+        low = step
+    D = window.total_dim
+    return np.unique(low, return_inverse=True)[1].reshape(D, D)
 
 
-def _norms(stack, D):
-    return np.linalg.norm(stack.reshape(-1, D, D), 2, axis=(1, 2))
+def _average_defect(group, window):
+    """(defect, worst unit [i, j], number of labels) of the list's own average
+    against the orbit mean, max_x ||E_L(e_x) - 1_O(x) / |O(x)|||_F.  With the
+    integer counts c(x, y) = #{g in L : g.x = y}, E_L(e_x) = (1/n) sum_y c e_y,
+    so (n |O| defect)^2 = |O|^2 sum_y c^2 - 2 n |O| s + n^2 |O| exactly, with
+    s = #{g : g.x in O(x)}; it is 0 for a closed list."""
+    labels = orbit_labels(group, window).ravel()
+    moves = _unit_moves(group, window)
+    n, D2 = moves.shape
+    size = np.bincount(labels)[labels]
+    inside = np.count_nonzero(labels[moves] == labels, axis=0)
+    pairs, count = np.unique(moves + D2 * np.arange(D2), return_counts=True)
+    squares = np.bincount(pairs // D2, weights=count * count, minlength=D2).astype(np.int64)
+    num = size * size * squares - 2 * n * size * inside + n * n * size
+    x = int(np.argmax(num / (size * size)))
+    D = window.total_dim
+    return float(np.sqrt(num[x]) / (n * size[x])), [x // D, x % D], int(labels.max()) + 1
 
 
 def invariant_state(phi, group):
@@ -92,57 +110,16 @@ def invariant_state(phi, group):
     return states.WeightedTraceState(window, (avg + avg.conj().T) / 2.0)
 
 
-def fixed_point_basis(group, window):
-    """An orthonormal (Hilbert-Schmidt) basis of the fixed-point algebra: a is
-    fixed iff constant on each orbit of index pairs, and over a group the
-    histogram of g.x covers the orbit of x; the basis is 1_O / sqrt(|O|)."""
-    D = window.total_dim
-    orbits = _unit_averages(group, window)[1] > 0
-    basis = orbits / np.sqrt(orbits.sum(axis=1))[:, None]
-    return [LocalOperator(window, b.reshape(D, D)) for b in basis]
-
-
-def verify_umegaki(group, window, tol=UMEGAKI_TOL, seed=0):
-    """Conditional-expectation laws for E_G on all matrix units in one batch:
-    idempotence, unitality, positivity, the bimodule property over every
-    fixed-point basis element and the whole unit ball, and a seeded sweep
-    certifying that E_G does not annihilate any a*a."""
-    n, D = len(group), window.total_dim
-    unital = matcore.operator_norm(haar_average(group, window.identity()).matrix - np.eye(D))
-
-    # in exact counts: |G|^2 E(E(e_x)) is the histogram |G| E(e_x) moved once
-    # more by every g; positivity on e_ij* e_ij = e_jj, a diagonal histogram
-    row, units = _unit_averages(group, window)
-    idem = _norms(sum(_moves(group, window, units)) - n * units, D).max() / n**2
-    lam = np.linalg.eigvalsh(units[np.unique(row[::D + 1])].reshape(-1, D, D) / n)
-    pos_defect = max(0.0, -float(lam.min()))
-
-    # E(bac) - b E(a) c = (1/|G|) sum_g [(g(b) - b) g(a) g(c) + b g(a) (g(c) - c)]:
-    # over the unit ball its norm is at most drift_b |c| + |b| drift_c, with
-    # drift_b = (1/|G|) sum_g |g(b) - b|; Frobenius norms bound both from above
-    fix = fixed_point_basis(group, window)
-    B = np.array([b.matrix.ravel() for b in fix])
-    drift = sum(np.linalg.norm(m - B, axis=1) for m in _moves(group, window, B)) / n
-    size = np.linalg.norm(B, axis=1)
-    module = float(np.max(np.outer(drift, size) + np.outer(size, drift)))
-
-    sweep = np.array([a.matrix for a in states.random_hermitian_probes(
-        window, count=N_FAITHFUL_SWEEP, seed=seed)])
-    sweep /= _norms(sweep, D)[:, None, None]
-    squares = (sweep.conj().transpose(0, 2, 1) @ sweep).reshape(-1, D * D)
-    faithful_min = _norms(sum(_moves(group, window, squares)), D).min() / n
-
-    resid = max(idem, unital, pos_defect, module)
-    details = {
-        "idempotence": float(idem),
-        "unitality": unital,
-        "positivity_defect": pos_defect,
-        "module": module,
-        "faithfulness_min": float(faithful_min),
-        "fixed_point_rank": len(fix),
-    }
-    passed = resid <= tol and faithful_min > tol
-    return _report("umegaki_expectation", resid, tol, details=details, passed=passed)
+def verify_umegaki(group, window, tol=UMEGAKI_TOL):
+    """E_L, the list's own average, against the orbit projection: when every
+    matrix unit averages to its orbit mean, E_L is the conditional expectation
+    onto the fixed points of the generated group (unital, positive,
+    idempotent, faithful, a bimodule map over the fixed points); the witness
+    is the matrix unit with the largest defect."""
+    defect, entry, rank = _average_defect(group, window)
+    details = {"average_defect": defect, "fixed_point_rank": rank}
+    return _report("umegaki_expectation", defect, tol,
+                   witness={"entry": entry} if defect > tol else None, details=details)
 
 
 def kappa(T):
@@ -203,52 +180,42 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     return _report("structure_decomposition", resid, tol, witness=witness, details=details)
 
 
-def converse_construct(phi_G, kap, group, tol=STRUCTURE_TOL):
-    """From an invariant base state and an invertible kappa with
+def converse_construct(phi_G, kinv, group, tol=STRUCTURE_TOL):
+    """From an invariant base state and an invertible kappa^-1 with
     E_G(kappa^-1) = 1, build phi(a) = phi_G(kappa^-1 a) and its trivial
-    cocycle table x_g = kappa g^-1(kappa^-1)."""
+    cocycle table x_g = kappa g^-1(kappa^-1); kappa^-1 is inverted once,
+    for the table."""
     window = phi_G.window
     inv_resid = states.is_exchangeable(phi_G, group)
     if inv_resid > tol:
         raise NotInvariantBase(f"base state moves under the group: {inv_resid:.3e}")
-    if not matcore.facts(kap.matrix).invertible:
-        raise SingularKappa("kappa is not invertible")
-    kinv = matcore.inv(kap.matrix)
-    normal = matcore.operator_norm(
-        haar_average(group, LocalOperator(window, kinv)).matrix - np.eye(window.total_dim))
-    if normal > 1e-8 * max(1.0, matcore.operator_norm(kinv)):
+    if not matcore.facts(kinv.matrix).invertible:
+        raise SingularKappa("kappa^-1 is not invertible")
+    normal = matcore.operator_norm(haar_average(group, kinv).matrix - np.eye(window.total_dim))
+    if normal > 1e-8 * max(1.0, matcore.operator_norm(kinv.matrix)):
         raise SingularKappa(f"E_G(kappa^-1) differs from 1 by {normal:.3e}")
     W_G = states.full_density(phi_G)
-    phi = states.WeightedTraceState(window, W_G @ kinv, validate=False)
-    return phi, _coboundary_table(group, window, kap.matrix, kinv)
+    phi = states.WeightedTraceState(window, W_G @ kinv.matrix, validate=False)
+    return phi, _coboundary_table(group, window, matcore.inv(kinv.matrix), kinv.matrix)
 
 
 def projective_family_check(group_small, group_big, window, tol=UMEGAKI_TOL):
-    """Nested averages absorb: E_big o E_small = E_big, and the fixed-point
-    algebra of the bigger group sits inside that of the smaller; the laws
-    hold on every matrix unit of the window, checked in exact counts."""
+    """Nested averages absorb, E_big o E_small = E_big: the small list sits in
+    the big one, and each list's own average is its orbit mean (the Umegaki
+    defect of both); nesting makes every big orbit a union of small orbits,
+    so the two orbit projections then compose exactly."""
     if (lattice.positions(group_big, group_small) < 0).any():
         raise NotNested("the first group is not contained in the second")
-    n_small, n_big, D = len(group_small), len(group_big), window.total_dim
-    row_small, units_small = _unit_averages(group_small, window)
-    row_big, units_big = _unit_averages(group_big, window)
-
-    # E_big(E_small(e_x)) depends on x through its small row, E_big(e_x) through its big row
-    _, x = np.unique(row_small * len(units_big) + row_big, return_index=True)
-    double = sum(_moves(group_big, window, units_small[row_small[x]]))
-    double = _norms(double - n_small * units_big[row_big[x]], D).max() / (n_small * n_big)
-    absorb = sum(_moves(group_small, window, units_big))
-    absorb = _norms(absorb - n_small * units_big, D).max() / (n_small * n_big)
-
-    resid = max(double, absorb)
+    small, big = _average_defect(group_small, window), _average_defect(group_big, window)
+    which, (resid, entry, _) = max(("small", small), ("big", big), key=lambda r: r[1][0])
     details = {
-        "double_average": float(double),
-        "range_absorption": float(absorb),
-        "rank_small": len(units_small),
-        "rank_big": len(units_big),
+        "average_defect_small": small[0],
+        "average_defect_big": big[0],
+        "rank_small": small[2],
+        "rank_big": big[2],
     }
-    passed = resid <= tol and len(units_big) <= len(units_small)
-    return _report("projective_family", resid, tol, details=details, passed=passed)
+    witness = {"list": which, "entry": entry} if resid > tol else None
+    return _report("projective_family", resid, tol, witness=witness, details=details)
 
 
 def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):

@@ -53,7 +53,7 @@ class WindowProductSequence:
         read from its facts; the factor must be hermitean and positive."""
         self.factor(k)  # raises RangeError outside [1, len]
         f = self.facts[k - 1]
-        if f.herm > 1e-10 * max(1.0, f.norm):
+        if not f.hermitean:
             raise NotHermitian(f"factor {k} is not hermitean")
         if f.eig[0] <= 0:
             raise NotHermitian(f"factor {k} is not positive")

@@ -107,14 +107,6 @@ def matrix_unit_probes(window):
     return probes
 
 
-def random_hermitian_probes(window, count, seed=0):
-    dim = window.total_dim
-    return [
-        LocalOperator(window, matcore.random_hermitian(dim, seed=seed * 100_003 + k))
-        for k in range(count)
-    ]
-
-
 def pairing_residual(M, probes=None):
     """(residual, where) of a linear identity whose defect matrix M has
     Tr(M a) = lhs(a) - rhs(a).  With probes=None it is complete on the whole

@@ -160,8 +160,8 @@ def test_criterion_06_structure_round_trip():
         worst_structure = max(worst_structure, rep.residual)
 
         phi_G = compact.invariant_state(phi, group)
-        kap = compact.kappa(T)
-        phi2, T2 = compact.converse_construct(phi_G, kap, group, tol=1e-9)
+        kinv = LocalOperator(T.window, matcore.inv(compact.kappa(T).matrix))
+        phi2, T2 = compact.converse_construct(phi_G, kinv, group, tol=1e-9)
         for a in states.matrix_unit_probes(T.window):
             worst_rebuild = max(worst_rebuild,
                                 abs(states.evaluate(phi, a) - states.evaluate(phi2, a)))

@@ -156,6 +156,17 @@ def test_trivial_scenario_reports_local_triviality(tmp_path):
     assert "power_relation" in names
 
 
+def test_trivial_run_inverts_the_sampled_kappa_inverse_once(tmp_path, monkeypatch):
+    # converse_construct inverts the sampled kappa^-1 for the table, and local
+    # triviality inverts the table's mean; nothing else is inverted
+    shapes = []
+    inv = matcore.inv
+    monkeypatch.setattr(matcore, "inv", lambda A: shapes.append(A.shape) or inv(A))
+    assert run_cli(["run", "--scenario", "trivial", "--n-sites", "4",
+                    "--out", str(tmp_path / "r.json")]) == 0
+    assert shapes == [(16, 16), (16, 16)]
+
+
 def test_json_config_file_drives_a_run(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "product", "seed": 9, "n_sites": 2,
@@ -207,15 +218,19 @@ def test_oversized_window_is_a_config_error(capsys):
     assert "4096" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--d", "3", "--n-sites", "4"],
-                                  ["--d", "2", "--n-sites", "7", "--group", "5"]],
-                         ids=["d3-n4", "d2-n7-g5"])
-def test_structure_above_the_fixed_point_cap_is_refused_by_the_gate(capsys, argv):
-    # the fixed-point spans stop at dimension 64; the gate refuses before any work
-    rc = run_cli(["run", "--scenario", "structure", *argv])
+def test_structure_past_dimension_64_runs(tmp_path):
+    # orbit labels hold |G| D^2 integers, so the table cap bounds structure too: D 128
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", "structure", "--n-sites", "7", "--group", "3",
+                    "--out", str(out)]) == 0
+    assert read_report(out)["summary"]["all_pass"] is True
+
+
+def test_structure_too_large_for_memory_is_refused_by_the_table_cap(capsys):
+    rc = run_cli(["run", "--scenario", "structure", "--n-sites", "12"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "64" in err
+    assert err.startswith("config error") and "193,273,528,320 bytes" in err
 
 
 def test_group_degree_above_sites_is_a_config_error(capsys):

@@ -120,8 +120,7 @@ def trivial_pair(d, N, seed):
     centered = h - compact.haar_average(group, LocalOperator(window, h)).matrix
     kinv = np.eye(dim) + 0.5 * centered / max(1.0, matcore.operator_norm(centered))
     phi_G = states.homogeneous_state(d, N, np.eye(d) / d)
-    return compact.converse_construct(
-        phi_G, LocalOperator(window, matcore.inv(kinv)), group)
+    return compact.converse_construct(phi_G, LocalOperator(window, kinv), group)
 
 
 def generic_chain(N, seed):

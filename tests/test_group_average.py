@@ -1,23 +1,26 @@
-"""The stacked group average and the orbit basis against the list forms.
+"""The stacked group average and the orbit labels against the list forms.
 
 The oracles below are the earlier implementations, kept only here: the
 group average as a list of conjugated matrices summed by a pairwise tree,
 the fixed-point basis as the SVD of the D^2 x D^2 matrix of averaged matrix
 units, and the Umegaki and projectivity checks as loops over probes that
-call the average one probe at a time.  The stacked average must equal the
-list form bit for bit, the orbit basis must span the same algebra, and the
-batched checks must give the oracles' verdicts with residuals that agree
-to round-off (the module part as an upper bound).
+call the average one probe at a time, with a seeded faithfulness sweep (the
+loops call the stacked average, which is bit-identical to the list form).
+The stacked average must equal the list form bit for bit, the orbit
+indicators must span the same algebra, and the orbit-label checks must give
+the oracles' verdicts on groups, on groups less one element and on seeded
+sublists, with a defect of exactly 0.0 on every pass.
 """
 
 import numpy as np
 import pytest
 
 from quasinv import compact, lattice, matcore, states
-from quasinv.errors import SizeMismatch, SupportTooLarge
+from quasinv.errors import SizeMismatch
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group, extend
 
 AGREE = 1e-12
+N_SWEEP = 200
 
 
 # ---- oracles: the list and probe-loop forms -------------------------------
@@ -37,7 +40,7 @@ def list_average(group, a):
 
 
 def svd_basis(group, window, tol=1e-10):
-    rows = [list_average(group, a).matrix.flatten() for a in states.matrix_unit_probes(window)]
+    rows = [compact.haar_average(group, a).matrix.flatten() for a in states.matrix_unit_probes(window)]
     _, sing, vh = np.linalg.svd(np.array(rows))
     rank = int(np.sum(sing > tol * sing[0]))
     D = window.total_dim
@@ -62,7 +65,7 @@ def loop_umegaki(group, window, seed=0):
     part sampled as it was (four basis elements, every len/8-th probe)."""
     probes = states.matrix_unit_probes(window)
     D = window.total_dim
-    E = lambda a: list_average(group, a)  # noqa: E731
+    E = lambda a: compact.haar_average(group, a)  # noqa: E731
     unital = matcore.operator_norm(E(window.identity()).matrix - np.eye(D))
     idem = pos = 0.0
     for a in probes:
@@ -73,24 +76,42 @@ def loop_umegaki(group, window, seed=0):
     fix = svd_basis(group, window)
     module = loop_module(group, fix[:4], probes[::max(1, len(probes) // 8)])
     faithful = np.inf
-    for a in states.random_hermitian_probes(window, count=compact.N_FAITHFUL_SWEEP, seed=seed):
-        u = LocalOperator(window, a.matrix / matcore.operator_norm(a.matrix))
+    for k in range(N_SWEEP):
+        a = matcore.random_hermitian(D, seed=seed * 100_003 + k)
+        u = LocalOperator(window, a / matcore.operator_norm(a))
         faithful = min(faithful, matcore.operator_norm(E(u.dagger() @ u).matrix))
     return {"idempotence": idem, "unitality": unital, "positivity_defect": pos,
             "module": module, "faithfulness_min": faithful, "fixed_point_rank": len(fix)}
 
 
+def loop_umegaki_passes(group, window, tol=compact.UMEGAKI_TOL):
+    """The probe loop's verdict; a list that is not closed fails idempotence
+    at some matrix unit, screened first with the stacked average."""
+    for a in states.matrix_unit_probes(window):
+        Ea = compact.haar_average(group, a)
+        if matcore.operator_norm(compact.haar_average(group, Ea).matrix - Ea.matrix) > tol:
+            return False
+    laws = loop_umegaki(group, window)
+    worst = max(laws["idempotence"], laws["unitality"], laws["positivity_defect"], laws["module"])
+    return worst <= tol and laws["faithfulness_min"] > tol
+
+
 def loop_projective(group_small, group_big, window):
     double = absorb = 0.0
+    E = compact.haar_average
     for a in states.matrix_unit_probes(window):
-        Eb = list_average(group_big, a)
-        double = max(double, matcore.operator_norm(
-            list_average(group_big, list_average(group_small, a)).matrix - Eb.matrix))
-        absorb = max(absorb, matcore.operator_norm(
-            list_average(group_small, Eb).matrix - Eb.matrix))
+        Eb = E(group_big, a)
+        double = max(double, matcore.operator_norm(E(group_big, E(group_small, a)).matrix - Eb.matrix))
+        absorb = max(absorb, matcore.operator_norm(E(group_small, Eb).matrix - Eb.matrix))
     return {"double_average": double, "range_absorption": absorb,
             "rank_small": len(svd_basis(group_small, window)),
             "rank_big": len(svd_basis(group_big, window))}
+
+
+def loop_projective_passes(group_small, group_big, window, tol=compact.UMEGAKI_TOL):
+    laws = loop_projective(group_small, group_big, window)
+    return (max(laws["double_average"], laws["range_absorption"]) <= tol
+            and laws["rank_big"] <= laws["rank_small"])
 
 
 # ---- windows --------------------------------------------------------------
@@ -154,7 +175,15 @@ def test_haar_average_rejects_a_group_of_another_size():
         compact.haar_average(enumerate_group(3), Window(2, 4).identity())
 
 
-# ---- the orbit basis ------------------------------------------------------
+# ---- the orbit labels -----------------------------------------------------
+
+def orbit_basis(group, window):
+    """1_O / sqrt(|O|) for each orbit label: an orthonormal (Hilbert-Schmidt)
+    basis of the fixed-point algebra, as a (rank, D, D) stack."""
+    labels = compact.orbit_labels(group, window)
+    B = (labels == np.arange(labels.max() + 1)[:, None, None]).astype(float)
+    return B / np.sqrt(B.sum(axis=(1, 2)))[:, None, None]
+
 
 @pytest.mark.parametrize("w", WINDOWS, ids=_id)
 def test_fixed_point_dimension_is_the_burnside_count(w):
@@ -163,15 +192,16 @@ def test_fixed_point_dimension_is_the_burnside_count(w):
     group = on_sites(k, N)
     burnside = sum(d ** (2 * cycles(g)) for g in group)
     assert burnside % len(group) == 0
-    assert len(compact.fixed_point_basis(group, Window(d, N))) == burnside // len(group)
+    window = Window(d, N)
+    assert compact.orbit_labels(group, window).max() + 1 == burnside // len(group)
+    assert compact.verify_umegaki(group, window).details["fixed_point_rank"] == burnside // len(group)
 
 
 @pytest.mark.parametrize("w", [w for w in WINDOWS if w[2] < 6], ids=_id)
 def test_orbit_basis_is_orthonormal_and_fixed(w):
     d, N, k = w
     window, group = Window(d, N), on_sites(k, N)
-    basis = compact.fixed_point_basis(group, window)
-    B = np.array([b.matrix for b in basis])
+    B = orbit_basis(group, window)
     if window.total_dim <= 32:
         flat = B.reshape(len(B), -1)
         assert np.max(np.abs(flat @ flat.conj().T - np.eye(len(B)))) < AGREE
@@ -183,66 +213,85 @@ def test_orbit_basis_is_orthonormal_and_fixed(w):
 def test_orbit_basis_spans_the_svd_basis(w):
     d, N, k = w
     window, group = Window(d, N), on_sites(k, N)
-    new = np.array([b.matrix.ravel() for b in compact.fixed_point_basis(group, window)])
+    new = orbit_basis(group, window).reshape(-1, window.total_dim ** 2)
     old = np.array([b.matrix.ravel() for b in svd_basis(group, window)])
     assert len(new) == len(old)
     assert np.max(np.abs(new.T @ new.conj() - old.T @ old.conj())) < AGREE
+    assert compact.verify_umegaki(group, window).details["fixed_point_rank"] == len(old)
 
 
-def test_matrix_unit_stacks_stop_at_the_cap():
-    with pytest.raises(SupportTooLarge):
-        compact.fixed_point_basis(on_sites(2, 7), Window(2, 7))
-    with pytest.raises(SupportTooLarge):
-        compact.verify_umegaki(on_sites(2, 7), Window(2, 7))
+def test_orbit_labels_of_a_list_are_the_orbits_of_the_group_it_generates():
+    # the 3-cycle (2 3 1) alone generates A_3: the same labels as the whole A_3
+    window, group = Window(2, 3), enumerate_group(3)
+    cycle = [g for g in group if g.image == (2, 3, 1)]
+    a3 = [g for g in group if g.image in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+    assert np.array_equal(compact.orbit_labels(cycle, window), compact.orbit_labels(a3, window))
+    assert not compact.verify_umegaki(cycle, window).passed
+    assert compact.verify_umegaki(a3, window).details["average_defect"] == 0.0
 
 
-# ---- the batched checks against the probe loops ---------------------------
+# ---- the orbit-label checks against the probe loops ----------------------
 
 @pytest.mark.parametrize("w", SMALL, ids=_id)
 def test_umegaki_agrees_with_the_probe_loop(w):
     d, N, k = w
     window, group = Window(d, N), on_sites(k, N)
-    new = compact.verify_umegaki(group, window, seed=3)
+    new = compact.verify_umegaki(group, window)
     old = loop_umegaki(group, window, seed=3)
-    assert new.passed
-    for key in ("idempotence", "unitality", "positivity_defect", "faithfulness_min"):
-        assert abs(new.details[key] - old[key]) < AGREE, key
-    assert new.details["module"] >= old["module"] - AGREE
+    assert new.passed and new.residual == 0.0 and new.witness is None
+    assert new.details["average_defect"] == 0.0
     assert new.details["fixed_point_rank"] == old["fixed_point_rank"]
 
 
-def _planted_basis(group, window, index=5):
-    """The orbit basis with one element past the fourth replaced by a matrix
-    unit that the group moves."""
-    basis = list(compact.fixed_point_basis(group, window))
-    D = window.total_dim
-    unit = np.zeros((D, D))
-    unit[0, 1] = 1.0
-    basis[index] = LocalOperator(window, unit)
-    return basis
+def sublists(group, count=3, seed=0):
+    """The group less each non-identity element, then seeded sublists."""
+    out = [group[:i] + group[i + 1:] for i, g in enumerate(group) if not g.is_identity()]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        keep = rng.choice(len(group), int(rng.integers(1, len(group))), replace=False)
+        out.append([group[i] for i in sorted(keep)])
+    return out
 
 
-@pytest.mark.parametrize("w", [(2, 2, 1), (2, 2, 2), (2, 3, 3)], ids=_id)
-def test_module_bound_dominates_the_all_unit_probe_form(monkeypatch, w):
+@pytest.mark.parametrize("w", SMALL, ids=_id)
+def test_umegaki_verdict_on_sublists_is_the_probe_loop_verdict(w):
     d, N, k = w
     window, group = Window(d, N), on_sites(k, N)
-    probes = states.matrix_unit_probes(window)
-    for basis in (compact.fixed_point_basis(group, window), _planted_basis(group, window)):
-        monkeypatch.setattr(compact, "fixed_point_basis", lambda group, window: basis)
-        new = compact.verify_umegaki(group, window).details["module"]
-        assert new >= loop_module(group, basis, probes) - AGREE
+    for sub in sublists(group, seed=d * N * k):
+        new = compact.verify_umegaki(sub, window)
+        assert new.passed == loop_umegaki_passes(sub, window), [g.image for g in sub]
+        if new.passed:
+            assert new.details["average_defect"] == 0.0
+        else:
+            # the witness unit's own average against its orbit mean 1_O / |O|
+            i, j = new.witness["entry"]
+            unit = np.zeros((window.total_dim,) * 2)
+            unit[i, j] = 1.0
+            mean = orbit_basis(sub, window)[compact.orbit_labels(sub, window)[i, j]]
+            gap = list_average(sub, LocalOperator(window, unit)).matrix - mean * mean[i, j]
+            assert abs(np.linalg.norm(gap) - new.residual) < AGREE
 
 
-def test_module_defect_past_the_fourth_basis_element_fails(monkeypatch):
-    # the sampled form saw four basis elements and column-0 probes only
-    window, group = Window(2, 3), on_sites(3, 3)
-    basis = _planted_basis(group, window)
-    probes = states.matrix_unit_probes(window)
-    assert loop_module(group, basis[:4], probes[::len(probes) // 8]) < compact.UMEGAKI_TOL
-    monkeypatch.setattr(compact, "fixed_point_basis", lambda group, window: basis)
+@pytest.mark.parametrize("which", ["merged", "split"])
+def test_planted_labels_fail_umegaki_at_the_planted_entry(monkeypatch, which):
+    window, group = Window(2, 3), enumerate_group(3)
+    labels = compact.orbit_labels(group, window)
+    planted = labels.copy()
+    if which == "merged":
+        # e_00 is fixed by every g; give it the label of the three-unit orbit of e_01
+        planted[0, 0] = labels[0, 1]
+        entry = [0, 0]
+    else:
+        # e_02 leaves the three-unit orbit {e_01, e_02, e_04} for a label of its own
+        planted[0, 2] = labels.max() + 1
+        entry = [0, 2]
+    assert (labels == labels[0, 1]).sum() == 3 and labels[0, 2] == labels[0, 4] == labels[0, 1]
+    monkeypatch.setattr(compact, "orbit_labels", lambda group, window: planted)
     out = compact.verify_umegaki(group, window)
     assert not out.passed
-    assert out.details["module"] > 0.1
+    assert out.witness == {"entry": entry}
+    # merged: |E(e_00) - (e_00 + 1_O) / 4|_F = sqrt(3/4); split: |1_O / 3 - e_02|_F = sqrt(2/3)
+    assert out.residual == pytest.approx(np.sqrt(0.75 if which == "merged" else 2 / 3))
 
 
 @pytest.mark.parametrize("w", [(2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 1)],
@@ -254,8 +303,40 @@ def test_projective_family_agrees_with_the_probe_loop(w):
     small = [g for g in big if g(k + 1) == k + 1]
     new = compact.projective_family_check(small, big, window)
     old = loop_projective(small, big, window)
-    assert new.passed
-    for key in ("double_average", "range_absorption"):
-        assert abs(new.details[key] - old[key]) < AGREE, key
+    assert new.passed and new.residual == 0.0
+    assert old["double_average"] < AGREE and old["range_absorption"] < AGREE
     for key in ("rank_small", "rank_big"):
         assert new.details[key] == old[key], key
+
+
+@pytest.mark.parametrize("w", SMALL, ids=_id)
+def test_projective_verdict_on_sublists_is_the_probe_loop_verdict(w):
+    # the stabilizer of the last site, within each list, under that list; the
+    # loop form of the law also asks both averages to be conditional expectations
+    # (alone it passes {e} under S_3 less (2 1 3), whose average is none)
+    d, N, k = w
+    window, group = Window(d, N), on_sites(k, N)
+    for big in [group, *sublists(group, seed=d * N * k)]:
+        small = [g for g in big if g(k) == k]
+        if not small:
+            continue
+        new = compact.projective_family_check(small, big, window)
+        old = (loop_umegaki_passes(big, window) and loop_umegaki_passes(small, window)
+               and loop_projective_passes(small, big, window))
+        assert new.passed == old, [g.image for g in big]
+        if new.passed:
+            assert new.details["average_defect_small"] == new.details["average_defect_big"] == 0.0
+
+
+def test_an_open_small_list_under_a_closed_big_list_fails_projectivity():
+    # E_big absorbs every element of S_3, so E_big E_small = E_big holds for
+    # the list less (3 2 1) too, and the probe loop passed it; its own average
+    # is no conditional expectation
+    window, big = Window(2, 3), enumerate_group(3)
+    small = big[:-1]
+    assert loop_projective_passes(small, big, window)
+    out = compact.projective_family_check(small, big, window)
+    assert not out.passed
+    assert out.details["average_defect_big"] == 0.0
+    assert out.witness["list"] == "small"
+    assert out.residual == compact.verify_umegaki(small, window).residual

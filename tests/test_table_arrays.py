@@ -295,7 +295,7 @@ def trivial_case(N, seed):
     centered = h - compact.haar_average(group, LocalOperator(window, h)).matrix
     kinv = np.eye(window.total_dim) + 0.5 * centered / max(1.0, matcore.operator_norm(centered))
     phi_G = states.homogeneous_state(2, N, np.eye(2) / 2)
-    return compact.converse_construct(phi_G, LocalOperator(window, matcore.inv(kinv)), group)
+    return compact.converse_construct(phi_G, LocalOperator(window, kinv), group)
 
 
 def markov_case(N, seed):
