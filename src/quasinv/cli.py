@@ -213,7 +213,7 @@ def _run_product(cfg):
         T = _plant_defect(T, cfg.defect)
     checks = [
         _check(cocycle.verify_normalization(T, tol=cfg.tol)),
-        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol)),
+        _guarded_check("cocycle_law", cfg.tol, lambda: cocycle.verify_cocycle_law(T, tol=cfg.tol)),
         _check(cocycle.verify_inverse_relation(T, tol=cfg.tol)),
         _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
         _check(cocycle.verify_strong(T, phi, tol=cfg.tol)),
@@ -245,7 +245,7 @@ def _run_markov(cfg):
         _check(cocycle._report("sandwich_identity", sandwich, cfg.tol)),
         _check(cocycle._report("x_equals_y_y_star", cross, cfg.tol)),
         _check(cocycle.verify_normalization(T, tol=cfg.tol)),
-        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol)),
+        _guarded_check("cocycle_law", cfg.tol, lambda: cocycle.verify_cocycle_law(T, tol=cfg.tol)),
         _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
         _check(cocycle.verify_strong(T, phi, tol=cfg.tol)),
     ]
@@ -266,7 +266,7 @@ def _run_trivial(cfg):
     local = cocycle.locally_trivial_check(T, [cfg.n_sites], tol=cfg.tol)[0]
     checks = [
         _check(cocycle.verify_normalization(T, tol=cfg.tol)),
-        _check(cocycle.verify_cocycle_law(T, tol=cfg.tol)),
+        _guarded_check("cocycle_law", cfg.tol, lambda: cocycle.verify_cocycle_law(T, tol=cfg.tol)),
         _check(cocycle.verify_inverse_relation(T, tol=cfg.tol)),
         _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
         _check(local),

@@ -123,11 +123,10 @@ def verify_umegaki(group, window, tol=UMEGAKI_TOL):
 
 
 def kappa(T):
-    """The group average of the cocycle entries; hermitean, positive and
-    invertible whenever the table is strong."""
+    """The hermitean part of T.mean, the group average of the cocycle entries;
+    hermitean, positive and invertible whenever the table is strong."""
     require_strong_entries(T, PASS_TOL)
-    avg = _tree_sum(T.stack.copy()) / len(T.group)
-    return LocalOperator(T.window, (avg + avg.conj().T) / 2.0)
+    return LocalOperator(T.window, (T.mean + T.mean.conj().T) / 2.0)
 
 
 def intrinsic_entry(phi, g):

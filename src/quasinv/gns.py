@@ -13,7 +13,7 @@ matrix: the representation keeps W, pi(a) is a itself, and U_g is the pair
 The gram adjoint of U_g is b -> g^-1(b) t_g with t_g = g^-1(W s_g*) W^-1, so
 U_g# U_g is right multiplication by 1 + C_g, C_g = g^-1(s_g W s_g*) W^-1 - 1.
 Each identity of the covariant representation is then one D x D defect whose
-operator norm equals the D^2 x D^2 residual:
+operator norm equals (for the group law: bounds) the D^2 x D^2 residual:
 
     gram-unitarity    U_g# U_g = 1                ||C_g||
     group law         U_g U_h = U_{gh}            ||g(s_h) s_g - s_{gh}||
@@ -119,20 +119,22 @@ def _gram_defect(R, Ug):
 
 
 def verify_unitaries(R, U, group, tol=GNS_TOL):
-    """Gram-unitarity, the group law, and U_g# = U_{g^-1}."""
-    mul, inv = lattice.group_table(group)
+    """Gram-unitarity, U_g# = U_{g^-1}, and g(s_h) s_g = s_{gh}, bounded as in
+    cocycle.verify_cocycle_law by the coboundary g(sigma^-1) sigma, sigma = mean s_g."""
+    inv = lattice.group_table(group)[1]
     Q = lattice.group_index(group, R.window)
     s = [U[g.image].s.matrix for g in group]
-    unit = law = adj = 0.0
+    sigma_inv = matcore.inv(sigma := sum(s) / len(s))
+    unit = adj = delta = norm = 0.0
     for i, g in enumerate(group):
         unit = max(unit, matcore.operator_norm(_gram_defect(R, U[g.image])))
         adj = max(adj, matcore.operator_norm(_sharp_factor(R, U[g.image]) - s[inv[i]]))
-    for i in range(len(group)):
-        for j in range(len(group)):
-            law = max(law, matcore.operator_norm(gather(s[j], Q[i]) @ s[i] - s[mul[i, j]]))
+        delta = max(delta, matcore.operator_norm(s[i] - gather(sigma_inv, Q[i]) @ sigma))
+        norm = max(norm, matcore.operator_norm(s[i]))
+    law = delta * (1.0 + 2.0 * (norm + delta) + delta)
     resid = max(unit, law, adj)
     return {"unitarity": unit, "group_law": law, "adjoint": adj, "residual": resid,
-            "pass": resid <= tol}
+            "pass": resid <= tol, "delta": delta}
 
 
 def _probe_scale(probes):

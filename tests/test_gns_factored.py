@@ -4,9 +4,9 @@
 W^T (x) 1, pi(a) = 1 (x) a and U_g = (P_g* s_g)^T (x) P_g, with P_g the dense
 permutation unitary, and the verifiers as operator norms of D^2 x D^2
 residuals.  It is kept only as the oracle: every factored residual must
-equal it to round-off (the lifted average must bound it from above), with
-the same verdicts on clean tables, on tables with a planted entry defect
-and on tables that are not strong.
+equal it to round-off (the lifted average and the certified group law must
+bound it from above), with the same verdicts on clean tables, on tables with
+a planted entry defect and on tables that are not strong.
 """
 
 import numpy as np
@@ -161,8 +161,10 @@ def both(phi, T, probes):
 
 def assert_agree(factored, oracle):
     (unit, cov, lift), (unit_d, cov_d, lift_d) = factored, oracle
-    for key in ("unitarity", "group_law", "adjoint", "residual"):
+    for key in ("unitarity", "adjoint"):
         assert abs(unit[key] - unit_d[key]) <= MATCH, (key, unit[key], unit_d[key])
+    for key in ("group_law", "residual"):
+        assert unit[key] >= unit_d[key] - MATCH, (key, unit[key], unit_d[key])
     assert abs(cov["residual"] - cov_d["residual"]) <= MATCH
     assert lift["residual"] >= lift_d["residual"] - MATCH
     for f, o in zip(factored, oracle):

@@ -4,9 +4,13 @@ The group arrays (product table, inverses, index arrays) are checked
 against Permutation.compose, Permutation.inverse and the per-element index
 map built by transposing tensor axes.  The table verifiers, which read the
 (|G|, D, D) stack through these arrays, are checked against their former
-per-pair forms, kept here only as oracles: on D <= 16 tables, clean and with
-a planted defect, residuals agree to 1e-12 and verdicts and witnesses are
-equal.
+per-pair forms, kept here only as oracles, on D <= 16 tables, clean and with
+a planted defect.  Where a check reads every element, residuals agree to
+1e-12 and verdicts and witnesses are equal.  Where it certifies all |G|^2
+pairs from |G| entries (the cocycle law, the commutators of the strong
+bundle, the GNS group law), its residual is an upper bound: it must be at
+least the exact per-pair residual, with the same verdict, and a failing
+witness must hold the planted element.
 """
 
 import numpy as np
@@ -345,11 +349,26 @@ def assert_same(rep, want, witness):
     assert rep.witness == (witness if want > TOL else None)
 
 
+def planted_element(T):
+    return list(next(g for g in T.group if not g.is_identity()).image)
+
+
+def assert_bounds_law(rep, want, T, eps):
+    """The certified law residual bounds the exact one, with the same verdict;
+    a failing witness is a pair that holds the planted element."""
+    assert rep.residual >= want
+    assert rep.passed == (want <= TOL)
+    assert rep.details["method"] == "certificate"
+    assert (rep.witness is None) == rep.passed
+    if eps:
+        assert planted_element(T) in rep.witness.values()
+
+
 @pytest.mark.parametrize("eps", EPS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_table_laws_match_the_per_pair_forms(name, eps):
     phi, T = case(name, eps)
-    assert_same(cocycle.verify_cocycle_law(T, tol=TOL), *old_cocycle_law(T))
+    assert_bounds_law(cocycle.verify_cocycle_law(T, tol=TOL), old_cocycle_law(T)[0], T, eps)
     assert_same(cocycle.verify_inverse_relation(T, tol=TOL), *old_inverse_relation(T))
     assert_same(cocycle.power_relation_check(T, tol=TOL), *old_power_relation(T))
     if eps:
@@ -431,19 +450,26 @@ def test_power_relation_defers_the_error_of_an_inverse_met_early(s_list):
 @pytest.mark.parametrize("name", sorted(ROTATED))
 def test_laws_on_non_hermitean_tables_match_the_per_pair_forms(name, eps):
     phi, T = case(name, eps)
-    assert_same(cocycle.verify_cocycle_law(T, tol=TOL), *old_cocycle_law(T))
+    assert_bounds_law(cocycle.verify_cocycle_law(T, tol=TOL), old_cocycle_law(T)[0], T, eps)
     assert_same(cocycle.verify_inverse_relation(T, tol=TOL), *old_inverse_relation(T))
 
 
 @pytest.mark.parametrize("eps", EPS)
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(ROTATED))
 def test_strong_bundle_matches_the_per_pair_form(name, eps):
+    # the hermitean plant commutes with the diagonal entries of CASES; a
+    # failing witness is a pair of entries that do not commute
     phi, T = case(name, eps)
     rep = cocycle.verify_strong(T, phi, tol=TOL)
-    herm, comm, witness = old_strong_parts(T)
+    herm, comm, _ = old_strong_parts(T)
     assert abs(rep.details["hermiticity"] - herm) <= AGREE
-    assert abs(rep.details["commutators"] - comm) <= AGREE
-    assert rep.witness == (witness if comm > TOL else None)
+    assert rep.details["commutators"] >= comm
+    assert (rep.details["commutators"] > TOL) == (comm > TOL)
+    if comm > TOL:
+        xg, xh = (T.entries[tuple(rep.witness[k])].matrix for k in ("g", "h"))
+        assert matcore.operator_norm(xg @ xh - xh @ xg) > TOL
+    else:
+        assert rep.witness is None
     if name in ROTATED:
         assert comm > TOL and herm > TOL
 
@@ -496,7 +522,9 @@ def test_gns_unitaries_match_the_per_pair_forms(name, eps):
         assert np.array_equal(U[g.image].s.matrix, want[g.image])
     got = gns.verify_unitaries(R, U, T.group)
     unit, law, adj = old_verify_unitaries(R, U, T.group)
-    assert (got["unitarity"], got["group_law"], got["adjoint"]) == (unit, law, adj)
+    assert (got["unitarity"], got["adjoint"]) == (unit, adj)
+    assert got["group_law"] >= law
+    assert (got["group_law"] <= gns.GNS_TOL) == (law <= gns.GNS_TOL)
     if eps:
         assert law > gns.GNS_TOL
 
