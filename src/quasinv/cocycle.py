@@ -24,7 +24,7 @@ all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law, verify_strong)
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -248,7 +248,9 @@ def verify_strong(T, phi, probes=None, tol=None):
     """The strong-case bundle: hermiticity, positivity, pairwise commutation,
     centralizer membership, and the bounds [S1, S2] of every Spec(x_g).  With
     V* x_g V = D_g + E_g (diagonal, off-diagonal) in the eigenbasis V of a seeded
-    combination, ||[x_g, x_h]|| <= 2 (|D_g| |E_h| + |E_g| |D_h| + |E_g| |E_h|)."""
+    combination, ||[x_g, x_h]|| <= 2 (|D_g| |E_h| + |E_g| |D_h| + |E_g| |E_h|).
+    Witness: a non-commuting pair {g, h}; else {g, part}, the worst entry of the
+    first failing part (hermiticity, positivity, centralizer)."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     herm = max(f.herm for f in T.facts)
     s1 = min(float(f.eig[0]) for f in T.facts)
@@ -260,7 +262,8 @@ def verify_strong(T, phi, probes=None, tol=None):
         y - np.diag(np.diagonal(y)))) for y in (V.conj().T @ x_g @ V for x_g in x)]).T
     comm = float(np.triu(2.0 * (np.outer(diag, off) + np.outer(off, diag + off)), 1).max())
     W = states.full_density(phi)
-    centr = max(states.centralizer_residual(W, x, probes) for x in T.stack)
+    centrs = [states.centralizer_residual(W, x, probes) for x in T.stack]
+    centr = max(centrs)
     resid = max(herm, comm, centr)
     positive = s1 > 0.0
     details = {
@@ -278,6 +281,11 @@ def verify_strong(T, phi, probes=None, tol=None):
         exact = [matcore.operator_norm(x[k] @ y - y @ x[k]) for y in x]
         g, h = (list(T.group[i].image) for i in sorted((k, int(np.argmax(exact)))))
         witness = {"g": g, "h": h} if max(exact) > tol else None
+    for part, r, fails in (("hermiticity", [f.herm for f in T.facts], herm > tol),
+                           ("positivity", [-f.eig[0] for f in T.facts], not positive),
+                           ("centralizer", centrs, centr > tol)):
+        if witness is None and fails:
+            witness = {"g": list(T.group[int(np.argmax(r))].image), "part": part}
     return _report("strong_quasi_invariance", resid, tol, witness=witness, details=details, passed=passed)
 
 
@@ -375,27 +383,32 @@ def locally_trivial_check(T, window_sizes, tol=None):
 
 
 def power_relation_check(T, s_list=(0.5, 1.0, 2.0), tol=None):
-    """max over g and s of || x_g^-s - g^-1(x_{g^-1}^s) ||.  The relations of g
-    and g^-1 read the same two entries: taken together, each entry is decomposed
-    once.  Errors are kept and the first in group order is raised."""
+    """max over g and s of || x_g^-s - g^-1(x_{g^-1}^s) || = || L^-s - M L'^s M* ||
+    for x_g = V L V*, x_{g^-1} = V' L' V'* and M = V* g^-1(V'), g^-1 a row gather
+    of V' (it commutes with functional calculus); s = 0 gives 0 undecomposed.
+    Taken together with g^-1, each entry is decomposed once, each M formed once.
+    Errors are kept and the first in group order is raised."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     inv, x = lattice.group_table(T.group)[1], T.stack
     Q = lattice.group_index(T.group, T.window)
     resid = [None] * len(x)
-    for i, j in enumerate(inv):
+    for i, j in enumerate(inv.tolist()):
         if j < i:
             continue
-        spectra = {}
+        spectrum = cache(lambda k: matcore.spectral_decompose(x[k], facts=T.facts[k]))
+        overlap = cache(lambda a, b: spectrum(a)[1].conj().T @ spectrum(b)[1][Q[b]])
 
-        def power(k, s):
-            if s and k not in spectra:
-                spectra[k] = matcore.spectral_decompose(x[k], facts=T.facts[k])
-            return matcore.matrix_power(x[k], s, spectrum=spectra.get(k))
+        def residual(a, b, s):
+            mu = matcore.spectral_power(spectrum(a)[0], -s)
+            nu = matcore.spectral_power(spectrum(b)[0], s)
+            M = overlap(a, b)
+            R = (M * nu) @ M.conj().T
+            R.flat[::len(R) + 1] -= mu
+            return matcore.operator_norm(R)
 
         for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
             try:
-                resid[a] = [matcore.operator_norm(power(a, -s) - gather(power(b, s), Q[b]))
-                            for s in s_list]
+                resid[a] = [residual(a, b, s) if s else 0.0 for s in s_list]
             except QuasinvError as exc:
                 resid[a] = exc
     worst, witness = 0.0, None

@@ -33,28 +33,16 @@ def herm_defect(A):
 
 
 def operator_norm(A):
-    """Largest singular value of A."""
+    """Largest singular value of A: sv[0] of np.linalg.norm(A, 2)'s own SVD."""
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
-
-
-def _fix_phases(V):
-    # make the largest-magnitude component of each eigenvector real positive,
-    # so repeated runs on identical input give identical output
-    V = np.array(V, dtype=complex)
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        j = int(np.argmax(np.abs(col)))
-        pivot = col[j]
-        if abs(pivot) > 0:
-            V[:, k] = col * (abs(pivot) / pivot)
-    return V
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def spectral_decompose(H, facts=None):
-    """Eigenvalues (ascending) and a unitary of eigenvectors for hermitian H.
+    """Eigenvalues (ascending) and a unitary V of eigenvectors for hermitian H,
+    as eigh gives them, with no phase convention: read only what no column phase moves.
 
     Raises NotHermitian when the input fails the hermiticity tolerance.  The
     Facts of H already at hand supply its norm and hermiticity defect.
@@ -65,31 +53,30 @@ def spectral_decompose(H, facts=None):
     if not f.hermitean:
         raise NotHermitian(
             f"hermiticity defect {f.herm:.3e} exceeds {TAU_HERM:.1e} * {max(f.norm, 1.0):.3e}")
-    Hs = (H + dagger(H)) / 2.0
-    lam, V = np.linalg.eigh(Hs)
-    return lam, _fix_phases(V)
+    return np.linalg.eigh((H + dagger(H)) / 2.0)
+
+
+def spectral_power(lam, s):
+    """lam^s for the spectrum of a positive hermitian matrix.  NotPositive unless
+    min lam clears TAU_ABS, where s < 0 or not an integer (else no inversion)."""
+    needs_floor = (s != int(s)) or (s < 0)
+    if needs_floor and lam.min() <= TAU_ABS:
+        raise NotPositive(f"min eigenvalue {lam.min():.3e} <= floor tolerance {TAU_ABS:.1e}")
+    return np.power(lam if needs_floor else lam.astype(complex), float(s))
 
 
 def matrix_power(P, s, spectrum=None):
-    """Spectral power P^s for positive hermitian P and real s.
+    """Spectral power V spectral_power(lam, s) V* for positive hermitian P, real s.
 
-    The output is symmetrized to (M + M*)/2 to kill round-off asymmetry.
-    matrix_power(P, 0) is the identity; matrix_power(P, 1) returns P's
-    hermitian part.  Raises NotPositive when the minimum eigenvalue does
-    not clear TAU_ABS (s = 0 and positive integer s excepted,
-    where no spectral inversion is involved).  A `spectrum` (lam, V) =
-    spectral_decompose(P) already at hand lets one decomposition serve
-    several powers.
+    Symmetrized to (M + M*)/2 against round-off asymmetry.  matrix_power(P, 0) is
+    the identity, undecomposed; matrix_power(P, 1) is P's hermitian part.  A
+    `spectrum` (lam, V) = spectral_decompose(P) at hand serves several powers.
     """
     P = np.asarray(P, dtype=complex)
     if s == 0:
         return np.eye(P.shape[0], dtype=complex)
     lam, V = spectral_decompose(P) if spectrum is None else spectrum
-    needs_floor = (s != int(s)) or (s < 0)
-    if needs_floor and lam.min() <= TAU_ABS:
-        raise NotPositive(f"min eigenvalue {lam.min():.3e} <= floor tolerance {TAU_ABS:.1e}")
-    mu = np.power(lam.astype(complex) if not needs_floor else lam, float(s))
-    M = (V * mu) @ dagger(V)
+    M = (V * spectral_power(lam, s)) @ dagger(V)
     return (M + dagger(M)) / 2.0
 
 

@@ -128,7 +128,8 @@ def test_a_non_commuting_hermitean_plant_fails_strong():
 def test_a_commuting_non_normal_plant_fails_closed_without_a_witness():
     # x + eps e_{0,-1} still commutes with every diagonal entry whose corner
     # entries agree, but no unitary basis diagonalizes it: the bound fails,
-    # and with no non-commuting pair there is none to name
+    # and with no non-commuting pair there is no pair to name; the witness is
+    # the entry that fails hermiticity
     phi, T = product_table(3, 2)
     corner = np.zeros((8, 8))
     corner[0, -1] = 1e-3
@@ -136,7 +137,33 @@ def test_a_commuting_non_normal_plant_fails_closed_without_a_witness():
     _, exact, _ = old_strong_parts(planted)
     rep = cocycle.verify_strong(planted, phi)
     assert exact <= rep.tolerance < rep.details["commutators"]
-    assert not rep.passed and rep.witness is None
+    assert not rep.passed
+    assert rep.witness == {"g": list(T.group[1].image), "part": "hermiticity"}
+
+
+def test_a_negated_entry_is_named_as_the_positivity_witness():
+    # -x_k is hermitean, commutes with the diagonal entries and with W: only
+    # positivity fails, at the entry with the least eigenvalue
+    phi, T = product_table(3, 3)
+    planted = with_entry(T, 4, lambda x: -x)
+    rep = cocycle.verify_strong(planted, phi)
+    assert not rep.passed and rep.details["min_eig"] < 0.0
+    assert rep.details["hermiticity"] <= rep.tolerance >= rep.details["commutators"]
+    assert rep.witness == {"g": list(T.group[4].image), "part": "positivity"}
+
+
+def test_an_entry_off_the_centralizer_is_named_as_the_centralizer_witness():
+    # the rotated table is strong, but the unrotated state's W does not commute
+    # with its entries: only centralizer membership fails
+    u = np.linalg.qr(matcore.random_matrix(2, seed=8))[0]
+    _, T = product_table(3, 9, rotation=u)
+    phi, _ = product_table(3, 9)
+    rep = cocycle.verify_strong(T, phi)
+    assert not rep.passed and rep.details["centralizer"] > rep.tolerance
+    assert max(rep.details["hermiticity"], rep.details["commutators"]) <= rep.tolerance
+    W = states.full_density(phi)
+    worst = int(np.argmax([states.centralizer_residual(W, x) for x in T.stack]))
+    assert rep.witness == {"g": list(T.group[worst].image), "part": "centralizer"}
 
 
 def test_a_rotated_commuting_table_passes_strong():

@@ -103,6 +103,17 @@ def test_planted_defect_sits_on_the_first_moved_entry(tmp_path):
     assert [1, 3, 2] in by_name["cocycle_law"]["witness"].values()
 
 
+@pytest.mark.parametrize("n_sites, planted", [(3, [1, 3, 2]), (4, [1, 2, 4, 3])])
+def test_strong_check_names_the_planted_entry(tmp_path, n_sites, planted):
+    # the plant breaks hermiticity, and its entry is the first moved element
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", "product", "--n-sites", str(n_sites),
+                    "--defect", "1e-3", "--out", str(out)]) == 1
+    by_name = {c["name"]: c for c in read_report(out)["checks"]}
+    assert by_name["inverse_relation"]["witness"]["g"] == planted
+    assert by_name["strong_quasi_invariance"]["witness"] == {"g": planted, "part": "hermiticity"}
+
+
 def test_tiny_defect_below_tolerance_still_passes(tmp_path):
     out = tmp_path / "r.json"
     rc = run_cli(["run", "--scenario", "product", "--defect", "1e-13",

@@ -3,13 +3,16 @@
 Expected values are either asserted directly (identities, diagonal inputs)
 or checked against independent oracles: eigen-reconstruction, scalar powers
 of diagonal entries, and sqrt(max eig of A*A) for the operator norm.
+spectral_decompose fixes no phase of its eigenvectors: what it promises is
+an orthonormal V that reconstructs H, and the same V on the same input.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasinv import matcore
+from quasinv import cocycle, gns, matcore, states
+from quasinv.lattice import enumerate_group
 from quasinv.errors import FloorTooLarge, NotHermitian, NotPositive
 
 
@@ -45,6 +48,52 @@ def test_spectral_decompose_deterministic():
     lam2, V2 = matcore.spectral_decompose(H.copy())
     assert np.array_equal(lam1, lam2)
     assert np.array_equal(V1, V2)
+
+
+SPECTRAL_INPUTS = {
+    "random": lambda: matcore.random_hermitian(9, seed=31),
+    "density": lambda: matcore.random_density(6, 0.05, seed=32),
+    # a product-state cocycle entry: diagonal, with repeated eigenvalues
+    "degenerate": lambda: cocycle.product_state_cocycle(
+        states.product_state(2, [np.diag([0.3, 0.7])] * 3), enumerate_group(3)).stack[1],
+    "identity": lambda: np.eye(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_INPUTS))
+def test_spectral_decompose_gives_an_orthonormal_reconstructing_basis(name):
+    H = np.asarray(SPECTRAL_INPUTS[name](), dtype=complex)
+    lam, V = matcore.spectral_decompose(H)
+    scale = max(matcore.operator_norm(H), 1.0)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert matcore.operator_norm(V.conj().T @ V - np.eye(len(H))) < 1e-12
+    assert matcore.operator_norm(H - (V * lam) @ V.conj().T) < 1e-12 * scale
+
+
+def test_build_unitaries_is_byte_identical_across_calls():
+    rng = np.random.Generator(np.random.Philox(41))
+    u = np.linalg.qr(matcore.random_matrix(2, seed=42))[0]
+    weights = []
+    for _ in range(3):
+        w = rng.uniform(0.2, 0.8, size=2)
+        weights.append(u @ np.diag(w / w.sum()) @ u.conj().T)
+    phi = states.product_state(2, weights)
+    R = gns.build_gns(phi)
+    first = gns.build_unitaries(R, cocycle.product_state_cocycle(phi, enumerate_group(3)))
+    again = gns.build_unitaries(R, cocycle.product_state_cocycle(phi, enumerate_group(3)))
+    assert first.keys() == again.keys()
+    for g in first:
+        assert first[g].s.matrix.tobytes() == again[g].s.matrix.tobytes()
+
+
+def test_spectral_power_holds_the_floor_rule():
+    lam = np.array([0.0, 0.5, 2.0])
+    assert np.array_equal(matcore.spectral_power(lam, 2), np.array([0.0, 0.25, 4.0]))
+    assert matcore.spectral_power(lam, 2).dtype == complex
+    for s in (-1, 0.5, -0.5):
+        with pytest.raises(NotPositive):
+            matcore.spectral_power(lam, s)
+    assert np.array_equal(matcore.spectral_power(lam[1:], -1), np.array([2.0, 0.5]))
 
 
 def test_matrix_power_diagonal_sqrt():
@@ -99,6 +148,27 @@ def test_operator_norm_matches_gram_eigenvalue():
     # oracle: sqrt of the largest eigenvalue of A*A
     top = np.linalg.eigvalsh(A.conj().T @ A)[-1]
     assert abs(matcore.operator_norm(A) - np.sqrt(top)) < 1e-12
+
+
+NORM_INPUTS = {
+    "random": lambda: matcore.random_matrix(7, seed=21),
+    "real": lambda: matcore.random_matrix(5, seed=22).real,
+    "diagonal": lambda: np.diag([0.25, -3.0, 1.5, 0.0]),
+    "rank-deficient": lambda: np.outer(matcore.random_matrix(6, seed=23)[:, 0],
+                                       matcore.random_matrix(6, seed=24)[0]),
+    "hermitean": lambda: matcore.random_hermitian(8, seed=25),
+    "empty": lambda: np.zeros((0, 0), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_INPUTS))
+def test_operator_norm_is_the_two_norm_bit_for_bit(name):
+    A = NORM_INPUTS[name]()
+    got = matcore.operator_norm(A)
+    assert type(got) is float
+    assert got == float(np.linalg.norm(np.asarray(A, dtype=complex), 2))
+    if A.size:
+        assert got == matcore.facts(A).norm
 
 
 def test_operator_norm_submultiplicative():

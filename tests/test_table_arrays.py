@@ -410,6 +410,34 @@ def broken(T, changes):
 S_LISTS = [(0.5, 1.0, 2.0), (1.0, 2.0), (-1.0, 0.0, 2.0)]
 
 
+def rotated_strong_case(N, seed, d=2):
+    """diag_product with every weight turned to u w u* by one seeded unitary u:
+    the entries u^(x)N diag u^(x)N* are strong but not diagonal, so the
+    eigenbasis overlaps of the power relation are dense."""
+    u = np.linalg.qr(matcore.random_matrix(d, seed))[0]
+    phi = states.product_state(d, [u @ w @ u.conj().T for w in diag_product(N, seed, d).weights])
+    return cocycle.product_state_cocycle(phi, enumerate_group(N))
+
+
+ROTATED_STRONG = {
+    "rotated-strong-S3": lambda: rotated_strong_case(3, 11),
+    "rotated-strong-S4": lambda: rotated_strong_case(4, 12),
+    "rotated-strong-d3-S2": lambda: rotated_strong_case(2, 13, d=3),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+@pytest.mark.parametrize("name", sorted(ROTATED_STRONG))
+def test_power_relation_on_non_diagonal_strong_tables_matches_the_per_element_form(name, eps):
+    T = ROTATED_STRONG[name]()
+    assert max(matcore.operator_norm(x - np.diag(np.diag(x))) for x in T.stack) > 1e-2
+    T = plant(T, eps) if eps else T
+    assert_same(cocycle.power_relation_check(T, tol=TOL), *old_power_relation(T))
+    assert (old_power_relation(T)[0] > TOL) == bool(eps)
+    for s_list in S_LISTS:
+        assert_same_outcome(T, s_list)
+
+
 def test_power_relation_decomposes_each_entry_once(monkeypatch):
     _, T = product_case(4, 3)
     calls = []
@@ -418,6 +446,16 @@ def test_power_relation_decomposes_each_entry_once(monkeypatch):
                         lambda H, **kw: calls.append(1) or decompose(H, **kw))
     assert cocycle.power_relation_check(T).passed
     assert len(calls) == len(T.group)
+
+
+def test_power_relation_at_s_zero_is_exactly_zero_undecomposed(monkeypatch):
+    # x^0 = 1 on both sides, for any entry: nothing is decomposed, nothing raised
+    _, T = product_case(3, 2)
+    T = broken(T, [(1, "skewed"), (2, "negated")])
+    calls = []
+    monkeypatch.setattr(matcore, "spectral_decompose", lambda H, **kw: calls.append(1))
+    rep = cocycle.power_relation_check(T, (0.0,))
+    assert rep.residual == 0.0 and rep.passed and not calls
 
 
 @pytest.mark.parametrize("s_list", S_LISTS)
@@ -458,7 +496,8 @@ def test_laws_on_non_hermitean_tables_match_the_per_pair_forms(name, eps):
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(ROTATED))
 def test_strong_bundle_matches_the_per_pair_form(name, eps):
     # the hermitean plant commutes with the diagonal entries of CASES; a
-    # failing witness is a pair of entries that do not commute
+    # failing witness is a pair of entries that do not commute, or, with no
+    # such pair, the planted entry as the worst of a failing sub-law
     phi, T = case(name, eps)
     rep = cocycle.verify_strong(T, phi, tol=TOL)
     herm, comm, _ = old_strong_parts(T)
@@ -468,8 +507,10 @@ def test_strong_bundle_matches_the_per_pair_form(name, eps):
     if comm > TOL:
         xg, xh = (T.entries[tuple(rep.witness[k])].matrix for k in ("g", "h"))
         assert matcore.operator_norm(xg @ xh - xh @ xg) > TOL
-    else:
+    elif rep.passed:
         assert rep.witness is None
+    else:
+        assert rep.witness == {"g": planted_element(T), "part": rep.witness["part"]}
     if name in ROTATED:
         assert comm > TOL and herm > TOL
 
