@@ -40,7 +40,8 @@ SCENARIOS = {
 MAX_GROUP_DEGREE = 6  # 6! = 720, the enumeration cap
 MAX_CONVERGENCE_SITES = 20
 MAX_PAIRING_SITES = 6  # pairing_check forms the dense 2^N x 2^N window product
-TABLE_BYTES_CAP = 2**28  # the (|G|, D, D) complex table; markov n_sites 6 needs 189 MB
+# the (|G|, D, D) table at 16 bytes an entry, the complex worst case, whatever its dtype
+TABLE_BYTES_CAP = 2**28  # markov n_sites 6 needs 189 MB
 
 # the law each check verifies, keyed by check name (a locally_trivial[N=n]
 # check by its name before the bracket)

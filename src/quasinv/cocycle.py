@@ -64,9 +64,9 @@ class CocycleTable:
             missing = [g.image for g in self.group if g.image not in entries]
             if missing:
                 raise GroupNotClosed(f"no entry for {missing[0]}")
-            entries = np.array([entries[g.image].matrix for g in self.group], dtype=complex)
-        entries.flags.writeable = False
-        self.stack = entries
+            entries = np.array([entries[g.image].matrix for g in self.group])
+        self.stack = matcore.promote(entries)
+        self.stack.flags.writeable = False
 
     @cached_property
     def entries(self):
@@ -113,8 +113,8 @@ def _coboundary(group, window, kappa, kappa_inv, rows=None):
 
 
 def _coboundary_table(group, window, kappa, kappa_inv):
-    """The table x_g = kappa g^-1(kappa^-1), row by row into one stack."""
-    stack = np.empty((len(group), window.total_dim, window.total_dim), dtype=complex)
+    """The table x_g = kappa g^-1(kappa^-1), row by row into one stack in their dtype."""
+    stack = np.empty((len(group),) + kappa.shape, np.result_type(kappa, kappa_inv, np.float64))
     for i, _, x in _coboundary(group, window, kappa, kappa_inv):
         stack[i] = x
     return CocycleTable(group, stack, window)
@@ -333,7 +333,7 @@ def product_state_cocycle(phi, group):
 
 def solve_SW(W, z):
     """The solution x = W^-1 z of W x = x* W attached to a hermitean z."""
-    z = np.asarray(z, dtype=complex)
+    z = matcore.promote(z)
     if not matcore.facts(z).hermitean:
         raise NotHermitianZ("z must be hermitean")
     return matcore.inv(W) @ z
@@ -342,8 +342,7 @@ def solve_SW(W, z):
 def check_SW(W, x, tol=1e-10):
     """Whether x solves W x = x* W; returns (ok, residual, z) with z = W x,
     which is hermitean exactly when x is a solution."""
-    W = np.asarray(W, dtype=complex)
-    x = np.asarray(x, dtype=complex)
+    W, x = matcore.promote(W), matcore.promote(x)
     residual = matcore.operator_norm(W @ x - x.conj().T @ W)
     z = W @ x
     ok = residual <= tol and matcore.herm_defect(z) <= tol

@@ -36,15 +36,15 @@ GNS_TOL = 1e-9
 
 def vec(m):
     """Column-stacking vectorization."""
-    return np.asarray(m, dtype=complex).flatten(order="F")
+    return matcore.promote(m).flatten(order="F")
 
 
 def unvec(v, D):
-    return np.asarray(v, dtype=complex).reshape((D, D), order="F")
+    return matcore.promote(v).reshape((D, D), order="F")
 
 
 def _matrix(a):
-    return a.matrix if isinstance(a, LocalOperator) else np.asarray(a, dtype=complex)
+    return a.matrix if isinstance(a, LocalOperator) else matcore.promote(a)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class GnsRepresentation:
         frame acts on one index of the (D, D, D, D) reshape on each side."""
         D = self.D
         L = np.linalg.cholesky(self.W.T)
-        M4 = np.asarray(M, dtype=complex).reshape(D, D, D, D)
+        M4 = matcore.promote(M).reshape(D, D, D, D)
         out = np.einsum("ja,aibk,bl->jilk", L.conj().T, M4, np.linalg.inv(L.conj().T),
                         optimize=True)
         return out.reshape(D * D, D * D)
@@ -169,7 +169,7 @@ def lift_conditional_expectation(R, U, subgroup):
         factors.append((q, gather(Ug.s.dagger().matrix, q), _sharp_factor(R, Ug)))
 
     def lifted(X):
-        X = np.asarray(X, dtype=complex)
+        X = matcore.promote(X)
         total = 0.0
         for q, s_moved, t in factors:
             XU = right_apply(q, s_moved, X.conj().T).conj().T

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import matcore
 from .errors import GroupNotClosed, GroupTooLarge, SiteOutOfRange, SizeMismatch, SupportTooLarge
 
 TOTAL_DIM_CAP = 4096
@@ -37,7 +38,7 @@ class Window:
         return self.d ** self.N
 
     def identity(self):
-        return LocalOperator(self, np.eye(self.total_dim, dtype=complex))
+        return LocalOperator(self, np.eye(self.total_dim))
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class LocalOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = matcore.promote(self.matrix)
         if m.shape != (self.window.total_dim, self.window.total_dim):
             raise SizeMismatch(f"matrix shape {m.shape} does not match window dim {self.window.total_dim}")
         object.__setattr__(self, "matrix", m)
@@ -155,11 +156,11 @@ def _embed_block(window, n, k, b):
     """I (x) b (x) I with the d^k x d^k matrix b on the sites n, ..., n+k-1."""
     if not 1 <= n <= window.N - k + 1:
         raise SiteOutOfRange(f"sites {n}..{n + k - 1} outside [1, {window.N}]")
-    b, dk = np.asarray(b, dtype=complex), window.d ** k
+    b, dk = matcore.promote(b), window.d ** k
     if b.shape != (dk, dk):
         raise SizeMismatch(f"expected {dk}x{dk} block, got {b.shape}")
-    left = np.eye(window.d ** (n - 1), dtype=complex)
-    right = np.eye(window.d ** (window.N - n - k + 1), dtype=complex)
+    left = np.eye(window.d ** (n - 1))
+    right = np.eye(window.d ** (window.N - n - k + 1))
     return LocalOperator(window, np.kron(np.kron(left, b), right))
 
 

@@ -23,8 +23,8 @@ class WindowProductSequence:
     """The factors W_inf^-1 W_k with their matcore.Facts and deviations."""
 
     def __init__(self, W_inf, W_list):
-        self.W_inf = np.asarray(W_inf, dtype=complex)
-        self.W_list = [np.asarray(W, dtype=complex) for W in W_list]
+        self.W_inf = matcore.promote(W_inf)
+        self.W_list = [matcore.promote(W) for W in W_list]
         self.d = self.W_inf.shape[0]
         if not matcore.facts(self.W_inf).invertible:
             raise SingularWeight("reference weight is not invertible")

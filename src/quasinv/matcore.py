@@ -1,11 +1,11 @@
-"""Dense complex matrix kernel.
-
-Hermitian spectral decomposition, spectral functional calculus, operator
-norms, the per-matrix facts the strong-case checks read (singular values,
-hermiticity defect, hermitean-part spectrum, invertibility), and seeded
-random density matrices whose spectrum is bounded away from zero.
-Everything downstream funnels its linear algebra through this module so
-that tolerances live in one place.
+"""Dense matrix kernel, run in the dtype of its data: promote() lifts ints and
+float32 to float64 and complex64 to complex128 and demotes nothing, so real
+data takes the real LAPACK/BLAS kernels.  Hermitian spectral decomposition,
+spectral functional calculus, operator norms, the per-matrix facts the
+strong-case checks read (singular values, hermiticity defect, hermitean-part
+spectrum, invertibility), and seeded random density matrices whose spectrum is
+bounded away from zero.  Everything downstream funnels its linear algebra
+through this module so that tolerances live in one place.
 """
 
 from dataclasses import dataclass
@@ -21,6 +21,12 @@ TAU_REL = 1e-9     # relative residual for reconstructions
 TAU_ABS = 1e-12    # absolute residual (traces, normalization)
 
 
+def promote(a):
+    """a as an array of dtype result_type(a, float64): complex only where a is."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, np.float64), copy=False)
+
+
 def dagger(A):
     """Conjugate transpose."""
     return np.asarray(A).conj().T
@@ -34,7 +40,7 @@ def herm_defect(A):
 
 def operator_norm(A):
     """Largest singular value of A: sv[0] of np.linalg.norm(A, 2)'s own SVD."""
-    A = np.asarray(A, dtype=complex)
+    A = promote(A)
     if A.size == 0:
         return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[0])
@@ -47,7 +53,7 @@ def spectral_decompose(H, facts=None):
     Raises NotHermitian when the input fails the hermiticity tolerance.  The
     Facts of H already at hand supply its norm and hermiticity defect.
     """
-    H = np.asarray(H, dtype=complex)
+    H = promote(H)
     # the hermiticity rule reads only the norm and the defect
     f = Facts(np.array([operator_norm(H)]), herm_defect(H), None) if facts is None else facts
     if not f.hermitean:
@@ -62,7 +68,7 @@ def spectral_power(lam, s):
     needs_floor = (s != int(s)) or (s < 0)
     if needs_floor and lam.min() <= TAU_ABS:
         raise NotPositive(f"min eigenvalue {lam.min():.3e} <= floor tolerance {TAU_ABS:.1e}")
-    return np.power(lam if needs_floor else lam.astype(complex), float(s))
+    return np.power(lam, float(s))
 
 
 def matrix_power(P, s, spectrum=None):
@@ -72,9 +78,9 @@ def matrix_power(P, s, spectrum=None):
     the identity, undecomposed; matrix_power(P, 1) is P's hermitian part.  A
     `spectrum` (lam, V) = spectral_decompose(P) at hand serves several powers.
     """
-    P = np.asarray(P, dtype=complex)
+    P = promote(P)
     if s == 0:
-        return np.eye(P.shape[0], dtype=complex)
+        return np.eye(P.shape[0], dtype=P.dtype)
     lam, V = spectral_decompose(P) if spectrum is None else spectrum
     M = (V * spectral_power(lam, s)) @ dagger(V)
     return (M + dagger(M)) / 2.0
@@ -82,7 +88,7 @@ def matrix_power(P, s, spectrum=None):
 
 def inv(A):
     """Plain matrix inverse (not restricted to hermitian input)."""
-    return np.linalg.inv(np.asarray(A, dtype=complex))
+    return np.linalg.inv(promote(A))
 
 
 def random_density(dim, floor, seed):
@@ -141,6 +147,6 @@ class Facts:
 
 def facts(A):
     """The Facts of one matrix: two SVDs (A and A - A*) and one eigvalsh."""
-    A = np.asarray(A, dtype=complex)
+    A = promote(A)
     return Facts(np.linalg.svd(A, compute_uv=False), herm_defect(A),
                  np.linalg.eigvalsh((A + dagger(A)) / 2.0))

@@ -35,8 +35,7 @@ CDA_TOL = 1e-8
 
 def cda_normalize_check(K, W_inf):
     """|| Tr_2[ K*K (1 (x) W_inf) ] - I ||, the conditional normalization."""
-    K = np.asarray(K, dtype=complex)
-    W_inf = np.asarray(W_inf, dtype=complex)
+    K, W_inf = matcore.promote(K), matcore.promote(W_inf)
     d = W_inf.shape[0]
     if K.shape != (d * d, d * d):
         raise SizeMismatch(f"amplitude shape {K.shape} does not match d={d}")
@@ -53,7 +52,7 @@ def diagonal_cda(d=2, delta=0.0):
     if b2 <= 0:
         raise SingularCDA(f"delta {delta} drives the amplitude singular")
     a, b = np.sqrt(a2), np.sqrt(b2)
-    return np.diag([a, b, b, a]).astype(complex)
+    return np.diag([a, b, b, a])
 
 
 def seeded_chain(N, seed):
@@ -74,9 +73,9 @@ class MarkovState:
     validate: bool = True
 
     def __post_init__(self):
-        W = np.asarray(self.W_inf, dtype=complex)
+        W = matcore.promote(self.W_inf)
         object.__setattr__(self, "W_inf", W)
-        ks = tuple(np.asarray(K, dtype=complex) for K in self.chain)
+        ks = tuple(matcore.promote(K) for K in self.chain)
         object.__setattr__(self, "chain", ks)
         if self.validate:
             for n, K in enumerate(ks, start=1):

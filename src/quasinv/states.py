@@ -23,7 +23,7 @@ class ProductState:
     weights: tuple
 
     def __post_init__(self):
-        ws = tuple(np.asarray(W, dtype=complex) for W in self.weights)
+        ws = tuple(matcore.promote(W) for W in self.weights)
         if len(ws) != self.window.N:
             raise SizeMismatch(f"{len(ws)} weights for {self.window.N} sites")
         for W in ws:
@@ -42,7 +42,7 @@ class WeightedTraceState:
     validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=complex)
+        W = matcore.promote(self.W)
         if W.shape != (self.window.total_dim, self.window.total_dim):
             raise SizeMismatch(f"density shape {W.shape}, window dim {self.window.total_dim}")
         object.__setattr__(self, "W", W)
@@ -66,12 +66,12 @@ def full_density(phi):
         return phi.W
     if isinstance(phi, ProductState):
         return reduce(np.kron, phi.weights)
-    return np.asarray(phi, dtype=complex)
+    return matcore.promote(phi)
 
 
 def evaluate(phi, a):
     """phi(a) = Tr(W a)."""
-    m = a.matrix if isinstance(a, LocalOperator) else np.asarray(a, dtype=complex)
+    m = a.matrix if isinstance(a, LocalOperator) else matcore.promote(a)
     W = full_density(phi)
     if W.shape != m.shape:
         raise SizeMismatch(f"state on dim {W.shape[0]}, operator on dim {m.shape[0]}")
@@ -97,14 +97,8 @@ def faithful_density(phi):
 def matrix_unit_probes(window):
     """All matrix units e_ij of the window; complete, so linear identities
     verified on them hold on the whole algebra."""
-    dim = window.total_dim
-    probes = []
-    for i in range(dim):
-        for j in range(dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = 1.0
-            probes.append(LocalOperator(window, m))
-    return probes
+    n = window.total_dim
+    return [LocalOperator(window, np.eye(1, n * n, k).reshape(n, n)) for k in range(n * n)]
 
 
 def pairing_residual(M, probes=None):
@@ -148,9 +142,9 @@ def slice_expectation(psi, X):
         W = psi.weights[0]
         d = psi.window.d
     else:
-        W = np.asarray(psi, dtype=complex)
+        W = matcore.promote(psi)
         d = W.shape[0]
-    Xm = X.matrix if isinstance(X, LocalOperator) else np.asarray(X, dtype=complex)
+    Xm = X.matrix if isinstance(X, LocalOperator) else matcore.promote(X)
     if Xm.shape != (d * d, d * d):
         raise SizeMismatch(f"expected a {d * d}x{d * d} pair block, got {Xm.shape}")
     X4 = Xm.reshape(d, d, d, d)

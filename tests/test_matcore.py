@@ -89,7 +89,7 @@ def test_build_unitaries_is_byte_identical_across_calls():
 def test_spectral_power_holds_the_floor_rule():
     lam = np.array([0.0, 0.5, 2.0])
     assert np.array_equal(matcore.spectral_power(lam, 2), np.array([0.0, 0.25, 4.0]))
-    assert matcore.spectral_power(lam, 2).dtype == complex
+    assert matcore.spectral_power(lam, 2).dtype == lam.dtype
     for s in (-1, 0.5, -0.5):
         with pytest.raises(NotPositive):
             matcore.spectral_power(lam, s)
