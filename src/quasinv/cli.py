@@ -42,6 +42,7 @@ MAX_CONVERGENCE_SITES = 20
 MAX_PAIRING_SITES = 6  # pairing_check forms the dense 2^N x 2^N window product
 # the (|G|, D, D) table at 16 bytes an entry, the complex worst case, whatever its dtype
 TABLE_BYTES_CAP = 2**28  # markov n_sites 6 needs 189 MB
+SW_TRIALS, SW_STACKS = 100, 7  # _run_sw holds at most 7 complex (SW_TRIALS, d, d) arrays at once
 
 # the law each check verifies, keyed by check name (a locally_trivial[N=n]
 # check by its name before the bracket)
@@ -149,6 +150,9 @@ def build_config(args, file_config):
         if order * dim * dim * 16 > TABLE_BYTES_CAP:
             raise ConfigInvalid(f"n_sites: {order} table entries at dimension {dim} need "
                                 f"{order * dim * dim * 16:,} bytes, over {TABLE_BYTES_CAP:,}")
+    if cfg.scenario == "sw_solutions" and SW_STACKS * SW_TRIALS * cfg.d ** 2 * 16 > TABLE_BYTES_CAP:
+        raise ConfigInvalid(f"d: {SW_STACKS} stacks of {SW_TRIALS} complex {cfg.d}x{cfg.d} matrices "
+                            f"need more than {TABLE_BYTES_CAP:,} bytes")
     if cfg.scenario == "markov" and cfg.d != 2:
         raise ConfigInvalid("d: the markov scenario is built for d = 2")
     if cfg.scenario == "convergence":
@@ -203,6 +207,7 @@ def _window_group(cfg):
 def _plant_defect(T, eps):
     stack = T.stack.copy()
     stack[next(i for i, g in enumerate(T.group) if not g.is_identity()), 0, -1] += eps
+    stack.flags.writeable = False
     return CocycleTable(T.group, stack, T.window)
 
 
@@ -277,24 +282,14 @@ def _run_trivial(cfg):
 
 
 def _run_sw(cfg):
-    n_trials = 100
-    floor = max(cfg.floor, 1e-3)
-    defining = 0.0
-    herm_commuting = 0.0
-    disagreements = 0
-    for k in range(n_trials):
-        W = matcore.random_density(cfg.d, floor, seed=cfg.seed * 10007 + k)
-        z = matcore.random_hermitian(cfg.d, seed=cfg.seed * 20011 + k)
-        x = cocycle.solve_SW(W, z)
-        _, resid, _ = cocycle.check_SW(W, x)
-        defining = max(defining, resid)
-        herm = matcore.herm_defect(x)
-        comm = matcore.operator_norm(z @ W - W @ z)
-        if (herm <= 1e-8) != (comm <= 1e-8):
-            disagreements += 1
-        z_comm = W @ W + 0.5 * W
-        x_comm = cocycle.solve_SW(W, z_comm)
-        herm_commuting = max(herm_commuting, matcore.herm_defect(x_comm))
+    trials = range(SW_TRIALS)
+    W = matcore.random_density(cfg.d, max(cfg.floor, 1e-3), [cfg.seed * 10007 + k for k in trials])
+    z = matcore.random_hermitian(cfg.d, [cfg.seed * 20011 + k for k in trials])
+    x = cocycle.solve_SW(W, z)
+    defining = cocycle.check_SW(W, x)[1].max()
+    herm, comm = matcore.herm_defect(x), matcore.operator_norm(z @ W - W @ z)
+    disagreements = np.count_nonzero((herm <= 1e-8) != (comm <= 1e-8))
+    herm_commuting = matcore.herm_defect(cocycle.solve_SW(W, W @ W + 0.5 * W)).max()
     checks = [
         _check(cocycle._report("defining_relation", defining, 1e-10)),
         _check(cocycle._report("commuting_gives_hermitean", herm_commuting, 1e-10)),
@@ -308,11 +303,7 @@ def _run_convergence(cfg):
     seq = limits.preset_sequence(cfg.preset, n)
     series = limits.diagnostic_series(seq, n)
 
-    excess = 0.0
-    for M in range(n):
-        for N in range(M + 1, n + 1):
-            step = limits.cauchy_diagnostic(seq, M, N)
-            excess = max(excess, step["diff"] - step["bound"])
+    excess = max(row["diff"] - row["bound"] for M in range(n) for row in limits.cauchy_sweep(seq, M, n))
     bound_rep = cocycle._report("bound_dominates", max(0.0, excess), 1e-12)
 
     diffs = [row["diff"] for row in series]

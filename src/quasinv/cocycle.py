@@ -52,9 +52,9 @@ EXHAUSTIVE_ORDER_CAP = 120  # a law without a certificate is checked pair by pai
 
 class CocycleTable:
     """x_g over a list of permutations, stored once as the read-only (|G|, D, D)
-    array `stack` in group order.  The entries arrive as that array or as a
-    mapping from image tuples to operators; `entries`, `entry(g)` and
-    iteration are views onto the rows of the stack."""
+    array `stack` in group order.  The entries arrive as that array (adopted if
+    read-only, else copied) or as a mapping from image tuples to operators;
+    `entries`, `entry(g)` and iteration are views onto the rows of the stack."""
 
     def __init__(self, group, entries, window):
         self.group, self.window = tuple(group), window
@@ -65,6 +65,8 @@ class CocycleTable:
             if missing:
                 raise GroupNotClosed(f"no entry for {missing[0]}")
             entries = np.array([entries[g.image].matrix for g in self.group])
+        elif entries.flags.writeable:
+            entries = entries.copy()
         self.stack = matcore.promote(entries)
         self.stack.flags.writeable = False
 
@@ -117,6 +119,7 @@ def _coboundary_table(group, window, kappa, kappa_inv):
     stack = np.empty((len(group),) + kappa.shape, np.result_type(kappa, kappa_inv, np.float64))
     for i, _, x in _coboundary(group, window, kappa, kappa_inv):
         stack[i] = x
+    stack.flags.writeable = False
     return CocycleTable(group, stack, window)
 
 
@@ -332,21 +335,20 @@ def product_state_cocycle(phi, group):
 
 
 def solve_SW(W, z):
-    """The solution x = W^-1 z of W x = x* W attached to a hermitean z."""
+    """The solution x = W^-1 z of W x = x* W for a hermitean z, per matrix of a stack."""
     z = matcore.promote(z)
-    if not matcore.facts(z).hermitean:
+    if not np.all(matcore.hermitean(matcore.herm_defect(z), matcore.operator_norm(z))):
         raise NotHermitianZ("z must be hermitean")
     return matcore.inv(W) @ z
 
 
 def check_SW(W, x, tol=1e-10):
-    """Whether x solves W x = x* W; returns (ok, residual, z) with z = W x,
-    which is hermitean exactly when x is a solution."""
+    """Whether x solves W x = x* W, per matrix of a stack; returns (ok, residual, z)
+    with z = W x, which is hermitean exactly when x is a solution."""
     W, x = matcore.promote(W), matcore.promote(x)
-    residual = matcore.operator_norm(W @ x - x.conj().T @ W)
     z = W @ x
-    ok = residual <= tol and matcore.herm_defect(z) <= tol
-    return ok, float(residual), z
+    residual = matcore.operator_norm(z - matcore.dagger(x) @ W)
+    return (residual <= tol) & (matcore.herm_defect(z) <= tol), residual, z
 
 
 def propagate_single_generator(x0, g0, n_max):

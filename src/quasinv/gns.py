@@ -138,10 +138,12 @@ def verify_unitaries(R, U, group, tol=GNS_TOL):
 
 
 def _probe_scale(probes):
-    """max ||a|| over the probes; the unit ball of the window when None."""
+    """max ||a|| over the probes, normed 64 at a time; the unit ball when None."""
     if probes is None:
         return 1.0
-    return max((matcore.operator_norm(_matrix(a)) for a in probes), default=0.0)
+    probes = [_matrix(a) for a in probes]
+    return max((float(matcore.operator_norm(np.array(probes[i:i + 64])).max())
+                for i in range(0, len(probes), 64)), default=0.0)
 
 
 def verify_covariance(R, U, group, probes=None, tol=GNS_TOL):

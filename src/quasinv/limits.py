@@ -95,22 +95,21 @@ def cauchy_diagnostic(seq, M, N):
     per-site eigenvalues, so diff = prod_{k<=M} max_k *
     max(prod max_k - 1, 1 - prod min_k) over the tail is exact.  The bound
     is the telescoping estimate of ||x_[M+1,N] - 1|| through the deviations
-    eps_k, so diff <= bound is a law the data can fail."""
+    eps_k, so diff <= bound is a law the data can fail.  The last row of cauchy_sweep."""
+    return cauchy_sweep(seq, M, N)[-1]
+
+
+def cauchy_sweep(seq, M, N):
+    """cauchy_diagnostic(seq, M, n) for n = M+1..N from one read of the spectra 1..N:
+    running products and sums (left to right, as a loop would) carry n to n + 1."""
     if not 0 <= M < N <= len(seq):
         raise RangeError(f"need 0 <= M < N <= {len(seq)}, got M={M} N={N}")
-    head_norm = 1.0
-    for k in range(1, M + 1):
-        head_norm *= seq.spectrum(k)[1]
-    prod_min, prod_max, growth = 1.0, 1.0, 1.0
-    for k in range(M + 1, N + 1):
-        lmin, lmax, dev = seq.spectrum(k)
-        prod_min *= lmin
-        prod_max *= lmax
-        growth *= 1.0 + dev
-    diff = head_norm * max(prod_max - 1.0, 1.0 - prod_min)
-    bound = head_norm * (growth - 1.0)
-    summable_tail = sum(seq.spectrum(k)[2] for k in range(M + 1, N + 1))
-    return {"diff": diff, "bound": bound, "summable_tail": summable_tail}
+    lmin, lmax, dev = np.array([seq.spectrum(k) for k in range(1, N + 1)]).T
+    head_norm = np.cumprod([1.0, *lmax[:M]])[-1]
+    prod_min, prod_max, growth = (np.cumprod(v[M:]) for v in (lmin, lmax, 1.0 + dev))
+    diff, bound = head_norm * np.maximum(prod_max - 1.0, 1.0 - prod_min), head_norm * (growth - 1.0)
+    return [{"diff": a, "bound": b, "summable_tail": t}
+            for a, b, t in zip(diff.tolist(), bound.tolist(), np.cumsum(dev[M:]).tolist())]
 
 
 def diagnostic_series(seq, N_max):

@@ -4,11 +4,13 @@ data takes the real LAPACK/BLAS kernels.  Hermitian spectral decomposition,
 spectral functional calculus, operator norms, the per-matrix facts the
 strong-case checks read (singular values, hermiticity defect, hermitean-part
 spectrum, invertibility), and seeded random density matrices whose spectrum is
-bounded away from zero.  Everything downstream funnels its linear algebra
-through this module so that tolerances live in one place.
+bounded away from zero; adjoints, norms and seeded draws also take (..., d, d)
+stacks, one LAPACK call per matrix as for one matrix.  Everything downstream
+funnels its linear algebra through this module so tolerances live in one place.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,22 +30,26 @@ def promote(a):
 
 
 def dagger(A):
-    """Conjugate transpose."""
-    return np.asarray(A).conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.asarray(A).conj().swapaxes(-1, -2)
 
 
 def herm_defect(A):
-    """Operator-norm distance from A to its own adjoint."""
+    """Operator-norm distance from A to its own adjoint (per matrix of a stack)."""
     A = np.asarray(A)
     return operator_norm(A - dagger(A))
 
 
 def operator_norm(A):
-    """Largest singular value of A: sv[0] of np.linalg.norm(A, 2)'s own SVD."""
+    """Largest singular value, sv[0] of np.linalg.norm(A, 2)'s SVD: a float, or one per stacked matrix."""
     A = promote(A)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    sv = np.linalg.svd(A, compute_uv=False)[..., 0] if A.size else np.zeros(A.shape[:-2])
+    return float(sv) if A.ndim == 2 else sv
+
+
+def hermitean(herm, norm):
+    """The hermiticity rule ||A - A*|| <= TAU_HERM * max(||A||, 1), elementwise."""
+    return herm <= TAU_HERM * np.maximum(norm, 1.0)
 
 
 def spectral_decompose(H, facts=None):
@@ -96,28 +102,29 @@ def random_density(dim, floor, seed):
 
     Recipe: complex Gaussian G, form GG*, normalize to trace 1 - dim*floor,
     add floor * I.  The Philox counter-based generator makes the output a
-    pure function of (dim, floor, seed).
+    pure function of (dim, floor, seed); a sequence of seeds gives their stack.
     """
     if not 0 < floor < 1.0 / dim:
         raise FloorTooLarge(f"need 0 < floor < 1/dim = {1.0 / dim:.4f}, got {floor}")
     G = random_matrix(dim, seed)
     A = G @ dagger(G)
-    A = A * ((1.0 - dim * floor) / np.trace(A).real)
+    A = A * ((1.0 - dim * floor) / np.trace(A, axis1=-2, axis2=-1).real)[..., None, None]
     W = A + floor * np.eye(dim)
     return (W + dagger(W)) / 2.0
 
 
 def random_hermitian(dim, seed):
-    """Seeded random hermitian matrix (GUE-style, not normalized)."""
+    """Seeded random hermitian matrix (GUE-style, not normalized), or a stack of them."""
     G = random_matrix(dim, seed)
     return (G + dagger(G)) / 2.0
 
 
 def random_matrix(dim, seed, scale=1.0):
-    """Seeded random complex matrix."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * G
+    """Seeded random complex matrix, or the stack of one per seed (a Philox generator each)."""
+    draws = np.array([np.random.Generator(np.random.Philox(s)).standard_normal((2, dim, dim))
+                      for s in np.atleast_1d(seed)]).reshape(-1, 2, dim, dim)
+    G = scale * (draws[:, 0] + 1j * draws[:, 1])
+    return G if np.ndim(seed) else G[0]
 
 
 @dataclass(frozen=True)
@@ -133,9 +140,9 @@ class Facts:
     def norm(self):
         return float(self.sv[0])
 
-    @property
+    @cached_property
     def hermitean(self):
-        return self.herm <= TAU_HERM * max(self.norm, 1.0)
+        return bool(hermitean(self.herm, self.norm))
 
     @property
     def invertible(self):

@@ -269,6 +269,21 @@ def test_gate_admits_tables_that_fit(argv):
     assert cfg.n_sites == int(argv[-1])
 
 
+@pytest.mark.parametrize("d", [155, 5000])
+def test_sw_stacks_too_large_for_memory_are_refused(capsys, d):
+    # 7 arrays of 100 complex d x d matrices: 269 MB at d 155, over the 2^28-byte cap
+    assert run_cli(["run", "--scenario", "sw_solutions", "--d", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: d:") and "268,435,456 bytes" in err
+
+
+def test_gate_admits_the_largest_sw_dimension_that_fits():
+    cfg = cli.build_config(cli._build_parser().parse_args(
+        ["run", "--scenario", "sw_solutions", "--d", "154"]), None)
+    assert cfg.d == 154
+    assert cli.SW_STACKS * cli.SW_TRIALS * 154 ** 2 * 16 <= cli.TABLE_BYTES_CAP
+
+
 def test_markov_requires_qubits(capsys):
     rc = run_cli(["run", "--scenario", "markov", "--d", "3"])
     assert rc == 2
@@ -381,13 +396,12 @@ def test_bound_dominates_fails_on_a_shrunk_deviation(tmp_path, monkeypatch):
 
 
 def test_bound_dominates_fails_on_an_inflated_diff(tmp_path, monkeypatch):
-    cauchy = limits.cauchy_diagnostic
+    sweep = limits.cauchy_sweep
 
     def inflated(seq, M, N):
-        out = cauchy(seq, M, N)
-        return {**out, "diff": out["diff"] * (1.0 + 1e-9)}
+        return [{**row, "diff": row["diff"] * (1.0 + 1e-9)} for row in sweep(seq, M, N)]
 
-    monkeypatch.setattr(limits, "cauchy_diagnostic", inflated)
+    monkeypatch.setattr(limits, "cauchy_sweep", inflated)
     assert failed_convergence_checks(tmp_path, monkeypatch) == (1, {"bound_dominates"})
 
 
@@ -418,6 +432,46 @@ def test_pairing_identity_fails_on_mismatched_weights(tmp_path, monkeypatch):
         return seq
 
     assert failed_convergence_checks(tmp_path, monkeypatch, mismatched) == (1, {"pairing_identity"})
+
+
+def sw_solver(on_x, on_z_comm):
+    """cocycle.solve_SW with the solutions for the seeded z passed through on_x
+    and z_comm, the second call's right-hand side, through on_z_comm."""
+    solve, calls = cocycle.solve_SW, []
+
+    def planted(W, z):
+        calls.append(z)
+        return on_x(solve(W, z)) if len(calls) == 1 else solve(W, on_z_comm(z))
+
+    return planted
+
+
+def unchanged(a):
+    return a
+
+
+SW_PLANTS = {
+    # x + 1e-3 i: W x - x* W = 2e-3 i W, and x stays as far from hermitean as before
+    "defining_relation": (lambda x: x + 1e-3j * np.eye(2), unchanged, {"defining_relation"}),
+    # z_comm + 1e-3 sigma_x is hermitean but no longer commutes with W
+    "commuting_gives_hermitean": (unchanged, lambda z: z + 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                  {"commuting_gives_hermitean"}),
+    # the hermitean part of x: hermitean while z does not commute with W, and no solution
+    "hermitean_iff_commuting": (lambda x: (x + matcore.dagger(x)) / 2.0, unchanged,
+                                {"defining_relation", "hermitean_iff_commuting"}),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SW_PLANTS))
+def test_sw_check_fails_on_a_planted_defect(tmp_path, monkeypatch, check):
+    on_x, on_z_comm, failed = SW_PLANTS[check]
+    monkeypatch.setattr(cocycle, "solve_SW", sw_solver(on_x, on_z_comm))
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", "sw_solutions", "--out", str(out)]) == 1
+    report = read_report(out)
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == failed
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name[check]["residual"] > by_name[check]["tolerance"]
 
 
 def test_tail_summability_passes_a_large_summable_tail(tmp_path, monkeypatch):
