@@ -13,7 +13,7 @@ here verify the defining identities numerically:
     power relation     x_g^-s = g^-1(x_{g^-1}^s)
 
 Every table constructor is one coboundary x_g = kappa g^-1(kappa^-1), written
-row by row by one kernel: the one-kappa cocycles, the product-state cocycles
+block by block by one kernel: the one-kappa cocycles, the product-state cocycles
 (kappa the tensor product of the inverse weights on the sites the group
 moves), and the Markov chain cocycles (qmc, kappa = Q^-1).  The checks that
 compare a table with a coboundary (local triviality here, the structure
@@ -21,10 +21,12 @@ decomposition and the restriction to subgroups in compact, kappa = W^-1 there)
 read the same kernel.  Besides: the solution set of W x = x* W on a single
 factor, and propagation along the powers of a single generator.  The laws on
 all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law, verify_strong).
+Checks read blocks of rows, one stacked LAPACK/BLAS call each, which runs the
+routine of one matrix on each row: the values of a loop over the entries.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -41,13 +43,27 @@ from .errors import (
     SingularKappa,
     SingularWeight,
 )
-from .lattice import LocalOperator, act, act_inverse, gather, support
+from .lattice import LocalOperator, act_inverse, support
 
 # residuals pass at 1e-8 absolute after scaling by the largest entry norm;
 # planted defects in the tests are >= 1e-3, five decades away
 PASS_TOL = 1e-8
 TAU_STATE = 1e-8
 EXHAUSTIVE_ORDER_CAP = 120  # a law without a certificate is checked pair by pair up to |S_5|
+BLOCK_BYTES = 1 << 16  # the rows of one stacked call: fewer calls against larger temporaries
+
+
+def _blocks(rows, row_bytes):
+    """Runs of the listed rows (range(rows) for a count) of at most BLOCK_BYTES, one at least."""
+    rows = np.arange(rows) if np.ndim(rows) == 0 else np.asarray(rows)
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [rows[k:k + step] for k in range(0, len(rows), step)]
+
+
+def _first_worst(r):
+    """(largest residual, its position), the first in order; (0.0, None) if none is positive."""
+    k = int(np.argmax(r))
+    return (float(r[k]), k) if r[k] > 0.0 else (0.0, None)
 
 
 class CocycleTable:
@@ -82,10 +98,16 @@ class CocycleTable:
 
     @cached_property
     def facts(self):
-        """matcore.Facts of each entry in group order, built in one loop on
+        """matcore.Facts of each entry in group order, built block by block on
         first use: every norm, hermiticity defect and hermitean-part spectrum
         of an entry that a check reads comes from here."""
-        return tuple(matcore.facts(x) for x in self.stack)
+        return tuple(f for r in _blocks(len(self.stack), self.stack[0].nbytes)
+                     for f in matcore.facts(self.stack[r]))
+
+    def rowwise(self, fn, rows=None):
+        """fn(rows) over blocks of the listed rows (all by default), its per-row arrays joined."""
+        out = [fn(r) for r in _blocks(len(self.stack) if rows is None else rows, self.stack[0].nbytes)]
+        return tuple(map(np.concatenate, zip(*out))) if isinstance(out[0], tuple) else np.concatenate(out)
 
     def scale(self):
         return max(1.0, max(f.norm for f in self.facts))
@@ -103,31 +125,31 @@ class CocycleTable:
     mean_inv = cached_property(lambda self: matcore.inv(self.mean))
 
 
-def _coboundary(group, window, kappa, kappa_inv, rows=None):
-    """Yield (i, g_i^-1(kappa^-1), kappa g_i^-1(kappa^-1)) for the listed rows of
-    the group list (all by default), one row at a time: the one place the rule
+def _coboundary(Q, kappa, kappa_inv):
+    """The stacks (g^-1(kappa^-1), kappa g^-1(kappa^-1)) for the elements g with
+    index arrays Q (rows of lattice.group_index): the one place the rule
     x_g = kappa g^-1(kappa^-1) is written.  kappa and kappa_inv are bare
     matrices, g^-1 the gather through the argsort of g's index array."""
-    Q_inv = np.argsort(lattice.group_index(group, window), axis=1)
-    for i in range(len(group)) if rows is None else rows:
-        moved = gather(kappa_inv, Q_inv[i])
-        yield i, moved, kappa @ moved
+    q = np.argsort(Q, axis=1)
+    moved = kappa_inv[q[:, :, None], q[:, None, :]]
+    return moved, kappa @ moved
 
 
 def _coboundary_table(group, window, kappa, kappa_inv):
-    """The table x_g = kappa g^-1(kappa^-1), row by row into one stack in their dtype."""
+    """The table x_g = kappa g^-1(kappa^-1), block by block into one stack in their dtype."""
     stack = np.empty((len(group),) + kappa.shape, np.result_type(kappa, kappa_inv, np.float64))
-    for i, _, x in _coboundary(group, window, kappa, kappa_inv):
-        stack[i] = x
+    Q = lattice.group_index(group, window)
+    for r in _blocks(len(group), stack[0].nbytes):
+        stack[r] = _coboundary(Q[r], kappa, kappa_inv)[1]
     stack.flags.writeable = False
     return CocycleTable(group, stack, window)
 
 
 def _coboundary_defects(T, kappa, kappa_inv, rows=None):
-    """Yield (i, ||x_{g_i} - kappa g_i^-1(kappa^-1)||, g_i^-1(kappa^-1),
-    kappa g_i^-1(kappa^-1)) for the listed rows of the table (all by default)."""
-    for i, moved, x in _coboundary(T.group, T.window, kappa, kappa_inv, rows):
-        yield i, matcore.operator_norm(T.stack[i] - x), moved, x
+    """||x_g - kappa g^-1(kappa^-1)|| of the listed rows of the table (all by default)."""
+    Q = lattice.group_index(T.group, T.window)
+    return T.rowwise(lambda r: matcore.operator_norm(
+        T.stack[r] - _coboundary(Q[r], kappa, kappa_inv)[1]), rows)
 
 
 @dataclass(frozen=True)
@@ -160,13 +182,15 @@ def verify_normalization(T, tol=None):
     return _report("normalization", resid, tol)
 
 
-def _worst_pairs(T, pairs):
-    """(max, first witness) of the exact law defect over (g2, g1) position pairs."""
-    (mul, inv), x = lattice.group_table(T.group), T.stack
-    Q = lattice.group_index(T.group, T.window)
-    r, b, a = max(((matcore.operator_norm(x[mul[b, a]] - x[a] @ gather(x[b], Q[inv[a]])), b, a)
-                   for b, a in pairs), key=lambda t: t[0])
-    return r, {"g2": list(T.group[b].image), "g1": list(T.group[a].image)} if r else None
+def _worst_pairs(T, b, a):
+    """(max, first witness) of the exact law defect over the (g2, g1) position pairs (b, a)."""
+    (mul, inv), x, Q = lattice.group_table(T.group), T.stack, lattice.group_index(T.group, T.window)
+    def defects(p):
+        q = Q[inv[a[p]]]
+        return matcore.operator_norm(
+            x[mul[b[p], a[p]]] - x[a[p]] @ x[b[p][:, None, None], q[:, :, None], q[:, None, :]])
+    r, k = _first_worst(T.rowwise(defects, np.arange(len(b))))
+    return r, None if k is None else {"g2": list(T.group[b[k]].image), "g1": list(T.group[a[k]].image)}
 
 
 def verify_cocycle_law(T, tol=None):
@@ -179,35 +203,32 @@ def verify_cocycle_law(T, tol=None):
     if not f.invertible:
         if n > EXHAUSTIVE_ORDER_CAP:
             raise SingularKappa(f"the mean of the {n} entries is singular: no certificate")
-        worst, witness = _worst_pairs(T, np.ndindex(n, n))
+        worst, witness = _worst_pairs(T, *np.divmod(np.arange(n * n), n))
         return _report("cocycle_law", worst, tol, witness=witness if worst > tol else None,
                        details={"method": "exhaustive"})
-    deltas = [r for _, r, *_ in _coboundary_defects(T, T.mean, T.mean_inv)]
+    deltas = _coboundary_defects(T, T.mean, T.mean_inv)
     k = int(np.argmax(deltas))
-    C = max(f.norm for f in T.facts) + deltas[k]
-    bound = deltas[k] * (1.0 + 2.0 * C + deltas[k])
-    pairs = [(k, a) for a in range(n)] + [(b, k) for b in range(n)]
-    details = {"delta": deltas[k], "C": C, "kappa_cond": float(f.sv[0] / f.sv[-1]),
+    delta = float(deltas[k])
+    C = max(f.norm for f in T.facts) + delta
+    bound = delta * (1.0 + 2.0 * C + delta)
+    pairs = np.r_[np.full(n, k), np.arange(n)], np.r_[np.arange(n), np.full(n, k)]
+    details = {"delta": delta, "C": C, "kappa_cond": float(f.sv[0] / f.sv[-1]),
                "method": "certificate"}
     return _report("cocycle_law", bound, tol, details=details,
-                   witness=_worst_pairs(T, pairs)[1] if bound > tol else None)
+                   witness=_worst_pairs(T, *pairs)[1] if bound > tol else None)
 
 
 def verify_inverse_relation(T, tol=None):
     """max over g of || x_g g^-1(x_{g^-1}) - 1 ||."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    inv, x = lattice.group_table(T.group)[1], T.stack
-    Q = lattice.group_index(T.group, T.window)
-    I = np.eye(T.window.total_dim)
+    inv, x, Q = lattice.group_table(T.group)[1], T.stack, lattice.group_index(T.group, T.window)
     for g, f in zip(T.group, T.facts):
         if not f.invertible:
             raise SingularEntry(f"x_g singular for g = {g.image}")
-    worst, witness = 0.0, None
-    for i, g in enumerate(T.group):
-        r = matcore.operator_norm(x[i] @ gather(x[inv[i]], Q[inv[i]]) - I)
-        if r > worst:
-            worst, witness = r, {"g": list(g.image)}
-    return _report("inverse_relation", worst, tol, witness=witness if worst > tol else None)
+    worst, k = _first_worst(T.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
+        x[r] @ x[inv[r][:, None, None], Q[inv[r]][:, :, None], Q[inv[r]][:, None, :]] - I)))
+    return _report("inverse_relation", worst, tol,
+                   witness={"g": list(T.group[k].image)} if worst > tol else None)
 
 
 def verify_quasi_invariance(phi, T, probes=None, tol=None):
@@ -218,19 +239,22 @@ def verify_quasi_invariance(phi, T, probes=None, tol=None):
     Radon-Nikodym family: min eig of the hermitean part of W x_g >= -tol.
     """
     tol = PASS_TOL * T.scale() if tol is None else tol
-    W = LocalOperator(T.window, states.full_density(phi))
-    worst, witness = 0.0, None
-    norm_worst = 0.0
-    pos_worst = 0.0
-    for g, x in zip(T.group, T.stack):
-        Wx = W.matrix @ x
-        norm_worst = max(norm_worst, abs(np.trace(Wx) - 1.0))
-        r, where = states.pairing_residual(act_inverse(g, W).matrix - Wx, probes)
-        if r > worst:
-            worst, witness = r, {"g": list(g.image), **where}
-        pos_worst = max(pos_worst, -float(np.linalg.eigvalsh((Wx + Wx.conj().T) / 2.0)[0]))
+    W = LocalOperator(T.window, states.full_density(phi)).matrix  # refuses a state on another window
+    Q_inv = np.argsort(lattice.group_index(T.group, T.window), axis=1)
+    def defects(rows):  # g^-1(W) - W x_g, and W x_g
+        return W[Q_inv[rows][:, :, None], Q_inv[rows][:, None, :]] - (Wx := W @ T.stack[rows]), Wx
+    def block(rows):
+        M, Wx = defects(rows)
+        z = np.trace(Wx, axis1=1, axis2=2) - 1.0
+        lam = np.linalg.eigvalsh((Wx + matcore.dagger(Wx)) / 2.0)[:, 0]
+        return states.pairing_residual(M, probes)[0], np.hypot(z.real, z.imag), -lam
+    pair, norm, pos = T.rowwise(block)
+    worst, k = _first_worst(pair)  # the worst row's defect matrix says where
+    witness = None if k is None else {
+        "g": list(T.group[k].image), **states.pairing_residual(defects([k])[0][0], probes)[1]}
+    norm_worst, pos_worst = float(norm.max()), max(0.0, float(pos.max()))
     resid = max(worst, norm_worst)
-    details = {"pairing": worst, "normalization": norm_worst, "positivity_defect": max(pos_worst, 0.0)}
+    details = {"pairing": worst, "normalization": norm_worst, "positivity_defect": pos_worst}
     passed = resid <= tol and pos_worst <= tol
     return _report("quasi_invariance", resid, tol, witness=witness if not passed else None,
                    details=details, passed=passed)
@@ -261,27 +285,24 @@ def verify_strong(T, phi, probes=None, tol=None):
     x = T.stack  # H below is a seeded combination sum_g c_g x_g, summed without a copy
     H = np.tensordot(np.random.Generator(np.random.Philox(0)).standard_normal(len(x)), x, 1)
     V = np.linalg.eigh((H + H.conj().T) / 2.0)[1]
-    diag, off = np.array([(np.abs(np.diagonal(y)).max(), matcore.operator_norm(
-        y - np.diag(np.diagonal(y)))) for y in (V.conj().T @ x_g @ V for x_g in x)]).T
+    W, d = states.full_density(phi), np.arange(len(V))
+    def block(rows):
+        y = V.conj().T @ x[rows] @ V
+        diag = np.abs(np.diagonal(y, axis1=1, axis2=2)).max(axis=1)
+        y[:, d, d] = 0.0  # y minus its diagonal, exactly
+        return diag, matcore.operator_norm(y), states.centralizer_residual(W, x[rows], probes)
+    diag, off, centrs = T.rowwise(block)
     comm = float(np.triu(2.0 * (np.outer(diag, off) + np.outer(off, diag + off)), 1).max())
-    W = states.full_density(phi)
-    centrs = [states.centralizer_residual(W, x, probes) for x in T.stack]
-    centr = max(centrs)
+    centr = float(centrs.max())
     resid = max(herm, comm, centr)
     positive = s1 > 0.0
-    details = {
-        "hermiticity": herm,
-        "min_eig": s1,
-        "max_eig": s2,
-        "commutators": comm,
-        "centralizer": centr,
-        "spectrum_bounds": (s1, s2),
-    }
+    details = {"hermiticity": herm, "min_eig": s1, "max_eig": s2, "commutators": comm,
+               "centralizer": centr, "spectrum_bounds": (s1, s2)}
     passed = resid <= tol and positive
     witness = None
     if comm > tol:  # the worst exact commutator of the entry with the largest E_g
         k = int(np.argmax(off))
-        exact = [matcore.operator_norm(x[k] @ y - y @ x[k]) for y in x]
+        exact = T.rowwise(lambda r: matcore.operator_norm(x[k] @ x[r] - x[r] @ x[k]))
         g, h = (list(T.group[i].image) for i in sorted((k, int(np.argmax(exact)))))
         witness = {"g": g, "h": h} if max(exact) > tol else None
     for part, r, fails in (("hermiticity", [f.herm for f in T.facts], herm > tol),
@@ -296,17 +317,17 @@ def verify_centralizer_transport(phi, T, x, probes=None, tol=None, tau_state=TAU
     """phi(g(x) a) = phi(a g(x_g x x_g^-1)) for x in the centralizer of phi,
     from the defect matrices W g(x) - g(x_g x x_g^-1) W."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    W = states.full_density(phi)
+    W, Q = states.full_density(phi), lattice.group_index(T.group, T.window)
     membership = states.centralizer_residual(W, x, probes)
     if membership > tau_state:
         raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds {tau_state:.1e}")
-    worst, witness = 0.0, None
-    for g, x_g in zip(T.group, T.stack):
-        core = x_g @ x.matrix @ matcore.inv(x_g)
-        transported = act(g, LocalOperator(T.window, core)).matrix
-        r, where = states.pairing_residual(W @ act(g, x).matrix - transported @ W, probes)
-        if r > worst:
-            worst, witness = r, {"g": list(g.image), **where}
+    def defects(rows):
+        x_g, q = T.stack[rows], Q[rows]
+        at = np.arange(len(rows))[:, None, None], q[:, :, None], q[:, None, :]
+        return W @ x.matrix[at[1:]] - (x_g @ x.matrix @ matcore.inv(x_g))[at] @ W
+    worst, k = _first_worst(T.rowwise(lambda rows: states.pairing_residual(defects(rows), probes)[0]))
+    witness = None if k is None else {
+        "g": list(T.group[k].image), **states.pairing_residual(defects([k])[0], probes)[1]}
     return _report("centralizer_transport", worst, tol, witness=witness if worst > tol else None)
 
 
@@ -377,7 +398,7 @@ def locally_trivial_check(T, window_sizes, tol=None):
         sub = [i for i, g in enumerate(T.group) if support(g) <= set(range(1, N + 1))]
         avg = T.mean if len(sub) == len(T.group) else sum(T.stack[i] for i in sub) / len(sub)
         avg_inv = T.mean_inv if avg is T.mean else matcore.inv(avg)
-        worst = max(r for _, r, *_ in _coboundary_defects(T, avg, avg_inv, sub))
+        worst = _coboundary_defects(T, avg, avg_inv, sub).max()
         out.append(_report(f"locally_trivial[N={N}]", worst, tol,
                            details={"subgroup_order": len(sub)}))
     return out
@@ -387,36 +408,41 @@ def power_relation_check(T, s_list=(0.5, 1.0, 2.0), tol=None):
     """max over g and s of || x_g^-s - g^-1(x_{g^-1}^s) || = || L^-s - M L'^s M* ||
     for x_g = V L V*, x_{g^-1} = V' L' V'* and M = V* g^-1(V'), g^-1 a row gather
     of V' (it commutes with functional calculus); s = 0 gives 0 undecomposed.
-    Taken together with g^-1, each entry is decomposed once, each M formed once.
-    Errors are kept and the first in group order is raised."""
+    In blocks closed under g -> g^-1: one eigh, each M formed once, one norm per s.
+    An entry keeps the first error of its steps (x_g hermitean, x_g^-s, x_{g^-1}
+    hermitean, x_{g^-1}^s, for each s in turn); the first in group order is raised."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    inv, x = lattice.group_table(T.group)[1], T.stack
-    Q = lattice.group_index(T.group, T.window)
-    resid = [None] * len(x)
-    for i, j in enumerate(inv.tolist()):
-        if j < i:
-            continue
-        spectrum = cache(lambda k: matcore.spectral_decompose(x[k], facts=T.facts[k]))
-        overlap = cache(lambda a, b: spectrum(a)[1].conj().T @ spectrum(b)[1][Q[b]])
-
-        def residual(a, b, s):
-            mu = matcore.spectral_power(spectrum(a)[0], -s)
-            nu = matcore.spectral_power(spectrum(b)[0], s)
-            M = overlap(a, b)
-            R = (M * nu) @ M.conj().T
-            R.flat[::len(R) + 1] -= mu
-            return matcore.operator_norm(R)
-
-        for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
-            try:
-                resid[a] = [residual(a, b, s) if s else 0.0 for s in s_list]
+    inv, x, f = lattice.group_table(T.group)[1], T.stack, T.facts
+    Q, s_on = lattice.group_index(T.group, T.window), [s for s in s_list if s]
+    resid, errors = np.zeros((len(x), len(s_list))), {}
+    def block(lead):  # its arrays freed before the next block's
+        rows = np.r_[lead, inv[lead][inv[lead] != lead]]
+        herm = rows[[f[k].hermitean for k in rows]]
+        lam, V = matcore.spectral_decompose(x[herm], facts=[f[k] for k in herm])
+        at = dict(zip(herm.tolist(), range(len(herm))))
+        low = lam.min(axis=1, initial=np.inf) <= matcore.TAU_ABS
+        good = []
+        for a, b in zip(rows.tolist(), inv[rows].tolist()):
+            try:  # an entry that may meet an error replays its steps
+                if a not in at or b not in at or low[at[a]] or low[at[b]]:
+                    for s in s_on:
+                        for k, t in ((a, -s), (b, s)):
+                            if k not in at:  # not hermitean: raises before decomposing
+                                matcore.spectral_decompose(x[k], facts=f[k])
+                            matcore.spectral_power(lam[at[k]], t)
+                good.append(a)
             except QuasinvError as exc:
-                resid[a] = exc
-    worst, witness = 0.0, None
-    for g, rs in zip(T.group, resid):
-        if isinstance(rs, QuasinvError):
-            raise rs
-        for s, r in zip(s_list, rs):
-            if r > worst:
-                worst, witness = r, {"g": list(g.image), "s": s}
-    return _report("power_relation", worst, tol, witness=witness if worst > tol else None)
+                errors[a] = exc.with_traceback(None)  # no frame holds this block's arrays
+        ia, ib = [at[a] for a in good], np.array([at[b] for b in inv[good].tolist()], int)
+        M, d = matcore.dagger(V[ia]) @ V[ib[:, None], Q[inv[good]]], np.arange(x.shape[-1])
+        for c in np.flatnonzero(s_list) if good else ():
+            R = (M * matcore.spectral_power(lam[ib], s_list[c])[:, None, :]) @ matcore.dagger(M)
+            R[:, d, d] -= matcore.spectral_power(lam[ia], -s_list[c])
+            resid[good, c] = matcore.operator_norm(R)
+    for lead in _blocks(np.flatnonzero(inv >= np.arange(len(inv))) if s_on else [], 2 * x[0].nbytes):
+        block(lead)
+    if errors:
+        raise errors[min(errors)]
+    worst, k = _first_worst(resid.ravel()) if resid.size else (0.0, None)
+    return _report("power_relation", worst, tol, witness={"g": list(T.group[k // len(s_list)].image),
+                   "s": s_list[k % len(s_list)]} if worst > tol else None)

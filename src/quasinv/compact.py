@@ -23,8 +23,10 @@ import numpy as np
 from . import lattice, matcore, states
 from .cocycle import (
     PASS_TOL,
+    _coboundary,
     _coboundary_defects,
     _coboundary_table,
+    _first_worst,
     _report,
     require_strong_entries,
 )
@@ -155,12 +157,12 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     recon, where = states.pairing_residual(
         states.full_density(phi) - states.full_density(phi_G) @ kinv, probes)
 
-    match, match_wit = 0.0, None
-    commut = 0.0
-    for i, r, moved, rebuilt in _coboundary_defects(T, kap.matrix, kinv):
-        if r > match:
-            match, match_wit = r, {"g": list(group[i].image)}
-        commut = max(commut, matcore.operator_norm(rebuilt - moved @ kap.matrix))
+    Q = lattice.group_index(group, window)
+    def block(r):
+        moved, x = _coboundary(Q[r], kap.matrix, kinv)
+        return matcore.operator_norm(T.stack[r] - x), matcore.operator_norm(x - moved @ kap.matrix)
+    match, commut = T.rowwise(block)
+    (match, k), commut = _first_worst(match), float(commut.max())
 
     normal = matcore.operator_norm(
         haar_average(group, LocalOperator(window, kinv)).matrix - np.eye(window.total_dim))
@@ -175,7 +177,7 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
         "commutation": commut,
         "kappa_min_eig": float(np.linalg.eigvalsh((kap.matrix + kap.matrix.conj().T) / 2.0)[0]),
     }
-    witness = match_wit if match > tol else (where if recon > tol else None)
+    witness = {"g": list(group[k].image)} if match > tol else (where if recon > tol else None)
     return _report("structure_decomposition", resid, tol, witness=witness, details=details)
 
 
@@ -229,11 +231,9 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
         rows = lattice.positions(T.group, sub)
         if (rows < 0).any():
             raise NotNested(f"{sub[np.argmin(rows)].image} is missing from the table")
-        local = 0.0
-        for i, r, *_ in _coboundary_defects(T, W_inv, W, rows):
-            local = max(local, r)
-            if r > worst:
-                worst, witness = r, {"subgroup": idx, "g": list(T.group[i].image)}
+        local, k = _first_worst(_coboundary_defects(T, W_inv, W, rows))
+        if local > worst:
+            worst, witness = local, {"subgroup": idx, "g": list(T.group[rows[k]].image)}
         per_subgroup.append(local)
     details = {"per_subgroup": per_subgroup}
     return _report("restriction_consistency", worst, tol,

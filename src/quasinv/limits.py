@@ -113,29 +113,22 @@ def cauchy_sweep(seq, M, N):
 
 
 def diagnostic_series(seq, N_max):
-    """Per-step records (N, diff from N-1, bound, cumulative tail) for export."""
+    """Per-step records (N, diff from N-1, bound, cumulative tail) for export: the
+    rows of cauchy_diagnostic(seq, N-1, N) from one read of the spectra 1..N_max,
+    the head norms ||x_[1,N-1]|| a running product multiplied as cauchy_sweep does."""
     if not 1 <= N_max <= len(seq):
         raise RangeError(f"series length {N_max} outside [1, {len(seq)}]")
-    out = []
-    tail = 0.0
-    for N in range(1, N_max + 1):
-        step = cauchy_diagnostic(seq, N - 1, N)
-        tail += seq.spectrum(N)[2]
-        out.append({"N": N, "diff": step["diff"], "bound": step["bound"],
-                    "tail": tail})
-    return out
+    lmin, lmax, dev = np.array([seq.spectrum(k) for k in range(1, N_max + 1)]).T
+    head = np.cumprod([1.0, *lmax[:-1]])
+    diff, bound = head * np.maximum(lmax - 1.0, 1.0 - lmin), head * ((1.0 + dev) - 1.0)
+    return [{"N": N, "diff": a, "bound": b, "tail": t} for N, a, b, t in
+            zip(range(1, N_max + 1), diff.tolist(), bound.tolist(), np.cumsum(dev).tolist())]
 
 
 def empirical_constant(seq, N_max):
     """The observed C with ||x_[1,N] - x_[1,N-1]|| <= C ||W_inf^-1 W_N - 1||."""
-    best = 0.0
-    for N in range(2, N_max + 1):
-        dev = seq.spectrum(N)[2]
-        if dev <= 1e-15:
-            continue
-        step = cauchy_diagnostic(seq, N - 1, N)
-        best = max(best, step["diff"] / dev)
-    return best
+    eps, rows = seq.deviations, diagnostic_series(seq, N_max)[1:] if N_max > 1 else []
+    return max([0.0] + [r["diff"] / eps[r["N"] - 1] for r in rows if eps[r["N"] - 1] > 1e-15])
 
 
 def preset_sequence(kind, n_terms, d=2):

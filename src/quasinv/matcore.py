@@ -4,9 +4,9 @@ data takes the real LAPACK/BLAS kernels.  Hermitian spectral decomposition,
 spectral functional calculus, operator norms, the per-matrix facts the
 strong-case checks read (singular values, hermiticity defect, hermitean-part
 spectrum, invertibility), and seeded random density matrices whose spectrum is
-bounded away from zero; adjoints, norms and seeded draws also take (..., d, d)
-stacks, one LAPACK call per matrix as for one matrix.  Everything downstream
-funnels its linear algebra through this module so tolerances live in one place.
+bounded away from zero; adjoints, norms, facts, spectra and draws take stacks
+(..., d, d), one call running one matrix's LAPACK routine on each.  All linear
+algebra downstream funnels through here, so tolerances live in one place.
 """
 
 from dataclasses import dataclass
@@ -57,14 +57,15 @@ def spectral_decompose(H, facts=None):
     as eigh gives them, with no phase convention: read only what no column phase moves.
 
     Raises NotHermitian when the input fails the hermiticity tolerance.  The
-    Facts of H already at hand supply its norm and hermiticity defect.
+    Facts of H already at hand, one per matrix of a stack, supply its norm and defect.
     """
     H = promote(H)
     # the hermiticity rule reads only the norm and the defect
     f = Facts(np.array([operator_norm(H)]), herm_defect(H), None) if facts is None else facts
-    if not f.hermitean:
-        raise NotHermitian(
-            f"hermiticity defect {f.herm:.3e} exceeds {TAU_HERM:.1e} * {max(f.norm, 1.0):.3e}")
+    for f in [f] if H.ndim == 2 else f:
+        if not f.hermitean:
+            raise NotHermitian(
+                f"hermiticity defect {f.herm:.3e} exceeds {TAU_HERM:.1e} * {max(f.norm, 1.0):.3e}")
     return np.linalg.eigh((H + dagger(H)) / 2.0)
 
 
@@ -153,7 +154,7 @@ class Facts:
 
 
 def facts(A):
-    """The Facts of one matrix: two SVDs (A and A - A*) and one eigvalsh."""
+    """The Facts of one matrix, or their list for a stack: two SVDs (A, A - A*), one eigvalsh."""
     A = promote(A)
-    return Facts(np.linalg.svd(A, compute_uv=False), herm_defect(A),
-                 np.linalg.eigvalsh((A + dagger(A)) / 2.0))
+    f = np.linalg.svd(A, compute_uv=False), herm_defect(A), np.linalg.eigvalsh((A + dagger(A)) / 2.0)
+    return Facts(*f) if A.ndim == 2 else list(map(Facts, f[0], f[1].tolist(), f[2]))

@@ -106,8 +106,15 @@ def pairing_residual(M, probes=None):
     Tr(M a) = lhs(a) - rhs(a).  With probes=None it is complete on the whole
     algebra: max |M_ij| = max |Tr(M e_ij)| over the matrix units, where =
     {"entry": [i, j]} naming e_ij.  Otherwise max_k |Tr(M a_k)|, where =
-    {"probe": k}."""
+    {"probe": k}.  A (n, D, D) stack gives each matrix's residual and no where,
+    in one call without probes (each modulus a hypot, as for one matrix)."""
     M = np.asarray(M)
+    if M.ndim == 3:
+        if probes is not None:
+            return np.array([pairing_residual(m, probes)[0] for m in M]), None
+        flat = M.swapaxes(1, 2).reshape(len(M), -1)
+        top = flat[np.arange(len(M)), np.abs(flat).argmax(axis=1)]
+        return np.hypot(top.real, top.imag), None
     if probes is None:
         i, j = np.unravel_index(np.argmax(np.abs(M.T)), M.shape)
         return float(abs(M[j, i])), {"entry": [int(i), int(j)]}
@@ -124,7 +131,7 @@ def pairing_residual(M, probes=None):
 
 def centralizer_residual(phi, c, probes=None):
     """max over a of |phi(ac) - phi(ca)| from the defect matrix cW - Wc; zero
-    certifies centralizer membership (on every a, or on the probes)."""
+    certifies centralizer membership (on every a, or on the probes), per matrix of a stack c."""
     cm = c.matrix if isinstance(c, LocalOperator) else np.asarray(c)
     W = full_density(phi)
     return pairing_residual(cm @ W - W @ cm, probes)[0]

@@ -1,0 +1,552 @@
+"""The table checks in blocked stacked form against their per-entry loops.
+
+Every check reads the (|G|, D, D) table in blocks of rows, one stacked
+LAPACK/BLAS call per block.  A stacked call runs the routine of one matrix on
+each, so the per-entry loops the blocks replaced, kept here only as oracles,
+must give the same reports bit for bit: residuals, verdicts, witnesses and
+details, or the same error type and message.  The tables are D <= 16 windows
+and S_5 at D 32, real and complex, clean and with the 1e-3 plant the CLI's
+--defect puts at m[0, -1] of the first moved entry.  The same holds for the
+convergence series read from one pass over the spectra, and each check's
+temporaries stay a fraction of the table.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from quasinv import cli, cocycle, compact, limits, matcore, qmc, states
+from quasinv.cocycle import PASS_TOL, CocycleTable, _report
+from quasinv.errors import NotInCentralizer, NotStrongCocycle, QuasinvError, SingularEntry
+from quasinv.lattice import (
+    LocalOperator,
+    Window,
+    act,
+    act_inverse,
+    enumerate_group,
+    extend,
+    gather,
+    group_index,
+    group_table,
+    positions,
+    support,
+)
+
+# ---- oracles: the per-entry loops the blocks replaced ----------------------------
+
+
+def old_facts(T):
+    return tuple(matcore.Facts(np.linalg.svd(x, compute_uv=False), matcore.herm_defect(x),
+                               np.linalg.eigvalsh((x + x.conj().T) / 2.0)) for x in T.stack)
+
+
+def old_tol(T, F):
+    return PASS_TOL * max(1.0, max(f.norm for f in F))
+
+
+def old_coboundary_defects(T, kappa, kappa_inv, rows=None):
+    Q_inv = np.argsort(group_index(T.group, T.window), axis=1)
+    for i in range(len(T.group)) if rows is None else rows:
+        moved = gather(kappa_inv, Q_inv[i])
+        x = kappa @ moved
+        yield i, matcore.operator_norm(T.stack[i] - x), moved, x
+
+
+def old_worst_pairs(T, pairs):
+    (mul, inv), x = group_table(T.group), T.stack
+    Q = group_index(T.group, T.window)
+    r, b, a = max(((matcore.operator_norm(x[mul[b, a]] - x[a] @ gather(x[b], Q[inv[a]])), b, a)
+                   for b, a in pairs), key=lambda t: t[0])
+    return r, {"g2": list(T.group[b].image), "g1": list(T.group[a].image)} if r else None
+
+
+def old_cocycle_law(T):
+    F = old_facts(T)
+    tol = old_tol(T, F)
+    n, f = len(T.group), matcore.facts(T.mean)
+    if not f.invertible:
+        worst, witness = old_worst_pairs(T, np.ndindex(n, n))
+        return _report("cocycle_law", worst, tol, witness=witness if worst > tol else None,
+                       details={"method": "exhaustive"})
+    deltas = [r for _, r, *_ in old_coboundary_defects(T, T.mean, T.mean_inv)]
+    k = int(np.argmax(deltas))
+    C = max(f.norm for f in F) + deltas[k]
+    bound = deltas[k] * (1.0 + 2.0 * C + deltas[k])
+    pairs = [(k, a) for a in range(n)] + [(b, k) for b in range(n)]
+    details = {"delta": deltas[k], "C": C, "kappa_cond": float(f.sv[0] / f.sv[-1]),
+               "method": "certificate"}
+    return _report("cocycle_law", bound, tol, details=details,
+                   witness=old_worst_pairs(T, pairs)[1] if bound > tol else None)
+
+
+def old_inverse_relation(T):
+    F = old_facts(T)
+    tol = old_tol(T, F)
+    inv, x = group_table(T.group)[1], T.stack
+    Q = group_index(T.group, T.window)
+    I = np.eye(T.window.total_dim)
+    for g, f in zip(T.group, F):
+        if not f.invertible:
+            raise SingularEntry(f"x_g singular for g = {g.image}")
+    worst, witness = 0.0, None
+    for i, g in enumerate(T.group):
+        r = matcore.operator_norm(x[i] @ gather(x[inv[i]], Q[inv[i]]) - I)
+        if r > worst:
+            worst, witness = r, {"g": list(g.image)}
+    return _report("inverse_relation", worst, tol, witness=witness if worst > tol else None)
+
+
+def old_quasi_invariance(phi, T, probes=None):
+    tol = old_tol(T, old_facts(T))
+    W = LocalOperator(T.window, states.full_density(phi))
+    worst, witness = 0.0, None
+    norm_worst = 0.0
+    pos_worst = 0.0
+    for g, x in zip(T.group, T.stack):
+        Wx = W.matrix @ x
+        norm_worst = max(norm_worst, abs(np.trace(Wx) - 1.0))
+        r, where = states.pairing_residual(act_inverse(g, W).matrix - Wx, probes)
+        if r > worst:
+            worst, witness = r, {"g": list(g.image), **where}
+        pos_worst = max(pos_worst, -float(np.linalg.eigvalsh((Wx + Wx.conj().T) / 2.0)[0]))
+    resid = max(worst, norm_worst)
+    details = {"pairing": worst, "normalization": norm_worst, "positivity_defect": max(pos_worst, 0.0)}
+    passed = resid <= tol and pos_worst <= tol
+    return _report("quasi_invariance", resid, tol, witness=witness if not passed else None,
+                   details=details, passed=passed)
+
+
+def old_strong(T, phi, probes=None):
+    F = old_facts(T)
+    tol = old_tol(T, F)
+    herm = max(f.herm for f in F)
+    s1 = min(float(f.eig[0]) for f in F)
+    s2 = max(float(f.eig[-1]) for f in F)
+    x = T.stack
+    H = np.tensordot(np.random.Generator(np.random.Philox(0)).standard_normal(len(x)), x, 1)
+    V = np.linalg.eigh((H + H.conj().T) / 2.0)[1]
+    diag, off = np.array([(np.abs(np.diagonal(y)).max(), matcore.operator_norm(
+        y - np.diag(np.diagonal(y)))) for y in (V.conj().T @ x_g @ V for x_g in x)]).T
+    comm = float(np.triu(2.0 * (np.outer(diag, off) + np.outer(off, diag + off)), 1).max())
+    W = states.full_density(phi)
+    centrs = [states.centralizer_residual(W, x, probes) for x in T.stack]
+    centr = max(centrs)
+    resid = max(herm, comm, centr)
+    positive = s1 > 0.0
+    details = {"hermiticity": herm, "min_eig": s1, "max_eig": s2, "commutators": comm,
+               "centralizer": centr, "spectrum_bounds": (s1, s2)}
+    passed = resid <= tol and positive
+    witness = None
+    if comm > tol:
+        k = int(np.argmax(off))
+        exact = [matcore.operator_norm(x[k] @ y - y @ x[k]) for y in x]
+        g, h = (list(T.group[i].image) for i in sorted((k, int(np.argmax(exact)))))
+        witness = {"g": g, "h": h} if max(exact) > tol else None
+    for part, r, fails in (("hermiticity", [f.herm for f in F], herm > tol),
+                           ("positivity", [-f.eig[0] for f in F], not positive),
+                           ("centralizer", centrs, centr > tol)):
+        if witness is None and fails:
+            witness = {"g": list(T.group[int(np.argmax(r))].image), "part": part}
+    return _report("strong_quasi_invariance", resid, tol, witness=witness, details=details,
+                   passed=passed)
+
+
+def old_transport(phi, T, x, probes=None):
+    tol = old_tol(T, old_facts(T))
+    W = states.full_density(phi)
+    membership = states.centralizer_residual(W, x, probes)
+    if membership > cocycle.TAU_STATE:
+        raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds "
+                               f"{cocycle.TAU_STATE:.1e}")
+    worst, witness = 0.0, None
+    for g, x_g in zip(T.group, T.stack):
+        core = x_g @ x.matrix @ matcore.inv(x_g)
+        transported = act(g, LocalOperator(T.window, core)).matrix
+        r, where = states.pairing_residual(W @ act(g, x).matrix - transported @ W, probes)
+        if r > worst:
+            worst, witness = r, {"g": list(g.image), **where}
+    return _report("centralizer_transport", worst, tol, witness=witness if worst > tol else None)
+
+
+def old_locally_trivial(T, window_sizes):
+    tol = old_tol(T, old_facts(T))
+    out = []
+    for N in window_sizes:
+        sub = [i for i, g in enumerate(T.group) if support(g) <= set(range(1, N + 1))]
+        avg = T.mean if len(sub) == len(T.group) else sum(T.stack[i] for i in sub) / len(sub)
+        avg_inv = T.mean_inv if avg is T.mean else matcore.inv(avg)
+        worst = max(r for _, r, *_ in old_coboundary_defects(T, avg, avg_inv, sub))
+        out.append(_report(f"locally_trivial[N={N}]", worst, tol,
+                           details={"subgroup_order": len(sub)}))
+    return out
+
+
+def old_power_relation(T, s_list=(0.5, 1.0, 2.0)):
+    F = old_facts(T)
+    tol = old_tol(T, F)
+    inv, x = group_table(T.group)[1], T.stack
+    Q = group_index(T.group, T.window)
+    resid = [None] * len(x)
+    for i, j in enumerate(inv.tolist()):
+        if j < i:
+            continue
+        spectra, overlaps = {}, {}
+
+        def spectrum(k):
+            if k not in spectra:
+                spectra[k] = matcore.spectral_decompose(x[k], facts=F[k])
+            return spectra[k]
+
+        def overlap(a, b):
+            if (a, b) not in overlaps:
+                overlaps[a, b] = spectrum(a)[1].conj().T @ spectrum(b)[1][Q[b]]
+            return overlaps[a, b]
+
+        def residual(a, b, s):
+            mu = matcore.spectral_power(spectrum(a)[0], -s)
+            nu = matcore.spectral_power(spectrum(b)[0], s)
+            M = overlap(a, b)
+            R = (M * nu) @ M.conj().T
+            R.flat[::len(R) + 1] -= mu
+            return matcore.operator_norm(R)
+
+        for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
+            try:
+                resid[a] = [residual(a, b, s) if s else 0.0 for s in s_list]
+            except QuasinvError as exc:
+                resid[a] = exc
+    worst, witness = 0.0, None
+    for g, rs in zip(T.group, resid):
+        if isinstance(rs, QuasinvError):
+            raise rs
+        for s, r in zip(s_list, rs):
+            if r > worst:
+                worst, witness = r, {"g": list(g.image), "s": s}
+    return _report("power_relation", worst, tol, witness=witness if worst > tol else None)
+
+
+def old_structure(phi, T, tol=compact.STRUCTURE_TOL):
+    for g, f in zip(T.group, old_facts(T)):
+        if f.herm > PASS_TOL * max(1.0, f.norm):
+            raise NotStrongCocycle(f"entry for {g.image} is not hermitean")
+        if f.eig[0] <= 0.0:
+            raise NotStrongCocycle(f"entry for {g.image} is not positive")
+    kap = LocalOperator(T.window, (T.mean + T.mean.conj().T) / 2.0)
+    phi_G = compact.invariant_state(phi, T.group)
+    kinv = matcore.inv(kap.matrix)
+    recon, where = states.pairing_residual(
+        states.full_density(phi) - states.full_density(phi_G) @ kinv)
+    match, match_wit, commut = 0.0, None, 0.0
+    for i, r, moved, rebuilt in old_coboundary_defects(T, kap.matrix, kinv):
+        if r > match:
+            match, match_wit = r, {"g": list(T.group[i].image)}
+        commut = max(commut, matcore.operator_norm(rebuilt - moved @ kap.matrix))
+    normal = matcore.operator_norm(compact.haar_average(
+        T.group, LocalOperator(T.window, kinv)).matrix - np.eye(T.window.total_dim))
+    herm = matcore.herm_defect(kap.matrix)
+    resid = max(recon, match, normal, herm, commut)
+    details = {"reconstruction": recon, "cocycle_match": match, "normalization": normal,
+               "kappa_hermiticity": herm, "commutation": commut,
+               "kappa_min_eig": float(np.linalg.eigvalsh(
+                   (kap.matrix + kap.matrix.conj().T) / 2.0)[0])}
+    witness = match_wit if match > tol else (where if recon > tol else None)
+    return _report("structure_decomposition", resid, tol, witness=witness, details=details)
+
+
+def old_restriction(phi, T, subgroups, tol=compact.STRUCTURE_TOL):
+    W = states.faithful_density(phi)
+    W_inv = matcore.inv(W)
+    worst, witness = 0.0, None
+    per_subgroup = []
+    for idx, sub in enumerate(subgroups):
+        rows = positions(T.group, sub)
+        local = 0.0
+        for i, r, *_ in old_coboundary_defects(T, W_inv, W, rows):
+            local = max(local, r)
+            if r > worst:
+                worst, witness = r, {"subgroup": idx, "g": list(T.group[i].image)}
+        per_subgroup.append(local)
+    return _report("restriction_consistency", worst, tol,
+                   witness=witness if worst > tol else None,
+                   details={"per_subgroup": per_subgroup})
+
+
+def old_steps(seq, N_max):
+    """diagnostic_series and empirical_constant through one cauchy_diagnostic per N."""
+    out, tail = [], 0.0
+    for N in range(1, N_max + 1):
+        step = limits.cauchy_diagnostic(seq, N - 1, N)
+        tail += seq.spectrum(N)[2]
+        out.append({"N": N, "diff": step["diff"], "bound": step["bound"], "tail": tail})
+    best = 0.0
+    for N in range(2, N_max + 1):
+        dev = seq.spectrum(N)[2]
+        if dev <= 1e-15:
+            continue
+        best = max(best, limits.cauchy_diagnostic(seq, N - 1, N)["diff"] / dev)
+    return out, best
+
+
+# ---- tables -----------------------------------------------------------------------
+
+
+def diag_product(d, N, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return states.product_state(d, [np.diag(w / w.sum()) for w in rng.uniform(0.2, 0.8, (N, d))])
+
+
+def rotated_product(d, N, seed):
+    """diag_product turned by one seeded unitary: complex, strong, not diagonal."""
+    u = np.linalg.qr(matcore.random_matrix(d, seed))[0]
+    return states.product_state(d, [u @ w @ u.conj().T for w in diag_product(d, N, seed).weights])
+
+
+def generic_product(d, N, seed):
+    """Non-diagonal site densities: complex entries neither hermitean nor commuting."""
+    return states.product_state(
+        d, [matcore.random_density(d, 0.05, seed=seed * 31 + k) for k in range(N)])
+
+
+def product(make, d, N, k, seed):
+    phi = make(d, N, seed)
+    return phi, cocycle.product_state_cocycle(phi, [extend(g, N) for g in enumerate_group(k)])
+
+
+def markov(N, seed):
+    M = qmc.MarkovState(2, np.eye(2) / 2.0, qmc.seeded_chain(N, seed))
+    return qmc.markov_functional(M), qmc.x_cocycle_table(M, enumerate_group(N))
+
+
+def trivial(d, N, seed):
+    window, group = Window(d, N), enumerate_group(N)
+    rng = np.random.Generator(np.random.Philox(seed))
+    h = np.diag(rng.uniform(0.0, 1.0, size=window.total_dim))
+    centered = h - compact.haar_average(group, LocalOperator(window, h)).matrix
+    kinv = np.eye(window.total_dim) + 0.5 * centered / max(1.0, matcore.operator_norm(centered))
+    phi_G = states.homogeneous_state(d, N, np.eye(d) / d)
+    return compact.converse_construct(phi_G, LocalOperator(window, kinv), group)
+
+
+BUILD = {
+    "product-d2-S3": lambda: product(diag_product, 2, 3, 3, 1),
+    "product-d2-S4": lambda: product(diag_product, 2, 4, 4, 2),
+    "product-d2-S3-in-4": lambda: product(diag_product, 2, 4, 3, 3),
+    "product-d3-S2": lambda: product(diag_product, 3, 2, 2, 4),
+    "rotated-d2-S3": lambda: product(rotated_product, 2, 3, 3, 5),
+    "rotated-d2-S4": lambda: product(rotated_product, 2, 4, 4, 6),
+    "generic-d2-S3": lambda: product(generic_product, 2, 3, 3, 7),
+    "generic-d2-S4": lambda: product(generic_product, 2, 4, 4, 8),
+    "markov-S3": lambda: markov(3, 9),
+    "trivial-d2-S3": lambda: trivial(2, 3, 10),
+    "trivial-d2-S4": lambda: trivial(2, 4, 11),
+    "product-d2-S5-D32": lambda: product(diag_product, 2, 5, 5, 12),
+    "rotated-d2-S5-D32": lambda: product(rotated_product, 2, 5, 5, 13),
+}
+SMALL = sorted(name for name in BUILD if "D32" not in name)
+LARGE = sorted(name for name in BUILD if "D32" in name)
+_made = {}
+
+
+def case(name, planted):
+    """The table of a case, clean or with the CLI's --defect 1e-3 plant."""
+    if name not in _made:
+        _made[name] = BUILD[name]()
+    phi, T = _made[name]
+    return phi, cli._plant_defect(T, 1e-3) if planted else CocycleTable(T.group, T.stack, T.window)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except QuasinvError as exc:
+        return type(exc), str(exc)
+
+
+def probes(window, count=3):
+    return [LocalOperator(window, matcore.random_hermitian(window.total_dim, seed=41 + k))
+            for k in range(count)]
+
+
+# ---- the checks against their oracles ---------------------------------------------
+
+CHECKS = {
+    "cocycle_law": (lambda phi, T: cocycle.verify_cocycle_law(T), lambda phi, T: old_cocycle_law(T)),
+    "inverse_relation": (lambda phi, T: cocycle.verify_inverse_relation(T),
+                         lambda phi, T: old_inverse_relation(T)),
+    "quasi_invariance": (lambda phi, T: cocycle.verify_quasi_invariance(phi, T),
+                         old_quasi_invariance),
+    "strong": (lambda phi, T: cocycle.verify_strong(T, phi), lambda phi, T: old_strong(T, phi)),
+    "power_relation": (lambda phi, T: cocycle.power_relation_check(T),
+                       lambda phi, T: old_power_relation(T)),
+    "structure": (lambda phi, T: compact.verify_structure(phi, T), old_structure),
+}
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("name", SMALL + LARGE)
+def test_facts_equal_the_per_entry_facts(name, planted):
+    _, T = case(name, planted)
+    for f, want in zip(T.facts, old_facts(T), strict=True):
+        assert np.array_equal(f.sv, want.sv) and np.array_equal(f.eig, want.eig)
+        assert f.herm == want.herm and type(f.herm) is float
+        assert (f.hermitean, f.invertible) == (want.hermitean, want.invertible)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("name", SMALL + LARGE)
+def test_check_equals_its_per_entry_loop(name, check, planted):
+    phi, T = case(name, planted)
+    new, old = CHECKS[check]
+    assert outcome(new, phi, T) == outcome(old, phi, T)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("name", SMALL)
+def test_checks_on_probes_equal_their_per_entry_loops(name, planted):
+    phi, T = case(name, planted)
+    P = probes(T.window)
+    assert cocycle.verify_quasi_invariance(phi, T, P) == old_quasi_invariance(phi, T, P)
+    assert cocycle.verify_strong(T, phi, P) == old_strong(T, phi, P)
+    x = LocalOperator(T.window, states.full_density(phi))  # W is in its own centralizer
+    for p in (None, P):
+        assert outcome(cocycle.verify_centralizer_transport, phi, T, x, p) == outcome(
+            old_transport, phi, T, x, p)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("name", SMALL + LARGE)
+def test_subgroup_rows_equal_the_per_entry_loops(name, planted):
+    phi, T = case(name, planted)
+    sizes = list(range(2, T.window.N + 1))
+    assert cocycle.locally_trivial_check(T, sizes) == old_locally_trivial(T, sizes)
+    assert states.is_faithful(phi)[0]
+    m = max(max(support(g), default=1) for g in T.group)
+    subgroups = [[g for g in T.group if g(m) == m][::-1], [g for g in T.group if g(1) == 1],
+                 list(T.group)]
+    assert outcome(compact.restriction_consistency, phi, T, subgroups) == outcome(
+        old_restriction, phi, T, subgroups)
+
+
+S_LISTS = [(0.5, 1.0, 2.0), (0.0,), (0.0, 1.0), (-1.0, 0.5), (2.0, -0.5, 0.0, 3.0), (-2.0, 1.0)]
+
+
+def broken(T, changes):
+    """T with entry k "negated" to -(k + 1) x_k (hermitean, not positive, its
+    min eigenvalue naming k) or "skewed" off hermitean."""
+    stack = T.stack.copy()
+    for k, kind in changes:
+        stack[k] = -(k + 1.0) * stack[k] if kind == "negated" else stack[k] + np.triu(
+            np.full_like(stack[k], 1e-3), 1)
+    return CocycleTable(T.group, stack, T.window)
+
+
+@pytest.mark.parametrize("s_list", S_LISTS)
+@pytest.mark.parametrize("name", ["product-d2-S3", "rotated-d2-S3", "trivial-d2-S3"])
+def test_power_relation_raises_the_first_error_in_group_order(name, s_list):
+    _, T = case(name, False)
+    kinds = ("negated", "skewed")
+    n = len(T.group)
+    for a in range(n):
+        for b in range(n):
+            for changes in ([(a, kinds[a % 2])], [(a, "negated"), (b, "skewed")],
+                            [(a, "skewed"), (b, "negated")], [(a, "negated"), (b, "negated")]):
+                U = broken(T, changes)
+                assert outcome(cocycle.power_relation_check, U, s_list) == outcome(
+                    old_power_relation, U, s_list)
+
+
+@pytest.mark.parametrize("s_list", S_LISTS)
+@pytest.mark.parametrize("name", SMALL + LARGE)
+def test_power_relation_on_s_lists_equals_the_per_entry_loop(name, s_list):
+    for planted in (False, True):
+        _, T = case(name, planted)
+        assert outcome(cocycle.power_relation_check, T, s_list) == outcome(
+            old_power_relation, T, s_list)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_exhaustive_law_equals_the_per_pair_loop(planted):
+    # the sign cocycle x_g = sign(g) 1 has mean 0: the law runs pair by pair
+    group = enumerate_group(4)
+    signs = [round(np.linalg.det(np.eye(4)[np.array(g.image) - 1])) for g in group]
+    T = CocycleTable(group, np.array([s * np.eye(16) for s in signs]), Window(2, 4))
+    T = cli._plant_defect(T, 1e-3) if planted else T
+    assert not matcore.facts(T.mean).invertible
+    rep = cocycle.verify_cocycle_law(T)
+    assert rep == old_cocycle_law(T) and rep.details == {"method": "exhaustive"}
+    assert rep.passed != planted
+
+
+# ---- the blocks ---------------------------------------------------------------
+
+
+def test_blocks_hold_the_budget_and_cover_the_rows():
+    _, T = case("rotated-d2-S5-D32", False)
+    blocks = cocycle._blocks(len(T.group), T.stack[0].nbytes)
+    assert np.array_equal(np.concatenate(blocks), np.arange(len(T.group)))
+    assert all(len(r) * T.stack[0].nbytes <= cocycle.BLOCK_BYTES for r in blocks)
+    assert len(blocks) > 1
+    rows = [7, 3, 100, 5, 9, 11]
+    assert np.concatenate(cocycle._blocks(rows, T.stack[0].nbytes)).tolist() == rows
+    # one row a block when a row alone passes the budget
+    assert [len(r) for r in cocycle._blocks(3, 2 * cocycle.BLOCK_BYTES)] == [1, 1, 1]
+    # rowwise joins per-row outputs, single arrays and tuples, in row order
+    assert T.rowwise(lambda r: r * 2, rows).tolist() == [2 * k for k in rows]
+    got = T.rowwise(lambda r: (r, matcore.operator_norm(T.stack[r])))
+    assert got[0].tolist() == list(range(len(T.group)))
+    assert got[1].tolist() == [matcore.operator_norm(x) for x in T.stack]
+
+
+TRACED = {
+    "facts": lambda phi, T: T.facts,
+    "cocycle_law": lambda phi, T: cocycle.verify_cocycle_law(T),
+    "inverse_relation": lambda phi, T: cocycle.verify_inverse_relation(T),
+    "quasi_invariance": lambda phi, T: cocycle.verify_quasi_invariance(phi, T),
+    "strong": lambda phi, T: cocycle.verify_strong(T, phi),
+    "power_relation": lambda phi, T: cocycle.power_relation_check(T),
+}
+
+
+@pytest.mark.parametrize("make", [generic_product, rotated_product])
+@pytest.mark.parametrize("check", sorted(TRACED))
+def test_check_temporaries_stay_below_a_quarter_of_the_table(check, make):
+    # the complex S_5 table at D 32 of the kernel's one-stack test, after a run
+    # on a small table has loaded what numpy imports on first use
+    outcome(TRACED[check], *product(make, 2, 3, 3, 7))
+    phi, T = product(make, 2, 5, 5, 7)
+    assert T.stack.dtype == complex and T.stack.nbytes == 120 * 32 * 32 * 16
+    if check != "facts":
+        T.facts, T.mean_inv  # cached before the trace: facts is traced on its own
+    group_table(T.group), group_index(T.group, T.window)
+    tracemalloc.start()
+    try:
+        outcome(TRACED[check], phi, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * T.stack.nbytes
+
+
+# ---- the convergence series from one read of the spectra ----------------------
+
+
+@pytest.mark.parametrize("preset", ["geometric", "harmonic"])
+def test_series_and_constant_equal_the_per_step_diagnostics(preset):
+    for n in range(2, 21):
+        seq = limits.preset_sequence(preset, n)
+        series, best = old_steps(seq, n)
+        assert limits.diagnostic_series(seq, n) == series
+        assert limits.empirical_constant(seq, n) == best
+        assert type(limits.empirical_constant(seq, n)) is float
+
+
+def test_series_reads_each_spectrum_once(monkeypatch):
+    seq = limits.preset_sequence("geometric", 20)
+    reads = []
+    spectrum = limits.WindowProductSequence.spectrum
+    monkeypatch.setattr(limits.WindowProductSequence, "spectrum",
+                        lambda self, k: reads.append(k) or spectrum(self, k))
+    limits.diagnostic_series(seq, 20)
+    assert reads == list(range(1, 21))

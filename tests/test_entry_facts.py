@@ -1,7 +1,8 @@
 """The per-entry facts of a cocycle table.
 
 `CocycleTable.facts` holds, per entry, the singular values, the hermiticity
-defect and the hermitean-part spectrum, built in one loop.  The checks that
+defect and the hermitean-part spectrum, built in stacked calls over blocks of
+entries.  The checks that
 read it are compared here with the per-check computations it replaced, kept
 only as oracles: on D <= 16 tables, clean and with planted non-hermitean,
 non-positive and singular entries, the facts agree bit for bit and the
@@ -176,12 +177,20 @@ def test_kappa_and_the_unitaries_screen_through_the_same_facts():
 
 # ---- each entry's facts are computed once per run ---------------------------
 
+def rows_of(A):
+    """The matrices of one argument: itself, or each matrix of a stack."""
+    A = np.asarray(A)
+    return list(A.reshape((-1,) + A.shape[-2:]))
+
+
 def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
+    # the calls take stacks: count the rows, so each part is decomposed once
     tables, arguments = [], []
     build, eigvalsh = cocycle.product_state_cocycle, np.linalg.eigvalsh
     monkeypatch.setattr(cocycle, "product_state_cocycle",
                         lambda phi, group: tables.append(build(phi, group)) or tables[-1])
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: arguments.append(A) or eigvalsh(A))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda A: arguments.extend(rows_of(A)) or eigvalsh(A))
     out = tmp_path / "r.json"
     assert cli.main(["run", "--scenario", "product", "--n-sites", "4", "--out", str(out)]) == 0
     (T,) = tables
@@ -192,7 +201,8 @@ def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
 
 
 def record_entry_norms(monkeypatch):
-    """The matrices given to operator_norm and herm_defect outside matcore.facts."""
+    """The matrices given to operator_norm and herm_defect outside matcore.facts,
+    each matrix of a stack on its own."""
     normed, inside = [], []
     facts = matcore.facts
 
@@ -206,7 +216,7 @@ def record_entry_norms(monkeypatch):
     def recorded(fn):
         def wrapper(A):
             if not inside:
-                normed.append(np.array(A))
+                normed.extend(rows_of(A))
             return fn(A)
         return wrapper
 
@@ -239,13 +249,14 @@ def test_unitaries_norm_no_entry_outside_its_facts(monkeypatch):
 
 
 def test_structure_run_averages_the_table_and_the_state_once(tmp_path, monkeypatch):
+    # facts takes stacks: it counts the matrices it is given, one per entry
     calls = {"kappa": 0, "invariant_state": 0, "facts": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(rows_of(args[0])) if name == "facts" else 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 

@@ -439,13 +439,17 @@ def test_power_relation_on_non_diagonal_strong_tables_matches_the_per_element_fo
 
 
 def test_power_relation_decomposes_each_entry_once(monkeypatch):
+    # the decomposition takes stacks: count the rows, each entry among them once
     _, T = product_case(4, 3)
-    calls = []
+    rows = []
     decompose = matcore.spectral_decompose
     monkeypatch.setattr(matcore, "spectral_decompose",
-                        lambda H, **kw: calls.append(1) or decompose(H, **kw))
+                        lambda H, **kw: rows.extend(np.reshape(H, (-1,) + H.shape[-2:]))
+                        or decompose(H, **kw))
     assert cocycle.power_relation_check(T).passed
-    assert len(calls) == len(T.group)
+    assert len(rows) == len(T.group)
+    for x in T.stack:
+        assert sum(np.array_equal(x, H) for H in rows) == 1
 
 
 def test_power_relation_at_s_zero_is_exactly_zero_undecomposed(monkeypatch):
