@@ -52,7 +52,7 @@ LAWS = {
     "inverse_relation": "x_g * g^-1(x_{g^-1}) = 1",
     "quasi_invariance": "phi(g(a)) = phi(x_g a) and phi(x_g) = 1",
     "strong_quasi_invariance": "entries hermitean, positive, mutually commuting, and central",
-    "power_relation": "x_g^-s = g^-1(x_{g^-1}^s)",
+    "power_relation": "x_g^-s = g^-1(x_{g^-1}^s), certified from the inverse relation",
     "cda_normalization": "the reference expectation of K*K is the identity",
     "window_extension": "appending a normalized amplitude preserves expectations",
     "sandwich_identity": "phi(g(a)) = phi(y* a y) with y = g^-1(R) R^-1",
@@ -238,11 +238,11 @@ def _run_markov(cfg):
 
     # one pass over the group: each y_g serves the sandwich identity and x = y y*
     T = qmc.x_cocycle_table(M, group)
-    sandwich = cross = 0.0
-    for g, x in zip(group, T.stack):
-        y = qmc.y_cocycle(M, g)
-        sandwich = max(sandwich, qmc.sandwich_residual(M, g, y=y))
-        cross = max(cross, matcore.operator_norm(x - y.matrix @ y.dagger().matrix))
+    def block(rows):
+        ys = [qmc.y_cocycle(M, group[k]) for k in rows]
+        return (np.array([qmc.sandwich_residual(M, group[k], y=y) for k, y in zip(rows, ys)]),
+                matcore.operator_norm(T.stack[rows] - [y.matrix @ y.dagger().matrix for y in ys]))
+    sandwich, cross = (float(r.max()) for r in T.rowwise(block))
 
     phi = qmc.markov_functional(M)
     checks = [

@@ -20,7 +20,9 @@ compare a table with a coboundary (local triviality here, the structure
 decomposition and the restriction to subgroups in compact, kappa = W^-1 there)
 read the same kernel.  Besides: the solution set of W x = x* W on a single
 factor, and propagation along the powers of a single generator.  The laws on
-all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law, verify_strong).
+all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law, verify_strong),
+the power relation from the inverse relation's per-entry defects by the
+operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, 1997, X.3).
 Checks read blocks of rows, one stacked LAPACK/BLAS call each, which runs the
 routine of one matrix on each row: the values of a loop over the entries.
 """
@@ -38,7 +40,6 @@ from .errors import (
     NotHermitianZ,
     NotStrongCocycle,
     OrderExceeded,
-    QuasinvError,
     SingularEntry,
     SingularKappa,
     SingularWeight,
@@ -218,15 +219,21 @@ def verify_cocycle_law(T, tol=None):
                    witness=_worst_pairs(T, *pairs)[1] if bound > tol else None)
 
 
+def _inverse_defects(T):
+    """||x_g g^-1(x_{g^-1}) - 1|| of every entry, one stacked call a block."""
+    inv, x, Q = lattice.group_table(T.group)[1], T.stack, lattice.group_index(T.group, T.window)
+    return T.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
+        x[r] @ x[inv[r][:, None, None], Q[inv[r]][:, :, None], Q[inv[r]][:, None, :]] - I))
+
+
 def verify_inverse_relation(T, tol=None):
     """max over g of || x_g g^-1(x_{g^-1}) - 1 ||."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    inv, x, Q = lattice.group_table(T.group)[1], T.stack, lattice.group_index(T.group, T.window)
+    lattice.group_table(T.group)  # a list without inverses is refused first
     for g, f in zip(T.group, T.facts):
         if not f.invertible:
             raise SingularEntry(f"x_g singular for g = {g.image}")
-    worst, k = _first_worst(T.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
-        x[r] @ x[inv[r][:, None, None], Q[inv[r]][:, :, None], Q[inv[r]][:, None, :]] - I)))
+    worst, k = _first_worst(_inverse_defects(T))
     return _report("inverse_relation", worst, tol,
                    witness={"g": list(T.group[k].image)} if worst > tol else None)
 
@@ -292,7 +299,8 @@ def verify_strong(T, phi, probes=None, tol=None):
         y[:, d, d] = 0.0  # y minus its diagonal, exactly
         return diag, matcore.operator_norm(y), states.centralizer_residual(W, x[rows], probes)
     diag, off, centrs = T.rowwise(block)
-    comm = float(np.triu(2.0 * (np.outer(diag, off) + np.outer(off, diag + off)), 1).max())
+    comm = max(float(np.triu(2.0 * (np.outer(diag[r], off) + np.outer(off[r], diag + off)),
+                             r[0] + 1).max()) for r in _blocks(len(x), 4 * off.nbytes))
     centr = float(centrs.max())
     resid = max(herm, comm, centr)
     positive = s1 > 0.0
@@ -405,44 +413,25 @@ def locally_trivial_check(T, window_sizes, tol=None):
 
 
 def power_relation_check(T, s_list=(0.5, 1.0, 2.0), tol=None):
-    """max over g and s of || x_g^-s - g^-1(x_{g^-1}^s) || = || L^-s - M L'^s M* ||
-    for x_g = V L V*, x_{g^-1} = V' L' V'* and M = V* g^-1(V'), g^-1 a row gather
-    of V' (it commutes with functional calculus); s = 0 gives 0 undecomposed.
-    In blocks closed under g -> g^-1: one eigh, each M formed once, one norm per s.
-    An entry keeps the first error of its steps (x_g hermitean, x_g^-s, x_{g^-1}
-    hermitean, x_{g^-1}^s, for each s in turn); the first in group order is raised."""
+    """max over g and s of || x_g^-s - g^-1(x_b^s) ||, b = g^-1, certified from the
+    inverse relation (g^-1 commutes with t -> t^s): for H the hermitean parts and
+    e = ||x_g g^-1(x_b) - 1|| + (||x_g - x_g*|| ||x_b|| + ||H_g|| ||x_b - x_b*||) / 2,
+    A = H_g^-1, B = g^-1(H_b) (s > 0) or A = H_g, B = g^-1(H_b)^-1 (s < 0) lie within
+    e / lambda_min of the inverted side, and ||A^|s| - B^|s||| within power_lipschitz
+    times that, from the spectra in T.facts; s = 0 gives 0.  The errors of x_g^-s,
+    then of x_b^s, for each s in turn, are raised for the first entry in group order."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    inv, x, f = lattice.group_table(T.group)[1], T.stack, T.facts
-    Q, s_on = lattice.group_index(T.group, T.window), [s for s in s_list if s]
-    resid, errors = np.zeros((len(x), len(s_list))), {}
-    def block(lead):  # its arrays freed before the next block's
-        rows = np.r_[lead, inv[lead][inv[lead] != lead]]
-        herm = rows[[f[k].hermitean for k in rows]]
-        lam, V = matcore.spectral_decompose(x[herm], facts=[f[k] for k in herm])
-        at = dict(zip(herm.tolist(), range(len(herm))))
-        low = lam.min(axis=1, initial=np.inf) <= matcore.TAU_ABS
-        good = []
-        for a, b in zip(rows.tolist(), inv[rows].tolist()):
-            try:  # an entry that may meet an error replays its steps
-                if a not in at or b not in at or low[at[a]] or low[at[b]]:
-                    for s in s_on:
-                        for k, t in ((a, -s), (b, s)):
-                            if k not in at:  # not hermitean: raises before decomposing
-                                matcore.spectral_decompose(x[k], facts=f[k])
-                            matcore.spectral_power(lam[at[k]], t)
-                good.append(a)
-            except QuasinvError as exc:
-                errors[a] = exc.with_traceback(None)  # no frame holds this block's arrays
-        ia, ib = [at[a] for a in good], np.array([at[b] for b in inv[good].tolist()], int)
-        M, d = matcore.dagger(V[ia]) @ V[ib[:, None], Q[inv[good]]], np.arange(x.shape[-1])
-        for c in np.flatnonzero(s_list) if good else ():
-            R = (M * matcore.spectral_power(lam[ib], s_list[c])[:, None, :]) @ matcore.dagger(M)
-            R[:, d, d] -= matcore.spectral_power(lam[ia], -s_list[c])
-            resid[good, c] = matcore.operator_norm(R)
-    for lead in _blocks(np.flatnonzero(inv >= np.arange(len(inv))) if s_on else [], 2 * x[0].nbytes):
-        block(lead)
-    if errors:
-        raise errors[min(errors)]
+    inv, f, on = lattice.group_table(T.group)[1], T.facts, [(c, s) for c, s in enumerate(s_list) if s]
+    eps, resid = _inverse_defects(T) if on else None, np.zeros((len(f), len(s_list)))
+    for a, b in enumerate(inv.tolist()):
+        for c, s in on:
+            for k, t in ((a, -s), (b, s)):
+                matcore.require_hermitean(f[k])
+                matcore.require_floor(f[k].eig, t)
+            e = eps[a] + (f[a].herm * f[b].norm + np.abs(f[a].eig).max() * f[b].herm) / 2.0
+            k, o = (a, b) if s > 0 else (b, a)  # x_k the side inverted
+            m, M = min(1.0 / f[k].eig[-1], f[o].eig[0]), max(1.0 / f[k].eig[0], f[o].eig[-1])
+            resid[a, c] = matcore.power_lipschitz(abs(s), m, M) * e / f[k].eig[0]
     worst, k = _first_worst(resid.ravel()) if resid.size else (0.0, None)
     return _report("power_relation", worst, tol, witness={"g": list(T.group[k // len(s_list)].image),
                    "s": s_list[k % len(s_list)]} if worst > tol else None)

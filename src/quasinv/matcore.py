@@ -1,12 +1,13 @@
 """Dense matrix kernel, run in the dtype of its data: promote() lifts ints and
 float32 to float64 and complex64 to complex128 and demotes nothing, so real
 data takes the real LAPACK/BLAS kernels.  Hermitian spectral decomposition,
-spectral functional calculus, operator norms, the per-matrix facts the
-strong-case checks read (singular values, hermiticity defect, hermitean-part
-spectrum, invertibility), and seeded random density matrices whose spectrum is
-bounded away from zero; adjoints, norms, facts, spectra and draws take stacks
-(..., d, d), one call running one matrix's LAPACK routine on each.  All linear
-algebra downstream funnels through here, so tolerances live in one place.
+spectral functional calculus and the Lipschitz constants of powers, operator
+norms, the per-matrix facts the strong-case checks read (singular values,
+hermiticity defect, hermitean-part spectrum, invertibility), and seeded random
+density matrices whose spectrum is bounded away from zero; adjoints, norms,
+facts and draws take stacks (..., d, d), one call running one matrix's LAPACK
+routine on each.  All linear algebra downstream funnels through here, so
+tolerances live in one place.
 """
 
 from dataclasses import dataclass
@@ -53,33 +54,38 @@ def hermitean(herm, norm):
 
 
 def spectral_decompose(H, facts=None):
-    """Eigenvalues (ascending) and a unitary V of eigenvectors for hermitian H,
-    as eigh gives them, with no phase convention: read only what no column phase moves.
-
-    Raises NotHermitian when the input fails the hermiticity tolerance.  The
-    Facts of H already at hand, one per matrix of a stack, supply its norm and defect.
-    """
+    """Eigenvalues (ascending) and a unitary V of eigenvectors of one hermitian H, as
+    eigh gives them, with no phase convention: read only what no column phase moves.
+    NotHermitian from require_hermitean, on the Facts of H if at hand."""
     H = promote(H)
-    # the hermiticity rule reads only the norm and the defect
-    f = Facts(np.array([operator_norm(H)]), herm_defect(H), None) if facts is None else facts
-    for f in [f] if H.ndim == 2 else f:
-        if not f.hermitean:
-            raise NotHermitian(
-                f"hermiticity defect {f.herm:.3e} exceeds {TAU_HERM:.1e} * {max(f.norm, 1.0):.3e}")
+    require_hermitean(facts or Facts(np.array([operator_norm(H)]), herm_defect(H), None))
     return np.linalg.eigh((H + dagger(H)) / 2.0)
 
 
-def spectral_power(lam, s):
-    """lam^s for the spectrum of a positive hermitian matrix.  NotPositive unless
-    min lam clears TAU_ABS, where s < 0 or not an integer (else no inversion)."""
-    needs_floor = (s != int(s)) or (s < 0)
-    if needs_floor and lam.min() <= TAU_ABS:
+def require_hermitean(f):
+    """NotHermitian unless the matrix with Facts f passes the hermiticity rule."""
+    if not f.hermitean:
+        raise NotHermitian(
+            f"hermiticity defect {f.herm:.3e} exceeds {TAU_HERM:.1e} * {max(f.norm, 1.0):.3e}")
+
+
+def require_floor(lam, s):
+    """NotPositive unless min lam clears TAU_ABS where t^s needs it: s < 0 or not an integer."""
+    if (s != int(s) or s < 0) and lam.min() <= TAU_ABS:
         raise NotPositive(f"min eigenvalue {lam.min():.3e} <= floor tolerance {TAU_ABS:.1e}")
-    return np.power(lam, float(s))
+
+
+def power_lipschitz(t, m, M):
+    """L with ||A^t - B^t|| <= L ||A - B|| for hermitean A, B with spectra in [m, M], t > 0:
+    t m^(t-1) for t <= 1 (Bhatia, Matrix Analysis, Thm X.3.8), M L_{t-1} + M^(t-1) above
+    (A^t - B^t = A (A^(t-1) - B^(t-1)) + (A - B) B^(t-1)), t max(-m, M)^(t-1) for m <= 0."""
+    if m <= 0.0:
+        return t * max(-m, M) ** (t - 1)
+    return t * m ** (t - 1) if t <= 1 else M * power_lipschitz(t - 1, m, M) + M ** (t - 1)
 
 
 def matrix_power(P, s, spectrum=None):
-    """Spectral power V spectral_power(lam, s) V* for positive hermitian P, real s.
+    """Spectral power V lam^s V* for positive hermitian P, real s, under require_floor.
 
     Symmetrized to (M + M*)/2 against round-off asymmetry.  matrix_power(P, 0) is
     the identity, undecomposed; matrix_power(P, 1) is P's hermitian part.  A
@@ -89,7 +95,8 @@ def matrix_power(P, s, spectrum=None):
     if s == 0:
         return np.eye(P.shape[0], dtype=P.dtype)
     lam, V = spectral_decompose(P) if spectrum is None else spectrum
-    M = (V * spectral_power(lam, s)) @ dagger(V)
+    require_floor(lam, s)
+    M = (V * np.power(lam, float(s))) @ dagger(V)
     return (M + dagger(M)) / 2.0
 
 

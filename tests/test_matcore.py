@@ -86,14 +86,20 @@ def test_build_unitaries_is_byte_identical_across_calls():
         assert first[g].s.matrix.tobytes() == again[g].s.matrix.tobytes()
 
 
-def test_spectral_power_holds_the_floor_rule():
+def test_require_floor_holds_the_floor_rule():
     lam = np.array([0.0, 0.5, 2.0])
-    assert np.array_equal(matcore.spectral_power(lam, 2), np.array([0.0, 0.25, 4.0]))
-    assert matcore.spectral_power(lam, 2).dtype == lam.dtype
+    for s in (0, 1, 2, 3.0):  # integer powers need no floor
+        matcore.require_floor(lam, s)
     for s in (-1, 0.5, -0.5):
-        with pytest.raises(NotPositive):
-            matcore.spectral_power(lam, s)
-    assert np.array_equal(matcore.spectral_power(lam[1:], -1), np.array([2.0, 0.5]))
+        with pytest.raises(NotPositive, match=r"^min eigenvalue 0\.000e\+00 <= floor tolerance 1\.0e-12$"):
+            matcore.require_floor(lam, s)
+    matcore.require_floor(lam[1:], -1)
+    P = np.diag(lam)
+    assert np.array_equal(matcore.matrix_power(P, 2), np.diag([0.0, 0.25, 4.0]))
+    assert matcore.matrix_power(P, 2).dtype == lam.dtype
+    with pytest.raises(NotPositive):
+        matcore.matrix_power(P, 0.5)
+    assert np.array_equal(matcore.matrix_power(P[1:, 1:], -1), np.diag([2.0, 0.5]))
 
 
 def test_matrix_power_diagonal_sqrt():
@@ -253,3 +259,55 @@ def test_random_density_property(dim, seed):
     lam = np.linalg.eigvalsh(W)
     assert abs(np.trace(W).real - 1.0) < 1e-12
     assert lam.min() >= floor - 1e-12
+
+
+def close_pair(dim, seed, lo, hi, step):
+    """Positive A = U diag(lam) U* and B = V diag(mu) V* with spectra in [lo, hi],
+    V a unitary near U and mu near lam, both at distance about step; the
+    eigenbases are given so that A^t and B^t are read without eigh."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    U = np.linalg.qr(matcore.random_matrix(dim, seed))[0]
+    V = np.linalg.qr(U @ (np.eye(dim) + step * matcore.random_matrix(dim, seed + 1)))[0]
+    lam = rng.uniform(lo, hi, dim)
+    mu = np.clip(lam + step * (hi - lo) * rng.standard_normal(dim), lo, hi)
+    return (U, lam), (V, mu)
+
+
+def power_gap(pair_a, pair_b, t):
+    """(||A^t - B^t||, ||A - B||) from the eigenbases."""
+    (U, lam), (V, mu) = pair_a, pair_b
+    power = lambda Q, e, p: (Q * np.power(e, p)) @ Q.conj().T
+    return (matcore.operator_norm(power(U, lam, t) - power(V, mu, t)),
+            matcore.operator_norm(power(U, lam, 1.0) - power(V, mu, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 6), seed=st.integers(0, 10_000),
+       t=st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.0, 3.0]), lo=st.floats(0.01, 2.0),
+       width=st.floats(0.0, 20.0), step=st.floats(1e-8, 1.0))
+def test_power_lipschitz_bounds_powers_of_positive_pairs(dim, seed, t, lo, width, step):
+    a, b = close_pair(dim, seed, lo, lo + width, step)
+    m, M = min(a[1].min(), b[1].min()), max(a[1].max(), b[1].max())
+    gap, dist = power_gap(a, b, t)
+    assert gap <= matcore.power_lipschitz(t, m, M) * dist + 1e-12 * M ** t
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 6), seed=st.integers(0, 10_000), t=st.sampled_from([1.0, 2.0, 3.0]),
+       hi=st.floats(0.1, 10.0), neg=st.floats(0.0, 10.0), step=st.floats(1e-8, 1.0))
+def test_power_lipschitz_bounds_integer_powers_with_one_side_indefinite(dim, seed, t, hi, neg, step):
+    a, (V, mu) = close_pair(dim, seed, 0.01, hi, step)
+    mu[0] = -neg  # B has an eigenvalue <= 0
+    m, M = min(a[1].min(), mu.min()), max(a[1].max(), mu.max())
+    gap, dist = power_gap(a, (V, mu), t)
+    assert matcore.power_lipschitz(t, m, M) == t * max(-m, M) ** (t - 1)
+    assert gap <= matcore.power_lipschitz(t, m, M) * dist + 1e-12 * max(-m, M) ** t
+
+
+def test_power_lipschitz_values():
+    assert matcore.power_lipschitz(0.5, 4.0, 9.0) == 0.25  # 1 / (2 sqrt(m))
+    assert matcore.power_lipschitz(1.0, 0.5, 3.0) == 1.0
+    assert matcore.power_lipschitz(2.0, 0.5, 3.0) == 6.0  # 2M
+    assert matcore.power_lipschitz(3.0, 0.5, 3.0) == 27.0  # 3M^2
+    assert matcore.power_lipschitz(1.5, 4.0, 9.0) == 9.0 * 0.25 + 3.0  # M L_0.5 + M^0.5
+    assert matcore.power_lipschitz(2.0, -5.0, 3.0) == 10.0
