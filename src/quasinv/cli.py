@@ -211,22 +211,24 @@ def _plant_defect(T, eps):
     return CocycleTable(T.group, stack, T.window)
 
 
+def _law_checks(phi, T, tol, extra):
+    """A table's laws in report order, `extra` before the power relation, preconditions guarded."""
+    return [
+        _check(cocycle.verify_normalization(T, tol=tol)),
+        _guarded_check("cocycle_law", tol, lambda: cocycle.verify_cocycle_law(T, tol=tol)),
+        _guarded_check("inverse_relation", tol, lambda: cocycle.verify_inverse_relation(T, tol=tol)),
+        _check(cocycle.verify_quasi_invariance(phi, T, tol=tol)),
+        extra,
+        _guarded_check("power_relation", tol, lambda: cocycle.power_relation_check(T, tol=tol)),
+    ]
+
+
 def _run_product(cfg):
     phi = _seeded_diagonal_state(cfg.d, cfg.n_sites, cfg.seed, cfg.floor)
-    group = _window_group(cfg)
-    T = cocycle.product_state_cocycle(phi, group)
+    T = cocycle.product_state_cocycle(phi, _window_group(cfg))
     if cfg.defect > 0.0:
         T = _plant_defect(T, cfg.defect)
-    checks = [
-        _check(cocycle.verify_normalization(T, tol=cfg.tol)),
-        _guarded_check("cocycle_law", cfg.tol, lambda: cocycle.verify_cocycle_law(T, tol=cfg.tol)),
-        _check(cocycle.verify_inverse_relation(T, tol=cfg.tol)),
-        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
-        _check(cocycle.verify_strong(T, phi, tol=cfg.tol)),
-        _guarded_check("power_relation", cfg.tol,
-                       lambda: cocycle.power_relation_check(T, tol=cfg.tol)),
-    ]
-    return checks, None
+    return _law_checks(phi, T, cfg.tol, _check(cocycle.verify_strong(T, phi, tol=cfg.tol))), None
 
 
 def _run_markov(cfg):
@@ -270,15 +272,7 @@ def _run_trivial(cfg):
     phi_G = states.homogeneous_state(cfg.d, cfg.n_sites, np.eye(cfg.d) / cfg.d)
     phi, T = compact.converse_construct(phi_G, kinv, group, tol=cfg.tol)
     local = cocycle.locally_trivial_check(T, [cfg.n_sites], tol=cfg.tol)[0]
-    checks = [
-        _check(cocycle.verify_normalization(T, tol=cfg.tol)),
-        _guarded_check("cocycle_law", cfg.tol, lambda: cocycle.verify_cocycle_law(T, tol=cfg.tol)),
-        _check(cocycle.verify_inverse_relation(T, tol=cfg.tol)),
-        _check(cocycle.verify_quasi_invariance(phi, T, tol=cfg.tol)),
-        _check(local),
-        _check(cocycle.power_relation_check(T, tol=cfg.tol)),
-    ]
-    return checks, None
+    return _law_checks(phi, T, cfg.tol, _check(local)), None
 
 
 def _run_sw(cfg):

@@ -29,6 +29,7 @@ routine of one matrix on each row: the values of a loop over the entries.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -99,11 +100,10 @@ class CocycleTable:
 
     @cached_property
     def facts(self):
-        """matcore.Facts of each entry in group order, built block by block on
-        first use: every norm, hermiticity defect and hermitean-part spectrum
-        of an entry that a check reads comes from here."""
-        return tuple(f for r in _blocks(len(self.stack), self.stack[0].nbytes)
-                     for f in matcore.facts(self.stack[r]))
+        """The matcore.Facts of the stack, facts[j] those of entry j, built block by block
+        on first use: every norm, hermiticity defect and hermitean-part spectrum a check reads."""
+        fields = attrgetter("sv", "herm", "eig")
+        return matcore.Facts(*self.rowwise(lambda r: fields(matcore.facts(self.stack[r]))))
 
     def rowwise(self, fn, rows=None):
         """fn(rows) over blocks of the listed rows (all by default), its per-row arrays joined."""
@@ -111,7 +111,7 @@ class CocycleTable:
         return tuple(map(np.concatenate, zip(*out))) if isinstance(out[0], tuple) else np.concatenate(out)
 
     def scale(self):
-        return max(1.0, max(f.norm for f in self.facts))
+        return max(1.0, float(self.facts.norm.max()))
 
     @cached_property
     def mean(self):
@@ -124,6 +124,16 @@ class CocycleTable:
         return tree(0, 1 << (n - 1).bit_length()) / n
 
     mean_inv = cached_property(lambda self: matcore.inv(self.mean))
+    # delta(g) = ||x_g - kappa g^-1(kappa^-1)|| for the mean kappa: the law's certificate
+    mean_defects = cached_property(lambda self: _coboundary_defects(self, self.mean, self.mean_inv))
+
+    @cached_property
+    def inverse_defects(self):
+        """eps(g) = ||x_g g^-1(x_{g^-1}) - 1|| of every entry, one stacked call a block."""
+        inv, x = lattice.group_table(self.group)[1], self.stack
+        Q = lattice.group_index(self.group, self.window)
+        return self.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
+            x[r] @ x[inv[r][:, None, None], Q[inv[r]][:, :, None], Q[inv[r]][:, None, :]] - I))
 
 
 def _coboundary(Q, kappa, kappa_inv):
@@ -207,10 +217,9 @@ def verify_cocycle_law(T, tol=None):
         worst, witness = _worst_pairs(T, *np.divmod(np.arange(n * n), n))
         return _report("cocycle_law", worst, tol, witness=witness if worst > tol else None,
                        details={"method": "exhaustive"})
-    deltas = _coboundary_defects(T, T.mean, T.mean_inv)
-    k = int(np.argmax(deltas))
-    delta = float(deltas[k])
-    C = max(f.norm for f in T.facts) + delta
+    k = int(np.argmax(T.mean_defects))
+    delta = float(T.mean_defects[k])
+    C = float(T.facts.norm.max()) + delta
     bound = delta * (1.0 + 2.0 * C + delta)
     pairs = np.r_[np.full(n, k), np.arange(n)], np.r_[np.arange(n), np.full(n, k)]
     details = {"delta": delta, "C": C, "kappa_cond": float(f.sv[0] / f.sv[-1]),
@@ -219,21 +228,13 @@ def verify_cocycle_law(T, tol=None):
                    witness=_worst_pairs(T, *pairs)[1] if bound > tol else None)
 
 
-def _inverse_defects(T):
-    """||x_g g^-1(x_{g^-1}) - 1|| of every entry, one stacked call a block."""
-    inv, x, Q = lattice.group_table(T.group)[1], T.stack, lattice.group_index(T.group, T.window)
-    return T.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
-        x[r] @ x[inv[r][:, None, None], Q[inv[r]][:, :, None], Q[inv[r]][:, None, :]] - I))
-
-
 def verify_inverse_relation(T, tol=None):
     """max over g of || x_g g^-1(x_{g^-1}) - 1 ||."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     lattice.group_table(T.group)  # a list without inverses is refused first
-    for g, f in zip(T.group, T.facts):
-        if not f.invertible:
-            raise SingularEntry(f"x_g singular for g = {g.image}")
-    worst, k = _first_worst(_inverse_defects(T))
+    if (k := _first_worst(~T.facts.invertible)[1]) is not None:
+        raise SingularEntry(f"x_g singular for g = {T.group[k].image}")
+    worst, k = _first_worst(T.inverse_defects)
     return _report("inverse_relation", worst, tol,
                    witness={"g": list(T.group[k].image)} if worst > tol else None)
 
@@ -271,11 +272,10 @@ def require_strong_entries(T, tol):
     """Raise NotStrongCocycle unless every entry is hermitean (to tol, scaled
     by its norm) and positive definite: the precondition of the square roots
     and averages built on a strong table."""
-    for g, f in zip(T.group, T.facts):
-        if f.herm > tol * max(1.0, f.norm):
-            raise NotStrongCocycle(f"entry for {g.image} is not hermitean")
-        if f.eig[0] <= 0.0:
-            raise NotStrongCocycle(f"entry for {g.image} is not positive")
+    skew = T.facts.herm > tol * np.maximum(1.0, T.facts.norm)
+    if (k := _first_worst(skew | (T.facts.eig[:, 0] <= 0.0))[1]) is not None:  # first in group order
+        part = "hermitean" if skew[k] else "positive"
+        raise NotStrongCocycle(f"entry for {T.group[k].image} is not {part}")
 
 
 def verify_strong(T, phi, probes=None, tol=None):
@@ -286,9 +286,8 @@ def verify_strong(T, phi, probes=None, tol=None):
     Witness: a non-commuting pair {g, h}; else {g, part}, the worst entry of the
     first failing part (hermiticity, positivity, centralizer)."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    herm = max(f.herm for f in T.facts)
-    s1 = min(float(f.eig[0]) for f in T.facts)
-    s2 = max(float(f.eig[-1]) for f in T.facts)
+    f = T.facts
+    herm, s1, s2 = float(f.herm.max()), float(f.eig[:, 0].min()), float(f.eig[:, -1].max())
     x = T.stack  # H below is a seeded combination sum_g c_g x_g, summed without a copy
     H = np.tensordot(np.random.Generator(np.random.Philox(0)).standard_normal(len(x)), x, 1)
     V = np.linalg.eigh((H + H.conj().T) / 2.0)[1]
@@ -313,8 +312,8 @@ def verify_strong(T, phi, probes=None, tol=None):
         exact = T.rowwise(lambda r: matcore.operator_norm(x[k] @ x[r] - x[r] @ x[k]))
         g, h = (list(T.group[i].image) for i in sorted((k, int(np.argmax(exact)))))
         witness = {"g": g, "h": h} if max(exact) > tol else None
-    for part, r, fails in (("hermiticity", [f.herm for f in T.facts], herm > tol),
-                           ("positivity", [-f.eig[0] for f in T.facts], not positive),
+    for part, r, fails in (("hermiticity", f.herm, herm > tol),
+                           ("positivity", -f.eig[:, 0], not positive),
                            ("centralizer", centrs, centr > tol)):
         if witness is None and fails:
             witness = {"g": list(T.group[int(np.argmax(r))].image), "part": part}
@@ -404,9 +403,9 @@ def locally_trivial_check(T, window_sizes, tol=None):
     out = []
     for N in window_sizes:
         sub = [i for i, g in enumerate(T.group) if support(g) <= set(range(1, N + 1))]
-        avg = T.mean if len(sub) == len(T.group) else sum(T.stack[i] for i in sub) / len(sub)
-        avg_inv = T.mean_inv if avg is T.mean else matcore.inv(avg)
-        worst = _coboundary_defects(T, avg, avg_inv, sub).max()
+        avg = sum(T.stack[i] for i in sub) / len(sub) if len(sub) < len(T.group) else None
+        worst = (T.mean_defects if avg is None
+                 else _coboundary_defects(T, avg, matcore.inv(avg), sub)).max()
         out.append(_report(f"locally_trivial[N={N}]", worst, tol,
                            details={"subgroup_order": len(sub)}))
     return out
@@ -422,16 +421,19 @@ def power_relation_check(T, s_list=(0.5, 1.0, 2.0), tol=None):
     then of x_b^s, for each s in turn, are raised for the first entry in group order."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     inv, f, on = lattice.group_table(T.group)[1], T.facts, [(c, s) for c, s in enumerate(s_list) if s]
-    eps, resid = _inverse_defects(T) if on else None, np.zeros((len(f), len(s_list)))
-    for a, b in enumerate(inv.tolist()):
-        for c, s in on:
-            for k, t in ((a, -s), (b, s)):
-                matcore.require_hermitean(f[k])
-                matcore.require_floor(f[k].eig, t)
-            e = eps[a] + (f[a].herm * f[b].norm + np.abs(f[a].eig).max() * f[b].herm) / 2.0
-            k, o = (a, b) if s > 0 else (b, a)  # x_k the side inverted
-            m, M = min(1.0 / f[k].eig[-1], f[o].eig[0]), max(1.0 / f[k].eig[0], f[o].eig[-1])
-            resid[a, c] = matcore.power_lipschitz(abs(s), m, M) * e / f[k].eig[0]
+    a, lo, hi, resid = np.arange(len(inv)), f.eig[:, 0], f.eig[:, -1], np.zeros((len(inv), len(s_list)))
+    floor_g, floor_b = (any(s != int(s) or s * sign > 0 for _, s in on) for sign in (1, -1))
+    low = lo <= matcore.TAU_ABS  # t^s needs a floor for fractional s, x_g^-s if s > 0, x_b^s if s < 0
+    broken = ~f.hermitean | ~f.hermitean[inv] | low & floor_g | low[inv] & floor_b
+    for a0 in np.flatnonzero(broken)[:1]:  # the first broken entry's screens, in order, raise
+        for k, t in [(k, t) for _, s in on for k, t in ((a0, -s), (inv[a0], s))]:
+            matcore.require_hermitean(f[k])
+            matcore.require_floor(f[k].eig, t)
+    e = T.inverse_defects + (f.herm * f.norm[inv] + np.abs(f.eig).max(-1) * f.herm[inv]) / 2.0
+    for c, s in on:
+        k, o = (a, inv) if s > 0 else (inv, a)  # x_k the side inverted
+        m, M = np.minimum(1.0 / hi[k], lo[o]), np.maximum(1.0 / lo[k], hi[o])
+        resid[:, c] = [matcore.power_lipschitz(abs(s), *mM) for mM in zip(m, M)] * e / lo[k]
     worst, k = _first_worst(resid.ravel()) if resid.size else (0.0, None)
     return _report("power_relation", worst, tol, witness={"g": list(T.group[k // len(s_list)].image),
                    "s": s_list[k % len(s_list)]} if worst > tol else None)

@@ -58,7 +58,7 @@ def spectral_decompose(H, facts=None):
     eigh gives them, with no phase convention: read only what no column phase moves.
     NotHermitian from require_hermitean, on the Facts of H if at hand."""
     H = promote(H)
-    require_hermitean(facts or Facts(np.array([operator_norm(H)]), herm_defect(H), None))
+    require_hermitean(Facts(np.array([operator_norm(H)]), herm_defect(H), None) if facts is None else facts)
     return np.linalg.eigh((H + dagger(H)) / 2.0)
 
 
@@ -137,31 +137,35 @@ def random_matrix(dim, seed, scale=1.0):
 
 @dataclass(frozen=True)
 class Facts:
-    """What the strong-case checks read of a matrix A: its singular values
-    (descending, so sv[0] is operator_norm), ||A - A*|| and the eigenvalues
+    """What the strong-case checks read of a matrix A, or of each matrix of a
+    stack (then elementwise, f[j] the Facts of matrix j): its singular values
+    (descending, so sv[..., 0] is operator_norm), ||A - A*|| and the eigenvalues
     of (A + A*)/2 (ascending)."""
     sv: np.ndarray
-    herm: float
+    herm: float | np.ndarray
     eig: np.ndarray
 
-    @property
-    def norm(self):
-        return float(self.sv[0])
+    norm = property(lambda self: self.sv[..., 0] if self.sv.ndim > 1 else float(self.sv[0]))
 
     @cached_property
     def hermitean(self):
-        return bool(hermitean(self.herm, self.norm))
+        return hermitean(self.herm, self.norm)
 
     @property
     def invertible(self):
-        """The smallest |eigenvalue| if A is hermitean, else the smallest
-        singular value, exceeds TAU_POS; both tolerances scaled by max(1, ||A||)."""
-        least = np.abs(self.eig).min() if self.hermitean else self.sv[-1]
-        return float(least) > TAU_POS * max(self.norm, 1.0)
+        """The least |eigenvalue| (A hermitean) or singular value exceeds TAU_POS max(1, ||A||)."""
+        least = np.where(self.hermitean, np.abs(self.eig).min(-1), self.sv[..., -1])
+        return least > TAU_POS * np.maximum(self.norm, 1.0)
+
+    def __len__(self):
+        return len(self.herm)
+
+    def __getitem__(self, j):
+        return Facts(self.sv[j], float(self.herm[j]), self.eig[j])
 
 
 def facts(A):
-    """The Facts of one matrix, or their list for a stack: two SVDs (A, A - A*), one eigvalsh."""
+    """The Facts of one matrix or of a stack: two SVDs (A, A - A*), one eigvalsh."""
     A = promote(A)
-    f = np.linalg.svd(A, compute_uv=False), herm_defect(A), np.linalg.eigvalsh((A + dagger(A)) / 2.0)
-    return Facts(*f) if A.ndim == 2 else list(map(Facts, f[0], f[1].tolist(), f[2]))
+    return Facts(np.linalg.svd(A, compute_uv=False), herm_defect(A),
+                 np.linalg.eigvalsh((A + dagger(A)) / 2.0))

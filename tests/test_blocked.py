@@ -8,7 +8,8 @@ details, or the same error type and message.  The power relation is the one
 exception: it is certified from the inverse relation, so against its exact
 per-entry loop it raises the same error, or gives the same verdict with a
 residual at least the exact one (within AGREE of it where both pass, both
-then round-off).  The tables are D <= 16 windows and S_5 at D 32, real and
+then round-off), and it equals the certified bound's own (entry, s) loop bit
+for bit.  The tables are D <= 16 windows and S_5 at D 32, real and
 complex, clean and with the 1e-3 plant the CLI's --defect puts at m[0, -1] of
 the first moved entry.  The same holds for the convergence series read from
 one pass over the spectra, and each check's temporaries stay a fraction of the
@@ -57,6 +58,14 @@ def old_coboundary_defects(T, kappa, kappa_inv, rows=None):
         moved = gather(kappa_inv, Q_inv[i])
         x = kappa @ moved
         yield i, matcore.operator_norm(T.stack[i] - x), moved, x
+
+
+def old_inverse_defects(T):
+    inv, x = group_table(T.group)[1], T.stack
+    Q = group_index(T.group, T.window)
+    I = np.eye(T.window.total_dim)
+    return np.array([matcore.operator_norm(x[i] @ gather(x[inv[i]], Q[inv[i]]) - I)
+                     for i in range(len(x))])
 
 
 def old_worst_pairs(T, pairs):
@@ -238,6 +247,32 @@ def old_power_relation(T, s_list=(0.5, 1.0, 2.0)):
     return _report("power_relation", worst, tol, witness=witness if worst > tol else None)
 
 
+def loop_power_relation(T, s_list=(0.5, 1.0, 2.0)):
+    """The certified bound as an (entry, s) loop over per-entry facts: what the
+    array form must equal bit for bit, errors included."""
+    F = old_facts(T)
+    tol = old_tol(T, F)
+    inv, eps = group_table(T.group)[1], old_inverse_defects(T)
+    resid = np.zeros((len(F), len(s_list)))
+    for a, b in enumerate(inv.tolist()):
+        for c, s in enumerate(s_list):
+            if not s:
+                continue
+            for k, t in ((a, -s), (b, s)):
+                matcore.require_hermitean(F[k])
+                matcore.require_floor(F[k].eig, t)
+            e = eps[a] + (F[a].herm * F[b].norm + np.abs(F[a].eig).max() * F[b].herm) / 2.0
+            k, o = (a, b) if s > 0 else (b, a)
+            m, M = min(1.0 / F[k].eig[-1], F[o].eig[0]), max(1.0 / F[k].eig[0], F[o].eig[-1])
+            resid[a, c] = matcore.power_lipschitz(abs(s), m, M) * e / F[k].eig[0]
+    worst, witness = 0.0, None
+    for g, rs in zip(T.group, resid):
+        for s, r in zip(s_list, rs):
+            if r > worst:
+                worst, witness = r, {"g": list(g.image), "s": s}
+    return _report("power_relation", worst, tol, witness=witness if worst > tol else None)
+
+
 def old_structure(phi, T, tol=compact.STRUCTURE_TOL):
     for g, f in zip(T.group, old_facts(T)):
         if f.herm > PASS_TOL * max(1.0, f.norm):
@@ -361,10 +396,13 @@ _made = {}
 
 
 def case(name, planted):
-    """The table of a case, clean or with the CLI's --defect 1e-3 plant."""
+    """The table of a case, clean, with the CLI's --defect 1e-3 plant (True), or
+    with its first moved entry "negated" (see broken)."""
     if name not in _made:
         _made[name] = BUILD[name]()
     phi, T = _made[name]
+    if planted == "negated":
+        return phi, broken(T, [(next(i for i, g in enumerate(T.group) if not g.is_identity()), planted)])
     return phi, cli._plant_defect(T, 1e-3) if planted else CocycleTable(T.group, T.stack, T.window)
 
 
@@ -384,7 +422,8 @@ def roundoff(T, s_list):
     """AGREE Lambda^(t+1), t the largest |s| and Lambda the largest ||H_g||,
     1/min |eig H_g| or 1: how far round-off moves the exact residual and the
     bound on a table whose true residual is round-off."""
-    lam = max(max(np.abs(f.eig).max(), 1.0 / np.abs(f.eig).min(), 1.0) for f in T.facts)
+    with np.errstate(divide="ignore"):  # a singular entry: no round-off bound
+        lam = max(max(np.abs(f.eig).max(), 1.0 / np.abs(f.eig).min(), 1.0) for f in T.facts)
     return AGREE * lam ** (max(map(abs, s_list), default=0.0) + 1.0)
 
 
@@ -436,7 +475,7 @@ def test_facts_equal_the_per_entry_facts(name, planted):
         assert (f.hermitean, f.invertible) == (want.hermitean, want.invertible)
 
 
-@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("planted", [False, True, "negated"])
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("name", SMALL + LARGE)
 def test_check_equals_its_per_entry_loop(name, check, planted):
@@ -472,33 +511,63 @@ def test_subgroup_rows_equal_the_per_entry_loops(name, planted):
         old_restriction, phi, T, subgroups)
 
 
-S_LISTS = [(0.5, 1.0, 2.0), (0.0,), (0.0, 1.0), (-1.0, 0.5), (2.0, -0.5, 0.0, 3.0), (-2.0, 1.0)]
+S_LISTS = [(0.5, 1.0, 2.0), (0.0,), (0.0, 1.0), (-1.0, 0.5), (2.0, -0.5, 0.0, 3.0), (-2.0, 1.0),
+           (-1.0,)]
 
 
 def broken(T, changes):
     """T with entry k "negated" to -(k + 1) x_k (hermitean, not positive, its
-    min eigenvalue naming k) or "skewed" off hermitean."""
+    min eigenvalue naming k), "projected" to diag(0, 1, ..., 1) (hermitean and
+    singular: under the floor with no negative eigenvalue) or "skewed" off
+    hermitean."""
     stack = T.stack.copy()
     for k, kind in changes:
-        stack[k] = -(k + 1.0) * stack[k] if kind == "negated" else stack[k] + np.triu(
-            np.full_like(stack[k], 1e-3), 1)
+        if kind == "projected":
+            stack[k] = np.diag(np.r_[0.0, np.ones(len(stack[k]) - 1)])
+        else:
+            stack[k] = -(k + 1.0) * stack[k] if kind == "negated" else stack[k] + np.triu(
+                np.full_like(stack[k], 1e-3), 1)
     return CocycleTable(T.group, stack, T.window)
 
 
 @pytest.mark.parametrize("s_list", S_LISTS)
 @pytest.mark.parametrize("name", ["product-d2-S3", "rotated-d2-S3", "trivial-d2-S3"])
 def test_power_relation_raises_the_first_error_in_group_order(name, s_list):
+    # two broken entries in either order, among them a floor failure before or
+    # after a non-hermitean entry; a list with two s that need the floor fails
+    # both on one entry, and the first s in order names the error.  The exact
+    # loop gives the error and verdict, the certified loop the report bit for bit
     _, T = case(name, False)
     kinds = ("negated", "skewed")
     n = len(T.group)
     for a in range(n):
         for b in range(n):
             for changes in ([(a, kinds[a % 2])], [(a, "negated"), (b, "skewed")],
-                            [(a, "skewed"), (b, "negated")], [(a, "negated"), (b, "negated")]):
+                            [(a, "skewed"), (b, "negated")], [(a, "negated"), (b, "negated")],
+                            [(a, "projected"), (b, "skewed")], [(a, "projected"), (b, "negated")]):
                 U = broken(T, changes)
-                assert_certifies(outcome(cocycle.power_relation_check, U, s_list),
-                                 outcome(old_power_relation, U, s_list), U,
+                got = outcome(cocycle.power_relation_check, U, s_list)
+                assert_certifies(got, outcome(old_power_relation, U, s_list), U,
                                  {k for k, _ in changes}, s_list)
+                assert got == outcome(loop_power_relation, U, s_list)
+                assert outcome(cocycle.verify_inverse_relation, U) == outcome(old_inverse_relation, U)
+
+
+@pytest.mark.parametrize("s_list", [(0.5, 1.0, 2.0), (-1.0, 0.5)])
+def test_power_relation_screens_each_entry_with_its_inverse(s_list):
+    # in S_4 an element g can follow its inverse in group order with another
+    # broken entry, and that entry's inverse, between them; the screen of g^-1
+    # reads x_g, so a skewed x_g names its error there, before the floor
+    # failure in between
+    _, T = case("product-d2-S4", False)
+    inv, n = group_table(T.group)[1], len(T.group)
+    cases = [(a, b) for b in range(n) for a in range(n) if inv[b] < min(a, inv[a]) < b]
+    assert cases
+    for a, b in cases:
+        U = broken(T, [(a, "negated"), (b, "skewed")])
+        got = outcome(cocycle.power_relation_check, U, s_list)
+        assert got == outcome(loop_power_relation, U, s_list)
+        assert got[0] is matcore.NotHermitian
 
 
 def hermitean_plant(T, eps):
@@ -518,12 +587,30 @@ def test_power_relation_on_s_lists_equals_the_per_entry_loop(name, s_list):
     # plant of 1e-6 (a failing report wherever the clean table passes)
     for planted in (False, True):
         _, T = case(name, planted)
-        assert_certifies(outcome(cocycle.power_relation_check, T, s_list),
-                         outcome(old_power_relation, T, s_list), T, s_list=s_list)
+        got = outcome(cocycle.power_relation_check, T, s_list)
+        assert_certifies(got, outcome(old_power_relation, T, s_list), T, s_list=s_list)
+        assert got == outcome(loop_power_relation, T, s_list)
     k, U = hermitean_plant(case(name, False)[1], 1e-6)
-    want = outcome(old_power_relation, U, s_list)
-    assert_certifies(outcome(cocycle.power_relation_check, U, s_list), want, U, [k], s_list)
+    want, got = outcome(old_power_relation, U, s_list), outcome(cocycle.power_relation_check, U, s_list)
+    assert_certifies(got, want, U, [k], s_list)
+    assert got == outcome(loop_power_relation, U, s_list)
     assert isinstance(want, tuple) or want.passed == (not any(s_list))
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("name", SMALL)
+def test_stored_defects_equal_the_per_entry_loops(name, planted):
+    # the inverse-relation defects eps(g) and the defects delta(g) against the
+    # mean, each computed once per table, against the loops they replaced
+    _, T = case(name, planted)
+    assert np.array_equal(T.inverse_defects, old_inverse_defects(T))
+    deltas = np.array([r for _, r, *_ in old_coboundary_defects(T, T.mean, T.mean_inv)])
+    assert np.array_equal(T.mean_defects, deltas)
+    assert T.inverse_defects.dtype == T.mean_defects.dtype == np.float64
+
+
+def test_the_differential_set_holds_real_and_complex_tables():
+    assert {case(name, False)[1].stack.dtype for name in SMALL} == {np.dtype(float), np.dtype(complex)}
 
 
 @pytest.mark.parametrize("planted", [False, True])

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from quasinv import cli, cocycle, limits, matcore, qmc
+from quasinv import cli, cocycle, compact, limits, matcore, qmc
 from quasinv.cocycle import CocycleTable
+from quasinv.errors import QuasinvError
 from quasinv.lattice import LocalOperator
 
 ALL_SCENARIOS = sorted(cli.SCENARIOS)
@@ -366,6 +367,60 @@ def test_guarded_check_reports_raised_precondition():
     assert check["pass"] is False
     assert check["residual"] is None
     assert "NotHermitian" in check["witness"]["error"]
+
+
+def planted_entry(T, kind):
+    """T with its first moved entry made singular (hermitean diag(0, 1, ..., 1))
+    or skewed off hermitean."""
+    k = next(i for i, g in enumerate(T.group) if not g.is_identity())
+    stack = T.stack.copy()
+    D = stack.shape[1]
+    stack[k] = np.diag(np.r_[0.0, np.ones(D - 1)]) if kind == "singular" else stack[k] + np.triu(
+        np.full((D, D), 1e-3), 1)
+    return CocycleTable(T.group, stack, T.window)
+
+
+def raised(fn, T):
+    try:
+        fn(T, tol=1e-9)
+    except QuasinvError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("kind", ["singular", "skewed"])
+@pytest.mark.parametrize("scenario", ["product", "trivial"])
+def test_a_broken_entry_fails_the_relations_it_breaks_with_exit_1(tmp_path, monkeypatch, scenario,
+                                                                  kind):
+    # a raised precondition of the inverse or power relation is a failing
+    # check whose witness is the error, not a configuration error (exit 2)
+    tables = []
+    if scenario == "product":
+        build = cocycle.product_state_cocycle
+        monkeypatch.setattr(cocycle, "product_state_cocycle", lambda phi, group: tables.append(
+            planted_entry(build(phi, group), kind)) or tables[-1])
+    else:
+        build = compact.converse_construct
+        def planted(*args, **kwargs):
+            phi, T = build(*args, **kwargs)
+            tables.append(planted_entry(T, kind))
+            return phi, tables[-1]
+        monkeypatch.setattr(compact, "converse_construct", planted)
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--scenario", scenario, "--n-sites", "3", "--out", str(out)]) == 1
+    (T,) = tables
+    checks = {c["name"]: c for c in read_report(out)["checks"]}
+    errors = {"inverse_relation": raised(cocycle.verify_inverse_relation, T),
+              "power_relation": raised(cocycle.power_relation_check, T)}
+    assert errors["power_relation"].startswith("NotPositive" if kind == "singular" else "NotHermitian")
+    assert (errors["inverse_relation"] is None) == (kind == "skewed")
+    for name, error in errors.items():
+        assert checks[name]["pass"] is False
+        if error is None:
+            assert isinstance(checks[name]["residual"], float) and "witness" in checks[name]
+        else:
+            assert checks[name]["residual"] is None and checks[name]["tolerance"] == 1e-9
+            assert checks[name]["witness"] == {"error": error}
 
 
 def weight_sequence(eps):

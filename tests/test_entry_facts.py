@@ -10,6 +10,7 @@ strong-entry and invertibility screens raise the same first error.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -267,3 +268,40 @@ def test_structure_run_averages_the_table_and_the_state_once(tmp_path, monkeypat
     assert cli.main(["run", "--scenario", "structure", "--n-sites", "4", "--out", str(out)]) == 0
     assert calls == {"kappa": 1, "invariant_state": 1, "facts": 24}
     assert json.loads(out.read_text())["summary"]["all_pass"] is True
+
+
+# ---- each per-entry defect is computed once per run ------------------------
+
+def defect_rows(monkeypatch):
+    """The matrices given to operator_norm by the kernels of the inverse-relation
+    defects and of the coboundary defects (against the mean on these runs),
+    counted by the kernel on the call stack, each matrix of a stack on its own."""
+    rows = {"inverse_defects": 0, "_coboundary_defects": 0}
+    norm = matcore.operator_norm
+
+    def counted(A):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in rows:
+            frame = frame.f_back
+        if frame is not None:
+            rows[frame.f_code.co_name] += len(rows_of(A))
+        return norm(A)
+    monkeypatch.setattr(matcore, "operator_norm", counted)
+    return rows
+
+
+@pytest.mark.parametrize("argv, defect", [
+    (["--scenario", "product", "--n-sites", "4"], 0),
+    (["--scenario", "product", "--n-sites", "4", "--defect", "1e-3"], 1),
+    (["--scenario", "trivial", "--n-sites", "4"], 0),
+])
+def test_a_run_computes_each_defect_of_an_entry_once(tmp_path, monkeypatch, argv, defect):
+    # the inverse and power relations read one eps(g) per entry, the law and
+    # local triviality over the whole group one delta(g) against the mean
+    rows = defect_rows(monkeypatch)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", *argv, "--out", str(out)]) == defect
+    checks = {c["name"] for c in json.loads(out.read_text())["checks"]}
+    assert {"inverse_relation", "power_relation", "cocycle_law"} <= checks
+    assert "locally_trivial[N=4]" in checks or "trivial" not in argv
+    assert rows == {"inverse_defects": 24, "_coboundary_defects": 24}
