@@ -134,6 +134,8 @@ def build_config(args, file_config):
         raise ConfigInvalid(f"defect: must be non-negative, got {cfg.defect!r}")
     if cfg.defect > 0.0 and cfg.scenario != "product":
         raise ConfigInvalid(f"defect: only the product scenario plants one, not {cfg.scenario}")
+    if cfg.defect > 0.0 and cfg.group == 1:
+        raise ConfigInvalid("defect: the one-element group has no entry besides x_e to plant it on")
     if cfg.preset not in ("geometric", "harmonic"):
         raise ConfigInvalid(f"preset: {cfg.preset!r} is not 'geometric' or 'harmonic'")
     if cfg.out is not None and not isinstance(cfg.out, str):
@@ -238,12 +240,13 @@ def _run_markov(cfg):
     K_next = qmc.seeded_chain(cfg.n_sites + 1, cfg.seed)[cfg.n_sites]
     ext = qmc.extension_residual(M, K_next)
 
-    # one pass over the group: each y_g serves the sandwich identity and x = y y*
+    # one pass over the group: each block's y stack serves the sandwich identity and x = y y*
     T = qmc.x_cocycle_table(M, group)
     def block(rows):
-        ys = [qmc.y_cocycle(M, group[k]) for k in rows]
-        return (np.array([qmc.sandwich_residual(M, group[k], y=y) for k, y in zip(rows, ys)]),
-                matcore.operator_norm(T.stack[rows] - [y.matrix @ y.dagger().matrix for y in ys]))
+        sub = [group[k] for k in rows]
+        y = qmc.y_cocycle(M, sub)
+        return (qmc.sandwich_residual(M, sub, y=y),
+                matcore.operator_norm(T.stack[rows] - y @ matcore.dagger(y)))
     sandwich, cross = (float(r.max()) for r in T.rowwise(block))
 
     phi = qmc.markov_functional(M)

@@ -45,21 +45,13 @@ from .errors import (
     SingularKappa,
     SingularWeight,
 )
-from .lattice import LocalOperator, act_inverse, support
+from .lattice import BLOCK_BYTES, LocalOperator, _blocks, _frozen, act_inverse, gather, support
 
 # residuals pass at 1e-8 absolute after scaling by the largest entry norm;
 # planted defects in the tests are >= 1e-3, five decades away
 PASS_TOL = 1e-8
 TAU_STATE = 1e-8
 EXHAUSTIVE_ORDER_CAP = 120  # a law without a certificate is checked pair by pair up to |S_5|
-BLOCK_BYTES = 1 << 16  # the rows of one stacked call: fewer calls against larger temporaries
-
-
-def _blocks(rows, row_bytes):
-    """Runs of the listed rows (range(rows) for a count) of at most BLOCK_BYTES, one at least."""
-    rows = np.arange(rows) if np.ndim(rows) == 0 else np.asarray(rows)
-    step = max(1, BLOCK_BYTES // row_bytes)
-    return [rows[k:k + step] for k in range(0, len(rows), step)]
 
 
 def _first_worst(r):
@@ -85,8 +77,7 @@ class CocycleTable:
             entries = np.array([entries[g.image].matrix for g in self.group])
         elif entries.flags.writeable:
             entries = entries.copy()
-        self.stack = matcore.promote(entries)
-        self.stack.flags.writeable = False
+        self.stack = _frozen(matcore.promote(entries))
 
     @cached_property
     def entries(self):
@@ -103,12 +94,13 @@ class CocycleTable:
         """The matcore.Facts of the stack, facts[j] those of entry j, built block by block
         on first use: every norm, hermiticity defect and hermitean-part spectrum a check reads."""
         fields = attrgetter("sv", "herm", "eig")
-        return matcore.Facts(*self.rowwise(lambda r: fields(matcore.facts(self.stack[r]))))
+        f = matcore.Facts(*map(_frozen, self.rowwise(lambda r: fields(matcore.facts(self.stack[r])))))
+        _frozen(f.hermitean)
+        return f
 
     def rowwise(self, fn, rows=None):
         """fn(rows) over blocks of the listed rows (all by default), its per-row arrays joined."""
-        out = [fn(r) for r in _blocks(len(self.stack) if rows is None else rows, self.stack[0].nbytes)]
-        return tuple(map(np.concatenate, zip(*out))) if isinstance(out[0], tuple) else np.concatenate(out)
+        return lattice._rowwise(fn, len(self.stack) if rows is None else rows, self.stack[0].nbytes)
 
     def scale(self):
         return max(1.0, float(self.facts.norm.max()))
@@ -121,46 +113,44 @@ class CocycleTable:
                 return self.stack[lo] if k == 1 else tree(lo, k // 2)
             return tree(lo, k // 2) + tree(lo + k // 2, k // 2)
         n = len(self.stack)
-        return tree(0, 1 << (n - 1).bit_length()) / n
+        return _frozen(tree(0, 1 << (n - 1).bit_length()) / n)
 
-    mean_inv = cached_property(lambda self: matcore.inv(self.mean))
+    mean_inv = cached_property(lambda self: _frozen(matcore.inv(self.mean)))
     # delta(g) = ||x_g - kappa g^-1(kappa^-1)|| for the mean kappa: the law's certificate
-    mean_defects = cached_property(lambda self: _coboundary_defects(self, self.mean, self.mean_inv))
+    mean_defects = cached_property(lambda self: _frozen(_coboundary_defects(self, self.mean,
+                                                                             self.mean_inv)))
 
     @cached_property
     def inverse_defects(self):
         """eps(g) = ||x_g g^-1(x_{g^-1}) - 1|| of every entry, one stacked call a block."""
         inv, x = lattice.group_table(self.group)[1], self.stack
-        Q = lattice.group_index(self.group, self.window)
-        return self.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
-            x[r] @ x[inv[r][:, None, None], Q[inv[r]][:, :, None], Q[inv[r]][:, None, :]] - I))
+        Qi = lattice.inverse_index(self.group, self.window)
+        return _frozen(self.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
+            x[r] @ gather(x[inv[r]], Qi[r]) - I)))
 
 
-def _coboundary(Q, kappa, kappa_inv):
+def _coboundary(q, kappa, kappa_inv):
     """The stacks (g^-1(kappa^-1), kappa g^-1(kappa^-1)) for the elements g with
-    index arrays Q (rows of lattice.group_index): the one place the rule
-    x_g = kappa g^-1(kappa^-1) is written.  kappa and kappa_inv are bare
-    matrices, g^-1 the gather through the argsort of g's index array."""
-    q = np.argsort(Q, axis=1)
-    moved = kappa_inv[q[:, :, None], q[:, None, :]]
+    inverse index arrays q (rows of lattice.inverse_index): the one place the
+    rule x_g = kappa g^-1(kappa^-1) is written.  kappa and kappa_inv are bare matrices."""
+    moved = gather(kappa_inv, q)
     return moved, kappa @ moved
 
 
 def _coboundary_table(group, window, kappa, kappa_inv):
     """The table x_g = kappa g^-1(kappa^-1), block by block into one stack in their dtype."""
     stack = np.empty((len(group),) + kappa.shape, np.result_type(kappa, kappa_inv, np.float64))
-    Q = lattice.group_index(group, window)
+    Qi = lattice.inverse_index(group, window)
     for r in _blocks(len(group), stack[0].nbytes):
-        stack[r] = _coboundary(Q[r], kappa, kappa_inv)[1]
-    stack.flags.writeable = False
-    return CocycleTable(group, stack, window)
+        stack[r] = _coboundary(Qi[r], kappa, kappa_inv)[1]
+    return CocycleTable(group, _frozen(stack), window)
 
 
 def _coboundary_defects(T, kappa, kappa_inv, rows=None):
     """||x_g - kappa g^-1(kappa^-1)|| of the listed rows of the table (all by default)."""
-    Q = lattice.group_index(T.group, T.window)
+    Qi = lattice.inverse_index(T.group, T.window)
     return T.rowwise(lambda r: matcore.operator_norm(
-        T.stack[r] - _coboundary(Q[r], kappa, kappa_inv)[1]), rows)
+        T.stack[r] - _coboundary(Qi[r], kappa, kappa_inv)[1]), rows)
 
 
 @dataclass(frozen=True)
@@ -195,11 +185,9 @@ def verify_normalization(T, tol=None):
 
 def _worst_pairs(T, b, a):
     """(max, first witness) of the exact law defect over the (g2, g1) position pairs (b, a)."""
-    (mul, inv), x, Q = lattice.group_table(T.group), T.stack, lattice.group_index(T.group, T.window)
+    mul, x, Qi = lattice.group_table(T.group)[0], T.stack, lattice.inverse_index(T.group, T.window)
     def defects(p):
-        q = Q[inv[a[p]]]
-        return matcore.operator_norm(
-            x[mul[b[p], a[p]]] - x[a[p]] @ x[b[p][:, None, None], q[:, :, None], q[:, None, :]])
+        return matcore.operator_norm(x[mul[b[p], a[p]]] - x[a[p]] @ gather(x[b[p]], Qi[a[p]]))
     r, k = _first_worst(T.rowwise(defects, np.arange(len(b))))
     return r, None if k is None else {"g2": list(T.group[b[k]].image), "g1": list(T.group[a[k]].image)}
 
@@ -248,9 +236,9 @@ def verify_quasi_invariance(phi, T, probes=None, tol=None):
     """
     tol = PASS_TOL * T.scale() if tol is None else tol
     W = LocalOperator(T.window, states.full_density(phi)).matrix  # refuses a state on another window
-    Q_inv = np.argsort(lattice.group_index(T.group, T.window), axis=1)
+    Qi = lattice.inverse_index(T.group, T.window)
     def defects(rows):  # g^-1(W) - W x_g, and W x_g
-        return W[Q_inv[rows][:, :, None], Q_inv[rows][:, None, :]] - (Wx := W @ T.stack[rows]), Wx
+        return gather(W, Qi[rows]) - (Wx := W @ T.stack[rows]), Wx
     def block(rows):
         M, Wx = defects(rows)
         z = np.trace(Wx, axis1=1, axis2=2) - 1.0
@@ -329,9 +317,8 @@ def verify_centralizer_transport(phi, T, x, probes=None, tol=None, tau_state=TAU
     if membership > tau_state:
         raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds {tau_state:.1e}")
     def defects(rows):
-        x_g, q = T.stack[rows], Q[rows]
-        at = np.arange(len(rows))[:, None, None], q[:, :, None], q[:, None, :]
-        return W @ x.matrix[at[1:]] - (x_g @ x.matrix @ matcore.inv(x_g))[at] @ W
+        x_g = T.stack[rows]
+        return W @ gather(x.matrix, Q[rows]) - gather(x_g @ x.matrix @ matcore.inv(x_g), Q[rows]) @ W
     worst, k = _first_worst(T.rowwise(lambda rows: states.pairing_residual(defects(rows), probes)[0]))
     witness = None if k is None else {
         "g": list(T.group[k].image), **states.pairing_residual(defects([k])[0], probes)[1]}

@@ -31,7 +31,7 @@ from .cocycle import (
     require_strong_entries,
 )
 from .errors import NotInvariantBase, NotNested, SingularKappa
-from .lattice import LocalOperator, act_inverse
+from .lattice import LocalOperator, act_inverse, gather
 
 UMEGAKI_TOL = 1e-10
 STRUCTURE_TOL = 1e-9
@@ -53,16 +53,14 @@ def _tree_sum(stack):
 
 def haar_average(group, a):
     """E_G(a): one gather through the group's index array, one pairwise tree."""
-    Q = lattice.group_index(group, a.window)
-    stack = a.matrix[Q[:, :, None], Q[:, None, :]]
+    stack = gather(a.matrix, lattice.group_index(group, a.window))
     return LocalOperator(a.window, _tree_sum(stack) / len(group))
 
 
 def _unit_moves(group, window):
     """The (|L|, D*D) integer moves of the list: g(e_x) = e_{g.x}, x = i*D + j."""
-    D = window.total_dim
-    p = np.argsort(lattice.group_index(group, window), axis=1)
-    return (p[:, :, None] * D + p[:, None, :]).reshape(len(group), D * D)
+    D, q = window.total_dim, lattice.inverse_index(group, window)
+    return gather(np.arange(D * D).reshape(D, D), q).reshape(len(group), D * D)
 
 
 def orbit_labels(group, window):
@@ -145,8 +143,7 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     with g^-1(kappa^-1).  A (phi_G, kappa) pair may be supplied explicitly;
     by default both are computed from the table.  The factorization is checked
     on the defect matrix W - W_G kappa^-1 (on every a, or on the probes)."""
-    group = T.group
-    window = T.window
+    group, window = T.group, T.window
     if decomposition is None:
         kap = kappa(T)
         phi_G = invariant_state(phi, group)
@@ -157,9 +154,9 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     recon, where = states.pairing_residual(
         states.full_density(phi) - states.full_density(phi_G) @ kinv, probes)
 
-    Q = lattice.group_index(group, window)
+    Qi = lattice.inverse_index(group, window)
     def block(r):
-        moved, x = _coboundary(Q[r], kap.matrix, kinv)
+        moved, x = _coboundary(Qi[r], kap.matrix, kinv)
         return matcore.operator_norm(T.stack[r] - x), matcore.operator_norm(x - moved @ kap.matrix)
     match, commut = T.rowwise(block)
     (match, k), commut = _first_worst(match), float(commut.max())
@@ -169,14 +166,9 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     herm = matcore.herm_defect(kap.matrix)
 
     resid = max(recon, match, normal, herm, commut)
-    details = {
-        "reconstruction": recon,
-        "cocycle_match": match,
-        "normalization": normal,
-        "kappa_hermiticity": herm,
-        "commutation": commut,
-        "kappa_min_eig": float(np.linalg.eigvalsh((kap.matrix + kap.matrix.conj().T) / 2.0)[0]),
-    }
+    details = {"reconstruction": recon, "cocycle_match": match, "normalization": normal,
+               "kappa_hermiticity": herm, "commutation": commut,
+               "kappa_min_eig": float(np.linalg.eigvalsh((kap.matrix + kap.matrix.conj().T) / 2.0)[0])}
     witness = {"g": list(group[k].image)} if match > tol else (where if recon > tol else None)
     return _report("structure_decomposition", resid, tol, witness=witness, details=details)
 
@@ -209,12 +201,8 @@ def projective_family_check(group_small, group_big, window, tol=UMEGAKI_TOL):
         raise NotNested("the first group is not contained in the second")
     small, big = _average_defect(group_small, window), _average_defect(group_big, window)
     which, (resid, entry, _) = max(("small", small), ("big", big), key=lambda r: r[1][0])
-    details = {
-        "average_defect_small": small[0],
-        "average_defect_big": big[0],
-        "rank_small": small[2],
-        "rank_big": big[2],
-    }
+    details = {"average_defect_small": small[0], "average_defect_big": big[0],
+               "rank_small": small[2], "rank_big": big[2]}
     witness = {"list": which, "entry": entry} if resid > tol else None
     return _report("projective_family", resid, tol, witness=witness, details=details)
 
@@ -246,8 +234,7 @@ def nonuniqueness_demo(phi, T, probes=None, tol=STRUCTURE_TOL):
     alternative pair (phi_G(k .), kappa k): reconstruction and the cocycle
     identity hold for both pairs, while E_G(kappa^-1) = 1 singles out the
     canonical one."""
-    group = T.group
-    window = T.window
+    group, window = T.group, T.window
     kap = kappa(T)
     phi_G = invariant_state(phi, group)
     seed = np.diag(np.linspace(1.0, 2.0, window.total_dim))
@@ -261,10 +248,5 @@ def nonuniqueness_demo(phi, T, probes=None, tol=STRUCTURE_TOL):
     canonical = verify_structure(phi, T, probes=probes, tol=tol, decomposition=(phi_G, kap))
     alternative = verify_structure(phi, T, probes=probes, tol=tol,
                                    decomposition=(phi_G_alt, kap_alt))
-    separation = matcore.operator_norm(kap_alt.matrix - kap.matrix)
-    return {
-        "canonical": canonical,
-        "alternative": alternative,
-        "fixed_point": k,
-        "separation": separation,
-    }
+    return {"canonical": canonical, "alternative": alternative, "fixed_point": k,
+            "separation": matcore.operator_norm(kap_alt.matrix - kap.matrix)}

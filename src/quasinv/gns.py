@@ -22,6 +22,8 @@ operator norm equals (for the group law: bounds) the D^2 x D^2 residual:
 
 and the lifted average (1/|G|) sum_g U_g# pi(a) U_g - pi(E_G(a)) =
 (1/|G|) sum_g C_g^T (x) g^-1(a) is at most (1/|G|) sum_g ||C_g|| ||a||.
+The t_g and C_g of a block of elements are one stacked lattice.gather, the
+action written once, and one stacked SVD; covariance and the lift share ||C_g||.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cocycle, lattice, matcore, states
-from .lattice import LocalOperator, Permutation, act, act_inverse, gather
+from .lattice import LocalOperator, Permutation, act, gather
 
 GNS_TOL = 1e-9
 
@@ -107,30 +109,38 @@ def build_unitaries(R, T, tol=GNS_TOL):
             for g, j in zip(T.group, inv)}
 
 
-def _sharp_factor(R, Ug):
-    """t_g with U_g# vec(b) = vec(g^-1(b) t_g): t_g = g^-1(W s*) W^-1."""
-    return act_inverse(Ug.g, LocalOperator(R.window, R.W @ Ug.s.dagger().matrix)).matrix @ R.W_inv
+def _factors(R, U, group):
+    """The stack of the s_g of the list and its inverse index arrays."""
+    return np.array([U[g.image].s.matrix for g in group]), lattice.inverse_index(group, R.window)
 
 
-def _gram_defect(R, Ug):
-    """C_g = g^-1(s W s*) W^-1 - 1, with U_g# U_g vec(a) = vec(a (1 + C_g))."""
-    moved = act_inverse(Ug.g, LocalOperator(R.window, Ug.s.matrix @ R.W @ Ug.s.dagger().matrix))
-    return moved.matrix @ R.W_inv - np.eye(R.D)
+def _sharp_factors(R, s, q):
+    """t_g with U_g# vec(b) = vec(g^-1(b) t_g): t_g = g^-1(W s*) W^-1, per row of s and q."""
+    return gather(R.W @ matcore.dagger(s), q) @ R.W_inv
+
+
+def _gram_defects(R, s, q):
+    """C_g = g^-1(s W s*) W^-1 - 1, with U_g# U_g vec(a) = vec(a (1 + C_g)), per row of s and q."""
+    return gather(s @ R.W @ matcore.dagger(s), q) @ R.W_inv - np.eye(R.D)
+
+
+def _gram_norms(R, U, group):
+    """||C_g|| over the list, one stacked gather and SVD a block of elements."""
+    s, q = _factors(R, U, group)
+    return lattice._rowwise(lambda r: matcore.operator_norm(_gram_defects(R, s[r], q[r])),
+                            len(s), R.W.nbytes)
 
 
 def verify_unitaries(R, U, group, tol=GNS_TOL):
     """Gram-unitarity, U_g# = U_{g^-1}, and g(s_h) s_g = s_{gh}, bounded as in
     cocycle.verify_cocycle_law by the coboundary g(sigma^-1) sigma, sigma = mean s_g."""
-    inv = lattice.group_table(group)[1]
-    Q = lattice.group_index(group, R.window)
-    s = [U[g.image].s.matrix for g in group]
+    inv, Q = lattice.group_table(group)[1], lattice.group_index(group, R.window)
+    s, q = _factors(R, U, group)
     sigma_inv = matcore.inv(sigma := sum(s) / len(s))
-    unit = adj = delta = norm = 0.0
-    for i, g in enumerate(group):
-        unit = max(unit, matcore.operator_norm(_gram_defect(R, U[g.image])))
-        adj = max(adj, matcore.operator_norm(_sharp_factor(R, U[g.image]) - s[inv[i]]))
-        delta = max(delta, matcore.operator_norm(s[i] - gather(sigma_inv, Q[i]) @ sigma))
-        norm = max(norm, matcore.operator_norm(s[i]))
+    unit, adj, delta, norm = (float(v.max()) for v in lattice._rowwise(
+        lambda r: tuple(map(matcore.operator_norm, (
+            _gram_defects(R, s[r], q[r]), _sharp_factors(R, s[r], q[r]) - s[inv[r]],
+            s[r] - gather(sigma_inv, Q[r]) @ sigma, s[r]))), len(s), R.W.nbytes))
     law = delta * (1.0 + 2.0 * (norm + delta) + delta)
     resid = max(unit, law, adj)
     return {"unitarity": unit, "group_law": law, "adjoint": adj, "residual": resid,
@@ -149,34 +159,26 @@ def _probe_scale(probes):
 def verify_covariance(R, U, group, probes=None, tol=GNS_TOL):
     """max over g, probes of || U_g# pi(a) U_g - pi(g^-1(a)) || = ||C_g|| ||a||;
     with probes=None, over the whole unit ball of the window."""
-    worst = _probe_scale(probes) * max(
-        (matcore.operator_norm(_gram_defect(R, U[g.image])) for g in group), default=0.0)
+    worst = _probe_scale(probes) * float(_gram_norms(R, U, group).max())
     return {"residual": worst, "pass": worst <= tol}
 
 
 def lift_conditional_expectation(R, U, subgroup):
     """The averaged conjugation X -> (1/|G|) sum_g U_g# X U_g on D^2 x D^2
     operators.  U_g# and U_g* are both b -> g^-1(b) m for a D x D factor m
-    (t_g and g^-1(s*)), applied to every column of a D^2 x D^2 matrix through
-    its (D, D, D^2) reshape; X U_g = (U_g* X*)*."""
+    (t_g and g^-1(s*)), applied to every column vec(b) of a D^2 x D^2 matrix
+    as one stacked gather of its (D^2, D, D) reshape; X U_g = (U_g* X*)*."""
     D = R.D
+    s, q = _factors(R, U, subgroup)
+    s_moved, t = gather(matcore.dagger(s), q), _sharp_factors(R, s, q)
 
-    def right_apply(q, m, X):
-        cols = X.reshape(D, D, -1, order="F")[q[:, None], q]
-        return np.einsum("ijc,jk->ikc", cols, m).reshape(D * D, -1, order="F")
-
-    factors = []
-    for g, q in zip(subgroup, np.argsort(lattice.group_index(subgroup, R.window), axis=1)):
-        Ug = U[g.image]
-        factors.append((q, gather(Ug.s.dagger().matrix, q), _sharp_factor(R, Ug)))
+    def right_apply(k, m, X):
+        return (gather(X.T.reshape(-1, D, D, order="F"), q[k]) @ m[k]).reshape(-1, D * D, order="F").T
 
     def lifted(X):
         X = matcore.promote(X)
-        total = 0.0
-        for q, s_moved, t in factors:
-            XU = right_apply(q, s_moved, X.conj().T).conj().T
-            total = total + right_apply(q, t, XU)
-        return total / len(factors)
+        return sum(right_apply(k, t, right_apply(k, s_moved, X.conj().T).conj().T)
+                   for k in range(len(q))) / len(q)
 
     return lifted
 
@@ -185,7 +187,7 @@ def verify_lifted_expectation(R, U, subgroup, probes=None, tol=GNS_TOL):
     """The lift agrees with the algebra-level average: for every probe a,
     || (1/|G|) sum U_g# pi(a) U_g - pi(E_G(a)) || <= (1/|G|) sum_g ||C_g|| ||a||,
     the bound reported as the residual; with probes=None, over the unit ball."""
-    total = sum(matcore.operator_norm(_gram_defect(R, U[g.image])) for g in subgroup)
+    total = sum(_gram_norms(R, U, subgroup).tolist())
     worst = total / len(subgroup) * _probe_scale(probes)
     return {"residual": worst, "pass": worst <= tol}
 

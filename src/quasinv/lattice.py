@@ -6,7 +6,8 @@ so embed(window, 1, b) = b (x) I (x) ... (x) I as a Kronecker product.
 Permutations are 1-based bijections of {1..N} and act by conjugation with
 the permutation unitary P_g that moves factor n to factor g(n).  P_g only
 relabels basis vectors, so the action is an index gather, g(a) = a[q][:, q],
-and P_g itself is never formed.
+written once in gather() for the rows q of group_index or inverse_index;
+act and act_inverse are its one-row case, and the checks read it in blocks.
 """
 
 import itertools
@@ -20,6 +21,13 @@ from .errors import GroupNotClosed, GroupTooLarge, SiteOutOfRange, SizeMismatch,
 
 TOTAL_DIM_CAP = 4096
 GROUP_ORDER_CAP = 720
+BLOCK_BYTES = 1 << 16  # the rows of one stacked call: fewer calls against larger temporaries
+
+
+def _frozen(a):
+    """a, made read-only: an array built once and handed to every caller."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,7 @@ class Permutation:
             raise SizeMismatch("permutation sizes differ")
         return Permutation(tuple(self(other(n)) for n in range(1, self.N + 1)))
 
-    def __mul__(self, other):
-        return self.compose(other)
+    __mul__ = compose
 
     def is_identity(self):
         return all(self(n) == n for n in range(1, self.N + 1))
@@ -120,16 +127,12 @@ class LocalOperator:
         object.__setattr__(self, "matrix", m)
 
     def __matmul__(self, other):
-        _check_same_window(self, other)
+        if self.window != other.window:
+            raise SizeMismatch(f"windows differ: {self.window} vs {other.window}")
         return LocalOperator(self.window, self.matrix @ other.matrix)
 
     def dagger(self):
         return LocalOperator(self.window, self.matrix.conj().T)
-
-
-def _check_same_window(a, b):
-    if a.window != b.window:
-        raise SizeMismatch(f"windows differ: {a.window} vs {b.window}")
 
 
 def extend_operator(a, window):
@@ -165,23 +168,26 @@ def _embed_block(window, n, k, b):
 
 
 @lru_cache(maxsize=4096)
-def _group_index(images, d):
+def _group_index(images, window, inverse=False):
+    if any(len(image) != window.N for image in images):
+        raise SizeMismatch(f"permutations on other than the window's {window.N} sites")
     # q[r] carries at site k the digit that r carries at site g(k): the
-    # row-major index array with its axes permuted by g^-1
-    grid = np.arange(d ** len(images[0])).reshape((d,) * len(images[0]))
-    Q = np.array([grid.transpose(np.argsort(image)).reshape(-1) for image in images])
-    Q.flags.writeable = False
-    return Q
+    # row-major index array with its axes permuted by g^-1, and by g for g^-1
+    grid = np.arange(window.total_dim).reshape((window.d,) * window.N)
+    return _frozen(np.array([grid.transpose(np.subtract(image, 1) if inverse else np.argsort(image))
+                             .reshape(-1) for image in images]))
 
 
 def group_index(group, window):
     """The (|G|, D) array of the index arrays q of the list's elements,
-    g(a) = a[q][:, q], built once per list and window; the argsort of a row
-    is the index array of the inverse element."""
-    images = tuple(g.image for g in group)
-    if any(len(image) != window.N for image in images):
-        raise SizeMismatch(f"permutations on other than the window's {window.N} sites")
-    return _group_index(images, window.d)
+    g(a) = gather(a, q), built once per list and window."""
+    return _group_index(tuple(g.image for g in group), window)
+
+
+def inverse_index(group, window):
+    """group_index of the inverse elements, row k undoing row k of group_index:
+    g^-1(a) = gather(a, q)."""
+    return _group_index(tuple(g.image for g in group), window, True)
 
 
 def _positions(A, B):
@@ -204,9 +210,7 @@ def positions(group, elements):
 def _group_table(images):
     A = np.array(images) - 1
     # the k-th image of g_i g_j is A[i, A[j, k]]; argsort inverts each row
-    mul, inv = _positions(A, A[:, A]), _positions(A, np.argsort(A, axis=1))
-    mul.flags.writeable = inv.flags.writeable = False
-    return mul, inv
+    return _frozen(_positions(A, A[:, A])), _frozen(_positions(A, np.argsort(A, axis=1)))
 
 
 def group_table(group):
@@ -223,8 +227,11 @@ def group_table(group):
 
 
 def gather(m, q):
-    """g(m) = m[q][:, q] for a bare matrix m and the index array q of g."""
-    return m[q[:, None], q]
+    """g(m) = m[q][:, q], the one place the action is written: for one index
+    array q, or a row of q per matrix, on one matrix m or a stack of them."""
+    if q.ndim == 2 and np.ndim(m) == 3:  # row k of q moves matrix k
+        return m[np.arange(len(q))[:, None, None], q[:, :, None], q[:, None, :]]
+    return m[..., q[..., :, None], q[..., None, :]]
 
 
 def act(g, a):
@@ -235,7 +242,20 @@ def act(g, a):
 
 def act_inverse(g, a):
     """g^-1(a) = P_g* a P_g."""
-    return act(g.inverse(), a)
+    return LocalOperator(a.window, gather(a.matrix, inverse_index([g], a.window)[0]))
+
+
+def _blocks(rows, row_bytes):
+    """Runs of the listed rows (range(rows) for a count) of at most BLOCK_BYTES, one at least."""
+    rows = np.arange(rows) if np.ndim(rows) == 0 else np.asarray(rows)
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [rows[k:k + step] for k in range(0, len(rows), step)]
+
+
+def _rowwise(fn, rows, row_bytes):
+    """fn(block) over the blocks of the listed rows (range(rows) for a count), its row arrays joined."""
+    out = [fn(r) for r in _blocks(rows, row_bytes)]
+    return tuple(map(np.concatenate, zip(*out))) if isinstance(out[0], tuple) else np.concatenate(out)
 
 
 def cyclic_group(g):

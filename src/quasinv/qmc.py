@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import matcore, states
+from . import lattice, matcore, states
 from .errors import (
     NotCommutingChain,
     NotInCentralizer,
@@ -27,7 +27,7 @@ from .errors import (
     SizeMismatch,
     SupportTooLarge,
 )
-from .lattice import LocalOperator, Window, act_inverse, embed_pair, extend, extend_operator, support
+from .lattice import LocalOperator, Window, embed_pair, extend, extend_operator, gather, support
 from .states import homogeneous_state, slice_expectation
 
 CDA_TOL = 1e-8
@@ -119,12 +119,13 @@ class MarkovState:
         return R @ states.full_density(self.psi()) @ R.conj().T
 
 
-def _extend_perm(g, M):
-    if g.N > M.N + 1:
-        raise SupportTooLarge(f"permutation moves {g.N} sites, window has {M.N + 1}")
-    if max(support(g), default=0) > M.N:
+def _extend_perm(group, M):
+    """The list on the chain's window, checked once: every element fixes the boundary site."""
+    if (n := max((g.N for g in group), default=0)) > M.N + 1:
+        raise SupportTooLarge(f"permutation moves {n} sites, window has {M.N + 1}")
+    if max(set().union(*map(support, group)), default=0) > M.N:
         raise SupportTooLarge("permutation must fix the boundary site")
-    return extend(g, M.N + 1)
+    return [extend(g, M.N + 1) for g in group]
 
 
 def markov_functional(M):
@@ -144,7 +145,7 @@ def _marginal(X, window, n):
     if n > window.N:
         raise SupportTooLarge(f"observables on {n} sites, window has {window.N}")
     k, r = window.d ** n, window.d ** (window.N - n)
-    return np.einsum("iaja->ij", X.reshape(k, r, k, r))
+    return np.einsum("...iaja->...ij", X.reshape(X.shape[:-2] + (k, r, k, r)))
 
 
 def extension_residual(M, K_next, probes=None):
@@ -159,18 +160,18 @@ def extension_residual(M, K_next, probes=None):
     return states.pairing_residual(diff, probes)[0]
 
 
-def y_cocycle(M, g):
-    """y = g^-1(R) R^-1, the sandwich cocycle at the window scale."""
-    return act_inverse(_extend_perm(g, M), M.R) @ M.R_inv
+def y_cocycle(M, group):
+    """The stack of y_g = g^-1(R) R^-1 over the list, the sandwich cocycle at the window scale."""
+    q = lattice.inverse_index(_extend_perm(group, M), M.window)
+    return gather(M.R.matrix, q) @ M.R_inv.matrix
 
 
-def sandwich_residual(M, g, probes=None, y=None):
-    """max over a in A_[1,N] of |phi(g(a)) - phi(y* a y)|, from the defect
-    matrix g^-1(W) - y W y* reduced to [1,N]; y defaults to y_cocycle(M, g)."""
-    g_full = _extend_perm(g, M)
-    y = (y_cocycle(M, g) if y is None else y).matrix
-    W = M.density
-    defect = act_inverse(g_full, LocalOperator(M.window, W)).matrix - y @ W @ y.conj().T
+def sandwich_residual(M, group, probes=None, y=None):
+    """Per element of the list, max over a in A_[1,N] of |phi(g(a)) - phi(y* a y)|, from the
+    defect matrix g^-1(W) - y W y* reduced to [1,N]; the stack y defaults to y_cocycle(M, group)."""
+    y = y_cocycle(M, group) if y is None else y
+    W, q = M.density, lattice.inverse_index(_extend_perm(group, M), M.window)
+    defect = gather(W, q) - y @ W @ matcore.dagger(y)
     n = M.N if probes is None else probes[0].window.N
     return states.pairing_residual(_marginal(defect, M.window, n), probes)[0]
 
@@ -195,7 +196,7 @@ def x_cocycle_table(M, group, tol=CDA_TOL):
     equals y y* for commuting chains whose amplitudes centralize the reference
     state, hypotheses checked first."""
     from .cocycle import _coboundary_table
-    group = [_extend_perm(g, M) for g in group]
+    group = _extend_perm(group, M)
     comm = chain_commutation_residual(M)
     if comm > tol:
         raise NotCommutingChain(f"pairwise commutator norm {comm:.3e}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matcore
 from .errors import NotFaithful, NotHomogeneous, SizeMismatch
-from .lattice import LocalOperator, Window, act_inverse
+from .lattice import LocalOperator, Window, _blocks, gather, inverse_index
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,11 @@ def slice_expectation(psi, X):
 
 def is_exchangeable(psi, group, probes=None):
     """max over group elements g and a of |psi(g(a)) - psi(a)|, from the
-    defect matrices g^-1(W) - W."""
-    W = LocalOperator(psi.window, full_density(psi))
-    return max((pairing_residual(act_inverse(g, W).matrix - W.matrix, probes)[0]
-                for g in group), default=0.0)
+    defect matrices g^-1(W) - W, one stacked gather a block of elements."""
+    W = LocalOperator(psi.window, full_density(psi)).matrix
+    q = inverse_index(group, psi.window)
+    return max((float(pairing_residual(gather(W, q[r]) - W, probes)[0].max())
+                for r in _blocks(len(group), W.nbytes)), default=0.0)
 
 
 def partial_trace_site(W_full, window, site):

@@ -224,14 +224,12 @@ def test_criterion_09_markov_chain_suite():
     K_next = qmc.seeded_chain(4, seed=1)[3]
     ext = qmc.extension_residual(M, K_next, chain_probes)
 
-    sandwich = max(qmc.sandwich_residual(M, g, chain_probes) for g in group)
+    sandwich = float(qmc.sandwich_residual(M, group, chain_probes).max())
 
     T = qmc.x_cocycle_table(M, group)
     cross = 0.0
-    for g in group:
-        y = qmc.y_cocycle(M, g)
-        x = T.entries[qmc._extend_perm(g, M).image].matrix
-        cross = max(cross, matcore.operator_norm(x - (y @ y.dagger()).matrix))
+    for g, y in zip(qmc._extend_perm(group, M), qmc.y_cocycle(M, group)):
+        cross = max(cross, matcore.operator_norm(T.entries[g.image].matrix - y @ y.conj().T))
 
     phi = qmc.markov_functional(M)
     strong = cocycle.verify_strong(T, phi, tol=1e-9)

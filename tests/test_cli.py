@@ -312,6 +312,15 @@ def test_mistyped_config_values_are_config_errors(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.glob("quasinv_*"))
 
 
+@pytest.mark.parametrize("argv", [["--n-sites", "1"], ["--n-sites", "4", "--group", "1"]])
+def test_defect_on_the_one_element_group_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # the group holds only e, and x_e is the one entry the plant must leave alone
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", "--scenario", "product", *argv, "--defect", "1e-3"]) == 2
+    assert capsys.readouterr().err.startswith("config error: defect:")
+    assert not list(tmp_path.glob("quasinv_*"))
+
+
 @pytest.mark.parametrize("scenario", [s for s in ALL_SCENARIOS if s != "product"])
 def test_defect_outside_product_is_a_config_error(capsys, scenario):
     assert run_cli(["run", "--scenario", scenario, "--n-sites", "3", "--defect", "0.5"]) == 2
@@ -579,9 +588,9 @@ def planted_table(identity, hermitean):
     return planted
 
 
-def skewed_y(M, g, y_cocycle=qmc.y_cocycle):
+def skewed_y(M, group, y_cocycle=qmc.y_cocycle):
     D = M.window.total_dim
-    return y_cocycle(M, g) @ LocalOperator(M.window, np.eye(D) + 1e-3 * matcore.random_matrix(D, 1))
+    return y_cocycle(M, group) @ (np.eye(D) + 1e-3 * matcore.random_matrix(D, 1))
 
 
 TABLE_LAWS = {"x_equals_y_y_star", "cocycle_law", "quasi_invariance"}
@@ -617,8 +626,7 @@ def test_right_unitary_factor_on_y_fails_only_the_sandwich(tmp_path, monkeypatch
     # because u does not commute with the chain density
     u = np.linalg.qr(matcore.random_matrix(16, 2))[0]
     y_cocycle = qmc.y_cocycle
-    monkeypatch.setattr(qmc, "y_cocycle",
-                        lambda M, g: y_cocycle(M, g) @ LocalOperator(M.window, u))
+    monkeypatch.setattr(qmc, "y_cocycle", lambda M, group: y_cocycle(M, group) @ u)
     out = tmp_path / "r.json"
     assert run_cli(["run", "--scenario", "markov", "--out", str(out)]) == 1
     assert {c["name"] for c in read_report(out)["checks"] if not c["pass"]} == {"sandwich_identity"}

@@ -68,7 +68,7 @@ def oracle_transport(phi, T, x, probes):
 
 def oracle_sandwich(M, g, probes):
     g_full = extend(g, M.N + 1)
-    y = qmc.y_cocycle(M, g)
+    y = LocalOperator(M.window, qmc.y_cocycle(M, [g])[0])
     phi = qmc.markov_functional(M)
     worst = 0.0
     for a in probes:
@@ -233,17 +233,19 @@ def test_sandwich_matches_probe_loop(monkeypatch, N, skew):
     # the sandwich identity holds for every invertible chain; a skewed y
     # makes it fail, and both forms must then report the same residual
     y_true = qmc.y_cocycle
-    monkeypatch.setattr(qmc, "y_cocycle", lambda M, g: y_true(M, g) @ LocalOperator(
-        M.window, np.eye(2 ** (N + 1)) + skew * matcore.random_matrix(2 ** (N + 1), seed=N)))
+    monkeypatch.setattr(qmc, "y_cocycle", lambda M, group: y_true(M, group) @ (
+        np.eye(2 ** (N + 1)) + skew * matcore.random_matrix(2 ** (N + 1), seed=N)))
     for M in (qmc.MarkovState(2, np.eye(2) / 2, qmc.seeded_chain(N, seed=N)),
               generic_chain(N, seed=N)):
         for n in range(1, N + 2):
             units = states.matrix_unit_probes(Window(2, n))
-            for g in enumerate_group(N):
+            got = qmc.sandwich_residual(M, enumerate_group(N), units)
+            whole = qmc.sandwich_residual(M, enumerate_group(N))
+            for k, g in enumerate(enumerate_group(N)):
                 want = oracle_sandwich(M, g, units)
-                assert abs(qmc.sandwich_residual(M, g, units) - want) <= AGREE
+                assert abs(got[k] - want) <= AGREE
                 if n == N:
-                    assert abs(qmc.sandwich_residual(M, g) - want) <= AGREE
+                    assert abs(whole[k] - want) <= AGREE
                     assert (want > 1e-3) == (skew > 0)
 
 

@@ -122,34 +122,36 @@ def test_window_extension_invariance_single_site_probe():
 
 def test_y_cocycle_identity_element():
     M = default_state(N=2, seed=9)
-    y = y_cocycle(M, identity_permutation(2))
-    assert matcore.operator_norm(y.matrix - np.eye(8)) < 1e-12
+    y = y_cocycle(M, [identity_permutation(2)])
+    assert y.shape == (1, 8, 8)
+    assert matcore.operator_norm(y[0] - np.eye(8)) < 1e-12
 
 
 def test_y_cocycle_identity_chain():
     M = MarkovState(2, W_HALF, (np.eye(4), np.eye(4)))
-    for g in enumerate_group(2):
-        y = y_cocycle(M, g)
-        assert matcore.operator_norm(y.matrix - np.eye(8)) < 1e-12
+    for y in y_cocycle(M, enumerate_group(2)):
+        assert matcore.operator_norm(y - np.eye(8)) < 1e-12
 
 
 def test_y_cocycle_must_fix_boundary():
     M = default_state(N=2, seed=4)
     with pytest.raises(SupportTooLarge):
-        y_cocycle(M, cyclic_shift(3))  # moves site 3, the boundary
+        y_cocycle(M, [identity_permutation(3), cyclic_shift(3)])  # moves site 3, the boundary
+    with pytest.raises(SupportTooLarge):
+        y_cocycle(M, [identity_permutation(4)])  # more sites than the window has
 
 
 def test_sandwich_identity_transposition():
     M = default_state(N=2, seed=11)
     probes = matrix_unit_probes(Window(2, 2))
-    assert sandwich_residual(M, transposition(2, 1, 2), probes) < 1e-10
+    assert sandwich_residual(M, [transposition(2, 1, 2)], probes)[0] < 1e-10
 
 
 def test_sandwich_identity_full_group():
     M = default_state(N=2, seed=12)
     probes = matrix_unit_probes(Window(2, 2))
-    for g in enumerate_group(2):
-        assert sandwich_residual(M, g, probes) < 1e-10
+    r = sandwich_residual(M, enumerate_group(2), probes)
+    assert r.shape == (2,) and r.max() < 1e-10
 
 
 def test_sandwich_identity_rotated_chain():
@@ -159,7 +161,7 @@ def test_sandwich_identity_rotated_chain():
     K1 = U @ diagonal_cda(2, 0.1) @ U.conj().T
     M = MarkovState(2, W_HALF, (K1,), validate=False)
     probes = matrix_unit_probes(Window(2, 1))
-    assert sandwich_residual(M, identity_permutation(1), probes) < 1e-12
+    assert sandwich_residual(M, [identity_permutation(1)], probes)[0] < 1e-12
 
 
 def test_x_cocycle_identity_element():
@@ -191,11 +193,9 @@ def test_x_cocycle_homogeneous_chain_acts_trivially():
 def test_x_cocycle_matches_y_squared():
     M = default_state(N=2, seed=14)
     T = x_cocycle_table(M, enumerate_group(2))
-    for g in enumerate_group(2):
+    for g, y in zip(enumerate_group(2), y_cocycle(M, enumerate_group(2))):
         x = T.entry(extend(g, 3))
-        y = y_cocycle(M, g)
-        yy = (y @ y.dagger()).matrix
-        assert matcore.operator_norm(x.matrix - yy) < 1e-9
+        assert matcore.operator_norm(x.matrix - y @ y.conj().T) < 1e-9
 
 
 def test_x_cocycle_quasi_invariance():
@@ -276,8 +276,8 @@ def test_chain_attributes_equal_the_per_element_rebuilds(N):
         assert np.array_equal(M.R_inv.matrix, matcore.inv(R))
         assert np.array_equal(M.density, old_markov_density(M))
         assert np.array_equal(markov_functional(M).W, old_markov_density(M))
-        for g in enumerate_group(N):
-            assert np.array_equal(y_cocycle(M, g).matrix, old_y_cocycle(M, g).matrix)
+        for g, y in zip(enumerate_group(N), y_cocycle(M, enumerate_group(N))):
+            assert np.array_equal(y, old_y_cocycle(M, g).matrix)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -300,9 +300,8 @@ def test_chain_is_built_once_per_state(monkeypatch):
 
     monkeypatch.setattr(qmc, "embed_pair", counted("embed_pair", qmc.embed_pair))
     monkeypatch.setattr(matcore, "inv", counted("inv", matcore.inv))
-    for g in enumerate_group(3):
-        y_cocycle(M, g)
-        sandwich_residual(M, g)
+    y_cocycle(M, enumerate_group(3))
+    sandwich_residual(M, enumerate_group(3))
     markov_functional(M)
     assert calls == {"embed_pair": 3, "inv": 1}
     assert M.R is M.R and M.R_inv is M.R_inv and M.density is M.density
@@ -310,10 +309,10 @@ def test_chain_is_built_once_per_state(monkeypatch):
 
 def test_sandwich_residual_reads_the_y_it_is_given():
     M = default_state(N=2, seed=19)
-    g = transposition(2, 1, 2)
+    g = [transposition(2, 1, 2)]
     y = y_cocycle(M, g)
     assert sandwich_residual(M, g, y=y) == sandwich_residual(M, g)
-    assert sandwich_residual(M, g, y=LocalOperator(M.window, 1.01 * y.matrix)) > 1e-3
+    assert sandwich_residual(M, g, y=1.01 * y) > 1e-3
 
 
 def test_singular_chain_product_raises_singular_cda():
@@ -321,18 +320,18 @@ def test_singular_chain_product_raises_singular_cda():
     with pytest.raises(SingularCDA):
         M.R_inv
     with pytest.raises(SingularCDA):
-        y_cocycle(M, identity_permutation(1))
+        y_cocycle(M, [identity_permutation(1)])
 
 
 def test_markov_scenario_builds_three_chains(tmp_path, monkeypatch):
     # the state, its one-site extension and the K*K chain of the table;
     # each chain of N amplitudes embeds N pairs, the commutation check N more;
-    # one pass over the group forms each y_g once
+    # one pass over the group forms each y_g once, a block of them a call
     from quasinv import cli
 
     calls, ys = [], []
     monkeypatch.setattr(qmc, "embed_pair", lambda w, n, K: calls.append(n) or lattice.embed_pair(w, n, K))
-    monkeypatch.setattr(qmc, "y_cocycle", lambda M, g, y=qmc.y_cocycle: ys.append(g) or y(M, g))
+    monkeypatch.setattr(qmc, "y_cocycle", lambda M, sub, y=qmc.y_cocycle: ys.extend(sub) or y(M, sub))
     n = 4
     assert cli.main(["run", "--scenario", "markov", "--n-sites", str(n),
                      "--out", str(tmp_path / "r.json")]) == 0

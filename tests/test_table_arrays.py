@@ -35,6 +35,8 @@ from quasinv.lattice import (
     transposition,
 )
 
+from test_group_action import old_gram_defect, old_sharp_factor
+
 AGREE = 1e-12
 TOL = 1e-8
 
@@ -279,8 +281,8 @@ def old_verify_unitaries(R, U, group):
     unit = adj = law = 0.0
     for g in group:
         Ug = U[g.image]
-        unit = max(unit, matcore.operator_norm(gns._gram_defect(R, Ug)))
-        adj = max(adj, matcore.operator_norm(gns._sharp_factor(R, Ug)
+        unit = max(unit, matcore.operator_norm(old_gram_defect(R, Ug)))
+        adj = max(adj, matcore.operator_norm(old_sharp_factor(R, Ug)
                                              - U[g.inverse().image].s.matrix))
     for g in group:
         for h in group:
