@@ -167,16 +167,9 @@ def build_config(args, file_config):
 
 
 def _check(report):
-    out = {
-        "name": report.name,
-        "law": LAWS[report.name.split("[")[0]],
-        "residual": report.residual,
-        "tolerance": report.tolerance,
-        "pass": report.passed,
-    }
-    if report.witness is not None:
-        out["witness"] = report.witness
-    return out
+    out = {"name": report.name, "law": LAWS[report.name.split("[")[0]], "residual": report.residual,
+           "tolerance": report.tolerance, "pass": report.passed}
+    return out if report.witness is None else {**out, "witness": report.witness}
 
 
 def _guarded_check(name, tol, fn):
@@ -192,14 +185,9 @@ def _guarded_check(name, tol, fn):
 
 
 def _seeded_diagonal_state(d, n_sites, seed, floor):
-    rng = np.random.Generator(np.random.Philox(seed))
-    ws = []
-    for _ in range(n_sites):
-        raw = rng.uniform(0.2, 0.8, size=d)
-        w = raw / raw.sum()
-        w = (1.0 - d * floor) * w + floor
-        ws.append(np.diag(w))
-    return states.product_state(d, ws)
+    raw = np.random.Generator(np.random.Philox(seed)).uniform(0.2, 0.8, size=(n_sites, d))
+    w = (1.0 - d * floor) * (raw / raw.sum(axis=1, keepdims=True)) + floor
+    return states.product_state(d, [np.diag(row) for row in w])
 
 
 def _window_group(cfg):
@@ -337,13 +325,10 @@ def _run_structure(cfg):
     T = cocycle.product_state_cocycle(phi, group)
     sub = [g for g in group if g(cfg.group) == cfg.group]
 
-    checks = [
-        _check(compact.verify_structure(phi, T, tol=cfg.tol)),
-        _check(compact.verify_umegaki(group, T.window)),
-        _check(compact.projective_family_check(sub, group, T.window)),
-        _check(compact.restriction_consistency(phi, T, [sub, group], tol=cfg.tol)),
-    ]
-    return checks, None
+    umegaki, projective = compact.averaging_checks(sub, group, T.window)
+    checks = [compact.verify_structure(phi, T, tol=cfg.tol), umegaki, projective,
+              compact.restriction_consistency(phi, T, [sub, group], tol=cfg.tol)]
+    return list(map(_check, checks)), None
 
 
 RUNNERS = {

@@ -116,10 +116,13 @@ def verify_umegaki(group, window, tol=UMEGAKI_TOL):
     onto the fixed points of the generated group (unital, positive,
     idempotent, faithful, a bimodule map over the fixed points); the witness
     is the matrix unit with the largest defect."""
-    defect, entry, rank = _average_defect(group, window)
-    details = {"average_defect": defect, "fixed_point_rank": rank}
-    return _report("umegaki_expectation", defect, tol,
-                   witness={"entry": entry} if defect > tol else None, details=details)
+    return _umegaki(_average_defect(group, window), tol)
+
+
+def _umegaki(average, tol):
+    defect, entry, rank = average
+    return _report("umegaki_expectation", defect, tol, witness={"entry": entry} if defect > tol else None,
+                   details={"average_defect": defect, "fixed_point_rank": rank})
 
 
 def kappa(T):
@@ -197,6 +200,12 @@ def projective_family_check(group_small, group_big, window, tol=UMEGAKI_TOL):
     the big one, and each list's own average is its orbit mean (the Umegaki
     defect of both); nesting makes every big orbit a union of small orbits,
     so the two orbit projections then compose exactly."""
+    return averaging_checks(group_small, group_big, window, tol)[1]
+
+
+def averaging_checks(group_small, group_big, window, tol=UMEGAKI_TOL):
+    """(verify_umegaki of the big list, projective_family_check of the pair),
+    the big list's average defect computed once for both."""
     if (lattice.positions(group_big, group_small) < 0).any():
         raise NotNested("the first group is not contained in the second")
     small, big = _average_defect(group_small, window), _average_defect(group_big, window)
@@ -204,24 +213,30 @@ def projective_family_check(group_small, group_big, window, tol=UMEGAKI_TOL):
     details = {"average_defect_small": small[0], "average_defect_big": big[0],
                "rank_small": small[2], "rank_big": big[2]}
     witness = {"list": which, "entry": entry} if resid > tol else None
-    return _report("projective_family", resid, tol, witness=witness, details=details)
+    return _umegaki(big, tol), _report("projective_family", resid, tol, witness=witness,
+                                       details=details)
 
 
 def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
     """Against each subgroup, the table must agree with the cocycle
     recomputed intrinsically from the state alone, the intrinsic_entry
-    W^-1 g^-1(W) with W and W^-1 built once."""
+    W^-1 g^-1(W) with W and W^-1 built once; each row's defect is computed
+    once over the union of the subgroups' rows."""
     W = states.faithful_density(phi)
     W_inv = matcore.inv(W)
-    worst, witness = 0.0, None
-    per_subgroup = []
-    for idx, sub in enumerate(subgroups):
-        rows = lattice.positions(T.group, sub)
-        if (rows < 0).any():
-            raise NotNested(f"{sub[np.argmin(rows)].image} is missing from the table")
-        local, k = _first_worst(_coboundary_defects(T, W_inv, W, rows))
+    rows, used = [], np.zeros(len(T.group), bool)
+    for sub in subgroups:
+        rows.append(r := lattice.positions(T.group, sub))
+        if (r < 0).any():
+            raise NotNested(f"{sub[np.argmin(r)].image} is missing from the table")
+        used[r] = True
+    defects = np.zeros(len(T.group))
+    defects[used] = _coboundary_defects(T, W_inv, W, np.flatnonzero(used)) if used.any() else 0.0
+    worst, witness, per_subgroup = 0.0, None, []
+    for idx, r in enumerate(rows):
+        local, k = _first_worst(defects[r])
         if local > worst:
-            worst, witness = local, {"subgroup": idx, "g": list(T.group[rows[k]].image)}
+            worst, witness = local, {"subgroup": idx, "g": list(T.group[r[k]].image)}
         per_subgroup.append(local)
     details = {"per_subgroup": per_subgroup}
     return _report("restriction_consistency", worst, tol,

@@ -148,12 +148,13 @@ def verify_unitaries(R, U, group, tol=GNS_TOL):
 
 
 def _probe_scale(probes):
-    """max ||a|| over the probes, normed 64 at a time; the unit ball when None."""
+    """max ||a|| over the probes, one stacked norm a states.probe_blocks block; the unit ball when None."""
     if probes is None:
         return 1.0
-    probes = [_matrix(a) for a in probes]
-    return max((float(matcore.operator_norm(np.array(probes[i:i + 64])).max())
-                for i in range(0, len(probes), 64)), default=0.0)
+    probes = list(probes)
+    D = _matrix(probes[0]).shape[-1] if probes else 1
+    return max(float(matcore.operator_norm(P.reshape(-1, D, D)).max())
+               for P in states.probe_blocks(probes, D))
 
 
 def verify_covariance(R, U, group, probes=None, tol=GNS_TOL):

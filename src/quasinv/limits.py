@@ -137,14 +137,7 @@ def preset_sequence(kind, n_terms, d=2):
     eps_k = 1/(4k) (log-divergent tail)."""
     if d != 2:
         raise RangeError("presets are two-dimensional")
-    W_inf = np.eye(2) / 2.0
-    ws = []
-    for k in range(1, n_terms + 1):
-        if kind == "geometric":
-            eps = 0.25 * 4.0 ** (-k)
-        elif kind == "harmonic":
-            eps = 1.0 / (4.0 * k)
-        else:
-            raise RangeError(f"unknown preset {kind!r}")
-        ws.append(np.diag([0.5 + eps, 0.5 - eps]))
-    return WindowProductSequence(W_inf, ws)
+    if kind not in ("geometric", "harmonic"):
+        raise RangeError(f"unknown preset {kind!r}")
+    eps = [0.25 * 4.0 ** (-k) if kind == "geometric" else 1.0 / (4.0 * k) for k in range(1, n_terms + 1)]
+    return WindowProductSequence(np.eye(2) / 2.0, [np.diag([0.5 + e, 0.5 - e]) for e in eps])

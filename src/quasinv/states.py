@@ -101,32 +101,38 @@ def matrix_unit_probes(window):
     return [LocalOperator(window, np.eye(1, n * n, k).reshape(n, n)) for k in range(n * n)]
 
 
+def probe_blocks(probes, D):
+    """The probes as (k, D*D) blocks of at most BLOCK_BYTES at complex width, row
+    k of a block vec(a_k), each block built as it is read; an empty list is one
+    zero probe.  SizeMismatch, raised on the call, names the first probe not D x D."""
+    mats = [a.matrix if isinstance(a, LocalOperator) else np.asarray(a) for a in probes]
+    if (bad := next((m for m in mats if m.shape != (D, D)), None)) is not None:
+        raise SizeMismatch(f"probe on dim {bad.shape[0]}, identity on dim {D}")
+    mats = mats or [np.zeros((D, D))]
+    return (np.concatenate(mats[r[0]:r[-1] + 1]).reshape(len(r), D * D)
+            for r in _blocks(len(mats), 16 * D * D))
+
+
 def pairing_residual(M, probes=None):
     """(residual, where) of a linear identity whose defect matrix M has
-    Tr(M a) = lhs(a) - rhs(a).  With probes=None it is complete on the whole
-    algebra: max |M_ij| = max |Tr(M e_ij)| over the matrix units, where =
-    {"entry": [i, j]} naming e_ij.  Otherwise max_k |Tr(M a_k)|, where =
-    {"probe": k}.  A (n, D, D) stack gives each matrix's residual and no where,
-    in one call without probes (each modulus a hypot, as for one matrix)."""
+    Tr(M a) = lhs(a) - rhs(a) = vec(M^T) . vec(a).  With probes=None it is
+    complete on the whole algebra: max |M_ij| = max |Tr(M e_ij)| over the matrix
+    units, where = {"entry": [i, j]} naming e_ij.  Otherwise max_k |Tr(M a_k)|,
+    where = {"probe": k} for the first maximizing probe, each row vec(M^T) paired
+    with a probe block in one product.  A (n, D, D) stack gives each matrix's
+    residual and no where; a lone matrix is the stack of one: both agree bit for bit."""
     M = np.asarray(M)
+    stack, D = (M if M.ndim == 3 else M[None]), M.shape[-1]
+    flat = stack.swapaxes(1, 2).reshape(len(stack), 1, D * D)
+    pair = flat[:, 0] if probes is None else np.hstack(
+        [(flat @ P.T)[:, 0] for P in probe_blocks(probes, D)])
+    k = np.abs(pair).argmax(axis=1)
+    top = pair[np.arange(len(stack)), k]
+    resid = np.hypot(top.real, top.imag)
     if M.ndim == 3:
-        if probes is not None:
-            return np.array([pairing_residual(m, probes)[0] for m in M]), None
-        flat = M.swapaxes(1, 2).reshape(len(M), -1)
-        top = flat[np.arange(len(M)), np.abs(flat).argmax(axis=1)]
-        return np.hypot(top.real, top.imag), None
-    if probes is None:
-        i, j = np.unravel_index(np.argmax(np.abs(M.T)), M.shape)
-        return float(abs(M[j, i])), {"entry": [int(i), int(j)]}
-    best, where = 0.0, {"probe": 0}
-    for k, a in enumerate(probes):
-        am = a.matrix if isinstance(a, LocalOperator) else np.asarray(a)
-        if am.shape != M.shape:
-            raise SizeMismatch(f"probe on dim {am.shape[0]}, identity on dim {M.shape[0]}")
-        r = abs(complex(np.einsum("ij,ji->", M, am)))
-        if r > best:
-            best, where = r, {"probe": k}
-    return best, where
+        return resid, None
+    k = int(k[0])
+    return float(resid[0]), {"entry": [k // D, k % D]} if probes is None else {"probe": k}
 
 
 def centralizer_residual(phi, c, probes=None):

@@ -16,14 +16,21 @@ one pass over the spectra, and each check's temporaries stay a fraction of the
 table.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from quasinv import cli, cocycle, compact, limits, matcore, qmc, states
+from quasinv import cli, cocycle, compact, gns, limits, matcore, qmc, states
 from quasinv.cocycle import PASS_TOL, CocycleTable, _report
-from quasinv.errors import NotInCentralizer, NotStrongCocycle, QuasinvError, SingularEntry
+from quasinv.errors import (
+    NotInCentralizer,
+    NotStrongCocycle,
+    QuasinvError,
+    SingularEntry,
+    SizeMismatch,
+)
 from quasinv.lattice import (
     LocalOperator,
     Window,
@@ -495,6 +502,83 @@ def test_checks_on_probes_equal_their_per_entry_loops(name, planted):
     for p in (None, P):
         assert outcome(cocycle.verify_centralizer_transport, phi, T, x, p) == outcome(
             old_transport, phi, T, x, p)
+
+
+def as_probe(out, D):
+    """A complete-form outcome with its matrix-unit witness {"entry": [i, j]}
+    renamed to the index i D + j of e_ij among matrix_unit_probes."""
+    if isinstance(out, tuple) or not (out.witness or {}).get("entry"):
+        return out
+    (i, j), rest = out.witness["entry"], {k: v for k, v in out.witness.items() if k != "entry"}
+    return dataclasses.replace(out, witness={**rest, "probe": i * D + j})
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("name", SMALL)
+def test_matrix_unit_probes_pair_as_the_complete_form(name, planted):
+    # Tr(M e_ij) = M_ji exactly: one nonzero product in each pairing
+    phi, T = case(name, planted)
+    D, units, W = T.window.total_dim, states.matrix_unit_probes(T.window), states.full_density(phi)
+    for M in (T.stack, T.stack @ W - W @ T.stack, T.stack + 1j * np.roll(T.stack, 1, axis=0)):
+        assert np.array_equal(states.pairing_residual(M, units)[0], states.pairing_residual(M)[0])
+        for m in M:
+            r, where = states.pairing_residual(m, units)
+            want, entry = states.pairing_residual(m)
+            assert r == want and type(r) is float
+            assert where == {"probe": entry["entry"][0] * D + entry["entry"][1]}
+    assert cocycle.verify_quasi_invariance(phi, T, units) == as_probe(
+        cocycle.verify_quasi_invariance(phi, T), D)
+    assert outcome(cocycle.verify_strong, T, phi, units) == outcome(cocycle.verify_strong, T, phi)
+    assert outcome(compact.verify_structure, phi, T, units) == as_probe(
+        outcome(compact.verify_structure, phi, T), D)
+    moved = next(g for g in T.group if not g.is_identity())
+    for x in (LocalOperator(T.window, W), T.entry(moved)):  # central; a failing transport
+        for tau in (cocycle.TAU_STATE, np.inf):
+            def transport(p):
+                return outcome(cocycle.verify_centralizer_transport, phi, T, x, p, None, tau)
+            assert transport(units) == as_probe(transport(None), D)
+
+
+def test_a_probe_of_another_size_is_refused_by_name():
+    D = 4
+    M = matcore.random_matrix(D, seed=3)
+    probes = [np.eye(D), LocalOperator(Window(2, 2), np.eye(D)), np.eye(8), np.eye(2)]
+    for m in (M, np.array([M, 2.0 * M, M.real])):
+        with pytest.raises(SizeMismatch, match=r"^probe on dim 8, identity on dim 4$"):
+            states.pairing_residual(m, probes)
+        with pytest.raises(SizeMismatch, match=r"^probe on dim 2, identity on dim 4$"):
+            states.pairing_residual(m, [probes[0], LocalOperator(Window(2, 1), np.eye(2))])
+
+
+def test_probe_blocks_hold_the_budget_and_the_probes_in_order():
+    window = Window(2, 4)
+    probes = [LocalOperator(window, matcore.random_matrix(16, seed=k)) for k in range(40)]
+    probes += [matcore.random_hermitian(16, seed=99).real, np.arange(256).reshape(16, 16)]
+    blocks = list(states.probe_blocks(probes, 16))
+    assert len(blocks) > 1 and all(P.nbytes <= cocycle.BLOCK_BYTES for P in blocks)
+    rows = np.concatenate(blocks)
+    want = [a.matrix if isinstance(a, LocalOperator) else a for a in probes]
+    assert np.array_equal(rows, np.array([a.reshape(-1) for a in want]))
+    # the empty list pairs as one zero probe: residual 0 at probe 0
+    assert states.pairing_residual(matcore.random_matrix(16, seed=1), []) == (0.0, {"probe": 0})
+    assert gns._probe_scale([]) == 0.0
+
+
+def test_pairing_holds_no_second_copy_of_the_probes():
+    window = Window(2, 5)
+    probes = [LocalOperator(window, matcore.random_matrix(32, seed=k)) for k in range(64)]
+    M = matcore.random_matrix(32, seed=100) + np.zeros((8, 1, 1))
+    states.pairing_residual(M[:1], probes[:2])  # what numpy loads on first use
+    tracemalloc.start()
+    try:
+        got = states.pairing_residual(M, probes)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the transposed rows of M and a few probe blocks, far from a second copy of the probes
+    assert peak < M.nbytes + 4 * cocycle.BLOCK_BYTES < sum(a.matrix.nbytes for a in probes)
+    want = [max(abs(np.einsum("ij,ji->", m, a.matrix)) for a in probes) for m in M]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("planted", [False, True])
