@@ -63,12 +63,12 @@ def _unit_moves(group, window):
     return gather(np.arange(D * D).reshape(D, D), q).reshape(len(group), D * D)
 
 
-def orbit_labels(group, window):
+def orbit_labels(group, window, moves=None):
     """The (D, D) integer label of each matrix unit, numbered 0, 1, ... in
-    row-major order of first appearance: the connected components of
-    x ~ g.x over the list's moves, which are the orbits of the group the list
-    generates (a permutation's inverse is one of its powers)."""
-    moves = _unit_moves(group, window)
+    row-major order of first appearance: the connected components of x ~ g.x
+    over the list's moves (built unless given), which are the orbits of the
+    group the list generates (a permutation's inverse is one of its powers)."""
+    moves = _unit_moves(group, window) if moves is None else moves
     low = np.arange(moves.shape[1])
     while True:
         # the least label one move reaches, then that label's own label:
@@ -88,8 +88,8 @@ def _average_defect(group, window):
     integer counts c(x, y) = #{g in L : g.x = y}, E_L(e_x) = (1/n) sum_y c e_y,
     so (n |O| defect)^2 = |O|^2 sum_y c^2 - 2 n |O| s + n^2 |O| exactly, with
     s = #{g : g.x in O(x)}; it is 0 for a closed list."""
-    labels = orbit_labels(group, window).ravel()
     moves = _unit_moves(group, window)
+    labels = orbit_labels(group, window, moves).ravel()
     n, D2 = moves.shape
     size = np.bincount(labels)[labels]
     inside = np.count_nonzero(labels[moves] == labels, axis=0)

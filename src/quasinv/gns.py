@@ -22,8 +22,9 @@ operator norm equals (for the group law: bounds) the D^2 x D^2 residual:
 
 and the lifted average (1/|G|) sum_g U_g# pi(a) U_g - pi(E_G(a)) =
 (1/|G|) sum_g C_g^T (x) g^-1(a) is at most (1/|G|) sum_g ||C_g|| ||a||.
-The t_g and C_g of a block of elements are one stacked lattice.gather, the
-action written once, and one stacked SVD; covariance and the lift share ||C_g||.
+The t_g and C_g of a block of elements are one stacked lattice.gather and one
+stacked SVD.  Covariance and the lift share ||C_g|| and scale it over a probe
+list by max ||a||_F, one row norm a probe: ||a|| <= ||a||_F <= sqrt(rank a) ||a||.
 """
 
 from dataclasses import dataclass
@@ -148,18 +149,17 @@ def verify_unitaries(R, U, group, tol=GNS_TOL):
 
 
 def _probe_scale(probes):
-    """max ||a|| over the probes, one stacked norm a states.probe_blocks block; the unit ball when None."""
+    """max ||a||_F over the probes, the largest row norm of the states.probe_blocks blocks; 1 when None."""
     if probes is None:
         return 1.0
     probes = list(probes)
     D = _matrix(probes[0]).shape[-1] if probes else 1
-    return max(float(matcore.operator_norm(P.reshape(-1, D, D)).max())
-               for P in states.probe_blocks(probes, D))
+    return max(float(np.linalg.norm(P, axis=1).max()) for P in states.probe_blocks(probes, D))
 
 
 def verify_covariance(R, U, group, probes=None, tol=GNS_TOL):
-    """max over g, probes of || U_g# pi(a) U_g - pi(g^-1(a)) || = ||C_g|| ||a||;
-    with probes=None, over the whole unit ball of the window."""
+    """max over g, probes of || U_g# pi(a) U_g - pi(g^-1(a)) || <= ||C_g|| max ||a||_F;
+    with probes=None, exactly ||C_g|| over the whole unit ball of the window."""
     worst = _probe_scale(probes) * float(_gram_norms(R, U, group).max())
     return {"residual": worst, "pass": worst <= tol}
 
@@ -186,10 +186,9 @@ def lift_conditional_expectation(R, U, subgroup):
 
 def verify_lifted_expectation(R, U, subgroup, probes=None, tol=GNS_TOL):
     """The lift agrees with the algebra-level average: for every probe a,
-    || (1/|G|) sum U_g# pi(a) U_g - pi(E_G(a)) || <= (1/|G|) sum_g ||C_g|| ||a||,
+    || (1/|G|) sum U_g# pi(a) U_g - pi(E_G(a)) || <= (1/|G|) sum_g ||C_g|| ||a||_F,
     the bound reported as the residual; with probes=None, over the unit ball."""
-    total = sum(_gram_norms(R, U, subgroup).tolist())
-    worst = total / len(subgroup) * _probe_scale(probes)
+    worst = sum(_gram_norms(R, U, subgroup).tolist()) / len(subgroup) * _probe_scale(probes)
     return {"residual": worst, "pass": worst <= tol}
 
 

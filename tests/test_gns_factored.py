@@ -4,9 +4,10 @@
 W^T (x) 1, pi(a) = 1 (x) a and U_g = (P_g* s_g)^T (x) P_g, with P_g the dense
 permutation unitary, and the verifiers as operator norms of D^2 x D^2
 residuals.  It is kept only as the oracle: every factored residual must
-equal it to round-off (the lifted average and the certified group law must
-bound it from above), with the same verdicts on clean tables, on tables with
-a planted entry defect and on tables that are not strong.
+equal it to round-off (covariance and the lifted average over probes, scaled
+by max ||a||_F, and the certified group law must bound it from above), with
+the same verdicts on clean tables, on tables with a planted entry defect and
+on tables that are not strong.
 """
 
 import numpy as np
@@ -165,7 +166,7 @@ def assert_agree(factored, oracle):
         assert abs(unit[key] - unit_d[key]) <= MATCH, (key, unit[key], unit_d[key])
     for key in ("group_law", "residual"):
         assert unit[key] >= unit_d[key] - MATCH, (key, unit[key], unit_d[key])
-    assert abs(cov["residual"] - cov_d["residual"]) <= MATCH
+    assert cov["residual"] >= cov_d["residual"] - MATCH
     assert lift["residual"] >= lift_d["residual"] - MATCH
     for f, o in zip(factored, oracle):
         assert f["pass"] == o["pass"]

@@ -207,15 +207,23 @@ def old_verify_unitaries(R, U, group, tol=gns.GNS_TOL):
             "pass": resid <= tol, "delta": delta}
 
 
+def svd_scale(probes):
+    """max ||a|| over the probes, one SVD each; the unit ball when None."""
+    if probes is None:
+        return 1.0
+    return max((matcore.operator_norm(a.matrix if isinstance(a, LocalOperator) else np.asarray(a))
+                for a in probes), default=0.0)
+
+
 def old_verify_covariance(R, U, group, probes=None, tol=gns.GNS_TOL):
-    worst = gns._probe_scale(probes) * max(
+    worst = svd_scale(probes) * max(
         (matcore.operator_norm(old_gram_defect(R, U[g.image])) for g in group), default=0.0)
     return {"residual": worst, "pass": worst <= tol}
 
 
 def old_verify_lifted_expectation(R, U, subgroup, probes=None, tol=gns.GNS_TOL):
     total = sum(matcore.operator_norm(old_gram_defect(R, U[g.image])) for g in subgroup)
-    worst = total / len(subgroup) * gns._probe_scale(probes)
+    worst = total / len(subgroup) * svd_scale(probes)
     return {"residual": worst, "pass": worst <= tol}
 
 
@@ -273,11 +281,26 @@ def test_gns_stacks_equal_the_per_element_forms(d, n, k, complex_, eps):
     got = gns.verify_unitaries(R, U, group)
     assert got == old_verify_unitaries(R, U, group)
     assert got["pass"] == (eps == 0.0)
-    probe_sets = [None] + ([states.matrix_unit_probes(R.window)] if R.D <= 16 else [])
-    for probes in probe_sets:
+    # the probe sets gns-dense passes: the row-norm scale of the matrix units is
+    # their SVD scale, 1.0, so covariance and the lift keep the oracle's bits
+    for probes in (None, states.matrix_unit_probes(R.window)):
         assert gns.verify_covariance(R, U, group, probes) == old_verify_covariance(R, U, group, probes)
         assert (gns.verify_lifted_expectation(R, U, group, probes)
                 == old_verify_lifted_expectation(R, U, group, probes))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("d,n,k", GNS_SIZES)
+def test_a_planted_factor_fails_covariance_and_the_lift_on_random_probes(d, n, k, complex_):
+    R, U, group = gns_case(d, n, k, complex_, eps=1e-3)
+    clean = gns_case(d, n, k, complex_)
+    probes = [matcore.random_matrix(R.D, seed=40 + j, scale=0.3 + j) for j in range(3)]
+    for check, oracle in ((gns.verify_covariance, old_verify_covariance),
+                          (gns.verify_lifted_expectation, old_verify_lifted_expectation)):
+        got, exact = check(R, U, group, probes), oracle(R, U, group, probes)
+        assert not got["pass"] and not exact["pass"]
+        assert exact["residual"] <= got["residual"] <= np.sqrt(R.D) * exact["residual"]
+        assert check(*clean, probes)["pass"]
 
 
 @pytest.mark.parametrize("complex_", [False, True])

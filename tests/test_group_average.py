@@ -286,12 +286,25 @@ def test_planted_labels_fail_umegaki_at_the_planted_entry(monkeypatch, which):
         planted[0, 2] = labels.max() + 1
         entry = [0, 2]
     assert (labels == labels[0, 1]).sum() == 3 and labels[0, 2] == labels[0, 4] == labels[0, 1]
-    monkeypatch.setattr(compact, "orbit_labels", lambda group, window: planted)
+    monkeypatch.setattr(compact, "orbit_labels", lambda group, window, moves=None: planted)
     out = compact.verify_umegaki(group, window)
     assert not out.passed
     assert out.witness == {"entry": entry}
     # merged: |E(e_00) - (e_00 + 1_O) / 4|_F = sqrt(3/4); split: |1_O / 3 - e_02|_F = sqrt(2/3)
     assert out.residual == pytest.approx(np.sqrt(0.75 if which == "merged" else 2 / 3))
+
+
+def test_each_average_defect_builds_the_moves_once(monkeypatch):
+    window, group, small = Window(2, 4), enumerate_group(4), [extend(g, 4) for g in enumerate_group(3)]
+    want = (compact.verify_umegaki(group, window), compact.averaging_checks(small, group, window),
+            compact.orbit_labels(group, window))
+    calls, build = [], compact._unit_moves
+    monkeypatch.setattr(compact, "_unit_moves", lambda *args: calls.append(args) or build(*args))
+    assert compact.verify_umegaki(group, window) == want[0] and len(calls) == 1
+    assert compact.averaging_checks(small, group, window) == want[1] and len(calls) == 3
+    assert np.array_equal(compact.orbit_labels(group, window), want[2]) and len(calls) == 4
+    moves = build(group, window)
+    assert np.array_equal(compact.orbit_labels(group, window, moves), want[2]) and len(calls) == 4
 
 
 @pytest.mark.parametrize("w", [(2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 1)],

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasinv import cli, cocycle, gns, limits, matcore, states
 from quasinv.cocycle import CocycleTable, check_SW, solve_SW
@@ -228,17 +229,51 @@ def test_built_stacks_are_handed_over_read_only_and_adopted(monkeypatch):
     assert np.argwhere(planted.stack != T.stack).tolist() == [[first_moved, 0, 7]]
 
 
+def frobenius(a):
+    """||a||_F from its definition, sum |a_ij|^2 in row-major order."""
+    a = np.ascontiguousarray(a.matrix if isinstance(a, LocalOperator) else a)
+    return float(np.sqrt((a.conj() * a).real.sum()))
+
+
 def test_probe_scale_is_the_per_probe_maximum():
+    """The certified scale: the largest Frobenius norm, never below the exact
+    largest operator norm, and exactly 1 on matrix units."""
     window = Window(2, 2)
     probes = [LocalOperator(window, draw((4, 4), k, "complex") * (1.0 + k / 100.0))
               for k in range(150)]
     probes.append(draw((4, 4), 1000, "complex").real * 3.0 + 0j)  # the largest, in the last block
-    want = max(np.linalg.norm(a.matrix if isinstance(a, LocalOperator) else a, 2) for a in probes)
-    assert gns._probe_scale(probes) == want
-    assert gns._probe_scale(probes[:-1]) == max(
-        np.linalg.norm(a.matrix, 2) for a in probes[:-1])
+    for some in (probes, probes[:-1], probes[:3]):
+        exact = max(np.linalg.norm(a.matrix if isinstance(a, LocalOperator) else a, 2) for a in some)
+        assert gns._probe_scale(some) == max(map(frobenius, some)) >= exact
+    assert gns._probe_scale(iter(probes[:3])) == gns._probe_scale(probes[:3])
     assert gns._probe_scale(states.matrix_unit_probes(Window(2, 4))) == 1.0
-    assert gns._probe_scale(iter(probes[:3])) == max(
-        np.linalg.norm(a.matrix, 2) for a in probes[:3])
     assert gns._probe_scale([]) == 0.0
     assert gns._probe_scale(None) == 1.0
+
+
+PROBE_KINDS = ["real", "complex", "hermitean", "diagonal", "rank-one"]
+ROUND = 8 * np.finfo(float).eps  # the SVD and the row norm each round a few ulps
+
+
+def probe_of(kind, D, seed):
+    if kind == "rank-one":
+        u, v = draw((2, D), seed, "complex")
+        return np.outer(u, v.real if seed % 2 else v.conj())
+    a = draw((D, D), seed, "real" if kind in ("real", "diagonal") else "complex")
+    return {"hermitean": (a + a.conj().T) / 2.0, "diagonal": np.diag(np.diag(a))}.get(kind, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(D=st.integers(1, 12), kinds=st.lists(st.sampled_from(PROBE_KINDS), min_size=1, max_size=6),
+       seed=st.integers(0, 10_000), size=st.floats(1e-3, 1e3))
+def test_probe_scale_bounds_the_exact_scale(D, kinds, seed, size):
+    """||a|| <= ||a||_F <= sqrt(rank a) ||a|| <= sqrt(D) ||a||, equal on rank one."""
+    probes = [size * probe_of(kind, D, seed + k) for k, kind in enumerate(kinds)]
+    for kind, a in zip(kinds, probes):
+        got, exact = gns._probe_scale([a]), matcore.operator_norm(a)
+        assert exact <= got * (1.0 + ROUND)
+        assert got <= np.sqrt(np.linalg.matrix_rank(a)) * exact * (1.0 + ROUND)
+        if kind == "rank-one":
+            assert got == pytest.approx(exact, rel=ROUND, abs=0.0)
+    got, exact = gns._probe_scale(probes), max(map(matcore.operator_norm, probes))
+    assert exact <= got * (1.0 + ROUND) and got <= np.sqrt(D) * exact * (1.0 + ROUND)
