@@ -227,9 +227,9 @@ def verify_inverse_relation(T, tol=None):
                    witness={"g": list(T.group[k].image)} if worst > tol else None)
 
 
-def verify_quasi_invariance(phi, T, probes=None, tol=None):
+def verify_quasi_invariance(phi, T, *, tol=None):
     """max over g and a of |phi(g(a)) - phi(x_g a)| from the defect matrices
-    g^-1(W) - W x_g: on every a by default, otherwise on the probes.
+    g^-1(W) - W x_g, on every a; witness: the worst g and its matrix unit.
 
     Also folds in |phi(x_g) - 1| and the positivity phi(x_g a*a) >= -tol of a
     Radon-Nikodym family: min eig of the hermitean part of W x_g >= -tol.
@@ -237,17 +237,14 @@ def verify_quasi_invariance(phi, T, probes=None, tol=None):
     tol = PASS_TOL * T.scale() if tol is None else tol
     W = LocalOperator(T.window, states.full_density(phi)).matrix  # refuses a state on another window
     Qi = lattice.inverse_index(T.group, T.window)
-    def defects(rows):  # g^-1(W) - W x_g, and W x_g
-        return gather(W, Qi[rows]) - (Wx := W @ T.stack[rows]), Wx
-    def block(rows):
-        M, Wx = defects(rows)
+    def block(rows):  # the pairing of g^-1(W) - W x_g, then W x_g's normalization and positivity
+        Wx = W @ T.stack[rows]
         z = np.trace(Wx, axis1=1, axis2=2) - 1.0
         lam = np.linalg.eigvalsh((Wx + matcore.dagger(Wx)) / 2.0)[:, 0]
-        return states.pairing_residual(M, probes)[0], np.hypot(z.real, z.imag), -lam
-    pair, norm, pos = T.rowwise(block)
-    worst, k = _first_worst(pair)  # the worst row's defect matrix says where
-    witness = None if k is None else {
-        "g": list(T.group[k].image), **states.pairing_residual(defects([k])[0][0], probes)[1]}
+        return *states.pairing_residual(gather(W, Qi[rows]) - Wx), np.hypot(z.real, z.imag), -lam
+    pair, units, norm, pos = T.rowwise(block)
+    worst, k = _first_worst(pair)
+    witness = None if k is None else {"g": list(T.group[k].image), "entry": units[k].tolist()}
     norm_worst, pos_worst = float(norm.max()), max(0.0, float(pos.max()))
     resid = max(worst, norm_worst)
     details = {"pairing": worst, "normalization": norm_worst, "positivity_defect": pos_worst}
@@ -308,20 +305,21 @@ def verify_strong(T, phi, probes=None, tol=None):
     return _report("strong_quasi_invariance", resid, tol, witness=witness, details=details, passed=passed)
 
 
-def verify_centralizer_transport(phi, T, x, probes=None, tol=None, tau_state=TAU_STATE):
+def verify_centralizer_transport(phi, T, x, *, tol=None, tau_state=TAU_STATE):
     """phi(g(x) a) = phi(a g(x_g x x_g^-1)) for x in the centralizer of phi,
-    from the defect matrices W g(x) - g(x_g x x_g^-1) W."""
+    from the defect matrices W g(x) - g(x_g x x_g^-1) W, on every a."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     W, Q = states.full_density(phi), lattice.group_index(T.group, T.window)
-    membership = states.centralizer_residual(W, x, probes)
+    membership = states.centralizer_residual(W, x)
     if membership > tau_state:
         raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds {tau_state:.1e}")
-    def defects(rows):
+    def block(rows):
         x_g = T.stack[rows]
-        return W @ gather(x.matrix, Q[rows]) - gather(x_g @ x.matrix @ matcore.inv(x_g), Q[rows]) @ W
-    worst, k = _first_worst(T.rowwise(lambda rows: states.pairing_residual(defects(rows), probes)[0]))
-    witness = None if k is None else {
-        "g": list(T.group[k].image), **states.pairing_residual(defects([k])[0], probes)[1]}
+        return states.pairing_residual(
+            W @ gather(x.matrix, Q[rows]) - gather(x_g @ x.matrix @ matcore.inv(x_g), Q[rows]) @ W)
+    pair, units = T.rowwise(block)
+    worst, k = _first_worst(pair)
+    witness = None if k is None else {"g": list(T.group[k].image), "entry": units[k].tolist()}
     return _report("centralizer_transport", worst, tol, witness=witness if worst > tol else None)
 
 
@@ -385,14 +383,17 @@ def propagate_single_generator(x0, g0, n_max):
 def locally_trivial_check(T, window_sizes, tol=None):
     """Per truncation size N: average the entries over the permutations
     supported in [1,N] to get a candidate kappa and report
-    max || x_g - kappa g^-1(kappa^-1) || over that subgroup."""
+    max || x_g - kappa g^-1(kappa^-1) || over that subgroup; SingularKappa if kappa is singular."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     out = []
     for N in window_sizes:
         sub = [i for i, g in enumerate(T.group) if support(g) <= set(range(1, N + 1))]
         avg = sum(T.stack[i] for i in sub) / len(sub) if len(sub) < len(T.group) else None
-        worst = (T.mean_defects if avg is None
-                 else _coboundary_defects(T, avg, matcore.inv(avg), sub)).max()
+        try:  # LAPACK refuses a singular mean, the kappa candidate
+            kappa_inv = T.mean_inv if avg is None else matcore.inv(avg)
+        except np.linalg.LinAlgError:
+            raise SingularKappa(f"the mean of the {len(sub)} entries is singular: no certificate") from None
+        worst = (T.mean_defects if avg is None else _coboundary_defects(T, avg, kappa_inv, sub)).max()
         out.append(_report(f"locally_trivial[N={N}]", worst, tol,
                            details={"subgroup_order": len(sub)}))
     return out

@@ -139,13 +139,13 @@ def intrinsic_entry(phi, g):
     return LocalOperator(phi.window, matcore.inv(W.matrix) @ act_inverse(g, W).matrix)
 
 
-def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None):
+def verify_structure(phi, T, *, tol=STRUCTURE_TOL, decomposition=None):
     """The factorization phi(a) = phi_G(kappa^-1 a) together with the
     reconstruction x_g = kappa g^-1(kappa^-1), the normalization
     E_G(kappa^-1) = 1, hermiticity of kappa, and the commutation of kappa
     with g^-1(kappa^-1).  A (phi_G, kappa) pair may be supplied explicitly;
     by default both are computed from the table.  The factorization is checked
-    on the defect matrix W - W_G kappa^-1 (on every a, or on the probes)."""
+    on the defect matrix W - W_G kappa^-1, on every a."""
     group, window = T.group, T.window
     if decomposition is None:
         kap = kappa(T)
@@ -155,7 +155,7 @@ def verify_structure(phi, T, probes=None, tol=STRUCTURE_TOL, decomposition=None)
     kinv = matcore.inv(kap.matrix)
 
     recon, where = states.pairing_residual(
-        states.full_density(phi) - states.full_density(phi_G) @ kinv, probes)
+        states.full_density(phi) - states.full_density(phi_G) @ kinv)
 
     Qi = lattice.inverse_index(group, window)
     def block(r):
@@ -243,7 +243,7 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
                    witness=witness if worst > tol else None, details=details)
 
 
-def nonuniqueness_demo(phi, T, probes=None, tol=STRUCTURE_TOL):
+def nonuniqueness_demo(phi, T, *, tol=STRUCTURE_TOL):
     """Two distinct decompositions of the same state.  A positive invertible
     fixed point k (the average of diag(1..2), not a multiple of 1) yields the
     alternative pair (phi_G(k .), kappa k): reconstruction and the cocycle
@@ -260,8 +260,7 @@ def nonuniqueness_demo(phi, T, probes=None, tol=STRUCTURE_TOL):
     phi_G_alt = states.WeightedTraceState(window, W_G @ k)
     kap_alt = LocalOperator(window, kap.matrix @ k)
 
-    canonical = verify_structure(phi, T, probes=probes, tol=tol, decomposition=(phi_G, kap))
-    alternative = verify_structure(phi, T, probes=probes, tol=tol,
-                                   decomposition=(phi_G_alt, kap_alt))
+    canonical = verify_structure(phi, T, tol=tol, decomposition=(phi_G, kap))
+    alternative = verify_structure(phi, T, tol=tol, decomposition=(phi_G_alt, kap_alt))
     return {"canonical": canonical, "alternative": alternative, "fixed_point": k,
             "separation": matcore.operator_norm(kap_alt.matrix - kap.matrix)}

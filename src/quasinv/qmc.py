@@ -142,22 +142,17 @@ def markov_eval(M, a):
 
 def _marginal(X, window, n):
     """X traced over every site of the window after the first n."""
-    if n > window.N:
-        raise SupportTooLarge(f"observables on {n} sites, window has {window.N}")
     k, r = window.d ** n, window.d ** (window.N - n)
     return np.einsum("...iaja->...ij", X.reshape(X.shape[:-2] + (k, r, k, r)))
 
 
-def extension_residual(M, K_next, probes=None):
+def extension_residual(M, K_next):
     """max over a in A_[1,N] of |phi_N(a) - phi_{N+1}(a)| after appending one
     more normalized amplitude, from the difference of the two chain
     densities reduced to [1,N]; the well-definedness diagnostic."""
     M_ext = MarkovState(M.d, M.W_inf, M.chain + (K_next,), validate=M.validate)
-    n = M.N if probes is None else probes[0].window.N
-    if n > M.N:
-        raise SupportTooLarge(f"observables on {n} sites, chain supports [1,{M.N}]")
-    diff = _marginal(M.density, M.window, n) - _marginal(M_ext.density, M_ext.window, n)
-    return states.pairing_residual(diff, probes)[0]
+    diff = _marginal(M.density, M.window, M.N) - _marginal(M_ext.density, M_ext.window, M.N)
+    return states.pairing_residual(diff)[0]
 
 
 def y_cocycle(M, group):
@@ -166,14 +161,13 @@ def y_cocycle(M, group):
     return gather(M.R.matrix, q) @ M.R_inv.matrix
 
 
-def sandwich_residual(M, group, probes=None, y=None):
+def sandwich_residual(M, group, *, y=None):
     """Per element of the list, max over a in A_[1,N] of |phi(g(a)) - phi(y* a y)|, from the
     defect matrix g^-1(W) - y W y* reduced to [1,N]; the stack y defaults to y_cocycle(M, group)."""
     y = y_cocycle(M, group) if y is None else y
     W, q = M.density, lattice.inverse_index(_extend_perm(group, M), M.window)
     defect = gather(W, q) - y @ W @ matcore.dagger(y)
-    n = M.N if probes is None else probes[0].window.N
-    return states.pairing_residual(_marginal(defect, M.window, n), probes)[0]
+    return states.pairing_residual(_marginal(defect, M.window, M.N))[0]
 
 
 def chain_commutation_residual(M):

@@ -115,12 +115,12 @@ def probe_blocks(probes, D):
 
 def pairing_residual(M, probes=None):
     """(residual, where) of a linear identity whose defect matrix M has
-    Tr(M a) = lhs(a) - rhs(a) = vec(M^T) . vec(a).  With probes=None it is
-    complete on the whole algebra: max |M_ij| = max |Tr(M e_ij)| over the matrix
-    units, where = {"entry": [i, j]} naming e_ij.  Otherwise max_k |Tr(M a_k)|,
-    where = {"probe": k} for the first maximizing probe, each row vec(M^T) paired
-    with a probe block in one product.  A (n, D, D) stack gives each matrix's
-    residual and no where; a lone matrix is the stack of one: both agree bit for bit."""
+    Tr(M a) = lhs(a) - rhs(a) = vec(M^T) . vec(a).  With probes=None it is complete
+    on the whole algebra: max |M_ij| = max |Tr(M e_ij)| over the matrix units, where
+    = {"entry": [i, j]} naming the first maximizing e_ij in row-major order, and a
+    (n, D, D) stack gives each matrix's residual and the (n, 2) array of its [i, j];
+    a lone matrix is the stack of one: both agree bit for bit.  Otherwise max_k
+    |Tr(M a_k)| and no where, each row vec(M^T) paired with a probe block in one product."""
     M = np.asarray(M)
     stack, D = (M if M.ndim == 3 else M[None]), M.shape[-1]
     flat = stack.swapaxes(1, 2).reshape(len(stack), 1, D * D)
@@ -129,10 +129,10 @@ def pairing_residual(M, probes=None):
     k = np.abs(pair).argmax(axis=1)
     top = pair[np.arange(len(stack)), k]
     resid = np.hypot(top.real, top.imag)
+    units = None if probes is not None else np.stack(np.divmod(k, D), axis=1)
     if M.ndim == 3:
-        return resid, None
-    k = int(k[0])
-    return float(resid[0]), {"entry": [k // D, k % D]} if probes is None else {"probe": k}
+        return resid, units
+    return float(resid[0]), None if units is None else {"entry": units[0].tolist()}
 
 
 def centralizer_residual(phi, c, probes=None):
@@ -164,12 +164,12 @@ def slice_expectation(psi, X):
     return np.einsum("ijkm,mj->ik", X4, W)
 
 
-def is_exchangeable(psi, group, probes=None):
+def is_exchangeable(psi, group):
     """max over group elements g and a of |psi(g(a)) - psi(a)|, from the
     defect matrices g^-1(W) - W, one stacked gather a block of elements."""
     W = LocalOperator(psi.window, full_density(psi)).matrix
     q = inverse_index(group, psi.window)
-    return max((float(pairing_residual(gather(W, q[r]) - W, probes)[0].max())
+    return max((float(pairing_residual(gather(W, q[r]) - W)[0].max())
                 for r in _blocks(len(group), W.nbytes)), default=0.0)
 
 

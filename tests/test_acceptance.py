@@ -53,9 +53,7 @@ def test_criterion_02_quasi_invariance_complete_and_defect_detected():
     group = enumerate_group(3)
     phi = seeded_diagonal_state(2, 3, seed=3)
     T = cocycle.product_state_cocycle(phi, group)
-    probes = states.matrix_unit_probes(T.window)
-    assert len(probes) == 64
-    clean = cocycle.verify_quasi_invariance(phi, T, probes, tol=1e-10)
+    clean = cocycle.verify_quasi_invariance(phi, T, tol=1e-10)
 
     target = next(g for g in T.group if not g.is_identity())
     entries = dict(T.entries)
@@ -63,7 +61,7 @@ def test_criterion_02_quasi_invariance_complete_and_defect_detected():
     m[0, -1] += 1e-3
     entries[target.image] = LocalOperator(T.window, m)
     planted = cocycle.verify_quasi_invariance(
-        phi, CocycleTable(T.group, entries, T.window), probes, tol=1e-10)
+        phi, CocycleTable(T.group, entries, T.window), tol=1e-10)
 
     ok = (clean.residual <= 1e-10 and clean.passed
           and not planted.passed and planted.witness is not None)
@@ -90,7 +88,7 @@ def test_criterion_03_strong_bundle_and_rotated_counterexample():
     T_rot = cocycle.product_state_cocycle(phi_rot, group2)
     probes = states.matrix_unit_probes(T_rot.window)
     rot_strong = cocycle.verify_strong(T_rot, phi_rot, probes, tol=1e-9)
-    rot_qi = cocycle.verify_quasi_invariance(phi_rot, T_rot, probes, tol=1e-10)
+    rot_qi = cocycle.verify_quasi_invariance(phi_rot, T_rot, tol=1e-10)
     ok = (worst <= 1e-9
           and rot_strong.details["hermiticity"] >= 1e-3
           and not rot_strong.passed
@@ -220,11 +218,10 @@ def test_criterion_09_markov_chain_suite():
 
     cda = max(qmc.cda_normalize_check(K, M.W_inf) for K in M.chain)
 
-    chain_probes = states.matrix_unit_probes(Window(2, 3))
     K_next = qmc.seeded_chain(4, seed=1)[3]
-    ext = qmc.extension_residual(M, K_next, chain_probes)
+    ext = qmc.extension_residual(M, K_next)
 
-    sandwich = float(qmc.sandwich_residual(M, group, chain_probes).max())
+    sandwich = float(qmc.sandwich_residual(M, group).max())
 
     T = qmc.x_cocycle_table(M, group)
     cross = 0.0

@@ -16,7 +16,6 @@ one pass over the spectra, and each check's temporaries stay a fraction of the
 table.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -119,7 +118,7 @@ def old_inverse_relation(T):
     return _report("inverse_relation", worst, tol, witness=witness if worst > tol else None)
 
 
-def old_quasi_invariance(phi, T, probes=None):
+def old_quasi_invariance(phi, T):
     tol = old_tol(T, old_facts(T))
     W = LocalOperator(T.window, states.full_density(phi))
     worst, witness = 0.0, None
@@ -128,7 +127,7 @@ def old_quasi_invariance(phi, T, probes=None):
     for g, x in zip(T.group, T.stack):
         Wx = W.matrix @ x
         norm_worst = max(norm_worst, abs(np.trace(Wx) - 1.0))
-        r, where = states.pairing_residual(act_inverse(g, W).matrix - Wx, probes)
+        r, where = states.pairing_residual(act_inverse(g, W).matrix - Wx)
         if r > worst:
             worst, witness = r, {"g": list(g.image), **where}
         pos_worst = max(pos_worst, -float(np.linalg.eigvalsh((Wx + Wx.conj().T) / 2.0)[0]))
@@ -174,18 +173,17 @@ def old_strong(T, phi, probes=None):
                    passed=passed)
 
 
-def old_transport(phi, T, x, probes=None):
+def old_transport(phi, T, x, tau_state=cocycle.TAU_STATE):
     tol = old_tol(T, old_facts(T))
     W = states.full_density(phi)
-    membership = states.centralizer_residual(W, x, probes)
-    if membership > cocycle.TAU_STATE:
-        raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds "
-                               f"{cocycle.TAU_STATE:.1e}")
+    membership = states.centralizer_residual(W, x)
+    if membership > tau_state:
+        raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds {tau_state:.1e}")
     worst, witness = 0.0, None
     for g, x_g in zip(T.group, T.stack):
         core = x_g @ x.matrix @ matcore.inv(x_g)
         transported = act(g, LocalOperator(T.window, core)).matrix
-        r, where = states.pairing_residual(W @ act(g, x).matrix - transported @ W, probes)
+        r, where = states.pairing_residual(W @ act(g, x).matrix - transported @ W)
         if r > worst:
             worst, witness = r, {"g": list(g.image), **where}
     return _report("centralizer_transport", worst, tol, witness=witness if worst > tol else None)
@@ -413,9 +411,9 @@ def case(name, planted):
     return phi, cli._plant_defect(T, 1e-3) if planted else CocycleTable(T.group, T.stack, T.window)
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except QuasinvError as exc:
         return type(exc), str(exc)
 
@@ -496,21 +494,10 @@ def test_check_equals_its_per_entry_loop(name, check, planted):
 def test_checks_on_probes_equal_their_per_entry_loops(name, planted):
     phi, T = case(name, planted)
     P = probes(T.window)
-    assert cocycle.verify_quasi_invariance(phi, T, P) == old_quasi_invariance(phi, T, P)
     assert cocycle.verify_strong(T, phi, P) == old_strong(T, phi, P)
     x = LocalOperator(T.window, states.full_density(phi))  # W is in its own centralizer
-    for p in (None, P):
-        assert outcome(cocycle.verify_centralizer_transport, phi, T, x, p) == outcome(
-            old_transport, phi, T, x, p)
-
-
-def as_probe(out, D):
-    """A complete-form outcome with its matrix-unit witness {"entry": [i, j]}
-    renamed to the index i D + j of e_ij among matrix_unit_probes."""
-    if isinstance(out, tuple) or not (out.witness or {}).get("entry"):
-        return out
-    (i, j), rest = out.witness["entry"], {k: v for k, v in out.witness.items() if k != "entry"}
-    return dataclasses.replace(out, witness={**rest, "probe": i * D + j})
+    assert outcome(cocycle.verify_centralizer_transport, phi, T, x) == outcome(
+        old_transport, phi, T, x)
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -523,20 +510,13 @@ def test_matrix_unit_probes_pair_as_the_complete_form(name, planted):
         assert np.array_equal(states.pairing_residual(M, units)[0], states.pairing_residual(M)[0])
         for m in M:
             r, where = states.pairing_residual(m, units)
-            want, entry = states.pairing_residual(m)
-            assert r == want and type(r) is float
-            assert where == {"probe": entry["entry"][0] * D + entry["entry"][1]}
-    assert cocycle.verify_quasi_invariance(phi, T, units) == as_probe(
-        cocycle.verify_quasi_invariance(phi, T), D)
+            assert r == states.pairing_residual(m)[0] and type(r) is float and where is None
     assert outcome(cocycle.verify_strong, T, phi, units) == outcome(cocycle.verify_strong, T, phi)
-    assert outcome(compact.verify_structure, phi, T, units) == as_probe(
-        outcome(compact.verify_structure, phi, T), D)
     moved = next(g for g in T.group if not g.is_identity())
     for x in (LocalOperator(T.window, W), T.entry(moved)):  # central; a failing transport
         for tau in (cocycle.TAU_STATE, np.inf):
-            def transport(p):
-                return outcome(cocycle.verify_centralizer_transport, phi, T, x, p, None, tau)
-            assert transport(units) == as_probe(transport(None), D)
+            assert outcome(cocycle.verify_centralizer_transport, phi, T, x, tau_state=tau) == outcome(
+                old_transport, phi, T, x, tau)
 
 
 def test_a_probe_of_another_size_is_refused_by_name():
@@ -559,8 +539,8 @@ def test_probe_blocks_hold_the_budget_and_the_probes_in_order():
     rows = np.concatenate(blocks)
     want = [a.matrix if isinstance(a, LocalOperator) else a for a in probes]
     assert np.array_equal(rows, np.array([a.reshape(-1) for a in want]))
-    # the empty list pairs as one zero probe: residual 0 at probe 0
-    assert states.pairing_residual(matcore.random_matrix(16, seed=1), []) == (0.0, {"probe": 0})
+    # the empty list pairs as one zero probe: residual 0, and a probe list names no unit
+    assert states.pairing_residual(matcore.random_matrix(16, seed=1), []) == (0.0, None)
     assert gns._probe_scale([]) == 0.0
 
 

@@ -46,7 +46,7 @@ from quasinv.lattice import (
     support,
     transposition,
 )
-from quasinv.states import matrix_unit_probes, product_state
+from quasinv.states import product_state
 
 W1 = np.diag([0.5, 0.5])
 W2 = np.diag([0.75, 0.25])
@@ -110,7 +110,7 @@ def test_seeded_tables_pass_all_laws():
 def test_quasi_invariance_anchor():
     phi = anchor_state()
     T = anchor_table()
-    rep = verify_quasi_invariance(phi, T, matrix_unit_probes(phi.window))
+    rep = verify_quasi_invariance(phi, T)
     assert rep.passed
     assert rep.residual < 1e-11
     assert rep.details["normalization"] < 1e-12
@@ -119,7 +119,7 @@ def test_quasi_invariance_anchor():
 def test_quasi_invariance_seeded_S3():
     phi = seeded_state_S3(1)
     T = product_state_cocycle(phi, enumerate_group(3))
-    rep = verify_quasi_invariance(phi, T, matrix_unit_probes(phi.window))
+    rep = verify_quasi_invariance(phi, T)
     assert rep.passed and rep.residual < 1e-10
 
 
@@ -132,14 +132,13 @@ def test_quasi_invariance_planted_defect_detected():
     bad[0, 0] += 1e-3
     entries[t.image] = LocalOperator(T.window, bad)
     T_bad = CocycleTable(T.group, entries, T.window)
-    rep = verify_quasi_invariance(phi, T_bad, matrix_unit_probes(phi.window))
+    rep = verify_quasi_invariance(phi, T_bad)
     assert not rep.passed
     assert rep.witness is not None
     assert rep.residual > 1e-4
 
 
-@pytest.mark.parametrize("complete", [True, False])
-def test_positivity_defect_on_the_last_basis_index_is_detected(complete):
+def test_positivity_defect_on_the_last_basis_index_is_detected():
     # W = diag(3/8, 1/8, 3/8, 1/8), so W x_t = diag(3/8, 1/8, 3/8, -1/8) is
     # negative only on basis index 3
     phi = anchor_state()
@@ -148,8 +147,7 @@ def test_positivity_defect_on_the_last_basis_index_is_detected(complete):
     entries = {g.image: phi.window.identity() for g in group}
     entries[t.image] = LocalOperator(phi.window, np.diag([1.0, 1.0, 1.0, -1.0]))
     T = CocycleTable(tuple(group), entries, phi.window)
-    probes = None if complete else matrix_unit_probes(phi.window)
-    rep = verify_quasi_invariance(phi, T, probes)
+    rep = verify_quasi_invariance(phi, T)
     assert rep.details["positivity_defect"] == pytest.approx(1.0 / 8.0, abs=1e-14)
     assert not rep.passed
 
@@ -161,7 +159,7 @@ def test_wrong_identity_table_fails_against_heterogeneous_state():
         {g.image: phi.window.identity() for g in enumerate_group(2)},
         phi.window,
     )
-    rep = verify_quasi_invariance(phi, I_table, matrix_unit_probes(phi.window))
+    rep = verify_quasi_invariance(phi, I_table)
     assert not rep.passed
 
 
@@ -208,7 +206,7 @@ def test_strong_fails_for_rotated_weight_but_qi_holds():
     strong = verify_strong(T, phi)
     assert not strong.passed
     assert strong.details["hermiticity"] > 1e-3
-    qi = verify_quasi_invariance(phi, T, matrix_unit_probes(phi.window))
+    qi = verify_quasi_invariance(phi, T)
     assert qi.passed and qi.residual < 1e-10
 
 
@@ -372,27 +370,24 @@ def test_power_relation_reduces_to_inverse_at_s1():
 def test_centralizer_transport_with_cocycle_entry():
     phi = product_state(2, [diag_density(s) for s in (21, 22)])
     T = product_state_cocycle(phi, enumerate_group(2))
-    probes = matrix_unit_probes(phi.window)
     t = transposition(2, 1, 2)
-    rep = verify_centralizer_transport(phi, T, T.entry(t), probes)
+    rep = verify_centralizer_transport(phi, T, T.entry(t))
     assert rep.passed and rep.residual < 1e-10
 
 
 def test_centralizer_transport_identity_x():
     phi = anchor_state()
     T = anchor_table()
-    probes = matrix_unit_probes(phi.window)
-    rep = verify_centralizer_transport(phi, T, phi.window.identity(), probes)
+    rep = verify_centralizer_transport(phi, T, phi.window.identity())
     assert rep.residual < 1e-12
 
 
 def test_centralizer_transport_rejects_outsiders():
     phi = anchor_state()
     T = anchor_table()
-    probes = matrix_unit_probes(phi.window)
     c = LocalOperator(phi.window, np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])))
     with pytest.raises(NotInCentralizer):
-        verify_centralizer_transport(phi, T, c, probes)
+        verify_centralizer_transport(phi, T, c)
 
 
 def test_locally_trivial_roundtrip_trivial_cocycle():
@@ -412,6 +407,26 @@ def test_locally_trivial_product_cocycle_diagonal():
         assert rep.passed and rep.residual < 1e-9
     assert reports[0].details["subgroup_order"] == 2
     assert reports[1].details["subgroup_order"] == 6
+
+
+def sign_table(N):
+    """x_g = sgn(g) 1 over S_N: a scalar character, so a cocycle, whose mean is 0."""
+    group, w = enumerate_group(N), Window(2, N)
+    signs = [(-1.0) ** sum(a > b for i, a in enumerate(g.image) for b in g.image[i + 1:]) for g in group]
+    return CocycleTable(group, np.array([s * np.eye(w.total_dim) for s in signs]), w)
+
+
+def test_locally_trivial_on_a_singular_average_raises_singular_kappa():
+    T = sign_table(2)  # x_e = 1, x_t = -1
+    assert verify_cocycle_law(T).passed
+    assert locally_trivial_check(T, [1])[0].passed  # the subgroup {e} averages to 1
+    with pytest.raises(SingularKappa, match=r"^the mean of the 2 entries is singular: no certificate$"):
+        locally_trivial_check(T, [2])
+    # a proper subgroup, {e, (1 2)} in S_3, then the whole S_3
+    with pytest.raises(SingularKappa, match=r"^the mean of the 2 entries is singular: no certificate$"):
+        locally_trivial_check(sign_table(3), [2])
+    with pytest.raises(SingularKappa, match=r"^the mean of the 6 entries is singular: no certificate$"):
+        locally_trivial_check(sign_table(3), [3])
 
 
 def test_entries_supported_on_moved_sites_only():

@@ -218,8 +218,7 @@ def test_invariant_state_is_exchangeable():
     phi = anchor_state()
     group = enumerate_group(2)
     phi_G = compact.invariant_state(phi, group)
-    probes = states.matrix_unit_probes(phi.window)
-    assert states.is_exchangeable(phi_G, group, probes) < 1e-10
+    assert states.is_exchangeable(phi_G, group) < 1e-10
 
 
 def test_invariant_state_agrees_on_fixed_points():
@@ -249,13 +248,12 @@ def test_converse_round_trip_from_anchor():
     phi_G = compact.invariant_state(phi, group)
     kinv = LocalOperator(phi.window, matcore.inv(kap.matrix))
     rebuilt, T2 = compact.converse_construct(phi_G, kinv, group)
-    probes = states.matrix_unit_probes(phi.window)
-    for a in probes:
+    for a in states.matrix_unit_probes(phi.window):
         assert abs(states.evaluate(rebuilt, a) - states.evaluate(phi, a)) < 1e-10
     for g in group:
         assert matcore.operator_norm(
             T2.entries[g.image].matrix - T.entries[g.image].matrix) < 1e-10
-    qi = cocycle.verify_quasi_invariance(rebuilt, T2, probes)
+    qi = cocycle.verify_quasi_invariance(rebuilt, T2)
     assert qi.passed
 
 
@@ -296,7 +294,7 @@ def test_converse_noncommuting_kappa_is_quasi_but_not_strong():
     phi_G = states.homogeneous_state(2, 3, np.eye(2) / 2.0)
     phi, T = compact.converse_construct(phi_G, kinv, group)
     probes = states.matrix_unit_probes(window)
-    qi = cocycle.verify_quasi_invariance(phi, T, probes)
+    qi = cocycle.verify_quasi_invariance(phi, T)
     assert qi.passed
     strong = cocycle.verify_strong(T, phi, probes)
     assert not strong.passed

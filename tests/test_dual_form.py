@@ -2,14 +2,23 @@
 
 Each oracle below is the probe-loop form of a linear identity, evaluating
 both sides through states.evaluate one probe at a time (on the density,
-built once per oracle call).  On windows with
-D <= 16 the defect-matrix form over the whole algebra (probes=None) must
-agree with the oracle over the complete matrix-unit basis to round-off,
-on identities that hold and on identities that fail alike.
+built once per oracle call).  On windows with D <= 16 each verifier, which
+pairs its defect matrix with the whole algebra, must agree with the oracle
+over the complete matrix-unit basis to round-off, on identities that hold and
+on identities that fail alike.  Only the centralizer part of verify_strong
+still takes a probe list; states.centralizer_residual is checked on both forms.
+A stack pairs row by row exactly as its lone matrices do, and the public
+functions that take a probe list are pinned by name.
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
+
+import quasinv
 
 from quasinv import cocycle, compact, matcore, qmc, states
 from quasinv.cocycle import CocycleTable
@@ -157,17 +166,13 @@ def test_quasi_invariance_matches_probe_loop(label, phi, T):
     units = states.matrix_unit_probes(T.window)
     want, where = oracle_quasi_invariance(phi, T, units)
     complete = cocycle.verify_quasi_invariance(phi, T, tol=1e-9)
-    listed = cocycle.verify_quasi_invariance(phi, T, units, tol=1e-9)
     assert abs(complete.details["pairing"] - want) <= AGREE
-    assert abs(listed.details["pairing"] - want) <= AGREE
-    assert complete.passed == listed.passed
     if label.endswith("defect"):
-        # a single planted entry: both forms fail and name the same g and matrix unit
+        # a single planted entry: the check fails and names the oracle's g and matrix unit
         g, k = where
         D = T.window.total_dim
         assert want > 1e-9 and not complete.passed
         assert complete.witness == {"g": g, "entry": [k // D, k % D]}
-        assert listed.witness == {"g": g, "probe": k}
     elif not label.endswith("table"):
         assert want <= 1e-9 and complete.passed
 
@@ -222,7 +227,6 @@ def test_exchangeability_matches_probe_loop():
                 units = states.matrix_unit_probes(psi.window)
                 want = oracle_exchangeable(psi, group, units)
                 assert abs(states.is_exchangeable(psi, group) - want) <= AGREE
-                assert abs(states.is_exchangeable(psi, group, units) - want) <= AGREE
 
 
 # ---- Markov chains: sandwich and window extension --------------------------
@@ -237,16 +241,12 @@ def test_sandwich_matches_probe_loop(monkeypatch, N, skew):
         np.eye(2 ** (N + 1)) + skew * matcore.random_matrix(2 ** (N + 1), seed=N)))
     for M in (qmc.MarkovState(2, np.eye(2) / 2, qmc.seeded_chain(N, seed=N)),
               generic_chain(N, seed=N)):
-        for n in range(1, N + 2):
-            units = states.matrix_unit_probes(Window(2, n))
-            got = qmc.sandwich_residual(M, enumerate_group(N), units)
-            whole = qmc.sandwich_residual(M, enumerate_group(N))
-            for k, g in enumerate(enumerate_group(N)):
-                want = oracle_sandwich(M, g, units)
-                assert abs(got[k] - want) <= AGREE
-                if n == N:
-                    assert abs(whole[k] - want) <= AGREE
-                    assert (want > 1e-3) == (skew > 0)
+        units = states.matrix_unit_probes(Window(2, N))
+        whole = qmc.sandwich_residual(M, enumerate_group(N))
+        for k, g in enumerate(enumerate_group(N)):
+            want = oracle_sandwich(M, g, units)
+            assert abs(whole[k] - want) <= AGREE
+            assert (want > 1e-3) == (skew > 0)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -255,10 +255,7 @@ def test_extension_matches_probe_loop(N):
                   qmc.diagonal_cda(2, 0.05))
     generic = (generic_chain(N, seed=10 + N), np.eye(4) + 0.3 * matcore.random_matrix(4, seed=N))
     for M, K in (consistent, generic):
-        for n in range(1, N + 1):
-            units = states.matrix_unit_probes(Window(2, n))
-            want = oracle_extension(M, K, units)
-            assert abs(qmc.extension_residual(M, K, units) - want) <= AGREE
+        want = oracle_extension(M, K, states.matrix_unit_probes(Window(2, N)))
         assert abs(qmc.extension_residual(M, K) - want) <= AGREE
         assert (want > 1e-3) == (M is generic[0])
 
@@ -279,6 +276,60 @@ def test_reconstruction_matches_probe_loop(N):
         want = oracle_reconstruction(phi, *decomposition, units)
         got = compact.verify_structure(phi, T, decomposition=decomposition)
         assert abs(got.details["reconstruction"] - want) <= AGREE
-        listed = compact.verify_structure(phi, T, units, decomposition=decomposition)
-        assert abs(listed.details["reconstruction"] - want) <= AGREE
     assert want > 1e-3  # the wrong kappa breaks the factorization
+
+
+# ---- the pairing of a stack, and the probe surface -------------------------
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_stack_pairs_row_by_row_as_its_lone_matrices(complex_):
+    D = 5
+    M = np.stack([matcore.random_matrix(D, seed=60 + k) for k in range(6)])
+    M = M if complex_ else M.real.copy()
+    # tied maxima: Tr(M e_ij) = M_ji is +-2 (or 2i) on e_03, e_31 and e_40;
+    # the first in row-major order of [i, j] wins
+    M[2] = 0.0
+    M[2, 1, 3], M[2, 0, 4], M[2, 3, 0] = 2.0, -2.0, 2j if complex_ else 2.0
+    resid, units = states.pairing_residual(M)
+    assert resid.shape == (6,) and units.shape == (6, 2)
+    assert np.allclose(resid, np.abs(M).max(axis=(1, 2)), rtol=1e-15, atol=0.0)
+    assert units[2].tolist() == [0, 3]
+    for m, r, u in zip(M, resid, units, strict=True):
+        lone, where = states.pairing_residual(m)
+        assert type(lone) is float and lone == r
+        assert where == {"entry": u.tolist()}
+        assert u.tolist() == np.argwhere(np.abs(m.T) == np.abs(m).max())[0].tolist()
+
+
+# the public functions that take a probe list; perfbench passes one to each
+PROBE_SURFACE = {"cocycle.verify_strong", "states.centralizer_residual", "states.pairing_residual",
+                 "states.probe_blocks", "gns.verify_covariance", "gns.verify_lifted_expectation"}
+
+COMPLETE_FORMS = [(cocycle.verify_quasi_invariance, 2), (cocycle.verify_centralizer_transport, 3),
+                  (compact.verify_structure, 2), (compact.nonuniqueness_demo, 2),
+                  (states.is_exchangeable, 2), (qmc.extension_residual, 2),
+                  (qmc.sandwich_residual, 2)]
+
+
+def test_only_the_probe_surface_takes_probes():
+    takes = set()
+    for info in pkgutil.iter_modules(quasinv.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"quasinv.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not name.startswith("_") \
+                    and "probes" in inspect.signature(fn).parameters:
+                takes.add(f"{info.name}.{name}")
+    assert takes == PROBE_SURFACE
+
+
+def test_the_complete_forms_refuse_a_positional_probe_list():
+    units = states.matrix_unit_probes(Window(2, 2))
+    for fn, required in COMPLETE_FORMS:  # the parameters after the required ones are keyword-only
+        with pytest.raises(TypeError):
+            inspect.signature(fn).bind(*[None] * required, units)
+    phi = seeded_product(2, 2, seed=1)
+    T = cocycle.product_state_cocycle(phi, enumerate_group(2))
+    with pytest.raises(TypeError):
+        cocycle.verify_quasi_invariance(phi, T, units)

@@ -113,11 +113,10 @@ def old_y_cocycle(M, g):
     return (act_inverse(extend(g, M.N + 1), M.R) @ M.R_inv).matrix
 
 
-def old_sandwich_residual(M, g, probes=None):
+def old_sandwich_residual(M, g):
     y, W = old_y_cocycle(M, g), M.density
     defect = act_inverse(extend(g, M.N + 1), LocalOperator(M.window, W)).matrix - y @ W @ y.conj().T
-    n = M.N if probes is None else probes[0].window.N
-    return states.pairing_residual(old_marginal(defect, M.window, n), probes)[0]
+    return states.pairing_residual(old_marginal(defect, M.window, M.N))[0]
 
 
 def markov_chain(N, complex_):
@@ -144,18 +143,11 @@ def test_y_stack_and_sandwich_equal_the_per_element_forms(N, complex_):
                                           for k in range(0, len(group), 5)]), got)
 
 
-def test_sandwich_with_probes_equals_the_per_element_form():
-    M, group = markov_chain(3, True), enumerate_group(3)
-    units = states.matrix_unit_probes(Window(2, 2))
-    got = qmc.sandwich_residual(M, group, units)
-    assert [float(r) for r in got] == [old_sandwich_residual(M, g, units) for g in group]
-
-
 # ---- states: exchangeability ----------------------------------------------------
 
-def old_is_exchangeable(psi, group, probes=None):
+def old_is_exchangeable(psi, group):
     W = LocalOperator(psi.window, states.full_density(psi))
-    return max((states.pairing_residual(act_inverse(g, W).matrix - W.matrix, probes)[0]
+    return max((states.pairing_residual(act_inverse(g, W).matrix - W.matrix)[0]
                 for g in group), default=0.0)
 
 
@@ -173,9 +165,6 @@ def test_exchangeability_equals_the_per_element_form(d, N):
         for group in (enumerate_group(N), [cyclic_shift(N)], []):
             got = states.is_exchangeable(psi, group)
             assert type(got) is float and got == old_is_exchangeable(psi, group)
-            if d ** N <= 16:
-                units = states.matrix_unit_probes(psi.window)
-                assert states.is_exchangeable(psi, group, units) == old_is_exchangeable(psi, group, units)
     assert states.full_density(exchange_states(d, N)[2]).dtype == np.complex128
 
 

@@ -19,7 +19,6 @@ from quasinv.lattice import (
     Window,
     act_inverse,
     cyclic_shift,
-    embed,
     embed_pair,
     enumerate_group,
     extend,
@@ -109,15 +108,13 @@ def test_markov_eval_rejects_oversized_support():
 def test_window_extension_invariance():
     M = default_state(N=2, seed=7)
     K_next = diagonal_cda(2, 0.05)
-    probes = matrix_unit_probes(Window(2, 2))
-    assert extension_residual(M, K_next, probes) < 1e-10
+    assert extension_residual(M, K_next) < 1e-10
 
 
 def test_window_extension_invariance_single_site_probe():
     M = default_state(N=1, seed=8)
     K_next = diagonal_cda(2, -0.1)
-    a = embed(Window(2, 1), 1, np.diag([1.0, 0.0]))
-    assert extension_residual(M, K_next, [a]) < 1e-10
+    assert extension_residual(M, K_next) < 1e-10
 
 
 def test_y_cocycle_identity_element():
@@ -143,14 +140,12 @@ def test_y_cocycle_must_fix_boundary():
 
 def test_sandwich_identity_transposition():
     M = default_state(N=2, seed=11)
-    probes = matrix_unit_probes(Window(2, 2))
-    assert sandwich_residual(M, [transposition(2, 1, 2)], probes)[0] < 1e-10
+    assert sandwich_residual(M, [transposition(2, 1, 2)])[0] < 1e-10
 
 
 def test_sandwich_identity_full_group():
     M = default_state(N=2, seed=12)
-    probes = matrix_unit_probes(Window(2, 2))
-    r = sandwich_residual(M, enumerate_group(2), probes)
+    r = sandwich_residual(M, enumerate_group(2))
     assert r.shape == (2,) and r.max() < 1e-10
 
 
@@ -160,8 +155,7 @@ def test_sandwich_identity_rotated_chain():
     U = np.kron(np.eye(2), np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]))
     K1 = U @ diagonal_cda(2, 0.1) @ U.conj().T
     M = MarkovState(2, W_HALF, (K1,), validate=False)
-    probes = matrix_unit_probes(Window(2, 1))
-    assert sandwich_residual(M, [identity_permutation(1)], probes)[0] < 1e-12
+    assert sandwich_residual(M, [identity_permutation(1)])[0] < 1e-12
 
 
 def test_x_cocycle_identity_element():
@@ -201,9 +195,8 @@ def test_x_cocycle_matches_y_squared():
 def test_x_cocycle_quasi_invariance():
     M = default_state(N=2, seed=15)
     phi = markov_functional(M)
-    probes = [extend_operator(a, M.window) for a in matrix_unit_probes(Window(2, 2))]
     T = x_cocycle_table(M, enumerate_group(2))
-    rep = cocycle.verify_quasi_invariance(phi, T, probes)
+    rep = cocycle.verify_quasi_invariance(phi, T)
     assert rep.passed and rep.residual < 1e-9
 
 
