@@ -138,14 +138,17 @@ def test_quasi_invariance_planted_defect_detected():
     assert rep.residual > 1e-4
 
 
-def test_positivity_defect_on_the_last_basis_index_is_detected():
+@pytest.mark.parametrize("complex_entry", [True, False])
+def test_positivity_defect_on_the_last_basis_index_is_detected(complex_entry):
     # W = diag(3/8, 1/8, 3/8, 1/8), so W x_t = diag(3/8, 1/8, 3/8, -1/8) is
-    # negative only on basis index 3
+    # negative only on basis index 3; a complex x_t takes the complex path
     phi = anchor_state()
     group = enumerate_group(2)
     t = transposition(2, 1, 2)
     entries = {g.image: phi.window.identity() for g in group}
-    entries[t.image] = LocalOperator(phi.window, np.diag([1.0, 1.0, 1.0, -1.0]))
+    dtype = complex if complex_entry else float
+    x_t = np.diag(np.array([1.0, 1.0, 1.0, -1.0], dtype=dtype))
+    entries[t.image] = LocalOperator(phi.window, x_t)
     T = CocycleTable(tuple(group), entries, phi.window)
     rep = verify_quasi_invariance(phi, T)
     assert rep.details["positivity_defect"] == pytest.approx(1.0 / 8.0, abs=1e-14)
