@@ -22,14 +22,13 @@ read the same kernel.  Besides: the solution set of W x = x* W on a single
 factor, and propagation along the powers of a single generator.  The laws on
 all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law, verify_strong),
 the power relation from the inverse relation's per-entry defects by the
-operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, 1997, X.3).
-Checks read blocks of rows, one stacked LAPACK/BLAS call each, which runs the
-routine of one matrix on each row: the values of a loop over the entries.
+operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, 1997, X.3),
+the entries' spectra and norms within Weyl's radius in one eigenbasis per table.
+Checks read blocks of rows, one stacked LAPACK/BLAS call each: a loop's values.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .lattice import BLOCK_BYTES, LocalOperator, _blocks, _frozen, act_inverse, 
 PASS_TOL = 1e-8
 TAU_STATE = 1e-8
 EXHAUSTIVE_ORDER_CAP = 120  # a law without a certificate is checked pair by pair up to |S_5|
+RHO = 1e-10  # ||E_g|| <= RHO max(1, max|D_g|) certifies: rotated tables read <= 5.6e-12 (D 243)
 
 
 def _first_worst(r):
@@ -90,13 +90,32 @@ class CocycleTable:
         return iter((g, self.entries[g.image]) for g in self.group)
 
     @cached_property
-    def facts(self):
-        """The matcore.Facts of the stack, facts[j] those of entry j, built block by block
-        on first use: every norm, hermiticity defect and hermitean-part spectrum a check reads."""
-        fields = attrgetter("sv", "herm", "eig")
-        f = matcore.Facts(*map(_frozen, self.rowwise(lambda r: fields(matcore.facts(self.stack[r])))))
-        _frozen(f.hermitean)
-        return f
+    def basis(self):
+        """The eigenbasis V of herm(sum_g c_g x_g), c_g seeded: diagonalizes a commuting hermitean table."""
+        x = self.stack
+        H = np.tensordot(np.random.Generator(np.random.Philox(0)).standard_normal(len(x)), x, 1)
+        return _frozen(np.linalg.eigh((H + H.conj().T) / 2.0)[1])
+
+    @cached_property
+    def rotated(self):
+        """(Facts, max|D_g|, ||E_g||), V* x_g V = D_g + E_g (diagonal, off-diagonal) in the basis
+        V.  If each x_g is hermitean with ||E_g|| <= RHO max(1, max|D_g|), its spectrum and singular
+        values lie within err = ||E_g|| of sorted Re D_g and |D_g| (Weyl); else each is decomposed."""
+        x, V, d = self.stack, self.basis, np.arange(len(self.stack[0]))
+        def block(rows):
+            herm, y = matcore.herm_defect(x[rows]), V.conj().T @ x[rows] @ V
+            D = np.diagonal(y, axis1=1, axis2=2)
+            sv, eig = np.sort(np.abs(D))[:, ::-1], np.sort(D.real)
+            y[:, d, d] = 0.0  # y minus its diagonal, exactly
+            return sv, eig, sv[:, 0], matcore.operator_norm(y), herm
+        sv, eig, diag, off, herm = self.rowwise(block)
+        if not (sure := np.all(matcore.hermitean(herm, diag + off) & (off <= RHO * np.maximum(1.0, diag)))):
+            sv, eig = self.rowwise(lambda r: matcore.spectra(x[r]))
+        f = matcore.Facts(*map(_frozen, (sv, herm, eig, off if sure else np.zeros_like(off))))
+        _frozen(f.hermitean), _frozen(f.norm)
+        return f, _frozen(diag), _frozen(off)
+
+    facts = property(lambda self: self.rotated[0])
 
     def rowwise(self, fn, rows=None):
         """fn(rows) over blocks of the listed rows (all by default), its per-row arrays joined."""
@@ -232,16 +251,19 @@ def verify_quasi_invariance(phi, T, *, tol=None):
     g^-1(W) - W x_g, on every a; witness: the worst g and its matrix unit.
 
     Also folds in |phi(x_g) - 1| and the positivity phi(x_g a*a) >= -tol of a
-    Radon-Nikodym family: min eig of the hermitean part of W x_g >= -tol.
+    Radon-Nikodym family: min eig of the hermitean part of W x_g >= -tol, by Weyl where
+    ||g^-1(W) - W x_g||_F < lambda_min(W) / 2 - 4 D eps ||W|| (eigvalsh's error), else eigvalsh.
     """
     tol = PASS_TOL * T.scale() if tol is None else tol
     W = LocalOperator(T.window, states.full_density(phi)).matrix  # refuses a state on another window
-    Qi = lattice.inverse_index(T.group, T.window)
+    Qi, lam = lattice.inverse_index(T.group, T.window), np.linalg.eigvalsh((W + matcore.dagger(W)) / 2.0)
+    margin = lam[0] / 2.0 - 4.0 * len(W) * np.finfo(float).eps * np.abs(lam).max()
     def block(rows):  # the pairing of g^-1(W) - W x_g, then W x_g's normalization and positivity
         Wx = W @ T.stack[rows]
-        z = np.trace(Wx, axis1=1, axis2=2) - 1.0
-        lam = np.linalg.eigvalsh((Wx + matcore.dagger(Wx)) / 2.0)[:, 0]
-        return *states.pairing_residual(gather(W, Qi[rows]) - Wx), np.hypot(z.real, z.imag), -lam
+        M, z, pos = gather(W, Qi[rows]) - Wx, np.trace(Wx, axis1=1, axis2=2) - 1.0, np.zeros(len(rows))
+        if (rest := np.flatnonzero(np.linalg.norm(M, axis=(1, 2)) > margin)).size:
+            pos[rest] = -np.linalg.eigvalsh((Wx[rest] + matcore.dagger(Wx[rest])) / 2.0)[:, 0]
+        return *states.pairing_residual(M), np.hypot(z.real, z.imag), pos
     pair, units, norm, pos = T.rowwise(block)
     worst, k = _first_worst(pair)
     witness = None if k is None else {"g": list(T.group[k].image), "entry": units[k].tolist()}
@@ -258,7 +280,7 @@ def require_strong_entries(T, tol):
     by its norm) and positive definite: the precondition of the square roots
     and averages built on a strong table."""
     skew = T.facts.herm > tol * np.maximum(1.0, T.facts.norm)
-    if (k := _first_worst(skew | (T.facts.eig[:, 0] <= 0.0))[1]) is not None:  # first in group order
+    if (k := _first_worst(skew | (T.facts.lo <= 0.0))[1]) is not None:  # first in group order
         part = "hermitean" if skew[k] else "positive"
         raise NotStrongCocycle(f"entry for {T.group[k].image} is not {part}")
 
@@ -266,23 +288,14 @@ def require_strong_entries(T, tol):
 def verify_strong(T, phi, probes=None, tol=None):
     """The strong-case bundle: hermiticity, positivity, pairwise commutation,
     centralizer membership, and the bounds [S1, S2] of every Spec(x_g).  With
-    V* x_g V = D_g + E_g (diagonal, off-diagonal) in the eigenbasis V of a seeded
-    combination, ||[x_g, x_h]|| <= 2 (|D_g| |E_h| + |E_g| |D_h| + |E_g| |E_h|).
+    V* x_g V = D_g + E_g (diagonal, off-diagonal) in the table's basis (T.rotated),
+    ||[x_g, x_h]|| <= 2 (|D_g| |E_h| + |E_g| |D_h| + |E_g| |E_h|).
     Witness: a non-commuting pair {g, h}; else {g, part}, the worst entry of the
     first failing part (hermiticity, positivity, centralizer)."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    f = T.facts
-    herm, s1, s2 = float(f.herm.max()), float(f.eig[:, 0].min()), float(f.eig[:, -1].max())
-    x = T.stack  # H below is a seeded combination sum_g c_g x_g, summed without a copy
-    H = np.tensordot(np.random.Generator(np.random.Philox(0)).standard_normal(len(x)), x, 1)
-    V = np.linalg.eigh((H + H.conj().T) / 2.0)[1]
-    W, d = states.full_density(phi), np.arange(len(V))
-    def block(rows):
-        y = V.conj().T @ x[rows] @ V
-        diag = np.abs(np.diagonal(y, axis1=1, axis2=2)).max(axis=1)
-        y[:, d, d] = 0.0  # y minus its diagonal, exactly
-        return diag, matcore.operator_norm(y), states.centralizer_residual(W, x[rows], probes)
-    diag, off, centrs = T.rowwise(block)
+    (f, diag, off), x = T.rotated, T.stack
+    herm, s1, s2 = float(f.herm.max()), float(f.lo.min()), float(f.hi.max())
+    centrs = T.rowwise(lambda r, W=states.full_density(phi): states.centralizer_residual(W, x[r], probes))
     comm = max(float(np.triu(2.0 * (np.outer(diag[r], off) + np.outer(off[r], diag + off)),
                              r[0] + 1).max()) for r in _blocks(len(x), 4 * off.nbytes))
     centr = float(centrs.max())
@@ -298,7 +311,7 @@ def verify_strong(T, phi, probes=None, tol=None):
         g, h = (list(T.group[i].image) for i in sorted((k, int(np.argmax(exact)))))
         witness = {"g": g, "h": h} if max(exact) > tol else None
     for part, r, fails in (("hermiticity", f.herm, herm > tol),
-                           ("positivity", -f.eig[:, 0], not positive),
+                           ("positivity", -f.lo, not positive),
                            ("centralizer", centrs, centr > tol)):
         if witness is None and fails:
             witness = {"g": list(T.group[int(np.argmax(r))].image), "part": part}
@@ -385,9 +398,9 @@ def locally_trivial_check(T, window_sizes, tol=None):
     supported in [1,N] to get a candidate kappa and report
     max || x_g - kappa g^-1(kappa^-1) || over that subgroup; SingularKappa if kappa is singular."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    out = []
-    for N in window_sizes:
-        sub = [i for i, g in enumerate(T.group) if support(g) <= set(range(1, N + 1))]
+    out, moved = [], np.array([g.image for g in T.group]) != np.arange(1, T.group[0].N + 1)
+    for N in window_sizes:  # the elements that move no site above N, in group order
+        sub = np.flatnonzero(~(moved & (np.arange(moved.shape[1]) >= N)).any(axis=1))
         avg = sum(T.stack[i] for i in sub) / len(sub) if len(sub) < len(T.group) else None
         try:  # LAPACK refuses a singular mean, the kappa candidate
             kappa_inv = T.mean_inv if avg is None else matcore.inv(avg)
@@ -409,15 +422,15 @@ def power_relation_check(T, s_list=(0.5, 1.0, 2.0), tol=None):
     then of x_b^s, for each s in turn, are raised for the first entry in group order."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     inv, f, on = lattice.group_table(T.group)[1], T.facts, [(c, s) for c, s in enumerate(s_list) if s]
-    a, lo, hi, resid = np.arange(len(inv)), f.eig[:, 0], f.eig[:, -1], np.zeros((len(inv), len(s_list)))
+    a, lo, hi, resid = np.arange(len(inv)), f.lo, f.hi, np.zeros((len(inv), len(s_list)))
     floor_g, floor_b = (any(s != int(s) or s * sign > 0 for _, s in on) for sign in (1, -1))
     low = lo <= matcore.TAU_ABS  # t^s needs a floor for fractional s, x_g^-s if s > 0, x_b^s if s < 0
     broken = ~f.hermitean | ~f.hermitean[inv] | low & floor_g | low[inv] & floor_b
     for a0 in np.flatnonzero(broken)[:1]:  # the first broken entry's screens, in order, raise
         for k, t in [(k, t) for _, s in on for k, t in ((a0, -s), (inv[a0], s))]:
             matcore.require_hermitean(f[k])
-            matcore.require_floor(f[k].eig, t)
-    e = T.inverse_defects + (f.herm * f.norm[inv] + np.abs(f.eig).max(-1) * f.herm[inv]) / 2.0
+            matcore.require_floor(f[k].eig - f[k].err, t)
+    e = T.inverse_defects + (f.herm * f.norm[inv] + np.maximum(-lo, hi) * f.herm[inv]) / 2.0
     for c, s in on:
         k, o = (a, inv) if s > 0 else (inv, a)  # x_k the side inverted
         m, M = np.minimum(1.0 / hi[k], lo[o]), np.maximum(1.0 / lo[k], hi[o])

@@ -3,7 +3,7 @@ float32 to float64 and complex64 to complex128 and demotes nothing, so real
 data takes the real LAPACK/BLAS kernels.  Hermitian spectral decomposition,
 spectral functional calculus and the Lipschitz constants of powers, operator
 norms, the per-matrix facts the strong-case checks read (singular values,
-hermiticity defect, hermitean-part spectrum, invertibility), and seeded random
+hermiticity defect, hermitean-part spectrum, invertibility, within err), and seeded random
 density matrices whose spectrum is bounded away from zero; adjoints, norms,
 facts and draws take stacks (..., d, d), one call running one matrix's LAPACK
 routine on each.  All linear algebra downstream funnels through here, so
@@ -139,33 +139,40 @@ def random_matrix(dim, seed, scale=1.0):
 class Facts:
     """What the strong-case checks read of a matrix A, or of each matrix of a
     stack (then elementwise, f[j] the Facts of matrix j): its singular values
-    (descending, so sv[..., 0] is operator_norm), ||A - A*|| and the eigenvalues
-    of (A + A*)/2 (ascending)."""
+    (descending), ||A - A*|| and the eigenvalues of (A + A*)/2 (ascending), each within err
+    (0: decomposed); norm, lo and hi widen by err to bounds on ||A|| and on that spectrum."""
     sv: np.ndarray
     herm: float | np.ndarray
     eig: np.ndarray
+    err: float | np.ndarray = 0.0
 
-    norm = property(lambda self: self.sv[..., 0] if self.sv.ndim > 1 else float(self.sv[0]))
-
-    @cached_property
-    def hermitean(self):
-        return hermitean(self.herm, self.norm)
+    norm = cached_property(lambda self: self.sv[..., 0] + self.err if self.sv.ndim > 1
+                           else float(self.sv[0] + self.err))
+    hermitean = cached_property(lambda self: hermitean(self.herm, self.norm))
+    lo = property(lambda self: self.eig[..., 0] - self.err)
+    hi = property(lambda self: self.eig[..., -1] + self.err)
 
     @property
     def invertible(self):
         """The least |eigenvalue| (A hermitean) or singular value exceeds TAU_POS max(1, ||A||)."""
-        least = np.where(self.hermitean, np.abs(self.eig).min(-1), self.sv[..., -1])
+        least = np.where(self.hermitean, np.abs(self.eig).min(-1), self.sv[..., -1]) - self.err
         return least > TAU_POS * np.maximum(self.norm, 1.0)
 
     def __len__(self):
         return len(self.herm)
 
     def __getitem__(self, j):
-        return Facts(self.sv[j], float(self.herm[j]), self.eig[j])
+        return Facts(self.sv[j], float(self.herm[j]), self.eig[j], float(np.take(self.err, j, mode="wrap")))
+
+
+def spectra(A):
+    """(singular values, eigenvalues of (A + A*)/2) of A or of each matrix of a stack."""
+    return np.linalg.svd(A, compute_uv=False), np.linalg.eigvalsh((A + dagger(A)) / 2.0)
 
 
 def facts(A):
-    """The Facts of one matrix or of a stack: two SVDs (A, A - A*), one eigvalsh."""
+    """The decomposed Facts of a lone matrix (or of each of a stack): two SVDs (A, A - A*),
+    one eigvalsh.  A cocycle table reads its entries' off its eigenbasis."""
     A = promote(A)
-    return Facts(np.linalg.svd(A, compute_uv=False), herm_defect(A),
-                 np.linalg.eigvalsh((A + dagger(A)) / 2.0))
+    (sv, eig), herm = spectra(A), herm_defect(A)
+    return Facts(sv, herm, eig)

@@ -126,9 +126,9 @@ def pairing_residual(M, probes=None):
     flat = stack.swapaxes(1, 2).reshape(len(stack), 1, D * D)
     pair = flat[:, 0] if probes is None else np.hstack(
         [(flat @ P.T)[:, 0] for P in probe_blocks(probes, D)])
-    k = np.abs(pair).argmax(axis=1)
-    top = pair[np.arange(len(stack)), k]
-    resid = np.hypot(top.real, top.imag)
+    mag = np.hypot(pair.real, pair.imag) if np.iscomplexobj(pair) else np.abs(pair)
+    k = mag.argmax(axis=1)
+    resid = mag[np.arange(len(stack)), k]
     units = None if probes is not None else np.stack(np.divmod(k, D), axis=1)
     if M.ndim == 3:
         return resid, units

@@ -1,16 +1,23 @@
-"""The per-entry facts of a cocycle table.
+"""The per-entry facts of a cocycle table, read off one eigenbasis per table.
 
 `CocycleTable.facts` holds, per entry, the singular values, the hermiticity
-defect and the hermitean-part spectrum, built in stacked calls over blocks of
-entries.  The checks that
-read it are compared here with the per-check computations it replaced, kept
-only as oracles: on D <= 16 tables, clean and with planted non-hermitean,
+defect and the hermitean-part spectrum.  A table that its basis diagonalizes
+(||E_g|| within RHO) reads them off the rotated diagonal, each within its err;
+any other table decomposes every entry.  The checks that read them are
+compared here with the per-check computations they replaced, kept only as
+oracles: on the diagonal D <= 16 tables, clean and with planted non-hermitean,
 non-positive and singular entries, the facts agree bit for bit and the
-strong-entry and invertibility screens raise the same first error.
+strong-entry and invertibility screens raise the same first error.  On rotated
+tables, real and complex, at D <= 16 and S_5 at D 32, every check agrees with
+its exact per-entry form within the certificate's radius, with the same
+verdicts and witnesses, and a plant that the certificate misses gives the
+exact form's report bit for bit.  Counting the LAPACK calls of a run pins
+what the basis saves: one eigh a table, and no decomposition of a certified entry.
 """
 
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,6 +26,20 @@ from quasinv import cli, cocycle, compact, gns, matcore, qmc, states
 from quasinv.cocycle import PASS_TOL, CocycleTable
 from quasinv.errors import NotStrongCocycle, SingularEntry
 from quasinv.lattice import LocalOperator, Window, enumerate_group, extend
+from test_blocked import (
+    EPS,
+    assert_certifies,
+    broken,
+    hermitean_plant,
+    loop_power_relation,
+    old_cocycle_law,
+    old_facts,
+    old_power_relation,
+    old_quasi_invariance,
+    old_strong,
+    outcome,
+    same,
+)
 
 
 # ---- oracles: the computations the facts replaced ---------------------------
@@ -176,7 +197,7 @@ def test_kappa_and_the_unitaries_screen_through_the_same_facts():
         oracle_require_strong, T, gns.GNS_TOL)
 
 
-# ---- each entry's facts are computed once per run ---------------------------
+# ---- the facts come from one eigenbasis per table ----------------------------
 
 def rows_of(A):
     """The matrices of one argument: itself, or each matrix of a stack."""
@@ -184,44 +205,73 @@ def rows_of(A):
     return list(A.reshape((-1,) + A.shape[-2:]))
 
 
-def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
-    # the calls take stacks: count the rows, so each part is decomposed once
-    tables, arguments = [], []
-    build, eigvalsh = cocycle.product_state_cocycle, np.linalg.eigvalsh
-    monkeypatch.setattr(cocycle, "product_state_cocycle",
-                        lambda phi, group: tables.append(build(phi, group)) or tables[-1])
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda A: arguments.extend(rows_of(A)) or eigvalsh(A))
+def record_linalg(monkeypatch):
+    """The matrices given to np.linalg.eigh, eigvalsh and svd, by routine, each
+    matrix of a stack on its own."""
+    given = {"eigh": [], "eigvalsh": [], "svd": []}
+    for name, rows in given.items():
+        def recorded(A, *args, fn=getattr(np.linalg, name), rows=rows, **kwargs):
+            rows.extend(rows_of(A))
+            return fn(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return given
+
+
+def count_in(found, mats):
+    """How often each of mats is among the found matrices."""
+    return [sum(A.shape == m.shape and np.array_equal(A, m) for A in found) for m in mats]
+
+
+def product_run(tmp_path, monkeypatch, *argv):
+    """(exit code, the table checked, np.linalg's arguments) of a product run at n 4."""
+    tables = []
+    for module, name in ((cocycle, "product_state_cocycle"), (cli, "_plant_defect")):
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name): tables.append(
+            fn(*args)) or tables[-1])
+    given = record_linalg(monkeypatch)
     out = tmp_path / "r.json"
-    assert cli.main(["run", "--scenario", "product", "--n-sites", "4", "--out", str(out)]) == 0
-    (T,) = tables
+    code = cli.main(["run", "--scenario", "product", "--n-sites", "4", *argv, "--out", str(out)])
+    return code, tables[-1], given
+
+
+def test_a_clean_product_run_decomposes_no_entry(tmp_path, monkeypatch):
+    # the basis is one eigh; a certified entry goes to no eigvalsh and no svd, nor
+    # does its hermitean part, and quasi-invariance decomposes no W x_g
+    code, T, given = product_run(tmp_path, monkeypatch)
+    assert code == 0 and [A.shape for A in given["eigh"]] == [T.stack.shape[1:]]
+    parts = [(x + x.conj().T) / 2.0 for x in T.stack]
+    assert not any(count_in(given["eigvalsh"] + given["svd"], [*T.stack, *parts]))
+    # D x D: the hermitean parts of W (quasi-invariance) and of the mean (the law's kappa)
+    assert sum(A.shape[-1] == T.stack.shape[1] for A in given["eigvalsh"]) == 2
+
+
+def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
+    # the planted entry mixes the basis, so no entry is certified: each entry
+    # takes the exact calls once, one svd of x_g and one eigvalsh of its hermitean part
+    code, T, given = product_run(tmp_path, monkeypatch, "--defect", "1e-3")
+    assert code == 1 and not T.facts.err.any()
     parts = [(x + x.conj().T) / 2.0 for x in T.stack]
     for i, h in enumerate(parts):
         assert sum(np.array_equal(h, other) for other in parts) == 1, i
-        assert sum(np.array_equal(h, A) for A in arguments) == 1, i
+    assert count_in(given["eigvalsh"], parts) == [1] * len(parts)
+    assert count_in(given["svd"], T.stack) == [1] * len(T.stack)
 
 
 def record_entry_norms(monkeypatch):
-    """The matrices given to operator_norm and herm_defect outside matcore.facts,
-    each matrix of a stack on its own."""
-    normed, inside = [], []
-    facts = matcore.facts
-
-    def in_facts(A):
-        inside.append(1)
-        try:
-            return facts(A)
-        finally:
-            inside.pop()
+    """The matrices given to operator_norm and herm_defect outside the pass that
+    builds a table's facts, CocycleTable.rotated, each matrix of a stack on its own."""
+    normed = []
 
     def recorded(fn):
         def wrapper(A):
-            if not inside:
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "rotated":
+                frame = frame.f_back
+            if frame is None:
                 normed.extend(rows_of(A))
             return fn(A)
         return wrapper
 
-    monkeypatch.setattr(matcore, "facts", in_facts)
     monkeypatch.setattr(matcore, "operator_norm", recorded(matcore.operator_norm))
     monkeypatch.setattr(matcore, "herm_defect", recorded(matcore.herm_defect))
     return normed
@@ -249,25 +299,49 @@ def test_unitaries_norm_no_entry_outside_its_facts(monkeypatch):
     assert not any(np.array_equal(A, x) for A in normed for x in T.stack)
 
 
+def count_rotations(monkeypatch):
+    """The entries each CocycleTable.rotated pass reads, one count per table built."""
+    passes, rotated = [], CocycleTable.rotated
+
+    def counted(self):
+        passes.append(len(self.stack))
+        return rotated.func(self)
+    prop = cached_property(counted)
+    prop.__set_name__(CocycleTable, "rotated")
+    monkeypatch.setattr(CocycleTable, "rotated", prop)
+    return passes
+
+
 def test_structure_run_averages_the_table_and_the_state_once(tmp_path, monkeypatch):
-    # facts takes stacks: it counts the matrices it is given, one per entry
-    calls = {"kappa": 0, "invariant_state": 0, "facts": 0}
+    calls = {"kappa": 0, "invariant_state": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += len(rows_of(args[0])) if name == "facts" else 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
     counted(compact, "kappa")
     counted(compact, "invariant_state")
-    counted(matcore, "facts")
+    passes = count_rotations(monkeypatch)
     out = tmp_path / "r.json"
     assert cli.main(["run", "--scenario", "structure", "--n-sites", "4", "--out", str(out)]) == 0
-    assert calls == {"kappa": 1, "invariant_state": 1, "facts": 24}
+    assert calls == {"kappa": 1, "invariant_state": 1} and passes == [24]
     assert json.loads(out.read_text())["summary"]["all_pass"] is True
+
+
+def test_the_strong_check_reads_the_tables_rotation(monkeypatch):
+    # with the facts built, verify_strong takes no eigh and rotates no entry: its
+    # one pass over the rows is the centralizer pairing
+    phi, T = product_case(3, 3)
+    T.facts
+    given = record_linalg(monkeypatch)
+    normed = record_entry_norms(monkeypatch)
+    passes = count_rotations(monkeypatch)
+    assert cocycle.verify_strong(T, phi).passed
+    assert given == {"eigh": [], "eigvalsh": [], "svd": []} and normed == [] and passes == []
 
 
 # ---- each per-entry defect is computed once per run ------------------------
@@ -305,3 +379,93 @@ def test_a_run_computes_each_defect_of_an_entry_once(tmp_path, monkeypatch, argv
     assert {"inverse_relation", "power_relation", "cocycle_law"} <= checks
     assert "locally_trivial[N=4]" in checks or "trivial" not in argv
     assert rows == {"inverse_defects": 24, "_coboundary_defects": 24}
+
+
+# ---- the certified facts and checks against their exact per-entry forms -----
+
+def rotated_case(d, N, k, seed, real):
+    """A diagonal product table turned by one seeded on-site orthogonal (real) or
+    unitary u: u^(x)N commutes with every site permutation, so the table stays
+    strong, and its entries are not diagonal."""
+    G = matcore.random_matrix(d, seed)
+    u = np.linalg.qr(G.real if real else G)[0]
+    w = np.random.default_rng(seed).uniform(0.2, 0.8, (N, d))
+    phi = states.product_state(d, [u @ np.diag(v / v.sum()) @ u.conj().T for v in w])
+    return phi, cocycle.product_state_cocycle(phi, [extend(g, N) for g in enumerate_group(k)])
+
+
+ROTATED = {"real-d2-S4": (2, 4, 4, 21, True), "complex-d2-S4": (2, 4, 4, 22, False),
+           "real-d2-S3": (2, 3, 3, 23, True), "complex-d2-S3": (2, 3, 3, 24, False),
+           "real-d2-S5-D32": (2, 5, 5, 25, True), "complex-d2-S5-D32": (2, 5, 5, 26, False)}
+# what the certificate misses (a non-hermitean or non-commuting entry mixes the
+# basis): every entry is decomposed, and every report equals the exact form's
+MISSED = ("cli", "skewed", "mixed", "projected")
+_rotated = {}
+
+
+def certified_case(name, plant):
+    """The rotated table, clean (None) or with one plant at its first moved entry:
+    the CLI's 1e-3 at m[0, -1] ("cli"), a non-hermitean 1e-3 above the diagonal
+    ("skewed"), a hermitean non-commuting 1e-3 pair at m[0, -1] and m[-1, 0]
+    ("mixed"), the singular diag(0, 1, ..., 1) ("projected"), or -(k + 1) x_k, which
+    commutes and is not positive ("negated")."""
+    if name not in _rotated:
+        _rotated[name] = rotated_case(*ROTATED[name])
+    phi, T = _rotated[name]
+    k = next(i for i, g in enumerate(T.group) if not g.is_identity())
+    if plant == "cli":
+        return phi, cli._plant_defect(T, 1e-3)
+    if plant == "mixed":
+        return phi, hermitean_plant(T, 1e-3)[1]
+    return phi, CocycleTable(T.group, T.stack, T.window) if plant is None else broken(T, [(k, plant)])
+
+
+CERTIFIED_CHECKS = {
+    "strong": (lambda phi, T: cocycle.verify_strong(T, phi), lambda phi, T: old_strong(T, phi)),
+    "quasi_invariance": (lambda phi, T: cocycle.verify_quasi_invariance(phi, T), old_quasi_invariance),
+    "cocycle_law": (lambda phi, T: cocycle.verify_cocycle_law(T), lambda phi, T: old_cocycle_law(T)),
+    "power_relation": (lambda phi, T: cocycle.power_relation_check(T),
+                       lambda phi, T: old_power_relation(T)),
+    "strong_entries": (lambda phi, T: raised(cocycle.require_strong_entries, T, PASS_TOL),
+                       lambda phi, T: raised(oracle_require_strong, T, PASS_TOL)),
+}
+PAIRS = [(name, plant) for name in ROTATED
+         for plant in ((None, "cli") if "D32" in name else (None, *MISSED, "negated"))]
+
+
+@pytest.mark.parametrize("name, plant", PAIRS)
+def test_certified_facts_lie_within_their_radius(name, plant):
+    _, T = certified_case(name, plant)
+    assert T.facts.err.any() == (plant not in MISSED)  # a rotated table sits off its diagonal
+    assert np.all(T.facts.err <= cocycle.RHO * np.maximum(1.0, T.facts.sv[:, 0]))
+    for f, want in zip(T.facts, old_facts(T), strict=True):
+        r = f.err + 16 * len(T.stack[0]) * EPS * f.norm if f.err else 0.0
+        assert np.abs(f.sv - want.sv).max() <= r and np.abs(f.eig - want.eig).max() <= r
+        assert want.norm <= f.norm + r and f.lo - r <= want.eig[0] and want.eig[-1] <= f.hi + r
+        assert f.herm == want.herm and (f.hermitean, f.invertible) == (want.hermitean, want.invertible)
+
+
+@pytest.mark.parametrize("check", sorted(CERTIFIED_CHECKS))
+@pytest.mark.parametrize("name, plant", PAIRS)
+def test_certified_checks_agree_with_their_exact_forms(name, plant, check):
+    # bit for bit where the certificate misses (radius 0), else within the radius
+    # with the same verdict, witness or error; the power relation is an upper bound
+    phi, T = certified_case(name, plant)
+    new, old = CERTIFIED_CHECKS[check]
+    got, want = outcome(new, phi, T), outcome(old, phi, T)
+    if check == "power_relation":
+        assert_certifies(got, want, T, [] if plant is None else [1])
+        assert got == outcome(loop_power_relation, T)
+    else:
+        same(got, want, T)
+
+
+@pytest.mark.parametrize("name", [name for name in ROTATED if "D32" not in name])
+def test_an_indefinite_plant_reports_the_exact_positivity_defect(name):
+    # herm(W x_g) of the negated entry fails the margin and takes its eigvalsh;
+    # the other rows clear it and add nothing, as their exact values were negative
+    phi, T = certified_case(name, "negated")
+    got, want = cocycle.verify_quasi_invariance(phi, T), old_quasi_invariance(phi, T)
+    assert got.details["positivity_defect"] == want.details["positivity_defect"] > 0.0
+    phi, T = certified_case(name, None)
+    assert cocycle.verify_quasi_invariance(phi, T).details["positivity_defect"] == 0.0

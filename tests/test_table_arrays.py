@@ -177,7 +177,7 @@ def test_scale_is_computed_once():
     T = cocycle.product_state_cocycle(diag_product(3, 4), enumerate_group(3))
     want = max(1.0, max(matcore.operator_norm(x.matrix) for _, x in T))
     assert T.scale() == want
-    assert "facts" in vars(T)
+    assert "rotated" in vars(T)  # the pass that holds the facts
 
 
 def test_verifiers_refuse_a_list_without_inverses():
