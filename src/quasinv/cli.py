@@ -8,6 +8,7 @@ across runs of the same configuration.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -155,6 +156,8 @@ def build_config(args, file_config):
     if cfg.scenario == "sw_solutions" and SW_STACKS * SW_TRIALS * cfg.d ** 2 * 16 > TABLE_BYTES_CAP:
         raise ConfigInvalid(f"d: {SW_STACKS} stacks of {SW_TRIALS} complex {cfg.d}x{cfg.d} matrices "
                             f"need more than {TABLE_BYTES_CAP:,} bytes")
+    if cfg.scenario in ("product", "structure") and cfg.d * cfg.floor > 1.0:
+        raise ConfigInvalid(f"floor: {cfg.d} site weights of at least {cfg.floor!r} sum past 1")
     if cfg.scenario == "markov" and cfg.d != 2:
         raise ConfigInvalid("d: the markov scenario is built for d = 2")
     if cfg.scenario == "convergence":
@@ -375,6 +378,7 @@ def list_scenarios(as_json=False):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quasinv",

@@ -126,13 +126,9 @@ class CocycleTable:
 
     @cached_property
     def mean(self):
-        """(1/|G|) sum_g x_g in compact._tree_sum's pairwise order, with no stack copy."""
-        def tree(lo, k):  # rows [lo, lo + k), k a power of 2
-            if k == 1 or lo + k // 2 >= n:
-                return self.stack[lo] if k == 1 else tree(lo, k // 2)
-            return tree(lo, k // 2) + tree(lo + k // 2, k // 2)
-        n = len(self.stack)
-        return _frozen(tree(0, 1 << (n - 1).bit_length()) / n)
+        """(1/|G|) sum_g x_g in E_G's pairwise order, streamed one block copy of the stack at a time."""
+        x = self.stack
+        return _frozen(lattice._pairwise_sum(x[r] for r in _blocks(len(x), x[0].nbytes)) / len(x))
 
     mean_inv = cached_property(lambda self: _frozen(matcore.inv(self.mean)))
     # delta(g) = ||x_g - kappa g^-1(kappa^-1)|| for the mean kappa: the law's certificate

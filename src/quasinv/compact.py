@@ -9,7 +9,8 @@ the table is recovered as x_g = kappa * g^-1(kappa^-1), and the average
 satisfies E_G(kappa^-1) = 1.  The converse builds a quasi-invariant state
 from any invariant base state and invertible kappa^-1.
 
-E_G is one gather through the group's index array and a pairwise tree sum.
+E_G sums the gathers through the group's index array pairwise, one block of
+rows at a time, in the kernel the cocycle mean shares; it holds no (|G|, D, D) stack.
 On matrix units it is exact, g(e_ij) = e_{g.(i,j)}, so a list L of
 permutations is checked in integers alone: its moves label each index pair
 by its orbit under the group L generates, and the list's own average
@@ -37,24 +38,11 @@ UMEGAKI_TOL = 1e-10
 STRUCTURE_TOL = 1e-9
 
 
-def _tree_sum(stack):
-    """Pairwise reduction along the first axis, in place; deterministic."""
-    n = len(stack)
-    if not n:
-        raise ValueError("empty sum")
-    while n > 1:
-        half = n // 2
-        np.add(stack[0:2 * half:2], stack[1:2 * half:2], out=stack[:half])
-        if n % 2:
-            stack[half] = stack[n - 1]
-        n = half + n % 2
-    return stack[0]
-
-
 def haar_average(group, a):
-    """E_G(a): one gather through the group's index array, one pairwise tree."""
-    stack = gather(a.matrix, lattice.group_index(group, a.window))
-    return LocalOperator(a.window, _tree_sum(stack) / len(group))
+    """E_G(a): the pairwise sum of g(a) over the group, gathered a block of rows at a time."""
+    Q = lattice.group_index(group, a.window)
+    moved = (gather(a.matrix, Q[r]) for r in lattice._blocks(len(Q), a.matrix.nbytes))
+    return LocalOperator(a.window, lattice._pairwise_sum(moved) / len(group))
 
 
 def _unit_moves(group, window):

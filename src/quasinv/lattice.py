@@ -12,7 +12,7 @@ act and act_inverse are its one-row case, and the checks read it in blocks.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -256,6 +256,22 @@ def _rowwise(fn, rows, row_bytes):
     """fn(block) over the blocks of the listed rows (range(rows) for a count), its row arrays joined."""
     out = [fn(r) for r in _blocks(rows, row_bytes)]
     return tuple(map(np.concatenate, zip(*out))) if isinstance(out[0], tuple) else np.concatenate(out)
+
+
+def _pairwise_sum(blocks):
+    """The sum of the rows of the owned blocks, rows 2k and 2k+1 first, then pairs of pairs, an odd
+    one carried: each row is added in place into a binary counter of O(log n) partial sums."""
+    sums, n = [], 0
+    for block in blocks:
+        for row in block:
+            n += 1
+            for _ in range((n & -n).bit_length() - 1):  # a carry per trailing zero bit of n
+                row = np.add(sums.pop(), row, out=row)
+            sums.append(row)
+    if not sums:
+        raise ValueError("empty sum")
+    # the partial sums left, folded from right to left
+    return reduce(lambda total, s: np.add(s, total, out=total), reversed(sums))
 
 
 def cyclic_group(g):

@@ -49,7 +49,7 @@ def diagonal_cda(d=2, delta=0.0):
     if d != 2:
         raise SizeMismatch("the diagonal sampler is a d=2 construction")
     a2, b2 = 1.5 + delta, 0.5 - delta
-    if b2 <= 0:
+    if min(a2, b2) <= 0:
         raise SingularCDA(f"delta {delta} drives the amplitude singular")
     a, b = np.sqrt(a2), np.sqrt(b2)
     return np.diag([a, b, b, a])

@@ -298,6 +298,28 @@ def test_bad_floor_and_tol_are_config_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["product", "--d", "2", "--floor", "0.6"],
+                                  ["structure", "--d", "3", "--floor", "0.34"]],
+                         ids=["product-d2", "structure-d3"])
+def test_a_floor_the_seeded_weights_cannot_keep_is_a_config_error(capsys, argv):
+    # the seeded weights floor + (1 - d floor) p fall below the floor once d floor > 1
+    assert run_cli(["run", "--scenario", *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: floor:")
+
+
+def test_a_floor_the_seeded_weights_keep_runs(tmp_path, capsys):
+    out = tmp_path / "floor.json"
+    assert run_cli(["run", "--scenario", "product", "--d", "3", "--floor", "0.3", "--out", str(out)]) == 0
+    assert read_report(out)["config"]["floor"] == 0.3
+    phi = cli._seeded_diagonal_state(3, 3, 1, 0.3)
+    assert min(np.diag(W).min() for W in phi.weights) >= 0.3
+    capsys.readouterr()
+
+
+def test_main_builds_its_parser_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("bad", [
     {"floor": "x"}, {"tol": "1e-9"}, {"defect": None}, {"tol": True},
     {"n_sites": True}, {"d": False}, {"group": True}, {"seed": True},

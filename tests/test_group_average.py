@@ -12,10 +12,12 @@ the oracles' verdicts on groups, on groups less one element and on seeded
 sublists, with a defect of exactly 0.0 on every pass.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from quasinv import compact, lattice, matcore, states
+from quasinv import cli, cocycle, compact, lattice, matcore, states
 from quasinv.errors import SizeMismatch
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group, extend
 
@@ -143,12 +145,56 @@ def _id(w):
 
 # ---- the stacked average --------------------------------------------------
 
+def in_blocks(stack, size):
+    """Owned copies of consecutive runs of `size` rows."""
+    return [stack[k:k + size].copy() for k in range(0, len(stack), size)]
+
+
 @pytest.mark.parametrize("n", range(1, 14))
 def test_stacked_tree_sum_is_bit_identical_to_the_list_tree(n):
     rng = np.random.default_rng(n)
     stack = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
     expected = list_tree_sum(list(stack))
-    assert np.array_equal(compact._tree_sum(stack.copy()), expected)
+    for size in (1, 2, 3, n):
+        assert np.array_equal(lattice._pairwise_sum(in_blocks(stack, size)), expected)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 101])
+def test_pairwise_sum_is_the_list_tree_in_any_blocks(size):
+    for n in range(1, 301):
+        rng = np.random.default_rng(n)
+        real = rng.standard_normal((n, 3, 3))
+        for stack in (real, real + 1j * rng.standard_normal((n, 3, 3))):
+            assert np.array_equal(lattice._pairwise_sum(in_blocks(stack, size)), list_tree_sum(list(stack))), n
+
+
+def test_pairwise_sum_refuses_no_rows_and_rows_it_cannot_write():
+    with pytest.raises(ValueError):
+        lattice._pairwise_sum([])
+    with pytest.raises(ValueError):
+        lattice._pairwise_sum([np.empty((0, 3, 3))])
+    frozen = np.ones((4, 3, 3))
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):  # a basic slice is a read-only view, not an owned block
+        lattice._pairwise_sum([frozen[0:2], frozen[2:4]])
+
+
+def test_group_means_hold_no_table_sized_stack():
+    # S_6 on D 64: the |G| moved matrices of E_G, or a copy of the table, take |G| D^2 8 bytes
+    window, group = Window(2, 6), enumerate_group(6)
+    a = LocalOperator(window, np.random.default_rng(0).standard_normal((64, 64)))
+    T = cocycle.product_state_cocycle(cli._seeded_diagonal_state(2, 6, 1, 1e-3), group)
+    table = len(group) * window.total_dim ** 2 * 8
+    assert T.stack.nbytes == table
+    compact.haar_average(group, a)  # the index array, built once per group, is not the mean's
+    for mean in (lambda: compact.haar_average(group, a), lambda: T.mean):
+        tracemalloc.start()
+        try:
+            mean()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * table
 
 
 @pytest.mark.parametrize("w", WINDOWS, ids=_id)

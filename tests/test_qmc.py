@@ -57,6 +57,13 @@ def test_cda_normalization_diagonal_hand_value():
     assert cda_normalize_check(K, W_HALF) < 1e-12
 
 
+@pytest.mark.parametrize("delta", [0.5, 0.7, -1.5, -2.0])
+def test_diagonal_cda_refuses_a_detuning_without_a_positive_square(delta):
+    # beta^2 = 1/2 - delta or alpha^2 = 3/2 + delta at or below 0
+    with pytest.raises(SingularCDA):
+        diagonal_cda(2, delta)
+
+
 def test_cda_normalization_scaling_breaks_it():
     K = 2.0 * np.eye(4)
     # slice of 4 K*K/4 ... scaled by 4: residual ||4 I - I|| = 3

@@ -36,6 +36,7 @@ from quasinv.lattice import (
 )
 
 from test_group_action import old_gram_defect, old_sharp_factor
+from test_group_average import list_tree_sum
 
 AGREE = 1e-12
 TOL = 1e-8
@@ -581,7 +582,7 @@ def test_structure_checks_match_the_per_element_forms(name, eps):
 
 
 def _tree_sum_oracle(T):
-    avg = compact._tree_sum(np.array([T.entries[g.image].matrix for g in T.group])) / len(T.group)
+    avg = list_tree_sum([T.entries[g.image].matrix for g in T.group]) / len(T.group)
     return (avg + avg.conj().T) / 2.0
 
 
