@@ -43,6 +43,7 @@ MAX_CONVERGENCE_SITES = 20
 MAX_PAIRING_SITES = 6  # pairing_check forms the dense 2^N x 2^N window product
 # the (|G|, D, D) table at 16 bytes an entry, the complex worst case, whatever its dtype
 TABLE_BYTES_CAP = 2**28  # markov n_sites 6 needs 189 MB
+DEFECT_MAX = 1e150  # a plant's square, times D and the bounds' constants, stays a finite float
 SW_TRIALS, SW_STACKS = 100, 7  # _run_sw holds at most 7 complex (SW_TRIALS, d, d) arrays at once
 
 # the law each check verifies, keyed by check name (a locally_trivial[N=n]
@@ -129,10 +130,10 @@ def build_config(args, file_config):
         raise ConfigInvalid(f"seed: must be a non-negative integer, got {cfg.seed!r}")
     if type(cfg.floor) not in (int, float) or not 0.0 <= cfg.floor < 1.0:
         raise ConfigInvalid(f"floor: must be in [0, 1), got {cfg.floor!r}")
-    if type(cfg.tol) not in (int, float) or not cfg.tol > 0.0:
-        raise ConfigInvalid(f"tol: must be positive, got {cfg.tol!r}")
-    if type(cfg.defect) not in (int, float) or not cfg.defect >= 0.0:
-        raise ConfigInvalid(f"defect: must be non-negative, got {cfg.defect!r}")
+    if type(cfg.tol) not in (int, float) or not 0.0 < cfg.tol <= np.finfo(float).max:
+        raise ConfigInvalid(f"tol: must be positive and finite, got {cfg.tol!r}")
+    if type(cfg.defect) not in (int, float) or not 0.0 <= cfg.defect <= DEFECT_MAX:
+        raise ConfigInvalid(f"defect: must be in [0, {DEFECT_MAX:g}], got {cfg.defect!r}")
     if cfg.defect > 0.0 and cfg.scenario != "product":
         raise ConfigInvalid(f"defect: only the product scenario plants one, not {cfg.scenario}")
     if cfg.defect > 0.0 and cfg.group == 1:

@@ -124,12 +124,11 @@ class CocycleTable:
     def scale(self):
         return max(1.0, float(self.facts.norm.max()))
 
-    @cached_property
-    def mean(self):
-        """(1/|G|) sum_g x_g in E_G's pairwise order, streamed one block copy of the stack at a time."""
-        x = self.stack
-        return _frozen(lattice._pairwise_sum(x[r] for r in _blocks(len(x), x[0].nbytes)) / len(x))
+    def row_mean(self, rows):
+        """The mean of the listed entries in E_G's pairwise order, streamed one block copy at a time."""
+        return lattice._pairwise_sum(self.stack[r] for r in _blocks(rows, self.stack[0].nbytes)) / len(rows)
 
+    mean = cached_property(lambda self: _frozen(self.row_mean(np.arange(len(self.stack)))))
     mean_inv = cached_property(lambda self: _frozen(matcore.inv(self.mean)))
     # delta(g) = ||x_g - kappa g^-1(kappa^-1)|| for the mean kappa: the law's certificate
     mean_defects = cached_property(lambda self: _frozen(_coboundary_defects(self, self.mean,
@@ -397,7 +396,7 @@ def locally_trivial_check(T, window_sizes, tol=None):
     out, moved = [], np.array([g.image for g in T.group]) != np.arange(1, T.group[0].N + 1)
     for N in window_sizes:  # the elements that move no site above N, in group order
         sub = np.flatnonzero(~(moved & (np.arange(moved.shape[1]) >= N)).any(axis=1))
-        avg = sum(T.stack[i] for i in sub) / len(sub) if len(sub) < len(T.group) else None
+        avg = T.row_mean(sub) if len(sub) < len(T.group) else None
         try:  # LAPACK refuses a singular mean, the kappa candidate
             kappa_inv = T.mean_inv if avg is None else matcore.inv(avg)
         except np.linalg.LinAlgError:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cocycle, lattice, matcore, states
-from .lattice import LocalOperator, Permutation, act, gather
+from .lattice import LocalOperator, Permutation, _blocks, _pairwise_sum, act, gather
 
 GNS_TOL = 1e-9
 
@@ -137,7 +137,7 @@ def verify_unitaries(R, U, group, tol=GNS_TOL):
     cocycle.verify_cocycle_law by the coboundary g(sigma^-1) sigma, sigma = mean s_g."""
     inv, Q = lattice.group_table(group)[1], lattice.group_index(group, R.window)
     s, q = _factors(R, U, group)
-    sigma_inv = matcore.inv(sigma := sum(s) / len(s))
+    sigma_inv = matcore.inv(sigma := _pairwise_sum(s[r] for r in _blocks(len(s), s[0].nbytes)) / len(s))
     unit, adj, delta, norm = (float(v.max()) for v in lattice._rowwise(
         lambda r: tuple(map(matcore.operator_norm, (
             _gram_defects(R, s[r], q[r]), _sharp_factors(R, s[r], q[r]) - s[inv[r]],

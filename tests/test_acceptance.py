@@ -12,6 +12,8 @@ from quasinv import cli, cocycle, compact, gns, limits, matcore, qmc, states
 from quasinv.cocycle import CocycleTable
 from quasinv.lattice import LocalOperator, Window, enumerate_group, extend
 
+from oracles import anchor_state
+
 N_SEEDED = 10
 
 
@@ -28,10 +30,6 @@ def seeded_diagonal_state(d, n_sites, seed, floor=1e-3):
         w = raw / raw.sum()
         ws.append(np.diag((1.0 - d * floor) * w + floor))
     return states.product_state(d, ws)
-
-
-def anchor_state():
-    return states.product_state(2, [np.diag([0.5, 0.5]), np.diag([0.75, 0.25])])
 
 
 def test_criterion_01_cocycle_axioms():

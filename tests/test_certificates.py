@@ -17,22 +17,10 @@ import pytest
 from quasinv import cli, cocycle, compact, gns, matcore, states
 from quasinv.cocycle import CocycleTable
 from quasinv.errors import SingularKappa
-from quasinv.lattice import Window, enumerate_group
-from test_group_average import list_tree_sum
-from test_table_arrays import old_cocycle_law, old_strong_parts
 
-
-def product_table(n, seed, rotation=None):
-    """The product-state table of S_n on d 2, n sites; with a rotation u the
-    site weights are u w u*, so every entry is u^(x)n diag u^(x)n*."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    ws = []
-    for _ in range(n):
-        w = rng.uniform(0.2, 0.8, size=2)
-        w = np.diag(w / w.sum())
-        ws.append(w if rotation is None else rotation @ w @ rotation.conj().T)
-    phi = states.product_state(2, ws)
-    return phi, cocycle.product_state_cocycle(phi, enumerate_group(n))
+from oracles import (
+    complex_sign_table, diag_table, list_tree_sum, pairwise_cocycle_law, pairwise_strong_parts,
+)
 
 
 def with_entry(T, i, change):
@@ -41,20 +29,11 @@ def with_entry(T, i, change):
     return CocycleTable(T.group, stack, T.window)
 
 
-def sign_table(n):
-    """x_g = sgn(g) 1: a cocycle whose mean is 0, so no coboundary of it."""
-    group = enumerate_group(n)
-    sign = np.array([np.linalg.det(np.eye(n)[np.array(g.image) - 1]) for g in group])
-    window = Window(2, n)
-    stack = sign[:, None, None] * np.eye(window.total_dim, dtype=complex)
-    return CocycleTable(group, stack, window)
-
-
 # ---- the cocycle law ---------------------------------------------------------
 
 def test_the_mean_is_the_pairwise_tree_sum_of_the_entries():
     for n in (1, 2, 3, 4, 5):
-        _, T = product_table(n, seed=n)
+        _, T = diag_table(2, n, seed=n)
         assert np.array_equal(T.mean, list_tree_sum(list(T.stack)) / len(T.group))
         assert T.mean is T.mean
         assert np.array_equal(T.mean_inv, matcore.inv(T.mean))
@@ -64,7 +43,7 @@ def test_the_mean_is_the_pairwise_tree_sum_of_the_entries():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_a_small_plant_at_any_entry_fails_the_law_and_names_it(seed):
-    _, T = product_table(4, seed)
+    _, T = diag_table(2, 4, seed)
     corner = np.zeros((16, 16))
     corner[0, -1] = 1e-6
     for i, g in enumerate(T.group):
@@ -77,7 +56,7 @@ def test_a_small_plant_at_any_entry_fails_the_law_and_names_it(seed):
 
 
 def test_law_details_are_plain_floats():
-    _, T = product_table(4, 3)
+    _, T = diag_table(2, 4, 3)
     rep = cocycle.verify_cocycle_law(T)
     assert rep.passed and rep.details["method"] == "certificate"
     for key in ("delta", "C", "kappa_cond"):
@@ -88,7 +67,7 @@ def test_law_details_are_plain_floats():
 
 
 def test_the_sign_cocycle_is_checked_pair_by_pair_at_S4():
-    T = sign_table(4)
+    T = complex_sign_table(4)
     assert not matcore.facts(T.mean).invertible
     rep = cocycle.verify_cocycle_law(T)
     assert rep.passed and rep.residual == 0.0 and rep.details == {"method": "exhaustive"}
@@ -96,12 +75,12 @@ def test_the_sign_cocycle_is_checked_pair_by_pair_at_S4():
     broken = with_entry(with_entry(T, 1, lambda x: 1.5 * x), 2, lambda x: 0.5 * x)
     assert not matcore.facts(broken.mean).invertible
     rep = cocycle.verify_cocycle_law(broken)
-    want, witness = old_cocycle_law(broken)
+    want, witness = pairwise_cocycle_law(broken)
     assert not rep.passed and rep.residual == want and rep.witness == witness
 
 
 def test_the_sign_cocycle_at_S6_fails_guarded_with_singular_kappa():
-    T = sign_table(6)
+    T = complex_sign_table(6)
     assert len(T.group) > cocycle.EXHAUSTIVE_ORDER_CAP
     with pytest.raises(SingularKappa):
         cocycle.verify_cocycle_law(T, tol=1e-9)
@@ -113,13 +92,13 @@ def test_the_sign_cocycle_at_S6_fails_guarded_with_singular_kappa():
 # ---- the commutators of the strong bundle -------------------------------------
 
 def test_a_non_commuting_hermitean_plant_fails_strong():
-    phi, T = product_table(4, 5)
+    phi, T = diag_table(2, 4, 5)
     swap = np.zeros((16, 16))
     swap[0, 1] = swap[1, 0] = 1e-6
     for i in (1, 7, 23):
         planted = with_entry(T, i, lambda x: x + swap)
         rep = cocycle.verify_strong(planted, phi)
-        _, exact, _ = old_strong_parts(planted)
+        _, exact, _ = pairwise_strong_parts(planted)
         assert exact > rep.tolerance
         assert not rep.passed and rep.details["commutators"] >= exact
         assert list(T.group[i].image) in rep.witness.values()
@@ -130,11 +109,11 @@ def test_a_commuting_non_normal_plant_fails_closed_without_a_witness():
     # entries agree, but no unitary basis diagonalizes it: the bound fails,
     # and with no non-commuting pair there is no pair to name; the witness is
     # the entry that fails hermiticity
-    phi, T = product_table(3, 2)
+    phi, T = diag_table(2, 3, 2)
     corner = np.zeros((8, 8))
     corner[0, -1] = 1e-3
     planted = with_entry(T, 1, lambda x: x + corner)
-    _, exact, _ = old_strong_parts(planted)
+    _, exact, _ = pairwise_strong_parts(planted)
     rep = cocycle.verify_strong(planted, phi)
     assert exact <= rep.tolerance < rep.details["commutators"]
     assert not rep.passed
@@ -144,7 +123,7 @@ def test_a_commuting_non_normal_plant_fails_closed_without_a_witness():
 def test_a_negated_entry_is_named_as_the_positivity_witness():
     # -x_k is hermitean, commutes with the diagonal entries and with W: only
     # positivity fails, at the entry with the least eigenvalue
-    phi, T = product_table(3, 3)
+    phi, T = diag_table(2, 3, 3)
     planted = with_entry(T, 4, lambda x: -x)
     rep = cocycle.verify_strong(planted, phi)
     assert not rep.passed and rep.details["min_eig"] < 0.0
@@ -156,8 +135,8 @@ def test_an_entry_off_the_centralizer_is_named_as_the_centralizer_witness():
     # the rotated table is strong, but the unrotated state's W does not commute
     # with its entries: only centralizer membership fails
     u = np.linalg.qr(matcore.random_matrix(2, seed=8))[0]
-    _, T = product_table(3, 9, rotation=u)
-    phi, _ = product_table(3, 9)
+    _, T = diag_table(2, 3, 9, rotation=u)
+    phi, _ = diag_table(2, 3, 9)
     rep = cocycle.verify_strong(T, phi)
     assert not rep.passed and rep.details["centralizer"] > rep.tolerance
     assert max(rep.details["hermiticity"], rep.details["commutators"]) <= rep.tolerance
@@ -168,7 +147,7 @@ def test_an_entry_off_the_centralizer_is_named_as_the_centralizer_witness():
 
 def test_a_rotated_commuting_table_passes_strong():
     u = np.linalg.qr(matcore.random_matrix(2, seed=8))[0]
-    phi, T = product_table(5, 9, rotation=u)
+    phi, T = diag_table(2, 5, 9, rotation=u)
     assert max(matcore.operator_norm(x - np.diag(np.diag(x))) for x in T.stack) > 1e-2
     rep = cocycle.verify_strong(T, phi)
     assert rep.passed and rep.witness is None
@@ -176,14 +155,14 @@ def test_a_rotated_commuting_table_passes_strong():
 
 
 def test_diagonal_entries_have_a_zero_commutator_bound():
-    phi, T = product_table(5, 4)
+    phi, T = diag_table(2, 5, 4)
     assert cocycle.verify_strong(T, phi).details["commutators"] == 0.0
 
 
 # ---- the GNS group law -------------------------------------------------------
 
 def test_the_gns_group_law_bound_catches_a_planted_factor():
-    phi, T = product_table(3, 6)
+    phi, T = diag_table(2, 3, 6)
     R = gns.build_gns(phi)
     U = gns.build_unitaries(R, T)
     clean = gns.verify_unitaries(R, U, T.group)

@@ -1,6 +1,7 @@
 """End-to-end tests for the verification runner."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from quasinv import cli, cocycle, compact, limits, matcore, qmc
 from quasinv.cocycle import CocycleTable
 from quasinv.errors import QuasinvError
 from quasinv.lattice import LocalOperator
+
+from oracles import broken
 
 ALL_SCENARIOS = sorted(cli.SCENARIOS)
 
@@ -298,6 +301,34 @@ def test_bad_floor_and_tol_are_config_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, flag, literal", [
+    ("tol", "inf", "1e999"), ("tol", "1e400", "1e400"),
+    ("defect", "inf", "1e999"), ("defect", "1e308", "1e308"), ("defect", "1e200", "1e200"),
+])
+def test_non_finite_and_overflowing_values_are_config_errors(tmp_path, monkeypatch, capsys, key, flag,
+                                                             literal):
+    # an infinite tol passes every check; an infinite or overflowing plant breaks LAPACK mid-run
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", "--scenario", "product", "--n-sites", "3", f"--{key}", flag]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"scenario": "product", "n_sites": 3, "{key}": {literal}}}', encoding="utf-8")
+    assert run_cli(["run", "--json", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+    assert not list(tmp_path.glob("quasinv_*"))
+
+
+@pytest.mark.parametrize("defect", ["1e10", repr(cli.DEFECT_MAX)])
+def test_a_large_finite_defect_fails_its_checks(tmp_path, defect):
+    # up to DEFECT_MAX nothing overflows: the plant is a failing check, not an error
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["run", "--scenario", "product", "--n-sites", "3", "--defect", defect,
+                        "--out", str(out)]) == 1
+    assert read_report(out)["config"]["defect"] == float(defect)
+
+
 @pytest.mark.parametrize("argv", [["product", "--d", "2", "--floor", "0.6"],
                                   ["structure", "--d", "3", "--floor", "0.34"]],
                          ids=["product-d2", "structure-d3"])
@@ -404,14 +435,10 @@ def planted_entry(T, kind):
     """T with its first moved entry made singular (hermitean diag(0, 1, ..., 1))
     or skewed off hermitean."""
     k = next(i for i, g in enumerate(T.group) if not g.is_identity())
-    stack = T.stack.copy()
-    D = stack.shape[1]
-    stack[k] = np.diag(np.r_[0.0, np.ones(D - 1)]) if kind == "singular" else stack[k] + np.triu(
-        np.full((D, D), 1e-3), 1)
-    return CocycleTable(T.group, stack, T.window)
+    return broken(T, [(k, "projected" if kind == "singular" else kind)])
 
 
-def raised(fn, T):
+def raised_text(fn, T):
     try:
         fn(T, tol=1e-9)
     except QuasinvError as exc:
@@ -441,8 +468,8 @@ def test_a_broken_entry_fails_the_relations_it_breaks_with_exit_1(tmp_path, monk
     assert run_cli(["run", "--scenario", scenario, "--n-sites", "3", "--out", str(out)]) == 1
     (T,) = tables
     checks = {c["name"]: c for c in read_report(out)["checks"]}
-    errors = {"inverse_relation": raised(cocycle.verify_inverse_relation, T),
-              "power_relation": raised(cocycle.power_relation_check, T)}
+    errors = {"inverse_relation": raised_text(cocycle.verify_inverse_relation, T),
+              "power_relation": raised_text(cocycle.power_relation_check, T)}
     assert errors["power_relation"].startswith("NotPositive" if kind == "singular" else "NotHermitian")
     assert (errors["inverse_relation"] is None) == (kind == "skewed")
     for name, error in errors.items():

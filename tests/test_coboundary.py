@@ -1,8 +1,8 @@
 """Every cocycle table is one coboundary x_g = kappa g^-1(kappa^-1).
 
 The product-state, one-kappa and Markov chain constructors write their tables
-through one kernel.  The per-element builders they replaced are kept here
-only as oracles, on D <= 16 windows: the support-form product builder agrees
+through one kernel.  The per-element builders they replaced are kept in
+tests/oracles.py, on D <= 16 windows: the support-form product builder agrees
 to round-off, and the one-kappa and chain builders agree bit for bit.
 """
 
@@ -13,52 +13,14 @@ import numpy as np
 import pytest
 
 from quasinv import cocycle, matcore, qmc, states
-from quasinv.lattice import (
-    LocalOperator,
-    Window,
-    act_inverse,
-    embed,
-    enumerate_group,
-    extend,
-    support,
+from quasinv.lattice import LocalOperator, Window, enumerate_group, extend
+
+from oracles import (
+    generic_product, per_element_markov_table, per_element_trivial_table, support_product_table,
 )
 
 
-# ---- oracles: the per-element builders the kernel replaced --------------------
-
-def old_product_table(phi, group):
-    """x_g = (prod_{n in supp g} j_n(W_n^-1)) g^-1(prod_{n in supp g} j_n(W_n))."""
-    window = phi.window
-    stack = []
-    for g in group:
-        sites = sorted(support(g))
-        x = window.identity()
-        for n in sites:
-            x = x @ embed(window, n, matcore.inv(phi.weights[n - 1]))
-        y = window.identity()
-        for n in sites:
-            y = y @ embed(window, n, phi.weights[n - 1])
-        stack.append((x @ act_inverse(g, y)).matrix)
-    return np.array(stack)
-
-
-def old_trivial_table(kappa, group):
-    kinv = LocalOperator(kappa.window, matcore.inv(kappa.matrix))
-    return np.array([(kappa @ act_inverse(g, kinv)).matrix for g in group])
-
-
-def old_markov_table(M, group):
-    Q = qmc.MarkovState(M.d, M.W_inf, tuple(K.conj().T @ K for K in M.chain), validate=False)
-    return np.array([(Q.R_inv @ act_inverse(extend(g, M.N + 1), Q.R)).matrix for g in group])
-
-
 # ---- inputs -------------------------------------------------------------------
-
-def generic_product(d, N, seed):
-    """Non-diagonal site densities: entries neither hermitean nor commuting."""
-    return states.product_state(
-        d, [matcore.random_density(d, 0.05, seed=seed * 31 + k) for k in range(N)])
-
 
 def rotated_chain(N, seed):
     """The seeded chain conjugated by u (x) u on every pair: still commuting,
@@ -83,7 +45,7 @@ def test_product_table_agrees_with_the_support_form(name, seed):
     d, N, group = PRODUCT_CASES[name]
     phi = generic_product(d, N, seed)
     T = cocycle.product_state_cocycle(phi, group)
-    want = old_product_table(phi, group)
+    want = support_product_table(phi, group)
     assert T.stack.shape == want.shape
     assert max(matcore.operator_norm(a - b) for a, b in zip(T.stack, want)) <= 1e-14 * T.scale()
 
@@ -94,7 +56,7 @@ def test_trivial_table_equals_the_per_element_form(N, seed):
     window, group = Window(2, N), enumerate_group(N)
     kappa = LocalOperator(window, np.eye(2 ** N) + 0.3 * matcore.random_matrix(2 ** N, seed))
     T = cocycle.trivial_cocycle(kappa, group)
-    assert np.array_equal(T.stack, old_trivial_table(kappa, group))
+    assert np.array_equal(T.stack, per_element_trivial_table(kappa, group))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -104,7 +66,7 @@ def test_markov_table_equals_the_per_element_form(N, chain):
     M = chain(N, 10 + N)
     group = enumerate_group(N)
     T = qmc.x_cocycle_table(M, group)
-    assert np.array_equal(T.stack, old_markov_table(M, group))
+    assert np.array_equal(T.stack, per_element_markov_table(M, group))
 
 
 def test_rotated_chain_gives_a_non_diagonal_table():

@@ -48,28 +48,18 @@ from quasinv.lattice import (
 )
 from quasinv.states import product_state
 
+from oracles import anchor_state, anchor_table, seeded_dense_S3, sign_table
+
 W1 = np.diag([0.5, 0.5])
 W2 = np.diag([0.75, 0.25])
 X_T = np.diag([1.0, 3.0, 1.0 / 3.0, 1.0])
 KAPPA = np.diag([1.0, 2.0, 2.0 / 3.0, 1.0])
 
 
-def anchor_state():
-    return product_state(2, [W1, W2])
-
-
-def anchor_table():
-    return product_state_cocycle(anchor_state(), enumerate_group(2))
-
-
 def diag_density(seed):
     rng = np.random.Generator(np.random.Philox(seed))
     p = 0.2 + 0.6 * rng.random()
     return np.diag([p, 1.0 - p])
-
-
-def seeded_state_S3(seed):
-    return product_state(2, [matcore.random_density(2, 0.1, seed=seed * 7 + k) for k in range(3)])
 
 
 def test_anchor_entry_frozen():
@@ -100,7 +90,7 @@ def test_identity_weights_give_identity_cocycle():
 
 def test_seeded_tables_pass_all_laws():
     for seed in range(3):
-        phi = seeded_state_S3(seed)
+        phi = seeded_dense_S3(seed)
         T = product_state_cocycle(phi, enumerate_group(3))
         assert verify_normalization(T).passed
         assert verify_cocycle_law(T).residual < 1e-9
@@ -117,7 +107,7 @@ def test_quasi_invariance_anchor():
 
 
 def test_quasi_invariance_seeded_S3():
-    phi = seeded_state_S3(1)
+    phi = seeded_dense_S3(1)
     T = product_state_cocycle(phi, enumerate_group(3))
     rep = verify_quasi_invariance(phi, T)
     assert rep.passed and rep.residual < 1e-10
@@ -231,7 +221,7 @@ def reference_cocycle(phi, W_inf, group):
 
 
 def test_reference_cocycle_cancels_to_product_form():
-    phi = seeded_state_S3(2)
+    phi = seeded_dense_S3(2)
     G = enumerate_group(3)
     T_ref = reference_cocycle(phi, np.eye(2) / 2, G)
     T_prod = product_state_cocycle(phi, G)
@@ -410,13 +400,6 @@ def test_locally_trivial_product_cocycle_diagonal():
         assert rep.passed and rep.residual < 1e-9
     assert reports[0].details["subgroup_order"] == 2
     assert reports[1].details["subgroup_order"] == 6
-
-
-def sign_table(N):
-    """x_g = sgn(g) 1 over S_N: a scalar character, so a cocycle, whose mean is 0."""
-    group, w = enumerate_group(N), Window(2, N)
-    signs = [(-1.0) ** sum(a > b for i, a in enumerate(g.image) for b in g.image[i + 1:]) for g in group]
-    return CocycleTable(group, np.array([s * np.eye(w.total_dim) for s in signs]), w)
 
 
 def test_locally_trivial_on_a_singular_average_raises_singular_kappa():

@@ -13,28 +13,13 @@ from quasinv.errors import (
 )
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group, extend
 
+from oracles import anchor_state, anchor_table, seeded_diagonal_S3
+
 TOL = 1e-9
 EXACT = 1e-12
 
 KAPPA_HAND = np.diag([1.0, 2.0, 2.0 / 3.0, 1.0])
 X_T = np.diag([1.0, 3.0, 1.0 / 3.0, 1.0])
-
-
-def anchor_state():
-    return states.product_state(2, [np.diag([0.5, 0.5]), np.diag([0.75, 0.25])])
-
-
-def anchor_table():
-    return cocycle.product_state_cocycle(anchor_state(), enumerate_group(2))
-
-
-def seeded_state_S3(seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    ws = []
-    for _ in range(3):
-        p = rng.uniform(0.2, 0.8)
-        ws.append(np.diag([p, 1.0 - p]))
-    return states.product_state(2, ws)
 
 
 def s2_in_s3():
@@ -154,7 +139,7 @@ def test_kappa_hand_values():
 
 def test_kappa_has_unit_expectation():
     for seed in range(5):
-        phi = seeded_state_S3(seed)
+        phi = seeded_diagonal_S3(seed)
         T = cocycle.product_state_cocycle(phi, enumerate_group(3))
         kap = compact.kappa(T)
         assert abs(states.evaluate(phi, kap) - 1.0) < 1e-10
@@ -182,7 +167,7 @@ def test_intrinsic_entry_hand_values():
 
 
 def test_intrinsic_entry_matches_product_cocycle():
-    phi = seeded_state_S3(7)
+    phi = seeded_diagonal_S3(7)
     T = cocycle.product_state_cocycle(phi, enumerate_group(3))
     for g in enumerate_group(3):
         fresh = compact.intrinsic_entry(phi, g)
@@ -207,7 +192,7 @@ def test_structure_hand_verified_anchor():
 
 def test_structure_seeded_states():
     for seed in range(10):
-        phi = seeded_state_S3(seed)
+        phi = seeded_diagonal_S3(seed)
         T = cocycle.product_state_cocycle(phi, enumerate_group(3))
         out = compact.verify_structure(phi, T)
         assert out.passed, f"seed {seed}: {out}"
@@ -335,7 +320,7 @@ def test_projective_family_rejects_non_nesting():
 
 
 def test_restriction_consistency_product_state():
-    phi = seeded_state_S3(5)
+    phi = seeded_diagonal_S3(5)
     T = cocycle.product_state_cocycle(phi, enumerate_group(3))
     out = compact.restriction_consistency(phi, T, [s2_in_s3(), enumerate_group(3)])
     assert out.passed
@@ -355,14 +340,14 @@ def test_restriction_consistency_markov_chain():
 
 
 def test_restriction_consistency_refuses_a_non_faithful_state():
-    T = cocycle.product_state_cocycle(seeded_state_S3(5), enumerate_group(3))
+    T = cocycle.product_state_cocycle(seeded_diagonal_S3(5), enumerate_group(3))
     singular = states.product_state(2, [np.diag([1.0, 0.0])] + [np.eye(2) / 2] * 2)
     with pytest.raises(NotFaithful):
         compact.restriction_consistency(singular, T, [s2_in_s3()])
 
 
 def test_nonuniqueness_demo_separates_on_normalization():
-    phi = seeded_state_S3(9)
+    phi = seeded_diagonal_S3(9)
     T = cocycle.product_state_cocycle(phi, enumerate_group(3))
     demo = compact.nonuniqueness_demo(phi, T)
     canonical, alternative = demo["canonical"], demo["alternative"]

@@ -15,51 +15,20 @@ must be equal and residuals agree to 1e-13.
 import numpy as np
 import pytest
 
-from quasinv import cocycle, compact, gns, lattice, matcore, qmc, states
+from quasinv import cocycle, compact, gns, lattice, matcore, states
 from quasinv.cocycle import CocycleTable
 from quasinv.lattice import LocalOperator, Window, enumerate_group
 
+from oracles import converse_case, diag_table, markov_case
+
 AGREE = 1e-13
 
-
-def seeded_product(d, n, seed, rotation=None):
-    """A seeded product state of diagonal site weights (u w u* with a
-    rotation u) and its table over S_n."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    ws = []
-    for _ in range(n):
-        w = np.diag(rng.uniform(0.2, 0.8, size=d))
-        w = w / np.trace(w)
-        ws.append(w if rotation is None else rotation @ w @ rotation.conj().T)
-    phi = states.product_state(d, ws)
-    return phi, cocycle.product_state_cocycle(phi, enumerate_group(n))
-
-
-def seeded_trivial(n, seed):
-    """The one-kappa table of the trivial scenario: kappa^-1 = 1 + h/2 with h
-    a centered seeded diagonal, over the flat state."""
-    window, group = Window(2, n), enumerate_group(n)
-    rng = np.random.Generator(np.random.Philox(seed))
-    h = np.diag(rng.uniform(0.0, 1.0, size=window.total_dim))
-    centered = h - compact.haar_average(group, LocalOperator(window, h)).matrix
-    kinv = LocalOperator(window, np.eye(window.total_dim)
-                         + 0.5 * centered / max(1.0, matcore.operator_norm(centered)))
-    phi_G = states.homogeneous_state(2, n, np.eye(2) / 2)
-    return compact.converse_construct(phi_G, kinv, group)
-
-
-def seeded_markov(n, seed):
-    """The chain table of n diagonal amplitudes and its window state."""
-    M = qmc.MarkovState(2, np.eye(2) / 2.0, qmc.seeded_chain(n, seed))
-    return qmc.markov_functional(M), qmc.x_cocycle_table(M, enumerate_group(n))
-
-
 CASES = {
-    "product-d2-n3": lambda: seeded_product(2, 3, 1),
-    "product-d2-n4": lambda: seeded_product(2, 4, 2),
-    "product-d3-n2": lambda: seeded_product(3, 2, 3),
-    "trivial-n4": lambda: seeded_trivial(4, 4),
-    "markov-n3": lambda: seeded_markov(3, 5),
+    "product-d2-n3": lambda: diag_table(2, 3, 1),
+    "product-d2-n4": lambda: diag_table(2, 4, 2),
+    "product-d3-n2": lambda: diag_table(3, 2, 3),
+    "trivial-n4": lambda: converse_case(2, 4, 4),
+    "markov-n3": lambda: markov_case(3, 5),
 }
 
 
@@ -73,7 +42,7 @@ def as_complex(phi, T):
 # ---- the dtype contract ------------------------------------------------------
 
 def test_real_inputs_stay_float64_everywhere():
-    phi, T = seeded_product(2, 3, 7)
+    phi, T = diag_table(2, 3, 7)
     R = gns.build_gns(phi)
     U = gns.build_unitaries(R, T)
     W = states.full_density(phi)
@@ -92,7 +61,7 @@ def test_real_inputs_stay_float64_everywhere():
 
 def test_complex_inputs_stay_complex128_everywhere():
     u = np.linalg.qr(matcore.random_matrix(2, seed=8))[0]
-    phi, T = seeded_product(2, 3, 7, rotation=u)
+    phi, T = diag_table(2, 3, 7, rotation=u)
     R = gns.build_gns(phi)
     W = states.full_density(phi)
     assert T.stack.dtype == np.complex128 and T.mean.dtype == np.complex128
@@ -136,7 +105,7 @@ def test_inputs_promote_and_are_never_demoted(given, promoted):
 
 
 def test_a_planted_imaginary_defect_is_kept_and_fails():
-    phi, T = seeded_product(2, 3, 11)
+    phi, T = diag_table(2, 3, 11)
     stack = T.stack.astype(np.complex128)
     stack[1, 0, -1] += 1e-3j
     planted = CocycleTable(T.group, stack, T.window)

@@ -1,14 +1,14 @@
 """Differential tests: the defect-matrix verifiers against probe loops.
 
-Each oracle below is the probe-loop form of a linear identity, evaluating
-both sides through states.evaluate one probe at a time (on the density,
-built once per oracle call).  On windows with D <= 16 each verifier, which
-pairs its defect matrix with the whole algebra, must agree with the oracle
-over the complete matrix-unit basis to round-off, on identities that hold and
-on identities that fail alike.  Only the centralizer part of verify_strong
-still takes a probe list; states.centralizer_residual is checked on both forms.
-A stack pairs row by row exactly as its lone matrices do, and the public
-functions that take a probe list are pinned by name.
+Each oracle, kept in tests/oracles.py, is the probe-loop form of a linear
+identity, evaluating both sides through states.evaluate one probe at a time
+(on the density, built once per oracle call).  On windows with D <= 16 each
+verifier, which pairs its defect matrix with the whole algebra, must agree
+with the oracle over the complete matrix-unit basis to round-off, on
+identities that hold and on identities that fail alike.  Only the centralizer
+part of verify_strong still takes a probe list; states.centralizer_residual
+is checked on both forms.  A stack pairs row by row exactly as its lone
+matrices do, and the public functions that take a probe list are pinned by name.
 """
 
 import importlib
@@ -20,100 +20,17 @@ import pytest
 
 import quasinv
 
-from quasinv import cocycle, compact, matcore, qmc, states
+from quasinv import cli, cocycle, compact, matcore, qmc, states
 from quasinv.cocycle import CocycleTable
-from quasinv.lattice import (
-    LocalOperator,
-    Window,
-    act,
-    cyclic_shift,
-    enumerate_group,
-    extend,
-    extend_operator,
-    transposition,
+from quasinv.lattice import LocalOperator, Window, cyclic_shift, enumerate_group, extend, transposition
+
+from oracles import (
+    AGREE, dense_product, generic_chain, oracle_centralizer, oracle_exchangeable, oracle_extension,
+    oracle_quasi_invariance, oracle_reconstruction, oracle_sandwich, oracle_transport,
 )
-
-AGREE = 1e-12
-
-
-# ---- oracles: the probe-loop forms --------------------------------------
-
-def oracle_quasi_invariance(phi, T, probes):
-    """max |phi(g(a)) - phi(x_g a)| and the (g, probe index) attaining it."""
-    W = states.full_density(phi)
-    worst, where = 0.0, None
-    for g in T.group:
-        x_g = T.entries[g.image]
-        for k, a in enumerate(probes):
-            r = abs(states.evaluate(W, act(g, a)) - states.evaluate(W, x_g @ a))
-            if r > worst:
-                worst, where = r, (list(g.image), k)
-    return worst, where
-
-
-def oracle_centralizer(phi, c, probes):
-    W = states.full_density(phi)
-    return max(abs(states.evaluate(W, a @ c) - states.evaluate(W, c @ a)) for a in probes)
-
-
-def oracle_exchangeable(psi, group, probes):
-    W = states.full_density(psi)
-    return max(abs(states.evaluate(W, act(g, a)) - states.evaluate(W, a))
-               for g in group for a in probes)
-
-
-def oracle_transport(phi, T, x, probes):
-    W = states.full_density(phi)
-    worst = 0.0
-    for g in T.group:
-        x_g = T.entries[g.image].matrix
-        transported = act(g, LocalOperator(T.window, x_g @ x.matrix @ matcore.inv(x_g)))
-        gx = act(g, x)
-        for a in probes:
-            worst = max(worst, abs(states.evaluate(W, gx @ a)
-                                   - states.evaluate(W, a @ transported)))
-    return worst
-
-
-def oracle_sandwich(M, g, probes):
-    g_full = extend(g, M.N + 1)
-    y = LocalOperator(M.window, qmc.y_cocycle(M, [g])[0])
-    phi = qmc.markov_functional(M)
-    worst = 0.0
-    for a in probes:
-        a_full = extend_operator(a, M.window)
-        worst = max(worst, abs(states.evaluate(phi, act(g_full, a_full))
-                               - states.evaluate(phi, y.dagger() @ a_full @ y)))
-    return worst
-
-
-def oracle_extension(M, K_next, probes):
-    M_ext = qmc.MarkovState(M.d, M.W_inf, M.chain + (K_next,), validate=M.validate)
-    return max(abs(qmc.markov_eval(M, a) - qmc.markov_eval(M_ext, a)) for a in probes)
-
-
-def oracle_reconstruction(phi, phi_G, kap, probes):
-    W, W_G = states.full_density(phi), states.full_density(phi_G)
-    kinv = LocalOperator(phi.window, matcore.inv(kap.matrix))
-    return max(abs(states.evaluate(W, a) - states.evaluate(W_G, kinv @ a)) for a in probes)
 
 
 # ---- inputs ---------------------------------------------------------------
-
-def seeded_product(d, N, seed):
-    """Non-diagonal site densities, so no identity holds by sparsity."""
-    return states.product_state(
-        d, [matcore.random_density(d, 0.1, seed=seed * 31 + k) for k in range(N)])
-
-
-def planted(T, eps):
-    target = next(g for g in T.group if not g.is_identity())
-    entries = dict(T.entries)
-    m = entries[target.image].matrix.copy()
-    m[0, -1] += eps
-    entries[target.image] = LocalOperator(T.window, m)
-    return CocycleTable(T.group, entries, T.window)
-
 
 def identity_table(phi, group):
     return CocycleTable(tuple(group), {g.image: phi.window.identity() for g in group},
@@ -132,20 +49,14 @@ def trivial_pair(d, N, seed):
     return compact.converse_construct(phi_G, LocalOperator(window, kinv), group)
 
 
-def generic_chain(N, seed):
-    """Invertible amplitudes with no normalization or commutation."""
-    ks = tuple(np.eye(4) + 0.3 * matcore.random_matrix(4, seed=seed * 17 + n) for n in range(N))
-    return qmc.MarkovState(2, np.eye(2) / 2, ks, validate=False)
-
-
 def qi_cases():
     out = []
     for d, N in ((2, 2), (2, 3), (2, 4), (3, 2)):
-        phi = seeded_product(d, N, seed=d * 10 + N)
+        phi = dense_product(d, N, seed=d * 10 + N)
         group = [extend(g, N) for g in enumerate_group(N)]
         T = cocycle.product_state_cocycle(phi, group)
         out += [(f"product-d{d}-n{N}", phi, T),
-                (f"product-d{d}-n{N}-defect", phi, planted(T, 1e-6)),
+                (f"product-d{d}-n{N}-defect", phi, cli._plant_defect(T, 1e-6)),
                 (f"product-d{d}-n{N}-identity-table", phi, identity_table(phi, group))]
     for N in (2, 3):
         out.append((f"trivial-n{N}", *trivial_pair(2, N, seed=N)))
@@ -181,7 +92,7 @@ def test_quasi_invariance_matches_probe_loop(label, phi, T):
 
 def test_centralizer_matches_probe_loop():
     for d, N in ((2, 2), (2, 3), (2, 4), (3, 2)):
-        phi = seeded_product(d, N, seed=N)
+        phi = dense_product(d, N, seed=N)
         units = states.matrix_unit_probes(phi.window)
         D = phi.window.total_dim
         for c in (LocalOperator(phi.window, matcore.random_matrix(D, seed=D)),
@@ -194,7 +105,7 @@ def test_centralizer_matches_probe_loop():
 
 def test_strong_centralizer_part_matches_probe_loop():
     for N in (2, 3):
-        phi = seeded_product(2, N, seed=5 + N)
+        phi = dense_product(2, N, seed=5 + N)
         T = cocycle.product_state_cocycle(phi, enumerate_group(N))
         units = states.matrix_unit_probes(phi.window)
         want = max(oracle_centralizer(phi, x, units) for _, x in T)
@@ -206,7 +117,7 @@ def test_strong_centralizer_part_matches_probe_loop():
 def test_transport_matches_probe_loop():
     # tau_state=inf admits x outside the centralizer, where the identity fails
     for N in (2, 3, 4):
-        for phi in (seeded_product(2, N, seed=N), seeded_product(2, N, seed=N + 1)):
+        for phi in (dense_product(2, N, seed=N), dense_product(2, N, seed=N + 1)):
             T = cocycle.product_state_cocycle(phi, enumerate_group(N))
             units = states.matrix_unit_probes(phi.window)
             W = states.full_density(phi)
@@ -223,7 +134,7 @@ def test_exchangeability_matches_probe_loop():
         W = matcore.random_density(d, 0.1, seed=d + N)
         # one shift alone is not closed under inverses, so g and g^-1 differ
         for group in (enumerate_group(N), [cyclic_shift(N)]):
-            for psi in (states.homogeneous_state(d, N, W), seeded_product(d, N, seed=N)):
+            for psi in (states.homogeneous_state(d, N, W), dense_product(d, N, seed=N)):
                 units = states.matrix_unit_probes(psi.window)
                 want = oracle_exchangeable(psi, group, units)
                 assert abs(states.is_exchangeable(psi, group) - want) <= AGREE
@@ -330,7 +241,7 @@ def test_the_complete_forms_refuse_a_positional_probe_list():
     for fn, required in COMPLETE_FORMS:  # the parameters after the required ones are keyword-only
         with pytest.raises(TypeError):
             inspect.signature(fn).bind(*[None] * required, units)
-    phi = seeded_product(2, 2, seed=1)
+    phi = dense_product(2, 2, seed=1)
     T = cocycle.product_state_cocycle(phi, enumerate_group(2))
     with pytest.raises(TypeError):
         cocycle.verify_quasi_invariance(phi, T, units)

@@ -4,8 +4,8 @@
 defect and the hermitean-part spectrum.  A table that its basis diagonalizes
 (||E_g|| within RHO) reads them off the rotated diagonal, each within its err;
 any other table decomposes every entry.  The checks that read them are
-compared here with the per-check computations they replaced, kept only as
-oracles: on the diagonal D <= 16 tables, clean and with planted non-hermitean,
+compared here with the per-check computations they replaced, kept in
+tests/oracles.py: on the diagonal D <= 16 tables, clean and with planted non-hermitean,
 non-positive and singular entries, the facts agree bit for bit and the
 strong-entry and invertibility screens raise the same first error.  On rotated
 tables, real and complex, at D <= 16 and S_5 at D 32, every check agrees with
@@ -22,121 +22,17 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from quasinv import cli, cocycle, compact, gns, matcore, qmc, states
+from quasinv import cli, cocycle, compact, gns, matcore
 from quasinv.cocycle import PASS_TOL, CocycleTable
-from quasinv.errors import NotStrongCocycle, SingularEntry
-from quasinv.lattice import LocalOperator, Window, enumerate_group, extend
-from test_blocked import (
-    EPS,
-    assert_certifies,
-    broken,
-    hermitean_plant,
-    loop_power_relation,
-    old_cocycle_law,
-    old_facts,
-    old_power_relation,
-    old_quasi_invariance,
-    old_strong,
-    outcome,
-    same,
+
+from oracles import (
+    BROKEN_KINDS, EPS, assert_certifies, broken, eigenbasis_power_relation, entry_cases,
+    hermitean_plant, loop_power_relation, oracle_invertible, oracle_require_strong,
+    oracle_singular_screen, oracle_strong_bounds, outcome, per_entry_cocycle_law, per_entry_facts,
+    per_entry_quasi_invariance, per_entry_strong, product_on_sites, raised, rotated_case, same,
 )
 
-
-# ---- oracles: the computations the facts replaced ---------------------------
-
-def oracle_invertible(A):
-    """The invertibility rule of the former matcore.classify."""
-    A = np.asarray(A, dtype=complex)
-    scale = max(matcore.operator_norm(A), 1.0)
-    if matcore.herm_defect(A) <= matcore.TAU_HERM * scale:
-        lam = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
-        return float(np.abs(lam).min()) > matcore.TAU_POS * scale
-    return float(np.linalg.svd(A, compute_uv=False).min()) > matcore.TAU_POS * scale
-
-
-def oracle_require_strong(T, tol):
-    for g, x in zip(T.group, T.stack):
-        if matcore.herm_defect(x) > tol * max(1.0, matcore.operator_norm(x)):
-            raise NotStrongCocycle(f"entry for {g.image} is not hermitean")
-        if np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0] <= 0.0:
-            raise NotStrongCocycle(f"entry for {g.image} is not positive")
-
-
-def oracle_singular_screen(T):
-    for g, x in zip(T.group, T.stack):
-        if not oracle_invertible(x):
-            raise SingularEntry(f"x_g singular for g = {g.image}")
-
-
-def oracle_strong_bounds(T):
-    herm = 0.0
-    s1, s2 = np.inf, -np.inf
-    for x in T.stack:
-        herm = max(herm, matcore.herm_defect(x))
-        lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
-        s1, s2 = min(s1, float(lam[0])), max(s2, float(lam[-1]))
-    return herm, s1, s2
-
-
-# ---- tables -----------------------------------------------------------------
-
-def product_case(n, k):
-    rng = np.random.default_rng(n + 10 * k)
-    phi = states.product_state(2, [np.diag(w / w.sum()) for w in rng.uniform(0.2, 0.8, (n, 2))])
-    return phi, cocycle.product_state_cocycle(phi, [extend(g, n) for g in enumerate_group(k)])
-
-
-def markov_case():
-    M = qmc.MarkovState(2, np.eye(2) / 2.0, qmc.seeded_chain(3, 1))
-    return qmc.markov_functional(M), qmc.x_cocycle_table(M, enumerate_group(3))
-
-
-def trivial_case():
-    window = Window(2, 3)
-    kap = np.eye(8) + 0.3 * matcore.random_matrix(8, seed=5)
-    T = cocycle.trivial_cocycle(LocalOperator(window, kap), enumerate_group(3))
-    return states.homogeneous_state(2, 3, np.eye(2) / 2.0), T
-
-
-def planted(T, changes):
-    """T with entry k replaced: "skewed" off hermitean, "negated" to
-    -(k + 1) x_k, "projected" to a hermitean singular diag(0, 1, ..., 1),
-    "dropped" to x_k with its last row zeroed (singular, not hermitean)."""
-    stack = T.stack.copy()
-    D = stack.shape[1]
-    for k, kind in changes:
-        if kind == "skewed":
-            stack[k] = stack[k] + np.triu(np.full((D, D), 1e-3), 1)
-        elif kind == "negated":
-            stack[k] = -(k + 1.0) * stack[k]
-        elif kind == "projected":
-            stack[k] = np.diag(np.r_[0.0, np.ones(D - 1)])
-        else:
-            stack[k, -1] = 0.0
-    return CocycleTable(T.group, stack, T.window)
-
-
-KINDS = ("skewed", "negated", "projected", "dropped")
-
-
-def cases():
-    phi, T = product_case(3, 3)
-    out = {"product-D8": (phi, T), "product-D16": product_case(4, 4),
-           "markov-D16": markov_case(), "trivial-nonhermitean-kappa": trivial_case()}
-    for kind in KINDS:
-        out[f"product-{kind}"] = (phi, planted(T, [(1, kind), (4, kind)]))
-    return out
-
-
-CASES = cases()
-
-
-def raised(fn, *args):
-    try:
-        fn(*args)
-    except (NotStrongCocycle, SingularEntry) as exc:
-        return type(exc), str(exc)
-    return None
+CASES = entry_cases()
 
 
 # ---- the facts against the oracles ------------------------------------------
@@ -178,11 +74,11 @@ def test_singular_entry_screen_raises_what_classify_raised(name):
     assert (want is not None) == name.endswith(("projected", "dropped"))
 
 
-@pytest.mark.parametrize("first", KINDS)
-@pytest.mark.parametrize("second", KINDS)
+@pytest.mark.parametrize("first", BROKEN_KINDS)
+@pytest.mark.parametrize("second", BROKEN_KINDS)
 def test_the_first_broken_entry_in_group_order_is_named(first, second):
     phi, T = CASES["product-D8"]
-    T = planted(T, [(2, first), (5, second)])
+    T = broken(T, [(2, first), (5, second)])
     for tol in (PASS_TOL, 1e-9):
         assert raised(cocycle.require_strong_entries, T, tol) == raised(
             oracle_require_strong, T, tol)
@@ -335,7 +231,7 @@ def test_structure_run_averages_the_table_and_the_state_once(tmp_path, monkeypat
 def test_the_strong_check_reads_the_tables_rotation(monkeypatch):
     # with the facts built, verify_strong takes no eigh and rotates no entry: its
     # one pass over the rows is the centralizer pairing
-    phi, T = product_case(3, 3)
+    phi, T = product_on_sites(3, 3)
     T.facts
     given = record_linalg(monkeypatch)
     normed = record_entry_norms(monkeypatch)
@@ -383,17 +279,6 @@ def test_a_run_computes_each_defect_of_an_entry_once(tmp_path, monkeypatch, argv
 
 # ---- the certified facts and checks against their exact per-entry forms -----
 
-def rotated_case(d, N, k, seed, real):
-    """A diagonal product table turned by one seeded on-site orthogonal (real) or
-    unitary u: u^(x)N commutes with every site permutation, so the table stays
-    strong, and its entries are not diagonal."""
-    G = matcore.random_matrix(d, seed)
-    u = np.linalg.qr(G.real if real else G)[0]
-    w = np.random.default_rng(seed).uniform(0.2, 0.8, (N, d))
-    phi = states.product_state(d, [u @ np.diag(v / v.sum()) @ u.conj().T for v in w])
-    return phi, cocycle.product_state_cocycle(phi, [extend(g, N) for g in enumerate_group(k)])
-
-
 ROTATED = {"real-d2-S4": (2, 4, 4, 21, True), "complex-d2-S4": (2, 4, 4, 22, False),
            "real-d2-S3": (2, 3, 3, 23, True), "complex-d2-S3": (2, 3, 3, 24, False),
            "real-d2-S5-D32": (2, 5, 5, 25, True), "complex-d2-S5-D32": (2, 5, 5, 26, False)}
@@ -421,11 +306,13 @@ def certified_case(name, plant):
 
 
 CERTIFIED_CHECKS = {
-    "strong": (lambda phi, T: cocycle.verify_strong(T, phi), lambda phi, T: old_strong(T, phi)),
-    "quasi_invariance": (lambda phi, T: cocycle.verify_quasi_invariance(phi, T), old_quasi_invariance),
-    "cocycle_law": (lambda phi, T: cocycle.verify_cocycle_law(T), lambda phi, T: old_cocycle_law(T)),
+    "strong": (lambda phi, T: cocycle.verify_strong(T, phi), lambda phi, T: per_entry_strong(T, phi)),
+    "quasi_invariance": (lambda phi, T: cocycle.verify_quasi_invariance(phi, T),
+                         per_entry_quasi_invariance),
+    "cocycle_law": (lambda phi, T: cocycle.verify_cocycle_law(T),
+                    lambda phi, T: per_entry_cocycle_law(T)),
     "power_relation": (lambda phi, T: cocycle.power_relation_check(T),
-                       lambda phi, T: old_power_relation(T)),
+                       lambda phi, T: eigenbasis_power_relation(T)),
     "strong_entries": (lambda phi, T: raised(cocycle.require_strong_entries, T, PASS_TOL),
                        lambda phi, T: raised(oracle_require_strong, T, PASS_TOL)),
 }
@@ -438,7 +325,7 @@ def test_certified_facts_lie_within_their_radius(name, plant):
     _, T = certified_case(name, plant)
     assert T.facts.err.any() == (plant not in MISSED)  # a rotated table sits off its diagonal
     assert np.all(T.facts.err <= cocycle.RHO * np.maximum(1.0, T.facts.sv[:, 0]))
-    for f, want in zip(T.facts, old_facts(T), strict=True):
+    for f, want in zip(T.facts, per_entry_facts(T), strict=True):
         r = f.err + 16 * len(T.stack[0]) * EPS * f.norm if f.err else 0.0
         assert np.abs(f.sv - want.sv).max() <= r and np.abs(f.eig - want.eig).max() <= r
         assert want.norm <= f.norm + r and f.lo - r <= want.eig[0] and want.eig[-1] <= f.hi + r
@@ -465,7 +352,7 @@ def test_an_indefinite_plant_reports_the_exact_positivity_defect(name):
     # herm(W x_g) of the negated entry fails the margin and takes its eigvalsh;
     # the other rows clear it and add nothing, as their exact values were negative
     phi, T = certified_case(name, "negated")
-    got, want = cocycle.verify_quasi_invariance(phi, T), old_quasi_invariance(phi, T)
+    got, want = cocycle.verify_quasi_invariance(phi, T), per_entry_quasi_invariance(phi, T)
     assert got.details["positivity_defect"] == want.details["positivity_defect"] > 0.0
     phi, T = certified_case(name, None)
     assert cocycle.verify_quasi_invariance(phi, T).details["positivity_defect"] == 0.0

@@ -1,7 +1,7 @@
 """Cyclic representation, gram geometry, and the covariant unitaries.
 
 Where a test reads a D^2 x D^2 matrix (the gram, pi(a), U_g as a matrix) it
-reads it from the dense oracle of test_gns_factored and ties it to the
+reads it from the dense oracle in tests/oracles.py and ties it to the
 factored representation.
 """
 
@@ -12,7 +12,8 @@ from quasinv import cocycle, gns, matcore, states
 from quasinv.cocycle import CocycleTable
 from quasinv.errors import NotFaithful, NotStrongCocycle
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group
-from test_gns_factored import DenseGns
+
+from oracles import DenseGns, anchor_state, anchor_table, seeded_diagonal_S3
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -20,23 +21,6 @@ EXACT = 1e-12
 # hand-worked two-site anchor: weights diag(1/2,1/2) and diag(3/4,1/4)
 X_T = np.diag([1.0, 3.0, 1.0 / 3.0, 1.0])
 S_T = np.diag([1.0, np.sqrt(3.0), 1.0 / np.sqrt(3.0), 1.0])
-
-
-def anchor_state():
-    return states.product_state(2, [np.diag([0.5, 0.5]), np.diag([0.75, 0.25])])
-
-
-def anchor_table():
-    return cocycle.product_state_cocycle(anchor_state(), enumerate_group(2))
-
-
-def seeded_state_S3(seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    ws = []
-    for _ in range(3):
-        p = rng.uniform(0.2, 0.8)
-        ws.append(np.diag([p, 1.0 - p]))
-    return states.product_state(2, ws)
 
 
 def gram_of(R):
@@ -81,7 +65,7 @@ def test_cyclic_vector_reproduces_state():
 
 def test_cyclic_vector_reproduces_state_seeded():
     for seed in range(5):
-        phi = seeded_state_S3(seed)
+        phi = seeded_diagonal_S3(seed)
         R = gns.build_gns(phi)
         for k in range(10):
             a = LocalOperator(phi.window, matcore.random_hermitian(8, seed=seed * 97 + k))
@@ -196,7 +180,7 @@ def test_covariance_two_sites():
 
 def test_unitary_suite_three_sites_seeded():
     for seed in range(3):
-        phi = seeded_state_S3(seed)
+        phi = seeded_diagonal_S3(seed)
         group = enumerate_group(3)
         T = cocycle.product_state_cocycle(phi, group)
         R = gns.build_gns(phi)
@@ -219,7 +203,7 @@ def test_lifted_expectation_matches_algebra_average():
 
 def test_lifted_expectation_is_projective():
     # averaging over the full group absorbs a prior average over a subgroup
-    phi = seeded_state_S3(4)
+    phi = seeded_diagonal_S3(4)
     group = enumerate_group(3)
     T = cocycle.product_state_cocycle(phi, group)
     R = gns.build_gns(phi)

@@ -9,8 +9,8 @@ of the matrix with its axes transposed, as perfbench's act_by_axes does.
 The checks that used to loop over the group one element at a time
 (states.is_exchangeable, qmc.y_cocycle and qmc.sandwich_residual, the gns
 gram defects, sharp factors and the checks built on them) now move one
-block of elements per stacked gather.  Their former per-element forms live
-on below only as oracles; values agree bit for bit (np.array_equal, ==) on
+block of elements per stacked gather.  Their former per-element forms are
+kept in tests/oracles.py; values agree bit for bit (np.array_equal, ==) on
 real and complex128 inputs.
 """
 
@@ -34,7 +34,12 @@ from quasinv.lattice import (
     group_index,
     inverse_index,
 )
-from test_qmc import generic_chain
+
+from oracles import (
+    generic_chain, gram_defect, per_element_exchangeability, per_element_lift, per_element_sandwich,
+    per_element_verify_unitaries, sharp_factor, svd_scaled_covariance, svd_scaled_lifted_expectation,
+    y_from_chain,
+)
 
 
 # ---- the action against transposed tensor axes --------------------------------
@@ -104,21 +109,6 @@ def test_inverse_rows_are_those_of_the_inverse_elements():
 
 # ---- qmc: the y stack and the sandwich ----------------------------------------
 
-def old_marginal(X, window, n):
-    k, r = window.d ** n, window.d ** (window.N - n)
-    return np.einsum("iaja->ij", X.reshape(k, r, k, r))
-
-
-def old_y_cocycle(M, g):
-    return (act_inverse(extend(g, M.N + 1), M.R) @ M.R_inv).matrix
-
-
-def old_sandwich_residual(M, g):
-    y, W = old_y_cocycle(M, g), M.density
-    defect = act_inverse(extend(g, M.N + 1), LocalOperator(M.window, W)).matrix - y @ W @ y.conj().T
-    return states.pairing_residual(old_marginal(defect, M.window, M.N))[0]
-
-
 def markov_chain(N, complex_):
     return generic_chain(N, seed=N) if complex_ else qmc.MarkovState(
         2, np.eye(2) / 2.0, qmc.seeded_chain(N, seed=N))
@@ -134,9 +124,9 @@ def test_y_stack_and_sandwich_equal_the_per_element_forms(N, complex_):
     assert np.array_equal(qmc.sandwich_residual(M, group), got)
     yy = y @ matcore.dagger(y)
     for k, g in enumerate(group):
-        want = old_y_cocycle(M, g)
+        want = y_from_chain(M, g)
         assert np.array_equal(y[k], want)
-        assert got[k] == old_sandwich_residual(M, g)
+        assert got[k] == per_element_sandwich(M, g)
         assert np.array_equal(yy[k], want @ want.conj().T)
     # blocks of the list give the rows of the whole list
     assert np.array_equal(np.concatenate([qmc.sandwich_residual(M, group[k:k + 5])
@@ -144,12 +134,6 @@ def test_y_stack_and_sandwich_equal_the_per_element_forms(N, complex_):
 
 
 # ---- states: exchangeability ----------------------------------------------------
-
-def old_is_exchangeable(psi, group):
-    W = LocalOperator(psi.window, states.full_density(psi))
-    return max((states.pairing_residual(act_inverse(g, W).matrix - W.matrix)[0]
-                for g in group), default=0.0)
-
 
 def exchange_states(d, N):
     rng = np.random.Generator(np.random.Philox(d * N))
@@ -164,75 +148,11 @@ def test_exchangeability_equals_the_per_element_form(d, N):
     for psi in exchange_states(d, N):
         for group in (enumerate_group(N), [cyclic_shift(N)], []):
             got = states.is_exchangeable(psi, group)
-            assert type(got) is float and got == old_is_exchangeable(psi, group)
+            assert type(got) is float and got == per_element_exchangeability(psi, group)
     assert states.full_density(exchange_states(d, N)[2]).dtype == np.complex128
 
 
 # ---- gns: gram defects, sharp factors and the checks on them --------------------
-
-def old_sharp_factor(R, Ug):
-    return act_inverse(Ug.g, LocalOperator(R.window, R.W @ Ug.s.dagger().matrix)).matrix @ R.W_inv
-
-
-def old_gram_defect(R, Ug):
-    moved = act_inverse(Ug.g, LocalOperator(R.window, Ug.s.matrix @ R.W @ Ug.s.dagger().matrix))
-    return moved.matrix @ R.W_inv - np.eye(R.D)
-
-
-def old_verify_unitaries(R, U, group, tol=gns.GNS_TOL):
-    inv = lattice.group_table(group)[1]
-    Q = lattice.group_index(group, R.window)
-    s = [U[g.image].s.matrix for g in group]
-    sigma_inv = matcore.inv(sigma := sum(s) / len(s))
-    unit = adj = delta = norm = 0.0
-    for i, g in enumerate(group):
-        unit = max(unit, matcore.operator_norm(old_gram_defect(R, U[g.image])))
-        adj = max(adj, matcore.operator_norm(old_sharp_factor(R, U[g.image]) - s[inv[i]]))
-        delta = max(delta, matcore.operator_norm(s[i] - gather(sigma_inv, Q[i]) @ sigma))
-        norm = max(norm, matcore.operator_norm(s[i]))
-    law = delta * (1.0 + 2.0 * (norm + delta) + delta)
-    resid = max(unit, law, adj)
-    return {"unitarity": unit, "group_law": law, "adjoint": adj, "residual": resid,
-            "pass": resid <= tol, "delta": delta}
-
-
-def svd_scale(probes):
-    """max ||a|| over the probes, one SVD each; the unit ball when None."""
-    if probes is None:
-        return 1.0
-    return max((matcore.operator_norm(a.matrix if isinstance(a, LocalOperator) else np.asarray(a))
-                for a in probes), default=0.0)
-
-
-def old_verify_covariance(R, U, group, probes=None, tol=gns.GNS_TOL):
-    worst = svd_scale(probes) * max(
-        (matcore.operator_norm(old_gram_defect(R, U[g.image])) for g in group), default=0.0)
-    return {"residual": worst, "pass": worst <= tol}
-
-
-def old_verify_lifted_expectation(R, U, subgroup, probes=None, tol=gns.GNS_TOL):
-    total = sum(matcore.operator_norm(old_gram_defect(R, U[g.image])) for g in subgroup)
-    worst = total / len(subgroup) * svd_scale(probes)
-    return {"residual": worst, "pass": worst <= tol}
-
-
-def old_lift(R, U, subgroup):
-    D = R.D
-
-    def right_apply(q, m, X):
-        cols = X.reshape(D, D, -1, order="F")[q[:, None], q]
-        return np.einsum("ijc,jk->ikc", cols, m).reshape(D * D, -1, order="F")
-
-    factors = [(q, gather(U[g.image].s.dagger().matrix, q), old_sharp_factor(R, U[g.image]))
-               for g, q in zip(subgroup, inverse_index(subgroup, R.window))]
-
-    def lifted(X):
-        total = 0.0
-        for q, s_moved, t in factors:
-            total = total + right_apply(q, t, right_apply(q, s_moved, X.conj().T).conj().T)
-        return total / len(factors)
-    return lifted
-
 
 GNS_SIZES = [(2, 4, 2), (2, 3, 3), (3, 2, 2), (2, 5, 5)]  # D 16 S_2, D 8 S_3, D 9 S_2, D 32 S_5
 
@@ -265,17 +185,17 @@ def test_gns_stacks_equal_the_per_element_forms(d, n, k, complex_, eps):
     assert s.dtype == (np.complex128 if complex_ else np.float64)
     C, t = gns._gram_defects(R, s, q), gns._sharp_factors(R, s, q)
     for j, g in enumerate(group):
-        assert np.array_equal(C[j], old_gram_defect(R, U[g.image]))
-        assert np.array_equal(t[j], old_sharp_factor(R, U[g.image]))
+        assert np.array_equal(C[j], gram_defect(R, U[g.image]))
+        assert np.array_equal(t[j], sharp_factor(R, U[g.image]))
     got = gns.verify_unitaries(R, U, group)
-    assert got == old_verify_unitaries(R, U, group)
+    assert got == per_element_verify_unitaries(R, U, group)
     assert got["pass"] == (eps == 0.0)
     # the probe sets gns-dense passes: the row-norm scale of the matrix units is
     # their SVD scale, 1.0, so covariance and the lift keep the oracle's bits
     for probes in (None, states.matrix_unit_probes(R.window)):
-        assert gns.verify_covariance(R, U, group, probes) == old_verify_covariance(R, U, group, probes)
+        assert gns.verify_covariance(R, U, group, probes) == svd_scaled_covariance(R, U, group, probes)
         assert (gns.verify_lifted_expectation(R, U, group, probes)
-                == old_verify_lifted_expectation(R, U, group, probes))
+                == svd_scaled_lifted_expectation(R, U, group, probes))
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -284,8 +204,8 @@ def test_a_planted_factor_fails_covariance_and_the_lift_on_random_probes(d, n, k
     R, U, group = gns_case(d, n, k, complex_, eps=1e-3)
     clean = gns_case(d, n, k, complex_)
     probes = [matcore.random_matrix(R.D, seed=40 + j, scale=0.3 + j) for j in range(3)]
-    for check, oracle in ((gns.verify_covariance, old_verify_covariance),
-                          (gns.verify_lifted_expectation, old_verify_lifted_expectation)):
+    for check, oracle in ((gns.verify_covariance, svd_scaled_covariance),
+                          (gns.verify_lifted_expectation, svd_scaled_lifted_expectation)):
         got, exact = check(R, U, group, probes), oracle(R, U, group, probes)
         assert not got["pass"] and not exact["pass"]
         assert exact["residual"] <= got["residual"] <= np.sqrt(R.D) * exact["residual"]
@@ -297,7 +217,7 @@ def test_a_planted_factor_fails_covariance_and_the_lift_on_random_probes(d, n, k
 def test_lift_equals_the_per_element_form(d, n, k, complex_):
     R, U, group = gns_case(d, n, k, complex_)
     X = matcore.random_matrix(R.dim, seed=5)
-    got, want = gns.lift_conditional_expectation(R, U, group)(X), old_lift(R, U, group)(X)
+    got, want = gns.lift_conditional_expectation(R, U, group)(X), per_element_lift(R, U, group)(X)
     assert matcore.operator_norm(got - want) <= 1e-12 * matcore.operator_norm(want)
 
 

@@ -1,6 +1,6 @@
 """The stacked group average and the orbit labels against the list forms.
 
-The oracles below are the earlier implementations, kept only here: the
+The oracles, the earlier implementations kept in tests/oracles.py, are the
 group average as a list of conjugated matrices summed by a pairwise tree,
 the fixed-point basis as the SVD of the D^2 x D^2 matrix of averaged matrix
 units, and the Umegaki and projectivity checks as loops over probes that
@@ -17,103 +17,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasinv import cli, cocycle, compact, lattice, matcore, states
+from quasinv import cli, cocycle, compact, lattice, matcore
 from quasinv.errors import SizeMismatch
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group, extend
 
-AGREE = 1e-12
-N_SWEEP = 200
-
-
-# ---- oracles: the list and probe-loop forms -------------------------------
-
-def list_tree_sum(mats):
-    items = list(mats)
-    while len(items) > 1:
-        paired = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
-    return items[0]
-
-
-def list_average(group, a):
-    return LocalOperator(a.window, list_tree_sum([act(g, a).matrix for g in group]) / len(group))
-
-
-def svd_basis(group, window, tol=1e-10):
-    rows = [compact.haar_average(group, a).matrix.flatten() for a in states.matrix_unit_probes(window)]
-    _, sing, vh = np.linalg.svd(np.array(rows))
-    rank = int(np.sum(sing > tol * sing[0]))
-    D = window.total_dim
-    return [LocalOperator(window, vh[i].reshape(D, D)) for i in range(rank)]
-
-
-def loop_module(group, basis, probes):
-    """max |E(b a c) - b E(a) c| over the given basis elements and probes
-    (E is haar_average, bit-identical to the list form as tested below)."""
-    E = [compact.haar_average(group, a).matrix for a in probes]
-    worst = 0.0
-    for b in basis:
-        for c in basis:
-            for a, Ea in zip(probes, E):
-                lhs = compact.haar_average(group, b @ a @ c).matrix
-                worst = max(worst, matcore.operator_norm(lhs - b.matrix @ Ea @ c.matrix))
-    return worst
-
-
-def loop_umegaki(group, window, seed=0):
-    """The probe-loop Umegaki suite on all matrix units, with the module
-    part sampled as it was (four basis elements, every len/8-th probe)."""
-    probes = states.matrix_unit_probes(window)
-    D = window.total_dim
-    E = lambda a: compact.haar_average(group, a)  # noqa: E731
-    unital = matcore.operator_norm(E(window.identity()).matrix - np.eye(D))
-    idem = pos = 0.0
-    for a in probes:
-        Ea = E(a)
-        idem = max(idem, matcore.operator_norm(E(Ea).matrix - Ea.matrix))
-        sq = E(a.dagger() @ a).matrix
-        pos = max(pos, max(0.0, -float(np.linalg.eigvalsh((sq + sq.conj().T) / 2.0)[0])))
-    fix = svd_basis(group, window)
-    module = loop_module(group, fix[:4], probes[::max(1, len(probes) // 8)])
-    faithful = np.inf
-    for k in range(N_SWEEP):
-        a = matcore.random_hermitian(D, seed=seed * 100_003 + k)
-        u = LocalOperator(window, a / matcore.operator_norm(a))
-        faithful = min(faithful, matcore.operator_norm(E(u.dagger() @ u).matrix))
-    return {"idempotence": idem, "unitality": unital, "positivity_defect": pos,
-            "module": module, "faithfulness_min": faithful, "fixed_point_rank": len(fix)}
-
-
-def loop_umegaki_passes(group, window, tol=compact.UMEGAKI_TOL):
-    """The probe loop's verdict; a list that is not closed fails idempotence
-    at some matrix unit, screened first with the stacked average."""
-    for a in states.matrix_unit_probes(window):
-        Ea = compact.haar_average(group, a)
-        if matcore.operator_norm(compact.haar_average(group, Ea).matrix - Ea.matrix) > tol:
-            return False
-    laws = loop_umegaki(group, window)
-    worst = max(laws["idempotence"], laws["unitality"], laws["positivity_defect"], laws["module"])
-    return worst <= tol and laws["faithfulness_min"] > tol
-
-
-def loop_projective(group_small, group_big, window):
-    double = absorb = 0.0
-    E = compact.haar_average
-    for a in states.matrix_unit_probes(window):
-        Eb = E(group_big, a)
-        double = max(double, matcore.operator_norm(E(group_big, E(group_small, a)).matrix - Eb.matrix))
-        absorb = max(absorb, matcore.operator_norm(E(group_small, Eb).matrix - Eb.matrix))
-    return {"double_average": double, "range_absorption": absorb,
-            "rank_small": len(svd_basis(group_small, window)),
-            "rank_big": len(svd_basis(group_big, window))}
-
-
-def loop_projective_passes(group_small, group_big, window, tol=compact.UMEGAKI_TOL):
-    laws = loop_projective(group_small, group_big, window)
-    return (max(laws["double_average"], laws["range_absorption"]) <= tol
-            and laws["rank_big"] <= laws["rank_small"])
+from oracles import (
+    AGREE, list_average, list_tree_sum, loop_projective, loop_projective_passes, loop_umegaki,
+    loop_umegaki_passes, svd_basis,
+)
 
 
 # ---- windows --------------------------------------------------------------

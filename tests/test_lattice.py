@@ -3,8 +3,8 @@
 Kronecker layouts are checked against explicit hand-written matrices and a
 direct np.kron oracle.  The action, an index gather, is checked against the
 defining conjugation identity P_g j_n(b) P_g* = j_{g(n)}(b) and bit for bit
-against conjugation by the dense permutation unitary P_g, built here only as
-the oracle.
+against conjugation by the dense permutation unitary P_g, the oracle kept in
+tests/oracles.py.
 """
 
 import numpy as np
@@ -26,6 +26,8 @@ from quasinv.lattice import (
     support,
     transposition,
 )
+
+from oracles import permutation_unitary
 
 
 def test_embed_site1_diagonal():
@@ -123,26 +125,6 @@ def test_enumerate_group_sizes():
 def test_enumerate_group_cap():
     with pytest.raises(GroupTooLarge):
         enumerate_group(7)
-
-
-def permutation_unitary(g, window):
-    """The dense oracle: P_g (v_1 (x) ... (x) v_N) = v_{g^-1(1)} (x) ... (x) v_{g^-1(N)}."""
-    d, N = window.d, window.N
-    dim = d ** N
-    ginv = g.inverse()
-    # column j with digits (j_1..j_N), site 1 most significant, maps to the
-    # basis vector whose digit at site k is the digit of j at site g^-1(k)
-    digits = np.empty((dim, N), dtype=np.int64)
-    idx = np.arange(dim)
-    for k in range(N - 1, -1, -1):
-        digits[:, k] = idx % d
-        idx = idx // d
-    rows = np.zeros(dim, dtype=np.int64)
-    for k in range(1, N + 1):
-        rows = rows * d + digits[:, ginv(k) - 1]
-    P = np.zeros((dim, dim), dtype=complex)
-    P[rows, np.arange(dim)] = 1.0
-    return P
 
 
 def test_permutation_unitary_identity():

@@ -6,7 +6,7 @@ W = I/2 gives slice entries (3/2 + 1/2)/2 = 1 on the diagonal.
 
 A MarkovState builds its chain product R, R^-1 and the density R Psi R*
 once.  The former per-element rebuilds of R, R^-1, the density, y_g and
-x_g live on below only as oracles; on D <= 16 they agree exactly.
+x_g are kept in tests/oracles.py; on D <= 16 they agree exactly.
 """
 
 import numpy as np
@@ -17,9 +17,7 @@ from quasinv.errors import NotCommutingChain, SingularCDA, SupportTooLarge
 from quasinv.lattice import (
     LocalOperator,
     Window,
-    act_inverse,
     cyclic_shift,
-    embed_pair,
     enumerate_group,
     extend,
     extend_operator,
@@ -40,6 +38,8 @@ from quasinv.qmc import (
     y_cocycle,
 )
 from quasinv.states import matrix_unit_probes
+
+from oracles import generic_chain, rebuilt_chain_product, rebuilt_markov_density, rebuilt_x, rebuilt_y
 
 W_HALF = np.eye(2) / 2
 
@@ -118,7 +118,7 @@ def test_window_extension_invariance():
     assert extension_residual(M, K_next) < 1e-10
 
 
-def test_window_extension_invariance_single_site_probe():
+def test_window_extension_invariance_single_site():
     M = default_state(N=1, seed=8)
     K_next = diagonal_cda(2, -0.1)
     assert extension_residual(M, K_next) < 1e-10
@@ -235,49 +235,18 @@ def test_markov_functional_trace_one():
     assert abs(np.trace(D) - 1.0) < 1e-10
 
 
-# ---- oracles: the former per-element rebuilds --------------------------------
-
-def old_ordered_product(M):
-    w = M.window
-    out = w.identity()
-    for n in range(1, M.N + 1):
-        out = out @ embed_pair(w, n, M.chain[n - 1])
-    return out
-
-
-def old_markov_density(M):
-    R = old_ordered_product(M).matrix
-    return R @ states.full_density(M.psi()) @ R.conj().T
-
-
-def old_y_cocycle(M, g):
-    R = old_ordered_product(M)
-    return act_inverse(extend(g, M.N + 1), R) @ LocalOperator(M.window, matcore.inv(R.matrix))
-
-
-def old_x_cocycle(M, g):
-    Q = old_ordered_product(qmc.MarkovState(M.d, M.W_inf, tuple(K.conj().T @ K for K in M.chain),
-                                            validate=False))
-    Q_inv = LocalOperator(M.window, matcore.inv(Q.matrix))
-    return Q_inv @ act_inverse(extend(g, M.N + 1), Q)
-
-
-def generic_chain(N, seed):
-    """Invertible amplitudes with no normalization or commutation."""
-    ks = tuple(np.eye(4) + 0.3 * matcore.random_matrix(4, seed=seed * 17 + n) for n in range(N))
-    return MarkovState(2, W_HALF, ks, validate=False)
-
+# ---- the chain against the former per-element rebuilds ----------------------
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_chain_attributes_equal_the_per_element_rebuilds(N):
     for M in (default_state(N, seed=20 + N), generic_chain(N, seed=N)):
-        R = old_ordered_product(M).matrix
+        R = rebuilt_chain_product(M).matrix
         assert np.array_equal(M.R.matrix, R)
         assert np.array_equal(M.R_inv.matrix, matcore.inv(R))
-        assert np.array_equal(M.density, old_markov_density(M))
-        assert np.array_equal(markov_functional(M).W, old_markov_density(M))
+        assert np.array_equal(M.density, rebuilt_markov_density(M))
+        assert np.array_equal(markov_functional(M).W, rebuilt_markov_density(M))
         for g, y in zip(enumerate_group(N), y_cocycle(M, enumerate_group(N))):
-            assert np.array_equal(y, old_y_cocycle(M, g).matrix)
+            assert np.array_equal(y, rebuilt_y(M, g).matrix)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -285,7 +254,7 @@ def test_x_table_equals_the_per_element_rebuild(N):
     M = default_state(N, seed=30 + N)
     T = x_cocycle_table(M, enumerate_group(N))
     for g in enumerate_group(N):
-        assert np.array_equal(T.entry(extend(g, N + 1)).matrix, old_x_cocycle(M, g).matrix)
+        assert np.array_equal(T.entry(extend(g, N + 1)).matrix, rebuilt_x(M, g).matrix)
 
 
 def test_chain_is_built_once_per_state(monkeypatch):
