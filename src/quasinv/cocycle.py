@@ -19,12 +19,19 @@ moves), and the Markov chain cocycles (qmc, kappa = Q^-1).  The checks that
 compare a table with a coboundary (local triviality here, the structure
 decomposition and the restriction to subgroups in compact, kappa = W^-1 there)
 read the same kernel.  Besides: the solution set of W x = x* W on a single
-factor, and propagation along the powers of a single generator.  The laws on
-all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law, verify_strong),
-the power relation from the inverse relation's per-entry defects by the
-operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, 1997, X.3),
-the entries' spectra and norms within Weyl's radius in one eigenbasis per table.
-Checks read blocks of rows, one stacked LAPACK/BLAS call each: a loop's values.
+factor.  The laws on all |G|^2 pairs are bounded from |G| entries
+(verify_cocycle_law, verify_strong), the power relation from the inverse
+relation's per-entry defects by the operator-Lipschitz constants of t -> t^s
+(Bhatia, Matrix Analysis, 1997, X.3).
+
+A table is read in one frame, x_g = D_g + E_g (diagonal, off-diagonal), if every
+entry is hermitean with ||E_g|| <= RHO max(1, max|D_g|): first the standard basis,
+checked from O(D^2) scalars a row, then one eigenbasis per table.  Each entry's
+spectrum and norm are then its diagonal's, within err = ||E_g|| (Weyl), and in the
+standard basis eps(g) and delta(g) are identities of diagonals plus bounds in the
+||E||_F (||E|| <= ||E||_F): no LAPACK call an entry.  A table neither frame clears
+is decomposed entry by entry.  Checks read blocks of rows, one stacked
+LAPACK/BLAS call each: a loop's values.
 """
 
 from dataclasses import dataclass, field
@@ -39,12 +46,11 @@ from .errors import (
     NotInCentralizer,
     NotHermitianZ,
     NotStrongCocycle,
-    OrderExceeded,
     SingularEntry,
     SingularKappa,
     SingularWeight,
 )
-from .lattice import BLOCK_BYTES, LocalOperator, _blocks, _frozen, act_inverse, gather, support
+from .lattice import BLOCK_BYTES, LocalOperator, _blocks, _frozen, gather, support
 
 # residuals pass at 1e-8 absolute after scaling by the largest entry norm;
 # planted defects in the tests are >= 1e-3, five decades away
@@ -64,7 +70,10 @@ class CocycleTable:
     """x_g over a list of permutations, stored once as the read-only (|G|, D, D)
     array `stack` in group order.  The entries arrive as that array (adopted if
     read-only, else copied) or as a mapping from image tuples to operators;
-    `entries`, `entry(g)` and iteration are views onto the rows of the stack."""
+    `entries`, `entry(g)` and iteration are views onto the rows of the stack.
+    The per-entry facts, eps(g) and delta(g) are read in the standard basis when
+    `split` clears it (err = ||E_g||_F; eps and delta add their E terms), else in
+    `basis` (err = ||E_g||, eps and delta by one SVD an entry), else decomposed (err 0)."""
 
     def __init__(self, group, entries, window):
         self.group, self.window = tuple(group), window
@@ -90,6 +99,16 @@ class CocycleTable:
         return iter((g, self.entries[g.image]) for g in self.group)
 
     @cached_property
+    def split(self):
+        """x_g = D_g + E_g (diagonal, off-diagonal) in the standard basis, decided from
+        per-row scalars alone: (||x_g - x_g*||_F, max|D_g|, ||E_g||_F) if every row clears
+        the rule of `rotated`, else None.  O(D^2) a row and no LAPACK; the basis is covariant,
+        g^-1 sending D_b to the diagonal D_b[q_g] (q_g the rows of lattice.inverse_index)."""
+        x = self.stack
+        herm, diag, off = self.rowwise(lambda r: _split(x[r]))
+        return (_frozen(herm), _frozen(diag), _frozen(off)) if _clears(herm, diag, off) else None
+
+    @cached_property
     def basis(self):
         """The eigenbasis V of herm(sum_g c_g x_g), c_g seeded: diagonalizes a commuting hermitean table."""
         x = self.stack
@@ -98,9 +117,17 @@ class CocycleTable:
 
     @cached_property
     def rotated(self):
-        """(Facts, max|D_g|, ||E_g||), V* x_g V = D_g + E_g (diagonal, off-diagonal) in the basis
-        V.  If each x_g is hermitean with ||E_g|| <= RHO max(1, max|D_g|), its spectrum and singular
-        values lie within err = ||E_g|| of sorted Re D_g and |D_g| (Weyl); else each is decomposed."""
+        """(Facts, max|D_g|, ||E_g||), x_g = D_g + E_g read in the standard basis if every row
+        clears the rule there (self.split), else V* x_g V = D_g + E_g in the basis V.  The rule:
+        x_g hermitean and ||E_g|| <= RHO max(1, max|D_g|); then x_g's spectrum and singular
+        values lie within err = ||E_g|| (||E_g||_F in the standard basis) of sorted Re D_g and
+        |D_g| (Weyl), and herm is ||x_g - x_g*||_F there.  A table neither basis clears is
+        decomposed entry by entry."""
+        if self.split is not None:
+            (herm, diag, off), D = self.split, np.diagonal(self.stack, axis1=1, axis2=2)
+            f = matcore.Facts(_frozen(np.sort(np.abs(D))[:, ::-1]), herm, _frozen(np.sort(D.real)), off)
+            _frozen(f.hermitean), _frozen(f.norm)
+            return f, diag, off
         x, V, d = self.stack, self.basis, np.arange(len(self.stack[0]))
         def block(rows):
             herm, y = matcore.herm_defect(x[rows]), V.conj().T @ x[rows] @ V
@@ -109,7 +136,7 @@ class CocycleTable:
             y[:, d, d] = 0.0  # y minus its diagonal, exactly
             return sv, eig, sv[:, 0], matcore.operator_norm(y), herm
         sv, eig, diag, off, herm = self.rowwise(block)
-        if not (sure := np.all(matcore.hermitean(herm, diag + off) & (off <= RHO * np.maximum(1.0, diag)))):
+        if not (sure := _clears(herm, diag, off)):
             sv, eig = self.rowwise(lambda r: matcore.spectra(x[r]))
         f = matcore.Facts(*map(_frozen, (sv, herm, eig, off if sure else np.zeros_like(off))))
         _frozen(f.hermitean), _frozen(f.norm)
@@ -130,17 +157,47 @@ class CocycleTable:
 
     mean = cached_property(lambda self: _frozen(self.row_mean(np.arange(len(self.stack)))))
     mean_inv = cached_property(lambda self: _frozen(matcore.inv(self.mean)))
-    # delta(g) = ||x_g - kappa g^-1(kappa^-1)|| for the mean kappa: the law's certificate
-    mean_defects = cached_property(lambda self: _frozen(_coboundary_defects(self, self.mean,
-                                                                             self.mean_inv)))
+
+    @cached_property
+    def mean_defects(self):
+        """delta(g) = ||x_g - kappa g^-1(kappa^-1)|| for the mean kappa = M, N = M^-1: the law's
+        certificate.  In the standard basis (self.split), M = diag(m) + E_M and N = diag(n) + E_N,
+        max|d_g - m n[q_g]| + ||E_g|| + max|m| ||E_N|| + ||E_M|| max|n| + ||E_M|| ||E_N||;
+        else one SVD a row."""
+        if self.split is None:
+            return _frozen(_coboundary_defects(self, self.mean, self.mean_inv))
+        (_, m, e_m), (_, n, e_n) = (_split(a.copy()) for a in (self.mean, self.mean_inv))
+        d, q = np.diagonal(self.stack, axis1=1, axis2=2), lattice.inverse_index(self.group, self.window)
+        exact = np.abs(d - np.diagonal(self.mean) * np.diagonal(self.mean_inv)[q]).max(1)
+        return _frozen(exact + self.split[2] + m * e_n + e_m * n + e_m * e_n)
 
     @cached_property
     def inverse_defects(self):
-        """eps(g) = ||x_g g^-1(x_{g^-1}) - 1|| of every entry, one stacked call a block."""
+        """eps(g) = ||x_g g^-1(x_b) - 1||, b = g^-1, of every entry.  In the standard basis
+        (self.split), max|d_g d_b[q_g] - 1| + ||E_g|| max|D_b| + max|D_g| ||E_b|| + ||E_g|| ||E_b||;
+        else one stacked call a block."""
         inv, x = lattice.group_table(self.group)[1], self.stack
         Qi = lattice.inverse_index(self.group, self.window)
+        if self.split is not None:
+            (_, diag, off), d = self.split, np.diagonal(x, axis1=1, axis2=2)
+            return _frozen(np.abs(d * d[inv[:, None], Qi] - 1.0).max(1)
+                           + off * diag[inv] + diag * off[inv] + off * off[inv])
         return _frozen(self.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
             x[r] @ gather(x[inv[r]], Qi[r]) - I)))
+
+
+def _split(y):
+    """(||y - y*||_F, max|D|, ||E||_F) of each matrix y = D + E (diagonal, off-diagonal) of the
+    owned stack y, whose diagonal it zeroes."""
+    d = np.arange(y.shape[-1])
+    herm, diag = np.linalg.norm(y - matcore.dagger(y), axis=(-2, -1)), np.abs(y[..., d, d]).max(-1)
+    y[..., d, d] = 0.0
+    return herm, diag, np.linalg.norm(y, axis=(-2, -1))
+
+
+def _clears(herm, diag, off):
+    """Whether every x_g = D_g + E_g is hermitean with ||E_g|| <= RHO max(1, max|D_g|)."""
+    return bool(np.all(matcore.hermitean(herm, diag + off) & (off <= RHO * np.maximum(1.0, diag))))
 
 
 def _coboundary(q, kappa, kappa_inv):
@@ -370,22 +427,6 @@ def check_SW(W, x, tol=1e-10):
     z = W @ x
     residual = matcore.operator_norm(z - matcore.dagger(x) @ W)
     return (residual <= tol) & (matcore.herm_defect(z) <= tol), residual, z
-
-
-def propagate_single_generator(x0, g0, n_max):
-    """Entries along the powers of one generator:
-    x_{g0^n} = x_{g0} g0^-1(x_{g0}) ... g0^-(n-1)(x_{g0})."""
-    powers = lattice.cyclic_group(g0)
-    m = len(powers)
-    if n_max > m:
-        raise OrderExceeded(f"n_max {n_max} exceeds generator order {m}")
-    window = x0.window
-    entries = {powers[0].image: window.identity()}
-    current = x0
-    for n in range(1, n_max + 1):
-        entries[powers[n % m].image] = current
-        current = current @ act_inverse(powers[n % m], x0)
-    return CocycleTable(powers[:n_max + 1], entries, window)
 
 
 def locally_trivial_check(T, window_sizes, tol=None):

@@ -230,25 +230,3 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
     return _report("restriction_consistency", worst, tol,
                    witness=witness if worst > tol else None, details=details)
 
-
-def nonuniqueness_demo(phi, T, *, tol=STRUCTURE_TOL):
-    """Two distinct decompositions of the same state.  A positive invertible
-    fixed point k (the average of diag(1..2), not a multiple of 1) yields the
-    alternative pair (phi_G(k .), kappa k): reconstruction and the cocycle
-    identity hold for both pairs, while E_G(kappa^-1) = 1 singles out the
-    canonical one."""
-    group, window = T.group, T.window
-    kap = kappa(T)
-    phi_G = invariant_state(phi, group)
-    seed = np.diag(np.linspace(1.0, 2.0, window.total_dim))
-    k0 = haar_average(group, LocalOperator(window, seed)).matrix
-    weight = states.evaluate(phi_G, LocalOperator(window, k0)).real
-    k = k0 / weight
-    W_G = states.full_density(phi_G)
-    phi_G_alt = states.WeightedTraceState(window, W_G @ k)
-    kap_alt = LocalOperator(window, kap.matrix @ k)
-
-    canonical = verify_structure(phi, T, tol=tol, decomposition=(phi_G, kap))
-    alternative = verify_structure(phi, T, tol=tol, decomposition=(phi_G_alt, kap_alt))
-    return {"canonical": canonical, "alternative": alternative, "fixed_point": k,
-            "separation": matcore.operator_norm(kap_alt.matrix - kap.matrix)}

@@ -85,10 +85,6 @@ class NotInvariantBase(QuasinvError):
     pass
 
 
-class OrderExceeded(QuasinvError):
-    pass
-
-
 class RangeError(QuasinvError):
     pass
 

@@ -42,10 +42,6 @@ def vec(m):
     return matcore.promote(m).flatten(order="F")
 
 
-def unvec(v, D):
-    return matcore.promote(v).reshape((D, D), order="F")
-
-
 def _matrix(a):
     return a.matrix if isinstance(a, LocalOperator) else matcore.promote(a)
 
@@ -67,22 +63,6 @@ class GnsRepresentation:
     def inner(self, a, b):
         """<vec(a), vec(b)> = phi(a* b) for D x D matrices a, b."""
         return complex(np.trace(self.W @ _matrix(a).conj().T @ _matrix(b)))
-
-    def state_value(self, a):
-        """<vec(1), pi(a) vec(1)> = phi(a)."""
-        return self.inner(np.eye(self.D), a)
-
-    def orthonormal_form(self, M):
-        """A D^2 x D^2 operator written in an orthonormalized basis, for
-        export: gram-unitaries become plain unitaries.  The Cholesky factor of
-        the gram W^T (x) 1 is L (x) 1 with L that of W^T, so the change of
-        frame acts on one index of the (D, D, D, D) reshape on each side."""
-        D = self.D
-        L = np.linalg.cholesky(self.W.T)
-        M4 = matcore.promote(M).reshape(D, D, D, D)
-        out = np.einsum("ja,aibk,bl->jilk", L.conj().T, M4, np.linalg.inv(L.conj().T),
-                        optimize=True)
-        return out.reshape(D * D, D * D)
 
 
 @dataclass(frozen=True)
@@ -162,26 +142,6 @@ def verify_covariance(R, U, group, probes=None, tol=GNS_TOL):
     with probes=None, exactly ||C_g|| over the whole unit ball of the window."""
     worst = _probe_scale(probes) * float(_gram_norms(R, U, group).max())
     return {"residual": worst, "pass": worst <= tol}
-
-
-def lift_conditional_expectation(R, U, subgroup):
-    """The averaged conjugation X -> (1/|G|) sum_g U_g# X U_g on D^2 x D^2
-    operators.  U_g# and U_g* are both b -> g^-1(b) m for a D x D factor m
-    (t_g and g^-1(s*)), applied to every column vec(b) of a D^2 x D^2 matrix
-    as one stacked gather of its (D^2, D, D) reshape; X U_g = (U_g* X*)*."""
-    D = R.D
-    s, q = _factors(R, U, subgroup)
-    s_moved, t = gather(matcore.dagger(s), q), _sharp_factors(R, s, q)
-
-    def right_apply(k, m, X):
-        return (gather(X.T.reshape(-1, D, D, order="F"), q[k]) @ m[k]).reshape(-1, D * D, order="F").T
-
-    def lifted(X):
-        X = matcore.promote(X)
-        return sum(right_apply(k, t, right_apply(k, s_moved, X.conj().T).conj().T)
-                   for k in range(len(q))) / len(q)
-
-    return lifted
 
 
 def verify_lifted_expectation(R, U, subgroup, probes=None, tol=GNS_TOL):

@@ -91,11 +91,6 @@ def transposition(N, i, j):
     return Permutation(tuple(img))
 
 
-def cyclic_shift(N):
-    """n -> n+1 mod N, the N-cycle (1 2 ... N)."""
-    return Permutation(tuple((n % N) + 1 for n in range(1, N + 1)))
-
-
 def support(g):
     """Sites the permutation moves."""
     return frozenset(n for n in range(1, g.N + 1) if g(n) != n)
@@ -273,10 +268,3 @@ def _pairwise_sum(blocks):
     # the partial sums left, folded from right to left
     return reduce(lambda total, s: np.add(s, total, out=total), reversed(sums))
 
-
-def cyclic_group(g):
-    """[g^0, g^1, ..., g^(m-1)] with m the order of g."""
-    out = [identity_permutation(g.N)]
-    while not (power := g.compose(out[-1])).is_identity():
-        out.append(power)
-    return out

@@ -172,7 +172,7 @@ def spectra(A):
 
 def facts(A):
     """The decomposed Facts of a lone matrix (or of each of a stack): two SVDs (A, A - A*),
-    one eigvalsh.  A cocycle table reads its entries' off its eigenbasis."""
+    one eigvalsh.  A cocycle table reads its entries' off one frame (cocycle.CocycleTable)."""
     A = promote(A)
     (sv, eig), herm = spectra(A), herm_defect(A)
     return Facts(sv, herm, eig)

@@ -27,7 +27,7 @@ from .errors import (
     SizeMismatch,
     SupportTooLarge,
 )
-from .lattice import LocalOperator, Window, embed_pair, extend, extend_operator, gather, support
+from .lattice import LocalOperator, Window, embed_pair, extend, gather, support
 from .states import homogeneous_state, slice_expectation
 
 CDA_TOL = 1e-8
@@ -131,13 +131,6 @@ def _extend_perm(group, M):
 def markov_functional(M):
     """phi as a weighted-trace state on the full window."""
     return states.WeightedTraceState(M.window, M.density, validate=False)
-
-
-def markov_eval(M, a):
-    """phi(a) = psi(R* a R) for a supported in [1,N]."""
-    if a.window.N > M.N:
-        raise SupportTooLarge(f"observable on {a.window.N} sites, chain supports [1,{M.N}]")
-    return states.evaluate(M.psi(), M.R.dagger() @ extend_operator(a, M.window) @ M.R)
 
 
 def _marginal(X, window, n):

@@ -172,13 +172,3 @@ def is_exchangeable(psi, group):
     return max((float(pairing_residual(gather(W, q[r]) - W)[0].max())
                 for r in _blocks(len(group), W.nbytes)), default=0.0)
 
-
-def partial_trace_site(W_full, window, site):
-    """Reduced density on one site: trace out every other factor."""
-    d, N = window.d, window.N
-    T = np.asarray(W_full).reshape((d,) * (2 * N))
-    keep = site - 1
-    others = [k for k in range(N) if k != keep]
-    T2 = T.transpose([keep, N + keep] + others + [N + k for k in others])
-    T3 = T2.reshape(d, d, d ** (N - 1), d ** (N - 1))
-    return np.einsum("ijkk->ij", T3)

@@ -3,7 +3,10 @@
 Table builders and their case registries, the plants that break a table, the
 comparators, and the reference forms: the per-entry, per-pair, per-element
 and probe-loop computations that a blocked or certified check replaced, and
-the dense D^2 x D^2 GNS construction.  The test modules gate each check
+the dense D^2 x D^2 GNS construction, and the few constructions no program
+path calls (cyclic groups, propagation along one generator, the second
+structure decomposition, one-site marginals, the chain's evaluation, the GNS
+lift and export forms), kept for the facts their tests state.  The test modules gate each check
 against its reference form here.  This is a plain module: pytest collects no
 tests from it, and the test modules import it as `oracles` (pytest puts
 tests/ on sys.path).  A builder returns a fresh table, so its cached facts,
@@ -15,9 +18,16 @@ import numpy as np
 
 from quasinv import cli, cocycle, compact, gns, limits, matcore, qmc, states
 from quasinv.cocycle import PASS_TOL, CocycleTable, VerificationReport, _report
-from quasinv.errors import NotInCentralizer, NotStrongCocycle, QuasinvError, SingularEntry
+from quasinv.errors import (
+    NotInCentralizer,
+    NotStrongCocycle,
+    QuasinvError,
+    SingularEntry,
+    SupportTooLarge,
+)
 from quasinv.lattice import (
     LocalOperator,
+    Permutation,
     Window,
     act,
     act_inverse,
@@ -29,6 +39,7 @@ from quasinv.lattice import (
     gather,
     group_index,
     group_table,
+    identity_permutation,
     inverse_index,
     positions,
     support,
@@ -379,6 +390,17 @@ def per_entry_facts(T):
     """Each entry's singular values, hermiticity defect and hermitean-part spectrum."""
     return tuple(matcore.Facts(np.linalg.svd(x, compute_uv=False), matcore.herm_defect(x),
                                np.linalg.eigvalsh((x + x.conj().T) / 2.0)) for x in T.stack)
+
+
+class EigenframeTable(CocycleTable):
+    """A table read without the standard basis: its facts come from T.basis (or from
+    each entry decomposed), and eps(g) and delta(g) from one SVD an entry."""
+    split = None
+
+
+def eigenframe(T):
+    """T's stack as an EigenframeTable, its caches cold."""
+    return EigenframeTable(T.group, T.stack, T.window)
 
 
 def per_entry_tol(T, F):
@@ -882,7 +904,7 @@ def oracle_sandwich(M, g, probes):
 
 def oracle_extension(M, K_next, probes):
     M_ext = qmc.MarkovState(M.d, M.W_inf, M.chain + (K_next,), validate=M.validate)
-    return max(abs(qmc.markov_eval(M, a) - qmc.markov_eval(M_ext, a)) for a in probes)
+    return max(abs(markov_eval(M, a) - markov_eval(M_ext, a)) for a in probes)
 
 
 def oracle_reconstruction(phi, phi_G, kap, probes):
@@ -1224,3 +1246,122 @@ class DenseGns:
     def cyclicity_rank(self):
         cols = [self.pi(a) @ self.Phi for a in states.matrix_unit_probes(self.window)]
         return int(np.linalg.matrix_rank(np.column_stack(cols), tol=1e-10))
+
+
+# ---- constructions no program path calls, kept for the facts their tests state ----
+
+class OrderExceeded(QuasinvError):
+    pass
+
+
+def cyclic_shift(N):
+    """n -> n+1 mod N, the N-cycle (1 2 ... N)."""
+    return Permutation(tuple((n % N) + 1 for n in range(1, N + 1)))
+
+
+def cyclic_group(g):
+    """[g^0, g^1, ..., g^(m-1)] with m the order of g."""
+    out = [identity_permutation(g.N)]
+    while not (power := g.compose(out[-1])).is_identity():
+        out.append(power)
+    return out
+
+
+def propagate_single_generator(x0, g0, n_max):
+    """Entries along the powers of one generator:
+    x_{g0^n} = x_{g0} g0^-1(x_{g0}) ... g0^-(n-1)(x_{g0})."""
+    powers = cyclic_group(g0)
+    m = len(powers)
+    if n_max > m:
+        raise OrderExceeded(f"n_max {n_max} exceeds generator order {m}")
+    window = x0.window
+    entries = {powers[0].image: window.identity()}
+    current = x0
+    for n in range(1, n_max + 1):
+        entries[powers[n % m].image] = current
+        current = current @ act_inverse(powers[n % m], x0)
+    return CocycleTable(powers[:n_max + 1], entries, window)
+
+
+def nonuniqueness_demo(phi, T, *, tol=compact.STRUCTURE_TOL):
+    """Two distinct decompositions of the same state.  A positive invertible
+    fixed point k (the average of diag(1..2), not a multiple of 1) yields the
+    alternative pair (phi_G(k .), kappa k): reconstruction and the cocycle
+    identity hold for both pairs, while E_G(kappa^-1) = 1 singles out the
+    canonical one."""
+    group, window = T.group, T.window
+    kap = compact.kappa(T)
+    phi_G = compact.invariant_state(phi, group)
+    seed = np.diag(np.linspace(1.0, 2.0, window.total_dim))
+    k0 = compact.haar_average(group, LocalOperator(window, seed)).matrix
+    weight = states.evaluate(phi_G, LocalOperator(window, k0)).real
+    k = k0 / weight
+    W_G = states.full_density(phi_G)
+    phi_G_alt = states.WeightedTraceState(window, W_G @ k)
+    kap_alt = LocalOperator(window, kap.matrix @ k)
+
+    canonical = compact.verify_structure(phi, T, tol=tol, decomposition=(phi_G, kap))
+    alternative = compact.verify_structure(phi, T, tol=tol, decomposition=(phi_G_alt, kap_alt))
+    return {"canonical": canonical, "alternative": alternative, "fixed_point": k,
+            "separation": matcore.operator_norm(kap_alt.matrix - kap.matrix)}
+
+
+def partial_trace_site(W_full, window, site):
+    """Reduced density on one site: trace out every other factor."""
+    d, N = window.d, window.N
+    T = np.asarray(W_full).reshape((d,) * (2 * N))
+    keep = site - 1
+    others = [k for k in range(N) if k != keep]
+    T2 = T.transpose([keep, N + keep] + others + [N + k for k in others])
+    T3 = T2.reshape(d, d, d ** (N - 1), d ** (N - 1))
+    return np.einsum("ijkk->ij", T3)
+
+
+def markov_eval(M, a):
+    """phi(a) = psi(R* a R) for a supported in [1,N]."""
+    if a.window.N > M.N:
+        raise SupportTooLarge(f"observable on {a.window.N} sites, chain supports [1,{M.N}]")
+    return states.evaluate(M.psi(), M.R.dagger() @ extend_operator(a, M.window) @ M.R)
+
+
+def unvec(v, D):
+    """The inverse of gns.vec: column-stacked v back to a D x D matrix."""
+    return matcore.promote(v).reshape((D, D), order="F")
+
+
+def state_value(R, a):
+    """<vec(1), pi(a) vec(1)> = phi(a)."""
+    return R.inner(np.eye(R.D), a)
+
+
+def orthonormal_form(R, M):
+    """A D^2 x D^2 operator written in an orthonormalized basis, for
+    export: gram-unitaries become plain unitaries.  The Cholesky factor of
+    the gram W^T (x) 1 is L (x) 1 with L that of W^T, so the change of
+    frame acts on one index of the (D, D, D, D) reshape on each side."""
+    D = R.D
+    L = np.linalg.cholesky(R.W.T)
+    M4 = matcore.promote(M).reshape(D, D, D, D)
+    out = np.einsum("ja,aibk,bl->jilk", L.conj().T, M4, np.linalg.inv(L.conj().T),
+                    optimize=True)
+    return out.reshape(D * D, D * D)
+
+
+def lift_conditional_expectation(R, U, subgroup):
+    """The averaged conjugation X -> (1/|G|) sum_g U_g# X U_g on D^2 x D^2
+    operators.  U_g# and U_g* are both b -> g^-1(b) m for a D x D factor m
+    (t_g and g^-1(s*)), applied to every column vec(b) of a D^2 x D^2 matrix
+    as one stacked gather of its (D^2, D, D) reshape; X U_g = (U_g* X*)*."""
+    D = R.D
+    s, q = gns._factors(R, U, subgroup)
+    s_moved, t = gather(matcore.dagger(s), q), gns._sharp_factors(R, s, q)
+
+    def right_apply(k, m, X):
+        return (gather(X.T.reshape(-1, D, D, order="F"), q[k]) @ m[k]).reshape(-1, D * D, order="F").T
+
+    def lifted(X):
+        X = matcore.promote(X)
+        return sum(right_apply(k, t, right_apply(k, s_moved, X.conj().T).conj().T)
+                   for k in range(len(q))) / len(q)
+
+    return lifted

@@ -17,7 +17,6 @@ from quasinv.errors import (
     GroupNotClosed,
     NotHermitianZ,
     NotInCentralizer,
-    OrderExceeded,
     SingularKappa,
 )
 from quasinv.cocycle import (
@@ -26,7 +25,6 @@ from quasinv.cocycle import (
     locally_trivial_check,
     power_relation_check,
     product_state_cocycle,
-    propagate_single_generator,
     solve_SW,
     trivial_cocycle,
     verify_centralizer_transport,
@@ -40,7 +38,6 @@ from quasinv.lattice import (
     LocalOperator,
     Window,
     act,
-    cyclic_shift,
     embed,
     enumerate_group,
     support,
@@ -48,7 +45,10 @@ from quasinv.lattice import (
 )
 from quasinv.states import product_state
 
-from oracles import anchor_state, anchor_table, seeded_dense_S3, sign_table
+from oracles import (
+    OrderExceeded, anchor_state, anchor_table, cyclic_shift, propagate_single_generator, seeded_dense_S3,
+    sign_table,
+)
 
 W1 = np.diag([0.5, 0.5])
 W2 = np.diag([0.75, 0.25])

@@ -13,7 +13,7 @@ from quasinv.errors import (
 )
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group, extend
 
-from oracles import anchor_state, anchor_table, seeded_diagonal_S3
+from oracles import anchor_state, anchor_table, nonuniqueness_demo, seeded_diagonal_S3
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -349,7 +349,7 @@ def test_restriction_consistency_refuses_a_non_faithful_state():
 def test_nonuniqueness_demo_separates_on_normalization():
     phi = seeded_diagonal_S3(9)
     T = cocycle.product_state_cocycle(phi, enumerate_group(3))
-    demo = compact.nonuniqueness_demo(phi, T)
+    demo = nonuniqueness_demo(phi, T)
     canonical, alternative = demo["canonical"], demo["alternative"]
     assert canonical.passed
     assert alternative.details["reconstruction"] < 1e-9

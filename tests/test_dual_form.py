@@ -22,11 +22,12 @@ import quasinv
 
 from quasinv import cli, cocycle, compact, matcore, qmc, states
 from quasinv.cocycle import CocycleTable
-from quasinv.lattice import LocalOperator, Window, cyclic_shift, enumerate_group, extend, transposition
+from quasinv.lattice import LocalOperator, Window, enumerate_group, extend, transposition
 
 from oracles import (
-    AGREE, dense_product, generic_chain, oracle_centralizer, oracle_exchangeable, oracle_extension,
-    oracle_quasi_invariance, oracle_reconstruction, oracle_sandwich, oracle_transport,
+    AGREE, cyclic_shift, dense_product, generic_chain, nonuniqueness_demo, oracle_centralizer,
+    oracle_exchangeable, oracle_extension, oracle_quasi_invariance, oracle_reconstruction,
+    oracle_sandwich, oracle_transport,
 )
 
 
@@ -218,7 +219,7 @@ PROBE_SURFACE = {"cocycle.verify_strong", "states.centralizer_residual", "states
                  "states.probe_blocks", "gns.verify_covariance", "gns.verify_lifted_expectation"}
 
 COMPLETE_FORMS = [(cocycle.verify_quasi_invariance, 2), (cocycle.verify_centralizer_transport, 3),
-                  (compact.verify_structure, 2), (compact.nonuniqueness_demo, 2),
+                  (compact.verify_structure, 2), (nonuniqueness_demo, 2),
                   (states.is_exchangeable, 2), (qmc.extension_residual, 2),
                   (qmc.sandwich_residual, 2)]
 

@@ -1,18 +1,20 @@
-"""The per-entry facts of a cocycle table, read off one eigenbasis per table.
+"""The per-entry facts of a cocycle table, read off one frame per table.
 
 `CocycleTable.facts` holds, per entry, the singular values, the hermiticity
-defect and the hermitean-part spectrum.  A table that its basis diagonalizes
-(||E_g|| within RHO) reads them off the rotated diagonal, each within its err;
-any other table decomposes every entry.  The checks that read them are
-compared here with the per-check computations they replaced, kept in
-tests/oracles.py: on the diagonal D <= 16 tables, clean and with planted non-hermitean,
+defect and the hermitean-part spectrum.  A table that the standard basis or
+its eigenbasis diagonalizes (||E_g|| within RHO) reads them off the diagonal
+in that frame, each within its err; any other table decomposes every entry.
+The checks that read them are compared here with the per-check computations
+they replaced, kept in tests/oracles.py: on the diagonal D <= 16 tables, clean and with planted non-hermitean,
 non-positive and singular entries, the facts agree bit for bit and the
 strong-entry and invertibility screens raise the same first error.  On rotated
 tables, real and complex, at D <= 16 and S_5 at D 32, every check agrees with
 its exact per-entry form within the certificate's radius, with the same
 verdicts and witnesses, and a plant that the certificate misses gives the
 exact form's report bit for bit.  Counting the LAPACK calls of a run pins
-what the basis saves: one eigh a table, and no decomposition of a certified entry.
+what the frames save: a clean (diagonal) run builds no basis and decomposes no
+entry, and a table read in its eigenbasis takes one eigh and no decomposition
+of a certified entry.
 """
 
 import json
@@ -118,33 +120,47 @@ def count_in(found, mats):
     return [sum(A.shape == m.shape and np.array_equal(A, m) for A in found) for m in mats]
 
 
-def product_run(tmp_path, monkeypatch, *argv):
-    """(exit code, the table checked, np.linalg's arguments) of a product run at n 4."""
+def scenario_run(tmp_path, monkeypatch, scenario, *argv):
+    """(exit code, the table checked, np.linalg's arguments) of a product or trivial run at n 4."""
     tables = []
-    for module, name in ((cocycle, "product_state_cocycle"), (cli, "_plant_defect")):
-        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name): tables.append(
-            fn(*args)) or tables[-1])
+    for module, name in ((cocycle, "product_state_cocycle"), (cli, "_plant_defect"),
+                         (compact, "converse_construct")):
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name), **kw: tables.append(
+            fn(*args, **kw)) or tables[-1])
     given = record_linalg(monkeypatch)
     out = tmp_path / "r.json"
-    code = cli.main(["run", "--scenario", "product", "--n-sites", "4", *argv, "--out", str(out)])
-    return code, tables[-1], given
+    code = cli.main(["run", "--scenario", scenario, "--n-sites", "4", *argv, "--out", str(out)])
+    return code, (tables[-1][1] if isinstance(tables[-1], tuple) else tables[-1]), given
+
+
+def clean_run_linalg(tmp_path, monkeypatch, scenario):
+    """A clean run's table and np.linalg's arguments, after checking that the diagonal
+    table is read in the standard basis: no eigh builds a basis, and no entry or its
+    hermitean part goes to an eigvalsh or an svd."""
+    code, T, given = scenario_run(tmp_path, monkeypatch, scenario)
+    assert code == 0 and given["eigh"] == [] and "basis" not in T.__dict__
+    parts = [(x + x.conj().T) / 2.0 for x in T.stack]
+    assert not any(count_in(given["eigvalsh"] + given["svd"], [*T.stack, *parts]))
+    return T, given
 
 
 def test_a_clean_product_run_decomposes_no_entry(tmp_path, monkeypatch):
-    # the basis is one eigh; a certified entry goes to no eigvalsh and no svd, nor
-    # does its hermitean part, and quasi-invariance decomposes no W x_g
-    code, T, given = product_run(tmp_path, monkeypatch)
-    assert code == 0 and [A.shape for A in given["eigh"]] == [T.stack.shape[1:]]
-    parts = [(x + x.conj().T) / 2.0 for x in T.stack]
-    assert not any(count_in(given["eigvalsh"] + given["svd"], [*T.stack, *parts]))
-    # D x D: the hermitean parts of W (quasi-invariance) and of the mean (the law's kappa)
-    assert sum(A.shape[-1] == T.stack.shape[1] for A in given["eigvalsh"]) == 2
+    T, given = clean_run_linalg(tmp_path, monkeypatch, "product")
+    # D x D: the hermitean parts of W (quasi-invariance) and of the mean (the law's
+    # kappa); x_e - 1 (normalization), the mean and its skew part (the law's kappa)
+    D = T.stack.shape[1]
+    assert sum(A.shape[-1] == D for A in given["eigvalsh"]) == 2
+    assert sum(A.shape[-1] == D for A in given["svd"]) == 3
+
+
+def test_a_clean_trivial_run_decomposes_no_entry(tmp_path, monkeypatch):
+    clean_run_linalg(tmp_path, monkeypatch, "trivial")
 
 
 def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
     # the planted entry mixes the basis, so no entry is certified: each entry
     # takes the exact calls once, one svd of x_g and one eigvalsh of its hermitean part
-    code, T, given = product_run(tmp_path, monkeypatch, "--defect", "1e-3")
+    code, T, given = scenario_run(tmp_path, monkeypatch, "product", "--defect", "1e-3")
     assert code == 1 and not T.facts.err.any()
     parts = [(x + x.conj().T) / 2.0 for x in T.stack]
     for i, h in enumerate(parts):
@@ -260,21 +276,22 @@ def defect_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("argv, defect", [
-    (["--scenario", "product", "--n-sites", "4"], 0),
-    (["--scenario", "product", "--n-sites", "4", "--defect", "1e-3"], 1),
-    (["--scenario", "trivial", "--n-sites", "4"], 0),
+@pytest.mark.parametrize("argv, defect, normed", [
+    (["--scenario", "product", "--n-sites", "4"], 0, 0),
+    (["--scenario", "product", "--n-sites", "4", "--defect", "1e-3"], 1, 24),
+    (["--scenario", "trivial", "--n-sites", "4"], 0, 0),
 ])
-def test_a_run_computes_each_defect_of_an_entry_once(tmp_path, monkeypatch, argv, defect):
+def test_a_run_computes_each_defect_of_an_entry_once(tmp_path, monkeypatch, argv, defect, normed):
     # the inverse and power relations read one eps(g) per entry, the law and
-    # local triviality over the whole group one delta(g) against the mean
+    # local triviality over the whole group one delta(g) against the mean: off the
+    # diagonals on a clean (diagonal) table, else one operator norm an entry
     rows = defect_rows(monkeypatch)
     out = tmp_path / "r.json"
     assert cli.main(["run", *argv, "--out", str(out)]) == defect
     checks = {c["name"] for c in json.loads(out.read_text())["checks"]}
     assert {"inverse_relation", "power_relation", "cocycle_law"} <= checks
     assert "locally_trivial[N=4]" in checks or "trivial" not in argv
-    assert rows == {"inverse_defects": 24, "_coboundary_defects": 24}
+    assert rows == {"inverse_defects": normed, "_coboundary_defects": normed}
 
 
 # ---- the certified facts and checks against their exact per-entry forms -----

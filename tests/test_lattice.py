@@ -18,7 +18,6 @@ from quasinv.lattice import (
     Permutation,
     Window,
     act,
-    cyclic_shift,
     embed,
     embed_pair,
     enumerate_group,
@@ -27,7 +26,7 @@ from quasinv.lattice import (
     transposition,
 )
 
-from oracles import permutation_unitary
+from oracles import cyclic_shift, permutation_unitary
 
 
 def test_embed_site1_diagonal():

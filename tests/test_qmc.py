@@ -17,7 +17,6 @@ from quasinv.errors import NotCommutingChain, SingularCDA, SupportTooLarge
 from quasinv.lattice import (
     LocalOperator,
     Window,
-    cyclic_shift,
     enumerate_group,
     extend,
     extend_operator,
@@ -30,7 +29,6 @@ from quasinv.qmc import (
     chain_commutation_residual,
     diagonal_cda,
     extension_residual,
-    markov_eval,
     markov_functional,
     sandwich_residual,
     seeded_chain,
@@ -39,7 +37,10 @@ from quasinv.qmc import (
 )
 from quasinv.states import matrix_unit_probes
 
-from oracles import generic_chain, rebuilt_chain_product, rebuilt_markov_density, rebuilt_x, rebuilt_y
+from oracles import (
+    cyclic_shift, generic_chain, markov_eval, rebuilt_chain_product, rebuilt_markov_density, rebuilt_x,
+    rebuilt_y,
+)
 
 W_HALF = np.eye(2) / 2
 

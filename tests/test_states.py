@@ -21,11 +21,11 @@ from quasinv.states import (
     is_exchangeable,
     is_faithful,
     matrix_unit_probes,
-    partial_trace_site,
     product_state,
     slice_expectation,
 )
 
+from oracles import partial_trace_site
 
 W_HALF = np.diag([0.5, 0.5])
 W_34 = np.diag([0.75, 0.25])

