@@ -13,25 +13,24 @@ here verify the defining identities numerically:
     power relation     x_g^-s = g^-1(x_{g^-1}^s)
 
 Every table constructor is one coboundary x_g = kappa g^-1(kappa^-1), written
-block by block by one kernel: the one-kappa cocycles, the product-state cocycles
-(kappa the tensor product of the inverse weights on the sites the group
-moves), and the Markov chain cocycles (qmc, kappa = Q^-1).  The checks that
-compare a table with a coboundary (local triviality here, the structure
-decomposition and the restriction to subgroups in compact, kappa = W^-1 there)
-read the same kernel.  Besides: the solution set of W x = x* W on a single
-factor.  The laws on all |G|^2 pairs are bounded from |G| entries
-(verify_cocycle_law, verify_strong), the power relation from the inverse
-relation's per-entry defects by the operator-Lipschitz constants of t -> t^s
-(Bhatia, Matrix Analysis, 1997, X.3).
+block by block by one kernel: the one-kappa, the product-state (kappa the tensor
+product of the inverse weights on the sites the group moves) and the Markov
+chain cocycles (qmc, kappa = Q^-1).  One function, _coboundary_defects, measures
+a table against a coboundary: the law's delta(g) and local triviality here, the
+structure decomposition and the restriction to subgroups (kappa = W^-1) in
+compact.  Besides: the solution set of W x = x* W on a single factor.  The laws
+on all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law,
+verify_strong), the power relation from the inverse relation's per-entry defects
+by the operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, X.3).
 
 A table is read in one frame, x_g = D_g + E_g (diagonal, off-diagonal), if every
 entry is hermitean with ||E_g|| <= RHO max(1, max|D_g|): first the standard basis,
 checked from O(D^2) scalars a row, then one eigenbasis per table.  Each entry's
-spectrum and norm are then its diagonal's, within err = ||E_g|| (Weyl), and in the
-standard basis eps(g) and delta(g) are identities of diagonals plus bounds in the
-||E||_F (||E|| <= ||E||_F): no LAPACK call an entry.  A table neither frame clears
-is decomposed entry by entry.  Checks read blocks of rows, one stacked
-LAPACK/BLAS call each: a loop's values.
+spectrum and norm are then its diagonal's, within err = ||E_g|| (Weyl).  In the
+standard basis eps(g), and each coboundary defect whose kappa and kappa^-1 clear
+the same rule, are identities of diagonals plus bounds in the ||E||_F: no LAPACK
+call an entry.  A table neither frame clears is decomposed entry by entry.  Checks
+read blocks of rows, one stacked LAPACK/BLAS call each: a loop's values.
 """
 
 from dataclasses import dataclass, field
@@ -71,9 +70,10 @@ class CocycleTable:
     array `stack` in group order.  The entries arrive as that array (adopted if
     read-only, else copied) or as a mapping from image tuples to operators;
     `entries`, `entry(g)` and iteration are views onto the rows of the stack.
-    The per-entry facts, eps(g) and delta(g) are read in the standard basis when
-    `split` clears it (err = ||E_g||_F; eps and delta add their E terms), else in
-    `basis` (err = ||E_g||, eps and delta by one SVD an entry), else decomposed (err 0)."""
+    The per-entry facts and eps(g) are read in the standard basis when `split`
+    clears it (err = ||E_g||_F; eps adds its E terms), else in `basis` (err = ||E_g||,
+    eps by one SVD an entry), else decomposed (err 0); delta(g) as _coboundary_defects
+    reads it (also off the diagonals where the mean and its inverse clear the rule)."""
 
     def __init__(self, group, entries, window):
         self.group, self.window = tuple(group), window
@@ -117,28 +117,24 @@ class CocycleTable:
 
     @cached_property
     def rotated(self):
-        """(Facts, max|D_g|, ||E_g||), x_g = D_g + E_g read in the standard basis if every row
-        clears the rule there (self.split), else V* x_g V = D_g + E_g in the basis V.  The rule:
-        x_g hermitean and ||E_g|| <= RHO max(1, max|D_g|); then x_g's spectrum and singular
-        values lie within err = ||E_g|| (||E_g||_F in the standard basis) of sorted Re D_g and
-        |D_g| (Weyl), and herm is ||x_g - x_g*||_F there.  A table neither basis clears is
-        decomposed entry by entry."""
+        """(Facts, max|D_g|, ||E_g||) of x_g = D_g + E_g, read in the standard basis if every row
+        clears the rule there (self.split), else as V* x_g V in the basis V.  The rule: x_g hermitean
+        and ||E_g|| <= RHO max(1, max|D_g|); then its spectrum and singular values lie within
+        err = ||E_g|| (||E_g||_F in the standard basis, and herm ||x_g - x_g*||_F) of sorted Re D_g
+        and |D_g| (Weyl).  A table neither basis clears is decomposed entry by entry."""
         if self.split is not None:
-            (herm, diag, off), D = self.split, np.diagonal(self.stack, axis1=1, axis2=2)
-            f = matcore.Facts(_frozen(np.sort(np.abs(D))[:, ::-1]), herm, _frozen(np.sort(D.real)), off)
-            _frozen(f.hermitean), _frozen(f.norm)
-            return f, diag, off
-        x, V, d = self.stack, self.basis, np.arange(len(self.stack[0]))
-        def block(rows):
-            herm, y = matcore.herm_defect(x[rows]), V.conj().T @ x[rows] @ V
-            D = np.diagonal(y, axis1=1, axis2=2)
-            sv, eig = np.sort(np.abs(D))[:, ::-1], np.sort(D.real)
-            y[:, d, d] = 0.0  # y minus its diagonal, exactly
-            return sv, eig, sv[:, 0], matcore.operator_norm(y), herm
-        sv, eig, diag, off, herm = self.rowwise(block)
-        if not (sure := _clears(herm, diag, off)):
-            sv, eig = self.rowwise(lambda r: matcore.spectra(x[r]))
-        f = matcore.Facts(*map(_frozen, (sv, herm, eig, off if sure else np.zeros_like(off))))
+            f, (_, diag, off) = _diagonal_facts(self.stack, *self.split[::2]), self.split
+        else:
+            x, V, d = self.stack, self.basis, np.arange(len(self.stack[0]))
+            def block(rows):
+                herm, y = matcore.herm_defect(x[rows]), V.conj().T @ x[rows] @ V
+                f = _diagonal_facts(y, herm, 0.0)
+                y[:, d, d] = 0.0  # y minus its diagonal, exactly
+                return f.sv, f.eig, f.sv[:, 0], matcore.operator_norm(y), herm
+            sv, eig, diag, off, herm = self.rowwise(block)
+            if not (sure := _clears(herm, diag, off)):
+                sv, eig = self.rowwise(lambda r: matcore.spectra(x[r]))
+            f = matcore.Facts(*map(_frozen, (sv, herm, eig, off if sure else np.zeros_like(off))))
         _frozen(f.hermitean), _frozen(f.norm)
         return f, _frozen(diag), _frozen(off)
 
@@ -157,19 +153,8 @@ class CocycleTable:
 
     mean = cached_property(lambda self: _frozen(self.row_mean(np.arange(len(self.stack)))))
     mean_inv = cached_property(lambda self: _frozen(matcore.inv(self.mean)))
-
-    @cached_property
-    def mean_defects(self):
-        """delta(g) = ||x_g - kappa g^-1(kappa^-1)|| for the mean kappa = M, N = M^-1: the law's
-        certificate.  In the standard basis (self.split), M = diag(m) + E_M and N = diag(n) + E_N,
-        max|d_g - m n[q_g]| + ||E_g|| + max|m| ||E_N|| + ||E_M|| max|n| + ||E_M|| ||E_N||;
-        else one SVD a row."""
-        if self.split is None:
-            return _frozen(_coboundary_defects(self, self.mean, self.mean_inv))
-        (_, m, e_m), (_, n, e_n) = (_split(a.copy()) for a in (self.mean, self.mean_inv))
-        d, q = np.diagonal(self.stack, axis1=1, axis2=2), lattice.inverse_index(self.group, self.window)
-        exact = np.abs(d - np.diagonal(self.mean) * np.diagonal(self.mean_inv)[q]).max(1)
-        return _frozen(exact + self.split[2] + m * e_n + e_m * n + e_m * e_n)
+    # delta(g) = ||x_g - M g^-1(M^-1)|| for the mean M: the law's certificate
+    mean_defects = cached_property(lambda self: _frozen(_coboundary_defects(self, self.mean, self.mean_inv)))
 
     @cached_property
     def inverse_defects(self):
@@ -201,11 +186,9 @@ def _clears(herm, diag, off):
 
 
 def _coboundary(q, kappa, kappa_inv):
-    """The stacks (g^-1(kappa^-1), kappa g^-1(kappa^-1)) for the elements g with
-    inverse index arrays q (rows of lattice.inverse_index): the one place the
-    rule x_g = kappa g^-1(kappa^-1) is written.  kappa and kappa_inv are bare matrices."""
-    moved = gather(kappa_inv, q)
-    return moved, kappa @ moved
+    """The stack kappa g^-1(kappa^-1) for the elements g with inverse index arrays q (rows of
+    lattice.inverse_index): the one place the rule x_g = kappa g^-1(kappa^-1) is written."""
+    return kappa @ gather(kappa_inv, q)
 
 
 def _coboundary_table(group, window, kappa, kappa_inv):
@@ -213,15 +196,33 @@ def _coboundary_table(group, window, kappa, kappa_inv):
     stack = np.empty((len(group),) + kappa.shape, np.result_type(kappa, kappa_inv, np.float64))
     Qi = lattice.inverse_index(group, window)
     for r in _blocks(len(group), stack[0].nbytes):
-        stack[r] = _coboundary(Qi[r], kappa, kappa_inv)[1]
+        stack[r] = _coboundary(Qi[r], kappa, kappa_inv)
     return CocycleTable(group, _frozen(stack), window)
 
 
+def _diagonal_facts(x, herm, off):
+    """The Facts of x = D + E (or of each of a stack), _split's herm and off given: |D|, Re D, err ||E||_F."""
+    D = np.diagonal(x, axis1=-2, axis2=-1)
+    return matcore.Facts(_frozen(np.sort(np.abs(D))[..., ::-1]), herm, _frozen(np.sort(D.real)), off)
+
+
+def _kappa_cross(kappa, kappa_inv):
+    """max|k| ||E_N|| + ||E_K|| max|n| + ||E_K|| ||E_N|| for kappa = diag(k) + E_K and kappa^-1 = diag(n)
+    + E_N if both clear the rule of CocycleTable.split, else None; split apart (a stacked pair raised RSS)."""
+    (h_k, m, e_m), (h_n, n, e_n) = (_split(a.copy()) for a in (kappa, kappa_inv))
+    return m * e_n + e_m * n + e_m * e_n if _clears(np.r_[h_k, h_n], np.r_[m, n], np.r_[e_m, e_n]) else None
+
+
 def _coboundary_defects(T, kappa, kappa_inv, rows=None):
-    """||x_g - kappa g^-1(kappa^-1)|| of the listed rows of the table (all by default)."""
-    Qi = lattice.inverse_index(T.group, T.window)
+    """||x_g - kappa g^-1(kappa^-1)|| of the listed rows (all by default), the one place it is computed:
+    in the standard basis (T.split, and _kappa_cross clears), max|d_g - k n[q_g]| + ||E_g|| + the cross
+    terms, with no LAPACK call; else one SVD a row."""
+    Qi, rows = lattice.inverse_index(T.group, T.window), np.arange(len(T.stack)) if rows is None else rows
+    if T.split is not None and (cross := _kappa_cross(kappa, kappa_inv)) is not None:
+        d, k, n = np.diagonal(T.stack, axis1=1, axis2=2)[rows], np.diagonal(kappa), np.diagonal(kappa_inv)
+        return np.abs(d - k * n[Qi[rows]]).max(1) + T.split[2][rows] + cross
     return T.rowwise(lambda r: matcore.operator_norm(
-        T.stack[r] - _coboundary(Qi[r], kappa, kappa_inv)[1]), rows)
+        T.stack[r] - _coboundary(Qi[r], kappa, kappa_inv)), rows)
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,8 @@ def verify_cocycle_law(T, tol=None):
     mean kappa, C = max ||x_g|| + delta; witness: the worst exact pair holding the
     worst-delta g.  Without a certificate (kappa singular) see EXHAUSTIVE_ORDER_CAP."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    n, f = len(lattice.group_table(T.group)[1]), matcore.facts(T.mean)
+    n = len(lattice.group_table(T.group)[1])
+    f = matcore.facts(T.mean) if T.split is None else _diagonal_facts(T.mean, *_split(T.mean.copy())[::2])
     if not f.invertible:
         if n > EXHAUSTIVE_ORDER_CAP:
             raise SingularKappa(f"the mean of the {n} entries is singular: no certificate")
@@ -281,8 +283,7 @@ def verify_cocycle_law(T, tol=None):
     C = float(T.facts.norm.max()) + delta
     bound = delta * (1.0 + 2.0 * C + delta)
     pairs = np.r_[np.full(n, k), np.arange(n)], np.r_[np.arange(n), np.full(n, k)]
-    details = {"delta": delta, "C": C, "kappa_cond": float(f.sv[0] / f.sv[-1]),
-               "method": "certificate"}
+    details = {"delta": delta, "C": C, "kappa_cond": float(f.sv[0] / f.sv[-1]), "method": "certificate"}
     return _report("cocycle_law", bound, tol, details=details,
                    witness=_worst_pairs(T, *pairs)[1] if bound > tol else None)
 
@@ -443,8 +444,7 @@ def locally_trivial_check(T, window_sizes, tol=None):
         except np.linalg.LinAlgError:
             raise SingularKappa(f"the mean of the {len(sub)} entries is singular: no certificate") from None
         worst = (T.mean_defects if avg is None else _coboundary_defects(T, avg, kappa_inv, sub)).max()
-        out.append(_report(f"locally_trivial[N={N}]", worst, tol,
-                           details={"subgroup_order": len(sub)}))
+        out.append(_report(f"locally_trivial[N={N}]", worst, tol, details={"subgroup_order": len(sub)}))
     return out
 
 

@@ -7,7 +7,10 @@ positive invertible operator, the state factors as
 phi(a) = phi_G(kappa^-1 a) through the invariant state phi_G = phi o E_G,
 the table is recovered as x_g = kappa * g^-1(kappa^-1), and the average
 satisfies E_G(kappa^-1) = 1.  The converse builds a quasi-invariant state
-from any invariant base state and invertible kappa^-1.
+from any invariant base state and invertible kappa^-1.  The decomposition and
+the restriction (kappa = W^-1) read ||x_g - kappa g^-1(kappa^-1)|| through
+cocycle._coboundary_defects: off the diagonals (err ||E_g||_F plus kappa's E
+terms) where the table, kappa and kappa^-1 clear the standard basis, else exact.
 
 E_G sums the gathers through the group's index array pairwise, one block of
 rows at a time, in the kernel the cocycle mean shares; it holds no (|G|, D, D) stack.
@@ -24,10 +27,10 @@ import numpy as np
 from . import lattice, matcore, states
 from .cocycle import (
     PASS_TOL,
-    _coboundary,
     _coboundary_defects,
     _coboundary_table,
     _first_worst,
+    _kappa_cross,
     _report,
     require_strong_entries,
 )
@@ -133,33 +136,27 @@ def verify_structure(phi, T, *, tol=STRUCTURE_TOL, decomposition=None):
     E_G(kappa^-1) = 1, hermiticity of kappa, and the commutation of kappa
     with g^-1(kappa^-1).  A (phi_G, kappa) pair may be supplied explicitly;
     by default both are computed from the table.  The factorization is checked
-    on the defect matrix W - W_G kappa^-1, on every a."""
+    on the defect matrix W - W_G kappa^-1, on every a, the reconstruction as
+    _coboundary_defects reads it.  The commutation is 2 _kappa_cross, a bound for
+    every g, where kappa and kappa^-1 clear the standard basis (diagonals commute
+    exactly: 0 on a diagonal kappa), else the dense commutator, one SVD a row."""
     group, window = T.group, T.window
-    if decomposition is None:
-        kap = kappa(T)
-        phi_G = invariant_state(phi, group)
-    else:
-        phi_G, kap = decomposition
-    kinv = matcore.inv(kap.matrix)
+    kap = kappa(T).matrix if decomposition is None else decomposition[1].matrix
+    phi_G = invariant_state(phi, group) if decomposition is None else decomposition[0]
+    kinv = matcore.inv(kap)
 
-    recon, where = states.pairing_residual(
-        states.full_density(phi) - states.full_density(phi_G) @ kinv)
-
-    Qi = lattice.inverse_index(group, window)
-    def block(r):
-        moved, x = _coboundary(Qi[r], kap.matrix, kinv)
-        return matcore.operator_norm(T.stack[r] - x), matcore.operator_norm(x - moved @ kap.matrix)
-    match, commut = T.rowwise(block)
-    (match, k), commut = _first_worst(match), float(commut.max())
-
-    normal = matcore.operator_norm(
-        haar_average(group, LocalOperator(window, kinv)).matrix - np.eye(window.total_dim))
-    herm = matcore.herm_defect(kap.matrix)
+    recon, where = states.pairing_residual(states.full_density(phi) - states.full_density(phi_G) @ kinv)
+    match, k = _first_worst(_coboundary_defects(T, kap, kinv))
+    cross = _kappa_cross(kap, kinv)  # diag(k) and diag(n[q_g]) commute exactly
+    commut = float(2.0 * cross if cross is not None else T.rowwise(lambda r: matcore.operator_norm(
+        kap @ (moved := gather(kinv, lattice.inverse_index(group, window)[r])) - moved @ kap)).max())
+    normal = matcore.operator_norm(haar_average(group, LocalOperator(window, kinv)).matrix - np.eye(len(kap)))
+    herm = matcore.herm_defect(kap)
 
     resid = max(recon, match, normal, herm, commut)
     details = {"reconstruction": recon, "cocycle_match": match, "normalization": normal,
                "kappa_hermiticity": herm, "commutation": commut,
-               "kappa_min_eig": float(np.linalg.eigvalsh((kap.matrix + kap.matrix.conj().T) / 2.0)[0])}
+               "kappa_min_eig": float(np.linalg.eigvalsh((kap + kap.conj().T) / 2.0)[0])}
     witness = {"g": list(group[k].image)} if match > tol else (where if recon > tol else None)
     return _report("structure_decomposition", resid, tol, witness=witness, details=details)
 
@@ -211,7 +208,6 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
     W^-1 g^-1(W) with W and W^-1 built once; each row's defect is computed
     once over the union of the subgroups' rows."""
     W = states.faithful_density(phi)
-    W_inv = matcore.inv(W)
     rows, used = [], np.zeros(len(T.group), bool)
     for sub in subgroups:
         rows.append(r := lattice.positions(T.group, sub))
@@ -219,14 +215,13 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
             raise NotNested(f"{sub[np.argmin(r)].image} is missing from the table")
         used[r] = True
     defects = np.zeros(len(T.group))
-    defects[used] = _coboundary_defects(T, W_inv, W, np.flatnonzero(used)) if used.any() else 0.0
+    defects[used] = _coboundary_defects(T, matcore.inv(W), W, np.flatnonzero(used)) if used.any() else 0.0
     worst, witness, per_subgroup = 0.0, None, []
     for idx, r in enumerate(rows):
         local, k = _first_worst(defects[r])
         if local > worst:
             worst, witness = local, {"subgroup": idx, "g": list(T.group[r[k]].image)}
         per_subgroup.append(local)
-    details = {"per_subgroup": per_subgroup}
-    return _report("restriction_consistency", worst, tol,
-                   witness=witness if worst > tol else None, details=details)
+    return _report("restriction_consistency", worst, tol, witness=witness if worst > tol else None,
+                   details={"per_subgroup": per_subgroup})
 

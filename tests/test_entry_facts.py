@@ -24,8 +24,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from quasinv import cli, cocycle, compact, gns, matcore
+from quasinv import cli, cocycle, compact, gns, matcore, qmc, states
 from quasinv.cocycle import PASS_TOL, CocycleTable
+from quasinv.lattice import LocalOperator, enumerate_group, gather, inverse_index
 
 from oracles import (
     BROKEN_KINDS, EPS, assert_certifies, broken, eigenbasis_power_relation, entry_cases,
@@ -146,11 +147,43 @@ def clean_run_linalg(tmp_path, monkeypatch, scenario):
 
 def test_a_clean_product_run_decomposes_no_entry(tmp_path, monkeypatch):
     T, given = clean_run_linalg(tmp_path, monkeypatch, "product")
-    # D x D: the hermitean parts of W (quasi-invariance) and of the mean (the law's
-    # kappa); x_e - 1 (normalization), the mean and its skew part (the law's kappa)
+    # D x D: the hermitean part of W (quasi-invariance) and x_e - 1 (normalization); the
+    # law reads its kappa, the mean, off the diagonal as the entries are read
     D = T.stack.shape[1]
-    assert sum(A.shape[-1] == D for A in given["eigvalsh"]) == 2
-    assert sum(A.shape[-1] == D for A in given["svd"]) == 3
+    assert sum(A.shape[-1] == D for A in given["eigvalsh"]) == 1
+    assert sum(A.shape[-1] == D for A in given["svd"]) == 1
+
+
+def test_a_clean_structure_run_gives_no_row_or_coboundary_difference_to_svd(tmp_path, monkeypatch):
+    # the decomposition's x_g - kappa g^-1(kappa^-1) and the restriction's x_g - W^-1 g^-1(W)
+    # are read off the diagonals, the commutation of kappa with g^-1(kappa^-1) by its bound:
+    # the D x D SVDs left are kappa's skew part and E_G(kappa^-1) - 1
+    code, T, given = scenario_run(tmp_path, monkeypatch, "structure")
+    assert code == 0 and T.split is not None
+    W = states.full_density(cli._seeded_diagonal_state(2, 4, 1, 1e-3))  # the run's state (defaults)
+    kap = (T.mean + T.mean.conj().T) / 2.0
+    q = inverse_index(T.group, T.window)
+    differences = [*(T.stack - kap @ gather(matcore.inv(kap), q)), *(T.stack - matcore.inv(W) @ gather(W, q))]
+    average = compact.haar_average(T.group, LocalOperator(T.window, matcore.inv(kap))).matrix
+    svd = [A for A in given["svd"] if A.shape[-1] == T.stack.shape[1]]
+    assert count_in(svd, [kap - kap.conj().T, average - np.eye(len(kap))]) == [1, 1] and len(svd) == 2
+    assert not any(count_in(svd, [*T.stack, *(A for A in differences if A.any())]))
+
+
+def test_a_clean_markov_run_reads_x_minus_y_y_star_off_the_diagonals(tmp_path, monkeypatch):
+    # x_g and y_g are diagonal: the report carries the dense max ||x_g - y_g y_g*|| bit for
+    # bit, and the D x D SVDs left are the chain's 6 commutators and x_e - 1
+    M = qmc.MarkovState(2, np.eye(2) / 2.0, qmc.seeded_chain(4, 1))  # the run's chain (seed 1)
+    group = enumerate_group(4)
+    T, y = qmc.x_cocycle_table(M, group), qmc.y_cocycle(M, group)
+    differences = T.stack - y @ matcore.dagger(y)
+    dense = matcore.operator_norm(differences).max()
+    given, out = record_linalg(monkeypatch), tmp_path / "r.json"
+    assert cli.main(["run", "--scenario", "markov", "--n-sites", "4", "--out", str(out)]) == 0
+    cross = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "x_equals_y_y_star")
+    assert cross["residual"] == dense
+    svd = [A for A in given["svd"] if A.shape[-1] == T.stack.shape[1]]
+    assert len(svd) == 7 and not any(count_in(svd, [A for A in differences if A.any()]))
 
 
 def test_a_clean_trivial_run_decomposes_no_entry(tmp_path, monkeypatch):
