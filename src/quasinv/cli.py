@@ -234,15 +234,12 @@ def _run_markov(cfg):
 
     # one pass over the group: each block's y stack serves the sandwich identity and x = y y*
     T = qmc.x_cocycle_table(M, group)
-    def block(rows):  # x - y y* off the diagonals where the table and y = diag(d_y) + E_y are diagonal
+    def block(rows):  # x - y y* off the diagonals where the table and y (not hermitean) clear the frame
         sub = [group[k] for k in rows]
         y = qmc.y_cocycle(M, sub)
-        _, m, e = cocycle._split(y.copy())  # y is not hermitean: only ||E_y||_F <= RHO max(1, max|d_y|)
-        if T.split is not None and np.all(e <= cocycle.RHO * np.maximum(1.0, m)):
-            d, d_y = np.diagonal(T.stack, axis1=1, axis2=2)[rows], np.diagonal(y, axis1=1, axis2=2)
-            cross = np.abs(d - d_y * d_y.conj()).max(1) + T.split[2][rows] + 2.0 * m * e + e * e
-        else:
-            cross = matcore.operator_norm(T.stack[rows] - y @ matcore.dagger(y))
+        x, f = T.frame(rows), matcore.frame(y, need_herm=False)
+        cross = (matcore.operator_norm(T.stack[rows] - y @ matcore.dagger(y)) if None in (x, f)
+                 else matcore.product_defect(x, f, (f[0].conj(), f[1])))
         return qmc.sandwich_residual(M, sub, y=y), cross
     sandwich, cross = (float(r.max()) for r in T.rowwise(block))
 

@@ -23,14 +23,9 @@ on all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law,
 verify_strong), the power relation from the inverse relation's per-entry defects
 by the operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, X.3).
 
-A table is read in one frame, x_g = D_g + E_g (diagonal, off-diagonal), if every
-entry is hermitean with ||E_g|| <= RHO max(1, max|D_g|): first the standard basis,
-checked from O(D^2) scalars a row, then one eigenbasis per table.  Each entry's
-spectrum and norm are then its diagonal's, within err = ||E_g|| (Weyl).  In the
-standard basis eps(g), and each coboundary defect whose kappa and kappa^-1 clear
-the same rule, are identities of diagonals plus bounds in the ||E||_F: no LAPACK
-call an entry.  A table neither frame clears is decomposed entry by entry.  Checks
-read blocks of rows, one stacked LAPACK/BLAS call each: a loop's values.
+A table is read in the frame where every entry clears matcore's diagonal-frame rule:
+the standard basis (eps(g) and delta(g) by matcore.product_defect), else one eigenbasis,
+else entry by entry.  Checks read blocks of rows, one stacked LAPACK/BLAS call each.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +51,6 @@ from .lattice import BLOCK_BYTES, LocalOperator, _blocks, _frozen, gather, suppo
 PASS_TOL = 1e-8
 TAU_STATE = 1e-8
 EXHAUSTIVE_ORDER_CAP = 120  # a law without a certificate is checked pair by pair up to |S_5|
-RHO = 1e-10  # ||E_g|| <= RHO max(1, max|D_g|) certifies: rotated tables read <= 5.6e-12 (D 243)
 
 
 def _first_worst(r):
@@ -70,10 +64,9 @@ class CocycleTable:
     array `stack` in group order.  The entries arrive as that array (adopted if
     read-only, else copied) or as a mapping from image tuples to operators;
     `entries`, `entry(g)` and iteration are views onto the rows of the stack.
-    The per-entry facts and eps(g) are read in the standard basis when `split`
-    clears it (err = ||E_g||_F; eps adds its E terms), else in `basis` (err = ||E_g||,
-    eps by one SVD an entry), else decomposed (err 0); delta(g) as _coboundary_defects
-    reads it (also off the diagonals where the mean and its inverse clear the rule)."""
+    The per-entry facts and eps(g) are read in the standard basis when `split` clears
+    it, else in `basis` (eps by one SVD an entry), else decomposed; delta(g) as
+    _coboundary_defects reads it."""
 
     def __init__(self, group, entries, window):
         self.group, self.window = tuple(group), window
@@ -100,13 +93,15 @@ class CocycleTable:
 
     @cached_property
     def split(self):
-        """x_g = D_g + E_g (diagonal, off-diagonal) in the standard basis, decided from
-        per-row scalars alone: (||x_g - x_g*||_F, max|D_g|, ||E_g||_F) if every row clears
-        the rule of `rotated`, else None.  O(D^2) a row and no LAPACK; the basis is covariant,
-        g^-1 sending D_b to the diagonal D_b[q_g] (q_g the rows of lattice.inverse_index)."""
+        """matcore.split's scalars a row if all rows clear the rule, else None; g^-1 sends D_b to D_b[q_g]."""
         x = self.stack
-        herm, diag, off = self.rowwise(lambda r: _split(x[r]))
-        return (_frozen(herm), _frozen(diag), _frozen(off)) if _clears(herm, diag, off) else None
+        herm, diag, off = self.rowwise(lambda r: matcore.split(x[r]))
+        return (_frozen(herm), _frozen(diag), _frozen(off)) if matcore.clears(herm, diag, off) else None
+
+    def frame(self, rows=slice(None)):
+        """matcore.frame's (diagonals, ||E_g||_F) of the listed rows (all by default) if self.split clears."""
+        if self.split is not None:
+            return np.diagonal(self.stack, axis1=1, axis2=2)[rows], self.split[2][rows]
 
     @cached_property
     def basis(self):
@@ -117,25 +112,22 @@ class CocycleTable:
 
     @cached_property
     def rotated(self):
-        """(Facts, max|D_g|, ||E_g||) of x_g = D_g + E_g, read in the standard basis if every row
-        clears the rule there (self.split), else as V* x_g V in the basis V.  The rule: x_g hermitean
-        and ||E_g|| <= RHO max(1, max|D_g|); then its spectrum and singular values lie within
-        err = ||E_g|| (||E_g||_F in the standard basis, and herm ||x_g - x_g*||_F) of sorted Re D_g
-        and |D_g| (Weyl).  A table neither basis clears is decomposed entry by entry."""
+        """(Facts, max|D_g|, ||E_g||) of x_g = D_g + E_g off the diagonals in the standard basis if it clears
+        (self.split), else of V* x_g V if the basis V clears (err ||E_g||), else decomposed entry by entry."""
         if self.split is not None:
-            f, (_, diag, off) = _diagonal_facts(self.stack, *self.split[::2]), self.split
+            f, (_, diag, off) = matcore.diagonal_facts(self.stack, *self.split[::2]), self.split
         else:
             x, V, d = self.stack, self.basis, np.arange(len(self.stack[0]))
             def block(rows):
                 herm, y = matcore.herm_defect(x[rows]), V.conj().T @ x[rows] @ V
-                f = _diagonal_facts(y, herm, 0.0)
+                f = matcore.diagonal_facts(y, herm, 0.0)
                 y[:, d, d] = 0.0  # y minus its diagonal, exactly
                 return f.sv, f.eig, f.sv[:, 0], matcore.operator_norm(y), herm
             sv, eig, diag, off, herm = self.rowwise(block)
-            if not (sure := _clears(herm, diag, off)):
+            if not (sure := matcore.clears(herm, diag, off)):
                 sv, eig = self.rowwise(lambda r: matcore.spectra(x[r]))
-            f = matcore.Facts(*map(_frozen, (sv, herm, eig, off if sure else np.zeros_like(off))))
-        _frozen(f.hermitean), _frozen(f.norm)
+            f = matcore.Facts(sv, herm, eig, off if sure else np.zeros_like(off))
+        tuple(map(_frozen, (f.sv, f.herm, f.eig, f.err, f.hermitean, f.norm)))
         return f, _frozen(diag), _frozen(off)
 
     facts = property(lambda self: self.rotated[0])
@@ -158,31 +150,14 @@ class CocycleTable:
 
     @cached_property
     def inverse_defects(self):
-        """eps(g) = ||x_g g^-1(x_b) - 1||, b = g^-1, of every entry.  In the standard basis
-        (self.split), max|d_g d_b[q_g] - 1| + ||E_g|| max|D_b| + max|D_g| ||E_b|| + ||E_g|| ||E_b||;
-        else one stacked call a block."""
+        """eps(g) = ||x_g g^-1(x_b) - 1||, b = g^-1, of every entry: in the standard basis
+        (self.frame) matcore.product_defect with c = 1, else one stacked call a block."""
         inv, x = lattice.group_table(self.group)[1], self.stack
         Qi = lattice.inverse_index(self.group, self.window)
-        if self.split is not None:
-            (_, diag, off), d = self.split, np.diagonal(x, axis1=1, axis2=2)
-            return _frozen(np.abs(d * d[inv[:, None], Qi] - 1.0).max(1)
-                           + off * diag[inv] + diag * off[inv] + off * off[inv])
+        if (f := self.frame()) is not None:
+            return _frozen(matcore.product_defect((1.0, 0.0), f, (f[0][inv[:, None], Qi], f[1][inv])))
         return _frozen(self.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
             x[r] @ gather(x[inv[r]], Qi[r]) - I)))
-
-
-def _split(y):
-    """(||y - y*||_F, max|D|, ||E||_F) of each matrix y = D + E (diagonal, off-diagonal) of the
-    owned stack y, whose diagonal it zeroes."""
-    d = np.arange(y.shape[-1])
-    herm, diag = np.linalg.norm(y - matcore.dagger(y), axis=(-2, -1)), np.abs(y[..., d, d]).max(-1)
-    y[..., d, d] = 0.0
-    return herm, diag, np.linalg.norm(y, axis=(-2, -1))
-
-
-def _clears(herm, diag, off):
-    """Whether every x_g = D_g + E_g is hermitean with ||E_g|| <= RHO max(1, max|D_g|)."""
-    return bool(np.all(matcore.hermitean(herm, diag + off) & (off <= RHO * np.maximum(1.0, diag))))
 
 
 def _coboundary(q, kappa, kappa_inv):
@@ -200,27 +175,12 @@ def _coboundary_table(group, window, kappa, kappa_inv):
     return CocycleTable(group, _frozen(stack), window)
 
 
-def _diagonal_facts(x, herm, off):
-    """The Facts of x = D + E (or of each of a stack), _split's herm and off given: |D|, Re D, err ||E||_F."""
-    D = np.diagonal(x, axis1=-2, axis2=-1)
-    return matcore.Facts(_frozen(np.sort(np.abs(D))[..., ::-1]), herm, _frozen(np.sort(D.real)), off)
-
-
-def _kappa_cross(kappa, kappa_inv):
-    """max|k| ||E_N|| + ||E_K|| max|n| + ||E_K|| ||E_N|| for kappa = diag(k) + E_K and kappa^-1 = diag(n)
-    + E_N if both clear the rule of CocycleTable.split, else None; split apart (a stacked pair raised RSS)."""
-    (h_k, m, e_m), (h_n, n, e_n) = (_split(a.copy()) for a in (kappa, kappa_inv))
-    return m * e_n + e_m * n + e_m * e_n if _clears(np.r_[h_k, h_n], np.r_[m, n], np.r_[e_m, e_n]) else None
-
-
 def _coboundary_defects(T, kappa, kappa_inv, rows=None):
     """||x_g - kappa g^-1(kappa^-1)|| of the listed rows (all by default), the one place it is computed:
-    in the standard basis (T.split, and _kappa_cross clears), max|d_g - k n[q_g]| + ||E_g|| + the cross
-    terms, with no LAPACK call; else one SVD a row."""
+    matcore.product_defect where T, kappa and kappa^-1 clear the standard basis, else one SVD a row."""
     Qi, rows = lattice.inverse_index(T.group, T.window), np.arange(len(T.stack)) if rows is None else rows
-    if T.split is not None and (cross := _kappa_cross(kappa, kappa_inv)) is not None:
-        d, k, n = np.diagonal(T.stack, axis1=1, axis2=2)[rows], np.diagonal(kappa), np.diagonal(kappa_inv)
-        return np.abs(d - k * n[Qi[rows]]).max(1) + T.split[2][rows] + cross
+    if None not in (x := T.frame(rows), k := matcore.frame(kappa), n := matcore.frame(kappa_inv)):
+        return matcore.product_defect(x, k, (n[0][Qi[rows]], n[1]))
     return T.rowwise(lambda r: matcore.operator_norm(
         T.stack[r] - _coboundary(Qi[r], kappa, kappa_inv)), rows)
 
@@ -271,7 +231,7 @@ def verify_cocycle_law(T, tol=None):
     worst-delta g.  Without a certificate (kappa singular) see EXHAUSTIVE_ORDER_CAP."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     n = len(lattice.group_table(T.group)[1])
-    f = matcore.facts(T.mean) if T.split is None else _diagonal_facts(T.mean, *_split(T.mean.copy())[::2])
+    f = matcore.frame_facts(T.mean)
     if not f.invertible:
         if n > EXHAUSTIVE_ORDER_CAP:
             raise SingularKappa(f"the mean of the {n} entries is singular: no certificate")
@@ -341,15 +301,14 @@ def require_strong_entries(T, tol):
 def verify_strong(T, phi, probes=None, tol=None):
     """The strong-case bundle: hermiticity, positivity, pairwise commutation,
     centralizer membership, and the bounds [S1, S2] of every Spec(x_g).  With
-    V* x_g V = D_g + E_g (diagonal, off-diagonal) in the table's basis (T.rotated),
-    ||[x_g, x_h]|| <= 2 (|D_g| |E_h| + |E_g| |D_h| + |E_g| |E_h|).
+    V* x_g V = D_g + E_g in the table's frame (T.rotated), ||[x_g, x_h]|| <= 2 matcore.remainder.
     Witness: a non-commuting pair {g, h}; else {g, part}, the worst entry of the
     first failing part (hermiticity, positivity, centralizer)."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     (f, diag, off), x = T.rotated, T.stack
     herm, s1, s2 = float(f.herm.max()), float(f.lo.min()), float(f.hi.max())
     centrs = T.rowwise(lambda r, W=states.full_density(phi): states.centralizer_residual(W, x[r], probes))
-    comm = max(float(np.triu(2.0 * (np.outer(diag[r], off) + np.outer(off[r], diag + off)),
+    comm = max(float(np.triu(2.0 * matcore.remainder(diag[r][:, None], off[r][:, None], diag, off),
                              r[0] + 1).max()) for r in _blocks(len(x), 4 * off.nbytes))
     centr = float(centrs.max())
     resid = max(herm, comm, centr)
@@ -391,7 +350,7 @@ def verify_centralizer_transport(phi, T, x, *, tol=None, tau_state=TAU_STATE):
 
 def trivial_cocycle(kappa, group):
     """x_g = kappa * g^-1(kappa^-1), the cocycle attached to one invertible kappa."""
-    if not matcore.facts(kappa.matrix).invertible:
+    if not matcore.frame_facts(kappa.matrix).invertible:
         raise SingularKappa("kappa is not invertible")
     return _coboundary_table(group, kappa.window, kappa.matrix, matcore.inv(kappa.matrix))
 

@@ -7,10 +7,8 @@ positive invertible operator, the state factors as
 phi(a) = phi_G(kappa^-1 a) through the invariant state phi_G = phi o E_G,
 the table is recovered as x_g = kappa * g^-1(kappa^-1), and the average
 satisfies E_G(kappa^-1) = 1.  The converse builds a quasi-invariant state
-from any invariant base state and invertible kappa^-1.  The decomposition and
-the restriction (kappa = W^-1) read ||x_g - kappa g^-1(kappa^-1)|| through
-cocycle._coboundary_defects: off the diagonals (err ||E_g||_F plus kappa's E
-terms) where the table, kappa and kappa^-1 clear the standard basis, else exact.
+from any invariant base state and invertible kappa^-1.  The decomposition and the
+restriction (kappa = W^-1) read ||x_g - kappa g^-1(kappa^-1)|| as cocycle._coboundary_defects does.
 
 E_G sums the gathers through the group's index array pairwise, one block of
 rows at a time, in the kernel the cocycle mean shares; it holds no (|G|, D, D) stack.
@@ -30,7 +28,6 @@ from .cocycle import (
     _coboundary_defects,
     _coboundary_table,
     _first_worst,
-    _kappa_cross,
     _report,
     require_strong_entries,
 )
@@ -137,26 +134,24 @@ def verify_structure(phi, T, *, tol=STRUCTURE_TOL, decomposition=None):
     with g^-1(kappa^-1).  A (phi_G, kappa) pair may be supplied explicitly;
     by default both are computed from the table.  The factorization is checked
     on the defect matrix W - W_G kappa^-1, on every a, the reconstruction as
-    _coboundary_defects reads it.  The commutation is 2 _kappa_cross, a bound for
-    every g, where kappa and kappa^-1 clear the standard basis (diagonals commute
-    exactly: 0 on a diagonal kappa), else the dense commutator, one SVD a row."""
+    _coboundary_defects reads it, the commutation by matcore.commutator_bound
+    where kappa and kappa^-1 clear the frame, else one SVD a row."""
     group, window = T.group, T.window
     kap = kappa(T).matrix if decomposition is None else decomposition[1].matrix
     phi_G = invariant_state(phi, group) if decomposition is None else decomposition[0]
     kinv = matcore.inv(kap)
+    f, pair = matcore.frame_facts(kap), (matcore.frame(kap), matcore.frame(kinv))
 
     recon, where = states.pairing_residual(states.full_density(phi) - states.full_density(phi_G) @ kinv)
     match, k = _first_worst(_coboundary_defects(T, kap, kinv))
-    cross = _kappa_cross(kap, kinv)  # diag(k) and diag(n[q_g]) commute exactly
-    commut = float(2.0 * cross if cross is not None else T.rowwise(lambda r: matcore.operator_norm(
-        kap @ (moved := gather(kinv, lattice.inverse_index(group, window)[r])) - moved @ kap)).max())
+    commut = float(matcore.commutator_bound(*pair) if None not in pair else T.rowwise(
+        lambda r: matcore.operator_norm(kap @ (moved := gather(kinv, lattice.inverse_index(group, window)[r]))
+                                        - moved @ kap)).max())
     normal = matcore.operator_norm(haar_average(group, LocalOperator(window, kinv)).matrix - np.eye(len(kap)))
-    herm = matcore.herm_defect(kap)
 
-    resid = max(recon, match, normal, herm, commut)
+    resid = max(recon, match, normal, float(f.herm), commut)
     details = {"reconstruction": recon, "cocycle_match": match, "normalization": normal,
-               "kappa_hermiticity": herm, "commutation": commut,
-               "kappa_min_eig": float(np.linalg.eigvalsh((kap + kap.conj().T) / 2.0)[0])}
+               "kappa_hermiticity": float(f.herm), "commutation": commut, "kappa_min_eig": float(f.lo)}
     witness = {"g": list(group[k].image)} if match > tol else (where if recon > tol else None)
     return _report("structure_decomposition", resid, tol, witness=witness, details=details)
 
@@ -170,7 +165,7 @@ def converse_construct(phi_G, kinv, group, tol=STRUCTURE_TOL):
     inv_resid = states.is_exchangeable(phi_G, group)
     if inv_resid > tol:
         raise NotInvariantBase(f"base state moves under the group: {inv_resid:.3e}")
-    if not matcore.facts(kinv.matrix).invertible:
+    if not matcore.frame_facts(kinv.matrix).invertible:
         raise SingularKappa("kappa^-1 is not invertible")
     normal = matcore.operator_norm(haar_average(group, kinv).matrix - np.eye(window.total_dim))
     if normal > 1e-8 * max(1.0, matcore.operator_norm(kinv.matrix)):

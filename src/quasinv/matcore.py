@@ -1,13 +1,12 @@
 """Dense matrix kernel, run in the dtype of its data: promote() lifts ints and
-float32 to float64 and complex64 to complex128 and demotes nothing, so real
-data takes the real LAPACK/BLAS kernels.  Hermitian spectral decomposition,
-spectral functional calculus and the Lipschitz constants of powers, operator
-norms, the per-matrix facts the strong-case checks read (singular values,
-hermiticity defect, hermitean-part spectrum, invertibility, within err), and seeded random
-density matrices whose spectrum is bounded away from zero; adjoints, norms,
-facts and draws take stacks (..., d, d), one call running one matrix's LAPACK
-routine on each.  All linear algebra downstream funnels through here, so
-tolerances live in one place.
+float32 to float64 and complex64 to complex128 and demotes nothing.  Hermitian
+spectral decomposition and functional calculus, the Lipschitz constants of powers,
+operator norms, seeded random densities with a spectral floor, and the per-matrix
+facts the strong-case checks read (singular values, hermiticity defect, hermitean-part
+spectrum, invertibility, within err), each over stacks (..., d, d) too.  The diagonal
+frame: A = D + E (diagonal, off-diagonal) hermitean with ||E||_F <= RHO max(1, max|D|)
+is read off D, its facts within err ||E||_F and each product or commutator by the
+diagonals plus remainder.  All linear algebra funnels through here: one home for tolerances.
 """
 
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ TAU_HERM = 1e-10   # hermiticity: ||A - A*|| <= TAU_HERM * ||A||
 TAU_POS = 1e-10    # positivity threshold on eigenvalues
 TAU_REL = 1e-9     # relative residual for reconstructions
 TAU_ABS = 1e-12    # absolute residual (traces, normalization)
+RHO = 1e-10        # diagonal frame: ||E|| <= RHO * max(1, max|D|); rotated tables read <= 5.6e-12 (D 243)
 
 
 def promote(a):
@@ -171,8 +171,56 @@ def spectra(A):
 
 
 def facts(A):
-    """The decomposed Facts of a lone matrix (or of each of a stack): two SVDs (A, A - A*),
-    one eigvalsh.  A cocycle table reads its entries' off one frame (cocycle.CocycleTable)."""
+    """The decomposed Facts of a lone matrix (or of each of a stack): two SVDs (A, A - A*), one eigvalsh."""
     A = promote(A)
     (sv, eig), herm = spectra(A), herm_defect(A)
     return Facts(sv, herm, eig)
+
+
+def split(y):
+    """(||y - y*||_F, max|D|, ||E||_F) of each y = D + E (diagonal, off-diagonal) of the owned stack y,
+    whose diagonal it zeroes: the rule's scalars, O(D^2) and no LAPACK call."""
+    d = np.arange(y.shape[-1])
+    herm, diag = np.linalg.norm(y - dagger(y), axis=(-2, -1)), np.abs(y[..., d, d]).max(-1)
+    y[..., d, d] = 0.0
+    return herm, diag, np.linalg.norm(y, axis=(-2, -1))
+
+
+def clears(herm, diag, off):
+    """The rule: every D + E hermitean (not asked if herm is None), ||E|| <= RHO max(1, max|D|)."""
+    return bool(np.all((off <= RHO * np.maximum(1.0, diag)) & (herm is None or hermitean(herm, diag + off))))
+
+
+def frame(A, need_herm=True):
+    """(diagonal, ||E||_F) of A = D + E (or each of a stack) if all clear the rule (need_herm: all of it)."""
+    herm, diag, off = split(promote(A).copy())
+    if clears(herm if need_herm else None, diag, off):
+        return np.diagonal(A, axis1=-2, axis2=-1), off
+
+
+def diagonal_facts(x, herm, off):
+    """The Facts of x = D + E (or of each of a stack) from split's herm and off: |D|, Re D, err ||E||_F."""
+    D = np.diagonal(x, axis1=-2, axis2=-1)
+    return Facts(np.sort(np.abs(D))[..., ::-1], herm, np.sort(D.real), off)
+
+
+def frame_facts(A):
+    """A lone matrix's Facts off its diagonal if it clears the rule, else facts(A)."""
+    herm, diag, off = split(promote(A).copy())
+    return diagonal_facts(A, herm, off) if clears(herm, diag, off) else facts(A)
+
+
+def remainder(m_a, e_a, m_b, e_b):
+    """m_a e_b + e_a (m_b + e_b) >= ||(D_a + E_a)(D_b + E_b) - D_a D_b|| for max|D| = m, ||E||_F = e."""
+    return m_a * e_b + e_a * (m_b + e_b)
+
+
+def product_defect(c, a, b):
+    """max|d_c - d_a d_b| + e_c + remainder >= ||C - A B||, C, A and B (or stacks) as frame's pairs."""
+    return np.abs(c[0] - a[0] * b[0]).max(-1) + c[1] + remainder(
+        np.abs(a[0]).max(-1), a[1], np.abs(b[0]).max(-1), b[1])
+
+
+def commutator_bound(a, b):
+    """2 remainder >= ||[A, B]||, A and B as frame's pairs: their diagonals commute."""
+    return 2.0 * remainder(np.abs(a[0]).max(-1), a[1], np.abs(b[0]).max(-1), b[1])

@@ -164,10 +164,11 @@ def sandwich_residual(M, group, *, y=None):
 
 
 def chain_commutation_residual(M):
-    """max pairwise commutator norm of the embedded amplitudes."""
+    """max pairwise commutator norm of the embedded amplitudes: matcore.commutator_bound, else one SVD."""
     emb = [embed_pair(M.window, n, K).matrix for n, K in enumerate(M.chain, start=1)]
-    return max((matcore.operator_norm(a @ b - b @ a)
-                for i, a in enumerate(emb) for b in emb[i + 1:]), default=0.0)
+    emb = [(a, matcore.frame(a)) for a in emb]
+    return max((matcore.commutator_bound(f, h) if None not in (f, h) else matcore.operator_norm(a @ b - b @ a)
+                for i, (a, f) in enumerate(emb) for b, h in emb[i + 1:]), default=0.0)
 
 
 def chain_centralizer_residual(M):

@@ -156,8 +156,9 @@ def test_a_clean_product_run_decomposes_no_entry(tmp_path, monkeypatch):
 
 def test_a_clean_structure_run_gives_no_row_or_coboundary_difference_to_svd(tmp_path, monkeypatch):
     # the decomposition's x_g - kappa g^-1(kappa^-1) and the restriction's x_g - W^-1 g^-1(W)
-    # are read off the diagonals, the commutation of kappa with g^-1(kappa^-1) by its bound:
-    # the D x D SVDs left are kappa's skew part and E_G(kappa^-1) - 1
+    # are read off the diagonals, the commutation of kappa with g^-1(kappa^-1) by its bound and
+    # kappa's hermiticity and least eigenvalue off its diagonal: the one D x D SVD left is
+    # E_G(kappa^-1) - 1, and the one D x D eigvalsh is not kappa's
     code, T, given = scenario_run(tmp_path, monkeypatch, "structure")
     assert code == 0 and T.split is not None
     W = states.full_density(cli._seeded_diagonal_state(2, 4, 1, 1e-3))  # the run's state (defaults)
@@ -166,13 +167,15 @@ def test_a_clean_structure_run_gives_no_row_or_coboundary_difference_to_svd(tmp_
     differences = [*(T.stack - kap @ gather(matcore.inv(kap), q)), *(T.stack - matcore.inv(W) @ gather(W, q))]
     average = compact.haar_average(T.group, LocalOperator(T.window, matcore.inv(kap))).matrix
     svd = [A for A in given["svd"] if A.shape[-1] == T.stack.shape[1]]
-    assert count_in(svd, [kap - kap.conj().T, average - np.eye(len(kap))]) == [1, 1] and len(svd) == 2
+    assert count_in(svd, [average - np.eye(len(kap))]) == [1] and len(svd) == 1
     assert not any(count_in(svd, [*T.stack, *(A for A in differences if A.any())]))
+    eig = [A for A in given["eigvalsh"] if A.shape[-1] == T.stack.shape[1]]
+    assert len(eig) == 1 and not any(count_in(eig, [kap]))
 
 
 def test_a_clean_markov_run_reads_x_minus_y_y_star_off_the_diagonals(tmp_path, monkeypatch):
-    # x_g and y_g are diagonal: the report carries the dense max ||x_g - y_g y_g*|| bit for
-    # bit, and the D x D SVDs left are the chain's 6 commutators and x_e - 1
+    # x_g, y_g and the amplitudes are diagonal: the report carries the dense max ||x_g - y_g y_g*||
+    # bit for bit, the chain's commutators are read by their bound, and the one D x D SVD is x_e - 1
     M = qmc.MarkovState(2, np.eye(2) / 2.0, qmc.seeded_chain(4, 1))  # the run's chain (seed 1)
     group = enumerate_group(4)
     T, y = qmc.x_cocycle_table(M, group), qmc.y_cocycle(M, group)
@@ -183,11 +186,19 @@ def test_a_clean_markov_run_reads_x_minus_y_y_star_off_the_diagonals(tmp_path, m
     cross = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "x_equals_y_y_star")
     assert cross["residual"] == dense
     svd = [A for A in given["svd"] if A.shape[-1] == T.stack.shape[1]]
-    assert len(svd) == 7 and not any(count_in(svd, [A for A in differences if A.any()]))
+    e = next(i for i, g in enumerate(T.group) if g.is_identity())
+    assert count_in(svd, [T.stack[e] - np.eye(len(T.stack[e]))]) == [1] and len(svd) == 1
+    assert not any(count_in(svd, [A for A in differences if A.any()]))
 
 
 def test_a_clean_trivial_run_decomposes_no_entry(tmp_path, monkeypatch):
-    clean_run_linalg(tmp_path, monkeypatch, "trivial")
+    # kappa^-1's invertibility screen reads its diagonal: the D x D SVDs left are the runner's
+    # ||h - E_G(h)||, E_G(kappa^-1) - 1, ||kappa^-1|| and x_e - 1, and the one D x D eigvalsh
+    # is the hermitean part of W (quasi-invariance)
+    T, given = clean_run_linalg(tmp_path, monkeypatch, "trivial")
+    D = T.stack.shape[1]
+    assert sum(A.shape[-1] == D for A in given["svd"]) == 4
+    assert sum(A.shape[-1] == D for A in given["eigvalsh"]) == 1
 
 
 def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
@@ -374,7 +385,7 @@ PAIRS = [(name, plant) for name in ROTATED
 def test_certified_facts_lie_within_their_radius(name, plant):
     _, T = certified_case(name, plant)
     assert T.facts.err.any() == (plant not in MISSED)  # a rotated table sits off its diagonal
-    assert np.all(T.facts.err <= cocycle.RHO * np.maximum(1.0, T.facts.sv[:, 0]))
+    assert np.all(T.facts.err <= matcore.RHO * np.maximum(1.0, T.facts.sv[:, 0]))
     for f, want in zip(T.facts, per_entry_facts(T), strict=True):
         r = f.err + 16 * len(T.stack[0]) * EPS * f.norm if f.err else 0.0
         assert np.abs(f.sv - want.sv).max() <= r and np.abs(f.eig - want.eig).max() <= r

@@ -311,3 +311,22 @@ def test_power_lipschitz_values():
     assert matcore.power_lipschitz(3.0, 0.5, 3.0) == 27.0  # 3M^2
     assert matcore.power_lipschitz(1.5, 4.0, 9.0) == 9.0 * 0.25 + 3.0  # M L_0.5 + M^0.5
     assert matcore.power_lipschitz(2.0, -5.0, 3.0) == 10.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 1e-12))
+def test_the_diagonal_frame_bounds_products_and_commutators(dim, seed, eps):
+    # A, B complex near-diagonal (not hermitean), C their product moved by eps off the diagonal:
+    # frame reads them only without the hermiticity clause, and product_defect and
+    # commutator_bound lie above the dense norms (up to the round-off of the diagonal products)
+    A, B, C = (np.diag(np.diagonal(G)) + eps * G
+               for G in matcore.random_matrix(dim, [seed, seed + 1, seed + 2]))
+    C = A @ B + C - np.diag(np.diagonal(C))
+    frames = [matcore.frame(M, need_herm=False) for M in (A, B, C)]
+    assert matcore.frame(A) is None and None not in frames
+    fa, fb, fc = frames
+    slack = 8 * dim * np.finfo(float).eps * np.abs(fa[0]).max() * np.abs(fb[0]).max()
+    assert matcore.operator_norm(C - A @ B) <= matcore.product_defect(fc, fa, fb) + slack
+    assert matcore.operator_norm(A @ B - B @ A) <= matcore.commutator_bound(fa, fb) + slack
+    assert matcore.product_defect(fc, fa, fb) <= matcore.operator_norm(C - A @ B) + fc[1] + 2 * slack + (
+        matcore.remainder(np.abs(fa[0]).max(), fa[1], np.abs(fb[0]).max(), fb[1]))

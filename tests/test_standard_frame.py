@@ -31,7 +31,7 @@ import pytest
 
 from quasinv import cli, cocycle, compact, matcore, qmc, states
 from quasinv.cocycle import CocycleTable, VerificationReport
-from quasinv.lattice import enumerate_group, group_table, support
+from quasinv.lattice import embed_pair, enumerate_group, group_table, support
 
 from oracles import (
     EPS, broken, close, converse_case, diag_product, eigenframe, markov_case, outcome,
@@ -112,7 +112,8 @@ def test_a_clean_table_reports_the_dense_coboundary_forms(name, dtype):
     phi, T = clean_case(name, dtype)
     subgroups, sizes = [stabilizer(T), T.group], range(2, T.window.N + 1)
     W = states.full_density(phi)
-    assert cocycle._kappa_cross(np.linalg.inv(W), W) == 0.0  # the restriction reads the diagonals
+    frames = matcore.frame(np.linalg.inv(W)), matcore.frame(W)
+    assert matcore.commutator_bound(*frames) == 0.0  # the restriction reads the diagonals
     assert compact.verify_structure(phi, T) == per_entry_structure(phi, T)
     assert compact.restriction_consistency(phi, T, subgroups) == per_entry_restriction(phi, T, subgroups)
     assert cocycle.locally_trivial_check(T, sizes) == per_entry_locally_trivial(T, sizes)
@@ -126,7 +127,7 @@ def test_a_rotated_state_against_a_diagonal_table_takes_the_dense_residual(dtype
     T = clean_case("product-d2-S4", dtype)[1]
     phi, subgroups = rotated_product(2, 4, 31), [stabilizer(T), T.group]
     W = states.full_density(phi)
-    assert T.split is not None and cocycle._kappa_cross(np.linalg.inv(W), W) is None
+    assert T.split is not None and None in (matcore.frame(np.linalg.inv(W)), matcore.frame(W))
     got = compact.restriction_consistency(phi, T, subgroups)
     assert got == per_entry_restriction(phi, T, subgroups) == compact.restriction_consistency(
         phi, eigenframe(T), subgroups)
@@ -167,13 +168,15 @@ def test_a_plant_below_rho_lies_within_its_stated_terms(name, dtype, involution)
     eps, want = T.inverse_defects, per_entry_inverse_defects(T)
     assert within(eps, want, off * diag[inv] + diag * off[inv] + off * off[inv], len(T.stack[0]))
     assert want[[k, inv[k]]].min() > 1e-13
-    (_, m, e_m), (_, n, e_n) = (cocycle._split(a.copy()) for a in (T.mean, T.mean_inv))
+    (_, m, e_m), (_, n, e_n) = (matcore.split(a.copy()) for a in (T.mean, T.mean_inv))
     assert e_m > 0.0 and e_n > 0.0
     assert within(T.mean_defects, dense_deltas(T), off + m * e_n + e_m * n + e_m * e_n, len(T.stack[0]))
     # the structure's kappa is the mean's hermitean part: its match lies within the same
-    # terms, its commutation at 2 (max|k| ||E_N|| + ||E_K|| max|n| + ||E_K|| ||E_N||)
+    # terms, its commutation at 2 remainder(max|k|, ||E_K||, max|n|, ||E_N||)
     kap = (T.mean + T.mean.conj().T) / 2.0
-    cross = cocycle._kappa_cross(kap, np.linalg.inv(kap))
+    (h_k, m_k, e_k), (h_n, m_n, e_n) = (matcore.split(a.copy()) for a in (kap, np.linalg.inv(kap)))
+    assert matcore.clears(np.r_[h_k, h_n], np.r_[m_k, m_n], np.r_[e_k, e_n])
+    cross = matcore.remainder(m_k, e_k, m_n, e_n)
     got, want = (r.details for r in (compact.verify_structure(phi, T), per_entry_structure(phi, T)))
     assert within(np.array([got["cocycle_match"]]), np.array([want["cocycle_match"]]),
                   off.max() + cross, len(T.stack[0]))
@@ -204,6 +207,27 @@ def test_markov_reads_x_minus_y_y_star_within_its_stated_terms(tmp_path, monkeyp
     terms = T.split[2].max() + 2.0 * np.abs(np.diagonal(y, axis1=1, axis2=2)).max() * e_y + e_y * e_y
     assert T.split is not None and dense > 1e-13
     assert within(np.array([got]), np.array([dense]), terms, len(y[0]))
+
+
+def test_a_chain_plant_below_rho_lies_within_its_stated_terms(monkeypatch):
+    # a hermitean 1e-12 pair off the diagonal of K_1: each pair of embedded amplitudes is read
+    # by its bound, with no SVD, between the dense max ||[a, b]|| and that plus the stated
+    # terms 2 (max|d_a| ||E_b|| + ||E_a|| max|d_b| + ||E_a|| ||E_b||), computed here by hand
+    chain = [K.copy() for K in qmc.seeded_chain(4, 1)]
+    chain[0][1, 2] += 1e-12
+    chain[0][2, 1] += 1e-12
+    M = qmc.MarkovState(2, np.eye(2) / 2.0, tuple(chain), validate=False)
+    emb = [embed_pair(M.window, n, K).matrix for n, K in enumerate(M.chain, start=1)]
+    parts = [(np.abs(np.diagonal(a)).max(), np.linalg.norm(a - np.diag(np.diagonal(a)))) for a in emb]
+    pairs = [(i, j) for i in range(len(emb)) for j in range(i + 1, len(emb))]
+    dense = max(matcore.operator_norm(emb[i] @ emb[j] - emb[j] @ emb[i]) for i, j in pairs)
+    terms = max(2.0 * (parts[i][0] * parts[j][1] + parts[i][1] * parts[j][0] + parts[i][1] * parts[j][1])
+                for i, j in pairs)
+    given, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda A, *args, **kw: given.append(A) or svd(A, *args, **kw))
+    got = qmc.chain_commutation_residual(M)
+    assert given == [] and dense > 1e-13 and parts[0][1] == pytest.approx(np.sqrt(2.0 * 8) * 1e-12)
+    assert within(np.array([got]), np.array([dense]), terms, len(emb[0]))
 
 
 def agree(got, want, r):
