@@ -236,8 +236,8 @@ def _run_markov(cfg):
     T = qmc.x_cocycle_table(M, group)
     def block(rows):  # x - y y* off the diagonals where the table and y (not hermitean) clear the frame
         sub = [group[k] for k in rows]
-        y = qmc.y_cocycle(M, sub)
-        x, f = T.frame(rows), matcore.frame(y, need_herm=False)
+        (y := qmc.y_cocycle(M, sub)).flags.writeable = False  # owned here: the record reads it uncopied
+        x, f = T.frame(rows), matcore.Operand(y, need_herm=False).frame
         cross = (matcore.operator_norm(T.stack[rows] - y @ matcore.dagger(y)) if None in (x, f)
                  else matcore.product_defect(x, f, (f[0].conj(), f[1])))
         return qmc.sandwich_residual(M, sub, y=y), cross

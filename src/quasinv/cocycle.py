@@ -15,7 +15,8 @@ here verify the defining identities numerically:
 Every table constructor is one coboundary x_g = kappa g^-1(kappa^-1), written
 block by block by one kernel: the one-kappa, the product-state (kappa the tensor
 product of the inverse weights on the sites the group moves) and the Markov
-chain cocycles (qmc, kappa = Q^-1).  One function, _coboundary_defects, measures
+chain cocycles (qmc, kappa = Q^-1), each kappa one matcore.Operand that carries its
+inverse.  One function, _coboundary_defects, measures
 a table against a coboundary: the law's delta(g) and local triviality here, the
 structure decomposition and the restriction to subgroups (kappa = W^-1) in
 compact.  Besides: the solution set of W x = x* W on a single factor.  The laws
@@ -25,7 +26,8 @@ by the operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, X.3).
 
 A table is read in the frame where every entry clears matcore's diagonal-frame rule:
 the standard basis (eps(g) and delta(g) by matcore.product_defect), else one eigenbasis,
-else entry by entry.  Checks read blocks of rows, one stacked LAPACK/BLAS call each.
+else entry by entry; a lone matrix (kappa, the mean, the state density) through its Operand.
+Checks read blocks of rows, one stacked LAPACK/BLAS call each.
 """
 
 from dataclasses import dataclass, field
@@ -65,8 +67,8 @@ class CocycleTable:
     read-only, else copied) or as a mapping from image tuples to operators;
     `entries`, `entry(g)` and iteration are views onto the rows of the stack.
     The per-entry facts and eps(g) are read in the standard basis when `split` clears
-    it, else in `basis` (eps by one SVD an entry), else decomposed; delta(g) as
-    _coboundary_defects reads it."""
+    it, else in `basis` (eps by one SVD an entry), else decomposed; the mean M is the
+    Operand `mean_operand`, whose inverse is M^-1, and delta(g) as _coboundary_defects reads it."""
 
     def __init__(self, group, entries, window):
         self.group, self.window = tuple(group), window
@@ -99,7 +101,7 @@ class CocycleTable:
         return (_frozen(herm), _frozen(diag), _frozen(off)) if matcore.clears(herm, diag, off) else None
 
     def frame(self, rows=slice(None)):
-        """matcore.frame's (diagonals, ||E_g||_F) of the listed rows (all by default) if self.split clears."""
+        """Operand.frame's (diagonals, ||E_g||_F) of the listed rows (all by default) if self.split clears."""
         if self.split is not None:
             return np.diagonal(self.stack, axis1=1, axis2=2)[rows], self.split[2][rows]
 
@@ -144,9 +146,9 @@ class CocycleTable:
         return lattice._pairwise_sum(self.stack[r] for r in _blocks(rows, self.stack[0].nbytes)) / len(rows)
 
     mean = cached_property(lambda self: _frozen(self.row_mean(np.arange(len(self.stack)))))
-    mean_inv = cached_property(lambda self: _frozen(matcore.inv(self.mean)))
+    mean_operand = cached_property(lambda self: matcore.Operand(self.mean))
     # delta(g) = ||x_g - M g^-1(M^-1)|| for the mean M: the law's certificate
-    mean_defects = cached_property(lambda self: _frozen(_coboundary_defects(self, self.mean, self.mean_inv)))
+    mean_defects = cached_property(lambda self: _frozen(_coboundary_defects(self, self.mean_operand)))
 
     @cached_property
     def inverse_defects(self):
@@ -160,29 +162,28 @@ class CocycleTable:
             x[r] @ gather(x[inv[r]], Qi[r]) - I)))
 
 
-def _coboundary(q, kappa, kappa_inv):
-    """The stack kappa g^-1(kappa^-1) for the elements g with inverse index arrays q (rows of
-    lattice.inverse_index): the one place the rule x_g = kappa g^-1(kappa^-1) is written."""
-    return kappa @ gather(kappa_inv, q)
+def _coboundary(q, kappa):
+    """The stack kappa g^-1(kappa^-1) of the Operand kappa for the elements g with inverse index arrays
+    q (rows of lattice.inverse_index): the one place the rule x_g = kappa g^-1(kappa^-1) is written."""
+    return kappa.A @ gather(kappa.inv.A, q)
 
 
-def _coboundary_table(group, window, kappa, kappa_inv):
-    """The table x_g = kappa g^-1(kappa^-1), block by block into one stack in their dtype."""
-    stack = np.empty((len(group),) + kappa.shape, np.result_type(kappa, kappa_inv, np.float64))
+def _coboundary_table(group, window, kappa):
+    """The table x_g = kappa g^-1(kappa^-1) of the Operand kappa, block by block into one stack."""
+    stack = np.empty((len(group),) + kappa.A.shape, np.result_type(kappa.A, kappa.inv.A))
     Qi = lattice.inverse_index(group, window)
     for r in _blocks(len(group), stack[0].nbytes):
-        stack[r] = _coboundary(Qi[r], kappa, kappa_inv)
+        stack[r] = _coboundary(Qi[r], kappa)
     return CocycleTable(group, _frozen(stack), window)
 
 
-def _coboundary_defects(T, kappa, kappa_inv, rows=None):
+def _coboundary_defects(T, kappa, rows=None):
     """||x_g - kappa g^-1(kappa^-1)|| of the listed rows (all by default), the one place it is computed:
     matcore.product_defect where T, kappa and kappa^-1 clear the standard basis, else one SVD a row."""
     Qi, rows = lattice.inverse_index(T.group, T.window), np.arange(len(T.stack)) if rows is None else rows
-    if None not in (x := T.frame(rows), k := matcore.frame(kappa), n := matcore.frame(kappa_inv)):
+    if None not in (x := T.frame(rows), k := kappa.frame, n := kappa.inv.frame):
         return matcore.product_defect(x, k, (n[0][Qi[rows]], n[1]))
-    return T.rowwise(lambda r: matcore.operator_norm(
-        T.stack[r] - _coboundary(Qi[r], kappa, kappa_inv)), rows)
+    return T.rowwise(lambda r: matcore.operator_norm(T.stack[r] - _coboundary(Qi[r], kappa)), rows)
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ def verify_cocycle_law(T, tol=None):
     worst-delta g.  Without a certificate (kappa singular) see EXHAUSTIVE_ORDER_CAP."""
     tol = PASS_TOL * T.scale() if tol is None else tol
     n = len(lattice.group_table(T.group)[1])
-    f = matcore.frame_facts(T.mean)
+    f = T.mean_operand.facts  # the screen, before any inverse is formed
     if not f.invertible:
         if n > EXHAUSTIVE_ORDER_CAP:
             raise SingularKappa(f"the mean of the {n} entries is singular: no certificate")
@@ -265,12 +266,13 @@ def verify_quasi_invariance(phi, T, *, tol=None):
 
     Also folds in |phi(x_g) - 1| and the positivity phi(x_g a*a) >= -tol of a
     Radon-Nikodym family: min eig of the hermitean part of W x_g >= -tol, by Weyl where
-    ||g^-1(W) - W x_g||_F < lambda_min(W) / 2 - 4 D eps ||W|| (eigvalsh's error), else eigvalsh.
+    ||g^-1(W) - W x_g||_F < lo / 2 - 4 D eps max(-lo, hi) (eigvalsh's error), else eigvalsh,
+    with lo <= lambda_min(W) and hi >= lambda_max(W) the Facts of W's Operand.
     """
     tol = PASS_TOL * T.scale() if tol is None else tol
-    W = LocalOperator(T.window, states.full_density(phi)).matrix  # refuses a state on another window
-    Qi, lam = lattice.inverse_index(T.group, T.window), np.linalg.eigvalsh((W + matcore.dagger(W)) / 2.0)
-    margin = lam[0] / 2.0 - 4.0 * len(W) * np.finfo(float).eps * np.abs(lam).max()
+    K, Qi = states.density(phi, T.window), lattice.inverse_index(T.group, T.window)
+    W, lo, hi = K.A, K.facts.lo, K.facts.hi
+    margin = lo / 2.0 - 4.0 * len(W) * np.finfo(float).eps * max(-lo, hi)
     def block(rows):  # the pairing of g^-1(W) - W x_g, then W x_g's normalization and positivity
         Wx = W @ T.stack[rows]
         M, z, pos = gather(W, Qi[rows]) - Wx, np.trace(Wx, axis1=1, axis2=2) - 1.0, np.zeros(len(rows))
@@ -305,9 +307,9 @@ def verify_strong(T, phi, probes=None, tol=None):
     Witness: a non-commuting pair {g, h}; else {g, part}, the worst entry of the
     first failing part (hermiticity, positivity, centralizer)."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    (f, diag, off), x = T.rotated, T.stack
+    (f, diag, off), x, W = T.rotated, T.stack, states.density(phi, T.window).A
     herm, s1, s2 = float(f.herm.max()), float(f.lo.min()), float(f.hi.max())
-    centrs = T.rowwise(lambda r, W=states.full_density(phi): states.centralizer_residual(W, x[r], probes))
+    centrs = T.rowwise(lambda r: states.centralizer_residual(W, x[r], probes))
     comm = max(float(np.triu(2.0 * matcore.remainder(diag[r][:, None], off[r][:, None], diag, off),
                              r[0] + 1).max()) for r in _blocks(len(x), 4 * off.nbytes))
     centr = float(centrs.max())
@@ -334,7 +336,7 @@ def verify_centralizer_transport(phi, T, x, *, tol=None, tau_state=TAU_STATE):
     """phi(g(x) a) = phi(a g(x_g x x_g^-1)) for x in the centralizer of phi,
     from the defect matrices W g(x) - g(x_g x x_g^-1) W, on every a."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    W, Q = states.full_density(phi), lattice.group_index(T.group, T.window)
+    W, Q = states.density(phi, T.window).A, lattice.group_index(T.group, T.window)
     membership = states.centralizer_residual(W, x)
     if membership > tau_state:
         raise NotInCentralizer(f"centralizer residual {membership:.3e} exceeds {tau_state:.1e}")
@@ -350,9 +352,9 @@ def verify_centralizer_transport(phi, T, x, *, tol=None, tau_state=TAU_STATE):
 
 def trivial_cocycle(kappa, group):
     """x_g = kappa * g^-1(kappa^-1), the cocycle attached to one invertible kappa."""
-    if not matcore.frame_facts(kappa.matrix).invertible:
+    if not (K := matcore.Operand(kappa.matrix)).facts.invertible:
         raise SingularKappa("kappa is not invertible")
-    return _coboundary_table(group, kappa.window, kappa.matrix, matcore.inv(kappa.matrix))
+    return _coboundary_table(group, kappa.window, K)
 
 
 def product_state_cocycle(phi, group):
@@ -369,7 +371,7 @@ def product_state_cocycle(phi, group):
     for n, W in enumerate(phi.weights, start=1):
         kappa = np.kron(kappa, matcore.inv(W) if n in moved else one)
         kappa_inv = np.kron(kappa_inv, W if n in moved else one)
-    return _coboundary_table(group, phi.window, kappa, kappa_inv)
+    return _coboundary_table(group, phi.window, matcore.Operand(_frozen(kappa), _frozen(kappa_inv)))
 
 
 def solve_SW(W, z):
@@ -397,12 +399,12 @@ def locally_trivial_check(T, window_sizes, tol=None):
     out, moved = [], np.array([g.image for g in T.group]) != np.arange(1, T.group[0].N + 1)
     for N in window_sizes:  # the elements that move no site above N, in group order
         sub = np.flatnonzero(~(moved & (np.arange(moved.shape[1]) >= N)).any(axis=1))
-        avg = T.row_mean(sub) if len(sub) < len(T.group) else None
+        K = T.mean_operand if len(sub) == len(T.group) else matcore.Operand(_frozen(T.row_mean(sub)))
         try:  # LAPACK refuses a singular mean, the kappa candidate
-            kappa_inv = T.mean_inv if avg is None else matcore.inv(avg)
+            K.inv
         except np.linalg.LinAlgError:
             raise SingularKappa(f"the mean of the {len(sub)} entries is singular: no certificate") from None
-        worst = (T.mean_defects if avg is None else _coboundary_defects(T, avg, kappa_inv, sub)).max()
+        worst = (T.mean_defects if K is T.mean_operand else _coboundary_defects(T, K, sub)).max()
         out.append(_report(f"locally_trivial[N={N}]", worst, tol, details={"subgroup_order": len(sub)}))
     return out
 

@@ -7,8 +7,9 @@ positive invertible operator, the state factors as
 phi(a) = phi_G(kappa^-1 a) through the invariant state phi_G = phi o E_G,
 the table is recovered as x_g = kappa * g^-1(kappa^-1), and the average
 satisfies E_G(kappa^-1) = 1.  The converse builds a quasi-invariant state
-from any invariant base state and invertible kappa^-1.  The decomposition and the
-restriction (kappa = W^-1) read ||x_g - kappa g^-1(kappa^-1)|| as cocycle._coboundary_defects does.
+from any invariant base state and invertible kappa^-1.  kappa and the density W are each
+one matcore.Operand, read once; the decomposition and the restriction (kappa = W^-1) read
+||x_g - kappa g^-1(kappa^-1)|| as cocycle._coboundary_defects does.
 
 E_G sums the gathers through the group's index array pairwise, one block of
 rows at a time, in the kernel the cocycle mean shares; it holds no (|G|, D, D) stack.
@@ -123,8 +124,8 @@ def kappa(T):
 def intrinsic_entry(phi, g):
     """The unique solution of phi(g(a)) = phi(x_g a) for a faithful state:
     x_g = W^-1 * g^-1(W) in terms of the full-window density W."""
-    W = LocalOperator(phi.window, states.faithful_density(phi))
-    return LocalOperator(phi.window, matcore.inv(W.matrix) @ act_inverse(g, W).matrix)
+    W = states.faithful_density(phi, phi.window)
+    return LocalOperator(phi.window, W.inv.A @ act_inverse(g, LocalOperator(phi.window, W.A)).matrix)
 
 
 def verify_structure(phi, T, *, tol=STRUCTURE_TOL, decomposition=None):
@@ -135,15 +136,14 @@ def verify_structure(phi, T, *, tol=STRUCTURE_TOL, decomposition=None):
     by default both are computed from the table.  The factorization is checked
     on the defect matrix W - W_G kappa^-1, on every a, the reconstruction as
     _coboundary_defects reads it, the commutation by matcore.commutator_bound
-    where kappa and kappa^-1 clear the frame, else one SVD a row."""
-    group, window = T.group, T.window
-    kap = kappa(T).matrix if decomposition is None else decomposition[1].matrix
+    where kappa and kappa^-1 clear the frame, else one SVD a row: all off kappa's Operand."""
+    group, window, W = T.group, T.window, states.density(phi, T.window).A
+    K = matcore.Operand(kappa(T).matrix if decomposition is None else decomposition[1].matrix)
     phi_G = invariant_state(phi, group) if decomposition is None else decomposition[0]
-    kinv = matcore.inv(kap)
-    f, pair = matcore.frame_facts(kap), (matcore.frame(kap), matcore.frame(kinv))
+    f, kap, kinv, pair = K.facts, K.A, K.inv.A, (K.frame, K.inv.frame)
 
-    recon, where = states.pairing_residual(states.full_density(phi) - states.full_density(phi_G) @ kinv)
-    match, k = _first_worst(_coboundary_defects(T, kap, kinv))
+    recon, where = states.pairing_residual(W - states.density(phi_G, window).A @ kinv)
+    match, k = _first_worst(_coboundary_defects(T, K))
     commut = float(matcore.commutator_bound(*pair) if None not in pair else T.rowwise(
         lambda r: matcore.operator_norm(kap @ (moved := gather(kinv, lattice.inverse_index(group, window)[r]))
                                         - moved @ kap)).max())
@@ -159,20 +159,20 @@ def verify_structure(phi, T, *, tol=STRUCTURE_TOL, decomposition=None):
 def converse_construct(phi_G, kinv, group, tol=STRUCTURE_TOL):
     """From an invariant base state and an invertible kappa^-1 with
     E_G(kappa^-1) = 1, build phi(a) = phi_G(kappa^-1 a) and its trivial
-    cocycle table x_g = kappa g^-1(kappa^-1); kappa^-1 is inverted once,
-    for the table."""
+    cocycle table x_g = kappa g^-1(kappa^-1); kappa^-1 is one matcore.Operand, whose facts
+    screen it and scale the E_G(kappa^-1) = 1 screen, and whose inv is the table's kappa."""
     window = phi_G.window
     inv_resid = states.is_exchangeable(phi_G, group)
     if inv_resid > tol:
         raise NotInvariantBase(f"base state moves under the group: {inv_resid:.3e}")
-    if not matcore.frame_facts(kinv.matrix).invertible:
+    K = matcore.Operand(kinv.matrix)
+    if not K.facts.invertible:
         raise SingularKappa("kappa^-1 is not invertible")
     normal = matcore.operator_norm(haar_average(group, kinv).matrix - np.eye(window.total_dim))
-    if normal > 1e-8 * max(1.0, matcore.operator_norm(kinv.matrix)):
+    if normal > 1e-8 * max(1.0, K.facts.norm):  # >= ||kappa^-1||, its sv[0] on a diagonal
         raise SingularKappa(f"E_G(kappa^-1) differs from 1 by {normal:.3e}")
-    W_G = states.full_density(phi_G)
-    phi = states.WeightedTraceState(window, W_G @ kinv.matrix, validate=False)
-    return phi, _coboundary_table(group, window, matcore.inv(kinv.matrix), kinv.matrix)
+    phi = states.WeightedTraceState(window, states.full_density(phi_G) @ K.A, validate=False)
+    return phi, _coboundary_table(group, window, K.inv)
 
 
 def projective_family_check(group_small, group_big, window, tol=UMEGAKI_TOL):
@@ -200,9 +200,9 @@ def averaging_checks(group_small, group_big, window, tol=UMEGAKI_TOL):
 def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
     """Against each subgroup, the table must agree with the cocycle
     recomputed intrinsically from the state alone, the intrinsic_entry
-    W^-1 g^-1(W) with W and W^-1 built once; each row's defect is computed
-    once over the union of the subgroups' rows."""
-    W = states.faithful_density(phi)
+    W^-1 g^-1(W), kappa = W^-1 the inverse of the density's Operand; each row's
+    defect is computed once over the union of the subgroups' rows."""
+    W = states.faithful_density(phi, T.window)
     rows, used = [], np.zeros(len(T.group), bool)
     for sub in subgroups:
         rows.append(r := lattice.positions(T.group, sub))
@@ -210,7 +210,7 @@ def restriction_consistency(phi, T, subgroups, tol=STRUCTURE_TOL):
             raise NotNested(f"{sub[np.argmin(r)].image} is missing from the table")
         used[r] = True
     defects = np.zeros(len(T.group))
-    defects[used] = _coboundary_defects(T, matcore.inv(W), W, np.flatnonzero(used)) if used.any() else 0.0
+    defects[used] = _coboundary_defects(T, W.inv, np.flatnonzero(used)) if used.any() else 0.0
     worst, witness, per_subgroup = 0.0, None, []
     for idx, r in enumerate(rows):
         local, k = _first_worst(defects[r])

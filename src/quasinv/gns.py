@@ -77,8 +77,8 @@ class CovariantUnitary:
 
 def build_gns(phi):
     """The cyclic representation of a faithful state on its window."""
-    W = states.faithful_density(phi)
-    return GnsRepresentation(phi.window, W, np.linalg.inv(W))
+    W = states.faithful_density(phi, phi.window)
+    return GnsRepresentation(phi.window, W.A, W.inv.A)
 
 
 def build_unitaries(R, T, tol=GNS_TOL):

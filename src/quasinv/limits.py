@@ -26,14 +26,13 @@ class WindowProductSequence:
         self.W_inf = matcore.promote(W_inf)
         self.W_list = [matcore.promote(W) for W in W_list]
         self.d = self.W_inf.shape[0]
-        if not matcore.facts(self.W_inf).invertible:
+        if not (ref := matcore.Operand(self.W_inf)).facts.invertible:
             raise SingularWeight("reference weight is not invertible")
-        ref_inv = matcore.inv(self.W_inf)
         self.factors, self.facts = [], []
         for k, W in enumerate(self.W_list):
             if W.shape != self.W_inf.shape:
                 raise SingularWeight(f"weight {k + 1} has shape {W.shape}")
-            self.factors.append(ref_inv @ W)
+            self.factors.append(ref.inv.A @ W)
             self.facts.append(matcore.facts(self.factors[-1]))
             if not self.facts[-1].invertible:
                 raise SingularWeight(f"factor {k + 1} is not invertible")

@@ -6,9 +6,11 @@ facts the strong-case checks read (singular values, hermiticity defect, hermitea
 spectrum, invertibility, within err), each over stacks (..., d, d) too.  The diagonal
 frame: A = D + E (diagonal, off-diagonal) hermitean with ||E||_F <= RHO max(1, max|D|)
 is read off D, its facts within err ||E||_F and each product or commutator by the
-diagonals plus remainder.  All linear algebra funnels through here: one home for tolerances.
+diagonals plus remainder, a lone matrix through its Operand, which reads them once.
+All linear algebra funnels through here: one home for tolerances.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,23 +193,41 @@ def clears(herm, diag, off):
     return bool(np.all((off <= RHO * np.maximum(1.0, diag)) & (herm is None or hermitean(herm, diag + off))))
 
 
-def frame(A, need_herm=True):
-    """(diagonal, ||E||_F) of A = D + E (or each of a stack) if all clear the rule (need_herm: all of it)."""
-    herm, diag, off = split(promote(A).copy())
-    if clears(herm if need_herm else None, diag, off):
-        return np.diagonal(A, axis1=-2, axis2=-1), off
-
-
 def diagonal_facts(x, herm, off):
     """The Facts of x = D + E (or of each of a stack) from split's herm and off: |D|, Re D, err ||E||_F."""
     D = np.diagonal(x, axis1=-2, axis2=-1)
     return Facts(np.sort(np.abs(D))[..., ::-1], herm, np.sort(D.real), off)
 
 
-def frame_facts(A):
-    """A lone matrix's Facts off its diagonal if it clears the rule, else facts(A)."""
-    herm, diag, off = split(promote(A).copy())
-    return diagonal_facts(A, herm, off) if clears(herm, diag, off) else facts(A)
+@dataclass(frozen=True, eq=False)
+class Operand:
+    """A lone matrix A (or a stack) held read-only, a read-only array adopted and a writeable one copied,
+    with what the checks read of it, each formed on first read and kept: split's scalars, the frame
+    (need_herm=False drops the rule's hermiticity clause), the Facts (off the diagonal where A clears
+    the rule, else decomposed) and inv, the record of the given inverse or of inv(A), its inv this one."""
+
+    def __init__(self, A, inv=None, need_herm=True):
+        if (A := promote(A)).flags.writeable:
+            (A := A.copy()).flags.writeable = False
+        self.__dict__.update(A=A, _given=inv, need_herm=need_herm)
+
+    split = cached_property(lambda self: split(self.A.copy()))
+    facts = cached_property(lambda self: diagonal_facts(self.A, *self.split[::2]) if clears(*self.split)
+                            else facts(self.A))
+
+    @cached_property
+    def frame(self):
+        herm, diag, off = self.split
+        if clears(herm if self.need_herm else None, diag, off):
+            return np.diagonal(self.A, axis1=-2, axis2=-1), off
+
+    @property
+    def inv(self):
+        """Formed on first read and kept; it holds this record weakly, so a pair makes no reference cycle."""
+        if (K := self.__dict__.get("_inv")) is None or isinstance(K, weakref.ref) and (K := K()) is None:
+            K = Operand(inv(self.A) if self._given is None else self._given, self.A)
+            K.__dict__["_inv"], self.__dict__["_inv"] = weakref.ref(self), K
+        return K
 
 
 def remainder(m_a, e_a, m_b, e_b):
@@ -216,11 +236,11 @@ def remainder(m_a, e_a, m_b, e_b):
 
 
 def product_defect(c, a, b):
-    """max|d_c - d_a d_b| + e_c + remainder >= ||C - A B||, C, A and B (or stacks) as frame's pairs."""
+    """max|d_c - d_a d_b| + e_c + remainder >= ||C - A B||, C, A and B (or stacks) as Operand.frame."""
     return np.abs(c[0] - a[0] * b[0]).max(-1) + c[1] + remainder(
         np.abs(a[0]).max(-1), a[1], np.abs(b[0]).max(-1), b[1])
 
 
 def commutator_bound(a, b):
-    """2 remainder >= ||[A, B]||, A and B as frame's pairs: their diagonals commute."""
+    """2 remainder >= ||[A, B]||, A and B as Operand.frame: their diagonals commute."""
     return 2.0 * remainder(np.abs(a[0]).max(-1), a[1], np.abs(b[0]).max(-1), b[1])

@@ -165,10 +165,10 @@ def sandwich_residual(M, group, *, y=None):
 
 def chain_commutation_residual(M):
     """max pairwise commutator norm of the embedded amplitudes: matcore.commutator_bound, else one SVD."""
-    emb = [embed_pair(M.window, n, K).matrix for n, K in enumerate(M.chain, start=1)]
-    emb = [(a, matcore.frame(a)) for a in emb]
-    return max((matcore.commutator_bound(f, h) if None not in (f, h) else matcore.operator_norm(a @ b - b @ a)
-                for i, (a, f) in enumerate(emb) for b, h in emb[i + 1:]), default=0.0)
+    emb = [matcore.Operand(embed_pair(M.window, n, K).matrix) for n, K in enumerate(M.chain, start=1)]
+    return max((matcore.commutator_bound(a.frame, b.frame) if None not in (a.frame, b.frame) else
+                matcore.operator_norm(a.A @ b.A - b.A @ a.A) for i, a in enumerate(emb) for b in emb[i + 1:]),
+               default=0.0)
 
 
 def chain_centralizer_residual(M):
@@ -192,4 +192,4 @@ def x_cocycle_table(M, group, tol=CDA_TOL):
     if centr > tol:
         raise NotInCentralizer(f"amplitude centralizer residual {centr:.3e}")
     Q = MarkovState(M.d, M.W_inf, tuple(K.conj().T @ K for K in M.chain), validate=False)
-    return _coboundary_table(group, M.window, Q.R_inv.matrix, Q.R.matrix)
+    return _coboundary_table(group, M.window, matcore.Operand(Q.R_inv.matrix, Q.R.matrix))

@@ -69,6 +69,11 @@ def full_density(phi):
     return matcore.promote(phi)
 
 
+def density(phi, window):
+    """The matcore.Operand of the state's full-window density; SizeMismatch unless it is on the window."""
+    return matcore.Operand(LocalOperator(window, full_density(phi)).matrix)
+
+
 def evaluate(phi, a):
     """phi(a) = Tr(W a)."""
     m = a.matrix if isinstance(a, LocalOperator) else matcore.promote(a)
@@ -79,18 +84,16 @@ def evaluate(phi, a):
 
 
 def is_faithful(phi):
-    """Whether the density's min eig exceeds TAU_POS; returns (flag, min eig)."""
-    W = full_density(phi)
-    lam = np.linalg.eigvalsh((W + W.conj().T) / 2.0)
-    return bool(lam[0] > matcore.TAU_POS), float(lam[0])
+    """Whether the density's least eigenvalue exceeds TAU_POS; returns (flag, its Operand's facts.lo)."""
+    lo = float(density(phi, phi.window).facts.lo)
+    return lo > matcore.TAU_POS, lo
 
 
-def faithful_density(phi):
-    """The full-window density, refused unless it is positive definite."""
-    W = full_density(phi)
-    ok, min_eig = is_faithful(W)
-    if not ok:
-        raise NotFaithful(f"state density has min eigenvalue {min_eig:.3e}")
+def faithful_density(phi, window):
+    """The Operand of the density on the window, refused unless it is positive definite."""
+    W = density(phi, window)
+    if (lo := float(W.facts.lo)) <= matcore.TAU_POS:
+        raise NotFaithful(f"state density has min eigenvalue {lo:.3e}")
     return W
 
 

@@ -445,7 +445,7 @@ def per_entry_cocycle_law(T):
         worst, witness = worst_law_pair(T, np.ndindex(n, n))
         return _report("cocycle_law", worst, tol, witness=witness if worst > tol else None,
                        details={"method": "exhaustive"})
-    deltas = [r for _, r, *_ in per_entry_coboundary_defects(T, T.mean, T.mean_inv)]
+    deltas = [r for _, r, *_ in per_entry_coboundary_defects(T, T.mean, T.mean_operand.inv.A)]
     k = int(np.argmax(deltas))
     C = max(f.norm for f in F) + deltas[k]
     bound = deltas[k] * (1.0 + 2.0 * C + deltas[k])
@@ -552,7 +552,7 @@ def per_entry_locally_trivial(T, window_sizes):
     for N in window_sizes:
         sub = [i for i, g in enumerate(T.group) if support(g) <= set(range(1, N + 1))]
         avg = T.mean if len(sub) == len(T.group) else list_tree_sum([T.stack[i] for i in sub]) / len(sub)
-        avg_inv = T.mean_inv if avg is T.mean else matcore.inv(avg)
+        avg_inv = T.mean_operand.inv.A if avg is T.mean else matcore.inv(avg)
         worst = max(r for _, r, *_ in per_entry_coboundary_defects(T, avg, avg_inv, sub))
         out.append(_report(f"locally_trivial[N={N}]", worst, tol,
                            details={"subgroup_order": len(sub)}))
@@ -666,7 +666,7 @@ def per_entry_structure(phi, T, tol=compact.STRUCTURE_TOL):
 
 
 def per_entry_restriction(phi, T, subgroups, tol=compact.STRUCTURE_TOL):
-    W = states.faithful_density(phi)
+    W = states.faithful_density(phi, phi.window).A
     W_inv = matcore.inv(W)
     worst, witness = 0.0, None
     per_subgroup = []
@@ -824,6 +824,19 @@ def oracle_invertible(A):
         lam = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
         return float(np.abs(lam).min()) > matcore.TAU_POS * scale
     return float(np.linalg.svd(A, compute_uv=False).min()) > matcore.TAU_POS * scale
+
+
+def oracle_frame(A, need_herm=True):
+    """The former free matcore.frame: (diagonal, ||E||_F) of A if it clears the rule, else None."""
+    herm, diag, off = matcore.split(matcore.promote(A).copy())
+    if matcore.clears(herm if need_herm else None, diag, off):
+        return np.diagonal(A, axis1=-2, axis2=-1), off
+
+
+def oracle_frame_facts(A):
+    """The former matcore.frame_facts: a lone matrix's Facts off its diagonal if it clears the rule."""
+    herm, diag, off = matcore.split(matcore.promote(A).copy())
+    return matcore.diagonal_facts(A, herm, off) if matcore.clears(herm, diag, off) else matcore.facts(A)
 
 
 def oracle_require_strong(T, tol):

@@ -240,7 +240,7 @@ def test_stored_defects_equal_the_per_entry_loops(name, planted):
     # mean, each computed once per table, against the loops they replaced
     _, T = blocked_case(name, planted)
     assert np.array_equal(T.inverse_defects, per_entry_inverse_defects(T))
-    deltas = np.array([r for _, r, *_ in per_entry_coboundary_defects(T, T.mean, T.mean_inv)])
+    deltas = np.array([r for _, r, *_ in per_entry_coboundary_defects(T, T.mean, T.mean_operand.inv.A)])
     assert np.array_equal(T.mean_defects, deltas)
     assert T.inverse_defects.dtype == T.mean_defects.dtype == np.float64
 
@@ -299,7 +299,7 @@ def test_check_temporaries_stay_below_a_quarter_of_the_table(check, make):
     phi, T = product_case(make, 2, 5, 5, 7)
     assert T.stack.dtype == complex and T.stack.nbytes == 120 * 32 * 32 * 16
     if check != "facts":
-        T.facts, T.mean_inv  # cached before the trace: facts is traced on its own
+        T.facts, T.mean_operand.inv  # cached before the trace: facts is traced on its own
     group_table(T.group), group_index(T.group, T.window)
     tracemalloc.start()
     try:

@@ -36,7 +36,7 @@ def test_the_mean_is_the_pairwise_tree_sum_of_the_entries():
         _, T = diag_table(2, n, seed=n)
         assert np.array_equal(T.mean, list_tree_sum(list(T.stack)) / len(T.group))
         assert T.mean is T.mean
-        assert np.array_equal(T.mean_inv, matcore.inv(T.mean))
+        assert np.array_equal(T.mean_operand.inv.A, matcore.inv(T.mean))
     kap = compact.kappa(T)
     assert np.array_equal(kap.matrix, (T.mean + T.mean.conj().T) / 2.0)
 

@@ -47,7 +47,7 @@ def test_real_inputs_stay_float64_everywhere():
     U = gns.build_unitaries(R, T)
     W = states.full_density(phi)
     assert T.stack.dtype == np.float64
-    assert T.mean.dtype == np.float64 and T.mean_inv.dtype == np.float64
+    assert T.mean.dtype == np.float64 and T.mean_operand.inv.A.dtype == np.float64
     assert all(f.sv.dtype == np.float64 and f.eig.dtype == np.float64 for f in T.facts)
     assert compact.haar_average(T.group, LocalOperator(T.window, W)).matrix.dtype == np.float64
     for s in (0, 0.5, 2, -1):
@@ -75,9 +75,9 @@ def test_complex_inputs_stay_complex128_everywhere():
 def test_a_real_kappa_with_a_complex_inverse_gives_a_complex_table():
     group, window = enumerate_group(3), Window(2, 3)
     kappa = np.diag(np.linspace(1.0, 2.0, 8))
-    real = cocycle._coboundary_table(group, window, kappa, np.linalg.inv(kappa))
+    real = cocycle._coboundary_table(group, window, matcore.Operand(kappa, np.linalg.inv(kappa)))
     phase = np.exp(0.3j)
-    mixed = cocycle._coboundary_table(group, window, kappa, phase * np.linalg.inv(kappa))
+    mixed = cocycle._coboundary_table(group, window, matcore.Operand(kappa, phase * np.linalg.inv(kappa)))
     assert real.stack.dtype == np.float64
     assert mixed.stack.dtype == np.complex128
     assert np.allclose(mixed.stack, phase * real.stack, rtol=0.0, atol=1e-15)

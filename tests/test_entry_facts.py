@@ -116,6 +116,13 @@ def record_linalg(monkeypatch):
     return given
 
 
+def record_lone_splits(monkeypatch):
+    """The lone matrices given to matcore.split (a table's stacked blocks not among them)."""
+    lone, split = [], matcore.split
+    monkeypatch.setattr(matcore, "split", lambda y: (y.ndim == 2 and lone.append(y.copy())) or split(y))
+    return lone
+
+
 def count_in(found, mats):
     """How often each of mats is among the found matrices."""
     return [sum(A.shape == m.shape and np.array_equal(A, m) for A in found) for m in mats]
@@ -147,10 +154,10 @@ def clean_run_linalg(tmp_path, monkeypatch, scenario):
 
 def test_a_clean_product_run_decomposes_no_entry(tmp_path, monkeypatch):
     T, given = clean_run_linalg(tmp_path, monkeypatch, "product")
-    # D x D: the hermitean part of W (quasi-invariance) and x_e - 1 (normalization); the
-    # law reads its kappa, the mean, off the diagonal as the entries are read
+    # D x D: x_e - 1 (normalization) alone; the law reads its kappa, the mean, and
+    # quasi-invariance the state density W off their diagonals as the entries are read
     D = T.stack.shape[1]
-    assert sum(A.shape[-1] == D for A in given["eigvalsh"]) == 1
+    assert sum(A.shape[-1] == D for A in given["eigvalsh"]) == 0
     assert sum(A.shape[-1] == D for A in given["svd"]) == 1
 
 
@@ -158,7 +165,9 @@ def test_a_clean_structure_run_gives_no_row_or_coboundary_difference_to_svd(tmp_
     # the decomposition's x_g - kappa g^-1(kappa^-1) and the restriction's x_g - W^-1 g^-1(W)
     # are read off the diagonals, the commutation of kappa with g^-1(kappa^-1) by its bound and
     # kappa's hermiticity and least eigenvalue off its diagonal: the one D x D SVD left is
-    # E_G(kappa^-1) - 1, and the one D x D eigvalsh is not kappa's
+    # E_G(kappa^-1) - 1, and no D x D eigvalsh is left; kappa, kappa^-1, W and W^-1 are split
+    # once each, as the records the decomposition, the faithfulness screen and the restriction share
+    lone = record_lone_splits(monkeypatch)
     code, T, given = scenario_run(tmp_path, monkeypatch, "structure")
     assert code == 0 and T.split is not None
     W = states.full_density(cli._seeded_diagonal_state(2, 4, 1, 1e-3))  # the run's state (defaults)
@@ -169,13 +178,14 @@ def test_a_clean_structure_run_gives_no_row_or_coboundary_difference_to_svd(tmp_
     svd = [A for A in given["svd"] if A.shape[-1] == T.stack.shape[1]]
     assert count_in(svd, [average - np.eye(len(kap))]) == [1] and len(svd) == 1
     assert not any(count_in(svd, [*T.stack, *(A for A in differences if A.any())]))
-    eig = [A for A in given["eigvalsh"] if A.shape[-1] == T.stack.shape[1]]
-    assert len(eig) == 1 and not any(count_in(eig, [kap]))
+    assert [A for A in given["eigvalsh"] if A.shape[-1] == T.stack.shape[1]] == []
+    assert count_in(lone, [kap, matcore.inv(kap), W, matcore.inv(W)]) == [1] * 4 and len(lone) == 4
 
 
 def test_a_clean_markov_run_reads_x_minus_y_y_star_off_the_diagonals(tmp_path, monkeypatch):
     # x_g, y_g and the amplitudes are diagonal: the report carries the dense max ||x_g - y_g y_g*||
-    # bit for bit, the chain's commutators are read by their bound, and the one D x D SVD is x_e - 1
+    # bit for bit, the chain's commutators are read by their bound, and the one D x D SVD is x_e - 1;
+    # quasi-invariance reads the state density off its diagonal, with no eigvalsh
     M = qmc.MarkovState(2, np.eye(2) / 2.0, qmc.seeded_chain(4, 1))  # the run's chain (seed 1)
     group = enumerate_group(4)
     T, y = qmc.x_cocycle_table(M, group), qmc.y_cocycle(M, group)
@@ -189,16 +199,17 @@ def test_a_clean_markov_run_reads_x_minus_y_y_star_off_the_diagonals(tmp_path, m
     e = next(i for i, g in enumerate(T.group) if g.is_identity())
     assert count_in(svd, [T.stack[e] - np.eye(len(T.stack[e]))]) == [1] and len(svd) == 1
     assert not any(count_in(svd, [A for A in differences if A.any()]))
+    assert [A for A in given["eigvalsh"] if A.shape[-1] == T.stack.shape[1]] == []
 
 
 def test_a_clean_trivial_run_decomposes_no_entry(tmp_path, monkeypatch):
-    # kappa^-1's invertibility screen reads its diagonal: the D x D SVDs left are the runner's
-    # ||h - E_G(h)||, E_G(kappa^-1) - 1, ||kappa^-1|| and x_e - 1, and the one D x D eigvalsh
-    # is the hermitean part of W (quasi-invariance)
+    # kappa^-1's invertibility screen and the scale of its normalization read its diagonal, and
+    # quasi-invariance the state density's: the D x D SVDs left are the runner's ||h - E_G(h)||,
+    # E_G(kappa^-1) - 1 and x_e - 1, and no D x D eigvalsh is left
     T, given = clean_run_linalg(tmp_path, monkeypatch, "trivial")
     D = T.stack.shape[1]
-    assert sum(A.shape[-1] == D for A in given["svd"]) == 4
-    assert sum(A.shape[-1] == D for A in given["eigvalsh"]) == 1
+    assert sum(A.shape[-1] == D for A in given["svd"]) == 3
+    assert sum(A.shape[-1] == D for A in given["eigvalsh"]) == 0
 
 
 def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):

@@ -240,7 +240,7 @@ def test_table_caches_are_read_only():
     f = T.facts
     cached = {"sv": f.sv, "herm": f.herm, "eig": f.eig, "hermitean": f.hermitean,
               "norm": f.norm, "inverse_defects": T.inverse_defects,
-              "mean_defects": T.mean_defects, "mean": T.mean, "mean_inv": T.mean_inv}
+              "mean_defects": T.mean_defects, "mean": T.mean, "mean_inv": T.mean_operand.inv.A}
     for name, a in cached.items():
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):

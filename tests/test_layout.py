@@ -5,7 +5,9 @@ modules live once in tests/oracles.py.  No test module imports another, and
 no helper (a top-level function or class whose name does not start with
 test_) is defined in more than one file of tests/.  The diagonal-frame rule
 (RHO, the split, the clear rule and the remainder bound) is defined in
-quasinv.matcore alone, and the runner (quasinv.cli) reads none of it.
+quasinv.matcore alone, and the runner (quasinv.cli) reads none of it.  Outside
+matcore a lone matrix is read through its matcore.Operand: only CocycleTable's
+blockwise pass over its stack calls the rule's functions.
 """
 
 import ast
@@ -85,3 +87,32 @@ def test_the_runner_reads_no_part_of_the_rule():
         if name in RULE:
             read.append(text)
     assert read == []
+
+
+READERS = {"frame", "frame_facts", "split", "clears", "diagonal_facts"}
+
+
+def test_outside_matcore_only_the_table_pass_calls_the_frame_readers():
+    # a call of matcore.<reader>, or of a reader imported by name, with its module and class
+    called = []
+    for module, tree in package_trees().items():
+        if module == "matcore":
+            continue
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("matcore")
+                    for alias in node.names}
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "matcore":
+                    name = f.attr
+                elif isinstance(f, ast.Name) and f.id in imported:
+                    name = imported[f.id]
+                else:
+                    continue
+                if name in READERS and (module, owner) != ("cocycle", "CocycleTable"):
+                    called.append((module, name))
+    assert called == []

@@ -7,6 +7,8 @@ spectral_decompose fixes no phase of its eigenvectors: what it promises is
 an orthonormal V that reconstructs H, and the same V on the same input.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from quasinv import cocycle, gns, matcore, states
 from quasinv.lattice import enumerate_group
 from quasinv.errors import FloorTooLarge, NotHermitian, NotPositive
+
+from oracles import oracle_frame, oracle_frame_facts
 
 
 def test_spectral_decompose_identity():
@@ -322,11 +326,91 @@ def test_the_diagonal_frame_bounds_products_and_commutators(dim, seed, eps):
     A, B, C = (np.diag(np.diagonal(G)) + eps * G
                for G in matcore.random_matrix(dim, [seed, seed + 1, seed + 2]))
     C = A @ B + C - np.diag(np.diagonal(C))
-    frames = [matcore.frame(M, need_herm=False) for M in (A, B, C)]
-    assert matcore.frame(A) is None and None not in frames
+    frames = [matcore.Operand(M, need_herm=False).frame for M in (A, B, C)]
+    assert matcore.Operand(A).frame is None and None not in frames
     fa, fb, fc = frames
     slack = 8 * dim * np.finfo(float).eps * np.abs(fa[0]).max() * np.abs(fb[0]).max()
     assert matcore.operator_norm(C - A @ B) <= matcore.product_defect(fc, fa, fb) + slack
     assert matcore.operator_norm(A @ B - B @ A) <= matcore.commutator_bound(fa, fb) + slack
     assert matcore.product_defect(fc, fa, fb) <= matcore.operator_norm(C - A @ B) + fc[1] + 2 * slack + (
         matcore.remainder(np.abs(fa[0]).max(), fa[1], np.abs(fb[0]).max(), fb[1]))
+
+
+# ---- the Operand record: a lone matrix's frame, facts and inverse, each read once ----
+
+def operand_cases(dim=6, seed=5):
+    """Cleared, planted (within and past the rule), rotated and non-hermitean matrices (complex;
+    their real parts are the real cases)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    D = np.diag(rng.uniform(0.5, 2.0, dim))
+    G = matcore.random_matrix(dim, seed)
+    H = (G + G.conj().T) / 2.0
+    U = np.linalg.qr(G)[0]
+    return {"cleared": D, "planted-1e-12": D + 1e-12 * H.real, "planted-1e-3": D + 1e-3 * H.real,
+            "rotated": U @ D @ U.conj().T, "non-hermitean-1e-12": D + 1e-12 * G, "non-hermitean": D + G,
+            "complex-diagonal": np.diag(np.diagonal(G)) + 1e-12 * G}  # clears only without hermiticity
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("name", sorted(operand_cases()))
+def test_the_operand_reads_the_former_frame_and_facts(name, dtype):
+    A = operand_cases()[name]
+    A = (A.real if dtype is np.float64 else A).astype(dtype)
+    K = matcore.Operand(A)
+    want = oracle_frame_facts(A)
+    for field in ("sv", "herm", "eig", "err"):
+        assert np.array_equal(getattr(K.facts, field), getattr(want, field)), field
+    for need_herm in (True, False):
+        got, want = matcore.Operand(A, need_herm=need_herm).frame, oracle_frame(A, need_herm)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_the_operand_reads_a_copy_of_a_writeable_array_and_adopts_a_read_only_one():
+    A = np.diag([1.0, 2.0, 3.0])
+    K = matcore.Operand(A)
+    facts, frame = K.facts, K.frame
+    A[:] = 7.0
+    assert K.facts is facts and K.frame is frame
+    assert K.facts.eig.tolist() == frame[0].tolist() == [1.0, 2.0, 3.0] and K.facts.norm == 3.0
+    assert not K.A.flags.writeable and A.flags.writeable
+    A.flags.writeable = False
+    assert matcore.Operand(A).A is A
+    with pytest.raises(AttributeError):
+        K.A = A
+
+
+def test_the_operand_inverse_is_formed_once_and_a_given_one_adopted():
+    A = np.diag([1.0, 2.0, 4.0]) + 0.1 * np.eye(3, k=1)
+    K = matcore.Operand(A)
+    assert np.array_equal(K.inv.A, matcore.inv(A)) and K.inv is K.inv and K.inv.inv is K
+    B = matcore.inv(A) * (1.0 + 1e-15)  # not inv(A) bit for bit: the given one is read
+    given = matcore.Operand(A, B)
+    assert np.array_equal(given.inv.A, B) and not np.array_equal(B, matcore.inv(A))
+    assert given.inv.inv is given
+    B.flags.writeable = False
+    assert matcore.Operand(A, B).inv.A is B
+
+
+@pytest.mark.parametrize("A", [np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [2.0, 4.0]])])
+def test_a_singular_operand_forms_no_inverse_until_it_is_read(A, monkeypatch):
+    inverted, inv = [], matcore.inv
+    monkeypatch.setattr(matcore, "inv", lambda B: inverted.append(B) or inv(B))
+    K = matcore.Operand(A)
+    assert not K.facts.invertible
+    K.frame, K.split
+    assert inverted == []
+    with pytest.raises(np.linalg.LinAlgError):
+        K.inv
+    assert len(inverted) == 1
+
+
+def test_an_operand_pair_is_freed_with_its_last_reader():
+    # the inverse holds its record weakly: no reference cycle keeps a pair alive
+    K = matcore.Operand(np.diag([1.0, 2.0]))
+    ref, inverse = weakref.ref(K), K.inv
+    assert inverse.inv is K
+    del K
+    assert ref() is None
+    assert np.array_equal(inverse.inv.A, np.diag([1.0, 2.0])) and inverse.inv.inv is inverse

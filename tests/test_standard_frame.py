@@ -79,7 +79,7 @@ def stabilizer(T):
 
 
 def dense_deltas(T):
-    return np.array([r for _, r, *_ in per_entry_coboundary_defects(T, T.mean, T.mean_inv)])
+    return np.array([r for _, r, *_ in per_entry_coboundary_defects(T, T.mean, T.mean_operand.inv.A)])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -112,7 +112,7 @@ def test_a_clean_table_reports_the_dense_coboundary_forms(name, dtype):
     phi, T = clean_case(name, dtype)
     subgroups, sizes = [stabilizer(T), T.group], range(2, T.window.N + 1)
     W = states.full_density(phi)
-    frames = matcore.frame(np.linalg.inv(W)), matcore.frame(W)
+    frames = matcore.Operand(np.linalg.inv(W)).frame, matcore.Operand(W).frame
     assert matcore.commutator_bound(*frames) == 0.0  # the restriction reads the diagonals
     assert compact.verify_structure(phi, T) == per_entry_structure(phi, T)
     assert compact.restriction_consistency(phi, T, subgroups) == per_entry_restriction(phi, T, subgroups)
@@ -127,7 +127,7 @@ def test_a_rotated_state_against_a_diagonal_table_takes_the_dense_residual(dtype
     T = clean_case("product-d2-S4", dtype)[1]
     phi, subgroups = rotated_product(2, 4, 31), [stabilizer(T), T.group]
     W = states.full_density(phi)
-    assert T.split is not None and None in (matcore.frame(np.linalg.inv(W)), matcore.frame(W))
+    assert T.split is not None and None in (matcore.Operand(np.linalg.inv(W)).frame, matcore.Operand(W).frame)
     got = compact.restriction_consistency(phi, T, subgroups)
     assert got == per_entry_restriction(phi, T, subgroups) == compact.restriction_consistency(
         phi, eigenframe(T), subgroups)
@@ -168,7 +168,7 @@ def test_a_plant_below_rho_lies_within_its_stated_terms(name, dtype, involution)
     eps, want = T.inverse_defects, per_entry_inverse_defects(T)
     assert within(eps, want, off * diag[inv] + diag * off[inv] + off * off[inv], len(T.stack[0]))
     assert want[[k, inv[k]]].min() > 1e-13
-    (_, m, e_m), (_, n, e_n) = (matcore.split(a.copy()) for a in (T.mean, T.mean_inv))
+    (_, m, e_m), (_, n, e_n) = (matcore.split(a.copy()) for a in (T.mean, T.mean_operand.inv.A))
     assert e_m > 0.0 and e_n > 0.0
     assert within(T.mean_defects, dense_deltas(T), off + m * e_n + e_m * n + e_m * e_n, len(T.stack[0]))
     # the structure's kappa is the mean's hermitean part: its match lies within the same

@@ -8,8 +8,8 @@ partial trace for the slice expectation.
 import numpy as np
 import pytest
 
-from quasinv import matcore, states
-from quasinv.errors import NotHomogeneous
+from quasinv import cocycle, compact, gns, matcore, states
+from quasinv.errors import NotFaithful, NotHomogeneous, SizeMismatch
 from quasinv.lattice import LocalOperator, Window, embed, enumerate_group, transposition
 from quasinv.states import (
     ProductState,
@@ -86,6 +86,19 @@ def test_is_faithful_rank_deficient():
     ok, mineig = is_faithful(st)
     assert not ok
     assert mineig == pytest.approx(0.0, abs=1e-14)
+
+
+def test_is_faithful_reads_a_lower_bound_off_a_near_diagonal_density():
+    # the diagonal clears TAU_POS, but the off-diagonal pair on the two equal entries b moves the
+    # least eigenvalue to b - e below it: read off the diagonal, lo = b - ||E||_F refuses the state
+    b, e = 1.2e-10, 0.5e-10
+    W = np.diag([0.5 - 2 * b, 0.5, b, b])
+    W[2, 3] = W[3, 2] = e
+    st = WeightedTraceState(Window(2, 2), W)
+    ok, lo = is_faithful(st)
+    assert not ok and lo <= np.linalg.eigvalsh(W)[0] < matcore.TAU_POS < b
+    with pytest.raises(NotFaithful):
+        states.faithful_density(st, st.window)
 
 
 def test_centralizer_identity_and_tracial():
@@ -181,3 +194,30 @@ def test_partial_trace_site_recovers_factors():
     for site, Wn in [(1, W1), (2, W2), (3, W3)]:
         got = partial_trace_site(full, phi.window, site)
         assert np.allclose(got, Wn, atol=1e-12)
+
+
+# every public reader of a state's density beside a table: phi on 4 sites, the table on 3
+DENSITY_READERS = {
+    "states.density": lambda phi, T: states.density(phi, T.window),
+    "states.faithful_density": lambda phi, T: states.faithful_density(phi, T.window),
+    "verify_quasi_invariance": lambda phi, T: cocycle.verify_quasi_invariance(phi, T),
+    "verify_strong": lambda phi, T: cocycle.verify_strong(T, phi),
+    "verify_centralizer_transport": lambda phi, T: cocycle.verify_centralizer_transport(
+        phi, T, T.window.identity()),
+    "restriction_consistency": lambda phi, T: compact.restriction_consistency(phi, T, [T.group]),
+    "verify_structure": lambda phi, T: compact.verify_structure(phi, T),
+    "verify_structure-decomposition": lambda phi, T: compact.verify_structure(
+        phi, T, decomposition=(compact.invariant_state(phi_on(3), T.group), compact.kappa(T))),
+    "gns.build_unitaries": lambda phi, T: gns.build_unitaries(gns.build_gns(phi), T),
+}
+
+
+def phi_on(n):
+    return homogeneous_state(2, n, W_34)
+
+
+@pytest.mark.parametrize("reader", sorted(DENSITY_READERS))
+def test_a_state_on_another_window_is_refused_with_size_mismatch(reader):
+    T = cocycle.product_state_cocycle(phi_on(3), enumerate_group(3))
+    with pytest.raises(SizeMismatch):
+        DENSITY_READERS[reader](phi_on(4), T)
