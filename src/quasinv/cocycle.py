@@ -24,10 +24,10 @@ on all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law,
 verify_strong), the power relation from the inverse relation's per-entry defects
 by the operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, X.3).
 
-A table is read in the frame where every entry clears matcore's diagonal-frame rule:
-the standard basis (eps(g) and delta(g) by matcore.product_defect), else one eigenbasis,
-else entry by entry; a lone matrix (kappa, the mean, the state density) through its Operand.
-Checks read blocks of rows, one stacked LAPACK/BLAS call each.
+A table's stack is one matcore.Operand, as kappa, the mean and the state density are: its
+facts, eps(g) and delta(g) are read off the diagonals where every entry clears matcore's
+diagonal-frame rule in the standard basis, else each entry is decomposed, exact, and the
+seeded eigenbasis T.basis frames verify_strong's commutators alone.  Checks read blocks of rows.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +46,7 @@ from .errors import (
     SingularKappa,
     SingularWeight,
 )
-from .lattice import BLOCK_BYTES, LocalOperator, _blocks, _frozen, gather, support
+from .lattice import LocalOperator, gather, support
 
 # residuals pass at 1e-8 absolute after scaling by the largest entry norm;
 # planted defects in the tests are >= 1e-3, five decades away
@@ -62,26 +62,24 @@ def _first_worst(r):
 
 
 class CocycleTable:
-    """x_g over a list of permutations, stored once as the read-only (|G|, D, D)
-    array `stack` in group order.  The entries arrive as that array (adopted if
-    read-only, else copied) or as a mapping from image tuples to operators;
-    `entries`, `entry(g)` and iteration are views onto the rows of the stack.
-    The per-entry facts and eps(g) are read in the standard basis when `split` clears
-    it, else in `basis` (eps by one SVD an entry), else decomposed; the mean M is the
-    Operand `mean_operand`, whose inverse is M^-1, and delta(g) as _coboundary_defects reads it."""
+    """x_g over a list of permutations, stored once as the read-only (|G|, D, D) array `stack`
+    in group order, the array of the matcore.Operand `operand`, whose readings are `split`,
+    `frame(rows)`, `facts` and `rowwise`.  The entries arrive as that array (adopted if read-only,
+    else copied) or as a mapping from image tuples to operators; `entries`, `entry(g)` and iteration
+    are views onto the rows of the stack.  `basis` frames verify_strong's commutators where the standard
+    basis does not clear.  The mean M is the Operand `mean_operand`, whose inverse is M^-1."""
 
     def __init__(self, group, entries, window):
         self.group, self.window = tuple(group), window
         if not any(g.is_identity() for g in self.group):
             raise MissingIdentityEntry("group enumeration lacks the identity")
         if not isinstance(entries, np.ndarray):
-            missing = [g.image for g in self.group if g.image not in entries]
-            if missing:
+            if missing := [g.image for g in self.group if g.image not in entries]:
                 raise GroupNotClosed(f"no entry for {missing[0]}")
-            entries = np.array([entries[g.image].matrix for g in self.group])
-        elif entries.flags.writeable:
-            entries = entries.copy()
-        self.stack = _frozen(matcore.promote(entries))
+            entries = matcore._frozen(np.array([entries[g.image].matrix for g in self.group]))
+        self.operand = matcore.Operand(entries)
+        self.stack = self.operand.A
+        self.operand.split  # every check reads it: a table with a NaN or inf entry is refused as it is made
 
     @cached_property
     def entries(self):
@@ -93,62 +91,33 @@ class CocycleTable:
     def __iter__(self):
         return iter((g, self.entries[g.image]) for g in self.group)
 
-    @cached_property
-    def split(self):
-        """matcore.split's scalars a row if all rows clear the rule, else None; g^-1 sends D_b to D_b[q_g]."""
-        x = self.stack
-        herm, diag, off = self.rowwise(lambda r: matcore.split(x[r]))
-        return (_frozen(herm), _frozen(diag), _frozen(off)) if matcore.clears(herm, diag, off) else None
+    split = property(lambda self: self.operand.split)
+    facts = property(lambda self: self.operand.facts)
+    rowwise = property(lambda self: self.operand.rowwise)
 
     def frame(self, rows=slice(None)):
-        """Operand.frame's (diagonals, ||E_g||_F) of the listed rows (all by default) if self.split clears."""
-        if self.split is not None:
-            return np.diagonal(self.stack, axis1=1, axis2=2)[rows], self.split[2][rows]
+        """The record's frame, (diagonals, ||E_g||_F), of the listed rows (all by default); None unless it clears."""
+        return None if (f := self.operand.frame) is None else (f[0][rows], f[1][rows])
 
     @cached_property
     def basis(self):
-        """The eigenbasis V of herm(sum_g c_g x_g), c_g seeded: diagonalizes a commuting hermitean table."""
+        """The eigenbasis V of herm(sum_g c_g x_g), c_g seeded, which diagonalizes a commuting hermitean
+        table: verify_strong's commutator frame where the standard basis does not clear."""
         x = self.stack
         H = np.tensordot(np.random.Generator(np.random.Philox(0)).standard_normal(len(x)), x, 1)
-        return _frozen(np.linalg.eigh((H + H.conj().T) / 2.0)[1])
-
-    @cached_property
-    def rotated(self):
-        """(Facts, max|D_g|, ||E_g||) of x_g = D_g + E_g off the diagonals in the standard basis if it clears
-        (self.split), else of V* x_g V if the basis V clears (err ||E_g||), else decomposed entry by entry."""
-        if self.split is not None:
-            f, (_, diag, off) = matcore.diagonal_facts(self.stack, *self.split[::2]), self.split
-        else:
-            x, V, d = self.stack, self.basis, np.arange(len(self.stack[0]))
-            def block(rows):
-                herm, y = matcore.herm_defect(x[rows]), V.conj().T @ x[rows] @ V
-                f = matcore.diagonal_facts(y, herm, 0.0)
-                y[:, d, d] = 0.0  # y minus its diagonal, exactly
-                return f.sv, f.eig, f.sv[:, 0], matcore.operator_norm(y), herm
-            sv, eig, diag, off, herm = self.rowwise(block)
-            if not (sure := matcore.clears(herm, diag, off)):
-                sv, eig = self.rowwise(lambda r: matcore.spectra(x[r]))
-            f = matcore.Facts(sv, herm, eig, off if sure else np.zeros_like(off))
-        tuple(map(_frozen, (f.sv, f.herm, f.eig, f.err, f.hermitean, f.norm)))
-        return f, _frozen(diag), _frozen(off)
-
-    facts = property(lambda self: self.rotated[0])
-
-    def rowwise(self, fn, rows=None):
-        """fn(rows) over blocks of the listed rows (all by default), its per-row arrays joined."""
-        return lattice._rowwise(fn, len(self.stack) if rows is None else rows, self.stack[0].nbytes)
+        return matcore._frozen(np.linalg.eigh((H + H.conj().T) / 2.0)[1])
 
     def scale(self):
         return max(1.0, float(self.facts.norm.max()))
 
     def row_mean(self, rows):
         """The mean of the listed entries in E_G's pairwise order, streamed one block copy at a time."""
-        return lattice._pairwise_sum(self.stack[r] for r in _blocks(rows, self.stack[0].nbytes)) / len(rows)
+        return lattice._pairwise_sum(self.stack[r] for r in matcore._blocks(rows, self.stack[0].nbytes)) / len(rows)
 
-    mean = cached_property(lambda self: _frozen(self.row_mean(np.arange(len(self.stack)))))
+    mean = cached_property(lambda self: matcore._frozen(self.row_mean(np.arange(len(self.stack)))))
     mean_operand = cached_property(lambda self: matcore.Operand(self.mean))
     # delta(g) = ||x_g - M g^-1(M^-1)|| for the mean M: the law's certificate
-    mean_defects = cached_property(lambda self: _frozen(_coboundary_defects(self, self.mean_operand)))
+    mean_defects = cached_property(lambda self: matcore._frozen(_coboundary_defects(self, self.mean_operand)))
 
     @cached_property
     def inverse_defects(self):
@@ -157,8 +126,8 @@ class CocycleTable:
         inv, x = lattice.group_table(self.group)[1], self.stack
         Qi = lattice.inverse_index(self.group, self.window)
         if (f := self.frame()) is not None:
-            return _frozen(matcore.product_defect((1.0, 0.0), f, (f[0][inv[:, None], Qi], f[1][inv])))
-        return _frozen(self.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
+            return matcore._frozen(matcore.product_defect((1.0, 0.0), f, (f[0][inv[:, None], Qi], f[1][inv])))
+        return matcore._frozen(self.rowwise(lambda r, I=np.eye(x.shape[1]): matcore.operator_norm(
             x[r] @ gather(x[inv[r]], Qi[r]) - I)))
 
 
@@ -172,9 +141,9 @@ def _coboundary_table(group, window, kappa):
     """The table x_g = kappa g^-1(kappa^-1) of the Operand kappa, block by block into one stack."""
     stack = np.empty((len(group),) + kappa.A.shape, np.result_type(kappa.A, kappa.inv.A))
     Qi = lattice.inverse_index(group, window)
-    for r in _blocks(len(group), stack[0].nbytes):
+    for r in matcore._blocks(len(group), stack[0].nbytes):
         stack[r] = _coboundary(Qi[r], kappa)
-    return CocycleTable(group, _frozen(stack), window)
+    return CocycleTable(group, matcore._frozen(stack), window)
 
 
 def _coboundary_defects(T, kappa, rows=None):
@@ -301,17 +270,23 @@ def require_strong_entries(T, tol):
 
 
 def verify_strong(T, phi, probes=None, tol=None):
-    """The strong-case bundle: hermiticity, positivity, pairwise commutation,
-    centralizer membership, and the bounds [S1, S2] of every Spec(x_g).  With
-    V* x_g V = D_g + E_g in the table's frame (T.rotated), ||[x_g, x_h]|| <= 2 matcore.remainder.
-    Witness: a non-commuting pair {g, h}; else {g, part}, the worst entry of the
-    first failing part (hermiticity, positivity, centralizer)."""
+    """The strong-case bundle: hermiticity, positivity, pairwise commutation, centralizer membership,
+    and the bounds [S1, S2] of every Spec(x_g).  ||[x_g, x_h]|| <= 2 matcore.remainder, with x_g = D_g + E_g
+    in the standard basis where the table clears it (T.split), else V* x_g V = D_g + E_g in its eigenbasis
+    V = T.basis, ||E_g|| the operator norm.  Witness: a non-commuting pair {g, h}; else {g, part}, the
+    worst entry of the first failing part (hermiticity, positivity, centralizer)."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    (f, diag, off), x, W = T.rotated, T.stack, states.density(phi, T.window).A
+    f, x, W, d = T.facts, T.stack, states.density(phi, T.window).A, np.arange(len(T.stack[0]))
+    def block(rows):  # max|D_g| and ||E_g|| of y = V* x_g V
+        y = T.basis.conj().T @ x[rows] @ T.basis
+        diag = np.abs(y[:, d, d]).max(-1)
+        y[:, d, d] = 0.0  # y minus its diagonal, exactly
+        return diag, matcore.operator_norm(y)
+    diag, off = T.split[1:] if T.frame() is not None else T.rowwise(block)
     herm, s1, s2 = float(f.herm.max()), float(f.lo.min()), float(f.hi.max())
     centrs = T.rowwise(lambda r: states.centralizer_residual(W, x[r], probes))
     comm = max(float(np.triu(2.0 * matcore.remainder(diag[r][:, None], off[r][:, None], diag, off),
-                             r[0] + 1).max()) for r in _blocks(len(x), 4 * off.nbytes))
+                             r[0] + 1).max()) for r in matcore._blocks(len(x), 4 * off.nbytes))
     centr = float(centrs.max())
     resid = max(herm, comm, centr)
     positive = s1 > 0.0
@@ -371,7 +346,7 @@ def product_state_cocycle(phi, group):
     for n, W in enumerate(phi.weights, start=1):
         kappa = np.kron(kappa, matcore.inv(W) if n in moved else one)
         kappa_inv = np.kron(kappa_inv, W if n in moved else one)
-    return _coboundary_table(group, phi.window, matcore.Operand(_frozen(kappa), _frozen(kappa_inv)))
+    return _coboundary_table(group, phi.window, matcore.Operand(matcore._frozen(kappa), matcore._frozen(kappa_inv)))
 
 
 def solve_SW(W, z):
@@ -399,7 +374,7 @@ def locally_trivial_check(T, window_sizes, tol=None):
     out, moved = [], np.array([g.image for g in T.group]) != np.arange(1, T.group[0].N + 1)
     for N in window_sizes:  # the elements that move no site above N, in group order
         sub = np.flatnonzero(~(moved & (np.arange(moved.shape[1]) >= N)).any(axis=1))
-        K = T.mean_operand if len(sub) == len(T.group) else matcore.Operand(_frozen(T.row_mean(sub)))
+        K = T.mean_operand if len(sub) == len(T.group) else matcore.Operand(matcore._frozen(T.row_mean(sub)))
         try:  # LAPACK refuses a singular mean, the kappa candidate
             K.inv
         except np.linalg.LinAlgError:

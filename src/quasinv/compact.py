@@ -42,7 +42,7 @@ STRUCTURE_TOL = 1e-9
 def haar_average(group, a):
     """E_G(a): the pairwise sum of g(a) over the group, gathered a block of rows at a time."""
     Q = lattice.group_index(group, a.window)
-    moved = (gather(a.matrix, Q[r]) for r in lattice._blocks(len(Q), a.matrix.nbytes))
+    moved = (gather(a.matrix, Q[r]) for r in matcore._blocks(len(Q), a.matrix.nbytes))
     return LocalOperator(a.window, lattice._pairwise_sum(moved) / len(group))
 
 

@@ -77,6 +77,10 @@ class NotFaithful(QuasinvError):
     pass
 
 
+class NotFinite(QuasinvError):
+    pass
+
+
 class NotNested(QuasinvError):
     pass
 

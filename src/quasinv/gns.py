@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cocycle, lattice, matcore, states
-from .lattice import LocalOperator, Permutation, _blocks, _pairwise_sum, act, gather
+from .lattice import LocalOperator, Permutation, _pairwise_sum, act, gather
 
 GNS_TOL = 1e-9
 
@@ -108,7 +108,7 @@ def _gram_defects(R, s, q):
 def _gram_norms(R, U, group):
     """||C_g|| over the list, one stacked gather and SVD a block of elements."""
     s, q = _factors(R, U, group)
-    return lattice._rowwise(lambda r: matcore.operator_norm(_gram_defects(R, s[r], q[r])),
+    return matcore._rowwise(lambda r: matcore.operator_norm(_gram_defects(R, s[r], q[r])),
                             len(s), R.W.nbytes)
 
 
@@ -117,8 +117,8 @@ def verify_unitaries(R, U, group, tol=GNS_TOL):
     cocycle.verify_cocycle_law by the coboundary g(sigma^-1) sigma, sigma = mean s_g."""
     inv, Q = lattice.group_table(group)[1], lattice.group_index(group, R.window)
     s, q = _factors(R, U, group)
-    sigma_inv = matcore.inv(sigma := _pairwise_sum(s[r] for r in _blocks(len(s), s[0].nbytes)) / len(s))
-    unit, adj, delta, norm = (float(v.max()) for v in lattice._rowwise(
+    sigma_inv = matcore.inv(sigma := _pairwise_sum(s[r] for r in matcore._blocks(len(s), s[0].nbytes)) / len(s))
+    unit, adj, delta, norm = (float(v.max()) for v in matcore._rowwise(
         lambda r: tuple(map(matcore.operator_norm, (
             _gram_defects(R, s[r], q[r]), _sharp_factors(R, s[r], q[r]) - s[inv[r]],
             s[r] - gather(sigma_inv, Q[r]) @ sigma, s[r]))), len(s), R.W.nbytes))

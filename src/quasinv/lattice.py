@@ -21,13 +21,6 @@ from .errors import GroupNotClosed, GroupTooLarge, SiteOutOfRange, SizeMismatch,
 
 TOTAL_DIM_CAP = 4096
 GROUP_ORDER_CAP = 720
-BLOCK_BYTES = 1 << 16  # the rows of one stacked call: fewer calls against larger temporaries
-
-
-def _frozen(a):
-    """a, made read-only: an array built once and handed to every caller."""
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,7 @@ def _group_index(images, window, inverse=False):
     # q[r] carries at site k the digit that r carries at site g(k): the
     # row-major index array with its axes permuted by g^-1, and by g for g^-1
     grid = np.arange(window.total_dim).reshape((window.d,) * window.N)
-    return _frozen(np.array([grid.transpose(np.subtract(image, 1) if inverse else np.argsort(image))
+    return matcore._frozen(np.array([grid.transpose(np.subtract(image, 1) if inverse else np.argsort(image))
                              .reshape(-1) for image in images]))
 
 
@@ -205,7 +198,7 @@ def positions(group, elements):
 def _group_table(images):
     A = np.array(images) - 1
     # the k-th image of g_i g_j is A[i, A[j, k]]; argsort inverts each row
-    return _frozen(_positions(A, A[:, A])), _frozen(_positions(A, np.argsort(A, axis=1)))
+    return matcore._frozen(_positions(A, A[:, A])), matcore._frozen(_positions(A, np.argsort(A, axis=1)))
 
 
 def group_table(group):
@@ -238,19 +231,6 @@ def act(g, a):
 def act_inverse(g, a):
     """g^-1(a) = P_g* a P_g."""
     return LocalOperator(a.window, gather(a.matrix, inverse_index([g], a.window)[0]))
-
-
-def _blocks(rows, row_bytes):
-    """Runs of the listed rows (range(rows) for a count) of at most BLOCK_BYTES, one at least."""
-    rows = np.arange(rows) if np.ndim(rows) == 0 else np.asarray(rows)
-    step = max(1, BLOCK_BYTES // row_bytes)
-    return [rows[k:k + step] for k in range(0, len(rows), step)]
-
-
-def _rowwise(fn, rows, row_bytes):
-    """fn(block) over the blocks of the listed rows (range(rows) for a count), its row arrays joined."""
-    out = [fn(r) for r in _blocks(rows, row_bytes)]
-    return tuple(map(np.concatenate, zip(*out))) if isinstance(out[0], tuple) else np.concatenate(out)
 
 
 def _pairwise_sum(blocks):

@@ -6,8 +6,9 @@ facts the strong-case checks read (singular values, hermiticity defect, hermitea
 spectrum, invertibility, within err), each over stacks (..., d, d) too.  The diagonal
 frame: A = D + E (diagonal, off-diagonal) hermitean with ||E||_F <= RHO max(1, max|D|)
 is read off D, its facts within err ||E||_F and each product or commutator by the
-diagonals plus remainder, a lone matrix through its Operand, which reads them once.
-All linear algebra funnels through here: one home for tolerances.
+diagonals plus remainder; elsewhere the facts are decomposed, exact.  Every matrix a check
+reads, lone or a cocycle table's stack, is one Operand: read once, in blocks of at most
+BLOCK_BYTES of rows, a non-finite entry refused.  All linear algebra funnels through here.
 """
 
 import weakref
@@ -16,14 +17,33 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FloorTooLarge, NotHermitian, NotPositive
+from .errors import FloorTooLarge, NotFinite, NotHermitian, NotPositive
 
 # absolute tolerances, scale-adjusted by the operator norm where noted
 TAU_HERM = 1e-10   # hermiticity: ||A - A*|| <= TAU_HERM * ||A||
 TAU_POS = 1e-10    # positivity threshold on eigenvalues
-TAU_REL = 1e-9     # relative residual for reconstructions
 TAU_ABS = 1e-12    # absolute residual (traces, normalization)
-RHO = 1e-10        # diagonal frame: ||E|| <= RHO * max(1, max|D|); rotated tables read <= 5.6e-12 (D 243)
+RHO = 1e-10        # diagonal frame: ||E|| <= RHO * max(1, max|D|); a clean CLI table reads E = 0
+BLOCK_BYTES = 1 << 16  # the rows of one stacked call: fewer calls against larger temporaries
+
+
+def _frozen(a):
+    """a, made read-only: an array built once and handed to every caller (a scalar is immutable as it is)."""
+    np.asarray(a).flags.writeable = False
+    return a
+
+
+def _blocks(rows, row_bytes):
+    """Runs of the listed rows (range(rows) for a count) of at most BLOCK_BYTES, one at least."""
+    rows = np.arange(rows) if np.ndim(rows) == 0 else np.asarray(rows)
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [rows[k:k + step] for k in range(0, len(rows), step)]
+
+
+def _rowwise(fn, rows, row_bytes):
+    """fn(block) over the blocks of the listed rows (range(rows) for a count), its row arrays joined."""
+    out = [fn(r) for r in _blocks(rows, row_bytes)]
+    return tuple(map(np.concatenate, zip(*out))) if isinstance(out[0], tuple) else np.concatenate(out)
 
 
 def promote(a):
@@ -148,11 +168,12 @@ class Facts:
     eig: np.ndarray
     err: float | np.ndarray = 0.0
 
-    norm = cached_property(lambda self: self.sv[..., 0] + self.err if self.sv.ndim > 1
+    norm = cached_property(lambda self: _frozen(self.sv[..., 0] + self.err) if self.sv.ndim > 1
                            else float(self.sv[0] + self.err))
-    hermitean = cached_property(lambda self: hermitean(self.herm, self.norm))
+    hermitean = cached_property(lambda self: _frozen(hermitean(self.herm, self.norm)))
     lo = property(lambda self: self.eig[..., 0] - self.err)
     hi = property(lambda self: self.eig[..., -1] + self.err)
+    arrays = property(lambda self: (self.sv, self.herm, self.eig, self.err))
 
     @property
     def invertible(self):
@@ -164,28 +185,22 @@ class Facts:
         return len(self.herm)
 
     def __getitem__(self, j):
-        return Facts(self.sv[j], float(self.herm[j]), self.eig[j], float(np.take(self.err, j, mode="wrap")))
-
-
-def spectra(A):
-    """(singular values, eigenvalues of (A + A*)/2) of A or of each matrix of a stack."""
-    return np.linalg.svd(A, compute_uv=False), np.linalg.eigvalsh((A + dagger(A)) / 2.0)
+        return Facts(self.sv[j], float(self.herm[j]), self.eig[j], float(self.err[j]))
 
 
 def facts(A):
-    """The decomposed Facts of a lone matrix (or of each of a stack): two SVDs (A, A - A*), one eigvalsh."""
-    A = promote(A)
-    (sv, eig), herm = spectra(A), herm_defect(A)
-    return Facts(sv, herm, eig)
+    """The decomposed Facts of A, or of each matrix of a stack: two SVDs (A, A - A*), one eigvalsh, err 0."""
+    sv, herm = np.linalg.svd(A := promote(A), compute_uv=False), herm_defect(A)
+    return Facts(sv, herm, np.linalg.eigvalsh((A + dagger(A)) / 2.0), np.zeros_like(herm))
 
 
 def split(y):
     """(||y - y*||_F, max|D|, ||E||_F) of each y = D + E (diagonal, off-diagonal) of the owned stack y,
     whose diagonal it zeroes: the rule's scalars, O(D^2) and no LAPACK call."""
-    d = np.arange(y.shape[-1])
-    herm, diag = np.linalg.norm(y - dagger(y), axis=(-2, -1)), np.abs(y[..., d, d]).max(-1)
+    d, fro = np.arange(y.shape[-1]), lambda z: np.sqrt(np.add.reduce((z.conj() * z).real, axis=(-2, -1)))
+    herm, diag = fro(y - dagger(y)), np.abs(y[..., d, d]).max(-1)
     y[..., d, d] = 0.0
-    return herm, diag, np.linalg.norm(y, axis=(-2, -1))
+    return herm, diag, fro(y)
 
 
 def clears(herm, diag, off):
@@ -196,24 +211,45 @@ def clears(herm, diag, off):
 def diagonal_facts(x, herm, off):
     """The Facts of x = D + E (or of each of a stack) from split's herm and off: |D|, Re D, err ||E||_F."""
     D = np.diagonal(x, axis1=-2, axis2=-1)
-    return Facts(np.sort(np.abs(D))[..., ::-1], herm, np.sort(D.real), off)
+    return Facts(_frozen(np.sort(np.abs(D))[..., ::-1]), herm, _frozen(np.sort(D.real)), off)
 
 
 @dataclass(frozen=True, eq=False)
 class Operand:
-    """A lone matrix A (or a stack) held read-only, a read-only array adopted and a writeable one copied,
-    with what the checks read of it, each formed on first read and kept: split's scalars, the frame
-    (need_herm=False drops the rule's hermiticity clause), the Facts (off the diagonal where A clears
-    the rule, else decomposed) and inv, the record of the given inverse or of inv(A), its inv this one."""
+    """A matrix A, or a stack (..., d, d) of them, held read-only (a read-only array adopted, a writeable one
+    copied) and read whole if it fits BLOCK_BYTES, else as the stack `rows` (a lone matrix the stack of one)
+    in blocks of at most BLOCK_BYTES.  Each reading is formed on first read, frozen and kept: split's scalars
+    (NotFinite unless all are finite, as a NaN or inf entry leaves its matrix's), the frame (need_herm=False
+    drops the rule's hermiticity clause), the Facts (off the diagonal where A clears the rule, else
+    decomposed) and inv, the record of the given inverse or of inv(A), its inv this one."""
 
     def __init__(self, A, inv=None, need_herm=True):
         if (A := promote(A)).flags.writeable:
             (A := A.copy()).flags.writeable = False
-        self.__dict__.update(A=A, _given=inv, need_herm=need_herm)
+        self.__dict__.update(A=A, rows=A.reshape((-1,) + A.shape[-2:]), _given=inv, need_herm=need_herm)
 
-    split = cached_property(lambda self: split(self.A.copy()))
-    facts = cached_property(lambda self: diagonal_facts(self.A, *self.split[::2]) if clears(*self.split)
-                            else facts(self.A))
+    def rowwise(self, fn, rows=None):
+        """fn(rows) over blocks of the listed rows of self.rows (all by default), its per-row arrays joined."""
+        return _rowwise(fn, len(self.rows) if rows is None else rows, self.rows[0].nbytes)
+
+    def _read(self, fn):
+        """fn of a copy of A, or past BLOCK_BYTES of each block of its rows, joined in A's shape; frozen."""
+        if self.A.nbytes <= BLOCK_BYTES:
+            return tuple(map(_frozen, fn(self.A.copy())))
+        return tuple(_frozen(a).reshape(self.A.shape[:-2] + a.shape[1:])[()]
+                     for a in self.rowwise(lambda r: fn(self.rows[r])))
+
+    @cached_property
+    def split(self):
+        if not np.isfinite(sum(s := self._read(split))).all():  # the scalars are >= 0: a NaN or inf stays
+            raise NotFinite("a matrix with a NaN or inf entry, or a norm past the float range")
+        return s
+
+    @cached_property
+    def facts(self):
+        herm, diag, off = self.split
+        return (diagonal_facts(self.A, herm, off) if clears(herm, diag, off)
+                else Facts(*self._read(lambda y: facts(y).arrays)))
 
     @cached_property
     def frame(self):
@@ -225,7 +261,7 @@ class Operand:
     def inv(self):
         """Formed on first read and kept; it holds this record weakly, so a pair makes no reference cycle."""
         if (K := self.__dict__.get("_inv")) is None or isinstance(K, weakref.ref) and (K := K()) is None:
-            K = Operand(inv(self.A) if self._given is None else self._given, self.A)
+            K = Operand(_frozen(inv(self.A)) if self._given is None else self._given, self.A)
             K.__dict__["_inv"], self.__dict__["_inv"] = weakref.ref(self), K
         return K
 

@@ -13,8 +13,8 @@ from functools import reduce
 import numpy as np
 
 from . import matcore
-from .errors import NotFaithful, NotHomogeneous, SizeMismatch
-from .lattice import LocalOperator, Window, _blocks, gather, inverse_index
+from .errors import NotFaithful, NotFinite, NotHomogeneous, SizeMismatch
+from .lattice import LocalOperator, Window, gather, inverse_index
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,20 @@ def homogeneous_state(d, N, W):
 
 
 def full_density(phi):
-    """The full-window density matrix of the state."""
+    """The full-window density matrix of the state: a product state's, built here, read-only."""
     if isinstance(phi, WeightedTraceState):
         return phi.W
     if isinstance(phi, ProductState):
-        return reduce(np.kron, phi.weights)
+        return matcore._frozen(reduce(np.kron, phi.weights[1:], phi.weights[0].copy()))
     return matcore.promote(phi)
 
 
 def density(phi, window):
-    """The matcore.Operand of the state's full-window density; SizeMismatch unless it is on the window."""
-    return matcore.Operand(LocalOperator(window, full_density(phi)).matrix)
+    """The matcore.Operand of the state's full-window density; SizeMismatch unless it is on the window, and
+    NotFinite for a NaN or inf entry, which would give NaN residuals, and NaN compares false with any tol."""
+    if not np.isfinite(W := LocalOperator(window, full_density(phi)).matrix).all():
+        raise NotFinite("a state density with a NaN or inf entry")
+    return matcore.Operand(W)
 
 
 def evaluate(phi, a):
@@ -113,7 +116,7 @@ def probe_blocks(probes, D):
         raise SizeMismatch(f"probe on dim {bad.shape[0]}, identity on dim {D}")
     mats = mats or [np.zeros((D, D))]
     return (np.concatenate(mats[r[0]:r[-1] + 1]).reshape(len(r), D * D)
-            for r in _blocks(len(mats), 16 * D * D))
+            for r in matcore._blocks(len(mats), 16 * D * D))
 
 
 def pairing_residual(M, probes=None):
@@ -173,5 +176,5 @@ def is_exchangeable(psi, group):
     W = LocalOperator(psi.window, full_density(psi)).matrix
     q = inverse_index(group, psi.window)
     return max((float(pairing_residual(gather(W, q[r]) - W)[0].max())
-                for r in _blocks(len(group), W.nbytes)), default=0.0)
+                for r in matcore._blocks(len(group), W.nbytes)), default=0.0)
 

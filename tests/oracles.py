@@ -14,6 +14,8 @@ mean and defects are cold; a registry that memoizes a build (blocked_case)
 wraps the stored stack in a new table on each call.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from quasinv import cli, cocycle, compact, gns, limits, matcore, qmc, states
@@ -393,9 +395,12 @@ def per_entry_facts(T):
 
 
 class EigenframeTable(CocycleTable):
-    """A table read without the standard basis: its facts come from T.basis (or from
-    each entry decomposed), and eps(g) and delta(g) from one SVD an entry."""
-    split = None
+    """A table read without the standard basis: its facts decomposed entry by entry, eps(g)
+    and delta(g) one SVD an entry, and verify_strong's commutators in T.basis."""
+    facts = cached_property(lambda self: matcore.facts(self.stack))
+
+    def frame(self, rows=None):
+        return None
 
 
 def eigenframe(T):

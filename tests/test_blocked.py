@@ -128,7 +128,7 @@ def test_probe_blocks_hold_the_budget_and_the_probes_in_order():
     probes = [LocalOperator(window, matcore.random_matrix(16, seed=k)) for k in range(40)]
     probes += [matcore.random_hermitian(16, seed=99).real, np.arange(256).reshape(16, 16)]
     blocks = list(states.probe_blocks(probes, 16))
-    assert len(blocks) > 1 and all(P.nbytes <= cocycle.BLOCK_BYTES for P in blocks)
+    assert len(blocks) > 1 and all(P.nbytes <= matcore.BLOCK_BYTES for P in blocks)
     rows = np.concatenate(blocks)
     want = [a.matrix if isinstance(a, LocalOperator) else a for a in probes]
     assert np.array_equal(rows, np.array([a.reshape(-1) for a in want]))
@@ -149,7 +149,7 @@ def test_pairing_holds_no_second_copy_of_the_probes():
     finally:
         tracemalloc.stop()
     # the transposed rows of M and a few probe blocks, far from a second copy of the probes
-    assert peak < M.nbytes + 4 * cocycle.BLOCK_BYTES < sum(a.matrix.nbytes for a in probes)
+    assert peak < M.nbytes + 4 * matcore.BLOCK_BYTES < sum(a.matrix.nbytes for a in probes)
     want = [max(abs(np.einsum("ij,ji->", m, a.matrix)) for a in probes) for m in M]
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -265,14 +265,14 @@ def test_exhaustive_law_equals_the_per_pair_loop(planted):
 
 def test_blocks_hold_the_budget_and_cover_the_rows():
     _, T = blocked_case("rotated-d2-S5-D32", False)
-    blocks = cocycle._blocks(len(T.group), T.stack[0].nbytes)
+    blocks = matcore._blocks(len(T.group), T.stack[0].nbytes)
     assert np.array_equal(np.concatenate(blocks), np.arange(len(T.group)))
-    assert all(len(r) * T.stack[0].nbytes <= cocycle.BLOCK_BYTES for r in blocks)
+    assert all(len(r) * T.stack[0].nbytes <= matcore.BLOCK_BYTES for r in blocks)
     assert len(blocks) > 1
     rows = [7, 3, 100, 5, 9, 11]
-    assert np.concatenate(cocycle._blocks(rows, T.stack[0].nbytes)).tolist() == rows
+    assert np.concatenate(matcore._blocks(rows, T.stack[0].nbytes)).tolist() == rows
     # one row a block when a row alone passes the budget
-    assert [len(r) for r in cocycle._blocks(3, 2 * cocycle.BLOCK_BYTES)] == [1, 1, 1]
+    assert [len(r) for r in matcore._blocks(3, 2 * matcore.BLOCK_BYTES)] == [1, 1, 1]
     # rowwise joins per-row outputs, single arrays and tuples, in row order
     assert T.rowwise(lambda r: r * 2, rows).tolist() == [2 * k for k in rows]
     got = T.rowwise(lambda r: (r, matcore.operator_norm(T.stack[r])))

@@ -1,20 +1,19 @@
-"""The per-entry facts of a cocycle table, read off one frame per table.
+"""The per-entry facts of a cocycle table, read off its record once per table.
 
 `CocycleTable.facts` holds, per entry, the singular values, the hermiticity
-defect and the hermitean-part spectrum.  A table that the standard basis or
-its eigenbasis diagonalizes (||E_g|| within RHO) reads them off the diagonal
-in that frame, each within its err; any other table decomposes every entry.
-The checks that read them are compared here with the per-check computations
-they replaced, kept in tests/oracles.py: on the diagonal D <= 16 tables, clean and with planted non-hermitean,
-non-positive and singular entries, the facts agree bit for bit and the
-strong-entry and invertibility screens raise the same first error.  On rotated
-tables, real and complex, at D <= 16 and S_5 at D 32, every check agrees with
-its exact per-entry form within the certificate's radius, with the same
-verdicts and witnesses, and a plant that the certificate misses gives the
-exact form's report bit for bit.  Counting the LAPACK calls of a run pins
-what the frames save: a clean (diagonal) run builds no basis and decomposes no
-entry, and a table read in its eigenbasis takes one eigh and no decomposition
-of a certified entry.
+defect and the hermitean-part spectrum.  A table that the standard basis
+diagonalizes (||E_g|| within RHO) reads them off the diagonal, each within its
+err; any other table decomposes every entry, exact.  The checks that read them
+are compared here with the per-check computations they replaced, kept in
+tests/oracles.py: on the diagonal D <= 16 tables, clean and with planted
+non-hermitean, non-positive and singular entries, the facts agree bit for bit
+and the strong-entry and invertibility screens raise the same first error.  On
+rotated tables, real and complex, at D <= 16 and S_5 at D 32, the facts are the
+decomposed ones bit for bit and every check reports what its exact per-entry form
+reports (the power relation an upper bound with the same verdict).  Counting
+the LAPACK calls of a run pins what the frame saves: a clean (diagonal) run
+builds no basis and decomposes no entry, and only verify_strong's commutators
+read the eigenbasis of a table the standard basis does not clear.
 """
 
 import json
@@ -169,7 +168,7 @@ def test_a_clean_structure_run_gives_no_row_or_coboundary_difference_to_svd(tmp_
     # once each, as the records the decomposition, the faithfulness screen and the restriction share
     lone = record_lone_splits(monkeypatch)
     code, T, given = scenario_run(tmp_path, monkeypatch, "structure")
-    assert code == 0 and T.split is not None
+    assert code == 0 and T.frame() is not None
     W = states.full_density(cli._seeded_diagonal_state(2, 4, 1, 1e-3))  # the run's state (defaults)
     kap = (T.mean + T.mean.conj().T) / 2.0
     q = inverse_index(T.group, T.window)
@@ -213,8 +212,8 @@ def test_a_clean_trivial_run_decomposes_no_entry(tmp_path, monkeypatch):
 
 
 def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
-    # the planted entry mixes the basis, so no entry is certified: each entry
-    # takes the exact calls once, one svd of x_g and one eigvalsh of its hermitean part
+    # the planted entry leaves the standard basis, so each entry is decomposed:
+    # the exact calls once, one svd of x_g and one eigvalsh of its hermitean part
     code, T, given = scenario_run(tmp_path, monkeypatch, "product", "--defect", "1e-3")
     assert code == 1 and not T.facts.err.any()
     parts = [(x + x.conj().T) / 2.0 for x in T.stack]
@@ -226,13 +225,13 @@ def test_product_run_decomposes_each_hermitean_part_once(tmp_path, monkeypatch):
 
 def record_entry_norms(monkeypatch):
     """The matrices given to operator_norm and herm_defect outside the pass that
-    builds a table's facts, CocycleTable.rotated, each matrix of a stack on its own."""
+    builds a record's facts, matcore.Operand.facts, each matrix of a stack on its own."""
     normed = []
 
     def recorded(fn):
         def wrapper(A):
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code.co_name != "rotated":
+            while frame is not None and frame.f_code.co_name != "facts":
                 frame = frame.f_back
             if frame is None:
                 normed.extend(rows_of(A))
@@ -266,16 +265,18 @@ def test_unitaries_norm_no_entry_outside_its_facts(monkeypatch):
     assert not any(np.array_equal(A, x) for A in normed for x in T.stack)
 
 
-def count_rotations(monkeypatch):
-    """The entries each CocycleTable.rotated pass reads, one count per table built."""
-    passes, rotated = [], CocycleTable.rotated
+def count_fact_passes(monkeypatch):
+    """The entries each pass that builds a table's facts reads, one count per stack
+    (matcore.Operand.facts of a lone matrix not among them)."""
+    passes, facts = [], matcore.Operand.facts
 
     def counted(self):
-        passes.append(len(self.stack))
-        return rotated.func(self)
+        if self.A.ndim == 3:
+            passes.append(len(self.A))
+        return facts.func(self)
     prop = cached_property(counted)
-    prop.__set_name__(CocycleTable, "rotated")
-    monkeypatch.setattr(CocycleTable, "rotated", prop)
+    prop.__set_name__(matcore.Operand, "facts")
+    monkeypatch.setattr(matcore.Operand, "facts", prop)
     return passes
 
 
@@ -292,23 +293,35 @@ def test_structure_run_averages_the_table_and_the_state_once(tmp_path, monkeypat
 
     counted(compact, "kappa")
     counted(compact, "invariant_state")
-    passes = count_rotations(monkeypatch)
+    passes = count_fact_passes(monkeypatch)
     out = tmp_path / "r.json"
     assert cli.main(["run", "--scenario", "structure", "--n-sites", "4", "--out", str(out)]) == 0
     assert calls == {"kappa": 1, "invariant_state": 1} and passes == [24]
     assert json.loads(out.read_text())["summary"]["all_pass"] is True
 
 
-def test_the_strong_check_reads_the_tables_rotation(monkeypatch):
-    # with the facts built, verify_strong takes no eigh and rotates no entry: its
-    # one pass over the rows is the centralizer pairing
+def test_the_strong_check_reads_a_diagonal_table_with_no_basis(monkeypatch):
+    # with the facts built, verify_strong on a diagonal table builds no basis, takes no
+    # LAPACK call and reads no facts again: its one pass over the rows is the centralizer pairing
     phi, T = product_on_sites(3, 3)
     T.facts
     given = record_linalg(monkeypatch)
     normed = record_entry_norms(monkeypatch)
-    passes = count_rotations(monkeypatch)
+    passes = count_fact_passes(monkeypatch)
     assert cocycle.verify_strong(T, phi).passed
     assert given == {"eigh": [], "eigvalsh": [], "svd": []} and normed == [] and passes == []
+    assert "basis" not in vars(T)
+
+
+def test_the_facts_of_a_planted_table_build_no_basis():
+    # the planted entry leaves the standard basis: the facts are decomposed entry by entry,
+    # and only verify_strong's commutators read the eigenbasis
+    phi, T = CASES["product-D8"]
+    T = cli._plant_defect(T, 1e-3)
+    assert T.frame() is None and raised(compact.kappa, T) is not None
+    assert "basis" not in vars(T)
+    cocycle.verify_strong(T, phi)
+    assert "basis" in vars(T)
 
 
 # ---- each per-entry defect is computed once per run ------------------------
@@ -349,13 +362,12 @@ def test_a_run_computes_each_defect_of_an_entry_once(tmp_path, monkeypatch, argv
     assert rows == {"inverse_defects": normed, "_coboundary_defects": normed}
 
 
-# ---- the certified facts and checks against their exact per-entry forms -----
+# ---- rotated tables: the facts and checks against their exact per-entry forms ----
 
 ROTATED = {"real-d2-S4": (2, 4, 4, 21, True), "complex-d2-S4": (2, 4, 4, 22, False),
            "real-d2-S3": (2, 3, 3, 23, True), "complex-d2-S3": (2, 3, 3, 24, False),
            "real-d2-S5-D32": (2, 5, 5, 25, True), "complex-d2-S5-D32": (2, 5, 5, 26, False)}
-# what the certificate misses (a non-hermitean or non-commuting entry mixes the
-# basis): every entry is decomposed, and every report equals the exact form's
+# the plants besides "negated": a non-hermitean, non-commuting or singular entry
 MISSED = ("cli", "skewed", "mixed", "projected")
 _rotated = {}
 
@@ -393,22 +405,19 @@ PAIRS = [(name, plant) for name in ROTATED
 
 
 @pytest.mark.parametrize("name, plant", PAIRS)
-def test_certified_facts_lie_within_their_radius(name, plant):
+def test_a_rotated_tables_facts_are_the_decomposed_ones(name, plant):
     _, T = certified_case(name, plant)
-    assert T.facts.err.any() == (plant not in MISSED)  # a rotated table sits off its diagonal
-    assert np.all(T.facts.err <= matcore.RHO * np.maximum(1.0, T.facts.sv[:, 0]))
+    assert T.frame() is None and not T.facts.err.any()  # a rotated table sits off its diagonal
     for f, want in zip(T.facts, per_entry_facts(T), strict=True):
-        r = f.err + 16 * len(T.stack[0]) * EPS * f.norm if f.err else 0.0
-        assert np.abs(f.sv - want.sv).max() <= r and np.abs(f.eig - want.eig).max() <= r
-        assert want.norm <= f.norm + r and f.lo - r <= want.eig[0] and want.eig[-1] <= f.hi + r
+        assert np.array_equal(f.sv, want.sv) and np.array_equal(f.eig, want.eig)
         assert f.herm == want.herm and (f.hermitean, f.invertible) == (want.hermitean, want.invertible)
 
 
 @pytest.mark.parametrize("check", sorted(CERTIFIED_CHECKS))
 @pytest.mark.parametrize("name, plant", PAIRS)
 def test_certified_checks_agree_with_their_exact_forms(name, plant, check):
-    # bit for bit where the certificate misses (radius 0), else within the radius
-    # with the same verdict, witness or error; the power relation is an upper bound
+    # bit for bit, every entry decomposed (radius 0); the power relation is an upper bound
+    # with the same verdict, witness or error
     phi, T = certified_case(name, plant)
     new, old = CERTIFIED_CHECKS[check]
     got, want = outcome(new, phi, T), outcome(old, phi, T)

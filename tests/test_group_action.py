@@ -265,7 +265,7 @@ def test_markov_sandwich_runs_in_blocks():
     table_bytes = len(group) * M.R.matrix.nbytes
 
     def sandwich():
-        for r in lattice._blocks(len(group), M.R.matrix.nbytes):
+        for r in matcore._blocks(len(group), M.R.matrix.nbytes):
             sub = [group[k] for k in r]
             y = qmc.y_cocycle(M, sub)
             qmc.sandwich_residual(M, sub, y=y)

@@ -138,11 +138,12 @@ def test_matrix_power_rejects_nonpositive():
 @pytest.mark.parametrize("s", [-1.0, -0.5, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("t", [-1.0, -0.5, 0.5, 1.0, 2.0])
 def test_matrix_power_addition_law(s, t):
+    tau_rel = 1e-9  # relative residual of the reconstruction
     P = matcore.random_density(4, 0.1, seed=13)
     lhs = matcore.matrix_power(P, s) @ matcore.matrix_power(P, t)
     rhs = matcore.matrix_power(P, s + t)
     norm = matcore.operator_norm(P)
-    assert matcore.operator_norm(lhs - rhs) <= matcore.TAU_REL * norm ** (abs(s) + abs(t))
+    assert matcore.operator_norm(lhs - rhs) <= tau_rel * norm ** (abs(s) + abs(t))
 
 
 def test_operator_norm_identity():
@@ -367,6 +368,35 @@ def test_the_operand_reads_the_former_frame_and_facts(name, dtype):
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
+def readings(K):
+    """The arrays a record caches: split's scalars, the frame (if A clears) and the facts."""
+    f = K.facts
+    return [*K.split, *(K.frame or ()), f.sv, f.herm, f.eig, f.err, f.hermitean, f.norm]
+
+
+@pytest.mark.parametrize("block_bytes", [1, matcore.BLOCK_BYTES])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("names", [("cleared", "planted-1e-12", "cleared"), ("cleared", "rotated", "non-hermitean")])
+def test_a_stack_reads_each_matrix_as_the_lone_record_and_freezes_its_readings(names, dtype, block_bytes,
+                                                                               monkeypatch):
+    # one matrix a block, or each record read whole: the stack clears (diagonal facts) or not (every
+    # matrix decomposed) as a whole, each matrix reading bit for bit as its lone record does when that
+    # clears alike
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", block_bytes)
+    mats = [(A.real if dtype is np.float64 else A).astype(dtype) for A in map(operand_cases().get, names)]
+    S = matcore.Operand(np.array(mats))
+    clear = S.frame is not None
+    assert clear == ("rotated" not in names)
+    for j, A in enumerate(mats):
+        assert [s[j] for s in S.split] == list(matcore.split(A.copy()))
+        got, want = S.facts[j], oracle_frame_facts(A) if clear else matcore.facts(A)
+        for field in ("sv", "herm", "eig", "err"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert (S.facts.norm[j], S.facts.hermitean[j]) == (want.norm, want.hermitean)
+    for K in (S, matcore.Operand(mats[0])):
+        assert not any(np.asarray(a).flags.writeable for a in readings(K) if isinstance(a, np.ndarray))
+
+
 def test_the_operand_reads_a_copy_of_a_writeable_array_and_adopts_a_read_only_one():
     A = np.diag([1.0, 2.0, 3.0])
     K = matcore.Operand(A)
@@ -391,6 +421,13 @@ def test_the_operand_inverse_is_formed_once_and_a_given_one_adopted():
     assert given.inv.inv is given
     B.flags.writeable = False
     assert matcore.Operand(A, B).inv.A is B
+
+
+def test_the_operand_adopts_the_inverse_it_forms(monkeypatch):
+    # the fresh inv(A) is frozen and held as it is, not copied
+    A, B = np.diag([1.0, 2.0]), np.diag([1.0, 0.5])
+    monkeypatch.setattr(matcore, "inv", lambda _: B)
+    assert matcore.Operand(A).inv.A is B and not B.flags.writeable
 
 
 @pytest.mark.parametrize("A", [np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [2.0, 4.0]])])

@@ -1,8 +1,8 @@
 """A diagonal table read in the standard basis, against its dense forms.
 
 When every entry x_g = D_g + E_g (diagonal, off-diagonal) is hermitean with
-||E_g||_F <= RHO max(1, max|D_g|), CocycleTable reads the table off its
-diagonals: the facts are sorted |D_g| and Re D_g within err = ||E_g||_F, and
+||E_g||_F <= RHO max(1, max|D_g|), the table's matcore.Operand reads it off
+its diagonals: the facts are sorted |D_g| and Re D_g within err = ||E_g||_F, and
 
     eps(g)   = max|d_g d_b[q_g] - 1| + ||E_g|| max|D_b| + max|D_g| ||E_b|| + ||E_g|| ||E_b||
     ||x_g - K g^-1(N)|| <= max|d_g - k n[q_g]| + ||E_g|| + max|k| ||E_N|| + ||E_K|| max|n| + ||E_K|| ||E_N||
@@ -11,14 +11,15 @@ diagonals: the facts are sorted |D_g| and Re D_g within err = ||E_g||_F, and
 rule: the mean for the law's delta(g), a subgroup mean for local triviality,
 the mean's hermitean part for the structure decomposition, W^-1 for the
 restriction).  The dense forms, kept in tests/oracles.py, are the per-entry
-SVDs and eigvalsh and the table read in its eigenbasis (`eigenframe`).  On
-clean tables, real and complex128, with and without spectator sites, every
-fact and defect equals the dense value bit for bit, every check reports what
-the eigenbasis reading and the per-entry forms report, and T.basis is never
-built.  Under an off-diagonal plant below RHO each value lies between the
-exact one and the exact one plus its stated terms, and each check reports
-the eigenbasis reading's verdict and witness.  A 1e-3 plant, a negated entry
-and a singular entry give the reports the eigenbasis reading gives; a diagonal
+SVDs and eigvalsh and the table read without the standard basis (`eigenframe`:
+each entry decomposed, the strong check's commutators in T.basis).  On clean
+tables, real and complex128, with and without spectator sites, every fact and
+defect equals the dense value bit for bit, every check reports what the dense
+reading and the per-entry forms report, and T.basis is never built.  Under an
+off-diagonal plant below RHO each value lies between the exact one and the
+exact one plus its stated terms, and each check reports the dense reading's
+verdict and witness.  A 1e-3 plant, a negated entry and a singular entry give
+the reports the dense reading gives; a diagonal
 table against a rotated state gives the restriction's dense residual; and the
 markov runner's ||x_g - y_g y_g*||, read off the diagonals, lies within its
 stated terms of the dense value under plants in x and in y.
@@ -86,7 +87,7 @@ def dense_deltas(T):
 @pytest.mark.parametrize("name", sorted(CLEAN))
 def test_a_clean_table_reads_the_dense_values_bit_for_bit(name, dtype):
     phi, T = clean_case(name, dtype)
-    assert T.split is not None and not T.facts.err.any()
+    assert T.frame() is not None and not T.facts.err.any()
     for f, want in zip(T.facts, per_entry_facts(T), strict=True):
         assert np.array_equal(f.sv, want.sv) and np.array_equal(f.eig, want.eig)
         assert f.herm == want.herm and (f.hermitean, f.invertible) == (want.hermitean, want.invertible)
@@ -127,7 +128,7 @@ def test_a_rotated_state_against_a_diagonal_table_takes_the_dense_residual(dtype
     T = clean_case("product-d2-S4", dtype)[1]
     phi, subgroups = rotated_product(2, 4, 31), [stabilizer(T), T.group]
     W = states.full_density(phi)
-    assert T.split is not None and None in (matcore.Operand(np.linalg.inv(W)).frame, matcore.Operand(W).frame)
+    assert T.frame() is not None and None in (matcore.Operand(np.linalg.inv(W)).frame, matcore.Operand(W).frame)
     got = compact.restriction_consistency(phi, T, subgroups)
     assert got == per_entry_restriction(phi, T, subgroups) == compact.restriction_consistency(
         phi, eigenframe(T), subgroups)
@@ -205,7 +206,7 @@ def test_markov_reads_x_minus_y_y_star_within_its_stated_terms(tmp_path, monkeyp
     checks = json.loads(out.read_text())["checks"]
     got = next(c["residual"] for c in checks if c["name"] == "x_equals_y_y_star")
     terms = T.split[2].max() + 2.0 * np.abs(np.diagonal(y, axis1=1, axis2=2)).max() * e_y + e_y * e_y
-    assert T.split is not None and dense > 1e-13
+    assert T.frame() is not None and dense > 1e-13
     assert within(np.array([got]), np.array([dense]), terms, len(y[0]))
 
 
@@ -270,5 +271,5 @@ def test_a_broken_entry_reports_what_its_eigenbasis_reports(name, dtype, plant, 
     phi, T = clean_case(name, dtype)
     k = next(i for i, g in enumerate(T.group) if not g.is_identity())
     T = cli._plant_defect(T, 1e-3) if plant == "cli" else broken(T, [(k, plant)])
-    assert (T.split is None) == (plant == "cli")
+    assert (T.frame() is None) == (plant == "cli")
     assert outcome(CHECKS[check], phi, T) == outcome(CHECKS[check], phi, eigenframe(T))

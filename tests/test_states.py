@@ -101,6 +101,22 @@ def test_is_faithful_reads_a_lower_bound_off_a_near_diagonal_density():
         states.faithful_density(st, st.window)
 
 
+def test_the_density_record_adopts_a_product_density_and_copies_a_callers(monkeypatch):
+    # a product state's Kronecker density is built read-only, so its record holds it as built;
+    # a weighted-trace state's W belongs to its caller, who may still write to it
+    built, reduce = [], states.reduce
+    monkeypatch.setattr(states, "reduce", lambda *a: built.append(reduce(*a)) or built[-1])
+    phi = product_state(2, [np.diag([0.25, 0.75]), W_HALF])
+    assert states.density(phi, phi.window).A is built[-1]
+    assert not full_density(phi).flags.writeable and np.array_equal(full_density(phi), np.kron(*phi.weights))
+    assert phi.weights[0].flags.writeable  # no weight frozen on the way
+    one_site = product_state(2, [np.diag([0.25, 0.75])])
+    assert full_density(one_site) is not one_site.weights[0] and one_site.weights[0].flags.writeable
+    psi = WeightedTraceState(phi.window, np.kron(*phi.weights))
+    K = states.density(psi, psi.window)
+    assert K.A is not psi.W and psi.W.flags.writeable and np.array_equal(K.A, psi.W)
+
+
 def test_centralizer_identity_and_tracial():
     phi = product_state(2, [np.eye(2) / 2, np.eye(2) / 2])
     probes = matrix_unit_probes(phi.window)

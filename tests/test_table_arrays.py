@@ -20,9 +20,9 @@ AGREE scaled by the spectral range (roundoff).
 import numpy as np
 import pytest
 
-from quasinv import cocycle, compact, gns, lattice, matcore
+from quasinv import cocycle, compact, gns, lattice, matcore, states
 from quasinv.cocycle import CocycleTable
-from quasinv.errors import GroupNotClosed
+from quasinv.errors import GroupNotClosed, NotFinite
 from quasinv.lattice import (
     Window,
     enumerate_group,
@@ -169,7 +169,41 @@ def test_scale_is_computed_once():
     T = cocycle.product_state_cocycle(diag_product(2, 3, 4), enumerate_group(3))
     want = max(1.0, max(matcore.operator_norm(x.matrix) for _, x in T))
     assert T.scale() == want
-    assert "rotated" in vars(T)  # the pass that holds the facts
+    assert "facts" in vars(T.operand)  # the record that holds the facts
+
+
+TOL = 1e-8  # explicit: no check reads the table's scale first
+PUBLIC_CHECKS = {  # name: (check, reads the state)
+    "normalization": (lambda phi, T: cocycle.verify_normalization(T, TOL), False),
+    "cocycle_law": (lambda phi, T: cocycle.verify_cocycle_law(T, TOL), False),
+    "inverse_relation": (lambda phi, T: cocycle.verify_inverse_relation(T, TOL), False),
+    "power_relation": (lambda phi, T: cocycle.power_relation_check(T, tol=TOL), False),
+    "locally_trivial": (lambda phi, T: cocycle.locally_trivial_check(T, [2, 3], TOL), False),
+    "quasi_invariance": (lambda phi, T: cocycle.verify_quasi_invariance(phi, T, tol=TOL), True),
+    "strong": (lambda phi, T: cocycle.verify_strong(T, phi, tol=TOL), True),
+    "transport": (lambda phi, T: cocycle.verify_centralizer_transport(phi, T, T.window.identity(), tol=TOL),
+                  True),
+    "structure": (lambda phi, T: compact.verify_structure(phi, T, tol=TOL), True),
+    "restriction": (lambda phi, T: compact.restriction_consistency(phi, T, [T.group], tol=TOL), True),
+    "unitaries": (lambda phi, T: gns.build_unitaries(gns.build_gns(phi), T), True),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name, where", [(name, where) for name, (_, reads_state) in sorted(PUBLIC_CHECKS.items())
+                                         for where in ("table", "density")[:1 + reads_state]])
+def test_a_non_finite_entry_is_refused(name, where, value):
+    # at [1, 0, 1] and [1, 1, 0] of the table, or at [0, 1] and [1, 0] of the state's density:
+    # a NaN residual compares false and would pass, and LAPACK would raise its own error
+    check = PUBLIC_CHECKS[name][0]
+    phi, T = diag_table(2, 3, 5)
+    stack, W = T.stack.copy(), states.full_density(phi).copy()
+    if where == "table":
+        stack[1, 0, 1] = stack[1, 1, 0] = value
+    else:
+        W[0, 1] = W[1, 0] = value
+    with pytest.raises(NotFinite), np.errstate(invalid="ignore"):  # inf - inf on the way
+        check(states.WeightedTraceState(T.window, W), CocycleTable(T.group, stack, T.window))
 
 
 def test_verifiers_refuse_a_list_without_inverses():
