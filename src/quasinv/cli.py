@@ -447,7 +447,11 @@ def main(argv=None):
         return 2
 
     out = cfg.out or f"quasinv_{cfg.scenario}_report.json"
-    Path(out).write_text(render_report(report), encoding="utf-8")
+    try:
+        Path(out).write_text(render_report(report), encoding="utf-8")
+    except OSError as exc:
+        print(f"config error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     summary = report["summary"]
     status = "pass" if summary["all_pass"] else "FAIL"
     print(f"{cfg.scenario}: {summary['passed']}/{summary['checks']} checks "

@@ -82,12 +82,22 @@ def build_gns(phi):
 
 
 def build_unitaries(R, T, tol=GNS_TOL):
-    """U_g on vec(a) = vec(g(a) x_{g^-1}^(1/2)) for a strong table."""
+    """U_g on vec(a) = vec(g(a) x_{g^-1}^(1/2)) for a strong table.  The square roots V lam^(1/2) V* of a
+    block of entries x_{g^-1} come from one stacked eigh of their hermitean parts; the first entry in that
+    order that fails names the error, NotHermitian (matcore.require_hermitean) before NotPositive (the floor)."""
     cocycle.require_strong_entries(T, tol)
-    inv, x = lattice.group_table(T.group)[1], T.stack
-    return {g.image: CovariantUnitary(g, LocalOperator(R.window, matcore.matrix_power(
-                x[j], 0.5, spectrum=matcore.spectral_decompose(x[j], facts=T.facts[j]))))
-            for g, j in zip(T.group, inv)}
+
+    def roots(rows):
+        x = T.stack[rows]
+        lam, V = np.linalg.eigh((x + matcore.dagger(x)) / 2.0)
+        if (bad := ~T.facts.hermitean[rows] | (lam[:, 0] <= matcore.TAU_ABS)).any():
+            k = int(np.argmax(bad))
+            matcore.require_hermitean(T.facts[rows[k]])
+            matcore.require_floor(lam[k], 0.5)
+        M = (V * np.power(lam, 0.5)[:, None, :]) @ matcore.dagger(V)
+        return (M + matcore.dagger(M)) / 2.0
+    s = T.rowwise(roots, lattice.group_table(T.group)[1])
+    return {g.image: CovariantUnitary(g, LocalOperator(R.window, m)) for g, m in zip(T.group, s)}
 
 
 def _factors(R, U, group):

@@ -1,9 +1,9 @@
 """Dense matrix kernel, run in the dtype of its data: promote() lifts ints and
-float32 to float64 and complex64 to complex128 and demotes nothing.  Hermitian
-spectral decomposition and functional calculus, the Lipschitz constants of powers,
-operator norms, seeded random densities with a spectral floor, and the per-matrix
-facts the strong-case checks read (singular values, hermiticity defect, hermitean-part
-spectrum, invertibility, within err), each over stacks (..., d, d) too.  The diagonal
+float32 to float64 and complex64 to complex128 and demotes nothing.  The hermiticity
+and floor rules, the Lipschitz constants of powers, operator norms, seeded random
+densities with a spectral floor, and the per-matrix facts the strong-case checks read
+(singular values, hermiticity defect, hermitean-part spectrum, invertibility, within
+err), each over stacks (..., d, d) too.  The diagonal
 frame: A = D + E (diagonal, off-diagonal) hermitean with ||E||_F <= RHO max(1, max|D|)
 is read off D, its facts within err ||E||_F and each product or commutator by the
 diagonals plus remainder; elsewhere the facts are decomposed, exact.  Every matrix a check
@@ -75,15 +75,6 @@ def hermitean(herm, norm):
     return herm <= TAU_HERM * np.maximum(norm, 1.0)
 
 
-def spectral_decompose(H, facts=None):
-    """Eigenvalues (ascending) and a unitary V of eigenvectors of one hermitian H, as
-    eigh gives them, with no phase convention: read only what no column phase moves.
-    NotHermitian from require_hermitean, on the Facts of H if at hand."""
-    H = promote(H)
-    require_hermitean(Facts(np.array([operator_norm(H)]), herm_defect(H), None) if facts is None else facts)
-    return np.linalg.eigh((H + dagger(H)) / 2.0)
-
-
 def require_hermitean(f):
     """NotHermitian unless the matrix with Facts f passes the hermiticity rule."""
     if not f.hermitean:
@@ -104,22 +95,6 @@ def power_lipschitz(t, m, M):
     if m <= 0.0:
         return t * max(-m, M) ** (t - 1)
     return t * m ** (t - 1) if t <= 1 else M * power_lipschitz(t - 1, m, M) + M ** (t - 1)
-
-
-def matrix_power(P, s, spectrum=None):
-    """Spectral power V lam^s V* for positive hermitian P, real s, under require_floor.
-
-    Symmetrized to (M + M*)/2 against round-off asymmetry.  matrix_power(P, 0) is
-    the identity, undecomposed; matrix_power(P, 1) is P's hermitian part.  A
-    `spectrum` (lam, V) = spectral_decompose(P) at hand serves several powers.
-    """
-    P = promote(P)
-    if s == 0:
-        return np.eye(P.shape[0], dtype=P.dtype)
-    lam, V = spectral_decompose(P) if spectrum is None else spectrum
-    require_floor(lam, s)
-    M = (V * np.power(lam, float(s))) @ dagger(V)
-    return (M + dagger(M)) / 2.0
 
 
 def inv(A):

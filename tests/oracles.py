@@ -1,19 +1,20 @@
 """The test fixtures and reference forms, each kept once.
 
-Table builders and their case registries, the plants that break a table, the
-comparators, and the reference forms: the per-entry, per-pair, per-element
-and probe-loop computations that a blocked or certified check replaced, and
-the dense D^2 x D^2 GNS construction, and the few constructions no program
-path calls (cyclic groups, propagation along one generator, the second
-structure decomposition, one-site marginals, the chain's evaluation, the GNS
-lift and export forms), kept for the facts their tests state.  The test modules gate each check
-against its reference form here.  This is a plain module: pytest collects no
-tests from it, and the test modules import it as `oracles` (pytest puts
-tests/ on sys.path).  A builder returns a fresh table, so its cached facts,
-mean and defects are cold; a registry that memoizes a build (blocked_case)
-wraps the stored stack in a new table on each call.
+Table builders and the one case registry (CASES), the plants that break a table
+(PLANTS), the check table (CHECKS: each check with its reference form and
+comparator, read by the harness in tests/test_differential.py), the comparators,
+and the reference forms: the per-entry, per-pair, per-element and probe-loop
+computations that a blocked or certified check replaced, the per-entry GNS square
+roots and the dense D^2 x D^2 GNS construction, and the few constructions no
+program path calls (cyclic groups, propagation along one generator, the second
+structure decomposition, one-site marginals, the chain's evaluation, the GNS lift
+and export forms), kept for the facts their tests state.  A plain module: pytest
+collects nothing from it, and the test modules import it as `oracles`.  A builder
+returns a fresh table, its caches cold; case_table builds each case once, in one
+memo, and wraps the stored stack in a new table on each call.
 """
 
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -180,78 +181,152 @@ def complex_sign_table(n):
     return CocycleTable(group, stack, window)
 
 
-# ---- case registries ----------------------------------------------------------
+# ---- the case registry ---------------------------------------------------------
 
-# the blocked checks' tables: D <= 16 windows and S_5 at D 32, real and complex
-BLOCKED_CASES = {
-    "product-d2-S3": lambda: product_case(diag_product, 2, 3, 3, 1),
-    "product-d2-S4": lambda: product_case(diag_product, 2, 4, 4, 2),
-    "product-d2-S3-in-4": lambda: product_case(diag_product, 2, 4, 3, 3),
-    "product-d3-S2": lambda: product_case(diag_product, 3, 2, 2, 4),
-    "rotated-d2-S3": lambda: product_case(rotated_product, 2, 3, 3, 5),
-    "rotated-d2-S4": lambda: product_case(rotated_product, 2, 4, 4, 6),
-    "generic-d2-S3": lambda: product_case(generic_product, 2, 3, 3, 7),
-    "generic-d2-S4": lambda: product_case(generic_product, 2, 4, 4, 8),
-    "markov-S3": lambda: markov_case(3, 9),
-    "trivial-d2-S3": lambda: converse_case(2, 3, 10),
-    "trivial-d2-S4": lambda: converse_case(2, 4, 11),
-    "product-d2-S5-D32": lambda: product_case(diag_product, 2, 5, 5, 12),
-    "rotated-d2-S5-D32": lambda: product_case(rotated_product, 2, 5, 5, 13),
+# build() gives (phi, T); the dtypes the table is read in; whether the clean table clears RHO's frame
+Case = namedtuple("Case", "build dtypes diagonal")
+REAL, COMPLEX, BOTH = ("float64",), ("complex128",), ("float64", "complex128")
+BROKEN_KINDS = ("skewed", "negated", "projected", "dropped")
+
+
+def entry_broken(kind):
+    """The D 8 product table with entries 1 and 4 broken by kind (see broken)."""
+    phi, T = product_on_sites(3, 3)
+    return phi, broken(T, [(1, kind), (4, kind)])
+
+
+def identity_table(phi, group):
+    return CocycleTable(tuple(group), {g.image: phi.window.identity() for g in group}, phi.window)
+
+
+def trivial_pair(d, N, seed):
+    """A converse-constructed state and its one-kappa table, kappa^-1 = 1 + h/2 with h a centered
+    seeded hermitean matrix (complex, not diagonal)."""
+    window, group = Window(d, N), enumerate_group(N)
+    h = matcore.random_hermitian(window.total_dim, seed=seed)
+    centered = h - compact.haar_average(group, LocalOperator(window, h)).matrix
+    kinv = np.eye(window.total_dim) + 0.5 * centered / max(1.0, matcore.operator_norm(centered))
+    phi_G = states.homogeneous_state(d, N, np.eye(d) / d)
+    return compact.converse_construct(phi_G, LocalOperator(window, kinv), group)
+
+
+def dual_form_case(d, N, variant):
+    """The dual-form product case at (d, N): the table of dense_product (variant ""), it with the
+    CLI's plant at 1e-6 ("-defect"), or the identity table of the same state ("-identity-table")."""
+    phi, T = product_case(dense_product, d, N, N, d * 10 + N)
+    if variant == "-defect":
+        return phi, cli._plant_defect(T, 1e-6)
+    return phi, identity_table(phi, T.group) if variant else T
+
+
+# name: Case; the prefix before ":" names the family a test reads
+CASES = {
+    # the blocked checks against their per-entry loops: D <= 16 windows and S_5 at D 32, real and complex
+    "blocked:product-d2-S3": Case(lambda: product_case(diag_product, 2, 3, 3, 1), REAL, True),
+    "blocked:product-d2-S4": Case(lambda: product_case(diag_product, 2, 4, 4, 2), REAL, True),
+    "blocked:product-d2-S3-in-4": Case(lambda: product_case(diag_product, 2, 4, 3, 3), REAL, True),
+    "blocked:product-d3-S2": Case(lambda: product_case(diag_product, 3, 2, 2, 4), REAL, True),
+    "blocked:rotated-d2-S3": Case(lambda: product_case(rotated_product, 2, 3, 3, 5), COMPLEX, False),
+    "blocked:rotated-d2-S4": Case(lambda: product_case(rotated_product, 2, 4, 4, 6), COMPLEX, False),
+    "blocked:generic-d2-S3": Case(lambda: product_case(generic_product, 2, 3, 3, 7), COMPLEX, False),
+    "blocked:generic-d2-S4": Case(lambda: product_case(generic_product, 2, 4, 4, 8), COMPLEX, False),
+    "blocked:markov-S3": Case(lambda: markov_case(3, 9), REAL, True),
+    "blocked:trivial-d2-S3": Case(lambda: converse_case(2, 3, 10), REAL, True),
+    "blocked:trivial-d2-S4": Case(lambda: converse_case(2, 4, 11), REAL, True),
+    "blocked:product-d2-S5-D32": Case(lambda: product_case(diag_product, 2, 5, 5, 12), REAL, True),
+    "blocked:rotated-d2-S5-D32": Case(lambda: product_case(rotated_product, 2, 5, 5, 13), COMPLEX, False),
+    # the standard basis against the eigenframe: clean diagonal tables, one with spectator sites,
+    # each read real and cast to complex128
+    "clean:product-d2-S4": Case(lambda: product_case(diag_product, 2, 4, 4, 31), BOTH, True),
+    "clean:product-d3-S3": Case(lambda: product_case(diag_product, 3, 3, 3, 32), BOTH, True),
+    "clean:product-d2-S3-in-5": Case(lambda: product_case(diag_product, 2, 5, 3, 33), BOTH, True),
+    "clean:markov-S4": Case(lambda: markov_case(4, 34), BOTH, True),
+    "clean:trivial-d2-S4": Case(lambda: converse_case(2, 4, 35), BOTH, True),
+    # diagonal products turned by one seeded on-site orthogonal (real) or unitary: every entry decomposed
+    "rotated:real-d2-S4": Case(lambda: rotated_case(2, 4, 4, 21, True), REAL, False),
+    "rotated:complex-d2-S4": Case(lambda: rotated_case(2, 4, 4, 22, False), COMPLEX, False),
+    "rotated:real-d2-S3": Case(lambda: rotated_case(2, 3, 3, 23, True), REAL, False),
+    "rotated:complex-d2-S3": Case(lambda: rotated_case(2, 3, 3, 24, False), COMPLEX, False),
+    "rotated:real-d2-S5-D32": Case(lambda: rotated_case(2, 5, 5, 25, True), REAL, False),
+    "rotated:complex-d2-S5-D32": Case(lambda: rotated_case(2, 5, 5, 26, False), COMPLEX, False),
+    # the image-keyed per-pair forms' tables: D <= 16, diagonal entries, and non-diagonal site
+    # densities whose entries are neither hermitean nor commuting
+    "array:product-S2": Case(lambda: diag_table(2, 2, 1), REAL, True),
+    "array:product-S3": Case(lambda: diag_table(2, 3, 2), REAL, True),
+    "array:product-S4": Case(lambda: diag_table(2, 4, 3), REAL, True),
+    "array:trivial-S3": Case(lambda: converse_case(2, 3, 4), REAL, True),
+    "array:trivial-S4": Case(lambda: converse_case(2, 4, 5), REAL, True),
+    "array:markov-S3": Case(lambda: markov_case(3, 6), REAL, True),
+    "array:rotated-S3": Case(lambda: product_case(dense_product, 2, 3, 3, 7), COMPLEX, False),
+    # diagonal weights turned by one seeded unitary: strong tables whose entries are not diagonal,
+    # so the eigenbasis overlaps of the power relation are dense
+    "strong:rotated-S3": Case(lambda: product_case(rotated_product, 2, 3, 3, 11), COMPLEX, False),
+    "strong:rotated-S4": Case(lambda: product_case(rotated_product, 2, 4, 4, 12), COMPLEX, False),
+    "strong:rotated-d3-S2": Case(lambda: product_case(rotated_product, 3, 2, 2, 13), COMPLEX, False),
+    # the entry-facts tables: diagonal at D 8 and 16, a chain, a non-hermitean kappa, and the D 8
+    # product with entries 1 and 4 broken by each kind
+    "entry:product-D8": Case(lambda: product_on_sites(3, 3), REAL, True),
+    "entry:product-D16": Case(lambda: product_on_sites(4, 4), REAL, True),
+    "entry:markov-D16": Case(lambda: markov_case(3, 1), REAL, True),
+    "entry:trivial-nonhermitean-kappa": Case(nonhermitean_kappa_case, COMPLEX, False),
+    **{f"entry:product-{kind}": Case(lambda kind=kind: entry_broken(kind), REAL, kind != "skewed")
+       for kind in BROKEN_KINDS},
+    # real tables at D <= 16, read again cast to complex128 by the dtype tests
+    "dtype:product-d2-n3": Case(lambda: diag_table(2, 3, 1), REAL, True),
+    "dtype:product-d2-n4": Case(lambda: diag_table(2, 4, 2), REAL, True),
+    "dtype:product-d3-n2": Case(lambda: diag_table(3, 2, 3), REAL, True),
+    "dtype:trivial-n4": Case(lambda: converse_case(2, 4, 4), REAL, True),
+    "dtype:markov-n3": Case(lambda: markov_case(3, 5), REAL, True),
+    # the dual-form verifiers against their probe loops
+    **{f"qi:product-d{d}-n{N}{v}": Case(lambda d=d, N=N, v=v: dual_form_case(d, N, v),
+                                        *((REAL, True) if v == "-identity-table" else (COMPLEX, False)))
+       for d, N in ((2, 2), (2, 3), (2, 4), (3, 2)) for v in ("", "-defect", "-identity-table")},
+    "qi:trivial-n2": Case(lambda: trivial_pair(2, 2, 2), COMPLEX, False),
+    "qi:trivial-n3": Case(lambda: trivial_pair(2, 3, 3), COMPLEX, False),
+    "qi:markov-n2": Case(lambda: markov_case(2, 2), REAL, True),
+    "qi:markov-n3": Case(lambda: markov_case(3, 3), REAL, True),
 }
 _built = {}
 
 
-def blocked_case(name, planted):
-    """The table of a blocked case, clean, with the CLI's --defect 1e-3 plant
-    (True), or with its first moved entry "negated" (see broken)."""
+def family(prefix):
+    """The sorted names of the cases whose prefix before ":" is the one given."""
+    return sorted(name for name in CASES if name.split(":")[0] == prefix)
+
+
+def first_moved(T):
+    """The position of the first element that is not the identity."""
+    return next(i for i, g in enumerate(T.group) if not g.is_identity())
+
+
+def below_rho(T, involution):
+    """off_diagonal_plant's 1e-12 pair on the first moved element that is (or is not) its own inverse."""
+    inv = group_table(T.group)[1]
+    return off_diagonal_plant(T, next(i for i in range(1, len(inv)) if (inv[i] == i) == involution), 1e-12)
+
+
+# name: (the plant, at the first moved entry; whether a diagonal table still clears the standard basis)
+PLANTS = {
+    "clean": (lambda T: T, True),
+    "cli": (lambda T: cli._plant_defect(T, 1e-3), False),  # the CLI's --defect 1e-3, at m[0, -1]
+    **{kind: (lambda T, kind=kind: broken(T, [(first_moved(T), kind)]), kind != "skewed")
+       for kind in BROKEN_KINDS},
+    "mixed": (lambda T: hermitean_plant(T, 1e-3)[1], False),  # hermitean, not commuting on a rotated table
+    "hermitean": (lambda T: hermitean_plant(T, 1e-6)[1], False),
+    "below_rho_involution": (lambda T: below_rho(T, True), True),
+    "below_rho_pair": (lambda T: below_rho(T, False), True),
+}
+
+
+def case_table(name, plant="clean", dtype=None):
+    """The case's state and a fresh table, its stack in the dtype (as built by default) and the
+    plant applied, its caches cold; each case is built once."""
     if name not in _built:
-        _built[name] = BLOCKED_CASES[name]()
+        _built[name] = CASES[name].build()
     phi, T = _built[name]
-    if planted == "negated":
-        return phi, broken(T, [(next(i for i, g in enumerate(T.group) if not g.is_identity()), planted)])
-    return phi, cli._plant_defect(T, 1e-3) if planted else CocycleTable(T.group, T.stack, T.window)
-
-
-# the image-keyed per-pair forms' tables: D <= 16, diagonal entries
-ARRAY_CASES = {
-    "product-S2": lambda: diag_table(2, 2, 1),
-    "product-S3": lambda: diag_table(2, 3, 2),
-    "product-S4": lambda: diag_table(2, 4, 3),
-    "trivial-S3": lambda: converse_case(2, 3, 4),
-    "trivial-S4": lambda: converse_case(2, 4, 5),
-    "markov-S3": lambda: markov_case(3, 6),
-}
-# non-diagonal site densities: entries neither hermitean nor commuting
-ARRAY_ROTATED = {
-    "rotated-S3": lambda: product_case(dense_product, 2, 3, 3, 7),
-}
-# diagonal weights turned by one seeded unitary: strong tables whose entries
-# are not diagonal, so the eigenbasis overlaps of the power relation are dense
-ROTATED_STRONG = {
-    "rotated-strong-S3": lambda: product_case(rotated_product, 2, 3, 3, 11)[1],
-    "rotated-strong-S4": lambda: product_case(rotated_product, 2, 4, 4, 12)[1],
-    "rotated-strong-d3-S2": lambda: product_case(rotated_product, 3, 2, 2, 13)[1],
-}
-
-
-def array_case(name, eps):
-    """An ARRAY_CASES or ARRAY_ROTATED table, with a hermitean plant of eps when eps."""
-    phi, T = {**ARRAY_CASES, **ARRAY_ROTATED}[name]()
-    return phi, (hermitean_plant(T, eps)[1] if eps else T)
-
-
-BROKEN_KINDS = ("skewed", "negated", "projected", "dropped")
-
-
-def entry_cases():
-    """The entry-facts tables: diagonal at D 8 and 16, a chain, a non-hermitean
-    kappa, and the D 8 product with entries 1 and 4 broken by each kind."""
-    phi, T = product_on_sites(3, 3)
-    out = {"product-D8": (phi, T), "product-D16": product_on_sites(4, 4),
-           "markov-D16": markov_case(3, 1), "trivial-nonhermitean-kappa": nonhermitean_kappa_case()}
-    for kind in BROKEN_KINDS:
-        out[f"product-{kind}"] = (phi, broken(T, [(1, kind), (4, kind)]))
-    return out
+    assert dtype is None or np.can_cast(T.stack.dtype, dtype)
+    stack = T.stack if dtype is None else T.stack.astype(dtype, copy=False)
+    return phi, PLANTS[plant][0](CocycleTable(T.group, stack, T.window))
 
 
 # ---- plants -------------------------------------------------------------------
@@ -277,11 +352,20 @@ def broken(T, changes):
 def hermitean_plant(T, eps):
     """eps at m[0, -1] and m[-1, 0] of the first moved entry: the entry stays
     hermitean and positive, so the power relation reports a residual."""
-    k = next(i for i, g in enumerate(T.group) if not g.is_identity())
-    stack = T.stack.copy()
+    k, stack = first_moved(T), T.stack.copy()
     stack[k, 0, -1] += eps
     stack[k, -1, 0] += eps
     return k, CocycleTable(T.group, stack, T.window)
+
+
+def off_diagonal_plant(T, k, eps):
+    """eps at m[i, j] and m[j, i] of entry k, i and j the basis vectors with a 1 on site 1
+    or 2: hermitean, off the diagonal, at indices the group moves (m[0, -1] no
+    permutation moves, so there the mean's off-diagonal part cancels out of delta)."""
+    stack, i, j = T.stack.copy(), T.window.total_dim // T.window.d, T.window.total_dim // T.window.d ** 2
+    stack[k, i, j] += eps
+    stack[k, j, i] += eps
+    return CocycleTable(T.group, stack, T.window)
 
 
 def diagonal_plant(T, eps):
@@ -383,6 +467,35 @@ def same(got, want, T):
     close((got.residual, got.tolerance), (want.residual, want.tolerance), radius(T))
     assert got.details.keys() == want.details.keys()
     close(list(got.details.values()), list(want.details.values()), radius(T))
+
+
+def equal(got, want):
+    """Bit for bit: arrays of the same dtype and values, anything else equal."""
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def within(got, want, terms, D):
+    """want <= got <= want + terms, up to 16 D eps of the largest exact value."""
+    r = 16 * D * EPS * want.max()
+    return np.all(want - r <= got) and np.all(got <= want + terms + r)
+
+
+def agree(got, want, r):
+    """The same error, or the same verdicts and witnesses with every number within r."""
+    if isinstance(want, list) and isinstance(want[0], VerificationReport):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            agree(a, b, r)
+    elif isinstance(want, VerificationReport):
+        assert (got.name, got.passed, got.witness) == (want.name, want.passed, want.witness)
+        assert got.details.keys() == want.details.keys()
+        close([got.residual, got.tolerance, *got.details.values()],
+              [want.residual, want.tolerance, *want.details.values()], r)
+    else:
+        assert got == want
 
 
 # ---- the table checks as per-entry loops over the stack -------------------------
@@ -564,6 +677,36 @@ def per_entry_locally_trivial(T, window_sizes):
     return out
 
 
+def spectral_decompose(H, facts=None):
+    """eigh's ascending eigenvalues and eigenvectors (no phase convention) of one hermitian H;
+    NotHermitian from require_hermitean, on the Facts of H if at hand."""
+    H = matcore.promote(H)
+    matcore.require_hermitean(matcore.Facts(np.array([matcore.operator_norm(H)]), matcore.herm_defect(H), None)
+                              if facts is None else facts)
+    return np.linalg.eigh((H + matcore.dagger(H)) / 2.0)
+
+
+def matrix_power(P, s, spectrum=None):
+    """V lam^s V*, symmetrized, for positive hermitian P under require_floor, from the spectrum
+    (lam, V) = spectral_decompose(P) if given; the identity, undecomposed, at s 0."""
+    P = matcore.promote(P)
+    if s == 0:
+        return np.eye(P.shape[0], dtype=P.dtype)
+    lam, V = spectral_decompose(P) if spectrum is None else spectrum
+    matcore.require_floor(lam, s)
+    M = (V * np.power(lam, float(s))) @ matcore.dagger(V)
+    return (M + matcore.dagger(M)) / 2.0
+
+
+def per_entry_unitaries(R, T, tol=gns.GNS_TOL):
+    """gns.build_unitaries one entry at a time: s_g = x_{g^-1}^(1/2) through each entry's own eigh."""
+    cocycle.require_strong_entries(T, tol)
+    inv, x = group_table(T.group)[1], T.stack
+    return {g.image: gns.CovariantUnitary(g, LocalOperator(R.window, matrix_power(
+                x[j], 0.5, spectrum=spectral_decompose(x[j], facts=T.facts[j]))))
+            for g, j in zip(T.group, inv)}
+
+
 def floored_power(lam, s):
     matcore.require_floor(lam, s)
     return np.power(lam, float(s))
@@ -583,7 +726,7 @@ def eigenbasis_power_relation(T, s_list=(0.5, 1.0, 2.0)):
 
         def spectrum(k):
             if k not in spectra:
-                spectra[k] = matcore.spectral_decompose(x[k], facts=F[k])
+                spectra[k] = spectral_decompose(x[k], facts=F[k])
             return spectra[k]
 
         def overlap(a, b):
@@ -704,6 +847,73 @@ def stepwise_series(seq, N_max):
     return out, best
 
 
+# ---- the check table -------------------------------------------------------------
+
+def stabilizer(T):
+    """The elements that fix the highest site the group moves, as the structure scenario's subgroup."""
+    top = max(max(support(g), default=1) for g in T.group)
+    return [g for g in T.group if g(top) == top]
+
+
+def dense_deltas(T):
+    """delta(g) = ||x_g - M g^-1(M^-1)|| against the mean, one SVD an entry."""
+    return np.array([r for _, r, *_ in per_entry_coboundary_defects(T, T.mean, T.mean_operand.inv.A)])
+
+
+def fact_rows(F):
+    """Each entry's Facts as plain values, compared bit for bit: the singular values, the hermiticity
+    defect and its type, the hermitean-part spectrum, err and the two rules."""
+    return [(f.sv.tolist(), f.herm, type(f.herm), f.eig.tolist(), f.err, bool(f.hermitean), bool(f.invertible))
+            for f in F]
+
+
+def unitary_factors(U):
+    """The factors s_g of the GNS unitaries as plain values, by image, compared bit for bit."""
+    return {image: (u.g.image, u.s.matrix.dtype, u.s.matrix.tolist()) for image, u in U.items()}
+
+
+# name: (the check, its reference form, the comparator between them), each called as (phi, T); a
+# check of the package's public checks also takes their keyword arguments (tol)
+CHECKS = {
+    "normalization": (lambda phi, T, **kw: cocycle.verify_normalization(T, **kw), None, None),
+    "cocycle_law": (lambda phi, T, **kw: cocycle.verify_cocycle_law(T, **kw),
+                    lambda phi, T: per_entry_cocycle_law(T), "same"),
+    "inverse_relation": (lambda phi, T, **kw: cocycle.verify_inverse_relation(T, **kw),
+                         lambda phi, T: per_entry_inverse_relation(T), "same"),
+    "quasi_invariance": (lambda phi, T, **kw: cocycle.verify_quasi_invariance(phi, T, **kw),
+                         per_entry_quasi_invariance, "same"),
+    "strong": (lambda phi, T, **kw: cocycle.verify_strong(T, phi, **kw), lambda phi, T: per_entry_strong(T, phi),
+               "same"),
+    "strong_entries": (lambda phi, T: raised(cocycle.require_strong_entries, T, PASS_TOL),
+                       lambda phi, T: raised(oracle_require_strong, T, PASS_TOL), "same"),
+    "strong_entries_gns": (lambda phi, T: raised(cocycle.require_strong_entries, T, gns.GNS_TOL),
+                           lambda phi, T: raised(oracle_require_strong, T, gns.GNS_TOL), "same"),
+    "strong_bounds": (lambda phi, T: [cocycle.verify_strong(T, phi).details[k] for k in ("hermiticity", "min_eig",
+                                                                                          "max_eig")],
+                      lambda phi, T: list(oracle_strong_bounds(T)), "equal"),
+    "singular_screen": (lambda phi, T: raised(cocycle.verify_inverse_relation, T),
+                        lambda phi, T: raised(oracle_singular_screen, T), "equal"),
+    # the certified bound against the exact form, and against its own (entry, s) loop
+    "power_relation": (lambda phi, T, **kw: cocycle.power_relation_check(T, **kw),
+                       lambda phi, T: eigenbasis_power_relation(T), "assert_certifies"),
+    "power_relation_bound": (lambda phi, T: cocycle.power_relation_check(T),
+                             lambda phi, T: loop_power_relation(T), "equal"),
+    "locally_trivial": (lambda phi, T, **kw: cocycle.locally_trivial_check(T, range(2, T.window.N + 1), **kw),
+                        lambda phi, T: per_entry_locally_trivial(T, range(2, T.window.N + 1)), "same"),
+    "kappa": (lambda phi, T: compact.kappa(T).matrix.tolist(), None, None),
+    "structure": (lambda phi, T, **kw: compact.verify_structure(phi, T, **kw), per_entry_structure, "same"),
+    "restriction": (lambda phi, T, **kw: compact.restriction_consistency(phi, T, [stabilizer(T), T.group], **kw),
+                    lambda phi, T: per_entry_restriction(phi, T, [stabilizer(T), T.group]), "same"),
+    "transport": (lambda phi, T, **kw: cocycle.verify_centralizer_transport(phi, T, T.window.identity(), **kw),
+                  lambda phi, T: per_entry_transport(phi, T, T.window.identity()), "same"),
+    "unitaries": (lambda phi, T, **kw: unitary_factors(gns.build_unitaries(gns.build_gns(phi), T, **kw)),
+                  lambda phi, T: unitary_factors(per_entry_unitaries(gns.build_gns(phi), T)), "same"),
+    "facts": (lambda phi, T: fact_rows(T.facts), lambda phi, T: fact_rows(per_entry_facts(T)), "equal"),
+    "inverse_defects": (lambda phi, T: T.inverse_defects, lambda phi, T: per_entry_inverse_defects(T), "equal"),
+    "mean_defects": (lambda phi, T: T.mean_defects, lambda phi, T: dense_deltas(T), "equal"),
+}
+
+
 # ---- the table laws as per-pair forms over image-keyed entries --------------------
 # Each gives (worst residual, witness) or the residual alone.
 
@@ -732,13 +942,13 @@ def per_element_inverse_relation(T):
 
 
 def matrix_power_relation(T, s_list=(0.5, 1.0, 2.0)):
-    """max ||x_g^-s - g^-1(x_{g^-1}^s)|| through matcore.matrix_power."""
+    """max ||x_g^-s - g^-1(x_{g^-1}^s)|| through matrix_power."""
     worst, witness = 0.0, None
     for g in T.group:
         x_ginv = T.entries[g.inverse().image].matrix
         for s in s_list:
-            lhs = matcore.matrix_power(T.entries[g.image].matrix, -s)
-            rhs = act(g.inverse(), LocalOperator(T.window, matcore.matrix_power(x_ginv, s)))
+            lhs = matrix_power(T.entries[g.image].matrix, -s)
+            rhs = act(g.inverse(), LocalOperator(T.window, matrix_power(x_ginv, s)))
             r = matcore.operator_norm(lhs - rhs.matrix)
             if r > worst:
                 worst, witness = r, {"g": list(g.image), "s": s}
@@ -800,7 +1010,7 @@ def tree_sum_kappa(T):
 
 def power_unitaries(R, T):
     """s_g = x_{g^-1}^(1/2), by image."""
-    return {g.image: matcore.matrix_power(T.entries[g.inverse().image].matrix, 0.5)
+    return {g.image: matrix_power(T.entries[g.inverse().image].matrix, 0.5)
             for g in T.group}
 
 
@@ -1219,7 +1429,7 @@ class DenseGns:
         oracle_require_strong(T, tol)
         out = {}
         for g in T.group:
-            s = matcore.matrix_power(T.entries[g.inverse().image].matrix, 0.5)
+            s = matrix_power(T.entries[g.inverse().image].matrix, 0.5)
             P = permutation_unitary(g, self.window)
             out[g.image] = np.kron((P.conj().T @ s).T, P)
         return out

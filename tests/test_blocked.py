@@ -1,19 +1,18 @@
-"""The table checks in blocked stacked form against their per-entry loops.
+"""The table checks in blocked stacked form: probes, subgroups, s lists, and the blocks.
 
 Every check reads the (|G|, D, D) table in blocks of rows, one stacked
-LAPACK/BLAS call per block.  A stacked call runs the routine of one matrix on
-each, so the per-entry loops the blocks replaced, kept in tests/oracles.py,
-must give the same reports bit for bit: residuals, verdicts, witnesses and
-details, or the same error type and message.  The power relation is the one
-exception: it is certified from the inverse relation, so against its exact
-per-entry loop it raises the same error, or gives the same verdict with a
-residual at least the exact one (within AGREE of it where both pass, both
-then round-off), and it equals the certified bound's own (entry, s) loop bit
-for bit.  The tables are D <= 16 windows and S_5 at D 32, real and
-complex, clean and with the 1e-3 plant the CLI's --defect puts at m[0, -1] of
-the first moved entry.  The same holds for the convergence series read from
-one pass over the spectra, and each check's temporaries stay a fraction of the
-table.
+LAPACK/BLAS call per block.  Each check against its per-entry loop over the
+registered tables, clean, with the CLI's plant and with a negated entry, is a row
+of tests/test_differential.py; here are the forms that take more than a table:
+the strong check and the centralizer transport on probe lists, the matrix-unit
+probes against the complete pairing, the subgroup rows of local triviality and
+the restriction, and the power relation on s lists and on tables broken at two
+entries, each against its per-entry loop in tests/oracles.py.  The power
+relation is certified from the inverse relation, so against its exact loop it
+raises the same error, or gives the same verdict with a residual at least the
+exact one, and it equals the certified bound's own (entry, s) loop bit for bit.
+The same holds for the convergence series read from one pass over the spectra,
+and each check's temporaries stay a fraction of the table.
 """
 
 import tracemalloc
@@ -26,16 +25,13 @@ from quasinv.errors import SizeMismatch
 from quasinv.lattice import LocalOperator, Window, group_index, group_table, support
 
 from oracles import (
-    BLOCKED_CASES, EPS, assert_certifies, blocked_case, broken, eigenbasis_power_relation,
-    generic_product, hermitean_plant, loop_power_relation, outcome, per_entry_coboundary_defects,
-    per_entry_cocycle_law, per_entry_facts, per_entry_inverse_defects, per_entry_inverse_relation,
-    per_entry_locally_trivial, per_entry_quasi_invariance, per_entry_restriction, per_entry_strong,
-    per_entry_structure, per_entry_transport, product_case, rotated_product, same, sign_table,
-    stepwise_series,
+    assert_certifies, broken, case_table, eigenbasis_power_relation, family, first_moved, generic_product,
+    loop_power_relation, outcome, per_entry_cocycle_law, per_entry_inverse_relation,
+    per_entry_locally_trivial, per_entry_restriction, per_entry_strong, per_entry_transport, product_case,
+    rotated_product, same, sign_table, stepwise_series,
 )
 
-SMALL = sorted(name for name in BLOCKED_CASES if "D32" not in name)
-LARGE = sorted(name for name in BLOCKED_CASES if "D32" in name)
+SMALL = [name for name in family("blocked") if "D32" not in name]
 
 
 def probes(window, count=3):
@@ -43,49 +39,10 @@ def probes(window, count=3):
             for k in range(count)]
 
 
-# ---- the checks against their oracles ---------------------------------------------
-
-CHECKS = {
-    "cocycle_law": (lambda phi, T: cocycle.verify_cocycle_law(T),
-                    lambda phi, T: per_entry_cocycle_law(T), same),
-    "inverse_relation": (lambda phi, T: cocycle.verify_inverse_relation(T),
-                         lambda phi, T: per_entry_inverse_relation(T), same),
-    "quasi_invariance": (lambda phi, T: cocycle.verify_quasi_invariance(phi, T),
-                         per_entry_quasi_invariance, same),
-    "strong": (lambda phi, T: cocycle.verify_strong(T, phi), lambda phi, T: per_entry_strong(T, phi),
-               same),
-    "power_relation": (lambda phi, T: cocycle.power_relation_check(T),
-                       lambda phi, T: eigenbasis_power_relation(T), assert_certifies),
-    "structure": (lambda phi, T: compact.verify_structure(phi, T), per_entry_structure, same),
-}
-
-
-@pytest.mark.parametrize("planted", [False, True])
-@pytest.mark.parametrize("name", SMALL + LARGE)
-def test_facts_equal_the_per_entry_facts(name, planted):
-    # every listed value within its entry's err (and eigvalsh's own round-off) of
-    # the decomposed one, and bit for bit where err is 0
-    _, T = blocked_case(name, planted)
-    for f, want in zip(T.facts, per_entry_facts(T), strict=True):
-        r = f.err + 16 * len(T.stack[0]) * EPS * f.norm if f.err else 0.0
-        assert np.abs(f.sv - want.sv).max() <= r and np.abs(f.eig - want.eig).max() <= r
-        assert f.herm == want.herm and type(f.herm) is float
-        assert (f.hermitean, f.invertible) == (want.hermitean, want.invertible)
-
-
-@pytest.mark.parametrize("planted", [False, True, "negated"])
-@pytest.mark.parametrize("check", sorted(CHECKS))
-@pytest.mark.parametrize("name", SMALL + LARGE)
-def test_check_equals_its_per_entry_loop(name, check, planted):
-    phi, T = blocked_case(name, planted)
-    new, old, compare = CHECKS[check]
-    compare(outcome(new, phi, T), outcome(old, phi, T), T)
-
-
-@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("plant", ["clean", "cli"])
 @pytest.mark.parametrize("name", SMALL)
-def test_checks_on_probes_equal_their_per_entry_loops(name, planted):
-    phi, T = blocked_case(name, planted)
+def test_checks_on_probes_equal_their_per_entry_loops(name, plant):
+    phi, T = case_table(name, plant)
     P = probes(T.window)
     same(cocycle.verify_strong(T, phi, P), per_entry_strong(T, phi, P), T)
     x = LocalOperator(T.window, states.full_density(phi))  # W is in its own centralizer
@@ -93,11 +50,11 @@ def test_checks_on_probes_equal_their_per_entry_loops(name, planted):
          outcome(per_entry_transport, phi, T, x), T)
 
 
-@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("plant", ["clean", "cli"])
 @pytest.mark.parametrize("name", SMALL)
-def test_matrix_unit_probes_pair_as_the_complete_form(name, planted):
+def test_matrix_unit_probes_pair_as_the_complete_form(name, plant):
     # Tr(M e_ij) = M_ji exactly: one nonzero product in each pairing
-    phi, T = blocked_case(name, planted)
+    phi, T = case_table(name, plant)
     D, units, W = T.window.total_dim, states.matrix_unit_probes(T.window), states.full_density(phi)
     for M in (T.stack, T.stack @ W - W @ T.stack, T.stack + 1j * np.roll(T.stack, 1, axis=0)):
         assert np.array_equal(states.pairing_residual(M, units)[0], states.pairing_residual(M)[0])
@@ -154,10 +111,10 @@ def test_pairing_holds_no_second_copy_of_the_probes():
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("planted", [False, True])
-@pytest.mark.parametrize("name", SMALL + LARGE)
-def test_subgroup_rows_equal_the_per_entry_loops(name, planted):
-    phi, T = blocked_case(name, planted)
+@pytest.mark.parametrize("plant", ["clean", "cli"])
+@pytest.mark.parametrize("name", family("blocked"))
+def test_subgroup_rows_equal_the_per_entry_loops(name, plant):
+    phi, T = case_table(name, plant)
     sizes = list(range(1, T.window.N + 2))  # N 1: the identity alone; past the window: all
     for got, want in zip(cocycle.locally_trivial_check(T, sizes), per_entry_locally_trivial(T, sizes),
                          strict=True):
@@ -175,13 +132,13 @@ S_LISTS = [(0.5, 1.0, 2.0), (0.0,), (0.0, 1.0), (-1.0, 0.5), (2.0, -0.5, 0.0, 3.
 
 
 @pytest.mark.parametrize("s_list", S_LISTS)
-@pytest.mark.parametrize("name", ["product-d2-S3", "rotated-d2-S3", "trivial-d2-S3"])
+@pytest.mark.parametrize("name", ["blocked:product-d2-S3", "blocked:rotated-d2-S3", "blocked:trivial-d2-S3"])
 def test_power_relation_raises_the_first_error_in_group_order(name, s_list):
     # two broken entries in either order, among them a floor failure before or
     # after a non-hermitean entry; a list with two s that need the floor fails
     # both on one entry, and the first s in order names the error.  The exact
     # loop gives the error and verdict, the certified loop the report bit for bit
-    _, T = blocked_case(name, False)
+    _, T = case_table(name)
     kinds = ("negated", "skewed")
     n = len(T.group)
     for a in range(n):
@@ -204,7 +161,7 @@ def test_power_relation_screens_each_entry_with_its_inverse(s_list):
     # broken entry, and that entry's inverse, between them; the screen of g^-1
     # reads x_g, so a skewed x_g names its error there, before the floor
     # failure in between
-    _, T = blocked_case("product-d2-S4", False)
+    _, T = case_table("blocked:product-d2-S4")
     inv, n = group_table(T.group)[1], len(T.group)
     cases = [(a, b) for b in range(n) for a in range(n) if inv[b] < min(a, inv[a]) < b]
     assert cases
@@ -216,38 +173,22 @@ def test_power_relation_screens_each_entry_with_its_inverse(s_list):
 
 
 @pytest.mark.parametrize("s_list", S_LISTS)
-@pytest.mark.parametrize("name", SMALL + LARGE)
+@pytest.mark.parametrize("name", family("blocked"))
 def test_power_relation_on_s_lists_equals_the_per_entry_loop(name, s_list):
     # clean, with the CLI's plant (off hermitean: an error), and with a hermitean
     # plant of 1e-6 (a failing report wherever the clean table passes)
-    for planted in (False, True):
-        _, T = blocked_case(name, planted)
+    for plant in ("clean", "cli"):
+        _, T = case_table(name, plant)
         got = outcome(cocycle.power_relation_check, T, s_list)
         assert_certifies(got, outcome(eigenbasis_power_relation, T, s_list), T, s_list=s_list)
         assert got == outcome(loop_power_relation, T, s_list)
-    k, U = hermitean_plant(blocked_case(name, False)[1], 1e-6)
+    U = case_table(name, "hermitean")[1]
+    k = first_moved(U)
     want = outcome(eigenbasis_power_relation, U, s_list)
     got = outcome(cocycle.power_relation_check, U, s_list)
     assert_certifies(got, want, U, [k], s_list)
     assert got == outcome(loop_power_relation, U, s_list)
     assert isinstance(want, tuple) or want.passed == (not any(s_list))
-
-
-@pytest.mark.parametrize("planted", [False, True])
-@pytest.mark.parametrize("name", SMALL)
-def test_stored_defects_equal_the_per_entry_loops(name, planted):
-    # the inverse-relation defects eps(g) and the defects delta(g) against the
-    # mean, each computed once per table, against the loops they replaced
-    _, T = blocked_case(name, planted)
-    assert np.array_equal(T.inverse_defects, per_entry_inverse_defects(T))
-    deltas = np.array([r for _, r, *_ in per_entry_coboundary_defects(T, T.mean, T.mean_operand.inv.A)])
-    assert np.array_equal(T.mean_defects, deltas)
-    assert T.inverse_defects.dtype == T.mean_defects.dtype == np.float64
-
-
-def test_the_differential_set_holds_real_and_complex_tables():
-    dtypes = {blocked_case(name, False)[1].stack.dtype for name in SMALL}
-    assert dtypes == {np.dtype(float), np.dtype(complex)}
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -264,7 +205,7 @@ def test_exhaustive_law_equals_the_per_pair_loop(planted):
 
 
 def test_blocks_hold_the_budget_and_cover_the_rows():
-    _, T = blocked_case("rotated-d2-S5-D32", False)
+    _, T = case_table("blocked:rotated-d2-S5-D32")
     blocks = matcore._blocks(len(T.group), T.stack[0].nbytes)
     assert np.array_equal(np.concatenate(blocks), np.arange(len(T.group)))
     assert all(len(r) * T.stack[0].nbytes <= matcore.BLOCK_BYTES for r in blocks)

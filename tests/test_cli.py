@@ -219,6 +219,15 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_an_unwritable_report_path_is_a_config_error(tmp_path, capsys, where):
+    # a missing directory, or a directory: exit 2 (exit 1 is a failed check), no traceback
+    out = tmp_path / where
+    assert run_cli(["run", "--scenario", "product", "--n-sites", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]", encoding="utf-8")

@@ -31,7 +31,7 @@ def rotated_chain(N, seed):
     return qmc.MarkovState(2, np.eye(2) / 2.0, chain)
 
 
-PRODUCT_CASES = {
+PRODUCT_GROUPS = {
     "d2-S3": (2, 3, enumerate_group(3)),
     "d2-S4": (2, 4, enumerate_group(4)),
     "d3-S2": (3, 2, enumerate_group(2)),
@@ -39,10 +39,10 @@ PRODUCT_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+@pytest.mark.parametrize("name", sorted(PRODUCT_GROUPS))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_product_table_agrees_with_the_support_form(name, seed):
-    d, N, group = PRODUCT_CASES[name]
+    d, N, group = PRODUCT_GROUPS[name]
     phi = generic_product(d, N, seed)
     T = cocycle.product_state_cocycle(phi, group)
     want = support_product_table(phi, group)

@@ -19,18 +19,9 @@ from quasinv import cocycle, compact, gns, lattice, matcore, states
 from quasinv.cocycle import CocycleTable
 from quasinv.lattice import LocalOperator, Window, enumerate_group
 
-from oracles import converse_case, diag_table, markov_case
+from oracles import case_table, diag_table, family, matrix_power
 
 AGREE = 1e-13
-
-CASES = {
-    "product-d2-n3": lambda: diag_table(2, 3, 1),
-    "product-d2-n4": lambda: diag_table(2, 4, 2),
-    "product-d3-n2": lambda: diag_table(3, 2, 3),
-    "trivial-n4": lambda: converse_case(2, 4, 4),
-    "markov-n3": lambda: markov_case(3, 5),
-}
-
 
 def as_complex(phi, T):
     """The same state and table with every array cast to complex128."""
@@ -51,12 +42,12 @@ def test_real_inputs_stay_float64_everywhere():
     assert all(f.sv.dtype == np.float64 and f.eig.dtype == np.float64 for f in T.facts)
     assert compact.haar_average(T.group, LocalOperator(T.window, W)).matrix.dtype == np.float64
     for s in (0, 0.5, 2, -1):
-        assert matcore.matrix_power(W, s).dtype == np.float64
+        assert matrix_power(W, s).dtype == np.float64
     assert all(u.s.matrix.dtype == np.float64 for u in U.values())
     assert T.window.identity().matrix.dtype == np.float64
     assert lattice.embed(T.window, 2, np.eye(2)).matrix.dtype == np.float64
-    for case in ("trivial-n4", "markov-n3"):
-        assert CASES[case]()[1].stack.dtype == np.float64
+    for case in ("dtype:trivial-n4", "dtype:markov-n3"):
+        assert case_table(case)[1].stack.dtype == np.float64
 
 
 def test_complex_inputs_stay_complex128_everywhere():
@@ -66,8 +57,8 @@ def test_complex_inputs_stay_complex128_everywhere():
     W = states.full_density(phi)
     assert T.stack.dtype == np.complex128 and T.mean.dtype == np.complex128
     assert compact.haar_average(T.group, LocalOperator(T.window, W)).matrix.dtype == np.complex128
-    assert matcore.matrix_power(W, 0.5).dtype == np.complex128
-    assert matcore.matrix_power(W, 0).dtype == np.complex128
+    assert matrix_power(W, 0.5).dtype == np.complex128
+    assert matrix_power(W, 0).dtype == np.complex128
     assert all(u.s.matrix.dtype == np.complex128 for u in gns.build_unitaries(R, T).values())
     assert lattice.embed(T.window, 2, u).matrix.dtype == np.complex128
 
@@ -101,7 +92,7 @@ def test_inputs_promote_and_are_never_demoted(given, promoted):
     assert lattice.embed(Window(4, 2), 1, a).matrix.dtype == promoted
     assert matcore.operator_norm(a) == matcore.operator_norm(a.astype(promoted))
     P = (a @ a.conj().T).astype(given)
-    assert matcore.matrix_power(P, 1).dtype == promoted
+    assert matrix_power(P, 1).dtype == promoted
 
 
 def test_a_planted_imaginary_defect_is_kept_and_fails():
@@ -151,9 +142,9 @@ def table_checks(phi, T):
     return out
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", family("dtype"))
 def test_real_and_complex_tables_give_the_same_verdicts(case):
-    phi, T = CASES[case]()
+    phi, T = case_table(case)
     assert T.window.total_dim <= 16 and T.stack.dtype == np.float64
     phi_c, T_c = as_complex(phi, T)
     real, cplx = table_checks(phi, T), table_checks(phi_c, T_c)
@@ -164,9 +155,9 @@ def test_real_and_complex_tables_give_the_same_verdicts(case):
         assert abs(r_res - c_res) <= AGREE, (name, r_res, c_res)
 
 
-@pytest.mark.parametrize("case", ["product-d2-n3", "markov-n3"])
+@pytest.mark.parametrize("case", ["dtype:product-d2-n3", "dtype:markov-n3"])
 def test_real_and_complex_tables_fail_alike_on_a_planted_defect(case):
-    phi, T = CASES[case]()
+    phi, T = case_table(case)
     stack = T.stack.copy()
     stack[1, 0, -1] += 1e-3
     planted = CocycleTable(T.group, stack, T.window)

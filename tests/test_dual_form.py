@@ -20,72 +20,32 @@ import pytest
 
 import quasinv
 
-from quasinv import cli, cocycle, compact, matcore, qmc, states
-from quasinv.cocycle import CocycleTable
-from quasinv.lattice import LocalOperator, Window, enumerate_group, extend, transposition
+from quasinv import cocycle, compact, matcore, qmc, states
+from quasinv.lattice import LocalOperator, Window, enumerate_group, transposition
 
 from oracles import (
-    AGREE, cyclic_shift, dense_product, generic_chain, nonuniqueness_demo, oracle_centralizer,
+    AGREE, case_table, cyclic_shift, dense_product, family, generic_chain, nonuniqueness_demo, oracle_centralizer,
     oracle_exchangeable, oracle_extension, oracle_quasi_invariance, oracle_reconstruction,
     oracle_sandwich, oracle_transport,
 )
 
 
-# ---- inputs ---------------------------------------------------------------
-
-def identity_table(phi, group):
-    return CocycleTable(tuple(group), {g.image: phi.window.identity() for g in group},
-                        phi.window)
-
-
-def trivial_pair(d, N, seed):
-    """A converse-constructed state and its one-kappa table, as the trivial scenario builds them."""
-    window = Window(d, N)
-    group = enumerate_group(N)
-    dim = window.total_dim
-    h = matcore.random_hermitian(dim, seed=seed)
-    centered = h - compact.haar_average(group, LocalOperator(window, h)).matrix
-    kinv = np.eye(dim) + 0.5 * centered / max(1.0, matcore.operator_norm(centered))
-    phi_G = states.homogeneous_state(d, N, np.eye(d) / d)
-    return compact.converse_construct(phi_G, LocalOperator(window, kinv), group)
-
-
-def qi_cases():
-    out = []
-    for d, N in ((2, 2), (2, 3), (2, 4), (3, 2)):
-        phi = dense_product(d, N, seed=d * 10 + N)
-        group = [extend(g, N) for g in enumerate_group(N)]
-        T = cocycle.product_state_cocycle(phi, group)
-        out += [(f"product-d{d}-n{N}", phi, T),
-                (f"product-d{d}-n{N}-defect", phi, cli._plant_defect(T, 1e-6)),
-                (f"product-d{d}-n{N}-identity-table", phi, identity_table(phi, group))]
-    for N in (2, 3):
-        out.append((f"trivial-n{N}", *trivial_pair(2, N, seed=N)))
-    for N in (2, 3):
-        M = qmc.MarkovState(2, np.eye(2) / 2, qmc.seeded_chain(N, seed=N))
-        out.append((f"markov-n{N}", qmc.markov_functional(M),
-                    qmc.x_cocycle_table(M, enumerate_group(N))))
-    return out
-
-
-QI_CASES = qi_cases()
-
-
 # ---- quasi-invariance -----------------------------------------------------
 
-@pytest.mark.parametrize("label,phi,T", QI_CASES, ids=[c[0] for c in QI_CASES])
-def test_quasi_invariance_matches_probe_loop(label, phi, T):
+@pytest.mark.parametrize("name", family("qi"))
+def test_quasi_invariance_matches_probe_loop(name):
+    phi, T = case_table(name)
     units = states.matrix_unit_probes(T.window)
     want, where = oracle_quasi_invariance(phi, T, units)
     complete = cocycle.verify_quasi_invariance(phi, T, tol=1e-9)
     assert abs(complete.details["pairing"] - want) <= AGREE
-    if label.endswith("defect"):
+    if name.endswith("defect"):
         # a single planted entry: the check fails and names the oracle's g and matrix unit
         g, k = where
         D = T.window.total_dim
         assert want > 1e-9 and not complete.passed
         assert complete.witness == {"g": g, "entry": [k // D, k % D]}
-    elif not label.endswith("table"):
+    elif not name.endswith("table"):
         assert want <= 1e-9 and complete.passed
 
 

@@ -7,10 +7,9 @@ err; any other table decomposes every entry, exact.  The checks that read them
 are compared here with the per-check computations they replaced, kept in
 tests/oracles.py: on the diagonal D <= 16 tables, clean and with planted
 non-hermitean, non-positive and singular entries, the facts agree bit for bit
-and the strong-entry and invertibility screens raise the same first error.  On
-rotated tables, real and complex, at D <= 16 and S_5 at D 32, the facts are the
-decomposed ones bit for bit and every check reports what its exact per-entry form
-reports (the power relation an upper bound with the same verdict).  Counting
+and the strong-entry and invertibility screens raise the same first error (the
+screens and the strong bounds of each entry case, and the rotated tables against
+their exact per-entry forms, are rows of tests/test_differential.py).  Counting
 the LAPACK calls of a run pins what the frame saves: a clean (diagonal) run
 builds no basis and decomposes no entry, and only verify_strong's commutators
 read the eigenbasis of a table the standard basis does not clear.
@@ -24,24 +23,20 @@ import numpy as np
 import pytest
 
 from quasinv import cli, cocycle, compact, gns, matcore, qmc, states
-from quasinv.cocycle import PASS_TOL, CocycleTable
+from quasinv.cocycle import PASS_TOL
 from quasinv.lattice import LocalOperator, enumerate_group, gather, inverse_index
 
 from oracles import (
-    BROKEN_KINDS, EPS, assert_certifies, broken, eigenbasis_power_relation, entry_cases,
-    hermitean_plant, loop_power_relation, oracle_invertible, oracle_require_strong,
-    oracle_singular_screen, oracle_strong_bounds, outcome, per_entry_cocycle_law, per_entry_facts,
-    per_entry_quasi_invariance, per_entry_strong, product_on_sites, raised, rotated_case, same,
+    BROKEN_KINDS, broken, case_table, family, oracle_invertible, oracle_require_strong,
+    oracle_singular_screen, per_entry_quasi_invariance, product_on_sites, raised,
 )
-
-CASES = entry_cases()
 
 
 # ---- the facts against the oracles ------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", family("entry"))
 def test_facts_equal_the_per_check_computations(name):
-    _, T = CASES[name]
+    _, T = case_table(name)
     assert len(T.facts) == len(T.group)
     for x, f in zip(T.stack, T.facts):
         assert np.array_equal(f.sv, np.linalg.svd(x, compute_uv=False))
@@ -52,34 +47,16 @@ def test_facts_equal_the_per_check_computations(name):
     assert T.scale() == max(1.0, max(matcore.operator_norm(x) for x in T.stack))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_strong_bounds_equal_the_entry_loop(name):
-    phi, T = CASES[name]
-    details = cocycle.verify_strong(T, phi).details
-    herm, s1, s2 = oracle_strong_bounds(T)
-    assert (details["hermiticity"], details["min_eig"], details["max_eig"]) == (herm, s1, s2)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-@pytest.mark.parametrize("tol", [PASS_TOL, 1e-9])
-def test_strong_entry_screen_raises_what_the_entry_loop_raises(name, tol):
-    _, T = CASES[name]
-    assert raised(cocycle.require_strong_entries, T, tol) == raised(oracle_require_strong, T, tol)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_singular_entry_screen_raises_what_classify_raised(name):
-    _, T = CASES[name]
-    want = raised(oracle_singular_screen, T)
-    got = raised(cocycle.verify_inverse_relation, T)
-    assert got == want
-    assert (want is not None) == name.endswith(("projected", "dropped"))
+def test_only_a_singular_entry_fails_the_singular_screen():
+    for name in family("entry"):
+        assert (raised(oracle_singular_screen, case_table(name)[1]) is not None) == name.endswith(
+            ("projected", "dropped"))
 
 
 @pytest.mark.parametrize("first", BROKEN_KINDS)
 @pytest.mark.parametrize("second", BROKEN_KINDS)
 def test_the_first_broken_entry_in_group_order_is_named(first, second):
-    phi, T = CASES["product-D8"]
+    _, T = case_table("entry:product-D8")
     T = broken(T, [(2, first), (5, second)])
     for tol in (PASS_TOL, 1e-9):
         assert raised(cocycle.require_strong_entries, T, tol) == raised(
@@ -88,7 +65,7 @@ def test_the_first_broken_entry_in_group_order_is_named(first, second):
 
 
 def test_kappa_and_the_unitaries_screen_through_the_same_facts():
-    phi, T = CASES["product-negated"]
+    phi, T = case_table("entry:product-negated")
     want = raised(oracle_require_strong, T, PASS_TOL)
     assert raised(compact.kappa, T) == want
     assert raised(gns.build_unitaries, gns.build_gns(phi), T) == raised(
@@ -258,8 +235,7 @@ def test_product_run_norms_each_entry_only_in_its_facts(tmp_path, monkeypatch):
 
 
 def test_unitaries_norm_no_entry_outside_its_facts(monkeypatch):
-    phi, T = CASES["product-D8"]
-    T = CocycleTable(T.group, T.stack.copy(), T.window)  # facts not yet cached
+    phi, T = case_table("entry:product-D8")  # facts not yet cached
     normed = record_entry_norms(monkeypatch)
     gns.build_unitaries(gns.build_gns(phi), T)
     assert not any(np.array_equal(A, x) for A in normed for x in T.stack)
@@ -316,8 +292,7 @@ def test_the_strong_check_reads_a_diagonal_table_with_no_basis(monkeypatch):
 def test_the_facts_of_a_planted_table_build_no_basis():
     # the planted entry leaves the standard basis: the facts are decomposed entry by entry,
     # and only verify_strong's commutators read the eigenbasis
-    phi, T = CASES["product-D8"]
-    T = cli._plant_defect(T, 1e-3)
+    phi, T = case_table("entry:product-D8", "cli")
     assert T.frame() is None and raised(compact.kappa, T) is not None
     assert "basis" not in vars(T)
     cocycle.verify_strong(T, phi)
@@ -362,78 +337,14 @@ def test_a_run_computes_each_defect_of_an_entry_once(tmp_path, monkeypatch, argv
     assert rows == {"inverse_defects": normed, "_coboundary_defects": normed}
 
 
-# ---- rotated tables: the facts and checks against their exact per-entry forms ----
+# ---- rotated tables -------------------------------------------------------
 
-ROTATED = {"real-d2-S4": (2, 4, 4, 21, True), "complex-d2-S4": (2, 4, 4, 22, False),
-           "real-d2-S3": (2, 3, 3, 23, True), "complex-d2-S3": (2, 3, 3, 24, False),
-           "real-d2-S5-D32": (2, 5, 5, 25, True), "complex-d2-S5-D32": (2, 5, 5, 26, False)}
-# the plants besides "negated": a non-hermitean, non-commuting or singular entry
-MISSED = ("cli", "skewed", "mixed", "projected")
-_rotated = {}
-
-
-def certified_case(name, plant):
-    """The rotated table, clean (None) or with one plant at its first moved entry:
-    the CLI's 1e-3 at m[0, -1] ("cli"), a non-hermitean 1e-3 above the diagonal
-    ("skewed"), a hermitean non-commuting 1e-3 pair at m[0, -1] and m[-1, 0]
-    ("mixed"), the singular diag(0, 1, ..., 1) ("projected"), or -(k + 1) x_k, which
-    commutes and is not positive ("negated")."""
-    if name not in _rotated:
-        _rotated[name] = rotated_case(*ROTATED[name])
-    phi, T = _rotated[name]
-    k = next(i for i, g in enumerate(T.group) if not g.is_identity())
-    if plant == "cli":
-        return phi, cli._plant_defect(T, 1e-3)
-    if plant == "mixed":
-        return phi, hermitean_plant(T, 1e-3)[1]
-    return phi, CocycleTable(T.group, T.stack, T.window) if plant is None else broken(T, [(k, plant)])
-
-
-CERTIFIED_CHECKS = {
-    "strong": (lambda phi, T: cocycle.verify_strong(T, phi), lambda phi, T: per_entry_strong(T, phi)),
-    "quasi_invariance": (lambda phi, T: cocycle.verify_quasi_invariance(phi, T),
-                         per_entry_quasi_invariance),
-    "cocycle_law": (lambda phi, T: cocycle.verify_cocycle_law(T),
-                    lambda phi, T: per_entry_cocycle_law(T)),
-    "power_relation": (lambda phi, T: cocycle.power_relation_check(T),
-                       lambda phi, T: eigenbasis_power_relation(T)),
-    "strong_entries": (lambda phi, T: raised(cocycle.require_strong_entries, T, PASS_TOL),
-                       lambda phi, T: raised(oracle_require_strong, T, PASS_TOL)),
-}
-PAIRS = [(name, plant) for name in ROTATED
-         for plant in ((None, "cli") if "D32" in name else (None, *MISSED, "negated"))]
-
-
-@pytest.mark.parametrize("name, plant", PAIRS)
-def test_a_rotated_tables_facts_are_the_decomposed_ones(name, plant):
-    _, T = certified_case(name, plant)
-    assert T.frame() is None and not T.facts.err.any()  # a rotated table sits off its diagonal
-    for f, want in zip(T.facts, per_entry_facts(T), strict=True):
-        assert np.array_equal(f.sv, want.sv) and np.array_equal(f.eig, want.eig)
-        assert f.herm == want.herm and (f.hermitean, f.invertible) == (want.hermitean, want.invertible)
-
-
-@pytest.mark.parametrize("check", sorted(CERTIFIED_CHECKS))
-@pytest.mark.parametrize("name, plant", PAIRS)
-def test_certified_checks_agree_with_their_exact_forms(name, plant, check):
-    # bit for bit, every entry decomposed (radius 0); the power relation is an upper bound
-    # with the same verdict, witness or error
-    phi, T = certified_case(name, plant)
-    new, old = CERTIFIED_CHECKS[check]
-    got, want = outcome(new, phi, T), outcome(old, phi, T)
-    if check == "power_relation":
-        assert_certifies(got, want, T, [] if plant is None else [1])
-        assert got == outcome(loop_power_relation, T)
-    else:
-        same(got, want, T)
-
-
-@pytest.mark.parametrize("name", [name for name in ROTATED if "D32" not in name])
+@pytest.mark.parametrize("name", [name for name in family("rotated") if "D32" not in name])
 def test_an_indefinite_plant_reports_the_exact_positivity_defect(name):
     # herm(W x_g) of the negated entry fails the margin and takes its eigvalsh;
     # the other rows clear it and add nothing, as their exact values were negative
-    phi, T = certified_case(name, "negated")
+    phi, T = case_table(name, "negated")
     got, want = cocycle.verify_quasi_invariance(phi, T), per_entry_quasi_invariance(phi, T)
     assert got.details["positivity_defect"] == want.details["positivity_defect"] > 0.0
-    phi, T = certified_case(name, None)
+    phi, T = case_table(name)
     assert cocycle.verify_quasi_invariance(phi, T).details["positivity_defect"] == 0.0

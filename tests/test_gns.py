@@ -10,12 +10,12 @@ import pytest
 
 from quasinv import cocycle, gns, matcore, states
 from quasinv.cocycle import CocycleTable
-from quasinv.errors import NotFaithful, NotStrongCocycle
+from quasinv.errors import NotFaithful, NotPositive, NotStrongCocycle
 from quasinv.lattice import LocalOperator, Window, act, enumerate_group
 
 from oracles import (
-    DenseGns, anchor_state, anchor_table, lift_conditional_expectation, orthonormal_form,
-    seeded_diagonal_S3, state_value, unvec,
+    DenseGns, anchor_state, anchor_table, case_table, lift_conditional_expectation, matrix_power,
+    orthonormal_form, outcome, per_entry_unitaries, seeded_diagonal_S3, state_value, unvec,
 )
 
 TOL = 1e-9
@@ -156,11 +156,41 @@ def test_unitary_matches_defining_action():
     U = gns.build_unitaries(R, T)
     U_dense = DenseGns(phi).unitaries(T)
     for g in T.group:
-        s = matcore.matrix_power(T.entries[g.inverse().image].matrix, 0.5)
+        s = matrix_power(T.entries[g.inverse().image].matrix, 0.5)
         for a in states.matrix_unit_probes(phi.window):
             rhs = act(g, a).matrix @ s
             assert np.max(np.abs(U[g.image](a).matrix - rhs)) < EXACT
             assert np.max(np.abs(U_dense[g.image] @ gns.vec(a.matrix) - gns.vec(rhs))) < EXACT
+
+
+def nearly_strong(T, changes):
+    """T with entry k set to diag(1e-13, 1, ..., 1), positive below the floor TAU_ABS ("floor"), or
+    moved off hermitean by 5e-10 max(1, ||x_k||) above its diagonal ("skew"): each passes the strong
+    screen at GNS_TOL and fails the square root's own rule."""
+    stack = T.stack.copy()
+    for k, kind in changes:
+        if kind == "floor":
+            stack[k] = np.diag(np.r_[1e-13, np.ones(len(stack[k]) - 1)])
+        else:
+            stack[k, 0, 1] += 5e-10 * max(1.0, matcore.operator_norm(stack[k]))
+    return CocycleTable(T.group, stack, T.window)
+
+
+@pytest.mark.parametrize("name", ["blocked:product-d2-S3", "blocked:product-d2-S5-D32"])
+def test_the_square_roots_name_the_first_failing_entry_in_inverse_order(name):
+    # one stacked eigh a block or one an entry: the same error, on one entry the hermiticity rule
+    # before the floor, within a block and across blocks (S_5 at D 32: eight rows a block)
+    phi, T = case_table(name)
+    R, n = gns.build_gns(phi), len(T.group)
+    pairs = [(a, b) for a in range(n) for b in range(n)] if n < 24 else [(1, 2), (2, 1), (3, 100), (100, 3),
+                                                                          (7, 8), (50, 50)]
+    raised = set()
+    for a, b in pairs:
+        for changes in ([(a, "skew"), (b, "floor")], [(a, "floor"), (b, "skew")]):
+            got = outcome(gns.build_unitaries, R, nearly_strong(T, changes))
+            assert got == outcome(per_entry_unitaries, R, nearly_strong(T, changes))
+            raised.add(got[0])
+    assert raised == {matcore.NotHermitian, NotPositive}
 
 
 def test_unitary_suite_two_sites():

@@ -37,7 +37,7 @@ def probe_set(window):
 
 
 # (d, n, k): D 4, 8, 9 and 16
-CASES = [(2, 2, 2), (2, 3, 3), (3, 2, 2), (2, 4, 2)]
+SHAPES = [(2, 2, 2), (2, 3, 3), (3, 2, 2), (2, 4, 2)]
 
 
 def both(phi, T, probes):
@@ -64,7 +64,7 @@ def assert_agree(factored, oracle):
         assert f["pass"] == o["pass"]
 
 
-@pytest.mark.parametrize("d, n, k", CASES)
+@pytest.mark.parametrize("d, n, k", SHAPES)
 def test_factored_suite_matches_dense_on_clean_tables(d, n, k):
     phi, T = product_case(rotated_product, d, n, k, seed=d * 10 + n)
     factored, oracle = both(phi, T, probe_set(phi.window))
@@ -72,7 +72,7 @@ def test_factored_suite_matches_dense_on_clean_tables(d, n, k):
     assert all(f["pass"] for f in factored)
 
 
-@pytest.mark.parametrize("d, n, k", CASES)
+@pytest.mark.parametrize("d, n, k", SHAPES)
 def test_factored_suite_matches_dense_on_planted_defects(d, n, k):
     phi, T = product_case(rotated_product, d, n, k, seed=d * 10 + n)
     factored, oracle = both(phi, diagonal_plant(T, 1e-2), probe_set(phi.window))
@@ -116,7 +116,7 @@ def _nonpositive_table(phi, group):
 
 
 @pytest.mark.parametrize("make", [_nonhermitian_table, _nonpositive_table])
-@pytest.mark.parametrize("d, n, k", CASES[:3])
+@pytest.mark.parametrize("d, n, k", SHAPES[:3])
 def test_both_forms_reject_tables_that_are_not_strong(make, d, n, k):
     phi, T = product_case(rotated_product, d, n, k, seed=3)
     T_bad = make(phi, T.group)
@@ -126,7 +126,7 @@ def test_both_forms_reject_tables_that_are_not_strong(make, d, n, k):
         gns.build_unitaries(gns.build_gns(phi), T_bad)
 
 
-@pytest.mark.parametrize("d, n, k", CASES[:3])
+@pytest.mark.parametrize("d, n, k", SHAPES[:3])
 def test_factored_unitary_is_the_dense_matrix(d, n, k):
     phi, T = product_case(rotated_product, d, n, k, seed=11)
     R = gns.build_gns(phi)
@@ -136,7 +136,7 @@ def test_factored_unitary_is_the_dense_matrix(d, n, k):
             assert np.max(np.abs(gns.vec(U[g.image](a).matrix) - Ud[g.image] @ gns.vec(a.matrix))) <= MATCH
 
 
-@pytest.mark.parametrize("d, n, k", CASES[:3])
+@pytest.mark.parametrize("d, n, k", SHAPES[:3])
 def test_lift_matches_dense_lift(d, n, k):
     phi, T = product_case(rotated_product, d, n, k, seed=13)
     R, dense = gns.build_gns(phi), DenseGns(phi)
@@ -147,7 +147,7 @@ def test_lift_matches_dense_lift(d, n, k):
     assert matcore.operator_norm(got - want) <= MATCH * max(1.0, matcore.operator_norm(want))
 
 
-@pytest.mark.parametrize("d, n, k", CASES[:3])
+@pytest.mark.parametrize("d, n, k", SHAPES[:3])
 def test_orthonormal_form_matches_dense(d, n, k):
     phi, _ = product_case(rotated_product, d, n, k, seed=19)
     R, dense = gns.build_gns(phi), DenseGns(phi)
@@ -156,7 +156,7 @@ def test_orthonormal_form_matches_dense(d, n, k):
     assert matcore.operator_norm(orthonormal_form(R, M) - want) <= 1e-10 * matcore.operator_norm(want)
 
 
-@pytest.mark.parametrize("d, n, k", CASES[:3])
+@pytest.mark.parametrize("d, n, k", SHAPES[:3])
 def test_cyclicity_rank_matches_dense(d, n, k):
     phi, _ = product_case(rotated_product, d, n, k, seed=7)
     D = d ** n

@@ -3,7 +3,10 @@
 Table builders, plants, comparators and reference forms shared by the test
 modules live once in tests/oracles.py.  No test module imports another, and
 no helper (a top-level function or class whose name does not start with
-test_) is defined in more than one file of tests/.  The diagonal-frame rule
+test_) is defined in more than one file of tests/.  The case registry, the
+check table and the one memo of built cases are tests/oracles.py's, read by the
+differential harness (tests/test_differential.py): no other test module binds a
+module-level name ending in CASES or CHECKS, or a module-level empty dict.  The diagonal-frame rule
 (RHO, the split, the clear rule and the remainder bound) is defined in
 quasinv.matcore alone, and the runner (quasinv.cli) reads none of it.  Outside
 matcore every matrix, a lone one or a cocycle table's stack, is read through its
@@ -43,6 +46,22 @@ def test_each_helper_is_defined_in_one_file():
     assert {helper: where for helper, where in files.items() if len(where) > 1} == {}
 
 
+def bound(node):
+    """The names a module-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_only_oracles_and_the_harness_hold_registries_and_memos():
+    held = []
+    for name, tree in trees().items():
+        for node in tree.body if name not in ("oracles.py", "test_differential.py") else ():
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                memo = ast.unparse(node.value) in ("{}", "dict()")
+                held += [(name, t) for t in bound(node) if t.endswith(("CASES", "CHECKS")) or memo]
+    assert held == []
+
+
 RULE = {"RHO", "split", "_split", "clears", "_clears", "remainder", "_remainder"}
 
 
@@ -58,8 +77,7 @@ def test_only_matcore_defines_the_diagonal_frame_rule():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                names = bound(node)
             else:
                 continue
             defined += [(module, name) for name in names if name in RULE]

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from quasinv import cocycle, compact, gns, lattice, matcore, states
-from quasinv.cocycle import CocycleTable
+from quasinv.cocycle import CocycleTable, _report
 from quasinv.errors import GroupNotClosed, NotFinite
 from quasinv.lattice import (
     Window,
@@ -32,11 +32,11 @@ from quasinv.lattice import (
 )
 
 from oracles import (
-    AGREE, ARRAY_CASES, ARRAY_ROTATED, ROTATED_STRONG, array_case, broken, cyclic_group, cyclic_shift,
-    diag_product, diag_table, hermitean_plant, intrinsic_restriction, matrix_power_relation, outcome, pairwise_cocycle_law,
-    pairwise_strong_parts, pairwise_verify_unitaries, per_element_inverse_relation,
+    AGREE, CHECKS, assert_certifies, broken, case_table, cyclic_group, cyclic_shift, diag_product,
+    diag_table, family, first_moved, hermitean_plant, intrinsic_restriction, matrix_power_relation, outcome,
+    pairwise_cocycle_law, pairwise_strong_parts, pairwise_verify_unitaries, per_element_inverse_relation,
     per_element_structure_match, per_subgroup_locally_trivial, power_unitaries,
-    propagate_single_generator, roundoff, tree_sum_kappa,
+    propagate_single_generator, tree_sum_kappa,
 )
 
 TOL = 1e-8
@@ -172,30 +172,20 @@ def test_scale_is_computed_once():
     assert "facts" in vars(T.operand)  # the record that holds the facts
 
 
-TOL = 1e-8  # explicit: no check reads the table's scale first
-PUBLIC_CHECKS = {  # name: (check, reads the state)
-    "normalization": (lambda phi, T: cocycle.verify_normalization(T, TOL), False),
-    "cocycle_law": (lambda phi, T: cocycle.verify_cocycle_law(T, TOL), False),
-    "inverse_relation": (lambda phi, T: cocycle.verify_inverse_relation(T, TOL), False),
-    "power_relation": (lambda phi, T: cocycle.power_relation_check(T, tol=TOL), False),
-    "locally_trivial": (lambda phi, T: cocycle.locally_trivial_check(T, [2, 3], TOL), False),
-    "quasi_invariance": (lambda phi, T: cocycle.verify_quasi_invariance(phi, T, tol=TOL), True),
-    "strong": (lambda phi, T: cocycle.verify_strong(T, phi, tol=TOL), True),
-    "transport": (lambda phi, T: cocycle.verify_centralizer_transport(phi, T, T.window.identity(), tol=TOL),
-                  True),
-    "structure": (lambda phi, T: compact.verify_structure(phi, T, tol=TOL), True),
-    "restriction": (lambda phi, T: compact.restriction_consistency(phi, T, [T.group], tol=TOL), True),
-    "unitaries": (lambda phi, T: gns.build_unitaries(gns.build_gns(phi), T), True),
-}
+# the public checks of oracles.CHECKS, and whether each reads the state's density; each is called at
+# TOL, so that no check reads the table's scale first
+PUBLIC = {"normalization": False, "cocycle_law": False, "inverse_relation": False, "power_relation": False,
+          "locally_trivial": False, "quasi_invariance": True, "strong": True, "transport": True,
+          "structure": True, "restriction": True, "unitaries": True}
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("name, where", [(name, where) for name, (_, reads_state) in sorted(PUBLIC_CHECKS.items())
+@pytest.mark.parametrize("name, where", [(name, where) for name, reads_state in sorted(PUBLIC.items())
                                          for where in ("table", "density")[:1 + reads_state]])
 def test_a_non_finite_entry_is_refused(name, where, value):
     # at [1, 0, 1] and [1, 1, 0] of the table, or at [0, 1] and [1, 0] of the state's density:
     # a NaN residual compares false and would pass, and LAPACK would raise its own error
-    check = PUBLIC_CHECKS[name][0]
+    check = CHECKS[name][0]
     phi, T = diag_table(2, 3, 5)
     stack, W = T.stack.copy(), states.full_density(phi).copy()
     if where == "table":
@@ -203,7 +193,7 @@ def test_a_non_finite_entry_is_refused(name, where, value):
     else:
         W[0, 1] = W[1, 0] = value
     with pytest.raises(NotFinite), np.errstate(invalid="ignore"):  # inf - inf on the way
-        check(states.WeightedTraceState(T.window, W), CocycleTable(T.group, stack, T.window))
+        check(states.WeightedTraceState(T.window, W), CocycleTable(T.group, stack, T.window), tol=TOL)
 
 
 def test_verifiers_refuse_a_list_without_inverses():
@@ -217,17 +207,14 @@ def test_verifiers_refuse_a_list_without_inverses():
 
 # ---- the table laws against their per-pair forms -----------------------------
 
-EPS = [0.0, 1e-3]
+EPS = [0.0, 1e-3]  # 1e-3: the "mixed" plant
+DIAGONAL = [name for name in family("array") if name != "array:rotated-S3"]
 
 
 def assert_same(rep, want, witness):
     assert abs(rep.residual - want) <= AGREE
     assert rep.passed == (want <= TOL)
     assert rep.witness == (witness if want > TOL else None)
-
-
-def planted_element(T):
-    return list(next(g for g in T.group if not g.is_identity()).image)
 
 
 def assert_bounds_law(rep, want, T, eps):
@@ -238,59 +225,44 @@ def assert_bounds_law(rep, want, T, eps):
     assert rep.details["method"] == "certificate"
     assert (rep.witness is None) == rep.passed
     if eps:
-        assert planted_element(T) in rep.witness.values()
+        assert list(T.group[first_moved(T)].image) in rep.witness.values()
 
 
 @pytest.mark.parametrize("eps", EPS)
-@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+@pytest.mark.parametrize("name", family("array"))
 def test_table_laws_match_the_per_pair_forms(name, eps):
-    phi, T = array_case(name, eps)
+    phi, T = case_table(name, "mixed" if eps else "clean")
     assert_bounds_law(cocycle.verify_cocycle_law(T, tol=TOL), pairwise_cocycle_law(T)[0], T, eps)
     assert_same(cocycle.verify_inverse_relation(T, tol=TOL), *per_element_inverse_relation(T))
-    assert_certifies_matrix_power(T, planted=[planted_position(T)] if eps else [])
-    if eps:
+    if name in DIAGONAL:  # strong tables: the power relation is defined
+        assert_certifies_matrix_power(T, planted=[first_moved(T)] if eps else [])
+    if eps and name in DIAGONAL:
         assert pairwise_cocycle_law(T)[0] > TOL and per_element_inverse_relation(T)[0] > TOL
 
 
-def new_power_relation(T, s_list):
-    rep = cocycle.power_relation_check(T, s_list, tol=TOL)
-    return rep.residual, rep.witness
-
-
-def planted_position(T):
-    return next(i for i, g in enumerate(T.group) if not g.is_identity())
+def exact_power_relation(T, s_list):
+    """matrix_power_relation as a report at TOL."""
+    r, witness = matrix_power_relation(T, s_list)
+    return _report("power_relation", r, TOL, witness=witness if r > TOL else None)
 
 
 def assert_certifies_matrix_power(T, s_list=(0.5, 1.0, 2.0), planted=()):
-    """The certified power relation against the per-element form: the same
-    error (type and message); else the same verdict, within roundoff where both
-    pass, and where both fail a residual at least the exact one (to AGREE
-    relative) with the witness g at a planted position or its inverse."""
-    want = outcome(matrix_power_relation, T, s_list)
-    got = outcome(new_power_relation, T, s_list)
-    if isinstance(want[0], type) or isinstance(got[0], type):
-        assert got == want
-        return
-    (r, witness), (w, _) = got, want
-    assert (r <= TOL) == (w <= TOL)
-    if w <= TOL:
-        assert abs(r - w) <= roundoff(T, s_list) and witness is None
-    else:
-        assert r >= w * (1.0 - AGREE)
-        inv = lattice.group_table(T.group)[1]
-        assert witness["g"] in [list(T.group[k].image) for k in [*planted, *inv[list(planted)]]]
+    """The certified power relation against the per-element form, by oracles.assert_certifies: the
+    same error; else the same verdict, within roundoff where both pass, and where both fail a
+    residual at least the exact one with the witness g at a planted position or its inverse."""
+    assert_certifies(outcome(cocycle.power_relation_check, T, s_list, tol=TOL),
+                     outcome(exact_power_relation, T, s_list), T, planted, s_list)
 
 
 S_LISTS = [(0.5, 1.0, 2.0), (1.0, 2.0), (-1.0, 0.0, 2.0)]
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6])
-@pytest.mark.parametrize("name", sorted(ROTATED_STRONG))
+@pytest.mark.parametrize("name", family("strong"))
 def test_power_relation_on_non_diagonal_strong_tables_matches_the_per_element_form(name, eps):
-    T = ROTATED_STRONG[name]()
+    T = case_table(name, "hermitean" if eps else "clean")[1]
     assert max(matcore.operator_norm(x - np.diag(np.diag(x))) for x in T.stack) > 1e-2
-    T = hermitean_plant(T, eps)[1] if eps else T
-    planted = [planted_position(T)] if eps else []
+    planted = [first_moved(T)] if eps else []
     assert_certifies_matrix_power(T, planted=planted)
     assert (matrix_power_relation(T)[0] > TOL) == bool(eps)
     for s_list in S_LISTS:
@@ -303,8 +275,7 @@ def test_power_relation_decomposes_no_entry(monkeypatch):
     T = hermitean_plant(T, 1e-3)[1]
     T.facts
     calls = []
-    for module, name in ((matcore, "spectral_decompose"), (matcore, "matrix_power"),
-                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
     for s_list in S_LISTS:
         assert not cocycle.power_relation_check(T, s_list).passed
@@ -315,8 +286,10 @@ def test_power_relation_at_s_zero_is_exactly_zero_undecomposed(monkeypatch):
     # x^0 = 1 on both sides, for any entry: nothing is decomposed, nothing raised
     _, T = diag_table(2, 3, 2)
     T = broken(T, [(1, "skewed"), (2, "negated")])
+    T.facts  # the table's own facts pass (an eigvalsh off its diagonal) before the patch
     calls = []
-    monkeypatch.setattr(matcore, "spectral_decompose", lambda H, **kw: calls.append(1))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **kw: calls.append(name))
     rep = cocycle.power_relation_check(T, (0.0,))
     assert rep.residual == 0.0 and rep.passed and not calls
 
@@ -348,20 +321,12 @@ def test_power_relation_defers_the_error_of_an_inverse_met_early(s_list):
 
 
 @pytest.mark.parametrize("eps", EPS)
-@pytest.mark.parametrize("name", sorted(ARRAY_ROTATED))
-def test_laws_on_non_hermitean_tables_match_the_per_pair_forms(name, eps):
-    phi, T = array_case(name, eps)
-    assert_bounds_law(cocycle.verify_cocycle_law(T, tol=TOL), pairwise_cocycle_law(T)[0], T, eps)
-    assert_same(cocycle.verify_inverse_relation(T, tol=TOL), *per_element_inverse_relation(T))
-
-
-@pytest.mark.parametrize("eps", EPS)
-@pytest.mark.parametrize("name", sorted(ARRAY_CASES) + sorted(ARRAY_ROTATED))
+@pytest.mark.parametrize("name", family("array"))
 def test_strong_bundle_matches_the_per_pair_form(name, eps):
-    # the hermitean plant commutes with the diagonal entries of ARRAY_CASES; a
+    # the hermitean plant commutes with the diagonal entries of the diagonal cases; a
     # failing witness is a pair of entries that do not commute, or, with no
     # such pair, the planted entry as the worst of a failing sub-law
-    phi, T = array_case(name, eps)
+    phi, T = case_table(name, "mixed" if eps else "clean")
     rep = cocycle.verify_strong(T, phi, tol=TOL)
     herm, comm, _ = pairwise_strong_parts(T)
     assert abs(rep.details["hermiticity"] - herm) <= AGREE
@@ -373,15 +338,15 @@ def test_strong_bundle_matches_the_per_pair_form(name, eps):
     elif rep.passed:
         assert rep.witness is None
     else:
-        assert rep.witness == {"g": planted_element(T), "part": rep.witness["part"]}
-    if name in ARRAY_ROTATED:
+        assert rep.witness == {"g": list(T.group[first_moved(T)].image), "part": rep.witness["part"]}
+    if name == "array:rotated-S3":
         assert comm > TOL and herm > TOL
 
 
 @pytest.mark.parametrize("eps", EPS)
-@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+@pytest.mark.parametrize("name", DIAGONAL)
 def test_locally_trivial_matches_the_per_subgroup_form(name, eps):
-    phi, T = array_case(name, eps)
+    phi, T = case_table(name, "mixed" if eps else "clean")
     N = T.window.N
     sizes = list(range(2, min(N, T.group[0].N) + 1))
     for rep, n in zip(cocycle.locally_trivial_check(T, sizes, tol=TOL), sizes):
@@ -389,9 +354,9 @@ def test_locally_trivial_matches_the_per_subgroup_form(name, eps):
 
 
 @pytest.mark.parametrize("eps", EPS)
-@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+@pytest.mark.parametrize("name", DIAGONAL)
 def test_structure_checks_match_the_per_element_forms(name, eps):
-    phi, T_clean = array_case(name, 0.0)
+    phi, T_clean = case_table(name)
     T = hermitean_plant(T_clean, eps)[1] if eps else T_clean
     kap = compact.kappa(T_clean)
     want = tree_sum_kappa(T_clean)
@@ -411,9 +376,9 @@ def test_structure_checks_match_the_per_element_forms(name, eps):
 
 
 @pytest.mark.parametrize("eps", EPS)
-@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+@pytest.mark.parametrize("name", DIAGONAL)
 def test_gns_unitaries_match_the_per_pair_forms(name, eps):
-    phi, T = array_case(name, eps)
+    phi, T = case_table(name, "mixed" if eps else "clean")
     R = gns.build_gns(phi)
     U = gns.build_unitaries(R, T)
     want = power_unitaries(R, T)
