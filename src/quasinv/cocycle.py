@@ -20,14 +20,14 @@ inverse.  One function, _coboundary_defects, measures
 a table against a coboundary: the law's delta(g) and local triviality here, the
 structure decomposition and the restriction to subgroups (kappa = W^-1) in
 compact.  Besides: the solution set of W x = x* W on a single factor.  The laws
-on all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law,
-verify_strong), the power relation from the inverse relation's per-entry defects
+on all |G|^2 pairs are bounded from |G| entries (verify_cocycle_law, verify_strong
+on the rows that clear the frame), the power relation from the inverse relation's per-entry defects
 by the operator-Lipschitz constants of t -> t^s (Bhatia, Matrix Analysis, X.3).
 
 A table's stack is one matcore.Operand, as kappa, the mean and the state density are: its
 facts, eps(g) and delta(g) are read off the diagonals where every entry clears matcore's
-diagonal-frame rule in the standard basis, else each entry is decomposed, exact, and the
-seeded eigenbasis T.basis frames verify_strong's commutators alone.  Checks read blocks of rows.
+diagonal-frame rule in the standard basis, else each entry is decomposed, exact; verify_strong
+reads the rule row by row, exact where neither row of a pair clears it.  Checks read blocks of rows.
 """
 
 from dataclasses import dataclass, field
@@ -38,6 +38,7 @@ import numpy as np
 from . import lattice, matcore, states
 from .errors import (
     GroupNotClosed,
+    GroupTooLarge,
     MissingIdentityEntry,
     NotInCentralizer,
     NotHermitianZ,
@@ -52,7 +53,7 @@ from .lattice import LocalOperator, gather, support
 # planted defects in the tests are >= 1e-3, five decades away
 PASS_TOL = 1e-8
 TAU_STATE = 1e-8
-EXHAUSTIVE_ORDER_CAP = 120  # a law without a certificate is checked pair by pair up to |S_5|
+EXHAUSTIVE_ORDER_CAP = 120  # pair by pair up to |S_5|: a law without a certificate, rows off the frame
 
 
 def _first_worst(r):
@@ -66,8 +67,7 @@ class CocycleTable:
     in group order, the array of the matcore.Operand `operand`, whose readings are `split`,
     `frame(rows)`, `facts` and `rowwise`.  The entries arrive as that array (adopted if read-only,
     else copied) or as a mapping from image tuples to operators; `entries`, `entry(g)` and iteration
-    are views onto the rows of the stack.  `basis` frames verify_strong's commutators where the standard
-    basis does not clear.  The mean M is the Operand `mean_operand`, whose inverse is M^-1."""
+    are views onto the rows of the stack.  The mean M is the Operand `mean_operand`, whose inverse is M^-1."""
 
     def __init__(self, group, entries, window):
         self.group, self.window = tuple(group), window
@@ -98,14 +98,6 @@ class CocycleTable:
     def frame(self, rows=slice(None)):
         """The record's frame, (diagonals, ||E_g||_F), of the listed rows (all by default); None unless it clears."""
         return None if (f := self.operand.frame) is None else (f[0][rows], f[1][rows])
-
-    @cached_property
-    def basis(self):
-        """The eigenbasis V of herm(sum_g c_g x_g), c_g seeded, which diagonalizes a commuting hermitean
-        table: verify_strong's commutator frame where the standard basis does not clear."""
-        x = self.stack
-        H = np.tensordot(np.random.Generator(np.random.Philox(0)).standard_normal(len(x)), x, 1)
-        return matcore._frozen(np.linalg.eigh((H + H.conj().T) / 2.0)[1])
 
     def scale(self):
         return max(1.0, float(self.facts.norm.max()))
@@ -270,35 +262,36 @@ def require_strong_entries(T, tol):
 
 
 def verify_strong(T, phi, probes=None, tol=None):
-    """The strong-case bundle: hermiticity, positivity, pairwise commutation, centralizer membership,
-    and the bounds [S1, S2] of every Spec(x_g).  ||[x_g, x_h]|| <= 2 matcore.remainder, with x_g = D_g + E_g
-    in the standard basis where the table clears it (T.split), else V* x_g V = D_g + E_g in its eigenbasis
-    V = T.basis, ||E_g|| the operator norm.  Witness: a non-commuting pair {g, h}; else {g, part}, the
-    worst entry of the first failing part (hermiticity, positivity, centralizer)."""
+    """The strong-case bundle: hermiticity, positivity, pairwise commutation, centralizer membership and the
+    bounds [S1, S2] of every Spec(x_g).  ||[x_g, x_h]||, g < h, is matcore.commutator_bound of the frames of
+    the rows that clear the rule (T.operand.mask), else of the dense rows, exact where neither clears, up to
+    EXHAUSTIVE_ORDER_CAP such rows (GroupTooLarge above).  Witness: the worst pair {g, h} of that reading,
+    first in order, if its exact commutator exceeds tol; else {g, part}, the worst entry of the first failing
+    part."""
     tol = PASS_TOL * T.scale() if tol is None else tol
-    f, x, W, d = T.facts, T.stack, states.density(phi, T.window).A, np.arange(len(T.stack[0]))
-    def block(rows):  # max|D_g| and ||E_g|| of y = V* x_g V
-        y = T.basis.conj().T @ x[rows] @ T.basis
-        diag = np.abs(y[:, d, d]).max(-1)
-        y[:, d, d] = 0.0  # y minus its diagonal, exactly
-        return diag, matcore.operator_norm(y)
-    diag, off = T.split[1:] if T.frame() is not None else T.rowwise(block)
-    herm, s1, s2 = float(f.herm.max()), float(f.lo.min()), float(f.hi.max())
+    f, x, W, (_, diag, off), clear = T.facts, T.stack, states.density(phi, T.window).A, T.split, T.operand.mask
+    if (dense := np.flatnonzero(~clear)).size > EXHAUSTIVE_ORDER_CAP:
+        raise GroupTooLarge(f"{dense.size} entries off the diagonal frame, over {EXHAUSTIVE_ORDER_CAP} to pair")
+    found, d = [(0.0, 0, 0)], np.diagonal(x, axis1=1, axis2=2)  # the worst (reading, g, h) of each part
+    for r in matcore._blocks(len(x), 4 * off.nbytes):  # both rows clear: the scalars, a block of rows at a time
+        R = np.triu(np.where(clear[r][:, None] & clear, 2.0 * matcore.remainder(
+            diag[r][:, None], off[r][:, None], diag, off), 0.0), r[0] + 1)
+        g, h = divmod(int(np.argmax(R)), len(x))
+        found.append((R[g, h], r[g], h))
+    for i, k in enumerate(dense):  # a dense row against each clearing row, then each later dense row
+        for rows, side in ((np.flatnonzero(clear), lambda r: (d[r], off[r])), (dense[i + 1:], lambda r: x[r])):
+            if rows.size:  # rows ascend, and so do their pairs with k
+                j = np.argmax(v := T.rowwise(lambda r: matcore.commutator_bound(x[k], side(r)), rows))
+                found.append((v[j], min(rows[j], k), max(rows[j], k)))
+    comm, g, h = max(found, key=lambda t: (t[0], -t[1], -t[2]))
+    herm, s1, s2, comm = float(f.herm.max()), float(f.lo.min()), float(f.hi.max()), float(comm)
     centrs = T.rowwise(lambda r: states.centralizer_residual(W, x[r], probes))
-    comm = max(float(np.triu(2.0 * matcore.remainder(diag[r][:, None], off[r][:, None], diag, off),
-                             r[0] + 1).max()) for r in matcore._blocks(len(x), 4 * off.nbytes))
-    centr = float(centrs.max())
-    resid = max(herm, comm, centr)
-    positive = s1 > 0.0
+    resid, positive = max(herm, comm, centr := float(centrs.max())), s1 > 0.0
     details = {"hermiticity": herm, "min_eig": s1, "max_eig": s2, "commutators": comm,
                "centralizer": centr, "spectrum_bounds": (s1, s2)}
     passed = resid <= tol and positive
-    witness = None
-    if comm > tol:  # the worst exact commutator of the entry with the largest E_g
-        k = int(np.argmax(off))
-        exact = T.rowwise(lambda r: matcore.operator_norm(x[k] @ x[r] - x[r] @ x[k]))
-        g, h = (list(T.group[i].image) for i in sorted((k, int(np.argmax(exact)))))
-        witness = {"g": g, "h": h} if max(exact) > tol else None
+    witness = ({"g": list(T.group[g].image), "h": list(T.group[h].image)}
+               if comm > tol and matcore.commutator_bound(x[g], x[h]) > tol else None)  # the pair, confirmed
     for part, r, fails in (("hermiticity", f.herm, herm > tol),
                            ("positivity", -f.lo, not positive),
                            ("centralizer", centrs, centr > tol)):

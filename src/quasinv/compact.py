@@ -135,18 +135,17 @@ def verify_structure(phi, T, *, tol=STRUCTURE_TOL, decomposition=None):
     with g^-1(kappa^-1).  A (phi_G, kappa) pair may be supplied explicitly;
     by default both are computed from the table.  The factorization is checked
     on the defect matrix W - W_G kappa^-1, on every a, the reconstruction as
-    _coboundary_defects reads it, the commutation by matcore.commutator_bound
-    where kappa and kappa^-1 clear the frame, else one SVD a row: all off kappa's Operand."""
+    _coboundary_defects reads it, the commutation by matcore.commutator_bound, each side its frame
+    where it clears (g^-1 gathers kappa^-1's diagonal), else dense: all off kappa's Operand."""
     group, window, W = T.group, T.window, states.density(phi, T.window).A
     K = matcore.Operand(kappa(T).matrix if decomposition is None else decomposition[1].matrix)
     phi_G = invariant_state(phi, group) if decomposition is None else decomposition[0]
-    f, kap, kinv, pair = K.facts, K.A, K.inv.A, (K.frame, K.inv.frame)
+    f, kap, kinv, n, Qi = K.facts, K.A, K.inv.A, K.inv.frame, lattice.inverse_index(group, window)
 
     recon, where = states.pairing_residual(W - states.density(phi_G, window).A @ kinv)
     match, k = _first_worst(_coboundary_defects(T, K))
-    commut = float(matcore.commutator_bound(*pair) if None not in pair else T.rowwise(
-        lambda r: matcore.operator_norm(kap @ (moved := gather(kinv, lattice.inverse_index(group, window)[r]))
-                                        - moved @ kap)).max())
+    commut = float(T.rowwise(lambda r: matcore.commutator_bound(
+        kap if K.frame is None else K.frame, gather(kinv, Qi[r]) if n is None else (n[0][Qi[r]], n[1]))).max())
     normal = matcore.operator_norm(haar_average(group, LocalOperator(window, kinv)).matrix - np.eye(len(kap)))
 
     resid = max(recon, match, normal, float(f.herm), commut)

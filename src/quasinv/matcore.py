@@ -5,8 +5,8 @@ densities with a spectral floor, and the per-matrix facts the strong-case checks
 (singular values, hermiticity defect, hermitean-part spectrum, invertibility, within
 err), each over stacks (..., d, d) too.  The diagonal
 frame: A = D + E (diagonal, off-diagonal) hermitean with ||E||_F <= RHO max(1, max|D|)
-is read off D, its facts within err ||E||_F and each product or commutator by the
-diagonals plus remainder; elsewhere the facts are decomposed, exact.  Every matrix a check
+is read off D, its facts within err ||E||_F, each product or commutator by the diagonals plus
+remainder, a dense matrix's commutator with it entrywise; elsewhere exact.  Every matrix a check
 reads, lone or a cocycle table's stack, is one Operand: read once, in blocks of at most
 BLOCK_BYTES of rows, a non-finite entry refused.  All linear algebra funnels through here.
 """
@@ -179,8 +179,8 @@ def split(y):
 
 
 def clears(herm, diag, off):
-    """The rule: every D + E hermitean (not asked if herm is None), ||E|| <= RHO max(1, max|D|)."""
-    return bool(np.all((off <= RHO * np.maximum(1.0, diag)) & (herm is None or hermitean(herm, diag + off))))
+    """The rule, elementwise: D + E hermitean (not asked if herm is None), ||E|| <= RHO max(1, max|D|)."""
+    return (off <= RHO * np.maximum(1.0, diag)) & (herm is None or hermitean(herm, diag + off))
 
 
 def diagonal_facts(x, herm, off):
@@ -194,9 +194,9 @@ class Operand:
     """A matrix A, or a stack (..., d, d) of them, held read-only (a read-only array adopted, a writeable one
     copied) and read whole if it fits BLOCK_BYTES, else as the stack `rows` (a lone matrix the stack of one)
     in blocks of at most BLOCK_BYTES.  Each reading is formed on first read, frozen and kept: split's scalars
-    (NotFinite unless all are finite, as a NaN or inf entry leaves its matrix's), the frame (need_herm=False
-    drops the rule's hermiticity clause), the Facts (off the diagonal where A clears the rule, else
-    decomposed) and inv, the record of the given inverse or of inv(A), its inv this one."""
+    (NotFinite unless all are finite, as a NaN or inf entry leaves its matrix's), the rule's mask a matrix and
+    the frame where all clear (need_herm=False drops the hermiticity clause), the Facts (off the diagonal where
+    A clears the rule, else decomposed) and inv, the record of the given inverse or of inv(A), its inv this one."""
 
     def __init__(self, A, inv=None, need_herm=True):
         if (A := promote(A)).flags.writeable:
@@ -223,14 +223,12 @@ class Operand:
     @cached_property
     def facts(self):
         herm, diag, off = self.split
-        return (diagonal_facts(self.A, herm, off) if clears(herm, diag, off)
+        return (diagonal_facts(self.A, herm, off) if np.all(clears(herm, diag, off))
                 else Facts(*self._read(lambda y: facts(y).arrays)))
 
-    @cached_property
-    def frame(self):
-        herm, diag, off = self.split
-        if clears(herm if self.need_herm else None, diag, off):
-            return np.diagonal(self.A, axis1=-2, axis2=-1), off
+    mask = cached_property(lambda self: _frozen(clears(self.split[0] if self.need_herm else None, *self.split[1:])))
+    frame = cached_property(lambda self: (np.diagonal(self.A, axis1=-2, axis2=-1), self.split[2])
+                            if np.all(self.mask) else None)
 
     @property
     def inv(self):
@@ -253,5 +251,13 @@ def product_defect(c, a, b):
 
 
 def commutator_bound(a, b):
-    """2 remainder >= ||[A, B]||, A and B as Operand.frame: their diagonals commute."""
-    return 2.0 * remainder(np.abs(a[0]).max(-1), a[1], np.abs(b[0]).max(-1), b[1])
+    """A bound on ||[A, B]|| (each of broadcast stacks), each side a frame (diagonals d, ||E||_F), as Operand.frame,
+    or dense: 2 remainder for two frames (diagonals commute); ||A o Delta||_F + 2 ||A||_F ||E||_F for dense A
+    against D + E, [A, D]_ij = a_ij (d_j - d_i) = (A o Delta)_ij, no LAPACK call; two dense: exact, one SVD."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return 2.0 * remainder(np.abs(a[0]).max(-1), a[1], np.abs(b[0]).max(-1), b[1])
+    a, b = (b, a) if isinstance(a, tuple) else (a, b)  # a dense
+    if not isinstance(b, tuple):
+        return operator_norm(a @ b - b @ a)
+    fro = lambda z: np.linalg.norm(z, axis=(-2, -1))
+    return fro(a * (b[0][..., None, :] - b[0][..., :, None])) + 2.0 * fro(a) * b[1]

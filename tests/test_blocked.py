@@ -28,7 +28,7 @@ from oracles import (
     assert_certifies, broken, case_table, eigenbasis_power_relation, family, first_moved, generic_product,
     loop_power_relation, outcome, per_entry_cocycle_law, per_entry_inverse_relation,
     per_entry_locally_trivial, per_entry_restriction, per_entry_strong, per_entry_transport, product_case,
-    rotated_product, same, sign_table, stepwise_series,
+    reads_exact, rotated_product, same, sign_table, stepwise_series,
 )
 
 SMALL = [name for name in family("blocked") if "D32" not in name]
@@ -44,7 +44,7 @@ def probes(window, count=3):
 def test_checks_on_probes_equal_their_per_entry_loops(name, plant):
     phi, T = case_table(name, plant)
     P = probes(T.window)
-    same(cocycle.verify_strong(T, phi, P), per_entry_strong(T, phi, P), T)
+    reads_exact(cocycle.verify_strong(T, phi, P), per_entry_strong(T, phi, P), T)
     x = LocalOperator(T.window, states.full_density(phi))  # W is in its own centralizer
     same(outcome(cocycle.verify_centralizer_transport, phi, T, x),
          outcome(per_entry_transport, phi, T, x), T)

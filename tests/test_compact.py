@@ -199,6 +199,25 @@ def test_structure_seeded_states():
         assert out.residual < 1e-9
 
 
+def test_the_commutation_reads_a_dense_kappa_against_its_inverses_frame():
+    # kappa^-1 = N clears the frame while kappa = N^-1 does not (the 1e-8 pair sits between two small
+    # diagonal entries, so N^-1 carries it at 5e-7): the commutation reads kappa against the diagonal
+    # of each g^-1(N), at least the exact ||[kappa, g^-1(kappa^-1)]|| and within its stated terms above
+    window, group = Window(2, 2), enumerate_group(2)
+    N = np.diag([0.1, 0.2, 5.0, 300.0])
+    N[0, 1] = N[1, 0] = 1e-8
+    kap = LocalOperator(window, np.linalg.inv(N))
+    K = matcore.Operand(kap.matrix)
+    assert K.frame is None and K.inv.frame is not None
+    phi = states.product_state(2, [np.diag([0.3, 0.7]), np.diag([0.4, 0.6])])
+    got = compact.verify_structure(phi, cocycle.trivial_cocycle(kap, group), decomposition=(phi, kap))
+    exact = max(matcore.operator_norm(kap.matrix @ m - m @ kap.matrix)
+                for m in (act(g, LocalOperator(window, N)).matrix for g in group))
+    # ||A o Delta||_F + 2 ||A||_F ||E||_F <= sqrt(D) (exact + 2 ||A|| ||E||) + 2 ||A||_F ||E||_F, D = 4
+    terms = (2 * 2 + 2) * np.linalg.norm(kap.matrix) * np.sqrt(2) * 1e-8
+    assert 0.0 < exact <= got.details["commutation"] <= 2 * exact + terms
+
+
 def test_invariant_state_is_exchangeable():
     phi = anchor_state()
     group = enumerate_group(2)

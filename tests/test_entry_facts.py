@@ -11,8 +11,8 @@ and the strong-entry and invertibility screens raise the same first error (the
 screens and the strong bounds of each entry case, and the rotated tables against
 their exact per-entry forms, are rows of tests/test_differential.py).  Counting
 the LAPACK calls of a run pins what the frame saves: a clean (diagonal) run
-builds no basis and decomposes no entry, and only verify_strong's commutators
-read the eigenbasis of a table the standard basis does not clear.
+decomposes no entry, and a planted table's commutators are read against the
+diagonals of the entries that clear it, with no decomposition.
 """
 
 import json
@@ -72,7 +72,7 @@ def test_kappa_and_the_unitaries_screen_through_the_same_facts():
         oracle_require_strong, T, gns.GNS_TOL)
 
 
-# ---- the facts come from one eigenbasis per table ----------------------------
+# ---- the LAPACK calls of a run, counted -----------------------------------
 
 def rows_of(A):
     """The matrices of one argument: itself, or each matrix of a stack."""
@@ -119,10 +119,10 @@ def scenario_run(tmp_path, monkeypatch, scenario, *argv):
 
 def clean_run_linalg(tmp_path, monkeypatch, scenario):
     """A clean run's table and np.linalg's arguments, after checking that the diagonal
-    table is read in the standard basis: no eigh builds a basis, and no entry or its
-    hermitean part goes to an eigvalsh or an svd."""
+    table is read in the standard basis: no eigh, and no entry or its hermitean part
+    goes to an eigvalsh or an svd."""
     code, T, given = scenario_run(tmp_path, monkeypatch, scenario)
-    assert code == 0 and given["eigh"] == [] and "basis" not in T.__dict__
+    assert code == 0 and given["eigh"] == []
     parts = [(x + x.conj().T) / 2.0 for x in T.stack]
     assert not any(count_in(given["eigvalsh"] + given["svd"], [*T.stack, *parts]))
     return T, given
@@ -276,9 +276,9 @@ def test_structure_run_averages_the_table_and_the_state_once(tmp_path, monkeypat
     assert json.loads(out.read_text())["summary"]["all_pass"] is True
 
 
-def test_the_strong_check_reads_a_diagonal_table_with_no_basis(monkeypatch):
-    # with the facts built, verify_strong on a diagonal table builds no basis, takes no
-    # LAPACK call and reads no facts again: its one pass over the rows is the centralizer pairing
+def test_the_strong_check_reads_a_diagonal_table_with_no_lapack_call(monkeypatch):
+    # with the facts built, verify_strong on a diagonal table takes no LAPACK call
+    # and reads no facts again: its one pass over the rows is the centralizer pairing
     phi, T = product_on_sites(3, 3)
     T.facts
     given = record_linalg(monkeypatch)
@@ -286,17 +286,17 @@ def test_the_strong_check_reads_a_diagonal_table_with_no_basis(monkeypatch):
     passes = count_fact_passes(monkeypatch)
     assert cocycle.verify_strong(T, phi).passed
     assert given == {"eigh": [], "eigvalsh": [], "svd": []} and normed == [] and passes == []
-    assert "basis" not in vars(T)
 
 
-def test_the_facts_of_a_planted_table_build_no_basis():
+def test_a_planted_table_decomposes_its_facts_and_no_commutator(monkeypatch):
     # the planted entry leaves the standard basis: the facts are decomposed entry by entry,
-    # and only verify_strong's commutators read the eigenbasis
+    # and verify_strong reads the planted row against the others' diagonals, with no LAPACK call
     phi, T = case_table("entry:product-D8", "cli")
     assert T.frame() is None and raised(compact.kappa, T) is not None
-    assert "basis" not in vars(T)
-    cocycle.verify_strong(T, phi)
-    assert "basis" in vars(T)
+    T.facts
+    given = record_linalg(monkeypatch)
+    assert cocycle.verify_strong(T, phi).witness["part"] == "hermiticity"
+    assert given == {"eigh": [], "eigvalsh": [], "svd": []}
 
 
 # ---- each per-entry defect is computed once per run ------------------------

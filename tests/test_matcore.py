@@ -339,6 +339,21 @@ def test_the_diagonal_frame_bounds_products_and_commutators(dim, seed, eps):
         matcore.remainder(np.abs(fa[0]).max(), fa[1], np.abs(fb[0]).max(), fb[1]))
 
 
+@pytest.mark.parametrize("dim, seed", [(2, 1), (5, 2), (8, 3)])
+def test_a_dense_matrix_against_a_frame_bounds_the_commutator(dim, seed):
+    # [A, D + E] = A o Delta + [A, E]: against a scalar diagonal (Delta = 0) the commutator is [A, E]
+    # alone, which the 2 ||A||_F ||E||_F term must cover, and against a spread one A o Delta adds;
+    # either side may be the frame, and two dense sides read the exact norm
+    A, G = matcore.random_matrix(dim, [seed, seed + 1])
+    E = 1e-11 * (G + G.conj().T) / 2.0
+    E -= np.diag(np.diagonal(E))
+    for d in (np.full(dim, 2.0), np.arange(1.0, dim + 1.0)):
+        B = np.diag(d) + E
+        f, exact = matcore.Operand(B).frame, matcore.operator_norm(A @ B - B @ A)
+        assert f is not None and 0.0 < exact <= matcore.commutator_bound(A, f) == matcore.commutator_bound(f, A)
+    assert matcore.commutator_bound(A, G) == matcore.operator_norm(A @ G - G @ A)
+
+
 # ---- the Operand record: a lone matrix's frame, facts and inverse, each read once ----
 
 def operand_cases(dim=6, seed=5):

@@ -80,7 +80,7 @@ def test_a_plant_below_rho_lies_within_its_stated_terms(name, dtype, involution)
     # terms, its commutation at 2 remainder(max|k|, ||E_K||, max|n|, ||E_N||)
     kap = (T.mean + T.mean.conj().T) / 2.0
     (h_k, m_k, e_k), (h_n, m_n, e_n) = (matcore.split(a.copy()) for a in (kap, np.linalg.inv(kap)))
-    assert matcore.clears(np.r_[h_k, h_n], np.r_[m_k, m_n], np.r_[e_k, e_n])
+    assert matcore.clears(np.r_[h_k, h_n], np.r_[m_k, m_n], np.r_[e_k, e_n]).all()
     cross = matcore.remainder(m_k, e_k, m_n, e_n)
     got, want = (r.details for r in (compact.verify_structure(phi, T), per_entry_structure(phi, T)))
     assert within(np.array([got["cocycle_match"]]), np.array([want["cocycle_match"]]),

@@ -330,7 +330,7 @@ def test_strong_bundle_matches_the_per_pair_form(name, eps):
     rep = cocycle.verify_strong(T, phi, tol=TOL)
     herm, comm, _ = pairwise_strong_parts(T)
     assert abs(rep.details["hermiticity"] - herm) <= AGREE
-    assert rep.details["commutators"] >= comm
+    assert rep.details["commutators"] >= comm - AGREE  # exact where a plant is one entry: round-off apart
     assert (rep.details["commutators"] > TOL) == (comm > TOL)
     if comm > TOL:
         xg, xh = (T.entries[tuple(rep.witness[k])].matrix for k in ("g", "h"))
